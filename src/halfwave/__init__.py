@@ -49,7 +49,6 @@ from .grid import (
     inverse_transform,
     modulus_multiplier,
 )
-from .kernels import active_backend
 from .propagator import EvolutionSpec, duhamel, evolve, free_spacetime
 from .solver import (
     CauchyData,

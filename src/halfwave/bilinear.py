@@ -239,14 +239,14 @@ def surface_mass(
     tol: float = 0.01,
     n0: int = 48,
     max_refine: int = 3,
-    backend: str | None = None,
 ) -> SurfaceMassResult:
     """Thickened-level-set estimate of the surface-measure integral
     int_{P(eta)=tau} dS/|grad P| F(rho1, rho2).
 
-    F is either a PowerWeight (numba-acceleratable) or a vectorized callable
-    F(rho1, rho2).  The eta box is refined (n -> 2n) until the value is
-    stable to the requested relative tolerance.  An empty level set returns
+    F is either a PowerWeight, whose power law and shell conditions the band
+    sum evaluates itself, or a vectorized callable F(rho1, rho2).  The eta
+    box is refined (n -> 2n) until the value is stable to the requested
+    relative tolerance.  An empty level set returns
     value 0 with the empty flag set.
     """
     if h <= 0:
@@ -277,14 +277,10 @@ def surface_mass(
         raise ParameterError("F must be a PowerWeight or a callable F(rho1, rho2)")
 
     n = n0
-    prev = kernels.band_mass(
-        xi_vec, sp.first, sp.second, tau, h, lo, width, n, backend=backend, **kw
-    )
+    prev = kernels.band_mass(xi_vec, sp.first, sp.second, tau, h, lo, width, n, **kw)
     for _ in range(max_refine):
         n *= 2
-        cur = kernels.band_mass(
-            xi_vec, sp.first, sp.second, tau, h, lo, width, n, backend=backend, **kw
-        )
+        cur = kernels.band_mass(xi_vec, sp.first, sp.second, tau, h, lo, width, n, **kw)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return SurfaceMassResult(cur, converged=True, n_final=n)
         prev = cur
@@ -314,19 +310,6 @@ def product_transform_direct(
     return forward_transform(windowed)
 
 
-def _mask_to_code(mask) -> tuple | None:
-    code = getattr(mask, "code", None)
-    if code is None:
-        return None
-    return (
-        code,
-        getattr(mask, "c1", 2.0),
-        getattr(mask, "threshold", 0.5),
-        getattr(mask, "sh_lo", 0.0),
-        getattr(mask, "sh_hi", np.inf),
-    )
-
-
 def bilinear_symbol_product(
     u0: Spectrum,
     v0: Spectrum,
@@ -334,16 +317,18 @@ def bilinear_symbol_product(
     mask,
     g: SpacetimeGrid,
     w: WindowSpec,
-    backend: str | None = None,
 ) -> SpacetimeSpectrum:
     """Masked discrete convolution of the two free-wave spectra, per time
     slice, then windowed and transformed in time.
 
     With the trivial mask this equals product_transform_direct (the product
     in configuration space is exactly the periodic lattice convolution).
-    mask is either a coded MaskSpec or a callable mask(xi1, xi2) on stacked
-    (..., 3) frequency arrays (numpy path only).
+    mask is a dyadic.MaskSpec.
     """
+    from .dyadic import MaskSpec  # dyadic imports this module
+
+    if not isinstance(mask, MaskSpec):
+        raise ParameterError(f"mask must be a MaskSpec, got {type(mask).__name__}")
     sg = g.spatial
     if u0.grid != sg or v0.grid != sg:
         raise GridMismatchError("data do not live on the spatial lattice")
@@ -353,35 +338,9 @@ def bilinear_symbol_product(
         )
     us = _free_wave_slices(u0, g, sp.first)
     vs = _free_wave_slices(v0, g, sp.second)
-    coded = _mask_to_code(mask)
-    if coded is not None:
-        code, c1, thresh, sh_lo, sh_hi = coded
-        conv = kernels.masked_convolution(
-            us, vs, sg.xi_axis, code, c1, thresh, sh_lo, sh_hi, backend=backend
-        )
-    elif callable(mask):
-        conv = _generic_masked_convolution(us, vs, sg, mask)
-    else:
-        raise ParameterError("mask must be a coded mask or a callable")
+    conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
     conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
     wvals = window_values(w, g.t_axis)
     slices = conv * wvals[:, None, None, None]
     return SpacetimeSpectrum(g, time_forward(g, slices))
 
-
-def _generic_masked_convolution(us, vs, sg, mask) -> np.ndarray:
-    n = sg.n
-    half = n // 2
-    ax = sg.xi_axis
-    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-    xi2 = np.stack([gx, gy, gz], axis=-1)
-    out = np.zeros_like(us)
-    unz = np.abs(us).max(axis=0) > 0
-    for a1, b1, g1 in np.argwhere(unz):
-        xi1 = np.array([ax[a1], ax[b1], ax[g1]])
-        mvals = np.asarray(mask(np.broadcast_to(xi1, xi2.shape), xi2), dtype=bool)
-        if not mvals.any():
-            continue
-        term = np.where(mvals[None], vs, 0.0) * us[:, a1, b1, g1][:, None, None, None]
-        out += np.roll(term, (a1 - half, b1 - half, g1 - half), axis=(1, 2, 3))
-    return out

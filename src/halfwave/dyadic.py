@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .bilinear import PowerWeight, SignPair, SurfaceMassResult, surface_mass
 from .errors import ParameterError
 from .grid import Spectrum
@@ -53,35 +52,51 @@ def lp_projection(F: Spectrum, k: int) -> Spectrum:
     return Spectrum(F.grid, F.data * _shell_mask(F.grid, k))
 
 
+_RULES = ("one", "geq", "ll", "near", "far", "shell_ll")
+
+
 @dataclass(frozen=True)
 class MaskSpec:
-    """A named pair-frequency mask, evaluable in both kernel backends.
+    """A named pair-frequency mask.
 
+    The rule depends on the pair (xi1, xi2) only through the three moduli
+    |xi1|, |xi2| and |xi1 + xi2|; select() is the one place it is written.
     Calling the mask with stacked (..., 3) arrays (xi1, xi2) evaluates it
-    vectorized; the integer code routes it through the compiled kernels.
+    vectorized, and kernels.masked_convolution calls select() directly.
     """
 
     name: str
-    code: int
+    rule: str
     c1: float = 2.0
     threshold: float = LL_THRESHOLD
     sh_lo: float = 0.0
     sh_hi: float = np.inf
 
-    def __call__(self, xi1, xi2) -> np.ndarray:
-        n1 = np.linalg.norm(xi1, axis=-1)
-        n2 = np.linalg.norm(xi2, axis=-1)
-        if self.code == kernels.MASK_ALL:
-            return np.ones_like(n1, dtype=bool)
-        if self.code == kernels.MASK_GEQ:
+    def __post_init__(self):
+        if self.rule not in _RULES:
+            raise ParameterError(f"unknown mask rule {self.rule!r}")
+
+    def select(self, n1, n2, n12) -> np.ndarray:
+        """The mask as a function of |xi1|, |xi2| and |xi1 + xi2|."""
+        if self.rule == "one":
+            return np.ones(np.broadcast(n1, n2, n12).shape, dtype=bool)
+        if self.rule == "geq":
             return n1 >= self.threshold * n2
-        if self.code == kernels.MASK_LL:
+        if self.rule == "ll":
             return n1 < self.threshold * n2
-        if self.code in (kernels.MASK_NEAR, kernels.MASK_FAR):
-            ns = np.linalg.norm(np.asarray(xi1) + np.asarray(xi2), axis=-1)
-            near = n1 + n2 <= self.c1 * ns
-            return near if self.code == kernels.MASK_NEAR else ~near
+        if self.rule == "near":
+            return n1 + n2 <= self.c1 * n12
+        if self.rule == "far":
+            return n1 + n2 > self.c1 * n12
         return (n1 > self.sh_lo) & (n1 <= self.sh_hi) & (n1 < self.threshold * n2)
+
+    def __call__(self, xi1, xi2) -> np.ndarray:
+        xi1, xi2 = np.asarray(xi1), np.asarray(xi2)
+        return self.select(
+            np.linalg.norm(xi1, axis=-1),
+            np.linalg.norm(xi2, axis=-1),
+            np.linalg.norm(xi1 + xi2, axis=-1),
+        )
 
 
 def region_masks(c1: float = 2.0, threshold: float = LL_THRESHOLD) -> dict[str, MaskSpec]:
@@ -91,18 +106,18 @@ def region_masks(c1: float = 2.0, threshold: float = LL_THRESHOLD) -> dict[str, 
     whether the two focal distances are comparable to the output frequency.
     """
     return {
-        "one": MaskSpec("one", kernels.MASK_ALL, c1, threshold),
-        "geq": MaskSpec("geq", kernels.MASK_GEQ, c1, threshold),
-        "ll": MaskSpec("ll", kernels.MASK_LL, c1, threshold),
-        "P": MaskSpec("P", kernels.MASK_NEAR, c1, threshold),
-        "Q": MaskSpec("Q", kernels.MASK_FAR, c1, threshold),
+        "one": MaskSpec("one", "one", c1, threshold),
+        "geq": MaskSpec("geq", "geq", c1, threshold),
+        "ll": MaskSpec("ll", "ll", c1, threshold),
+        "P": MaskSpec("P", "near", c1, threshold),
+        "Q": MaskSpec("Q", "far", c1, threshold),
     }
 
 
 def shell_mask(k: int, threshold: float = LL_THRESHOLD) -> MaskSpec:
     """Mask selecting xi1 in shell k with |xi1| < threshold * |xi2|."""
     lo, hi = shell_bounds(k)
-    return MaskSpec(f"shell_ll_{k}", kernels.MASK_SHELL_LL, threshold=threshold,
+    return MaskSpec(f"shell_ll_{k}", "shell_ll", threshold=threshold,
                     sh_lo=max(lo, 0.0), sh_hi=hi)
 
 

@@ -1,259 +1,85 @@
 """Hot numeric kernels: masked lattice convolution and level-set band sums.
 
-Two interchangeable backends are provided.  The numba backend compiles the
-loops with @njit; the numpy backend is a pure-vectorized fallback.  The
-backend is chosen at import time: numba is used when available unless the
-environment variable HALFWAVE_NO_NUMBA is set to 1/true/yes.  Every public
-function also accepts backend="numba"/"numpy" to force a path (used by the
-benchmark and the backend-equivalence tests).
-
-Mask codes shared by both backends:
-    0  everything
-    1  |xi1| >= thresh * |xi2|          (the 'comparable or larger' half)
-    2  |xi1| <  thresh * |xi2|          (complement)
-    3  |xi1| + |xi2| <= c1 * |xi1+xi2|  (near region)
-    4  |xi1| + |xi2| >  c1 * |xi1+xi2|  (far region)
-    5  xi1 in the dyadic shell (sh_lo, sh_hi] and |xi1| < thresh * |xi2|
+Both are vectorized numpy.  The convolution accumulates one shifted
+multiply-add per active mode of the first factor; the band sum visits the
+box in slabs so that peak memory stays O(n^2) per temporary.  Mask rules
+live in dyadic.MaskSpec.select; this module only supplies the moduli.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "active_backend",
     "masked_convolution",
     "band_mass",
-    "MASK_ALL",
-    "MASK_GEQ",
-    "MASK_LL",
-    "MASK_NEAR",
-    "MASK_FAR",
-    "MASK_SHELL_LL",
 ]
 
-MASK_ALL = 0
-MASK_GEQ = 1
-MASK_LL = 2
-MASK_NEAR = 3
-MASK_FAR = 4
-MASK_SHELL_LL = 5
 
-_disable = os.environ.get("HALFWAVE_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-try:
-    if _disable:
-        raise ImportError("numba disabled by HALFWAVE_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+def _moduli(ax, ay, az) -> np.ndarray:
+    """sqrt(x^2 + y^2 + z^2) over the outer grid of three 1-D component arrays."""
+    return np.sqrt((ax**2)[:, None, None] + (ay**2)[None, :, None] + (az**2)[None, None, :])
 
 
-def active_backend() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _resolve(backend) -> str:
-    if backend is None:
-        return active_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return backend
-
-
-def _mask_value_py(code, x1, y1, z1, x2, y2, z2, c1, thresh, sh_lo, sh_hi):
-    n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-    n2 = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
-    if code == MASK_ALL:
-        return True
-    if code == MASK_GEQ:
-        return n1 >= thresh * n2
-    if code == MASK_LL:
-        return n1 < thresh * n2
-    ns = math.sqrt((x1 + x2) ** 2 + (y1 + y2) ** 2 + (z1 + z2) ** 2)
-    if code == MASK_NEAR:
-        return n1 + n2 <= c1 * ns
-    if code == MASK_FAR:
-        return n1 + n2 > c1 * ns
-    # MASK_SHELL_LL
-    return (sh_lo < n1 <= sh_hi) and n1 < thresh * n2
-
-
-def _conv_impl(us, vs, xi, out, code, c1, thresh, sh_lo, sh_hi, unz, vnz):
-    M = us.shape[0]
-    N = us.shape[1]
-    half = N // 2
-    for a1 in range(N):
-        x1 = xi[a1]
-        for b1 in range(N):
-            y1 = xi[b1]
-            for g1 in range(N):
-                if not unz[a1, b1, g1]:
-                    continue
-                z1 = xi[g1]
-                n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-                if code == 5 and not (sh_lo < n1 <= sh_hi):
-                    continue
-                for a2 in range(N):
-                    x2 = xi[a2]
-                    ao = (a1 + a2 - half) % N
-                    for b2 in range(N):
-                        y2 = xi[b2]
-                        bo = (b1 + b2 - half) % N
-                        for g2 in range(N):
-                            if not vnz[a2, b2, g2]:
-                                continue
-                            z2 = xi[g2]
-                            n2 = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
-                            if code == 1:
-                                if n1 < thresh * n2:
-                                    continue
-                            elif code == 2:
-                                if n1 >= thresh * n2:
-                                    continue
-                            elif code == 3 or code == 4:
-                                ns = math.sqrt(
-                                    (x1 + x2) ** 2 + (y1 + y2) ** 2 + (z1 + z2) ** 2
-                                )
-                                near = n1 + n2 <= c1 * ns
-                                if code == 3 and not near:
-                                    continue
-                                if code == 4 and near:
-                                    continue
-                            elif code == 5:
-                                if n1 >= thresh * n2:
-                                    continue
-                            go = (g1 + g2 - half) % N
-                            for m in range(M):
-                                out[m, ao, bo, go] += (
-                                    us[m, a1, b1, g1] * vs[m, a2, b2, g2]
-                                )
-    return out
-
-
-if HAVE_NUMBA:
-    _conv_numba = njit(cache=True)(_conv_impl)
-
-
-def _conv_numpy(us, vs, xi, code, c1, thresh, sh_lo, sh_hi, unz, vnz):
-    """Roll-based accumulation: one shifted multiply-add per active u mode."""
-    M, N = us.shape[0], us.shape[1]
-    half = N // 2
-    out = np.zeros_like(us)
-    gx, gy, gz = np.meshgrid(xi, xi, xi, indexing="ij")
-    n2_grid = np.sqrt(gx**2 + gy**2 + gz**2)
-    active = np.argwhere(unz)
-    for a1, b1, g1 in active:
-        x1, y1, z1 = xi[a1], xi[b1], xi[g1]
-        n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-        if code == MASK_ALL:
-            mask = vnz
-        elif code == MASK_GEQ:
-            mask = vnz & (n1 >= thresh * n2_grid)
-        elif code == MASK_LL:
-            mask = vnz & (n1 < thresh * n2_grid)
-        elif code in (MASK_NEAR, MASK_FAR):
-            ns = np.sqrt((x1 + gx) ** 2 + (y1 + gy) ** 2 + (z1 + gz) ** 2)
-            near = (n1 + n2_grid) <= c1 * ns
-            mask = vnz & (near if code == MASK_NEAR else ~near)
-        else:  # MASK_SHELL_LL
-            if not sh_lo < n1 <= sh_hi:
-                continue
-            mask = vnz & (n1 < thresh * n2_grid)
-        if not mask.any():
-            continue
-        term = np.where(mask[None], vs, 0.0) * us[:, a1, b1, g1][:, None, None, None]
-        shifted = np.roll(term, (a1 - half, b1 - half, g1 - half), axis=(1, 2, 3))
-        out += shifted
-    return out
-
-
-def masked_convolution(
-    us: np.ndarray,
-    vs: np.ndarray,
-    xi_axis: np.ndarray,
-    code: int = MASK_ALL,
-    c1: float = 2.0,
-    thresh: float = 0.5,
-    sh_lo: float = 0.0,
-    sh_hi: float = np.inf,
-    backend: str | None = None,
-) -> np.ndarray:
+def masked_convolution(us: np.ndarray, vs: np.ndarray, xi_axis: np.ndarray, mask) -> np.ndarray:
     """out(xi) = sum over lattice pairs xi1 + xi2 = xi (periodic) of
     mask(xi1, xi2) * us(xi1) * vs(xi2), per time slice.
 
-    Arrays are (M, N, N, N) in ascending-frequency order; the caller supplies
-    any continuum-normalization prefactor.
+    Arrays are (M, N, N, N) in ascending-frequency order and mask is a
+    dyadic.MaskSpec; the caller supplies any continuum-normalization
+    prefactor.
     """
     us = np.ascontiguousarray(us, dtype=np.complex128)
     vs = np.ascontiguousarray(vs, dtype=np.complex128)
     xi = np.ascontiguousarray(xi_axis, dtype=np.float64)
+    half = us.shape[1] // 2
     unz = np.abs(us).max(axis=0) > 0.0
     vnz = np.abs(vs).max(axis=0) > 0.0
-    if math.isinf(sh_hi):
-        sh_hi = 1e300
-    which = _resolve(backend)
-    if which == "numba":
-        out = np.zeros_like(us)
-        return _conv_numba(us, vs, xi, out, code, c1, thresh, sh_lo, sh_hi, unz, vnz)
-    return _conv_numpy(us, vs, xi, code, c1, thresh, sh_lo, sh_hi, unz, vnz)
+    n2 = _moduli(xi, xi, xi)
+    out = np.zeros_like(us)
+    for a1, b1, g1 in np.argwhere(unz):
+        x1, y1, z1 = xi[a1], xi[b1], xi[g1]
+        n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        sel = vnz & mask.select(n1, n2, _moduli(x1 + xi, y1 + xi, z1 + xi))
+        if not sel.any():
+            continue
+        term = np.where(sel[None], vs, 0.0) * us[:, a1, b1, g1][:, None, None, None]
+        out += np.roll(term, (a1 - half, b1 - half, g1 - half), axis=(1, 2, 3))
+    return out
 
 
-def _band_impl(
-    fx, fy, fz, s1, s2, tau, h,
-    lo0, lo1, lo2, step, n,
-    e1, e2, sh_lo, sh_hi, require_ll,
-):
-    hx, hy, hz = fx / 2.0, fy / 2.0, fz / 2.0
-    total = 0.0
-    for i in range(n):
-        ex = lo0 + (i + 0.5) * step
-        for j in range(n):
-            ey = lo1 + (j + 0.5) * step
-            for k in range(n):
-                ez = lo2 + (k + 0.5) * step
-                r1 = math.sqrt((hx - ex) ** 2 + (hy - ey) ** 2 + (hz - ez) ** 2)
-                r2 = math.sqrt((hx + ex) ** 2 + (hy + ey) ** 2 + (hz + ez) ** 2)
-                if abs(s1 * r1 + s2 * r2 - tau) >= h:
-                    continue
-                if not (sh_lo < r1 <= sh_hi):
-                    continue
-                if require_ll and not (r1 < 0.5 * r2):
-                    continue
-                w = 1.0
-                if e1 != 0.0:
-                    if r1 == 0.0:
-                        continue
-                    w *= r1**e1
-                if e2 != 0.0:
-                    if r2 == 0.0:
-                        continue
-                    w *= r2**e2
-                total += w
-    return total * step**3 / (2.0 * h)
+def band_mass(
+    focus_vec,
+    s1: int,
+    s2: int,
+    tau: float,
+    h: float,
+    lo,
+    width: float,
+    n: int,
+    e1: float = 0.0,
+    e2: float = 0.0,
+    sh_lo: float = 0.0,
+    sh_hi: float = np.inf,
+    require_ll: bool = False,
+    func=None,
+) -> float:
+    """Thickened-level-set sum (1/2h) * sum_{|P(eta)-tau|<h} F * cell volume.
 
-
-if HAVE_NUMBA:
-    _band_numba = njit(cache=True)(_band_impl)
-
-
-def _band_numpy(
-    fx, fy, fz, s1, s2, tau, h, lo, step, n,
-    e1, e2, sh_lo, sh_hi, require_ll, func=None,
-):
-    hx, hy, hz = fx / 2.0, fy / 2.0, fz / 2.0
+    P(eta) = s1*|xi/2 - eta| + s2*|xi/2 + eta| over a cubic box with corner
+    lo and side width, sampled at n cell centers per axis.  F is the power
+    law r1^e1 * r2^e2 restricted by the optional shell/smallness conditions,
+    or an arbitrary vectorized func(r1, r2).
+    """
+    hx, hy, hz = (float(c) / 2.0 for c in focus_vec)
+    step = width / n
+    lo = tuple(float(v) for v in lo)
     ax0 = lo[0] + (np.arange(n) + 0.5) * step
     ax1 = lo[1] + (np.arange(n) + 0.5) * step
     ax2 = lo[2] + (np.arange(n) + 0.5) * step
     total = 0.0
-    # slab over the first axis keeps peak memory at O(n^2) per temporary
     block = max(1, int(4e6 // (n * n)))
     for start in range(0, n, block):
         ex = ax0[start : start + block][:, None, None]
@@ -279,50 +105,3 @@ def _band_numpy(
             vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
         total += float(vals.sum())
     return total * step**3 / (2.0 * h)
-
-
-def band_mass(
-    focus_vec,
-    s1: int,
-    s2: int,
-    tau: float,
-    h: float,
-    lo,
-    width: float,
-    n: int,
-    e1: float = 0.0,
-    e2: float = 0.0,
-    sh_lo: float = 0.0,
-    sh_hi: float = np.inf,
-    require_ll: bool = False,
-    func=None,
-    backend: str | None = None,
-) -> float:
-    """Thickened-level-set sum (1/2h) * sum_{|P(eta)-tau|<h} F * cell volume.
-
-    P(eta) = s1*|xi/2 - eta| + s2*|xi/2 + eta| over a cubic box with corner
-    lo and side width, sampled at n cell centers per axis.  F is the power
-    law r1^e1 * r2^e2 restricted by the optional shell/smallness conditions,
-    or an arbitrary vectorized func(r1, r2) (numpy backend only).
-    """
-    fx, fy, fz = (float(c) for c in focus_vec)
-    step = width / n
-    lo = tuple(float(v) for v in lo)
-    if func is not None:
-        return _band_numpy(
-            fx, fy, fz, s1, s2, tau, h, lo, step, n,
-            e1, e2, sh_lo, sh_hi, require_ll, func=func,
-        )
-    if math.isinf(sh_hi):
-        sh_hi = 1e300
-    which = _resolve(backend)
-    if which == "numba":
-        return _band_numba(
-            fx, fy, fz, s1, s2, tau, h,
-            lo[0], lo[1], lo[2], step, n,
-            e1, e2, sh_lo, sh_hi, require_ll,
-        )
-    return _band_numpy(
-        fx, fy, fz, s1, s2, tau, h, lo, step, n,
-        e1, e2, sh_lo, sh_hi, require_ll,
-    )

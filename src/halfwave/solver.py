@@ -9,6 +9,7 @@ Box residual and through contraction diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -244,7 +245,8 @@ def picard_iterate(
     Distances between consecutive iterates are measured as the sup over
     |t| <= delta of the data-space norm (both components) and as the
     windowed space-time restriction norm; rho_n is their step ratio.
-    Three consecutive growing distances flag divergence.
+    Three consecutive growing distances, or one non-finite distance, flag
+    divergence.
     """
     g = cfg.grid
     window = np.asarray(
@@ -285,6 +287,9 @@ def picard_iterate(
         result.restricted_distances.append(dr)
         up, um = new_p, new_m
         result.iterations = n + 1
+        if not (math.isfinite(d) and math.isfinite(dr)):
+            result.diverged = True
+            break
         if d <= cfg.tol:
             result.converged = True
             break

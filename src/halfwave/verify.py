@@ -578,7 +578,8 @@ def extremizer_search(
     parameters (center scale, width, two transverse anisotropies).
 
     Restarts once per family kind; returns the best parameters, the ratio,
-    the monotone best-so-far trace, and a convergence flag.
+    the monotone best-so-far trace, and a convergence flag that holds when
+    every Nelder-Mead run met its tolerances within its share of the budget.
     """
     lo = np.array([bb[0] for bb in bounds])
     hi = np.array([bb[1] for bb in bounds])
@@ -605,6 +606,7 @@ def extremizer_search(
     trace = []
     best = {"ratio": -math.inf, "params": None, "kind": None}
     evals = 0
+    converged = True
     for kind in kinds:
         x0 = 0.5 * (lo + hi)
         if degenerate:
@@ -625,9 +627,9 @@ def extremizer_search(
             return -val
 
         maxfev = max(1, budget // len(kinds))
-        minimize(neg, x0, method="Nelder-Mead",
-                 options={"maxfev": maxfev, "xatol": 1e-3, "fatol": 1e-4})
-    converged = evals < budget or degenerate
+        res = minimize(neg, x0, method="Nelder-Mead",
+                       options={"maxfev": maxfev, "xatol": 1e-3, "fatol": 1e-4})
+        converged = converged and bool(res.success)
     return {
         "best_ratio": best["ratio"],
         "best_params": best["params"],

@@ -157,16 +157,14 @@ def test_symbol_product_region_partition():
     assert np.abs(P.data + Q.data - full.data).max() < 1e-10 * np.abs(full.data).max()
 
 
-def test_symbol_product_callable_mask():
+def test_symbol_product_requires_maskspec():
     sg, g, w, u0, v0 = _small_setup()
-    sp = SignPair(+1, +1)
-    coded = bilinear_symbol_product(u0, v0, sp, region_masks()["ll"], g, w)
 
     def ll(x1, x2):
         return np.linalg.norm(x1, axis=-1) < 0.5 * np.linalg.norm(x2, axis=-1)
 
-    generic = bilinear_symbol_product(u0, v0, sp, ll, g, w)
-    assert np.abs(coded.data - generic.data).max() < 1e-10
+    with pytest.raises(ParameterError):
+        bilinear_symbol_product(u0, v0, SignPair(+1, +1), ll, g, w)
 
 
 def test_exchange_symmetry():

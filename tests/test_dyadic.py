@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halfwave.dyadic import (
+    MaskSpec,
     lp_projection,
     region_masks,
     shell_bounds,
@@ -83,6 +84,11 @@ def test_mask_semantics():
     y = np.array([[1.0, 0.0, 0.0]])
     assert masks["Q"](y, -y)[0]
     assert masks["P"](y, y)[0]
+
+
+def test_mask_rule_validated():
+    with pytest.raises(ParameterError):
+        MaskSpec("x", "nearby")
 
 
 def test_shell_mask_callable():

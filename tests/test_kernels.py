@@ -1,13 +1,12 @@
-"""Compiled kernels vs the pure-numpy fallback vs direct reference sums."""
-
-import os
-import subprocess
-import sys
+"""Lattice kernels against direct reference sums."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfwave import kernels
+from halfwave.dyadic import region_masks, shell_mask
 from halfwave.grid import SpatialGrid
 
 
@@ -46,91 +45,62 @@ def _direct_convolution(us, vs, ax, mask_fn):
     return out
 
 
-@pytest.mark.parametrize("code", [kernels.MASK_ALL, kernels.MASK_NEAR, kernels.MASK_LL])
-def test_convolution_matches_direct(sg, code):
+# Each rule written out on its own, not through MaskSpec, so that the O(N^6)
+# reference pins every mask the kernels evaluate.
+_ORACLE_RULES = {
+    "one": lambda n1, n2, n12: True,
+    "geq": lambda n1, n2, n12: n1 >= 0.5 * n2,
+    "ll": lambda n1, n2, n12: n1 < 0.5 * n2,
+    "P": lambda n1, n2, n12: n1 + n2 <= 2.0 * n12,
+    "Q": lambda n1, n2, n12: n1 + n2 > 2.0 * n12,
+    "shell_ll_2": lambda n1, n2, n12: 2.0 < n1 <= 4.0 and n1 < 0.5 * n2,
+}
+
+
+def _mask(name):
+    return shell_mask(2) if name == "shell_ll_2" else region_masks()[name]
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_RULES))
+def test_convolution_matches_direct(sg, name):
     us, vs = _random_slices(sg)
-    got = kernels.masked_convolution(us, vs, sg.xi_axis, code, 2.0, 0.5, 0.0, np.inf)
+    got = kernels.masked_convolution(us, vs, sg.xi_axis, _mask(name))
+    rule = _ORACLE_RULES[name]
 
     def mask_fn(x1, x2):
-        n1, n2 = np.linalg.norm(x1), np.linalg.norm(x2)
-        if code == kernels.MASK_ALL:
-            return True
-        if code == kernels.MASK_LL:
-            return n1 < 0.5 * n2
-        return n1 + n2 <= 2.0 * np.linalg.norm(x1 + x2)
+        return rule(np.linalg.norm(x1), np.linalg.norm(x2), np.linalg.norm(x1 + x2))
 
     ref = _direct_convolution(us, vs, sg.xi_axis, mask_fn)
+    assert np.abs(ref).max() > 0.0
     assert np.abs(got - ref).max() < 1e-10 * max(np.abs(ref).max(), 1.0)
 
 
-@pytest.mark.parametrize("code", sorted([kernels.MASK_ALL, kernels.MASK_GEQ, kernels.MASK_LL,
-                                         kernels.MASK_NEAR, kernels.MASK_FAR]))
-def test_backend_equivalence_convolution(sg, code):
-    us, vs = _random_slices(sg, seed=1)
-    args = (us, vs, sg.xi_axis, code, 2.0, 0.5, 0.0, np.inf)
-    a = kernels.masked_convolution(*args, backend="numba")
-    b = kernels.masked_convolution(*args, backend="numpy")
-    assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
-
-
-def test_mask_partitions(sg):
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.sampled_from([4, 6]),
+    c1=st.floats(1.0, 4.0, exclude_min=True),
+    threshold=st.floats(0.1, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**16),
+)
+def test_mask_partitions(n, c1, threshold, seed):
     """geq + ll and near + far each recombine to the full convolution."""
-    us, vs = _random_slices(sg, seed=2)
+    sg = SpatialGrid(n, np.pi)
+    us, vs = _random_slices(sg, seed=seed)
+    masks = region_masks(c1=c1, threshold=threshold)
 
-    def conv(code):
-        return kernels.masked_convolution(us, vs, sg.xi_axis, code, 2.0, 0.5, 0.0, np.inf)
+    def conv(name):
+        return kernels.masked_convolution(us, vs, sg.xi_axis, masks[name])
 
-    full = conv(kernels.MASK_ALL)
-    assert np.abs(conv(kernels.MASK_GEQ) + conv(kernels.MASK_LL) - full).max() < 1e-10
-    assert np.abs(conv(kernels.MASK_NEAR) + conv(kernels.MASK_FAR) - full).max() < 1e-10
-
-
-def test_band_mass_backend_equivalence():
-    xi = np.array([4.0, 0.0, 0.0])
-    lo = np.full(3, -5.0)
-    kw = dict(tau=6.0, h=0.4, lo=lo, width=10.0, n=48, e1=-0.5, e2=-0.25)
-    a = kernels.band_mass(xi, 1, 1, backend="numba", **kw)
-    b = kernels.band_mass(xi, 1, 1, backend="numpy", **kw)
-    assert a == pytest.approx(b, rel=1e-12)
+    full = conv("one")
+    assert np.abs(conv("geq") + conv("ll") - full).max() < 1e-10
+    assert np.abs(conv("P") + conv("Q") - full).max() < 1e-10
 
 
 def test_band_mass_callable_weight():
-    """The numpy path accepts arbitrary weights; constant 1 matches powers 0."""
+    """Arbitrary weights are accepted; constant 1 matches powers 0."""
     xi = np.array([4.0, 0.0, 0.0])
     lo = np.full(3, -5.0)
     kw = dict(tau=6.0, h=0.4, lo=lo, width=10.0, n=48)
-    a = kernels.band_mass(xi, 1, 1, e1=0.0, e2=0.0, backend="numpy", **kw)
+    a = kernels.band_mass(xi, 1, 1, e1=0.0, e2=0.0, **kw)
     b = kernels.band_mass(xi, 1, 1, func=lambda r1, r2: np.ones_like(r1), **kw)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_unknown_backend(sg):
-    us, vs = _random_slices(sg, seed=3)
-    with pytest.raises(Exception):
-        kernels.masked_convolution(us, vs, sg.xi_axis, 0, 2.0, 0.5, 0.0, np.inf,
-                                   backend="fortran")
-
-
-def test_env_flag_selects_numpy():
-    """HALFWAVE_NO_NUMBA forces the fallback and reproduces the same numbers."""
-    script = (
-        "import numpy as np\n"
-        "from halfwave import kernels\n"
-        "from halfwave.grid import SpatialGrid\n"
-        "assert kernels.active_backend() == 'numpy'\n"
-        "sg = SpatialGrid(4, np.pi)\n"
-        "rng = np.random.default_rng(0)\n"
-        "u = rng.standard_normal((1, 4, 4, 4)) + 0j\n"
-        "out = kernels.masked_convolution(u, u, sg.xi_axis, 0, 2.0, 0.5, 0.0, np.inf)\n"
-        "print(repr(complex(out.sum())))\n"
-    )
-    env = dict(os.environ, HALFWAVE_NO_NUMBA="1")
-    res = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-
-    sg = SpatialGrid(4, np.pi)
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((1, 4, 4, 4)) + 0j
-    here = kernels.masked_convolution(u, u, sg.xi_axis, 0, 2.0, 0.5, 0.0, np.inf)
-    assert complex(here.sum()) == complex(eval(res.stdout.strip()))

@@ -145,6 +145,17 @@ def test_contraction_small_data(stg):
     assert res.restricted_distances[0] > res.restricted_distances[-1]
 
 
+def test_nonfinite_distances_diverge():
+    """Overflowing iterates stop at the first non-finite distance as diverged."""
+    stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    fp, fm = to_first_order(_gaussian_data(stg.spatial, amp=1e60))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = picard_iterate(fp, fm, NonlinearitySpec(1, "x1"), default_config(stg, 0.25))
+    assert res.diverged and not res.converged
+    assert res.iterations <= 3
+    assert not np.isfinite(res.distances[-1]) or not np.isfinite(res.restricted_distances[-1])
+
+
 def test_budget_independence(stg):
     """Doubling the iteration budget moves the solution by less than tol."""
     d = _gaussian_data(stg.spatial)

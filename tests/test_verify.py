@@ -134,6 +134,17 @@ def test_extremizer_degenerate_box():
     assert np.isfinite(res["best_ratio"])
 
 
+def test_extremizer_flag_ignores_budget_remainder():
+    """Budgets 60 and 61 give each of the three kinds 20 evaluations, so the
+    searches and their convergence flags are the same."""
+    kw = dict(n=8, m=8, seed=0)
+    a = extremizer_search(2.0, 1.25, 0.55, budget=60, **kw)
+    b = extremizer_search(2.0, 1.25, 0.55, budget=61, **kw)
+    assert a["evaluations"] == b["evaluations"]
+    assert a["trace"] == b["trace"]
+    assert a["converged"] == b["converged"]
+
+
 def test_extremizer_vs_random_oracle():
     """Simplex search should do at least half as well as random search."""
     bounds = ((1.0, 6.0), (0.2, 3.0), (0.1, 1.0), (0.1, 1.0))
