@@ -35,7 +35,7 @@ from .grid import (
     forward_transform,
     time_forward,
 )
-from .propagator import EvolutionSpec, free_spacetime
+from .propagator import EvolutionSpec, free_slices, free_spacetime
 from .quadrature import tanh_sinh
 from .spaces import WindowSpec, apply_window, window_values
 
@@ -287,12 +287,6 @@ def surface_mass(
     return SurfaceMassResult(prev, converged=False, n_final=n)
 
 
-def _free_wave_slices(u0: Spectrum, g: SpacetimeGrid, sign: int) -> np.ndarray:
-    """Per-time-slice spatial spectra of the free D-wave, shape (M, N, N, N)."""
-    xi = g.spatial.xi_modulus()
-    return np.exp(1j * sign * g.t_axis[:, None, None, None] * xi[None]) * u0.data[None]
-
-
 def product_transform_direct(
     u0: Spectrum,
     v0: Spectrum,
@@ -336,8 +330,8 @@ def bilinear_symbol_product(
         raise BudgetError(
             f"direct convolution budget allows N <= {CONV_BUDGET_N}, got N = {sg.n}"
         )
-    us = _free_wave_slices(u0, g, sp.first)
-    vs = _free_wave_slices(v0, g, sp.second)
+    us = free_slices(u0, g, EvolutionSpec("D", sp.first))
+    vs = free_slices(v0, g, EvolutionSpec("D", sp.second))
     conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
     conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
     wvals = window_values(w, g.t_axis)

@@ -12,14 +12,23 @@ F_t u(tau) = dt * sum_t u(t) exp(-i t tau).
 
 All sample arrays are stored in ascending-coordinate order: x (and t)
 increase along each axis, and frequency axes run from -N/2*dxi upward.
+
+Every transform is one fused scipy.fft.fftn/ifftn over all the requested
+axes.  Because N and M are even, the fftshift that centers the frequency
+axis is the same as multiplying by the (-1)^n checkerboard, which is applied
+before and after the FFT; the remaining (-1)^(N/2) and the lattice steps
+fold into one scalar.  The 1-D sign vectors and the N^3 spatial
+checkerboards are cached read-only by size; nothing of size M*N^3 is cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import GridMismatchError, ParameterError, RepresentationError
 
@@ -206,27 +215,55 @@ class SpacetimeSpectrum(_LatticeData):
     is_spacetime = True
 
 
-def _alt_phase(n: int) -> np.ndarray:
-    """(-1)^j for j = -n/2 .. n/2-1, the boundary phase of the shifted DFT."""
-    j = np.arange(-n // 2, n // 2)
-    return np.where(j % 2 == 0, 1.0, -1.0)
+@lru_cache(maxsize=16)
+def _signs(n: int) -> np.ndarray:
+    """(-1)^k for k = 0 .. n-1, read-only."""
+    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    s.flags.writeable = False
+    return s
 
 
-def _forward_axis(data: np.ndarray, axis: int, n: int, step: float) -> np.ndarray:
-    # step * sum_n f(x_n) e^{-i x_n xi_j} = step * (-1)^j * fftshift(fft(f))
-    ph = _alt_phase(n)
-    shape = [1] * data.ndim
-    shape[axis] = n
-    out = np.fft.fftshift(np.fft.fft(data, axis=axis), axes=axis)
-    return step * ph.reshape(shape) * out
+@lru_cache(maxsize=8)
+def _checkerboard(n: int) -> np.ndarray:
+    """(-1)^(i+j+k) on the N^3 lattice, read-only."""
+    s = _signs(n)
+    cb = s[:, None, None] * s[None, :, None] * s[None, None, :]
+    cb.flags.writeable = False
+    return cb
 
-def _inverse_axis(data: np.ndarray, axis: int, n: int, step: float) -> np.ndarray:
-    # exact algebraic inverse of _forward_axis
-    ph = _alt_phase(n)
-    shape = [1] * data.ndim
-    shape[axis] = n
-    tmp = np.fft.ifftshift(ph.reshape(shape) * data, axes=axis)
-    return np.fft.ifft(tmp, axis=axis) / step
+
+def _time_signs(m: int, ndim: int) -> np.ndarray:
+    """_signs(m) shaped to broadcast along axis 0 of an ndim-array."""
+    return _signs(m).reshape((m,) + (1,) * (ndim - 1))
+
+
+def _half_sign(n: int) -> float:
+    """(-1)^(n/2), the phase that ties the centered index j = k - n/2 to k."""
+    return -1.0 if (n // 2) % 2 else 1.0
+
+
+def _shifted_dft(data, axes, signs, scale: float, inverse: bool = False) -> np.ndarray:
+    """scale * S * DFT(S * data) over `axes`, S the product of the sign arrays.
+
+    With S the (-1)^k checkerboard of the transformed axes this is the
+    centered lattice transform: for even n, fftshift(fft(f)) = fft((-1)^k f)
+    and the output phase (-1)^j equals (-1)^k * (-1)^(n/2), folded into
+    scale.  The inverse has the same form with ifft.
+    """
+    out = data * signs[0]          # a fresh array, transformed in place
+    for s in signs[1:]:
+        out *= s
+    dft = sfft.ifftn if inverse else sfft.fftn
+    out = dft(out, axes=axes, overwrite_x=True)
+    for s in signs[:-1]:
+        out *= s
+    out *= scale * signs[-1]
+    return out
+
+
+def _spatial_dft(data, axes, sg: SpatialGrid, inverse: bool = False) -> np.ndarray:
+    scale = _half_sign(sg.n) * (sg.dx**-3 if inverse else sg.dx**3)
+    return _shifted_dft(data, axes, (_checkerboard(sg.n),), scale, inverse)
 
 
 def forward_transform(f):
@@ -236,16 +273,10 @@ def forward_transform(f):
     if f.is_spacetime:
         g = f.grid
         sg = g.spatial
-        out = f.data
-        for axis in (1, 2, 3):
-            out = _forward_axis(out, axis, sg.n, sg.dx)
-        out = _forward_axis(out, 0, g.m, g.dt)
-        return SpacetimeSpectrum(g, out)
-    sg = f.grid
-    out = f.data
-    for axis in (0, 1, 2):
-        out = _forward_axis(out, axis, sg.n, sg.dx)
-    return Spectrum(sg, out)
+        signs = (_checkerboard(sg.n), _time_signs(g.m, 4))
+        scale = _half_sign(sg.n) * _half_sign(g.m) * sg.dx**3 * g.dt
+        return SpacetimeSpectrum(g, _shifted_dft(f.data, (0, 1, 2, 3), signs, scale))
+    return Spectrum(f.grid, _spatial_dft(f.data, (0, 1, 2), f.grid))
 
 
 def inverse_transform(F):
@@ -255,38 +286,26 @@ def inverse_transform(F):
     if F.is_spacetime:
         g = F.grid
         sg = g.spatial
-        out = _inverse_axis(F.data, 0, g.m, g.dt)
-        for axis in (1, 2, 3):
-            out = _inverse_axis(out, axis, sg.n, sg.dx)
-        return SpacetimeField(g, out)
-    sg = F.grid
-    out = F.data
-    for axis in (0, 1, 2):
-        out = _inverse_axis(out, axis, sg.n, sg.dx)
-    return Field(sg, out)
+        signs = (_checkerboard(sg.n), _time_signs(g.m, 4))
+        scale = _half_sign(sg.n) * _half_sign(g.m) / (sg.dx**3 * g.dt)
+        return SpacetimeField(g, _shifted_dft(F.data, (0, 1, 2, 3), signs, scale, True))
+    return Field(F.grid, _spatial_dft(F.data, (0, 1, 2), F.grid, True))
 
 
 def spatial_forward_slices(f: SpacetimeField) -> np.ndarray:
     """Space-only transform of every time slice; returns the raw (M,N,N,N) array."""
-    sg = f.grid.spatial
-    out = f.data
-    for axis in (1, 2, 3):
-        out = _forward_axis(out, axis, sg.n, sg.dx)
-    return out
+    return _spatial_dft(f.data, (1, 2, 3), f.grid.spatial)
 
 
 def spatial_inverse_slices(grid: SpacetimeGrid, spec_slices: np.ndarray) -> SpacetimeField:
     """Inverse space-only transform of per-time-slice spectra."""
-    sg = grid.spatial
-    out = spec_slices
-    for axis in (1, 2, 3):
-        out = _inverse_axis(out, axis, sg.n, sg.dx)
-    return SpacetimeField(grid, out)
+    return SpacetimeField(grid, _spatial_dft(spec_slices, (1, 2, 3), grid.spatial, True))
 
 
 def time_forward(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:
     """Time-direction transform of an (M, ...) stack, convention e^{-i t tau}."""
-    return _forward_axis(slices, 0, grid.m, grid.dt)
+    signs = (_time_signs(grid.m, np.ndim(slices)),)
+    return _shifted_dft(slices, (0,), signs, _half_sign(grid.m) * grid.dt)
 
 
 def bessel_multiplier(order: float) -> Callable:

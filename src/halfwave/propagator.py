@@ -18,11 +18,10 @@ from .grid import (
     SpacetimeField,
     SpacetimeGrid,
     Spectrum,
-    spatial_forward_slices,
     spatial_inverse_slices,
 )
 
-__all__ = ["EvolutionSpec", "evolve", "free_spacetime", "duhamel"]
+__all__ = ["EvolutionSpec", "evolve", "free_slices", "free_spacetime", "duhamel"]
 
 
 @dataclass(frozen=True)
@@ -59,37 +58,43 @@ def evolve(F: Spectrum, e: EvolutionSpec) -> Spectrum:
     return Spectrum(F.grid, F.data * _phase(F.grid, e, e.t))
 
 
-def free_spacetime(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> SpacetimeField:
-    """Free solution sampled on the space-time lattice (e.t is ignored)."""
+def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:
+    """Spectral slices (M, N, N, N) of the free solution: phases times the data."""
     if u0.grid != g.spatial:
         raise GridMismatchError("initial spectrum does not live on the spatial lattice")
     sym = _symbol(g.spatial, e.kind)
     sgn = e.sign if e.kind == "D" else -e.sign
     phases = np.exp(1j * sgn * g.t_axis[:, None, None, None] * sym[None])
-    slices = phases * u0.data[None]
-    return spatial_inverse_slices(g, slices)
+    return phases * u0.data[None]
 
 
-def duhamel(gf: SpacetimeField, sign: int, g: SpacetimeGrid) -> SpacetimeField:
+def free_spacetime(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> SpacetimeField:
+    """Free solution sampled on the space-time lattice (e.t is ignored)."""
+    return spatial_inverse_slices(g, free_slices(u0, g, e))
+
+
+def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
     """Cumulative solution of (i d/dt - sign*J) w = g with w(0) = 0.
 
+    Takes and returns spatial spectral slices, shape (M, N, N, N) on g.
     Trapezoidal integrating-factor rule, second order in dt, swept forward
     and backward from the time-origin lattice point.
     """
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    if gf.grid != g:
-        raise GridMismatchError("forcing does not live on the requested grid")
+    if np.shape(gs) != g.shape:
+        raise GridMismatchError(
+            f"forcing slices of shape {np.shape(gs)} do not match the grid {g.shape}"
+        )
     sym = _symbol(g.spatial, "J")
     dt = g.dt
     step = np.exp(-1j * sign * dt * sym)       # e^{-sign i dt J}
     step_back = np.conj(step)
-    gs = spatial_forward_slices(gf)
-    out = np.zeros_like(gs)
+    out = np.zeros(g.shape, dtype=np.complex128)
     m0 = g.origin_index
     half = -1j * dt / 2.0
     for m in range(m0, g.m - 1):
         out[m + 1] = step * out[m] + half * (step * gs[m] + gs[m + 1])
     for m in range(m0, 0, -1):
         out[m - 1] = step_back * out[m] - half * (step_back * gs[m] + gs[m - 1])
-    return spatial_inverse_slices(g, out)
+    return out

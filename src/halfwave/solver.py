@@ -3,14 +3,18 @@
 The second-order problem Box u = B_k(u, u) is rewritten as a first-order
 system for u_pm = u +- i J^{-1} u_t, which the iteration solves with the
 exponential integrator; the nonlinearity is evaluated pointwise with
-2/3-rule dealiasing.  Correctness is judged convention-free through the
-Box residual and through contraction diagnostics.
+2/3-rule dealiasing.  The iterates are kept as spatial spectral slices,
+shape (M, N, N, N); configuration space is visited only for the pointwise
+product.  Correctness is judged convention-free through the Box residual
+and through contraction diagnostics.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,13 +22,24 @@ from .errors import GridMismatchError, ParameterError
 from .grid import (
     SpacetimeField,
     SpacetimeGrid,
+    SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
     spatial_forward_slices,
     spatial_inverse_slices,
+    time_forward,
 )
-from .propagator import EvolutionSpec, duhamel, free_spacetime
-from .spaces import NormParams, WindowSpec, restricted_norm, sobolev_hat_norm, z_norm
+from .propagator import EvolutionSpec, duhamel, free_slices
+from .spaces import (
+    NormParams,
+    WindowSpec,
+    _xsb_weight,
+    dual_exponent,
+    sobolev_hat_norm,
+    window_values,
+    xsb_norm,
+    z_norm,
+)
 
 __all__ = [
     "CauchyData",
@@ -158,33 +173,36 @@ def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray
 
 
 def rhs_eval(
-    up: SpacetimeField,
-    um: SpacetimeField,
+    sp: np.ndarray,
+    sm: np.ndarray,
     ns: NonlinearitySpec,
-    source: SpacetimeField | None = None,
-) -> tuple[SpacetimeField, SpacetimeField]:
+    g: SpacetimeGrid,
+    source: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """g_pm = -+ J^{-1} (B_k(w, w)/4 + w/2 + S) for w = u_+ + u_-.
 
-    Spatial derivatives are spectral; d_t w always comes from the evolution
-    identity, never from differencing.  Products are 2/3-rule dealiased.
+    sp, sm, the source S and the returned pair are spatial spectral slices,
+    shape (M, N, N, N) on g; only the pointwise product visits configuration
+    space.  Spatial derivatives are spectral; d_t w always comes from the
+    evolution identity, never from differencing.  Products are 2/3-rule
+    dealiased.
     """
-    g = up.grid
-    if um.grid != g or (source is not None and source.grid != g):
-        raise GridMismatchError("rhs inputs live on different lattices")
+    for a in (sp, sm) if source is None else (sp, sm, source):
+        if np.shape(a) != g.shape:
+            raise GridMismatchError(
+                f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
+            )
     mask = _dealias_mask(g.spatial)[None]
-    sp = spatial_forward_slices(up)
-    sm = spatial_forward_slices(um)
     sw = sp + sm
-    w_cfg = spatial_inverse_slices(g, mask * sw).data
 
     if ns.k == 1:
-        prod = w_cfg * w_cfg
-        pspec = mask * spatial_forward_slices(SpacetimeField(g, prod))
+        w_cfg = spatial_inverse_slices(g, mask * sw).data
         if ns.derivative == "t":
             # d_t(w^2) = 2 w d_t w, with d_t w from the evolution identity
             dtw = spatial_inverse_slices(g, mask * _dt_w_slices(g, sp, sm)).data
             bspec = mask * spatial_forward_slices(SpacetimeField(g, 2.0 * w_cfg * dtw))
         else:
+            pspec = mask * spatial_forward_slices(SpacetimeField(g, w_cfg * w_cfg))
             bspec = _spatial_derivative(g, pspec, _DERIVS.index(ns.derivative) - 1)
     else:
         if ns.derivative == "t":
@@ -196,20 +214,28 @@ def rhs_eval(
 
     bracket = bspec / 4.0 + sw / 2.0
     if source is not None:
-        bracket = bracket + spatial_forward_slices(source)
-    gm_spec = _jinv_slices(g, bracket)
-    gp = spatial_inverse_slices(g, -gm_spec)
-    gm = spatial_inverse_slices(g, gm_spec)
-    return gp, gm
+        bracket = bracket + source
+    gm = _jinv_slices(g, bracket)
+    return -gm, gm
 
 
-def _slice_norms(g: SpacetimeGrid, spec_slices: np.ndarray, r: float, s: float) -> np.ndarray:
-    """sobolev_hat_norm of every time slice, vectorized."""
-    from .spaces import dual_exponent
-
+def _slice_weight(g: SpacetimeGrid, r: float, s: float) -> np.ndarray:
+    """<xi>^(s r'), the lattice weight of the data-space norm."""
     xi = g.spatial.xi_modulus()
+    return np.sqrt(1.0 + xi**2) ** (s * dual_exponent(r))
+
+
+def _slice_norms(
+    g: SpacetimeGrid,
+    spec_slices: np.ndarray,
+    r: float,
+    s: float,
+    wt: np.ndarray | None = None,
+) -> np.ndarray:
+    """sobolev_hat_norm of every time slice, vectorized; wt is _slice_weight(g, r, s)."""
     rp = dual_exponent(r)
-    wt = np.sqrt(1.0 + xi**2) ** (s * rp)
+    if wt is None:
+        wt = _slice_weight(g, r, s)
     totals = np.sum(wt[None] * np.abs(spec_slices) ** rp, axis=(1, 2, 3))
     return (totals * g.spatial.dxi**3) ** (1.0 / rp)
 
@@ -220,14 +246,29 @@ def _core_slices(g: SpacetimeGrid, delta: float) -> np.ndarray:
 
 @dataclass
 class PicardResult:
-    up: SpacetimeField
-    um: SpacetimeField
+    """Final iterates as spatial spectral slices (sp, sm), plus diagnostics.
+
+    up and um are the same iterates in configuration space, transformed on
+    first access.
+    """
+
+    grid: SpacetimeGrid
+    sp: np.ndarray
+    sm: np.ndarray
     distances: list = dc_field(default_factory=list)
     restricted_distances: list = dc_field(default_factory=list)
     rhos: list = dc_field(default_factory=list)
     converged: bool = False
     diverged: bool = False
     iterations: int = 0
+
+    @cached_property
+    def up(self) -> SpacetimeField:
+        return spatial_inverse_slices(self.grid, self.sp)
+
+    @cached_property
+    def um(self) -> SpacetimeField:
+        return spatial_inverse_slices(self.grid, self.sm)
 
 
 def picard_iterate(
@@ -242,50 +283,53 @@ def picard_iterate(
 ) -> PicardResult:
     """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)})).
 
-    Distances between consecutive iterates are measured as the sup over
-    |t| <= delta of the data-space norm (both components) and as the
-    windowed space-time restriction norm; rho_n is their step ratio.
-    Three consecutive growing distances, or one non-finite distance, flag
-    divergence.
+    The iterates are kept as spatial spectral slices.  Distances between
+    consecutive iterates are measured as the sup over |t| <= delta of the
+    data-space norm (both components) and as the windowed space-time
+    restriction norm; rho_n is their step ratio.  Three consecutive growing
+    distances, or one non-finite distance, flag divergence.
     """
     g = cfg.grid
-    window = np.asarray(
-        _window_on_axis(cfg.window, g), dtype=float
-    )[:, None, None, None]
-    free_p = free_spacetime(fp, g, EvolutionSpec("J", +1))
-    free_m = free_spacetime(fm, g, EvolutionSpec("J", -1))
-    up, um = free_p, free_m
+    # loop invariants; the window only scales time, so it commutes with the
+    # spatial transform and applies to spectral slices directly
+    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
     core = _core_slices(g, cfg.delta)
     params = NormParams(r, s, cfg.b, +1)
-    result = PicardResult(up, um)
+    slice_wt = _slice_weight(g, r, s)
+    xsb_wt = _xsb_weight(g, params)
+    src = None if source is None else spatial_forward_slices(source)
+    free_p = free_slices(fp, g, EvolutionSpec("J", +1))
+    free_m = free_slices(fm, g, EvolutionSpec("J", -1))
+
+    def sup_norm(diff):
+        return np.max(_slice_norms(g, diff, r, s, slice_wt)[core])
+
+    def restricted(diff):
+        # upper bound for the [-delta, delta] restriction norm via one window
+        spec = SpacetimeSpectrum(g, time_forward(g, window * diff))
+        return xsb_norm(spec, params, weight=xsb_wt)
+
+    sp, sm = free_p, free_m
+    result = PicardResult(g, sp, sm)
     grew = 0
     for n in range(cfg.max_iter):
         if nonlinear:
-            gp, gm = rhs_eval(up, um, ns, source=source)
+            gp, gm = rhs_eval(sp, sm, ns, g, source=src)
         else:
-            gp, gm = _drop_bilinear(up, um, g, source)
-        gp = SpacetimeField(g, gp.data * window)
-        gm = SpacetimeField(g, gm.data * window)
-        new_p = SpacetimeField(g, free_p.data + duhamel(gp, +1, g).data)
-        new_m = SpacetimeField(g, free_m.data + duhamel(gm, -1, g).data)
-        diff_p = spatial_forward_slices(SpacetimeField(g, new_p.data - up.data))
-        diff_m = spatial_forward_slices(SpacetimeField(g, new_m.data - um.data))
-        d = float(
-            np.max(_slice_norms(g, diff_p, r, s)[core])
-            + np.max(_slice_norms(g, diff_m, r, s)[core])
-        )
-        dr = restricted_norm(
-            SpacetimeField(g, new_p.data - up.data), cfg.delta, cfg.window, params
-        ) + restricted_norm(
-            SpacetimeField(g, new_m.data - um.data), cfg.delta, cfg.window, params
-        )
+            gp, gm = _drop_bilinear(sp, sm, g, src)
+        new_p = free_p + duhamel(window * gp, +1, g)
+        new_m = free_m + duhamel(window * gm, -1, g)
+        diff_p = new_p - sp
+        diff_m = new_m - sm
+        d = float(sup_norm(diff_p) + sup_norm(diff_m))
+        dr = restricted(diff_p) + restricted(diff_m)
         if result.distances:
             prev = result.distances[-1]
             result.rhos.append(d / prev if prev > 0 else 0.0)
             grew = grew + 1 if d > prev else 0
         result.distances.append(d)
         result.restricted_distances.append(dr)
-        up, um = new_p, new_m
+        sp, sm = new_p, new_m
         result.iterations = n + 1
         if not (math.isfinite(d) and math.isfinite(dr)):
             result.diverged = True
@@ -296,24 +340,17 @@ def picard_iterate(
         if grew >= 3:
             result.diverged = True
             break
-    result.up, result.um = up, um
+    result.sp, result.sm = sp, sm
     return result
 
 
-def _window_on_axis(w: WindowSpec, g: SpacetimeGrid) -> np.ndarray:
-    from .spaces import window_values
-
-    return window_values(w, g.t_axis)
-
-
-def _drop_bilinear(up, um, g, source):
+def _drop_bilinear(sp, sm, g, source):
     """Linear-system right side (the B_k term removed), for linear reference runs."""
-    sw = spatial_forward_slices(up) + spatial_forward_slices(um)
-    bracket = sw / 2.0
+    bracket = (sp + sm) / 2.0
     if source is not None:
-        bracket = bracket + spatial_forward_slices(source)
-    gm_spec = _jinv_slices(g, bracket)
-    return spatial_inverse_slices(g, -gm_spec), spatial_inverse_slices(g, gm_spec)
+        bracket = bracket + source
+    gm = _jinv_slices(g, bracket)
+    return -gm, gm
 
 
 @dataclass
@@ -387,8 +424,7 @@ def solve_local(
     """
     result = picard_iterate(fp, fm, ns, cfg, r=r, s=s, source=source)
     g = cfg.grid
-    sp = spatial_forward_slices(result.up)
-    sm = spatial_forward_slices(result.um)
+    sp, sm = result.sp, result.sm
     u_spec = (sp + sm) / 2.0
     dtu_spec = _dt_w_slices(g, sp, sm) / 2.0
     u = spatial_inverse_slices(g, u_spec)
@@ -456,14 +492,20 @@ def flow_lipschitz_probe(
 ) -> dict:
     """Solution-distance / data-distance ratios for pairs of Cauchy data.
 
-    Each pair is a (CauchyData, CauchyData) tuple on cfg.grid.  Pairs whose
-    solves fail to contract are excluded and flagged; identical pairs are
-    reported as skipped.
+    Each pair is a (CauchyData, CauchyData) tuple on cfg.grid, and both of
+    its data are solved with the first datum's (r, s).  Pairs whose solves
+    fail to contract are excluded and flagged; identical pairs are reported
+    as skipped.  A datum that recurs (equal arrays, equal r and s) is solved
+    once, and its report is kept only until its last pair.
     """
     g = cfg.grid
     core = _core_slices(g, cfg.delta)
-    ratios, skipped, failed = [], 0, 0
-    rows = []
+
+    def key(d, r_, s_):
+        return d.u0.data.tobytes(), d.u1.data.tobytes(), r_, s_
+
+    jobs = []           # per pair: None when skipped, else (d1, d2, r, s, data distance)
+    uses = Counter()    # solved pairs per datum key
     for d1, d2 in pairs:
         r_, s_ = d1.r, d1.s
         f1 = to_first_order(d1)
@@ -471,21 +513,38 @@ def flow_lipschitz_probe(
         ddist = sobolev_hat_norm(Spectrum(g.spatial, f1[0].data - f2[0].data), r_, s_) + \
             sobolev_hat_norm(Spectrum(g.spatial, f1[1].data - f2[1].data), r_, s_)
         if ddist == 0.0:
+            jobs.append(None)
+            continue
+        jobs.append((d1, d2, r_, s_, ddist))
+        uses.update((key(d1, r_, s_), key(d2, r_, s_)))
+    reports = {}
+
+    def report(d, r_, s_):
+        k = key(d, r_, s_)
+        if k not in reports:
+            reports[k] = solve_local(*to_first_order(d), ns, cfg, r=r_, s=s_)
+        rep = reports[k]
+        uses[k] -= 1
+        if uses[k] == 0:
+            del reports[k]
+        return rep
+
+    ratios, skipped, failed = [], 0, 0
+    rows = []
+    for job in jobs:
+        if job is None:
             skipped += 1
             rows.append({"ratio": None, "status": "skipped"})
             continue
-        rep1 = solve_local(*f1, ns, cfg, r=r_, s=s_)
-        rep2 = solve_local(*f2, ns, cfg, r=r_, s=s_)
+        d1, d2, r_, s_, ddist = job
+        rep1 = report(d1, r_, s_)
+        rep2 = report(d2, r_, s_)
         if not (rep1.success and rep2.success):
             failed += 1
             rows.append({"ratio": None, "status": "no-contraction"})
             continue
-        dp = spatial_forward_slices(
-            SpacetimeField(g, rep1.result.up.data - rep2.result.up.data)
-        )
-        dm = spatial_forward_slices(
-            SpacetimeField(g, rep1.result.um.data - rep2.result.um.data)
-        )
+        dp = rep1.result.sp - rep2.result.sp
+        dm = rep1.result.sm - rep2.result.sm
         sdist = float(
             np.max(_slice_norms(g, dp, r_, s_)[core])
             + np.max(_slice_norms(g, dm, r_, s_)[core])

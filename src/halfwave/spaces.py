@@ -157,11 +157,15 @@ def _xsb_weight(grid, p: NormParams) -> np.ndarray:
     return w
 
 
-def xsb_norm(u, p: NormParams) -> float:
-    """Modulation-weighted space-time norm; fields are transformed first."""
+def xsb_norm(u, p: NormParams, weight: np.ndarray | None = None) -> float:
+    """Modulation-weighted space-time norm; fields are transformed first.
+
+    weight, when given, must be _xsb_weight(grid, p); a caller that takes
+    many norms on one grid computes it once.
+    """
     F = _spacetime_spectrum(u)
     g = F.grid
-    w = _xsb_weight(g, p)
+    w = _xsb_weight(g, p) if weight is None else weight
     total = np.sum(w * np.abs(F.data) ** p.rprime) * g.spatial.dxi**3 * g.dtau
     return float(total ** (1.0 / p.rprime))
 

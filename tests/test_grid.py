@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfwave.errors import GridMismatchError, ParameterError, RepresentationError
 from halfwave.grid import (
     Field,
     SpacetimeField,
     SpacetimeGrid,
+    SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
     apply_multiplier,
@@ -16,7 +19,11 @@ from halfwave.grid import (
     forward_transform,
     inverse_transform,
     modulus_multiplier,
+    spatial_forward_slices,
+    spatial_inverse_slices,
+    time_forward,
 )
+from halfwave.grid import _checkerboard, _signs
 
 
 @pytest.fixture
@@ -145,3 +152,98 @@ def test_modulus_multiplier_nonfinite(sg):
     with pytest.raises(ParameterError):
         # |xi|^{-1} blows up at the zero mode; error names the frequency
         apply_multiplier(F, modulus_multiplier(-1.0))
+
+
+# Per-axis reference: fft + fftshift + the (-1)^j boundary phase, one axis at
+# a time, with numpy.fft (the centered transform written out directly).
+def _ref_phase(data, axis, n):
+    j = np.arange(-n // 2, n // 2)
+    shape = [1] * data.ndim
+    shape[axis] = n
+    return np.where(j % 2 == 0, 1.0, -1.0).reshape(shape)
+
+
+def _ref_forward(data, axes):
+    for axis, n, step in axes:
+        out = np.fft.fftshift(np.fft.fft(data, axis=axis), axes=axis)
+        data = step * _ref_phase(data, axis, n) * out
+    return data
+
+
+def _ref_inverse(data, axes):
+    for axis, n, step in axes:
+        tmp = np.fft.ifftshift(_ref_phase(data, axis, n) * data, axes=axis)
+        data = np.fft.ifft(tmp, axis=axis) / step
+    return data
+
+
+_lattices = dict(
+    n=st.integers(2, 8).map(lambda k: 2 * k),
+    m=st.integers(2, 16).map(lambda k: 2 * k),
+    half_length=st.floats(0.1, 50.0),
+    half_time=st.floats(0.1, 50.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _random_lattice(n, m, half_length, half_time, seed):
+    g = SpacetimeGrid(SpatialGrid(n, half_length), m, half_time)
+    rng = np.random.default_rng(seed)
+    return g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+
+
+def _close(got, want, rel):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_lattices)
+def test_fused_transforms_match_per_axis_reference(n, m, half_length, half_time, seed):
+    g, x = _random_lattice(n, m, half_length, half_time, seed)
+    sg = g.spatial
+    space = [(1, n, sg.dx), (2, n, sg.dx), (3, n, sg.dx)]
+    time_ax = [(0, m, g.dt)]
+    space3 = [(0, n, sg.dx), (1, n, sg.dx), (2, n, sg.dx)]
+    cases = [
+        (forward_transform(SpacetimeField(g, x)).data, _ref_forward(x, space + time_ax)),
+        (inverse_transform(SpacetimeSpectrum(g, x)).data, _ref_inverse(x, time_ax + space)),
+        (spatial_forward_slices(SpacetimeField(g, x)), _ref_forward(x, space)),
+        (spatial_inverse_slices(g, x).data, _ref_inverse(x, space)),
+        (time_forward(g, x), _ref_forward(x, time_ax)),
+        (forward_transform(Field(sg, x[0])).data, _ref_forward(x[0], space3)),
+        (inverse_transform(Spectrum(sg, x[0])).data, _ref_inverse(x[0], space3)),
+    ]
+    for got, want in cases:
+        assert _close(got, want, 1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_lattices)
+def test_fused_roundtrip_and_parseval(n, m, half_length, half_time, seed):
+    g, x = _random_lattice(n, m, half_length, half_time, seed)
+    sg = g.spatial
+    u = SpacetimeField(g, x)
+    F = forward_transform(u)
+    assert _close(inverse_transform(F).data, x, 1e-13)
+    assert _close(spatial_inverse_slices(g, spatial_forward_slices(u)).data, x, 1e-13)
+    f = Field(sg, x[0])
+    assert _close(inverse_transform(forward_transform(f)).data, x[0], 1e-13)
+    lhs = np.sum(np.abs(x) ** 2) * sg.dx**3 * g.dt
+    rhs = np.sum(np.abs(F.data) ** 2) * sg.dxi**3 * g.dtau / (2 * np.pi) ** 4
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_transform_leaves_input_and_sign_cache_untouched(stg):
+    """The in-place FFT works on a copy; the cached sign arrays stay read-only."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((stg.m,) + stg.spatial.shape) + 0j
+    keep = x.copy()
+    spec = spatial_forward_slices(SpacetimeField(stg, x))
+    spec_keep = spec.copy()
+    spatial_inverse_slices(stg, spec)
+    forward_transform(SpacetimeField(stg, x))
+    time_forward(stg, x)
+    assert np.array_equal(x, keep)
+    assert np.array_equal(spec, spec_keep)
+    assert not _checkerboard(stg.spatial.n).flags.writeable
+    assert not _signs(stg.m).flags.writeable

@@ -73,11 +73,7 @@ def test_duhamel_constant_forcing_oracle(sg, stg):
     xi = sg.xi_modulus()
     j = np.sqrt(1 + xi**2)
     g_slices = np.broadcast_to(F.data[None], (stg.m,) + sg.shape)
-    from halfwave.grid import spatial_inverse_slices
-
-    gf = spatial_inverse_slices(stg, np.array(g_slices))
-    w = duhamel(gf, +1, stg)
-    ws = spatial_forward_slices(w)
+    ws = duhamel(g_slices, +1, stg)
     for i in [0, stg.m // 4, stg.m - 1]:
         t = stg.t_axis[i]
         exact = -(1.0 - np.exp(-1j * t * j)) / j * F.data
@@ -87,11 +83,8 @@ def test_duhamel_constant_forcing_oracle(sg, stg):
 
 def test_duhamel_zero_at_origin(sg, stg):
     F = _random_spectrum(sg, 6)
-    from halfwave.grid import spatial_inverse_slices
-
-    gf = spatial_inverse_slices(stg, np.broadcast_to(F.data[None], (stg.m,) + sg.shape).copy())
-    w = duhamel(gf, -1, stg)
-    assert np.abs(w.data[stg.origin_index]).max() < 1e-12
+    w = duhamel(np.broadcast_to(F.data[None], (stg.m,) + sg.shape), -1, stg)
+    assert np.abs(w[stg.origin_index]).max() < 1e-12
 
 
 def test_validation(sg, stg):
@@ -103,3 +96,5 @@ def test_validation(sg, stg):
     other = SpatialGrid(8, 2 * np.pi)
     with pytest.raises(GridMismatchError):
         free_spacetime(Spectrum(other, F.data), stg, EvolutionSpec("D", +1))
+    with pytest.raises(GridMismatchError):
+        duhamel(np.zeros((stg.m - 1,) + sg.shape, complex), +1, stg)

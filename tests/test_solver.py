@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halfwave import solver as solver_mod
 from halfwave.errors import GridMismatchError, ParameterError
 from halfwave.grid import (
     Field,
@@ -83,15 +84,17 @@ def test_config_validation(stg):
 
 def test_rhs_zero_and_antisymmetry(stg):
     g = stg
-    z = SpacetimeField(g, np.zeros((g.m,) + g.spatial.shape, complex))
-    gp, gm = rhs_eval(z, z, NonlinearitySpec(1, "x1"))
-    assert np.abs(gp.data).max() == 0.0
+    z = np.zeros(g.shape, complex)
+    gp, gm = rhs_eval(z, z, NonlinearitySpec(1, "x1"), g)
+    assert np.abs(gp).max() == 0.0
     rng = np.random.default_rng(1)
-    up = SpacetimeField(g, rng.standard_normal((g.m,) + g.spatial.shape) + 0j)
-    um = SpacetimeField(g, rng.standard_normal((g.m,) + g.spatial.shape) + 0j)
+    sp = spatial_forward_slices(SpacetimeField(g, rng.standard_normal(g.shape) + 0j))
+    sm = spatial_forward_slices(SpacetimeField(g, rng.standard_normal(g.shape) + 0j))
     for ns in (NonlinearitySpec(1, "x2"), NonlinearitySpec(2, "t")):
-        gp, gm = rhs_eval(up, um, ns)
-        assert np.abs(gp.data + gm.data).max() < 1e-12 * max(np.abs(gp.data).max(), 1.0)
+        gp, gm = rhs_eval(sp, sm, ns, g)
+        assert np.abs(gp + gm).max() < 1e-12 * max(np.abs(gp).max(), 1.0)
+    with pytest.raises(GridMismatchError):
+        rhs_eval(sp[:-1], sm[:-1], NonlinearitySpec(1, "x1"), g)
 
 
 def test_rhs_two_mode_hand_convolution(sg):
@@ -100,8 +103,8 @@ def test_rhs_two_mode_hand_convolution(sg):
     x1 = np.meshgrid(sg.x_axis, sg.x_axis, sg.x_axis, indexing="ij")[0]
     w_cfg = 2.0 * np.cos(x1)
     up = SpacetimeField(g, np.broadcast_to(w_cfg[None], (g.m,) + sg.shape).astype(complex))
-    um = SpacetimeField(g, np.zeros((g.m,) + sg.shape, complex))
-    gp, gm = rhs_eval(up, um, NonlinearitySpec(1, "x1"))
+    sm = np.zeros((g.m,) + sg.shape, complex)
+    gp, gm = rhs_eval(spatial_forward_slices(up), sm, NonlinearitySpec(1, "x1"), g)
     # g- = J^{-1}(B/4 + w/2); B = d(w^2) = -4 sin(2 x1)
     xi = sg.xi_modulus()
     j = np.sqrt(1 + xi**2)
@@ -111,7 +114,7 @@ def test_rhs_two_mode_hand_convolution(sg):
             (b_exact / 4.0 + w_cfg / 2.0)[None], (g.m,) + sg.shape).astype(complex)))
         / j[None]
     )
-    got_spec = spatial_forward_slices(gm)
+    got_spec = gm
     assert np.abs(got_spec - expect_spec).max() < 1e-10 * np.abs(expect_spec).max()
 
 
@@ -256,3 +259,35 @@ def test_lipschitz_probe_ratio(stg):
     out = flow_lipschitz_probe([(d, d2)], NonlinearitySpec(1, "x1"), cfg)
     assert out["failed"] == 0
     assert out["max_ratio"] == pytest.approx(1.0, abs=0.3)
+
+
+def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
+    """A datum shared by several pairs is solved once; the ratios do not move."""
+    stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    sg = stg.spatial
+    d = _gaussian_data(sg)
+    pert = 1e-3 * np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    d2 = CauchyData(Spectrum(sg, d.u0.data + pert), d.u1, 2.0, 1.0)
+    d3 = CauchyData(Spectrum(sg, d.u0.data + 0.5 * pert), d.u1, 2.0, 1.0)
+    # equal arrays in new objects: the same datum
+    twin = CauchyData(Spectrum(sg, d.u0.data.copy()), Spectrum(sg, d.u1.data.copy()), 2.0, 1.0)
+    # equal arrays, other exponents: solved apart
+    other_r = CauchyData(d.u0, d.u1, 1.5, 1.0)
+    ns, cfg = NonlinearitySpec(1, "x1"), default_config(stg, 0.25)
+    pairs = [(d, d2), (d, d), (twin, d3), (d2, d), (other_r, d2)]
+    separate = [flow_lipschitz_probe([p], ns, cfg)["rows"][0]["ratio"] for p in pairs]
+
+    calls = []
+    solve = solver_mod.solve_local
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("r"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_local", counting)
+    out = flow_lipschitz_probe(pairs, ns, cfg)
+    # d, d2, d3 at r = 2, then d and d2 again at r = 1.5
+    assert calls == [2.0, 2.0, 2.0, 1.5, 1.5]
+    assert [row["ratio"] for row in out["rows"]] == separate
+    assert out["skipped"] == 1 and out["failed"] == 0
+    assert separate[3] == separate[0]
