@@ -42,12 +42,8 @@ from .grid import (
     SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
-    apply_multiplier,
-    bessel_multiplier,
-    derivative_multiplier,
     forward_transform,
     inverse_transform,
-    modulus_multiplier,
 )
 from .propagator import EvolutionSpec, duhamel, evolve, free_spacetime
 from .solver import (

@@ -189,12 +189,13 @@ def cmd_lemma(cfg, args):
                 res = shell_surface_mass(xi, tau, sp, k, h, n0=64)
                 vals.append(res.value)
                 rows.append({"surface": "elliptic" if elliptic else "hyperbolic",
-                             "shell": k, "value": res.value})
+                             "shell": k, "value": res.value, "converged": res.converged})
             slope = float(np.polyfit(shells, np.log2(vals), 1)[0])
             rows.append({"surface": "elliptic" if elliptic else "hyperbolic",
                          "shell": -1, "value": slope})
         slopes = [row["value"] for row in rows if row["shell"] == -1]
-        ok = all(abs(sl - 2.0) <= 0.1 for sl in slopes)
+        ok = all(abs(sl - 2.0) <= 0.1 for sl in slopes) and all(
+            row["converged"] for row in rows if row["shell"] >= 0)
         return rows, {"params": {"h": h, "shells": list(shells)}, "slopes": slopes}, ok
     raise UsageError(f"unknown lemma suite {suite!r}")
 
@@ -211,7 +212,7 @@ def cmd_sharpness(cfg, args):
     kw = _common_lemma_args(cfg)
     sigma = kw.pop("sigma")
     rep = verify.sharpness_probe(sigma_below=sigma, **kw)
-    ok = rep.exponent is not None
+    ok = rep.exponent is not None and rep.finite()
     return *_report_to_outputs(rep)[:2], ok
 
 

@@ -38,8 +38,7 @@ def shell_bounds(k: int) -> tuple[float, float]:
 
 def _shell_mask(grid, k: int) -> np.ndarray:
     lo, hi = shell_bounds(k)
-    xi = grid.xi_modulus()
-    return (xi > lo) & (xi <= hi)
+    return (grid.modulus > lo) & (grid.modulus <= hi)
 
 
 def shell_on_lattice(grid, k: int) -> bool:

@@ -19,13 +19,15 @@ axis is the same as multiplying by the (-1)^n checkerboard, which is applied
 before and after the FFT; the remaining (-1)^(N/2) and the lattice steps
 fold into one scalar.  The 1-D sign vectors and the N^3 spatial
 checkerboards are cached read-only by size; nothing of size M*N^3 is cached.
+
+SpatialGrid is the one symbol table: |xi|, <xi> = (1 + |xi|^2)^(1/2) and the
+2/3-rule dealiasing mask are built once per grid and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -41,11 +43,12 @@ __all__ = [
     "SpacetimeSpectrum",
     "forward_transform",
     "inverse_transform",
-    "apply_multiplier",
-    "bessel_multiplier",
-    "modulus_multiplier",
-    "derivative_multiplier",
 ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _axis_points(n: int, half_length: float) -> np.ndarray:
@@ -97,9 +100,27 @@ class SpatialGrid:
         ax = self.xi_axis
         return ax[:, None, None], ax[None, :, None], ax[None, None, :]
 
-    def xi_modulus(self) -> np.ndarray:
+    @cached_property
+    def modulus(self) -> np.ndarray:
+        """|xi| on the (N, N, N) lattice, read-only."""
         k1, k2, k3 = self.xi_mesh()
-        return np.sqrt(k1**2 + k2**2 + k3**2)
+        return _read_only(np.sqrt(k1**2 + k2**2 + k3**2))
+
+    @cached_property
+    def bracket(self) -> np.ndarray:
+        """<xi> = (1 + |xi|^2)^(1/2), the symbol of J, read-only."""
+        return _read_only(np.sqrt(1.0 + self.modulus**2))
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask: every component below 2/3 of the Nyquist, read-only."""
+        k1, k2, k3 = self.xi_mesh()
+        cut = (2.0 / 3.0) * self.nyquist
+        return _read_only((np.abs(k1) < cut) & (np.abs(k2) < cut) & (np.abs(k3) < cut))
+
+    def xi_modulus(self) -> np.ndarray:
+        """|xi| on the lattice (the cached, read-only modulus)."""
+        return self.modulus
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -218,18 +239,14 @@ class SpacetimeSpectrum(_LatticeData):
 @lru_cache(maxsize=16)
 def _signs(n: int) -> np.ndarray:
     """(-1)^k for k = 0 .. n-1, read-only."""
-    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    s.flags.writeable = False
-    return s
+    return _read_only(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
 
 
 @lru_cache(maxsize=8)
 def _checkerboard(n: int) -> np.ndarray:
     """(-1)^(i+j+k) on the N^3 lattice, read-only."""
     s = _signs(n)
-    cb = s[:, None, None] * s[None, :, None] * s[None, None, :]
-    cb.flags.writeable = False
-    return cb
+    return _read_only(s[:, None, None] * s[None, :, None] * s[None, None, :])
 
 
 def _time_signs(m: int, ndim: int) -> np.ndarray:
@@ -306,55 +323,3 @@ def time_forward(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:
     """Time-direction transform of an (M, ...) stack, convention e^{-i t tau}."""
     signs = (_time_signs(grid.m, np.ndim(slices)),)
     return _shifted_dft(slices, (0,), signs, _half_sign(grid.m) * grid.dt)
-
-
-def bessel_multiplier(order: float) -> Callable:
-    """<xi>^order with <xi> = (1 + |xi|^2)^(1/2); order -1 inverts order +1."""
-
-    def m(k1, k2, k3):
-        return (1.0 + k1**2 + k2**2 + k3**2) ** (order / 2.0)
-
-    return m
-
-
-def modulus_multiplier(order: float = 1.0) -> Callable:
-    """|xi|^order (the half-wave symbol for order 1)."""
-
-    def m(k1, k2, k3):
-        return np.sqrt(k1**2 + k2**2 + k3**2) ** order
-
-    return m
-
-
-def derivative_multiplier(axis: int) -> Callable:
-    """i*xi_axis, the spectral symbol of d/dx_axis (axis in {0, 1, 2})."""
-    if axis not in (0, 1, 2):
-        raise ParameterError(f"derivative axis must be 0, 1 or 2, got {axis}")
-
-    def m(k1, k2, k3):
-        comp = (k1, k2, k3)[axis]
-        return 1j * comp * np.ones_like(k1 + k2 + k3, dtype=np.complex128)
-
-    return m
-
-
-def _multiplier_values(grid: SpatialGrid, m: Callable) -> np.ndarray:
-    k1, k2, k3 = grid.xi_mesh()
-    vals = np.broadcast_to(np.asarray(m(k1, k2, k3)), grid.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        ax = grid.xi_axis
-        xi = (ax[bad[0]], ax[bad[1]], ax[bad[2]])
-        raise ParameterError(f"multiplier is not finite at xi = {xi}")
-    return vals
-
-
-def apply_multiplier(F, m: Callable):
-    """Pointwise product m(xi) * F(xi); spatial multipliers broadcast over tau."""
-    if not F.is_frequency:
-        raise RepresentationError("apply_multiplier expects frequency data")
-    if F.is_spacetime:
-        vals = _multiplier_values(F.grid.spatial, m)
-        return SpacetimeSpectrum(F.grid, F.data * vals[None, :, :, :])
-    vals = _multiplier_values(F.grid, m)
-    return Spectrum(F.grid, F.data * vals)

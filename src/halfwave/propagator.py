@@ -40,10 +40,7 @@ class EvolutionSpec:
 
 
 def _symbol(grid, kind: str) -> np.ndarray:
-    xi = grid.xi_modulus()
-    if kind == "D":
-        return xi
-    return np.sqrt(1.0 + xi**2)
+    return grid.modulus if kind == "D" else grid.bracket
 
 
 def _phase(grid, e: EvolutionSpec, t: float) -> np.ndarray:

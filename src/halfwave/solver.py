@@ -23,7 +23,6 @@ from .grid import (
     SpacetimeField,
     SpacetimeGrid,
     SpacetimeSpectrum,
-    SpatialGrid,
     Spectrum,
     spatial_forward_slices,
     spatial_inverse_slices,
@@ -130,9 +129,7 @@ def default_config(grid: SpacetimeGrid, delta: float, **kw) -> SolveConfig:
 def to_first_order(d: CauchyData) -> tuple[Spectrum, Spectrum]:
     """f_pm = u0 +- i J^{-1} u1 on the spatial lattice."""
     sg = d.u0.grid
-    k1, k2, k3 = sg.xi_mesh()
-    jinv = 1.0 / np.sqrt(1.0 + k1**2 + k2**2 + k3**2)
-    shift = 1j * jinv * d.u1.data
+    shift = 1j * d.u1.data / sg.bracket
     return Spectrum(sg, d.u0.data + shift), Spectrum(sg, d.u0.data - shift)
 
 
@@ -141,35 +138,50 @@ def from_first_order(fp: Spectrum, fm: Spectrum) -> tuple[Spectrum, Spectrum]:
     if fp.grid != fm.grid:
         raise GridMismatchError("the two components live on different lattices")
     sg = fp.grid
-    k1, k2, k3 = sg.xi_mesh()
-    j = np.sqrt(1.0 + k1**2 + k2**2 + k3**2)
     u0 = (fp.data + fm.data) / 2.0
-    u1 = j * (fp.data - fm.data) / (2.0 * 1j)
+    u1 = sg.bracket * (fp.data - fm.data) / (2.0 * 1j)
     return Spectrum(sg, u0), Spectrum(sg, u1)
 
 
-def _dealias_mask(sg: SpatialGrid) -> np.ndarray:
-    k1, k2, k3 = sg.xi_mesh()
-    cut = (2.0 / 3.0) * sg.nyquist
-    return (np.abs(k1) < cut) & (np.abs(k2) < cut) & (np.abs(k3) < cut)
-
-
 def _jinv_slices(g: SpacetimeGrid, spec_slices: np.ndarray) -> np.ndarray:
-    xi = g.spatial.xi_modulus()
-    return spec_slices / np.sqrt(1.0 + xi**2)[None]
+    return spec_slices / g.spatial.bracket
 
 
-def _spatial_derivative(g: SpacetimeGrid, spec_slices: np.ndarray, axis: int) -> np.ndarray:
-    ax = g.spatial.xi_axis
+def _spatial_derivative(g: SpacetimeGrid, spec_slices: np.ndarray, derivative: str) -> np.ndarray:
     shape = [1, 1, 1, 1]
-    shape[axis + 1] = g.spatial.n
-    return 1j * ax.reshape(shape) * spec_slices
+    shape[_DERIVS.index(derivative)] = g.spatial.n
+    return 1j * g.spatial.xi_axis.reshape(shape) * spec_slices
 
 
 def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray:
     """Spectral slices of d_t(u_+ + u_-) via the evolution identity -iJ(u_+ - u_-)."""
-    xi = g.spatial.xi_modulus()
-    return -1j * np.sqrt(1.0 + xi**2)[None] * (sp - sm)
+    return -1j * g.spatial.bracket * (sp - sm)
+
+
+def _bilinear_spec(
+    sp: np.ndarray, sm: np.ndarray, ns: NonlinearitySpec, g: SpacetimeGrid
+) -> np.ndarray:
+    """Spectral slices of B_k(w, w) for w = u_+ + u_-, from 2/3-rule dealiased factors.
+
+    For d(w^2) with a spatial derivative the factor of d is the dealiased
+    product; otherwise the output itself is not masked.  d_t w always comes
+    from the evolution identity, never from differencing.
+    """
+    mask = g.spatial.dealias_mask
+    if ns.k == 1:
+        w = spatial_inverse_slices(g, mask * (sp + sm)).data
+        if ns.derivative == "t":
+            # d_t(w^2) = 2 w d_t w
+            dtw = spatial_inverse_slices(g, mask * _dt_w_slices(g, sp, sm)).data
+            return spatial_forward_slices(SpacetimeField(g, 2.0 * w * dtw))
+        pspec = mask * spatial_forward_slices(SpacetimeField(g, w * w))
+        return _spatial_derivative(g, pspec, ns.derivative)
+    if ns.derivative == "t":
+        dspec = _dt_w_slices(g, sp, sm)
+    else:
+        dspec = _spatial_derivative(g, sp + sm, ns.derivative)
+    dw = spatial_inverse_slices(g, mask * dspec).data
+    return spatial_forward_slices(SpacetimeField(g, dw * dw))
 
 
 def rhs_eval(
@@ -183,36 +195,16 @@ def rhs_eval(
 
     sp, sm, the source S and the returned pair are spatial spectral slices,
     shape (M, N, N, N) on g; only the pointwise product visits configuration
-    space.  Spatial derivatives are spectral; d_t w always comes from the
-    evolution identity, never from differencing.  Products are 2/3-rule
-    dealiased.
+    space.  Spatial derivatives are spectral, and the product and its factors
+    are 2/3-rule dealiased.
     """
     for a in (sp, sm) if source is None else (sp, sm, source):
         if np.shape(a) != g.shape:
             raise GridMismatchError(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
-    mask = _dealias_mask(g.spatial)[None]
-    sw = sp + sm
-
-    if ns.k == 1:
-        w_cfg = spatial_inverse_slices(g, mask * sw).data
-        if ns.derivative == "t":
-            # d_t(w^2) = 2 w d_t w, with d_t w from the evolution identity
-            dtw = spatial_inverse_slices(g, mask * _dt_w_slices(g, sp, sm)).data
-            bspec = mask * spatial_forward_slices(SpacetimeField(g, 2.0 * w_cfg * dtw))
-        else:
-            pspec = mask * spatial_forward_slices(SpacetimeField(g, w_cfg * w_cfg))
-            bspec = _spatial_derivative(g, pspec, _DERIVS.index(ns.derivative) - 1)
-    else:
-        if ns.derivative == "t":
-            dspec = _dt_w_slices(g, sp, sm)
-        else:
-            dspec = _spatial_derivative(g, sw, _DERIVS.index(ns.derivative) - 1)
-        dw = spatial_inverse_slices(g, mask * dspec).data
-        bspec = mask * spatial_forward_slices(SpacetimeField(g, dw * dw))
-
-    bracket = bspec / 4.0 + sw / 2.0
+    bspec = g.spatial.dealias_mask * _bilinear_spec(sp, sm, ns, g)
+    bracket = bspec / 4.0 + (sp + sm) / 2.0
     if source is not None:
         bracket = bracket + source
     gm = _jinv_slices(g, bracket)
@@ -221,8 +213,7 @@ def rhs_eval(
 
 def _slice_weight(g: SpacetimeGrid, r: float, s: float) -> np.ndarray:
     """<xi>^(s r'), the lattice weight of the data-space norm."""
-    xi = g.spatial.xi_modulus()
-    return np.sqrt(1.0 + xi**2) ** (s * dual_exponent(r))
+    return g.spatial.bracket ** (s * dual_exponent(r))
 
 
 def _slice_norms(
@@ -369,42 +360,24 @@ class SolveReport:
 def _box_residual(
     u_spec: np.ndarray,
     g: SpacetimeGrid,
-    b_cfg: np.ndarray,
+    b_spec: np.ndarray,
     core: np.ndarray,
 ) -> tuple[float, float]:
-    """RMS of Box u - B over interior core slices; d_t^2 by 4th-order differences."""
+    """RMS of Box u - B over interior core slices; d_t^2 by 4th-order differences.
+
+    u_spec and b_spec are spatial spectral slices.
+    """
     dt2 = g.dt**2
     utt = np.full_like(u_spec, np.nan)
     utt[2:-2] = (
         -u_spec[:-4] + 16 * u_spec[1:-3] - 30 * u_spec[2:-2] + 16 * u_spec[3:-1] - u_spec[4:]
     ) / (12.0 * dt2)
-    xi2 = g.spatial.xi_modulus()[None] ** 2
-    box = utt + xi2 * u_spec  # -Laplacian has symbol |xi|^2
-    b_spec = spatial_forward_slices(SpacetimeField(g, b_cfg))
+    box = utt + g.spatial.modulus**2 * u_spec  # -Laplacian has symbol |xi|^2
     idx = core.copy()
     idx[:2] = idx[-2:] = False
     resid = box[idx] - b_spec[idx]
     scale = float(np.sqrt(np.mean(np.abs(b_spec[idx]) ** 2))) if idx.any() else 0.0
     return float(np.sqrt(np.mean(np.abs(resid) ** 2))), scale
-
-
-def _bilinear_of_u(u_spec, dtu_spec, g, ns) -> np.ndarray:
-    """B_k(u, u) in configuration space from spectral slices of u and d_t u."""
-    mask = _dealias_mask(g.spatial)[None]
-    u_cfg = spatial_inverse_slices(g, mask * u_spec).data
-    if ns.k == 1:
-        if ns.derivative == "t":
-            dtu_cfg = spatial_inverse_slices(g, mask * dtu_spec).data
-            return 2.0 * u_cfg * dtu_cfg
-        pspec = mask * spatial_forward_slices(SpacetimeField(g, u_cfg * u_cfg))
-        d = _spatial_derivative(g, pspec, _DERIVS.index(ns.derivative) - 1)
-        return spatial_inverse_slices(g, d).data
-    if ns.derivative == "t":
-        dspec = mask * dtu_spec
-    else:
-        dspec = mask * _spatial_derivative(g, u_spec, _DERIVS.index(ns.derivative) - 1)
-    du = spatial_inverse_slices(g, dspec).data
-    return du * du
 
 
 def solve_local(
@@ -431,10 +404,10 @@ def solve_local(
     dtu = spatial_inverse_slices(g, dtu_spec)
 
     core = _core_slices(g, cfg.delta)
-    b_cfg = _bilinear_of_u(u_spec, dtu_spec, g, ns)
+    b_spec = _bilinear_spec(sp, sm, ns, g) / 4.0   # B(u, u) = B(w, w)/4 for u = w/2
     if source is not None:
-        b_cfg = b_cfg + source.data
-    residual, scale = _box_residual(u_spec, g, b_cfg, core)
+        b_spec = b_spec + spatial_forward_slices(source)
+    residual, scale = _box_residual(u_spec, g, b_spec, core)
 
     norms = _slice_norms(g, sp, r, s) + _slice_norms(g, sm, r, s)
     pers = norms[core]

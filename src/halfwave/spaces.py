@@ -115,10 +115,6 @@ def apply_window(u: SpacetimeField, w: WindowSpec) -> SpacetimeField:
     return SpacetimeField(g, u.data * vals[:, None, None, None])
 
 
-def _bracket(x):
-    return np.sqrt(1.0 + x**2)
-
-
 def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
     """(sum <xi>^{s r'} |F|^{r'} dxi^3)^{1/r'} over the spatial lattice."""
     _check_r(r)
@@ -126,7 +122,7 @@ def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
         raise RepresentationError("sobolev_hat_norm expects a spatial Spectrum")
     rp = dual_exponent(r)
     g = F.grid
-    w = _bracket(g.xi_modulus()) ** (s * rp)
+    w = g.bracket ** (s * rp)
     total = np.sum(w * np.abs(F.data) ** rp) * g.dxi**3
     return float(total ** (1.0 / rp))
 
@@ -150,11 +146,11 @@ def lr_xt_norm(F, r: float) -> float:
 
 
 def _xsb_weight(grid, p: NormParams) -> np.ndarray:
-    xi = grid.spatial.xi_modulus()
+    sg = grid.spatial
     tau = grid.tau_axis[:, None, None, None]
     rp = p.rprime
-    w = _bracket(xi)[None] ** (p.s * rp) * _bracket(tau - p.sign * xi[None]) ** (p.b * rp)
-    return w
+    modulation = np.sqrt(1.0 + (tau - p.sign * sg.modulus) ** 2)
+    return sg.bracket ** (p.s * rp) * modulation ** (p.b * rp)
 
 
 def xsb_norm(u, p: NormParams, weight: np.ndarray | None = None) -> float:

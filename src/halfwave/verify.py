@@ -154,6 +154,23 @@ class EstimateReport:
             self.exponent_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
         return self
 
+    def finite(self) -> bool:
+        """Whether every lhs, rhs and ratio in the rows is a finite number."""
+        return all(math.isfinite(row[key]) for row in self.rows
+                   for key in ("lhs", "rhs", "ratio") if key in row)
+
+    def judge(self, ok: bool) -> EstimateReport:
+        """Set passed to ok; a non-finite lhs, rhs or ratio is never a pass.
+
+        finalize() leaves non-positive and NaN ratios out of the statistics,
+        so judge() is the one place that fails a report on them.
+        """
+        if not self.finite():
+            self.passed = False
+        elif not self.skipped:
+            self.passed = bool(ok)
+        return self
+
 
 def _weighted_st_norm(S: SpacetimeSpectrum, r: float, weight: np.ndarray) -> float:
     """L^{r'} space-time lattice norm of weight * |F|."""
@@ -163,16 +180,24 @@ def _weighted_st_norm(S: SpacetimeSpectrum, r: float, weight: np.ndarray) -> flo
     return float(total ** (1.0 / rp))
 
 
-def _bracket(x):
-    return np.sqrt(1.0 + x**2)
+def _judge_groups(report: EstimateReport, key: str, groups) -> EstimateReport:
+    """Pass when the ratio spread within every row group is bounded; record each spread."""
+    ok = True
+    if not report.skipped:
+        for group in groups:
+            ratios = [row["ratio"] for row in report.rows if row[key] == group and row["ratio"] > 0]
+            spread = max(ratios) / min(ratios) if ratios else math.nan
+            report.params[f"spread_{group}"] = spread
+            ok = ok and spread <= BOUNDED_SPREAD
+    return report.judge(ok)
 
 
 def _key_weights(grid, sigma: float):
     """(J^sigma, J^(sigma-1) d_x, J^(sigma-1) d_t) weights on the (tau, xi) lattice."""
-    xi = grid.spatial.xi_modulus()[None]
+    sg = grid.spatial
     tau = grid.tau_axis[:, None, None, None]
-    br = _bracket(xi)
-    return br**sigma, br ** (sigma - 1.0) * np.abs(xi), br ** (sigma - 1.0) * np.abs(tau)
+    br = sg.bracket[None]
+    return br**sigma, br ** (sigma - 1.0) * sg.modulus, br ** (sigma - 1.0) * np.abs(tau)
 
 
 def _fixed_window_grid(lam: float, n: int) -> tuple[SpacetimeGrid, WindowSpec]:
@@ -238,9 +263,7 @@ def check_elliptic_lemma(
         "elliptic_lemma", {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "seed": seed},
         lams, one,
     )
-    if not rep.skipped:
-        rep.passed = rep.spread <= BOUNDED_SPREAD
-    return rep
+    return rep.judge(rep.spread <= BOUNDED_SPREAD)
 
 
 def check_hyperbolic_lemmas(
@@ -285,17 +308,7 @@ def check_hyperbolic_lemmas(
             {"scale": lam, "lhs": lhs_q, "rhs": rhs, "ratio": lhs_q / rhs if rhs > 0 else 0.0,
              "region": "Q"}
         )
-    report.finalize()
-    if not report.skipped:
-        for region in ("P", "Q"):
-            ratios = [row["ratio"] for row in report.rows
-                      if row["region"] == region and row["ratio"] > 0]
-            ok = bool(ratios) and max(ratios) / min(ratios) <= BOUNDED_SPREAD
-            report.params[f"spread_{region}"] = (
-                max(ratios) / min(ratios) if ratios else math.nan
-            )
-            report.passed = ok if report.passed is None else (report.passed and ok)
-    return report
+    return _judge_groups(report.finalize(), "region", ("P", "Q"))
 
 
 def check_key_estimate(
@@ -318,7 +331,7 @@ def check_key_estimate(
     space-time norms.
     """
     if sigma <= 2.0 / r or b <= 1.0 / r:
-        raise ParameterError(f"key estimate needs sigma > 2/r and b > 1/r")
+        raise ParameterError("key estimate needs sigma > 2/r and b > 1/r")
     report = EstimateReport(
         "key_estimate",
         {"r": r, "sigma": sigma, "b": b, "signs": (signs.first, signs.second),
@@ -360,16 +373,7 @@ def check_key_estimate(
             {"scale": lam, "lhs": lhs_full, "rhs": rhs_full,
              "ratio": lhs_full / rhs_full if rhs_full > 0 else 0.0, "form": "full"}
         )
-    report.finalize()
-    if not report.skipped:
-        ok = True
-        for form in ("free", "full"):
-            ratios = [row["ratio"] for row in report.rows if row["form"] == form and row["ratio"] > 0]
-            spread = max(ratios) / min(ratios) if ratios else math.nan
-            report.params[f"spread_{form}"] = spread
-            ok = ok and bool(ratios) and spread <= BOUNDED_SPREAD
-        report.passed = ok
-    return report
+    return _judge_groups(report.finalize(), "form", ("free", "full"))
 
 
 def sharpness_probe(
@@ -439,9 +443,7 @@ def check_lowfreq_young(
              "ratio": lhs / rhs if rhs > 0 else 0.0}
         )
     report.finalize()
-    if not report.skipped:
-        report.passed = report.spread <= 2.0
-    return report
+    return report.judge(report.spread <= 2.0)
 
 
 def check_strichartz_l2(
@@ -473,12 +475,9 @@ def check_strichartz_l2(
         {"sigma1": sigma1, "sigma2": sigma2, "kind": kind, "n": n, "m": m, "seed": seed},
         lams, one, fit_against="scale",
     )
-    if not rep.skipped:
-        if sigma1 + sigma2 > 1.0:
-            rep.passed = rep.spread <= BOUNDED_SPREAD
-        else:
-            rep.passed = rep.exponent is not None and rep.exponent > GROWTH_SLOPE
-    return rep
+    if sigma1 + sigma2 > 1.0:
+        return rep.judge(rep.spread <= BOUNDED_SPREAD)
+    return rep.judge(rep.exponent is not None and rep.exponent > GROWTH_SLOPE)
 
 
 def surface_cross_check(
@@ -492,7 +491,8 @@ def surface_cross_check(
     quadrature with the matching radial weight.
 
     One probe calibrates the overall constant; the remaining probes must
-    reproduce it to the stated relative tolerance.
+    reproduce it to the stated relative tolerance, and every surface mass
+    must have converged.
     """
     w1, w2 = widths
     sg = SpatialGrid(n, 2.0 * np.pi)  # dxi = 0.5, Nyquist 4
@@ -538,28 +538,19 @@ def surface_cross_check(
         consts.append(gridval / sm.value)
         report.rows.append(
             {"scale": float(np.linalg.norm(xivec)), "tau": tau, "lhs": gridval,
-             "rhs": sm.value, "ratio": gridval / sm.value}
+             "rhs": sm.value, "ratio": gridval / sm.value, "converged": sm.converged}
         )
     report.finalize()
+    ok = False
     if len(consts) >= 2:
         ref = consts[0]
         devs = [abs(c / ref - 1.0) for c in consts[1:]]
         report.params["max_deviation"] = max(devs)
         report.params["calibration"] = ref
-        report.passed = max(devs) <= tol
+        ok = max(devs) <= tol and all(row["converged"] for row in report.rows)
     else:
         report.skipped = True
-    return report
-
-
-def _random_search(objective, lo, hi, n_points, rng):
-    best_val, best_x = -math.inf, None
-    for _ in range(n_points):
-        x = lo + (hi - lo) * rng.random(len(lo))
-        v = objective(x)
-        if v > best_val:
-            best_val, best_x = v, x
-    return best_val, best_x
+    return report.judge(ok)
 
 
 def extremizer_search(

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from halfwave import dyadic
+from halfwave.bilinear import SurfaceMassResult
 from halfwave.cli import UsageError, apply_overrides, load_config, main
 from halfwave.fieldio import write_field
 from halfwave.grid import SpatialGrid, Spectrum
@@ -73,6 +75,22 @@ def test_lemma_determinism(tmp_path):
     assert code1 == 0 and code2 == 0
     assert filecmp.cmp(out1 / "lemma.csv", out2 / "lemma.csv", shallow=False)
     assert filecmp.cmp(out1 / "lemma.json", out2 / "lemma.json", shallow=False)
+
+
+@pytest.mark.parametrize("converged,code", [(True, 0), (False, 2)])
+def test_lemma_shell_reads_convergence(tmp_path, monkeypatch, converged, code):
+    """An unconverged shell mass fails the suite even when the slopes are exact."""
+    def fake(xi_vec, tau, sp, weight, h, **kw):
+        return SurfaceMassResult(weight.shell[1] ** 2, converged=converged, n_final=64)
+
+    monkeypatch.setattr(dyadic, "surface_mass", fake)
+    got, out = _run(tmp_path, "lemma", "--suite", "shell")
+    assert got == code
+    lines = (out / "lemma.csv").read_text().strip().splitlines()
+    assert lines[0] == "surface,shell,value,converged"
+    assert lines[1].endswith(f",{converged}")
+    payload = json.loads((out / "lemma.json").read_text())
+    assert payload["summary"]["slopes"] == [2.0, 2.0]
 
 
 def test_criterion_failure_exit_2(tmp_path):

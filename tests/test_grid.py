@@ -1,4 +1,4 @@
-"""Lattice transforms: exactness, normalization oracles, multipliers."""
+"""Lattice transforms and symbols: exactness, normalization oracles, cached symbols."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,8 @@ from halfwave.grid import (
     SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
-    apply_multiplier,
-    bessel_multiplier,
-    derivative_multiplier,
     forward_transform,
     inverse_transform,
-    modulus_multiplier,
     spatial_forward_slices,
     spatial_inverse_slices,
     time_forward,
@@ -129,29 +125,46 @@ def test_arithmetic(sg):
     assert np.array_equal((2.5 * a).data, 2.5 * a.data)
 
 
-def test_derivative_multiplier(sg):
+def test_symbols_read_only(sg):
+    for sym in (sg.modulus, sg.bracket, sg.dealias_mask, sg.xi_modulus()):
+        assert not sym.flags.writeable
+        with pytest.raises(ValueError):
+            sym[0, 0, 0] = 1
+    assert sg.xi_modulus() is sg.modulus          # built once per grid
+    assert sg == SpatialGrid(16, np.pi)            # the cache is not part of equality
+
+
+def test_bracket_is_japanese_modulus(sg):
+    k1, k2, k3 = sg.xi_mesh()
+    assert np.array_equal(sg.modulus, np.sqrt(k1**2 + k2**2 + k3**2))
+    assert np.array_equal(sg.bracket, np.sqrt(1.0 + sg.modulus**2))
+
+
+def test_derivative_symbol_oracle(sg):
     """Spectral derivative of a single mode is i*xi times it."""
     x1 = np.meshgrid(sg.x_axis, sg.x_axis, sg.x_axis, indexing="ij")[0]
     f = Field(sg, np.exp(1j * 2 * sg.dxi * x1))
     F = forward_transform(f)
-    dF = apply_multiplier(F, derivative_multiplier(0))
-    df = inverse_transform(dF)
+    df = inverse_transform(Spectrum(sg, 1j * sg.xi_axis[:, None, None] * F.data))
     exact = 1j * 2 * sg.dxi * f.data
     assert np.abs(df.data - exact).max() < 1e-10
 
 
-def test_bessel_multiplier_inverse(sg):
+def test_bracket_inverse_roundtrip(sg):
     rng = np.random.default_rng(4)
-    F = Spectrum(sg, rng.standard_normal(sg.shape) + 0j)
-    G = apply_multiplier(apply_multiplier(F, bessel_multiplier(1.0)), bessel_multiplier(-1.0))
-    assert np.abs(G.data - F.data).max() < 1e-12
+    F = rng.standard_normal(sg.shape) + 0j
+    assert np.abs(F * sg.bracket / sg.bracket - F).max() < 1e-12
+    assert np.abs(F / sg.bracket * sg.bracket - F).max() < 1e-12
 
 
-def test_modulus_multiplier_nonfinite(sg):
-    F = Spectrum(sg, np.ones(sg.shape, complex))
-    with pytest.raises(ParameterError):
-        # |xi|^{-1} blows up at the zero mode; error names the frequency
-        apply_multiplier(F, modulus_multiplier(-1.0))
+def test_dealias_mask_two_thirds_rule(sg):
+    mask = sg.dealias_mask
+    assert mask.dtype == bool
+    for axis in range(3):
+        # index 0 is the Nyquist plane xi_axis = -N/2 * dxi
+        assert not np.take(mask, 0, axis=axis).any()
+    keep = np.abs(sg.xi_axis) < (2.0 / 3.0) * sg.nyquist
+    assert np.array_equal(mask, keep[:, None, None] & keep[None, :, None] & keep[None, None, :])
 
 
 # Per-axis reference: fft + fftshift + the (-1)^j boundary phase, one axis at

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfwave import solver as solver_mod
 from halfwave.errors import GridMismatchError, ParameterError
@@ -48,8 +50,12 @@ def _gaussian_data(sg, amp=0.01, seed=None):
     return CauchyData(u0, u1, 2.0, 1.0)
 
 
-def test_first_order_roundtrip(sg):
-    rng = np.random.default_rng(0)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8).map(lambda k: 2 * k), half_length=st.floats(0.5, 20.0),
+       seed=st.integers(0, 2**16))
+def test_first_order_roundtrip(n, half_length, seed):
+    sg = SpatialGrid(n, half_length)
+    rng = np.random.default_rng(seed)
     u0 = Spectrum(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape))
     u1 = Spectrum(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape))
     fp, fm = to_first_order(CauchyData(u0, u1))

@@ -1,8 +1,12 @@
 """Verification harness: report mechanics, families, and small-scale checks."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from halfwave import verify
 from halfwave.bilinear import SignPair
 from halfwave.errors import ParameterError
 from halfwave.verify import (
@@ -68,6 +72,45 @@ def test_report_all_zero_skipped():
     assert rep.skipped
 
 
+def test_report_nan_ratio_never_passes():
+    rep = EstimateReport("x", {})
+    for lam, ratio in [(2.0, 1.0), (4.0, math.nan), (8.0, 1.2)]:
+        rep.rows.append({"scale": lam, "lhs": ratio, "rhs": 1.0, "ratio": ratio})
+    rep.finalize()
+    assert rep.spread == pytest.approx(1.2)     # NaN is left out of the statistics
+    assert rep.judge(rep.spread <= BOUNDED_SPREAD).passed is False
+    only_nan = EstimateReport("y", {}, rows=[{"lhs": math.nan, "rhs": 1.0, "ratio": math.nan}])
+    assert only_nan.finalize().skipped
+    assert only_nan.judge(True).passed is False
+    nan_rhs = EstimateReport("z", {}, rows=[{"lhs": 1.0, "rhs": math.nan, "ratio": 0.0}])
+    assert nan_rhs.finalize().judge(True).passed is False
+
+
+_SMALL_CHECKS = {
+    "elliptic": lambda: check_elliptic_lemma(2.0, 1.25, lams=(2.0, 4.0, 8.0), n=8, m=16),
+    "hyperbolic": lambda: check_hyperbolic_lemmas(2.0, 1.25, lams=(2.0, 4.0), n=8, m=16),
+    "key": lambda: check_key_estimate(2.0, 1.25, 0.55, lams=(2.0, 4.0), n=8, m=16),
+    "lowfreq": lambda: check_lowfreq_young(1.5, samples=3, n=8, m=16),
+    "strichartz": lambda: check_strichartz_l2(0.75, 0.5, lams=(2.0, 4.0, 8.0), n=8, m=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_CHECKS))
+def test_check_with_nan_row_fails(name, monkeypatch):
+    assert _SMALL_CHECKS[name]().passed
+    real = verify._weighted_st_norm
+    calls = []
+
+    def second_is_nan(*args):
+        calls.append(1)
+        return math.nan if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(verify, "_weighted_st_norm", second_is_nan)
+    rep = _SMALL_CHECKS[name]()
+    assert not rep.finite()
+    assert rep.passed is False
+
+
 def test_elliptic_lemma_bounded():
     rep = check_elliptic_lemma(2.0, 1.25, lams=(2.0, 4.0, 8.0))
     assert rep.passed
@@ -124,6 +167,16 @@ def test_surface_cross_check():
     assert rep.passed
     assert rep.params["max_deviation"] <= 0.05
     assert len(rep.rows) >= 4
+
+
+def test_surface_cross_check_unconverged_fails(monkeypatch):
+    real = verify.surface_mass
+    monkeypatch.setattr(verify, "surface_mass",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), converged=False))
+    rep = surface_cross_check()
+    assert rep.params["max_deviation"] <= 0.05  # would pass on the deviation alone
+    assert [row["converged"] for row in rep.rows] == [False] * len(rep.rows)
+    assert rep.passed is False
 
 
 def test_extremizer_degenerate_box():
