@@ -211,8 +211,9 @@ class SurfaceMassResult:
 
 
 def _default_box(xi_vec, tau, sp: SignPair, h, weight):
-    """Bounding box for the thickened surface: ellipsoids are bounded by
-    |eta| <= tau/2; shell-restricted weights bound eta near the rho1 focus."""
+    """Truncation centre, on the xi axis, and radius for the thickened
+    surface: ellipsoids are bounded by |eta| <= tau/2; shell-restricted
+    weights bound eta near the rho1 focus."""
     xi_vec = np.asarray(xi_vec, dtype=float)
     if isinstance(weight, PowerWeight) and weight.shell is not None:
         center = xi_vec / 2.0
@@ -244,10 +245,15 @@ def surface_mass(
     int_{P(eta)=tau} dS/|grad P| F(rho1, rho2).
 
     F is either a PowerWeight, whose power law and shell conditions the band
-    sum evaluates itself, or a vectorized callable F(rho1, rho2).  The eta
-    box is refined (n -> 2n) until the value is stable to the requested
-    relative tolerance.  An empty level set returns
-    value 0 with the empty flag set.
+    sum evaluates itself, or a vectorized callable F(rho1, rho2).  The level
+    set is a surface of rotation about the axis xi/|xi|, so the band sum runs
+    over the (z, rho) half-plane about that axis.  The integral is truncated
+    to the cylinder |z - z_c| <= R, rho <= R, where z_c is box_center
+    projected on the axis and R is box_radius: the cylinder inscribed in the
+    cube of side 2R about box_center.  box_center must lie on the axis.  The
+    cells are refined (n -> 2n) until the value is stable to the requested
+    relative tolerance.  An empty level set returns value 0 with the empty
+    flag set.
     """
     if h <= 0:
         raise ParameterError("band half-thickness h must be positive")
@@ -263,7 +269,11 @@ def surface_mass(
     if box_radius is None:
         box_center, box_radius = _default_box(xi_vec, tau, sp, h, F)
     box_center = np.zeros(3) if box_center is None else np.asarray(box_center, float)
-    lo = box_center - box_radius
+    axis = xi_vec / rho
+    z_c = float(box_center @ axis)
+    if np.linalg.norm(box_center - z_c * axis) > 1e-12 * max(abs(z_c), box_radius):
+        raise ParameterError("box_center must lie on the axis xi/|xi|")
+    z_lo = z_c - box_radius
     width = 2.0 * box_radius
 
     kw = {}
@@ -277,10 +287,10 @@ def surface_mass(
         raise ParameterError("F must be a PowerWeight or a callable F(rho1, rho2)")
 
     n = n0
-    prev = kernels.band_mass(xi_vec, sp.first, sp.second, tau, h, lo, width, n, **kw)
+    prev = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, **kw)
     for _ in range(max_refine):
         n *= 2
-        cur = kernels.band_mass(xi_vec, sp.first, sp.second, tau, h, lo, width, n, **kw)
+        cur = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, **kw)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return SurfaceMassResult(cur, converged=True, n_final=n)
         prev = cur

@@ -1,9 +1,11 @@
 """Hot numeric kernels: masked lattice convolution and level-set band sums.
 
 Both are vectorized numpy.  The convolution accumulates one shifted
-multiply-add per active mode of the first factor; the band sum visits the
-box in slabs so that peak memory stays O(n^2) per temporary.  Mask rules
-live in dyadic.MaskSpec.select; this module only supplies the moduli.
+multiply-add per active mode of the first factor.  The band sum uses the
+rotational symmetry of the level set about the focal axis: it visits square
+cells of the (z, rho) half-plane, each weighted by the volume of its annulus
+and by the exact fraction of the cell inside the band.  Mask rules live in
+dyadic.MaskSpec.select; this module only supplies the moduli.
 """
 
 from __future__ import annotations
@@ -50,13 +52,31 @@ def masked_convolution(us: np.ndarray, vs: np.ndarray, xi_axis: np.ndarray, mask
     return out
 
 
+def _uniform_sum_cdf(x: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """P(U_a + U_b <= x) for independent centred uniforms of widths wa, wb >= 0.
+
+    The density is a trapezoid on |x| <= (wa + wb)/2; outside it the value is
+    exactly 0 or 1.  One zero width gives the one-uniform limit, two give the
+    unit step.
+    """
+    big = np.maximum(wa, wb)
+    small = np.minimum(wa, wb)
+    y = np.abs(x)
+    gap = 0.5 * (big + small) - y  # distance inside the far end of the support
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(y <= 0.5 * (big - small), 0.5 - y / big,
+                        gap * gap / (2.0 * big * small))
+    tail = np.where(gap > 0.0, tail, 0.0)
+    return np.where(x < 0.0, tail, 1.0 - tail)
+
+
 def band_mass(
-    focus_vec,
+    xi_norm: float,
     s1: int,
     s2: int,
     tau: float,
     h: float,
-    lo,
+    z_lo: float,
     width: float,
     n: int,
     e1: float = 0.0,
@@ -66,42 +86,38 @@ def band_mass(
     require_ll: bool = False,
     func=None,
 ) -> float:
-    """Thickened-level-set sum (1/2h) * sum_{|P(eta)-tau|<h} F * cell volume.
+    """Thickened-level-set sum (1/2h) * integral over |P(eta)-tau|<h of F d^3eta.
 
-    P(eta) = s1*|xi/2 - eta| + s2*|xi/2 + eta| over a cubic box with corner
-    lo and side width, sampled at n cell centers per axis.  F is the power
-    law r1^e1 * r2^e2 restricted by the optional shell/smallness conditions,
-    or an arbitrary vectorized func(r1, r2).
+    P(eta) = s1*r1 + s2*r2 with r1, r2 the distances to the foci +-xi/2,
+    which sit at z = +-|xi|/2 on the axis z of the (z, rho) half-plane.  The
+    cylinder z_lo <= z <= z_lo + width, rho <= width/2 is cut into square
+    cells of side width/n (n in z, n//2 in rho).  Each cell carries its
+    annulus volume 2 pi rho_c step^2 times the exact fraction of the cell in
+    the band under P linearised at the cell centre.  F is the power law
+    r1^e1 * r2^e2, or an arbitrary vectorized func(r1, r2), evaluated at the
+    centre and restricted by the shell/smallness conditions there.
     """
-    hx, hy, hz = (float(c) / 2.0 for c in focus_vec)
     step = width / n
-    lo = tuple(float(v) for v in lo)
-    ax0 = lo[0] + (np.arange(n) + 0.5) * step
-    ax1 = lo[1] + (np.arange(n) + 0.5) * step
-    ax2 = lo[2] + (np.arange(n) + 0.5) * step
-    total = 0.0
-    block = max(1, int(4e6 // (n * n)))
-    for start in range(0, n, block):
-        ex = ax0[start : start + block][:, None, None]
-        ey = ax1[None, :, None]
-        ez = ax2[None, None, :]
-        r1 = np.sqrt((hx - ex) ** 2 + (hy - ey) ** 2 + (hz - ez) ** 2)
-        r2 = np.sqrt((hx + ex) ** 2 + (hy + ey) ** 2 + (hz + ez) ** 2)
-        sel = np.abs(s1 * r1 + s2 * r2 - tau) < h
-        sel &= (r1 > sh_lo) & (r1 <= sh_hi)
-        if require_ll:
-            sel &= r1 < 0.5 * r2
-        if not sel.any():
-            continue
-        r1s, r2s = r1[sel], r2[sel]
-        if func is not None:
-            vals = np.asarray(func(r1s, r2s), dtype=float)
-        else:
-            vals = np.ones_like(r1s)
-            if e1 != 0.0:
-                vals = vals * np.where(r1s > 0, r1s, np.nan) ** e1
-            if e2 != 0.0:
-                vals = vals * np.where(r2s > 0, r2s, np.nan) ** e2
-            vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
-        total += float(vals.sum())
-    return total * step**3 / (2.0 * h)
+    c = 0.5 * float(xi_norm)
+    z = (z_lo + (np.arange(n) + 0.5) * step)[:, None]
+    rho = ((np.arange(n // 2) + 0.5) * step)[None, :]
+    r1 = np.sqrt((z - c) ** 2 + rho**2)
+    r2 = np.sqrt((z + c) ** 2 + rho**2)
+    dev = s1 * r1 + s2 * r2 - tau
+    # |grad P| <= 2, so the linearised P varies by at most sqrt(2)*step over a
+    # cell: cells outside this margin have fraction exactly 0
+    sel = np.abs(dev) < h + 1.5 * step
+    sel &= (r1 > sh_lo) & (r1 <= sh_hi)
+    if require_ll:
+        sel &= r1 < 0.5 * r2
+    zs, rhos = np.broadcast_to(z, sel.shape)[sel], np.broadcast_to(rho, sel.shape)[sel]
+    r1s, r2s, devs = r1[sel], r2[sel], dev[sel]
+    wz = np.abs(s1 * (zs - c) / r1s + s2 * (zs + c) / r2s) * step
+    wr = np.abs(s1 / r1s + s2 / r2s) * rhos * step
+    frac = _uniform_sum_cdf(h - devs, wz, wr) - _uniform_sum_cdf(-h - devs, wz, wr)
+    frac = np.clip(frac, 0.0, 1.0)
+    if func is not None:
+        vals = np.asarray(func(r1s, r2s), dtype=float)
+    else:
+        vals = r1s**e1 * r2s**e2
+    return float(np.sum(rhos * frac * vals)) * np.pi * step**2 / h

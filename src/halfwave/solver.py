@@ -269,16 +269,17 @@ def picard_iterate(
     cfg: SolveConfig,
     r: float = 2.0,
     s: float = 1.0,
-    source: SpacetimeField | None = None,
+    source: np.ndarray | None = None,
     nonlinear: bool = True,
 ) -> PicardResult:
     """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)})).
 
-    The iterates are kept as spatial spectral slices.  Distances between
-    consecutive iterates are measured as the sup over |t| <= delta of the
-    data-space norm (both components) and as the windowed space-time
-    restriction norm; rho_n is their step ratio.  Three consecutive growing
-    distances, or one non-finite distance, flag divergence.
+    The iterates, and the source if given, are spatial spectral slices.
+    Distances between consecutive iterates are measured as the sup over
+    |t| <= delta of the data-space norm (both components) and as the
+    windowed space-time restriction norm; rho_n is their step ratio.  Three
+    consecutive growing distances, or one non-finite distance, flag
+    divergence.
     """
     g = cfg.grid
     # loop invariants; the window only scales time, so it commutes with the
@@ -288,7 +289,6 @@ def picard_iterate(
     params = NormParams(r, s, cfg.b, +1)
     slice_wt = _slice_weight(g, r, s)
     xsb_wt = _xsb_weight(g, params)
-    src = None if source is None else spatial_forward_slices(source)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     free_m = free_slices(fm, g, EvolutionSpec("J", -1))
 
@@ -305,9 +305,9 @@ def picard_iterate(
     grew = 0
     for n in range(cfg.max_iter):
         if nonlinear:
-            gp, gm = rhs_eval(sp, sm, ns, g, source=src)
+            gp, gm = rhs_eval(sp, sm, ns, g, source=source)
         else:
-            gp, gm = _drop_bilinear(sp, sm, g, src)
+            gp, gm = _drop_bilinear(sp, sm, g, source)
         new_p = free_p + duhamel(window * gp, +1, g)
         new_m = free_m + duhamel(window * gm, -1, g)
         diff_p = new_p - sp
@@ -395,8 +395,9 @@ def solve_local(
     persistence curve t -> data-space norm of the components, and for k = 2
     the Z-norm diagnostic (both regularities of the pair (u, d_t u)).
     """
-    result = picard_iterate(fp, fm, ns, cfg, r=r, s=s, source=source)
     g = cfg.grid
+    src = None if source is None else spatial_forward_slices(source)
+    result = picard_iterate(fp, fm, ns, cfg, r=r, s=s, source=src)
     sp, sm = result.sp, result.sm
     u_spec = (sp + sm) / 2.0
     dtu_spec = _dt_w_slices(g, sp, sm) / 2.0
@@ -405,8 +406,8 @@ def solve_local(
 
     core = _core_slices(g, cfg.delta)
     b_spec = _bilinear_spec(sp, sm, ns, g) / 4.0   # B(u, u) = B(w, w)/4 for u = w/2
-    if source is not None:
-        b_spec = b_spec + spatial_forward_slices(source)
+    if src is not None:
+        b_spec = b_spec + src
     residual, scale = _box_residual(u_spec, g, b_spec, core)
 
     norms = _slice_norms(g, sp, r, s) + _slice_norms(g, sm, r, s)

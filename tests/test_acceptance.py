@@ -100,11 +100,11 @@ def test_criterion_3_shell_mass_growth():
     t0 = time.perf_counter()
     xi = np.array([2000.0, 0.0, 0.0])
     ks = np.arange(2, 7)
-    vals = [shell_surface_mass(xi, 2004.0, SignPair(+1, +1), int(k), 1.0, n0=64).value
-            for k in ks]
-    slope = float(np.polyfit(ks, np.log2(vals), 1)[0])
+    res = [shell_surface_mass(xi, 2004.0, SignPair(+1, +1), int(k), 1.0, n0=64)
+           for k in ks]
+    slope = float(np.polyfit(ks, np.log2([r.value for r in res]), 1)[0])
     dt = time.perf_counter() - t0
-    ok = abs(slope - 2.0) <= 0.1 and dt < 120.0
+    ok = abs(slope - 2.0) <= 0.1 and all(r.converged for r in res) and dt < 120.0
     assert _line(3, "shell surface-mass growth", ok, f"slope {slope:.3f}, {dt:.2f}s")
 
 
@@ -124,6 +124,8 @@ def test_criterion_4_q_region_scaling():
                 box_center=np.zeros(3), box_radius=2.5 * rho, n0=96, max_refine=2,
             )
             vals.append(res.value)
+            if not res.converged:
+                ok = False
         slope = float(np.polyfit(np.log2(rhos), np.log2(vals), 1)[0])
         details.append(f"{slope:.3f} vs {pred:.3f}")
         if abs(slope - pred) > 0.1:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfwave import kernels
+from halfwave.bilinear import PowerWeight, SignPair, surface_mass
 from halfwave.dyadic import region_masks, shell_mask
+from halfwave.errors import ParameterError
 from halfwave.grid import SpatialGrid
 
 
@@ -103,9 +105,86 @@ def test_mask_partitions(n, c1, threshold, seed):
 
 def test_band_mass_callable_weight():
     """Arbitrary weights are accepted; constant 1 matches powers 0."""
-    xi = np.array([4.0, 0.0, 0.0])
-    lo = np.full(3, -5.0)
-    kw = dict(tau=6.0, h=0.4, lo=lo, width=10.0, n=48)
-    a = kernels.band_mass(xi, 1, 1, e1=0.0, e2=0.0, **kw)
-    b = kernels.band_mass(xi, 1, 1, func=lambda r1, r2: np.ones_like(r1), **kw)
+    kw = dict(tau=6.0, h=0.4, z_lo=-5.0, width=10.0, n=48)
+    a = kernels.band_mass(4.0, 1, 1, e1=0.0, e2=0.0, **kw)
+    b = kernels.band_mass(4.0, 1, 1, func=lambda r1, r2: np.ones_like(r1), **kw)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def _unit_band_error(n, xi_norm, tau, h):
+    """Relative error of the unit-weight band sum against its closed form.
+
+    The unit-weight ellipsoid mass is (pi/2) tau^2 - (pi/6) |xi|^2; averaged
+    over the band [tau - h, tau + h] it is (pi/2)(tau^2 + h^2/3) - (pi/6)|xi|^2.
+    """
+    want = 0.5 * np.pi * (tau**2 + h**2 / 3.0) - np.pi / 6.0 * xi_norm**2
+    radius = 0.5 * tau + 2.0 * h
+    got = kernels.band_mass(xi_norm, 1, 1, tau, h, -radius, 2.0 * radius, n)
+    return abs(got / want - 1.0)
+
+
+def _elliptic_draws(count, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        xi_norm = rng.uniform(0.5, 2.0)
+        tau = xi_norm * rng.uniform(1.2, 3.0)
+        yield xi_norm, tau, rng.uniform(0.04, 0.06) * tau
+
+
+def test_band_mass_unit_weight_closed_form():
+    errs = [_unit_band_error(96, *draw) for draw in _elliptic_draws(30)]
+    assert max(errs) <= 5e-4
+
+
+def test_band_mass_second_order():
+    """The worst error over the draws falls at least 3x as the cells halve."""
+    draws = list(_elliptic_draws(10, seed=1))
+    coarse = max(_unit_band_error(96, *d) for d in draws)
+    fine = max(_unit_band_error(192, *d) for d in draws)
+    assert fine * 3.0 <= coarse
+
+
+def test_uniform_sum_cdf_limits():
+    x = np.linspace(-2.0, 2.0, 81)
+    zero = np.zeros_like(x)
+    one = np.ones_like(x)
+    # two widths: exactly 0 and 1 outside the support |x| <= 1, symmetric inside
+    f = kernels._uniform_sum_cdf(x, 1.5 * one, 0.5 * one)
+    assert np.all(f[x <= -1.0] == 0.0) and np.all(f[x >= 1.0] == 1.0)
+    assert np.allclose(f + f[::-1], 1.0, atol=1e-15)
+    assert np.all(np.diff(f) >= 0.0)
+    # one width vanishes: the single-uniform CDF; both vanish: the unit step
+    single = kernels._uniform_sum_cdf(x, one, zero)
+    assert np.allclose(single, np.clip(x + 0.5, 0.0, 1.0), atol=1e-15)
+    assert np.array_equal(kernels._uniform_sum_cdf(x, zero, zero), (x >= 0.0) * 1.0)
+    # a vanishing width is the limit of a small one
+    tiny = kernels._uniform_sum_cdf(x, one, 1e-9 * one)
+    assert np.allclose(tiny, single, atol=1e-8)
+
+
+def test_surface_mass_rotation_invariant():
+    """Only |xi| and the position of box_center on the axis enter the sum."""
+    rng = np.random.default_rng(3)
+    xi = np.array([1.3, 0.0, 0.0])
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    kw = dict(tau=2.9, sp=SignPair(+1, +1), F=PowerWeight(e1=0.5, e2=-0.3), h=0.15)
+    base = surface_mass(xi, **kw)
+    turned = surface_mass(rot @ xi, **kw)
+    assert base.converged and turned.converged
+    assert turned.value == pytest.approx(base.value, rel=1e-14, abs=0.0)
+    hyp = dict(tau=0.4, sp=SignPair(+1, -1), F=PowerWeight(e1=-1.8, e2=-1.8), h=0.2,
+               box_radius=3.0)
+    base = surface_mass(xi, box_center=xi / 2.0, **hyp)
+    turned = surface_mass(rot @ xi, box_center=rot @ xi / 2.0, **hyp)
+    assert turned.value == pytest.approx(base.value, rel=1e-14, abs=0.0)
+
+
+def test_surface_mass_off_axis_center_rejected():
+    xi = np.array([0.0, 2.0, 0.0])
+    with pytest.raises(ParameterError):
+        surface_mass(xi, 1.0, SignPair(+1, -1), PowerWeight(), h=0.2,
+                     box_center=np.array([0.1, 0.0, 0.0]), box_radius=4.0)
+    # a centre on the axis, on either side of the origin, is accepted
+    for c in (-0.7, 0.0, 1.0):
+        surface_mass(xi, 1.0, SignPair(+1, -1), PowerWeight(), h=0.2,
+                     box_center=c * xi, box_radius=4.0)
