@@ -250,13 +250,17 @@ def surface_mass(
     over the (z, rho) half-plane about that axis.  The integral is truncated
     to the cylinder |z - z_c| <= R, rho <= R, where z_c is box_center
     projected on the axis and R is box_radius: the cylinder inscribed in the
-    cube of side 2R about box_center.  box_center must lie on the axis.  The
+    cube of side 2R about box_center.  box_center must lie on the axis and
+    needs a box_radius; a box_radius alone centres the cylinder at the
+    origin, and with neither the default box is used.  The
     cells are refined (n -> 2n) until the value is stable to the requested
     relative tolerance.  An empty level set returns value 0 with the empty
     flag set.
     """
     if h <= 0:
         raise ParameterError("band half-thickness h must be positive")
+    if box_center is not None and box_radius is None:
+        raise ParameterError("box_center needs a box_radius")
     xi_vec = np.asarray(xi_vec, dtype=float)
     rho = float(np.linalg.norm(xi_vec))
     if sp.elliptic:

@@ -34,9 +34,9 @@ _SECTIONS = {
     "grid": {"n", "l", "m", "t"},
     "params": {
         "r", "sigma", "b", "sign1", "sign2", "k", "derivative", "delta",
-        "s", "s1", "s2", "sigma1", "sigma2", "p", "q", "region", "a", "c1", "h",
+        "s", "sigma1", "sigma2", "p", "q", "region", "c1", "h",
     },
-    "family": {"kind", "scale", "width", "amplitude", "seed"},
+    "family": {"kind", "width", "amplitude", "seed"},
     "sweep": {"lams", "a_values", "shells", "samples", "budget", "pairs"},
 }
 

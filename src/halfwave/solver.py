@@ -143,10 +143,6 @@ def from_first_order(fp: Spectrum, fm: Spectrum) -> tuple[Spectrum, Spectrum]:
     return Spectrum(sg, u0), Spectrum(sg, u1)
 
 
-def _jinv_slices(g: SpacetimeGrid, spec_slices: np.ndarray) -> np.ndarray:
-    return spec_slices / g.spatial.bracket
-
-
 def _spatial_derivative(g: SpacetimeGrid, spec_slices: np.ndarray, derivative: str) -> np.ndarray:
     shape = [1, 1, 1, 1]
     shape[_DERIVS.index(derivative)] = g.spatial.n
@@ -207,7 +203,7 @@ def rhs_eval(
     bracket = bspec / 4.0 + (sp + sm) / 2.0
     if source is not None:
         bracket = bracket + source
-    gm = _jinv_slices(g, bracket)
+    gm = bracket / g.spatial.bracket
     return -gm, gm
 
 
@@ -270,7 +266,6 @@ def picard_iterate(
     r: float = 2.0,
     s: float = 1.0,
     source: np.ndarray | None = None,
-    nonlinear: bool = True,
 ) -> PicardResult:
     """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)})).
 
@@ -304,10 +299,7 @@ def picard_iterate(
     result = PicardResult(g, sp, sm)
     grew = 0
     for n in range(cfg.max_iter):
-        if nonlinear:
-            gp, gm = rhs_eval(sp, sm, ns, g, source=source)
-        else:
-            gp, gm = _drop_bilinear(sp, sm, g, source)
+        gp, gm = rhs_eval(sp, sm, ns, g, source=source)
         new_p = free_p + duhamel(window * gp, +1, g)
         new_m = free_m + duhamel(window * gm, -1, g)
         diff_p = new_p - sp
@@ -333,15 +325,6 @@ def picard_iterate(
             break
     result.sp, result.sm = sp, sm
     return result
-
-
-def _drop_bilinear(sp, sm, g, source):
-    """Linear-system right side (the B_k term removed), for linear reference runs."""
-    bracket = (sp + sm) / 2.0
-    if source is not None:
-        bracket = bracket + source
-    gm = _jinv_slices(g, bracket)
-    return -gm, gm
 
 
 @dataclass

@@ -66,19 +66,17 @@ class NormParams:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Time cutoff: 1 on the flat core, smooth (or sharp) decay to 0 outside.
+    """Time cutoff: 1 on the flat core, raised-cosine decay to 0 outside.
 
     support is the half-width of the support; the flat core has half-width
-    flat_fraction * support.
+    flat_fraction * support, so flat_fraction=1 is the sharp indicator of
+    |t| <= support.
     """
 
-    shape: str = "raised-cosine"
     flat_fraction: float = 0.5
     support: float = 1.0
 
     def __post_init__(self):
-        if self.shape not in ("rectangular", "raised-cosine"):
-            raise ParameterError(f"unknown window shape {self.shape!r}")
         if not 0.0 <= self.flat_fraction <= 1.0:
             raise ParameterError("flat_fraction must lie in [0, 1]")
         if self.support <= 0:
@@ -92,8 +90,6 @@ class WindowSpec:
 def window_values(w: WindowSpec, t) -> np.ndarray:
     """Sample the window on the given times."""
     t = np.abs(np.asarray(t, dtype=float))
-    if w.shape == "rectangular":
-        return np.where(t <= w.support, 1.0, 0.0)
     core = w.flat_core
     ramp = w.support - core
     out = np.zeros_like(t)

@@ -117,6 +117,11 @@ def family_spectrum(fam: DataFamily, grid: SpatialGrid, rng=None) -> Spectrum:
     return Spectrum(grid, fam.amplitude * np.broadcast_to(prof, grid.shape) * band)
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, or 0 when rhs is zero, negative or NaN (finalize skips such rows)."""
+    return lhs / rhs if rhs > 0 else 0.0
+
+
 @dataclass
 class EstimateReport:
     """Per-sample LHS/RHS ratios plus summary statistics of one check."""
@@ -133,6 +138,12 @@ class EstimateReport:
     passed: bool | None = None
     skipped: bool = False
     runtime: float | None = None
+
+    def add(self, scale: float, lhs: float, rhs: float, **tags) -> EstimateReport:
+        """Append one row; tags are extra columns such as the region or form."""
+        self.rows.append({"scale": scale, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs),
+                          **tags})
+        return self
 
     def finalize(self, fit_against: str | None = None):
         ratios = [row["ratio"] for row in self.rows if row.get("ratio", 0.0) > 0.0]
@@ -213,25 +224,18 @@ def _fixed_window_grid(lam: float, n: int) -> tuple[SpacetimeGrid, WindowSpec]:
     return g, WindowSpec(support=np.pi, flat_fraction=0.5)
 
 
-def _pair_for(kind: str, lam: float, seed: int) -> tuple[DataFamily, DataFamily]:
-    u = DataFamily(kind=kind, scale=lam, seed=seed)
-    v = DataFamily(kind=kind, scale=lam, seed=seed + 1)
-    return u, v
+def _data_pair(kind: str, lam: float, seed: int, sg: SpatialGrid) -> tuple[Spectrum, Spectrum]:
+    """The (u, v) data of one rung: families seeded seed and seed + 1, drawn from one rng."""
+    rng = np.random.default_rng(seed)
+    return tuple(family_spectrum(DataFamily(kind=kind, scale=lam, seed=sd), sg, rng)
+                 for sd in (seed, seed + 1))
 
 
-def _ladder_ratios(
-    name: str,
-    params: dict,
-    lams,
-    lhs_rhs,
-    fit_against: str | None = None,
-) -> EstimateReport:
-    report = EstimateReport(name, dict(params))
+def _ladder(kind: str, lams, n: int, m: int, seed: int):
+    """Yield (lam, grid, window, u0, v0) on the scaling_grid of every rung."""
     for lam in lams:
-        lhs, rhs = lhs_rhs(lam)
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        report.rows.append({"scale": lam, "lhs": lhs, "rhs": rhs, "ratio": ratio})
-    return report.finalize(fit_against=fit_against or "scale")
+        g, w = scaling_grid(lam, n=n, m=m)
+        yield (lam, g, w, *_data_pair(kind, lam, seed, g.spatial))
 
 
 def check_elliptic_lemma(
@@ -246,23 +250,15 @@ def check_elliptic_lemma(
     """Equal-sign products: J^sigma and J^(sigma-1) d_t terms vs data norms."""
     if sigma <= 2.0 / r:
         raise ParameterError(f"elliptic check needs sigma > 2/r = {2.0 / r}")
-
-    def one(lam):
-        g, w = scaling_grid(lam, n=n, m=m)
-        rng = np.random.default_rng(seed)
-        uf, vf = _pair_for(kind, lam, seed)
-        u0 = family_spectrum(uf, g.spatial, rng)
-        v0 = family_spectrum(vf, g.spatial, rng)
+    rep = EstimateReport(
+        "elliptic_lemma", {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "seed": seed}
+    )
+    for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
         S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
         wj, _, wt = _key_weights(g, sigma)
-        lhs = _weighted_st_norm(S, r, wj) + _weighted_st_norm(S, r, wt)
-        rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        return lhs, rhs
-
-    rep = _ladder_ratios(
-        "elliptic_lemma", {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "seed": seed},
-        lams, one,
-    )
+        rep.add(lam, _weighted_st_norm(S, r, wj) + _weighted_st_norm(S, r, wt),
+                sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma))
+    rep.finalize(fit_against="scale")
     return rep.judge(rep.spread <= BOUNDED_SPREAD)
 
 
@@ -289,25 +285,15 @@ def check_hyperbolic_lemmas(
         {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "c1": c1, "seed": seed},
     )
     sp = SignPair(+1, -1)
-    for lam in lams:
-        g, w = scaling_grid(lam, n=n, m=m)
-        rng = np.random.default_rng(seed)
-        uf, vf = _pair_for(kind, lam, seed)
-        u0 = family_spectrum(uf, g.spatial, rng)
-        v0 = family_spectrum(vf, g.spatial, rng)
+    for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
         SP = bilinear_symbol_product(u0, v0, sp, masks["P"], g, w)
         SQ = bilinear_symbol_product(u0, v0, sp, masks["Q"], g, w)
         wj, wx, wt = _key_weights(g, sigma)
         rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        lhs_p = _weighted_st_norm(SP, r, wj) + _weighted_st_norm(SP, r, wt)
-        lhs_q = _weighted_st_norm(SQ, r, wx) + _weighted_st_norm(SQ, r, wt)
-        report.rows.append(
-            {"scale": lam, "lhs": lhs_p, "rhs": rhs, "ratio": lhs_p / rhs, "region": "P"}
-        )
-        report.rows.append(
-            {"scale": lam, "lhs": lhs_q, "rhs": rhs, "ratio": lhs_q / rhs if rhs > 0 else 0.0,
-             "region": "Q"}
-        )
+        report.add(lam, _weighted_st_norm(SP, r, wj) + _weighted_st_norm(SP, r, wt), rhs,
+                   region="P")
+        report.add(lam, _weighted_st_norm(SQ, r, wx) + _weighted_st_norm(SQ, r, wt), rhs,
+                   region="Q")
     return _judge_groups(report.finalize(), "region", ("P", "Q"))
 
 
@@ -337,26 +323,15 @@ def check_key_estimate(
         {"r": r, "sigma": sigma, "b": b, "signs": (signs.first, signs.second),
          "kind": kind, "n": n, "m": m, "modulation": modulation, "seed": seed},
     )
-    for lam in lams:
-        g, w = scaling_grid(lam, n=n, m=m)
-        rng = np.random.default_rng(seed)
-        uf, vf = _pair_for(kind, lam, seed)
-        u0 = family_spectrum(uf, g.spatial, rng)
-        v0 = family_spectrum(vf, g.spatial, rng)
+    for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
         S = product_transform_direct(u0, v0, signs, g, w)
         _, wx, wt = _key_weights(g, sigma)
-        lhs = _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt)
-        rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        report.rows.append(
-            {"scale": lam, "lhs": lhs, "rhs": rhs,
-             "ratio": lhs / rhs if rhs > 0 else 0.0, "form": "free"}
-        )
+        report.add(lam, _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt),
+                   sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma), form="free")
         # full form: windowed (modulated) waves measured in X norms, on a
         # grid whose physical window duration does not depend on the scale
         gf, wf = _fixed_window_grid(lam, n)
-        rngf = np.random.default_rng(seed)
-        u0f = family_spectrum(uf, gf.spatial, rngf)
-        v0f = family_spectrum(vf, gf.spatial, rngf)
+        u0f, v0f = _data_pair(kind, lam, seed, gf.spatial)
         mod = np.exp(1j * modulation * gf.t_axis)[:, None, None, None]
         uw = free_spacetime(u0f, gf, EvolutionSpec("D", signs.first))
         vw = free_spacetime(v0f, gf, EvolutionSpec("D", signs.second))
@@ -364,14 +339,12 @@ def check_key_estimate(
         vw = apply_window(type(vw)(gf, vw.data * np.conj(mod)), wf)
         prod = forward_transform(type(uw)(gf, uw.data * vw.data))
         wj, _, wt2 = _key_weights(gf, sigma)
-        lhs_full = _weighted_st_norm(prod, r, wj) + _weighted_st_norm(prod, r, wt2)
-        rhs_full = (
+        report.add(
+            lam,
+            _weighted_st_norm(prod, r, wj) + _weighted_st_norm(prod, r, wt2),
             xsb_norm(uw, NormParams(r, sigma, b, signs.first))
-            * xsb_norm(vw, NormParams(r, sigma, b, signs.second))
-        )
-        report.rows.append(
-            {"scale": lam, "lhs": lhs_full, "rhs": rhs_full,
-             "ratio": lhs_full / rhs_full if rhs_full > 0 else 0.0, "form": "full"}
+            * xsb_norm(vw, NormParams(r, sigma, b, signs.second)),
+            form="full",
         )
     return _judge_groups(report.finalize(), "form", ("free", "full"))
 
@@ -392,26 +365,17 @@ def sharpness_probe(
     """
     if len(lams) < 3:
         raise ParameterError("need at least 3 scales to fit a growth exponent")
-
-    def one(lam):
-        g, w = scaling_grid(lam, n=n, m=m)
-        rng = np.random.default_rng(seed)
-        uf, vf = _pair_for(kind, lam, seed)
-        u0 = family_spectrum(uf, g.spatial, rng)
-        v0 = family_spectrum(vf, g.spatial, rng)
-        S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
-        _, wx, wt = _key_weights(g, sigma_below)
-        lhs = _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt)
-        rhs = sobolev_hat_norm(u0, r, sigma_below) * sobolev_hat_norm(v0, r, sigma_below)
-        return lhs, rhs
-
-    rep = _ladder_ratios(
+    rep = EstimateReport(
         "sharpness_probe",
         {"r": r, "sigma": sigma_below, "prediction": 2.0 / r - sigma_below,
          "kind": kind, "n": n, "m": m, "seed": seed},
-        lams, one, fit_against="scale",
     )
-    return rep
+    for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
+        S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
+        _, wx, wt = _key_weights(g, sigma_below)
+        rep.add(lam, _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt),
+                sobolev_hat_norm(u0, r, sigma_below) * sobolev_hat_norm(v0, r, sigma_below))
+    return rep.finalize(fit_against="scale")
 
 
 def check_lowfreq_young(
@@ -436,12 +400,8 @@ def check_lowfreq_young(
         v0 = family_spectrum(fam, sg, rng)
         S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
         wj, _, _ = _key_weights(g, sigma)
-        lhs = _weighted_st_norm(S, r, wj)
-        rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        report.rows.append(
-            {"scale": float(i), "lhs": lhs, "rhs": rhs,
-             "ratio": lhs / rhs if rhs > 0 else 0.0}
-        )
+        report.add(float(i), _weighted_st_norm(S, r, wj),
+                   sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma))
     report.finalize()
     return report.judge(report.spread <= 2.0)
 
@@ -458,23 +418,15 @@ def check_strichartz_l2(
     """Opposite-sign L2 bilinear bound with split regularities sigma1+sigma2."""
     if sigma1 < 0 or sigma2 < 0:
         raise ParameterError("sigma1 and sigma2 must be nonnegative")
-
-    def one(lam):
-        g, w = scaling_grid(lam, n=n, m=m)
-        rng = np.random.default_rng(seed)
-        uf, vf = _pair_for(kind, lam, seed)
-        u0 = family_spectrum(uf, g.spatial, rng)
-        v0 = family_spectrum(vf, g.spatial, rng)
-        S = product_transform_direct(u0, v0, SignPair(+1, -1), g, w)
-        lhs = _weighted_st_norm(S, 2.0, np.ones(1))
-        rhs = sobolev_hat_norm(u0, 2.0, sigma1) * sobolev_hat_norm(v0, 2.0, sigma2)
-        return lhs, rhs
-
-    rep = _ladder_ratios(
+    rep = EstimateReport(
         "strichartz_l2",
         {"sigma1": sigma1, "sigma2": sigma2, "kind": kind, "n": n, "m": m, "seed": seed},
-        lams, one, fit_against="scale",
     )
+    for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
+        S = product_transform_direct(u0, v0, SignPair(+1, -1), g, w)
+        rep.add(lam, _weighted_st_norm(S, 2.0, np.ones(1)),
+                sobolev_hat_norm(u0, 2.0, sigma1) * sobolev_hat_norm(v0, 2.0, sigma2))
+    rep.finalize(fit_against="scale")
     if sigma1 + sigma2 > 1.0:
         return rep.judge(rep.spread <= BOUNDED_SPREAD)
     return rep.judge(rep.exponent is not None and rep.exponent > GROWTH_SLOPE)
@@ -529,18 +481,15 @@ def surface_cross_check(
     report = EstimateReport(
         "surface_cross_check", {"widths": widths, "n": n, "m": m, "tol": tol}
     )
-    consts = []
     for xivec, tau, gridval, _ in probes:
         sm = surface_mass(xivec, tau, SignPair(+1, +1), gauss_weight,
                           h=1.5 * sg.dxi, tol=0.01, n0=48)
         if sm.empty or sm.value <= 0:
             continue
-        consts.append(gridval / sm.value)
-        report.rows.append(
-            {"scale": float(np.linalg.norm(xivec)), "tau": tau, "lhs": gridval,
-             "rhs": sm.value, "ratio": gridval / sm.value, "converged": sm.converged}
-        )
+        report.add(float(np.linalg.norm(xivec)), gridval, sm.value, tau=tau,
+                   converged=sm.converged)
     report.finalize()
+    consts = [row["ratio"] for row in report.rows]
     ok = False
     if len(consts) >= 2:
         ref = consts[0]
@@ -592,7 +541,7 @@ def extremizer_search(
         _, wx, wt = _key_weights(g, sigma)
         lhs = _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt)
         rhs = sobolev_hat_norm(u0, r, sigma) ** 2
-        return lhs / rhs if rhs > 0 else 0.0
+        return _ratio(lhs, rhs)
 
     trace = []
     best = {"ratio": -math.inf, "params": None, "kind": None}

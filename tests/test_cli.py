@@ -1,13 +1,16 @@
 """CLI: config handling, outputs, exit codes, determinism."""
 
+import ast
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from halfwave import dyadic
 from halfwave.bilinear import SurfaceMassResult
+from halfwave import cli
 from halfwave.cli import UsageError, apply_overrides, load_config, main
 from halfwave.fieldio import write_field
 from halfwave.grid import SpatialGrid, Spectrum
@@ -34,6 +37,26 @@ def test_unknown_config_key(tmp_path, capsys):
     code, out = _run(tmp_path, "--set", "params.nope=1", "reduce")
     assert code == 1
     assert not (out / "reduce.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["params.s1", "params.s2", "params.a", "family.scale"])
+def test_unread_config_key_rejected(tmp_path, key):
+    """Keys that no command reads are unknown keys, not silent no-ops."""
+    code, out = _run(tmp_path, "--set", f"{key}=64", "sharpness")
+    assert code == 1
+    assert not (out / "sharpness.csv").exists()
+
+
+def test_accepted_keys_are_read():
+    """The keys _SECTIONS accepts are exactly the keys some _get(cfg, sec, key, ...) reads."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
+            sec, key = (ast.literal_eval(arg) for arg in node.args[1:3])
+            read.add((sec, key))
+    accepted = {(sec, key) for sec, keys in cli._SECTIONS.items() for key in keys}
+    assert read == accepted
 
 
 def test_malformed_override(tmp_path):

@@ -188,3 +188,13 @@ def test_surface_mass_off_axis_center_rejected():
     for c in (-0.7, 0.0, 1.0):
         surface_mass(xi, 1.0, SignPair(+1, -1), PowerWeight(), h=0.2,
                      box_center=c * xi, box_radius=4.0)
+
+
+def test_surface_mass_center_needs_radius():
+    """A box_center without a box_radius is rejected, not replaced by the default box."""
+    xi = np.array([2.0, 0.0, 0.0])
+    kw = dict(tau=3.0, sp=SignPair(+1, +1), F=PowerWeight(), h=0.2)
+    for center in (np.array([5.0, 5.0, 5.0]), np.zeros(3)):
+        with pytest.raises(ParameterError):
+            surface_mass(xi, box_center=center, **kw)
+    assert surface_mass(xi, **kw).converged

@@ -93,6 +93,14 @@ def test_window_shape():
     assert window_values(w, 0.75) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_window_full_core_is_indicator():
+    """flat_fraction=1 is the sharp cutoff: exactly 1 on |t| <= support, 0 beyond."""
+    t = np.linspace(-3.0, 3.0, 10001)
+    for support in (0.3, 1.0, 2.5):
+        vals = window_values(WindowSpec(support=support, flat_fraction=1.0), t)
+        assert np.array_equal(vals, np.where(np.abs(t) <= support, 1.0, 0.0))
+
+
 def test_window_support_check(stg):
     u = SpacetimeField(stg, np.zeros((stg.m,) + stg.spatial.shape, complex))
     with pytest.raises(ParameterError):

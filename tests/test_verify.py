@@ -86,6 +86,23 @@ def test_report_nan_ratio_never_passes():
     assert nan_rhs.finalize().judge(True).passed is False
 
 
+def test_report_add_guards_ratio():
+    """add() stores ratio 0 for a zero or NaN rhs; finalize leaves those rows
+    out of the statistics and judge fails the NaN row."""
+    rep = EstimateReport("x", {})
+    rep.add(2.0, 1.0, 2.0, form="free").add(4.0, 1.0, 0.0).add(8.0, 3.0, 2.0)
+    assert rep.rows[0] == {"scale": 2.0, "lhs": 1.0, "rhs": 2.0, "ratio": 0.5, "form": "free"}
+    assert rep.rows[1]["ratio"] == 0.0
+    rep.finalize()
+    assert (rep.min_ratio, rep.max_ratio) == (0.5, 1.5)
+    assert rep.judge(True).passed is True
+    rep.add(16.0, 1.0, math.nan)
+    assert rep.rows[-1]["ratio"] == 0.0
+    rep.finalize()
+    assert (rep.min_ratio, rep.max_ratio) == (0.5, 1.5)
+    assert rep.judge(True).passed is False
+
+
 _SMALL_CHECKS = {
     "elliptic": lambda: check_elliptic_lemma(2.0, 1.25, lams=(2.0, 4.0, 8.0), n=8, m=16),
     "hyperbolic": lambda: check_hyperbolic_lemmas(2.0, 1.25, lams=(2.0, 4.0), n=8, m=16),
