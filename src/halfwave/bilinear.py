@@ -194,12 +194,13 @@ def far_tail_mass(rho: float, tau: float, p: float, q: float, c1: float = 2.0) -
 
 @dataclass(frozen=True)
 class PowerWeight:
-    """Surface weight rho1^e1 * rho2^e2, optionally shell-restricted in rho1."""
+    """The surface weight rho1^e1 * rho2^e2 as a callable on arrays (rho1, rho2)."""
 
     e1: float = 0.0
     e2: float = 0.0
-    shell: tuple[float, float] | None = None
-    require_ll: bool = False
+
+    def __call__(self, r1, r2):
+        return r1**self.e1 * r2**self.e2
 
 
 @dataclass(frozen=True)
@@ -210,21 +211,28 @@ class SurfaceMassResult:
     n_final: int = 0
 
 
-def _default_box(xi_vec, tau, sp: SignPair, h, weight):
+def _check_mask(mask):
+    from .dyadic import MaskSpec  # dyadic imports this module
+
+    if not isinstance(mask, MaskSpec):
+        raise ParameterError(f"mask must be a MaskSpec, got {type(mask).__name__}")
+
+
+def _default_box(xi_vec, tau, sp: SignPair, h, mask):
     """Truncation centre, on the xi axis, and radius for the thickened
-    surface: ellipsoids are bounded by |eta| <= tau/2; shell-restricted
-    weights bound eta near the rho1 focus."""
+    surface: a mask with a finite shell bound sh_hi keeps eta within sh_hi
+    of the rho1 focus; ellipsoids are bounded by |eta| <= tau/2."""
     xi_vec = np.asarray(xi_vec, dtype=float)
-    if isinstance(weight, PowerWeight) and weight.shell is not None:
+    if mask is not None and np.isfinite(mask.sh_hi):
         center = xi_vec / 2.0
-        radius = weight.shell[1] + 2.0 * h
+        radius = mask.sh_hi + 2.0 * h
     elif sp.elliptic:
         center = np.zeros(3)
         radius = abs(tau) / 2.0 + 2.0 * h
     else:
         raise ParameterError(
             "the hyperbolic surface is unbounded: pass box_center/box_radius "
-            "or a shell-restricted weight"
+            "or a shell-restricted mask"
         )
     return center, radius
 
@@ -240,27 +248,31 @@ def surface_mass(
     tol: float = 0.01,
     n0: int = 48,
     max_refine: int = 3,
+    mask=None,
 ) -> SurfaceMassResult:
     """Thickened-level-set estimate of the surface-measure integral
     int_{P(eta)=tau} dS/|grad P| F(rho1, rho2).
 
-    F is either a PowerWeight, whose power law and shell conditions the band
-    sum evaluates itself, or a vectorized callable F(rho1, rho2).  The level
-    set is a surface of rotation about the axis xi/|xi|, so the band sum runs
-    over the (z, rho) half-plane about that axis.  The integral is truncated
-    to the cylinder |z - z_c| <= R, rho <= R, where z_c is box_center
-    projected on the axis and R is box_radius: the cylinder inscribed in the
-    cube of side 2R about box_center.  box_center must lie on the axis and
-    needs a box_radius; a box_radius alone centres the cylinder at the
-    origin, and with neither the default box is used.  The
-    cells are refined (n -> 2n) until the value is stable to the requested
-    relative tolerance.  An empty level set returns value 0 with the empty
-    flag set.
+    F is a vectorized callable F(rho1, rho2), such as a PowerWeight.  A
+    dyadic.MaskSpec mask keeps the pairs (xi/2 - eta, xi/2 + eta) that its
+    select() keeps in the lattice convolution; a finite mask.sh_hi also sets
+    the default box.  The level set is a surface of rotation about the axis
+    xi/|xi|, so the band sum runs over the (z, rho) half-plane about that
+    axis.  The integral is truncated to the cylinder |z - z_c| <= R,
+    rho <= R, where z_c is box_center projected on the axis and R is
+    box_radius: the cylinder inscribed in the cube of side 2R about
+    box_center.  box_center must lie on the axis and needs a box_radius; a
+    box_radius alone centres the cylinder at the origin, and with neither
+    the default box is used.  The cells are refined (n -> 2n) until the
+    value is stable to the requested relative tolerance.  An empty level
+    set returns value 0 with the empty flag set.
     """
     if h <= 0:
         raise ParameterError("band half-thickness h must be positive")
     if box_center is not None and box_radius is None:
         raise ParameterError("box_center needs a box_radius")
+    if mask is not None:
+        _check_mask(mask)
     xi_vec = np.asarray(xi_vec, dtype=float)
     rho = float(np.linalg.norm(xi_vec))
     if sp.elliptic:
@@ -271,7 +283,7 @@ def surface_mass(
         if rho == 0.0 or abs(tau) >= rho:
             return SurfaceMassResult(0.0, empty=True)
     if box_radius is None:
-        box_center, box_radius = _default_box(xi_vec, tau, sp, h, F)
+        box_center, box_radius = _default_box(xi_vec, tau, sp, h, mask)
     box_center = np.zeros(3) if box_center is None else np.asarray(box_center, float)
     axis = xi_vec / rho
     z_c = float(box_center @ axis)
@@ -280,21 +292,11 @@ def surface_mass(
     z_lo = z_c - box_radius
     width = 2.0 * box_radius
 
-    kw = {}
-    if isinstance(F, PowerWeight):
-        kw.update(e1=F.e1, e2=F.e2, require_ll=F.require_ll)
-        if F.shell is not None:
-            kw.update(sh_lo=F.shell[0], sh_hi=F.shell[1])
-    elif callable(F):
-        kw.update(func=F)
-    else:
-        raise ParameterError("F must be a PowerWeight or a callable F(rho1, rho2)")
-
     n = n0
-    prev = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, **kw)
+    prev = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, F, mask)
     for _ in range(max_refine):
         n *= 2
-        cur = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, **kw)
+        cur = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, F, mask)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return SurfaceMassResult(cur, converged=True, n_final=n)
         prev = cur
@@ -333,10 +335,7 @@ def bilinear_symbol_product(
     in configuration space is exactly the periodic lattice convolution).
     mask is a dyadic.MaskSpec.
     """
-    from .dyadic import MaskSpec  # dyadic imports this module
-
-    if not isinstance(mask, MaskSpec):
-        raise ParameterError(f"mask must be a MaskSpec, got {type(mask).__name__}")
+    _check_mask(mask)
     sg = g.spatial
     if u0.grid != sg or v0.grid != sg:
         raise GridMismatchError("data do not live on the spatial lattice")

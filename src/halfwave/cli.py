@@ -221,6 +221,8 @@ def cmd_lowfreq(cfg, args):
         r=_get(cfg, "params", "r", float, 1.5),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
         samples=_get(cfg, "sweep", "samples", int, 8),
+        n=_get(cfg, "grid", "n", int, 16),
+        m=_get(cfg, "grid", "m", int, 32),
         seed=_get(cfg, "family", "seed", int, 0),
     )
     return _report_to_outputs(rep)
@@ -232,6 +234,8 @@ def cmd_strichartz(cfg, args):
         sigma2=_get(cfg, "params", "sigma2", float, 0.55),
         kind=_get(cfg, "family", "kind", str, "gaussian-bump"),
         lams=_get(cfg, "sweep", "lams", _float_list, (2.0, 4.0, 8.0, 16.0)),
+        n=_get(cfg, "grid", "n", int, 16),
+        m=_get(cfg, "grid", "m", int, 32),
         seed=_get(cfg, "family", "seed", int, 0),
     )
     return _report_to_outputs(rep)
@@ -244,6 +248,8 @@ def cmd_extremize(cfg, args):
         b=_get(cfg, "params", "b", float, 0.55),
         signs=_signs(cfg),
         budget=_get(cfg, "sweep", "budget", int, 120),
+        n=_get(cfg, "grid", "n", int, 12),
+        m=_get(cfg, "grid", "m", int, 16),
         seed=_get(cfg, "family", "seed", int, 0),
     )
     rows = [{"step": i, "best_ratio": v} for i, v in enumerate(res["trace"])]

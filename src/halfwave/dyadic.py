@@ -61,7 +61,9 @@ class MaskSpec:
     The rule depends on the pair (xi1, xi2) only through the three moduli
     |xi1|, |xi2| and |xi1 + xi2|; select() is the one place it is written.
     Calling the mask with stacked (..., 3) arrays (xi1, xi2) evaluates it
-    vectorized, and kernels.masked_convolution calls select() directly.
+    vectorized.  kernels.masked_convolution calls select() directly, and
+    select() is also used by kernels.band_mass, so a surface mass is masked
+    by the same rule as the lattice convolution.
     """
 
     name: str
@@ -116,8 +118,7 @@ def region_masks(c1: float = 2.0, threshold: float = LL_THRESHOLD) -> dict[str, 
 def shell_mask(k: int, threshold: float = LL_THRESHOLD) -> MaskSpec:
     """Mask selecting xi1 in shell k with |xi1| < threshold * |xi2|."""
     lo, hi = shell_bounds(k)
-    return MaskSpec(f"shell_ll_{k}", "shell_ll", threshold=threshold,
-                    sh_lo=max(lo, 0.0), sh_hi=hi)
+    return MaskSpec(f"shell_ll_{k}", "shell_ll", threshold=threshold, sh_lo=lo, sh_hi=hi)
 
 
 def shell_surface_mass(
@@ -128,7 +129,5 @@ def shell_surface_mass(
     h: float,
     **kwargs,
 ) -> SurfaceMassResult:
-    """Surface mass restricted to rho1 in shell k with rho1 < rho2/2."""
-    lo, hi = shell_bounds(k)
-    weight = PowerWeight(shell=(max(lo, 0.0), hi), require_ll=True)
-    return surface_mass(xi_vec, tau, sp, weight, h, **kwargs)
+    """Unit-weight surface mass under shell_mask(k): rho1 in shell k, rho1 < rho2/2."""
+    return surface_mass(xi_vec, tau, sp, PowerWeight(), h, mask=shell_mask(k), **kwargs)

@@ -5,7 +5,8 @@ multiply-add per active mode of the first factor.  The band sum uses the
 rotational symmetry of the level set about the focal axis: it visits square
 cells of the (z, rho) half-plane, each weighted by the volume of its annulus
 and by the exact fraction of the cell inside the band.  Mask rules live in
-dyadic.MaskSpec.select; this module only supplies the moduli.
+dyadic.MaskSpec.select, which both kernels call; this module only supplies
+the moduli.
 """
 
 from __future__ import annotations
@@ -79,12 +80,8 @@ def band_mass(
     z_lo: float,
     width: float,
     n: int,
-    e1: float = 0.0,
-    e2: float = 0.0,
-    sh_lo: float = 0.0,
-    sh_hi: float = np.inf,
-    require_ll: bool = False,
-    func=None,
+    weight,
+    mask=None,
 ) -> float:
     """Thickened-level-set sum (1/2h) * integral over |P(eta)-tau|<h of F d^3eta.
 
@@ -93,9 +90,10 @@ def band_mass(
     cylinder z_lo <= z <= z_lo + width, rho <= width/2 is cut into square
     cells of side width/n (n in z, n//2 in rho).  Each cell carries its
     annulus volume 2 pi rho_c step^2 times the exact fraction of the cell in
-    the band under P linearised at the cell centre.  F is the power law
-    r1^e1 * r2^e2, or an arbitrary vectorized func(r1, r2), evaluated at the
-    centre and restricted by the shell/smallness conditions there.
+    the band under P linearised at the cell centre.  F is the vectorized
+    weight(r1, r2) at the centre.  A dyadic.MaskSpec mask keeps the cells
+    where mask.select(r1, r2, |xi|) holds: the pair xi/2 -+ eta has moduli
+    r1, r2 and sum xi.
     """
     step = width / n
     c = 0.5 * float(xi_norm)
@@ -107,17 +105,12 @@ def band_mass(
     # |grad P| <= 2, so the linearised P varies by at most sqrt(2)*step over a
     # cell: cells outside this margin have fraction exactly 0
     sel = np.abs(dev) < h + 1.5 * step
-    sel &= (r1 > sh_lo) & (r1 <= sh_hi)
-    if require_ll:
-        sel &= r1 < 0.5 * r2
+    if mask is not None:
+        sel &= mask.select(r1, r2, xi_norm)
     zs, rhos = np.broadcast_to(z, sel.shape)[sel], np.broadcast_to(rho, sel.shape)[sel]
     r1s, r2s, devs = r1[sel], r2[sel], dev[sel]
     wz = np.abs(s1 * (zs - c) / r1s + s2 * (zs + c) / r2s) * step
     wr = np.abs(s1 / r1s + s2 / r2s) * rhos * step
     frac = _uniform_sum_cdf(h - devs, wz, wr) - _uniform_sum_cdf(-h - devs, wz, wr)
     frac = np.clip(frac, 0.0, 1.0)
-    if func is not None:
-        vals = np.asarray(func(r1s, r2s), dtype=float)
-    else:
-        vals = r1s**e1 * r2s**e2
-    return float(np.sum(rhos * frac * vals)) * np.pi * step**2 / h
+    return float(np.sum(rhos * frac * weight(r1s, r2s))) * np.pi * step**2 / h

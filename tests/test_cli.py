@@ -103,8 +103,8 @@ def test_lemma_determinism(tmp_path):
 @pytest.mark.parametrize("converged,code", [(True, 0), (False, 2)])
 def test_lemma_shell_reads_convergence(tmp_path, monkeypatch, converged, code):
     """An unconverged shell mass fails the suite even when the slopes are exact."""
-    def fake(xi_vec, tau, sp, weight, h, **kw):
-        return SurfaceMassResult(weight.shell[1] ** 2, converged=converged, n_final=64)
+    def fake(xi_vec, tau, sp, weight, h, mask, **kw):
+        return SurfaceMassResult(mask.sh_hi ** 2, converged=converged, n_final=64)
 
     monkeypatch.setattr(dyadic, "surface_mass", fake)
     got, out = _run(tmp_path, "lemma", "--suite", "shell")
@@ -114,6 +114,16 @@ def test_lemma_shell_reads_convergence(tmp_path, monkeypatch, converged, code):
     assert lines[1].endswith(f",{converged}")
     payload = json.loads((out / "lemma.json").read_text())
     assert payload["summary"]["slopes"] == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("command", ["lowfreq", "strichartz"])
+def test_grid_size_is_read(tmp_path, command):
+    """grid.n reaches the check: a smaller lattice changes the rows."""
+    code1, out1 = _run(tmp_path / "a", command)
+    code2, out2 = _run(tmp_path / "b", "--set", "grid.n=8", command)
+    assert code1 == 0 and code2 == 0
+    csv = f"{command}.csv"
+    assert not filecmp.cmp(out1 / csv, out2 / csv, shallow=False)
 
 
 def test_criterion_failure_exit_2(tmp_path):

@@ -99,6 +99,22 @@ def test_shell_mask_callable():
     assert not m(np.array([[3.0, 0.0, 0.0]]), np.array([[4.0, 0.0, 0.0]]))[0]  # not <<
 
 
+def test_shell_masks_partition_ll():
+    """shell_ll_k for k = 0..K are disjoint and together equal ll on lattice
+    pairs, the zero mode xi1 = 0 included."""
+    ax = np.arange(-4.0, 4.0)
+    x1 = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 1, 3)
+    x2 = np.random.default_rng(2).integers(-8, 8, (1, 64, 3)).astype(float)
+    x2[0, 0] = 0.0
+    assert np.any(np.all(x1 == 0.0, axis=-1))
+    kmax = int(np.ceil(np.log2(np.sqrt(3.0) * 4.0)))
+    parts = [shell_mask(k)(x1, x2) for k in range(kmax + 1)]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            assert not np.any(parts[i] & parts[j])
+    assert np.array_equal(np.logical_or.reduce(parts), region_masks()["ll"](x1, x2))
+
+
 def test_shell_surface_mass_growth():
     """Shell masses on the elliptic surface grow like 2^{2k} (slope 2)."""
     xi = np.array([2000.0, 0.0, 0.0])

@@ -104,11 +104,27 @@ def test_mask_partitions(n, c1, threshold, seed):
 
 
 def test_band_mass_callable_weight():
-    """Arbitrary weights are accepted; constant 1 matches powers 0."""
+    """Arbitrary weights are accepted; constant 1 matches powers 0 exactly."""
     kw = dict(tau=6.0, h=0.4, z_lo=-5.0, width=10.0, n=48)
-    a = kernels.band_mass(4.0, 1, 1, e1=0.0, e2=0.0, **kw)
-    b = kernels.band_mass(4.0, 1, 1, func=lambda r1, r2: np.ones_like(r1), **kw)
-    assert a == pytest.approx(b, rel=1e-12)
+    a = kernels.band_mass(4.0, 1, 1, weight=PowerWeight(), **kw)
+    b = kernels.band_mass(4.0, 1, 1, weight=lambda r1, r2: np.ones_like(r1), **kw)
+    assert a == b
+
+
+@pytest.mark.parametrize("e1,e2", [(0.0, 0.0), (0.5, -0.3), (-0.5, 1.0)])
+def test_band_mass_mask_partitions(e1, e2):
+    """Surface counterpart of test_mask_partitions: at a fixed n, geq + ll on
+    the ellipsoid and P + Q on the hyperboloid each recombine to the unmasked
+    band sum, and every part is non-empty."""
+    masks = region_masks()
+    weight = PowerWeight(e1, e2)
+    ell = dict(xi_norm=2.0, s1=1, s2=1, tau=5.0, h=0.3, z_lo=-3.1, width=6.2, n=96)
+    hyp = dict(xi_norm=2.0, s1=1, s2=-1, tau=0.8, h=0.2, z_lo=-6.0, width=12.0, n=96)
+    for kw, parts in ((ell, ("geq", "ll")), (hyp, ("P", "Q"))):
+        full = kernels.band_mass(weight=weight, **kw)
+        split = [kernels.band_mass(weight=weight, mask=masks[p], **kw) for p in parts]
+        assert min(split) > 0.0
+        assert sum(split) == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 def _unit_band_error(n, xi_norm, tau, h):
@@ -119,7 +135,7 @@ def _unit_band_error(n, xi_norm, tau, h):
     """
     want = 0.5 * np.pi * (tau**2 + h**2 / 3.0) - np.pi / 6.0 * xi_norm**2
     radius = 0.5 * tau + 2.0 * h
-    got = kernels.band_mass(xi_norm, 1, 1, tau, h, -radius, 2.0 * radius, n)
+    got = kernels.band_mass(xi_norm, 1, 1, tau, h, -radius, 2.0 * radius, n, PowerWeight())
     return abs(got / want - 1.0)
 
 
@@ -188,6 +204,14 @@ def test_surface_mass_off_axis_center_rejected():
     for c in (-0.7, 0.0, 1.0):
         surface_mass(xi, 1.0, SignPair(+1, -1), PowerWeight(), h=0.2,
                      box_center=c * xi, box_radius=4.0)
+
+
+def test_surface_mass_mask_must_be_maskspec():
+    """A mask that is not a MaskSpec is rejected, as bilinear_symbol_product rejects one."""
+    xi = np.array([2.0, 0.0, 0.0])
+    with pytest.raises(ParameterError):
+        surface_mass(xi, 3.0, SignPair(+1, +1), PowerWeight(), h=0.2,
+                     mask=lambda r1, r2, r12: r1 < r2)
 
 
 def test_surface_mass_center_needs_radius():
