@@ -5,6 +5,11 @@ deterministic order) and <out>/<command>.json (inputs echoed, pass/fail,
 fitted exponents).  Runtimes are reported as null unless --timing is given
 so that outputs are byte-identical across runs with the same seed.
 
+Each command reads all of its config keys before it computes anything.  A
+key given through --config or --set that the chosen command does not read is
+a configuration error: nothing runs and no output is written.  The global
+--seed flag is exempt.
+
 Exit status: 0 all enabled criteria pass, 2 criterion failure, 1 usage or
 configuration error.
 """
@@ -45,8 +50,16 @@ class UsageError(Exception):
     pass
 
 
+class _Section(dict):
+    """One config section; `read` collects the keys that _get looked up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read: set[str] = set()
+
+
 def load_config(path: str | None) -> dict:
-    cfg = {sec: {} for sec in _SECTIONS}
+    cfg = {sec: _Section() for sec in _SECTIONS}
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
@@ -79,7 +92,9 @@ def apply_overrides(cfg: dict, sets) -> dict:
 
 
 def _get(cfg, sec, key, cast, default):
-    raw = cfg[sec].get(key)
+    section = cfg[sec]
+    section.read.add(key)
+    raw = section.get(key)
     if raw is None:
         return default
     try:
@@ -124,20 +139,26 @@ def cmd_norms(cfg, args):
     r = _get(cfg, "params", "r", float, 2.0)
     s = _get(cfg, "params", "s", float, 1.0)
     b = _get(cfg, "params", "b", float, 0.55)
-    rows = []
-    if getattr(obj, "is_spacetime", False):
+    spacetime = getattr(obj, "is_spacetime", False)
+    if spacetime:
         p = NormParams(r, s, b, _get(cfg, "params", "sign1", int, 1))
-        rows.append({"norm": "lr_xt", "value": lr_xt_norm(obj, r)})
-        rows.append({"norm": "xsb", "value": xsb_norm(obj, p)})
-    else:
-        F = obj if obj.is_frequency else None
-        if F is None:
-            from .grid import forward_transform
 
-            F = forward_transform(obj)
-        rows.append({"norm": "sobolev_hat", "value": sobolev_hat_norm(F, r, s)})
-    summary = {"params": {"r": r, "s": s, "b": b, "input": args.input}}
-    return rows, summary, True
+    def run():
+        rows = []
+        if spacetime:
+            rows.append({"norm": "lr_xt", "value": lr_xt_norm(obj, r)})
+            rows.append({"norm": "xsb", "value": xsb_norm(obj, p)})
+        else:
+            F = obj if obj.is_frequency else None
+            if F is None:
+                from .grid import forward_transform
+
+                F = forward_transform(obj)
+            rows.append({"norm": "sobolev_hat", "value": sobolev_hat_norm(F, r, s)})
+        summary = {"params": {"r": r, "s": s, "b": b, "input": args.input}}
+        return rows, summary, True
+
+    return run
 
 
 def cmd_reduce(cfg, args):
@@ -146,12 +167,16 @@ def cmd_reduce(cfg, args):
     region = _get(cfg, "params", "region", str, "elliptic")
     c1 = _get(cfg, "params", "c1", float, 2.0)
     a_values = _get(cfg, "sweep", "a_values", _float_list, (1.0, 2.0, 10.0, 100.0))
-    rows = []
-    for a in a_values:
-        val = reduction_integral(ReductionSpec(a=a, p=p, q=q, region=region, c1=c1))
-        rows.append({"a": a, "p": p, "q": q, "region": region, "value": val})
-    ok = all(np.isfinite(row["value"]) for row in rows)
-    return rows, {"params": {"p": p, "q": q, "region": region, "c1": c1}}, ok
+
+    def run():
+        rows = []
+        for a in a_values:
+            val = reduction_integral(ReductionSpec(a=a, p=p, q=q, region=region, c1=c1))
+            rows.append({"a": a, "p": p, "q": q, "region": region, "value": val})
+        ok = all(np.isfinite(row["value"]) for row in rows)
+        return rows, {"params": {"p": p, "q": q, "region": region, "c1": c1}}, ok
+
+    return run
 
 
 def _common_lemma_args(cfg):
@@ -166,58 +191,68 @@ def _common_lemma_args(cfg):
     )
 
 
+def _report_run(check, **kw):
+    """The computation of a command that reports one verify.EstimateReport."""
+    return lambda: _report_to_outputs(check(**kw))
+
+
 def cmd_lemma(cfg, args):
     suite = args.suite
     if suite == "elliptic":
-        rep = verify.check_elliptic_lemma(**_common_lemma_args(cfg))
-        return _report_to_outputs(rep)
+        return _report_run(verify.check_elliptic_lemma, **_common_lemma_args(cfg))
     if suite == "hyperbolic":
         kw = _common_lemma_args(cfg)
         kw["lams"] = kw["lams"][:3]
-        rep = verify.check_hyperbolic_lemmas(c1=_get(cfg, "params", "c1", float, 2.0), **kw)
-        return _report_to_outputs(rep)
+        return _report_run(verify.check_hyperbolic_lemmas,
+                           c1=_get(cfg, "params", "c1", float, 2.0), **kw)
     if suite == "shell":
         h = _get(cfg, "params", "h", float, 1.0)
         shells = tuple(int(k) for k in _get(cfg, "sweep", "shells", _float_list, (2, 3, 4, 5, 6)))
-        xi = np.array([2000.0, 0.0, 0.0])
-        rows = []
-        for elliptic in (True, False):
-            sp = SignPair(+1, +1 if elliptic else -1)
-            tau = 2004.0 if elliptic else -1996.0
-            vals = []
-            for k in shells:
-                res = shell_surface_mass(xi, tau, sp, k, h, n0=64)
-                vals.append(res.value)
-                rows.append({"surface": "elliptic" if elliptic else "hyperbolic",
-                             "shell": k, "value": res.value, "converged": res.converged})
-            slope = float(np.polyfit(shells, np.log2(vals), 1)[0])
-            rows.append({"surface": "elliptic" if elliptic else "hyperbolic",
-                         "shell": -1, "value": slope})
-        slopes = [row["value"] for row in rows if row["shell"] == -1]
-        ok = all(abs(sl - 2.0) <= 0.1 for sl in slopes) and all(
-            row["converged"] for row in rows if row["shell"] >= 0)
-        return rows, {"params": {"h": h, "shells": list(shells)}, "slopes": slopes}, ok
+        return lambda: _shell_suite(h, shells)
     raise UsageError(f"unknown lemma suite {suite!r}")
 
 
+def _shell_suite(h, shells):
+    xi = np.array([2000.0, 0.0, 0.0])
+    rows = []
+    for elliptic in (True, False):
+        sp = SignPair(+1, +1 if elliptic else -1)
+        tau = 2004.0 if elliptic else -1996.0
+        vals = []
+        for k in shells:
+            res = shell_surface_mass(xi, tau, sp, k, h, n0=64)
+            vals.append(res.value)
+            rows.append({"surface": "elliptic" if elliptic else "hyperbolic",
+                         "shell": k, "value": res.value, "converged": res.converged})
+        slope = float(np.polyfit(shells, np.log2(vals), 1)[0])
+        rows.append({"surface": "elliptic" if elliptic else "hyperbolic",
+                     "shell": -1, "value": slope})
+    slopes = [row["value"] for row in rows if row["shell"] == -1]
+    ok = all(abs(sl - 2.0) <= 0.1 for sl in slopes) and all(
+        row["converged"] for row in rows if row["shell"] >= 0)
+    return rows, {"params": {"h": h, "shells": list(shells)}, "slopes": slopes}, ok
+
+
 def cmd_key(cfg, args):
-    kw = _common_lemma_args(cfg)
-    rep = verify.check_key_estimate(
-        b=_get(cfg, "params", "b", float, 0.55), signs=_signs(cfg), **kw
-    )
-    return _report_to_outputs(rep)
+    return _report_run(verify.check_key_estimate, b=_get(cfg, "params", "b", float, 0.55),
+                       signs=_signs(cfg), **_common_lemma_args(cfg))
 
 
 def cmd_sharpness(cfg, args):
     kw = _common_lemma_args(cfg)
     sigma = kw.pop("sigma")
-    rep = verify.sharpness_probe(sigma_below=sigma, **kw)
-    ok = rep.exponent is not None and rep.finite()
-    return *_report_to_outputs(rep)[:2], ok
+
+    def run():
+        rep = verify.sharpness_probe(sigma_below=sigma, **kw)
+        ok = rep.exponent is not None and rep.finite()
+        return *_report_to_outputs(rep)[:2], ok
+
+    return run
 
 
 def cmd_lowfreq(cfg, args):
-    rep = verify.check_lowfreq_young(
+    return _report_run(
+        verify.check_lowfreq_young,
         r=_get(cfg, "params", "r", float, 1.5),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
         samples=_get(cfg, "sweep", "samples", int, 8),
@@ -225,11 +260,11 @@ def cmd_lowfreq(cfg, args):
         m=_get(cfg, "grid", "m", int, 32),
         seed=_get(cfg, "family", "seed", int, 0),
     )
-    return _report_to_outputs(rep)
 
 
 def cmd_strichartz(cfg, args):
-    rep = verify.check_strichartz_l2(
+    return _report_run(
+        verify.check_strichartz_l2,
         sigma1=_get(cfg, "params", "sigma1", float, 0.55),
         sigma2=_get(cfg, "params", "sigma2", float, 0.55),
         kind=_get(cfg, "family", "kind", str, "gaussian-bump"),
@@ -238,11 +273,10 @@ def cmd_strichartz(cfg, args):
         m=_get(cfg, "grid", "m", int, 32),
         seed=_get(cfg, "family", "seed", int, 0),
     )
-    return _report_to_outputs(rep)
 
 
 def cmd_extremize(cfg, args):
-    res = verify.extremizer_search(
+    kw = dict(
         r=_get(cfg, "params", "r", float, 2.0),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
         b=_get(cfg, "params", "b", float, 0.55),
@@ -252,15 +286,23 @@ def cmd_extremize(cfg, args):
         m=_get(cfg, "grid", "m", int, 16),
         seed=_get(cfg, "family", "seed", int, 0),
     )
-    rows = [{"step": i, "best_ratio": v} for i, v in enumerate(res["trace"])]
-    summary = {
-        "best_ratio": res["best_ratio"],
-        "best_kind": res["best_kind"],
-        "best_params": list(res["best_params"]) if res["best_params"] else None,
-        "converged": res["converged"],
-        "evaluations": res["evaluations"],
-    }
-    return rows, summary, bool(np.isfinite(res["best_ratio"]))
+    kind = _get(cfg, "family", "kind", str, None)
+    if kind is not None:  # one family in place of the default restarts over three
+        kw["kinds"] = (kind,)
+
+    def run():
+        res = verify.extremizer_search(**kw)
+        rows = [{"step": i, "best_ratio": v} for i, v in enumerate(res["trace"])]
+        summary = {
+            "best_ratio": res["best_ratio"],
+            "best_kind": res["best_kind"],
+            "best_params": list(res["best_params"]) if res["best_params"] else None,
+            "converged": res["converged"],
+            "evaluations": res["evaluations"],
+        }
+        return rows, summary, bool(np.isfinite(res["best_ratio"]))
+
+    return run
 
 
 def _solve_setup(cfg, args):
@@ -291,62 +333,73 @@ def _solve_setup(cfg, args):
 def cmd_solve(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, 0.0)
-    if delta <= 0:
-        delta, trace = solver_mod.select_delta(data, ns, g, b=_get(cfg, "params", "b", float, 0.55))
-    else:
-        trace = []
-    scfg = solver_mod.default_config(g, delta, b=_get(cfg, "params", "b", float, 0.55))
-    fp, fm = solver_mod.to_first_order(data)
-    rep = solver_mod.solve_local(fp, fm, ns, scfg, r=data.r, s=data.s)
-    rows = [{"t_index": i, "persistence": float(v)} for i, v in enumerate(rep.persistence)]
-    summary = {
-        "params": {"k": ns.k, "derivative": ns.derivative, "delta": delta,
-                   "r": data.r, "s": data.s},
-        "delta_trace": trace,
-        "converged": rep.result.converged,
-        "diverged": rep.result.diverged,
-        "iterations": rep.result.iterations,
-        "contraction_factors": rep.result.rhos,
-        "residual": rep.residual,
-        "residual_scale": rep.residual_scale,
-        "max_persistence_jump": rep.max_jump,
-        "z_value": rep.z_value,
-    }
-    return rows, summary, bool(rep.success)
+    b = _get(cfg, "params", "b", float, 0.55)
+
+    def run():
+        if delta <= 0:
+            chosen, trace = solver_mod.select_delta(data, ns, g, b=b)
+        else:
+            chosen, trace = delta, []
+        scfg = solver_mod.default_config(g, chosen, b=b)
+        fp, fm = solver_mod.to_first_order(data)
+        rep = solver_mod.solve_local(fp, fm, ns, scfg, r=data.r, s=data.s)
+        rows = [{"t_index": i, "persistence": float(v)} for i, v in enumerate(rep.persistence)]
+        summary = {
+            "params": {"k": ns.k, "derivative": ns.derivative, "delta": chosen,
+                       "r": data.r, "s": data.s},
+            "delta_trace": trace,
+            "converged": rep.result.converged,
+            "diverged": rep.result.diverged,
+            "iterations": rep.result.iterations,
+            "contraction_factors": rep.result.rhos,
+            "residual": rep.residual,
+            "residual_scale": rep.residual_scale,
+            "max_persistence_jump": rep.max_jump,
+            "z_value": rep.z_value,
+        }
+        return rows, summary, bool(rep.success)
+
+    return run
 
 
 def cmd_lipschitz(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, 0.25)
-    scfg = solver_mod.default_config(g, delta, b=_get(cfg, "params", "b", float, 0.55))
+    b = _get(cfg, "params", "b", float, 0.55)
     n_pairs = _get(cfg, "sweep", "pairs", int, 8)
     eps = 0.1 * _get(cfg, "family", "amplitude", float, 0.01)
-    rng = np.random.default_rng(_get(cfg, "family", "seed", int, 0))
-    xi = g.spatial.xi_modulus()
-    envelope = np.exp(-(xi**2) / 2.0)
-    rows = []
-    max_ratios = {}
-    for scale_name, scale in (("eps", 1.0), ("eps/2", 0.5)):
-        pairs = []
-        for _ in range(n_pairs):
-            pert = scale * eps * (
-                rng.standard_normal(g.spatial.shape)
-                + 1j * rng.standard_normal(g.spatial.shape)
-            ) * envelope
-            d2 = solver_mod.CauchyData(
-                Spectrum(g.spatial, data.u0.data + pert), data.u1, data.r, data.s
-            )
-            pairs.append((data, d2))
-        out = solver_mod.flow_lipschitz_probe(pairs, ns, scfg)
-        max_ratios[scale_name] = out["max_ratio"]
-        for i, row in enumerate(out["rows"]):
-            rows.append({"perturbation": scale_name, "pair": i,
-                         "ratio": row["ratio"], "status": row["status"]})
-    r1, r2 = max_ratios["eps"], max_ratios["eps/2"]
-    stable = r1 is not None and r2 is not None and abs(r2 / r1 - 1.0) <= 0.3
-    summary = {"max_ratio": r1, "max_ratio_half": r2, "stable": stable,
-               "params": {"pairs": n_pairs, "eps": eps, "delta": delta}}
-    return rows, summary, bool(stable)
+    seed = _get(cfg, "family", "seed", int, 0)
+
+    def run():
+        scfg = solver_mod.default_config(g, delta, b=b)
+        rng = np.random.default_rng(seed)
+        xi = g.spatial.xi_modulus()
+        envelope = np.exp(-(xi**2) / 2.0)
+        rows = []
+        max_ratios = {}
+        for scale_name, scale in (("eps", 1.0), ("eps/2", 0.5)):
+            pairs = []
+            for _ in range(n_pairs):
+                pert = scale * eps * (
+                    rng.standard_normal(g.spatial.shape)
+                    + 1j * rng.standard_normal(g.spatial.shape)
+                ) * envelope
+                d2 = solver_mod.CauchyData(
+                    Spectrum(g.spatial, data.u0.data + pert), data.u1, data.r, data.s
+                )
+                pairs.append((data, d2))
+            out = solver_mod.flow_lipschitz_probe(pairs, ns, scfg)
+            max_ratios[scale_name] = out["max_ratio"]
+            for i, row in enumerate(out["rows"]):
+                rows.append({"perturbation": scale_name, "pair": i,
+                             "ratio": row["ratio"], "status": row["status"]})
+        r1, r2 = max_ratios["eps"], max_ratios["eps/2"]
+        stable = r1 is not None and r2 is not None and abs(r2 / r1 - 1.0) <= 0.3
+        summary = {"max_ratio": r1, "max_ratio_half": r2, "stable": stable,
+                   "params": {"pairs": n_pairs, "eps": eps, "delta": delta}}
+        return rows, summary, bool(stable)
+
+    return run
 
 
 _COMMANDS = {
@@ -437,10 +490,15 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         cfg = apply_overrides(load_config(args.config), args.set)
+        given = [(sec, key) for sec, section in cfg.items() for key in section]
         if args.seed is not None:
             cfg["family"]["seed"] = str(args.seed)
         t0 = time.perf_counter()
-        rows, summary, passed = _COMMANDS[args.command](cfg, args)
+        run = _COMMANDS[args.command](cfg, args)
+        unread = [f"{sec}.{key}" for sec, key in given if key not in cfg[sec].read]
+        if unread:
+            raise UsageError(f"{args.command} does not read {', '.join(unread)}")
+        rows, summary, passed = run()
         runtime = time.perf_counter() - t0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

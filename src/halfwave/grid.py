@@ -21,7 +21,11 @@ fold into one scalar.  The 1-D sign vectors and the N^3 spatial
 checkerboards are cached read-only by size; nothing of size M*N^3 is cached.
 
 SpatialGrid is the one symbol table: |xi|, <xi> = (1 + |xi|^2)^(1/2) and the
-2/3-rule dealiasing mask are built once per grid and cached read-only.
+2/3-rule dealiasing mask are built once per grid and cached read-only.  So
+are the shell tables: |xi| takes far fewer distinct values than the lattice
+has points (116 at N = 16), so a radial symbol is evaluated once per shell,
+on shell_values, and gathered through shell_index.  <xi> per shell comes
+from the same expression as on the lattice.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ def _axis_points(n: int, half_length: float) -> np.ndarray:
 def _freq_axis(n: int, half_length: float) -> np.ndarray:
     step = np.pi / half_length
     return step * np.arange(-n // 2, n // 2)
+
+
+def _bracket(modulus: np.ndarray) -> np.ndarray:
+    """<xi> = (1 + |xi|^2)^(1/2) from |xi|."""
+    return np.sqrt(1.0 + modulus**2)
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,27 @@ class SpatialGrid:
     @cached_property
     def bracket(self) -> np.ndarray:
         """<xi> = (1 + |xi|^2)^(1/2), the symbol of J, read-only."""
-        return _read_only(np.sqrt(1.0 + self.modulus**2))
+        return _read_only(_bracket(self.modulus))
+
+    @cached_property
+    def _shells(self) -> tuple[np.ndarray, np.ndarray]:
+        values, index = np.unique(self.modulus, return_inverse=True)
+        return _read_only(values), _read_only(index.reshape(self.shape))
+
+    @property
+    def shell_values(self) -> np.ndarray:
+        """The distinct values of |xi|, strictly increasing, read-only."""
+        return self._shells[0]
+
+    @property
+    def shell_index(self) -> np.ndarray:
+        """(N, N, N) index into shell_values: shell_values[shell_index] == modulus."""
+        return self._shells[1]
+
+    @cached_property
+    def shell_brackets(self) -> np.ndarray:
+        """<xi> on each shell, read-only: shell_brackets[shell_index] == bracket."""
+        return _read_only(_bracket(self.shell_values))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Hot numeric kernels: masked lattice convolution and level-set band sums.
 
-Both are vectorized numpy.  The convolution accumulates one shifted
-multiply-add per active mode of the first factor.  The band sum uses the
-rotational symmetry of the level set about the focal axis: it visits square
-cells of the (z, rho) half-plane, each weighted by the volume of its annulus
-and by the exact fraction of the cell inside the band.  Mask rules live in
+Both are vectorized numpy.  The convolution visits only the spectral
+supports of its factors: for each active mode of the first factor it
+evaluates the mask on the support of the second and scatter-adds the
+selected products, so its cost is O(|supp u| * |supp v| * M), not
+O(|supp u| * N^3 * M).  The band sum uses the rotational symmetry of the
+level set about the focal axis: it visits square cells of the (z, rho)
+half-plane, each weighted by the volume of its annulus and by the exact
+fraction of the cell inside the band.  Mask rules live in
 dyadic.MaskSpec.select, which both kernels call; this module only supplies
 the moduli.
 """
@@ -21,9 +24,9 @@ __all__ = [
 ]
 
 
-def _moduli(ax, ay, az) -> np.ndarray:
-    """sqrt(x^2 + y^2 + z^2) over the outer grid of three 1-D component arrays."""
-    return np.sqrt((ax**2)[:, None, None] + (ay**2)[None, :, None] + (az**2)[None, None, :])
+def _moduli(x, y, z) -> np.ndarray:
+    """sqrt((x^2 + y^2) + z^2) elementwise, summed in that order."""
+    return np.sqrt((x**2 + y**2) + z**2)
 
 
 def masked_convolution(us: np.ndarray, vs: np.ndarray, xi_axis: np.ndarray, mask) -> np.ndarray:
@@ -32,25 +35,35 @@ def masked_convolution(us: np.ndarray, vs: np.ndarray, xi_axis: np.ndarray, mask
 
     Arrays are (M, N, N, N) in ascending-frequency order and mask is a
     dyadic.MaskSpec; the caller supplies any continuum-normalization
-    prefactor.
+    prefactor.  The support of a factor is the set of modes that are
+    nonzero in some time slice.  The modes xi1 of supp us are visited in
+    index order; for each, the mask is evaluated on the pairs (xi1, xi2),
+    xi2 in supp vs, and the selected products are added at the periodic
+    targets xi1 + xi2.  Cost O(|supp us| * |supp vs| * M).
     """
     us = np.ascontiguousarray(us, dtype=np.complex128)
     vs = np.ascontiguousarray(vs, dtype=np.complex128)
     xi = np.ascontiguousarray(xi_axis, dtype=np.float64)
-    half = us.shape[1] // 2
+    m, n = us.shape[0], us.shape[1]
+    half = n // 2
     unz = np.abs(us).max(axis=0) > 0.0
-    vnz = np.abs(vs).max(axis=0) > 0.0
-    n2 = _moduli(xi, xi, xi)
-    out = np.zeros_like(us)
+    a2, b2, g2 = np.nonzero(np.abs(vs).max(axis=0) > 0.0)
+    rows = np.ascontiguousarray(vs[:, a2, b2, g2].T)  # (|supp vs|, M)
+    x2, y2, z2 = xi[a2], xi[b2], xi[g2]
+    n2 = _moduli(x2, y2, z2)
+    acc = np.zeros((n**3, m), dtype=np.complex128)
     for a1, b1, g1 in np.argwhere(unz):
         x1, y1, z1 = xi[a1], xi[b1], xi[g1]
         n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-        sel = vnz & mask.select(n1, n2, _moduli(x1 + xi, y1 + xi, z1 + xi))
-        if not sel.any():
+        s = np.flatnonzero(mask.select(n1, n2, _moduli(x1 + x2, y1 + y2, z1 + z2)))
+        if s.size == 0:
             continue
-        term = np.where(sel[None], vs, 0.0) * us[:, a1, b1, g1][:, None, None, None]
-        out += np.roll(term, (a1 - half, b1 - half, g1 - half), axis=(1, 2, 3))
-    return out
+        # the shift by xi1 is a bijection of the lattice, so the targets are distinct
+        target = np.ravel_multi_index(
+            (a2[s] + (a1 - half), b2[s] + (b1 - half), g2[s] + (g1 - half)), (n, n, n),
+            mode="wrap")
+        acc[target] += rows[s] * us[:, a1, b1, g1]
+    return np.ascontiguousarray(acc.T).reshape(us.shape)
 
 
 def _uniform_sum_cdf(x: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:

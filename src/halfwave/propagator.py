@@ -56,13 +56,22 @@ def evolve(F: Spectrum, e: EvolutionSpec) -> Spectrum:
 
 
 def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:
-    """Spectral slices (M, N, N, N) of the free solution: phases times the data."""
-    if u0.grid != g.spatial:
+    """Spectral slices (M, N, N, N) of the free solution: phases times the data.
+
+    The phase depends on xi through the radial symbol only, so it is
+    evaluated once per (time, shell) and gathered onto the lattice.
+    """
+    sg = g.spatial
+    if u0.grid != sg:
         raise GridMismatchError("initial spectrum does not live on the spatial lattice")
-    sym = _symbol(g.spatial, e.kind)
-    sgn = e.sign if e.kind == "D" else -e.sign
-    phases = np.exp(1j * sgn * g.t_axis[:, None, None, None] * sym[None])
-    return phases * u0.data[None]
+    if e.kind == "D":
+        sgn, sym = e.sign, sg.shell_values
+    else:
+        sgn, sym = -e.sign, sg.shell_brackets
+    table = np.exp(1j * sgn * g.t_axis[:, None] * sym[None])
+    out = np.take(table, sg.shell_index, axis=1)  # C order, unlike table[:, index]
+    out *= u0.data
+    return out
 
 
 def free_spacetime(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> SpacetimeField:

@@ -142,11 +142,17 @@ def lr_xt_norm(F, r: float) -> float:
 
 
 def _xsb_weight(grid, p: NormParams) -> np.ndarray:
+    """<xi>^{s r'} <tau - sign*|xi|>^{b r'} on the (M, N, N, N) lattice.
+
+    The weight is radial in xi: it is evaluated once per (tau, shell) and
+    gathered through the grid's shell_index.
+    """
     sg = grid.spatial
-    tau = grid.tau_axis[:, None, None, None]
+    tau = grid.tau_axis[:, None]
     rp = p.rprime
-    modulation = np.sqrt(1.0 + (tau - p.sign * sg.modulus) ** 2)
-    return sg.bracket ** (p.s * rp) * modulation ** (p.b * rp)
+    modulation = np.sqrt(1.0 + (tau - p.sign * sg.shell_values) ** 2)
+    table = sg.shell_brackets ** (p.s * rp) * modulation ** (p.b * rp)
+    return np.take(table, sg.shell_index, axis=1)
 
 
 def xsb_norm(u, p: NormParams, weight: np.ndarray | None = None) -> float:

@@ -59,6 +59,64 @@ def test_accepted_keys_are_read():
     assert read == accepted
 
 
+# For each command, a key it never reads (lemma runs its default elliptic suite)
+_UNREAD_BY_COMMAND = {
+    "norms": "sweep.lams",
+    "reduce": "grid.n",
+    "lemma": "params.h",
+    "key": "params.h",
+    "sharpness": "params.b",
+    "lowfreq": "family.kind",
+    "strichartz": "params.r",
+    "extremize": "sweep.lams",
+    "solve": "sweep.pairs",
+    "lipschitz": "sweep.lams",
+}
+
+
+def _spectrum_file(tmp_path):
+    sg = SpatialGrid(8, np.pi)
+    path = tmp_path / "data.hw"
+    write_field(path, Spectrum(sg, np.exp(-(sg.xi_modulus() ** 2)).astype(complex)))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(_UNREAD_BY_COMMAND))
+def test_key_unread_by_command_rejected(tmp_path, capsys, command):
+    """A key that is valid for some command but not read by this one exits 1
+    before anything runs, whether it comes from --set or from --config."""
+    assert set(_UNREAD_BY_COMMAND) == set(cli._COMMANDS)
+    sec, key = _UNREAD_BY_COMMAND[command].split(".")
+    argv = ["--input", str(_spectrum_file(tmp_path))] if command == "norms" else []
+    argv.append(command)
+    code, out = _run(tmp_path, "--set", f"{sec}.{key}=4,8", *argv)
+    assert code == 1 and not out.exists()
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{sec}]\n{key} = 4, 8\n")
+    code, out = _run(tmp_path, "--config", str(ini), *argv)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.count(f"{command} does not read {sec}.{key}") == 2
+
+
+def test_seed_flag_is_exempt(tmp_path, capsys):
+    """--seed sets family.seed for every command; --set family.seed does not."""
+    code, out = _run(tmp_path / "a", "--seed", "3", "reduce")
+    assert code == 0
+    code, out = _run(tmp_path / "b", "--set", "family.seed=3", "reduce")
+    assert code == 1 and not out.exists()
+    assert "reduce does not read family.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["knapp-box", "shell-concentrated"])
+def test_extremize_reads_family_kind(tmp_path, kind):
+    """family.kind restricts the extremizer search to that one family."""
+    code, out = _run(tmp_path, "--set", "sweep.budget=6", "--set", f"family.kind={kind}",
+                     "extremize")
+    assert code == 0
+    summary = json.loads((out / "extremize.json").read_text())["summary"]
+    assert summary["best_kind"] == kind and summary["evaluations"] <= 6
+
+
 def test_malformed_override(tmp_path):
     code, _ = _run(tmp_path, "--set", "garbage", "reduce")
     assert code == 1

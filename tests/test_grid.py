@@ -140,6 +140,24 @@ def test_bracket_is_japanese_modulus(sg):
     assert np.array_equal(sg.bracket, np.sqrt(1.0 + sg.modulus**2))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
+def test_shell_tables(n, half_length):
+    """The distinct |xi| and their index rebuild modulus and bracket exactly."""
+    grid = SpatialGrid(n, half_length)
+    vals, idx = grid.shell_values, grid.shell_index
+    assert vals.ndim == 1 and np.all(np.diff(vals) > 0.0)
+    assert idx.shape == grid.shape
+    assert np.array_equal(vals[idx], grid.modulus)
+    assert np.array_equal(grid.shell_brackets[idx], grid.bracket)
+    assert np.array_equal(np.unique(idx), np.arange(vals.size))   # every shell occupied
+    for table in (vals, idx, grid.shell_brackets):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    assert grid.shell_values is vals and grid.shell_index is idx  # built once per grid
+
+
 def test_derivative_symbol_oracle(sg):
     """Spectral derivative of a single mode is i*xi times it."""
     x1 = np.meshgrid(sg.x_axis, sg.x_axis, sg.x_axis, indexing="ij")[0]

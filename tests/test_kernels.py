@@ -1,5 +1,7 @@
 """Lattice kernels against direct reference sums."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from halfwave import kernels
 from halfwave.bilinear import PowerWeight, SignPair, surface_mass
 from halfwave.dyadic import region_masks, shell_mask
 from halfwave.errors import ParameterError
-from halfwave.grid import SpatialGrid
+from halfwave.grid import SpacetimeGrid, SpatialGrid, Spectrum
+from halfwave.propagator import EvolutionSpec, free_slices
 
 
 @pytest.fixture
@@ -80,6 +83,98 @@ def test_convolution_matches_direct(sg, name):
     ref = _direct_convolution(us, vs, sg.xi_axis, _ORACLE_RULES[name])
     assert np.abs(ref).max() > 0.0
     assert np.abs(got - ref).max() < 1e-10 * max(np.abs(ref).max(), 1.0)
+
+
+def _dense_convolution(us, vs, xi_axis, mask):
+    """The bitwise reference for kernels.masked_convolution: one masked,
+    rolled multiply-add over the whole N^3 lattice per active mode of us.
+
+    Each output element receives the same products in the same order as in
+    the support-restricted kernel (the unselected ones add exact zeros), so
+    the two agree bit for bit.
+    """
+    us = np.ascontiguousarray(us, dtype=np.complex128)
+    vs = np.ascontiguousarray(vs, dtype=np.complex128)
+    xi = np.ascontiguousarray(xi_axis, dtype=np.float64)
+
+    def moduli(ax, ay, az):
+        return np.sqrt((ax**2)[:, None, None] + (ay**2)[None, :, None]
+                       + (az**2)[None, None, :])
+
+    half = us.shape[1] // 2
+    unz = np.abs(us).max(axis=0) > 0.0
+    vnz = np.abs(vs).max(axis=0) > 0.0
+    n2 = moduli(xi, xi, xi)
+    out = np.zeros_like(us)
+    for a1, b1, g1 in np.argwhere(unz):
+        x1, y1, z1 = xi[a1], xi[b1], xi[g1]
+        n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        sel = vnz & mask.select(n1, n2, moduli(x1 + xi, y1 + xi, z1 + xi))
+        if not sel.any():
+            continue
+        term = np.where(sel[None], vs, 0.0) * us[:, a1, b1, g1][:, None, None, None]
+        out += np.roll(term, (a1 - half, b1 - half, g1 - half), axis=(1, 2, 3))
+    return out
+
+
+_ALL_MASKS = list(region_masks().values()) + [shell_mask(k) for k in range(4)]
+
+
+def _sparse_free_waves(n, m, sp, density_u, density_v, seed):
+    """Free half-wave slices (signs sp) of complex data on random supports."""
+    g = SpacetimeGrid(SpatialGrid(n, np.pi), m, 1.0)
+    rng = np.random.default_rng(seed)
+    out = []
+    for sign, density in ((sp.first, density_u), (sp.second, density_v)):
+        sg = g.spatial
+        data = (rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape)) \
+            * (rng.random(sg.shape) < density)
+        out.append(free_slices(Spectrum(sg, data), g, EvolutionSpec("D", sign)))
+    return g, out[0], out[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    m=st.sampled_from([4, 6]),
+    sp=st.sampled_from([SignPair(+1, +1), SignPair(+1, -1)]),
+    density_u=st.floats(0.0, 0.4),
+    density_v=st.floats(0.0, 0.4),
+    seed=st.integers(0, 2**16),
+)
+def test_convolution_matches_dense_reference(n, m, sp, density_u, density_v, seed):
+    """On sparse supports, under every region mask and shell mask, the
+    support-restricted kernel equals the dense loop bit for bit."""
+    g, us, vs = _sparse_free_waves(n, m, sp, density_u, density_v, seed)
+    xi = g.spatial.xi_axis
+    for mask in _ALL_MASKS:
+        got = kernels.masked_convolution(us, vs, xi, mask)
+        assert got.shape == us.shape and got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, _dense_convolution(us, vs, xi, mask)), mask.name
+
+
+def test_convolution_edge_cases():
+    """Empty supports, a mask that selects nothing, and periodic wrap-around."""
+    sg = SpatialGrid(8, np.pi)  # xi_axis = -4 .. 3
+    xi = sg.xi_axis
+    us, vs = _random_slices(sg)
+    zero = np.zeros_like(us)
+    one = region_masks()["one"]
+    for a, b in ((zero, vs), (us, zero), (zero, zero)):
+        got = kernels.masked_convolution(a, b, xi, one)
+        assert np.array_equal(got, zero) and np.array_equal(got, _dense_convolution(a, b, xi, one))
+    # shell 6 is 32 < |xi1| <= 64, beyond every lattice frequency here
+    got = kernels.masked_convolution(us, vs, xi, shell_mask(6))
+    assert np.array_equal(got, zero)
+    # (3, 3, 3) + (3, -4, 0) = (6, -1, 3) wraps to (-2, -1, 3): index (2, 3, 7);
+    # (-4, -4, -4) + (-3, 0, 3) = (-7, -4, -1) wraps to (1, -4, -1): index (5, 0, 3)
+    u, v = np.zeros_like(us), np.zeros_like(vs)
+    u[:, 7, 7, 7], v[:, 7, 0, 4] = us[:, 7, 7, 7], vs[:, 7, 0, 4]
+    u[:, 0, 0, 0], v[:, 1, 4, 7] = us[:, 0, 0, 0], vs[:, 1, 4, 7]
+    got = kernels.masked_convolution(u, v, xi, one)
+    assert np.array_equal(got, _dense_convolution(u, v, xi, one))
+    assert np.array_equal(got[:, 2, 3, 7], v[:, 7, 0, 4] * u[:, 7, 7, 7])
+    assert np.array_equal(got[:, 5, 0, 3], v[:, 1, 4, 7] * u[:, 0, 0, 0])
 
 
 @settings(max_examples=15, deadline=None)

@@ -11,7 +11,7 @@ from halfwave.grid import (
     Spectrum,
     spatial_forward_slices,
 )
-from halfwave.propagator import EvolutionSpec, duhamel, evolve, free_spacetime
+from halfwave.propagator import EvolutionSpec, duhamel, evolve, free_slices, free_spacetime
 
 
 @pytest.fixture
@@ -98,3 +98,25 @@ def test_validation(sg, stg):
         free_spacetime(Spectrum(other, F.data), stg, EvolutionSpec("D", +1))
     with pytest.raises(GridMismatchError):
         duhamel(np.zeros((stg.m - 1,) + sg.shape, complex), +1, stg)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_free_slices_match_lattice_phases(n, half_length, m):
+    """The shell-table phases equal the phases evaluated on every lattice
+    point, bit for bit.  The direct formula is evaluated on 16 time slices
+    spread over the axis, both ends included, with the same array
+    operations as one full evaluation."""
+    g = SpacetimeGrid(SpatialGrid(n, half_length), m, 1.0)
+    sg = g.spatial
+    u0 = _random_spectrum(sg, seed=n + m)
+    sample = np.linspace(0, m - 1, 16).round().astype(int)
+    t = g.t_axis[sample, None, None, None]
+    for kind, sym in (("D", sg.modulus), ("J", sg.bracket)):
+        for sign in (+1, -1):
+            got = free_slices(u0, g, EvolutionSpec(kind, sign))
+            sgn = sign if kind == "D" else -sign
+            want = np.exp(1j * sgn * t * sym[None]) * u0.data[None]
+            assert got.shape == g.shape and got.flags.c_contiguous
+            assert np.array_equal(got[sample], want)

@@ -14,6 +14,7 @@ from halfwave.grid import (
 )
 from halfwave.spaces import (
     NormParams,
+    _xsb_weight,
     WindowSpec,
     apply_window,
     dual_exponent,
@@ -155,3 +156,25 @@ def test_restricted_norm_bounds(stg):
     assert np.isfinite(val) and val > 0
     with pytest.raises(ParameterError):
         restricted_norm(u, 0.9, w, p)  # delta outside the flat core
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_xsb_weight_matches_lattice_formula(n, half_length, m):
+    """The shell-table weight equals <xi>^{s r'} <tau - sign|xi|>^{b r'}
+    evaluated on every lattice point, bit for bit, on 16 tau slices spread
+    over the axis, both ends included."""
+    g = SpacetimeGrid(SpatialGrid(n, half_length), m, 1.0)
+    sg = g.spatial
+    sample = np.linspace(0, m - 1, 16).round().astype(int)
+    tau = g.tau_axis[sample, None, None, None]
+    for r in (2.0, 1.5, 1.2):
+        for sign in (+1, -1):
+            p = NormParams(r, 1.25, 0.55, sign)
+            rp = p.rprime
+            got = _xsb_weight(g, p)
+            modulation = np.sqrt(1.0 + (tau - p.sign * sg.modulus) ** 2)
+            want = sg.bracket ** (p.s * rp) * modulation ** (p.b * rp)
+            assert got.shape == g.shape and got.flags.c_contiguous
+            assert np.array_equal(got[sample], want)
