@@ -351,6 +351,7 @@ def cmd_solve(cfg, args):
             "converged": rep.result.converged,
             "diverged": rep.result.diverged,
             "iterations": rep.result.iterations,
+            "real_data": rep.result.real_data,
             "contraction_factors": rep.result.rhos,
             "residual": rep.residual,
             "residual_scale": rep.residual_scale,

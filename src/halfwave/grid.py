@@ -31,7 +31,7 @@ from the same expression as on the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.fft as sfft
@@ -288,28 +288,47 @@ def _half_sign(n: int) -> float:
     return -1.0 if (n // 2) % 2 else 1.0
 
 
-def _shifted_dft(data, axes, signs, scale: float, inverse: bool = False) -> np.ndarray:
+def _shifted_dft(
+    data, axes, signs, scale: float, inverse: bool = False, real: bool = False
+) -> np.ndarray:
     """scale * S * DFT(S * data) over `axes`, S the product of the sign arrays.
 
     With S the (-1)^k checkerboard of the transformed axes this is the
     centered lattice transform: for even n, fftshift(fft(f)) = fft((-1)^k f)
     and the output phase (-1)^j equals (-1)^k * (-1)^(n/2), folded into
     scale.  The inverse has the same form with ifft.
+
+    real=True is the same transform of real configuration data through
+    rfftn/irfftn.  S is even under k -> (-k) mod n, so it maps a Hermitian
+    spectrum (F(-xi) = conj F(xi)) to a Hermitian DFT input.  The spectrum
+    is then held on its half lattice, the first n//2 + 1 entries of the last
+    axis (j = -n/2 .. 0), and S is cut to that half on the spectral side.
     """
-    out = data * signs[0]          # a fresh array, transformed in place
-    for s in signs[1:]:
+    signs_in = signs_out = signs
+    if not real:
+        dft = sfft.ifftn if inverse else sfft.fftn
+    elif inverse:
+        n = 2 * (data.shape[axes[-1]] - 1)
+        signs_in = tuple(s[..., : n // 2 + 1] for s in signs)
+        dft = partial(sfft.irfftn, s=[data.shape[a] for a in axes[:-1]] + [n])
+    else:
+        signs_out = tuple(s[..., : data.shape[axes[-1]] // 2 + 1] for s in signs)
+        dft = sfft.rfftn
+    out = data * signs_in[0]       # a fresh array, transformed in place
+    for s in signs_in[1:]:
         out *= s
-    dft = sfft.ifftn if inverse else sfft.fftn
     out = dft(out, axes=axes, overwrite_x=True)
-    for s in signs[:-1]:
+    for s in signs_out[:-1]:
         out *= s
-    out *= scale * signs[-1]
+    out *= scale * signs_out[-1]
     return out
 
 
-def _spatial_dft(data, axes, sg: SpatialGrid, inverse: bool = False) -> np.ndarray:
+def _spatial_dft(
+    data, axes, sg: SpatialGrid, inverse: bool = False, real: bool = False
+) -> np.ndarray:
     scale = _half_sign(sg.n) * (sg.dx**-3 if inverse else sg.dx**3)
-    return _shifted_dft(data, axes, (_checkerboard(sg.n),), scale, inverse)
+    return _shifted_dft(data, axes, (_checkerboard(sg.n),), scale, inverse, real)
 
 
 def forward_transform(f):
@@ -346,6 +365,69 @@ def spatial_forward_slices(f: SpacetimeField) -> np.ndarray:
 def spatial_inverse_slices(grid: SpacetimeGrid, spec_slices: np.ndarray) -> SpacetimeField:
     """Inverse space-only transform of per-time-slice spectra."""
     return SpacetimeField(grid, _spatial_dft(spec_slices, (1, 2, 3), grid.spatial, True))
+
+
+def spatial_forward_half(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:
+    """Space-only transform of real (M, N, N, N) slices to their half spectra.
+
+    The half spectrum is the first N//2 + 1 entries of the last axis of the
+    spectrum spatial_forward_slices would return; hermitian_full restores
+    the rest.
+    """
+    return _spatial_dft(slices, (1, 2, 3), grid.spatial, real=True)
+
+
+def spatial_inverse_half(grid: SpacetimeGrid, half: np.ndarray) -> np.ndarray:
+    """Real (M, N, N, N) slices from half spectra; inverse of spatial_forward_half."""
+    return _spatial_dft(half, (1, 2, 3), grid.spatial, inverse=True, real=True)
+
+
+def reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a(-xi): the periodic reflection k -> (-k) mod n along each of `axes`.
+
+    On the centered even lattice index k holds frequency j = k - n/2, and -j
+    sits at (-k) mod n; so the Nyquist index 0 and the zero index n/2 map
+    to themselves.  Returns a new array.
+    """
+    return np.roll(np.flip(a, axes), 1, axes)
+
+
+# (target, source) slices of the reflection along one axis: 0 <- 0, k <- n - k
+_REFLECTION = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+
+
+def _conj_reflect_into(out: np.ndarray, a: np.ndarray) -> None:
+    """out = conj a, reflected along axes -3 and -2 (the last axis as is)."""
+    for t1, s1 in _REFLECTION:
+        for t2, s2 in _REFLECTION:
+            np.conjugate(a[..., s1, s2, :], out=out[..., t1, t2, :])
+
+
+def conj_reflect(a: np.ndarray, size: int | None = None) -> np.ndarray:
+    """conj a(-xi), reflected on the three spatial (last) axes.
+
+    With size, only the first size entries of the last axis are formed:
+    size = N//2 + 1 gives the half spectrum of a + conj_reflect(a).
+    """
+    n = a.shape[-1]
+    size = n if size is None else size
+    out = np.empty(a.shape[:-1] + (size,), dtype=np.complex128)
+    _conj_reflect_into(out[..., :1], a[..., :1])
+    _conj_reflect_into(out[..., 1:], a[..., : n - size : -1])
+    return out
+
+
+def hermitian_full(half: np.ndarray, n: int) -> np.ndarray:
+    """The full spectrum, last three axes (N, N, n), of real data from its half.
+
+    half holds the first n//2 + 1 entries of the last axis; each remaining
+    entry is conj F(-xi) of one it holds.
+    """
+    h = n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    _conj_reflect_into(out[..., h:], half[..., h - 2 : 0 : -1])
+    return out
 
 
 def time_forward(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:

@@ -92,9 +92,10 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
         raise GridMismatchError(
             f"forcing slices of shape {np.shape(gs)} do not match the grid {g.shape}"
         )
-    sym = _symbol(g.spatial, "J")
+    sg = g.spatial
     dt = g.dt
-    step = np.exp(-1j * sign * dt * sym)       # e^{-sign i dt J}
+    # e^{-sign i dt J}, radial: evaluated per shell and gathered
+    step = np.take(np.exp(-1j * sign * dt * sg.shell_brackets), sg.shell_index)
     step_back = np.conj(step)
     out = np.zeros(g.shape, dtype=np.complex128)
     m0 = g.origin_index

@@ -5,8 +5,10 @@ system for u_pm = u +- i J^{-1} u_t, which the iteration solves with the
 exponential integrator; the nonlinearity is evaluated pointwise with
 2/3-rule dealiasing.  The iterates are kept as spatial spectral slices,
 shape (M, N, N, N); configuration space is visited only for the pointwise
-product.  Correctness is judged convention-free through the Box residual
-and through contraction diagnostics.
+product.  Real data have u_- = conj u_+(-xi) at every iterate, so for them
+only u_+ is iterated and the product runs on half spectra.  Correctness is
+judged convention-free through the Box residual and through contraction
+diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from .grid import (
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
+    conj_reflect,
+    hermitian_full,
+    reflect,
+    spatial_forward_half,
     spatial_forward_slices,
+    spatial_inverse_half,
     spatial_inverse_slices,
     time_forward,
 )
@@ -32,6 +39,7 @@ from .propagator import EvolutionSpec, duhamel, free_slices
 from .spaces import (
     NormParams,
     WindowSpec,
+    _xsb_norms,
     _xsb_weight,
     dual_exponent,
     sobolev_hat_norm,
@@ -144,40 +152,94 @@ def from_first_order(fp: Spectrum, fm: Spectrum) -> tuple[Spectrum, Spectrum]:
 
 
 def _spatial_derivative(g: SpacetimeGrid, spec_slices: np.ndarray, derivative: str) -> np.ndarray:
+    """i xi_d times the slices, in place; on a half spectrum xi_3 is cut to its half."""
+    axis = _DERIVS.index(derivative)
     shape = [1, 1, 1, 1]
-    shape[_DERIVS.index(derivative)] = g.spatial.n
-    return 1j * g.spatial.xi_axis.reshape(shape) * spec_slices
+    shape[axis] = spec_slices.shape[axis]
+    spec_slices *= 1j * g.spatial.xi_axis[: shape[axis]].reshape(shape)
+    return spec_slices
 
 
 def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray:
     """Spectral slices of d_t(u_+ + u_-) via the evolution identity -iJ(u_+ - u_-)."""
-    return -1j * g.spatial.bracket * (sp - sm)
+    out = sp - sm
+    out *= -1j * g.spatial.bracket[..., : sp.shape[-1]]
+    return out
+
+
+def _to_space(g: SpacetimeGrid, spec: np.ndarray, real: bool) -> np.ndarray:
+    """Configuration slices of spectral slices; real ones from half spectra."""
+    return spatial_inverse_half(g, spec) if real else spatial_inverse_slices(g, spec).data
+
+
+def _to_spectrum(g: SpacetimeGrid, values: np.ndarray, real: bool) -> np.ndarray:
+    """Spectral slices of configuration slices; half spectra of real ones."""
+    if real:
+        return spatial_forward_half(g, values)
+    return spatial_forward_slices(SpacetimeField(g, values))
 
 
 def _bilinear_spec(
-    sp: np.ndarray, sm: np.ndarray, ns: NonlinearitySpec, g: SpacetimeGrid
+    sp: np.ndarray, sm: np.ndarray, ns: NonlinearitySpec, g: SpacetimeGrid, real: bool = False
 ) -> np.ndarray:
     """Spectral slices of B_k(w, w) for w = u_+ + u_-, from 2/3-rule dealiased factors.
 
     For d(w^2) with a spatial derivative the factor of d is the dealiased
     product; otherwise the output itself is not masked.  d_t w always comes
-    from the evolution identity, never from differencing.
+    from the evolution identity, never from differencing.  With real=True,
+    sp and sm are the half spectra of real data (sm = conj R sp), w is real,
+    and the product goes through the real transforms; the output is the half
+    spectrum of B.
     """
-    mask = g.spatial.dealias_mask
+    mask = g.spatial.dealias_mask[..., : sp.shape[-1]]
     if ns.k == 1:
-        w = spatial_inverse_slices(g, mask * (sp + sm)).data
+        w = sp + sm
+        w *= mask
+        w = _to_space(g, w, real)
         if ns.derivative == "t":
             # d_t(w^2) = 2 w d_t w
-            dtw = spatial_inverse_slices(g, mask * _dt_w_slices(g, sp, sm)).data
-            return spatial_forward_slices(SpacetimeField(g, 2.0 * w * dtw))
-        pspec = mask * spatial_forward_slices(SpacetimeField(g, w * w))
+            dtw = _dt_w_slices(g, sp, sm)
+            dtw *= mask
+            w *= 2.0
+            w *= _to_space(g, dtw, real)
+            return _to_spectrum(g, w, real)
+        w *= w
+        pspec = _to_spectrum(g, w, real)
+        pspec *= mask
         return _spatial_derivative(g, pspec, ns.derivative)
     if ns.derivative == "t":
         dspec = _dt_w_slices(g, sp, sm)
     else:
         dspec = _spatial_derivative(g, sp + sm, ns.derivative)
-    dw = spatial_inverse_slices(g, mask * dspec).data
-    return spatial_forward_slices(SpacetimeField(g, dw * dw))
+    dspec *= mask
+    dw = _to_space(g, dspec, real)
+    dw *= dw
+    return _to_spectrum(g, dw, real)
+
+
+def _rhs_minus(
+    sp: np.ndarray,
+    sm: np.ndarray,
+    ns: NonlinearitySpec,
+    g: SpacetimeGrid,
+    source: np.ndarray | None,
+    real: bool,
+) -> np.ndarray:
+    """g_- = J^{-1} (B_k(w, w)/4 + w/2 + S), in place on the product's slices.
+
+    With real=True every argument and the result are half spectra.
+    """
+    h = sp.shape[-1]
+    out = _bilinear_spec(sp, sm, ns, g, real)
+    out *= g.spatial.dealias_mask[..., :h]
+    out /= 4.0
+    w = sp + sm
+    w /= 2.0
+    out += w
+    if source is not None:
+        out += source
+    out /= g.spatial.bracket[..., :h]
+    return out
 
 
 def rhs_eval(
@@ -199,17 +261,57 @@ def rhs_eval(
             raise GridMismatchError(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
-    bspec = g.spatial.dealias_mask * _bilinear_spec(sp, sm, ns, g)
-    bracket = bspec / 4.0 + (sp + sm) / 2.0
-    if source is not None:
-        bracket = bracket + source
-    gm = bracket / g.spatial.bracket
+    gm = _rhs_minus(sp, sm, ns, g, source, real=False)
     return -gm, gm
 
 
+def _rhs_real(
+    sp: np.ndarray, ns: NonlinearitySpec, g: SpacetimeGrid, source_half, window: np.ndarray
+) -> np.ndarray:
+    """window * g_+ of rhs_eval for real data, from u_+ alone.
+
+    g_+ is minus a Hermitian spectrum, so it is formed on the half lattice
+    and completed once.  The window is real and depends on t only, so it
+    commutes with the completion.
+    """
+    n = g.spatial.n
+    h = n // 2 + 1
+    gp = _rhs_minus(sp[..., :h], conj_reflect(sp, h), ns, g, source_half, real=True)
+    gp *= -window
+    return hermitian_full(gp, n)
+
+
+_REAL_RTOL = 1e-14
+
+
+def _hermitian_part(fp: Spectrum, fm: Spectrum, source: np.ndarray | None):
+    """(fp, source) projected onto real data, or None when the data are not real.
+
+    Real Cauchy data have fm = conj R fp, R the reflection xi -> -xi, and a
+    real source has slices S = conj R S.  Each relation is tested to
+    _REAL_RTOL relative to the largest entry of its two sides; data that
+    pass are projected onto it exactly, fp to (fp + conj R fm)/2 and S to
+    (S + conj R S)/2, so that conj R of the projected fp is the projected fm.
+    """
+    def close(a, b):
+        scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+        return bool(np.max(np.abs(a - b)) <= _REAL_RTOL * scale)
+
+    rfm = conj_reflect(fm.data)
+    if not close(fp.data, rfm):
+        return None
+    if source is not None:
+        rs = conj_reflect(source)
+        if not close(source, rs):
+            return None
+        source = (source + rs) / 2.0
+    return Spectrum(fp.grid, (fp.data + rfm) / 2.0), source
+
+
 def _slice_weight(g: SpacetimeGrid, r: float, s: float) -> np.ndarray:
-    """<xi>^(s r'), the lattice weight of the data-space norm."""
-    return g.spatial.bracket ** (s * dual_exponent(r))
+    """<xi>^(s r'), the lattice weight of the data-space norm, per shell and gathered."""
+    sg = g.spatial
+    return np.take(sg.shell_brackets ** (s * dual_exponent(r)), sg.shell_index)
 
 
 def _slice_norms(
@@ -236,7 +338,8 @@ class PicardResult:
     """Final iterates as spatial spectral slices (sp, sm), plus diagnostics.
 
     up and um are the same iterates in configuration space, transformed on
-    first access.
+    first access.  real_data tells whether the real-data path ran (see
+    picard_iterate).
     """
 
     grid: SpacetimeGrid
@@ -248,6 +351,7 @@ class PicardResult:
     converged: bool = False
     diverged: bool = False
     iterations: int = 0
+    real_data: bool = False
 
     @cached_property
     def up(self) -> SpacetimeField:
@@ -275,8 +379,38 @@ def picard_iterate(
     windowed space-time restriction norm; rho_n is their step ratio.  Three
     consecutive growing distances, or one non-finite distance, flag
     divergence.
+
+    Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
+    source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
+    only u_+ is iterated, its pointwise product goes through the real
+    transforms, and u_- is formed once at the end.
     """
     g = cfg.grid
+    if fp.grid != g.spatial or fm.grid != g.spatial:
+        raise GridMismatchError("initial spectra do not live on the spatial lattice")
+    if source is not None and np.shape(source) != g.shape:
+        raise GridMismatchError(
+            f"source slices of shape {np.shape(source)} do not match the grid {g.shape}"
+        )
+    real = _hermitian_part(fp, fm, source)
+    if real is None:
+        return _picard(fp, fm, ns, cfg, r, s, source)
+    fp, source = real
+    return _picard(fp, None, ns, cfg, r, s, source)
+
+
+def _picard(
+    fp: Spectrum,
+    fm: Spectrum | None,
+    ns: NonlinearitySpec,
+    cfg: SolveConfig,
+    r: float,
+    s: float,
+    source: np.ndarray | None,
+) -> PicardResult:
+    """picard_iterate on both components, or on u_+ of real data when fm is None."""
+    g = cfg.grid
+    real = fm is None
     # loop invariants; the window only scales time, so it commutes with the
     # spatial transform and applies to spectral slices directly
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
@@ -285,34 +419,57 @@ def picard_iterate(
     slice_wt = _slice_weight(g, r, s)
     xsb_wt = _xsb_weight(g, params)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
-    free_m = free_slices(fm, g, EvolutionSpec("J", -1))
+    if real:
+        h = g.spatial.n // 2 + 1
+        source_half = None if source is None else source[..., :h]
+        # <xi> is R-invariant, so u_- has the sup distance of u_+.  The
+        # X-weight is not: |F_-(tau, xi)| = |F_+(-tau, -xi)|, periodically on
+        # both axes, so the X-norm of F_- is that of F_+ under the reflected weight
+        xsb_wt_m = reflect(xsb_wt, (0, 1, 2, 3))
+        free_m = None
+    else:
+        free_m = free_slices(fm, g, EvolutionSpec("J", -1))
 
     def sup_norm(diff):
-        return np.max(_slice_norms(g, diff, r, s, slice_wt)[core])
+        return np.max(_slice_norms(g, diff[core], r, s, slice_wt))
 
-    def restricted(diff):
+    def windowed_spectrum(diff):
         # upper bound for the [-delta, delta] restriction norm via one window
-        spec = SpacetimeSpectrum(g, time_forward(g, window * diff))
-        return xsb_norm(spec, params, weight=xsb_wt)
+        diff *= window
+        return SpacetimeSpectrum(g, time_forward(g, diff))
 
     sp, sm = free_p, free_m
-    result = PicardResult(g, sp, sm)
+    result = PicardResult(g, sp, sm, real_data=real)
     grew = 0
     for n in range(cfg.max_iter):
-        gp, gm = rhs_eval(sp, sm, ns, g, source=source)
-        new_p = free_p + duhamel(window * gp, +1, g)
-        new_m = free_m + duhamel(window * gm, -1, g)
-        diff_p = new_p - sp
-        diff_m = new_m - sm
-        d = float(sup_norm(diff_p) + sup_norm(diff_m))
-        dr = restricted(diff_p) + restricted(diff_m)
+        if real:
+            gp = _rhs_real(sp, ns, g, source_half, window)
+        else:
+            gp, gm = rhs_eval(sp, sm, ns, g, source=source)
+            gp *= window
+        new_p = duhamel(gp, +1, g)
+        new_p += free_p
+        # the old iterate is dead once differenced: its buffer takes the difference
+        diff_p = np.subtract(new_p, sp, out=None if sp is free_p else sp)
+        if real:
+            d = 2.0 * float(sup_norm(diff_p))
+            dr = sum(_xsb_norms(windowed_spectrum(diff_p), params, (xsb_wt, xsb_wt_m)))
+        else:
+            gm *= window
+            new_m = duhamel(gm, -1, g)
+            new_m += free_m
+            diff_m = np.subtract(new_m, sm, out=None if sm is free_m else sm)
+            d = float(sup_norm(diff_p) + sup_norm(diff_m))
+            dr = (xsb_norm(windowed_spectrum(diff_p), params, weight=xsb_wt)
+                  + xsb_norm(windowed_spectrum(diff_m), params, weight=xsb_wt))
+            sm = new_m
         if result.distances:
             prev = result.distances[-1]
             result.rhos.append(d / prev if prev > 0 else 0.0)
             grew = grew + 1 if d > prev else 0
         result.distances.append(d)
         result.restricted_distances.append(dr)
-        sp, sm = new_p, new_m
+        sp = new_p
         result.iterations = n + 1
         if not (math.isfinite(d) and math.isfinite(dr)):
             result.diverged = True
@@ -323,7 +480,7 @@ def picard_iterate(
         if grew >= 3:
             result.diverged = True
             break
-    result.sp, result.sm = sp, sm
+    result.sp, result.sm = sp, conj_reflect(sp) if real else sm
     return result
 
 
@@ -382,18 +539,27 @@ def solve_local(
     src = None if source is None else spatial_forward_slices(source)
     result = picard_iterate(fp, fm, ns, cfg, r=r, s=s, source=src)
     sp, sm = result.sp, result.sm
+    real = result.real_data
+    n = g.spatial.n
+    h = n // 2 + 1 if real else n      # real data: u and d_t u from half spectra
     u_spec = (sp + sm) / 2.0
-    dtu_spec = _dt_w_slices(g, sp, sm) / 2.0
-    u = spatial_inverse_slices(g, u_spec)
-    dtu = spatial_inverse_slices(g, dtu_spec)
+    dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
+    u = SpacetimeField(g, _to_space(g, u_spec[..., :h], real))
+    dtu = SpacetimeField(g, _to_space(g, dtu_spec, real))
 
     core = _core_slices(g, cfg.delta)
-    b_spec = _bilinear_spec(sp, sm, ns, g) / 4.0   # B(u, u) = B(w, w)/4 for u = w/2
+    # B(u, u) = B(w, w)/4 for u = w/2
+    b_spec = _bilinear_spec(sp[..., :h], sm[..., :h], ns, g, real) / 4.0
+    if real:
+        b_spec = hermitian_full(b_spec, n)
     if src is not None:
         b_spec = b_spec + src
     residual, scale = _box_residual(u_spec, g, b_spec, core)
 
-    norms = _slice_norms(g, sp, r, s) + _slice_norms(g, sm, r, s)
+    if real:    # u_- = conj R u_+ has the slice norms of u_+
+        norms = 2.0 * _slice_norms(g, sp, r, s)
+    else:
+        norms = _slice_norms(g, sp, r, s) + _slice_norms(g, sm, r, s)
     pers = norms[core]
     jumps = np.abs(np.diff(pers))
     z_value = None

@@ -162,10 +162,21 @@ def xsb_norm(u, p: NormParams, weight: np.ndarray | None = None) -> float:
     many norms on one grid computes it once.
     """
     F = _spacetime_spectrum(u)
+    return _xsb_norms(F, p, (_xsb_weight(F.grid, p) if weight is None else weight,))[0]
+
+
+def _xsb_norms(F: SpacetimeSpectrum, p: NormParams, weights) -> list[float]:
+    """xsb_norm of F under each weight; |F|^{r'} is formed once.
+
+    The last weight multiplies |F|^{r'} in place.
+    """
     g = F.grid
-    w = _xsb_weight(g, p) if weight is None else weight
-    total = np.sum(w * np.abs(F.data) ** p.rprime) * g.spatial.dxi**3 * g.dtau
-    return float(total ** (1.0 / p.rprime))
+    a = np.abs(F.data)
+    a **= p.rprime
+    totals = [np.vdot(w, a) for w in weights[:-1]]
+    a *= weights[-1]
+    totals.append(np.sum(a))
+    return [float((t * g.spatial.dxi**3 * g.dtau) ** (1.0 / p.rprime)) for t in totals]
 
 
 def z_norm(u, dtu, p: NormParams) -> float:

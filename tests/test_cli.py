@@ -221,3 +221,19 @@ def test_seed_flag_changes_family(tmp_path):
     _, out2 = _run(tmp_path / "b", "--seed", "1",
                    "--set", "family.kind=random-bandlimited", "lemma", "--suite", "elliptic")
     assert not filecmp.cmp(out1 / "lemma.csv", out2 / "lemma.csv", shallow=False)
+
+
+def test_solve_reports_picard_path(tmp_path):
+    """The default Gaussian data are real; a complex input spectrum is not."""
+    small = ["--set", "grid.n=8", "--set", "grid.m=16", "--set", "params.delta=0.25"]
+    code, out = _run(tmp_path, *small, "solve")
+    assert code == 0
+    assert json.loads((out / "solve.json").read_text())["summary"]["real_data"] is True
+    sg = SpatialGrid(8, 2 * np.pi)
+    rng = np.random.default_rng(0)
+    envelope = 0.01 * np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    path = tmp_path / "complex.hwf"
+    write_field(path, Spectrum(sg, (rng.standard_normal(sg.shape) + 1j) * envelope))
+    code, out = _run(tmp_path, *small, "--input", str(path), "solve")
+    assert code == 0
+    assert json.loads((out / "solve.json").read_text())["summary"]["real_data"] is False

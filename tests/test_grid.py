@@ -13,9 +13,14 @@ from halfwave.grid import (
     SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
+    conj_reflect,
     forward_transform,
+    hermitian_full,
     inverse_transform,
+    reflect,
+    spatial_forward_half,
     spatial_forward_slices,
+    spatial_inverse_half,
     spatial_inverse_slices,
     time_forward,
 )
@@ -278,3 +283,49 @@ def test_transform_leaves_input_and_sign_cache_untouched(stg):
     assert np.array_equal(spec, spec_keep)
     assert not _checkerboard(stg.spatial.n).flags.writeable
     assert not _signs(stg.m).flags.writeable
+
+
+def _reflect_by_index(a, axes):
+    """a(-xi) by the index map k -> (-k) mod n, one axis at a time."""
+    for axis in axes:
+        n = a.shape[axis]
+        a = np.take(a, (-np.arange(n)) % n, axis=axis)
+    return a
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_lattices)
+def test_reflections_match_index_map(n, m, half_length, half_time, seed):
+    """The Nyquist index 0 and the zero index n/2 are fixed; the rest pair up."""
+    g, x = _random_lattice(n, m, half_length, half_time, seed)
+    assert np.array_equal(reflect(x, (0, 1, 2, 3)), _reflect_by_index(x, (0, 1, 2, 3)))
+    assert np.array_equal(reflect(x, (0,)), _reflect_by_index(x, (0,)))
+    full = np.conj(_reflect_by_index(x, (1, 2, 3)))
+    assert np.array_equal(conj_reflect(x), full)
+    assert np.array_equal(conj_reflect(x[0]), full[0])
+    assert np.array_equal(conj_reflect(x, n // 2 + 1), full[..., : n // 2 + 1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_lattices)
+def test_half_spectrum_transforms_match_full(n, m, half_length, half_time, seed):
+    """The real transforms agree with the complex ones on real data, and the
+    completed half spectrum is the full one, Nyquist planes included."""
+    g, x = _random_lattice(n, m, half_length, half_time, seed)
+    f = x.real.copy()
+    keep = f.copy()
+    h = n // 2 + 1
+    full = spatial_forward_slices(SpacetimeField(g, f))
+    half = spatial_forward_half(g, f)
+    assert np.array_equal(f, keep)
+    assert half.shape == (m, n, n, h)
+    assert _close(half, full[..., :h], 1e-13)
+    completed = hermitian_full(half, n)
+    assert np.array_equal(completed[..., :h], half)
+    upper = np.conj(_reflect_by_index(completed, (1, 2, 3)))[..., h:]
+    assert np.array_equal(completed[..., h:], upper)
+    assert _close(completed, full, 1e-13)
+    back = spatial_inverse_half(g, half)
+    assert back.dtype == np.float64 and back.shape == g.shape
+    assert _close(back, f, 1e-13)
+    assert _close(back, spatial_inverse_slices(g, completed).data, 1e-13)

@@ -120,3 +120,29 @@ def test_free_slices_match_lattice_phases(n, half_length, m):
             want = np.exp(1j * sgn * t * sym[None]) * u0.data[None]
             assert got.shape == g.shape and got.flags.c_contiguous
             assert np.array_equal(got[sample], want)
+
+
+def _duhamel_on_lattice(gs, sign, g):
+    """duhamel with its step e^{-sign i dt <xi>} evaluated on every lattice point."""
+    step = np.exp(-1j * sign * g.dt * g.spatial.bracket)
+    step_back = np.conj(step)
+    out = np.zeros(g.shape, dtype=np.complex128)
+    m0 = g.origin_index
+    half = -1j * g.dt / 2.0
+    for m in range(m0, g.m - 1):
+        out[m + 1] = step * out[m] + half * (step * gs[m] + gs[m + 1])
+    for m in range(m0, 0, -1):
+        out[m - 1] = step_back * out[m] - half * (step_back * gs[m] + gs[m - 1])
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
+@pytest.mark.parametrize("m", [16, 24])
+def test_duhamel_step_matches_lattice_formula(n, half_length, m):
+    """The shell-table Duhamel step gives the lattice-formula result bit for bit."""
+    g = SpacetimeGrid(SpatialGrid(n, half_length), m, 1.0)
+    rng = np.random.default_rng(n + m)
+    gs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    for sign in (+1, -1):
+        assert np.array_equal(duhamel(gs, sign, g), _duhamel_on_lattice(gs, sign, g))

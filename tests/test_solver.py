@@ -5,22 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.fft
+
 from halfwave import solver as solver_mod
 from halfwave.errors import GridMismatchError, ParameterError
 from halfwave.grid import (
     Field,
     SpacetimeField,
     SpacetimeGrid,
+    SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
     forward_transform,
     spatial_forward_slices,
+    spatial_inverse_slices,
+    time_forward,
 )
+from halfwave.propagator import EvolutionSpec, duhamel, free_slices
 from halfwave.solver import (
     CauchyData,
     NonlinearitySpec,
     SolveConfig,
     _slice_norms,
+    _slice_weight,
     default_config,
     flow_lipschitz_probe,
     from_first_order,
@@ -30,7 +37,14 @@ from halfwave.solver import (
     solve_local,
     to_first_order,
 )
-from halfwave.spaces import WindowSpec
+from halfwave.spaces import (
+    NormParams,
+    WindowSpec,
+    _xsb_weight,
+    dual_exponent,
+    window_values,
+    xsb_norm,
+)
 
 
 @pytest.fixture
@@ -297,3 +311,258 @@ def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
     assert [row["ratio"] for row in out["rows"]] == separate
     assert out["skipped"] == 1 and out["failed"] == 0
     assert separate[3] == separate[0]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
+def test_slice_weight_matches_lattice_formula(n, half_length):
+    """The shell-table data-space weight equals <xi>^{s r'} on every lattice point."""
+    g = SpacetimeGrid(SpatialGrid(n, half_length), 4, 1.0)
+    for r in (2.0, 1.5, 1.2):
+        for s in (1.0, 2.0, -0.5):
+            got = _slice_weight(g, r, s)
+            assert got.shape == g.spatial.shape and got.flags.c_contiguous
+            assert np.array_equal(got, g.spatial.bracket ** (s * dual_exponent(r)))
+
+
+# ------------------------------------------------------------ real-data path
+
+_NONLINEARITIES = [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")]
+
+
+def _rhs_reference(sp, sm, ns, g, source=None):
+    """The out-of-place rhs_eval formula; the in-place one must match it bit for bit."""
+    sg = g.spatial
+    mask = sg.dealias_mask
+
+    def deriv(spec):
+        shape = [1, 1, 1, 1]
+        shape[("t", "x1", "x2", "x3").index(ns.derivative)] = sg.n
+        return 1j * sg.xi_axis.reshape(shape) * spec
+
+    def inverse(spec):
+        return spatial_inverse_slices(g, spec).data
+
+    def forward(values):
+        return spatial_forward_slices(SpacetimeField(g, values))
+
+    dtw = -1j * sg.bracket * (sp - sm)
+    if ns.k == 1:
+        w = inverse(mask * (sp + sm))
+        if ns.derivative == "t":
+            b = forward(2.0 * w * inverse(mask * dtw))
+        else:
+            b = deriv(mask * forward(w * w))
+    else:
+        dw = inverse(mask * (dtw if ns.derivative == "t" else deriv(sp + sm)))
+        b = forward(dw * dw)
+    bracket = (mask * b) / 4.0 + (sp + sm) / 2.0
+    if source is not None:
+        bracket = bracket + source
+    gm = bracket / sg.bracket
+    return -gm, gm
+
+
+def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
+    """The out-of-place two-component Picard loop with _rhs_reference."""
+    g = cfg.grid
+    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    core = np.abs(g.t_axis) <= cfg.delta + 1e-12
+    params = NormParams(r, s, cfg.b, +1)
+    weight = _xsb_weight(g, params)
+    free_p = free_slices(fp, g, EvolutionSpec("J", +1))
+    free_m = free_slices(fm, g, EvolutionSpec("J", -1))
+
+    def sup_norm(diff):
+        return np.max(_slice_norms(g, diff, r, s)[core])
+
+    def restricted(diff):
+        spec = SpacetimeSpectrum(g, time_forward(g, window * diff))
+        return xsb_norm(spec, params, weight=weight)
+
+    sp, sm = free_p, free_m
+    distances, restricted_distances = [], []
+    for _ in range(cfg.max_iter):
+        gp, gm = _rhs_reference(sp, sm, ns, g, source)
+        new_p = free_p + duhamel(window * gp, +1, g)
+        new_m = free_m + duhamel(window * gm, -1, g)
+        d = float(sup_norm(new_p - sp) + sup_norm(new_m - sm))
+        distances.append(d)
+        restricted_distances.append(restricted(new_p - sp) + restricted(new_m - sm))
+        sp, sm = new_p, new_m
+        if d <= cfg.tol:
+            break
+    return sp, sm, distances, restricted_distances
+
+
+def _complex_noise(rng, shape, amp=1.0):
+    return amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _conj_reflect_by_index(a):
+    """conj a(-xi) over the last three axes by the index map k -> (-k) mod n."""
+    for axis in (-3, -2, -1):
+        n = a.shape[axis]
+        a = np.take(a, (-np.arange(n)) % n, axis=axis)
+    return np.conj(a)
+
+
+def _small_grid():
+    return SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 16, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("derivative", ["t", "x1", "x2", "x3"])
+def test_rhs_eval_matches_reference_bitwise(k, derivative):
+    g = _small_grid()
+    rng = np.random.default_rng(10 * k + len(derivative))
+    sp, sm, src = (_complex_noise(rng, g.shape) for _ in range(3))
+    keep = sp.copy(), sm.copy(), src.copy()
+    ns = NonlinearitySpec(k, derivative)
+    for source in (None, src):
+        got = rhs_eval(sp, sm, ns, g, source=source)
+        want = _rhs_reference(sp, sm, ns, g, source)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for a, b in zip((sp, sm, src), keep):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+def test_general_path_matches_reference_bitwise(k, derivative):
+    """Non-real data take the general path, which is the out-of-place loop bit for bit."""
+    g = _small_grid()
+    sg = g.spatial
+    rng = np.random.default_rng(k + 7)
+    env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    fp = Spectrum(sg, _complex_noise(rng, sg.shape, 0.02) * env)
+    fm = Spectrum(sg, _complex_noise(rng, sg.shape, 0.02) * env)
+    src = _complex_noise(rng, g.shape, 1e-3)
+    ns = NonlinearitySpec(k, derivative)
+    cfg = default_config(g, 0.25)
+    for source in (None, src):
+        res = picard_iterate(fp, fm, ns, cfg, source=source)
+        sp, sm, dist, rdist = _picard_reference(fp, fm, ns, cfg, source)
+        assert not res.real_data and res.converged
+        assert np.array_equal(res.sp, sp) and np.array_equal(res.sm, sm)
+        assert res.distances == dist and res.restricted_distances == rdist
+
+
+def _general_solve(*args, **kwargs):
+    """solve_local with the real-data test switched off: the general path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "_hermitian_part", lambda fp, fm, source: None)
+        return solve_local(*args, **kwargs)
+
+
+def _max_rel(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+@pytest.mark.parametrize("with_source", [False, True])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), amp=st.floats(1e-3, 3e-2))
+def test_real_path_matches_general(k, derivative, with_source, seed, amp):
+    """On random real data the real path reproduces the general one to 1e-13
+    relative; the contraction factors and the Box residual are rounding-limited."""
+    g = _small_grid()
+    sg = g.spatial
+    rng = np.random.default_rng(seed)
+    env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    u0, u1 = (_complex_noise(rng, sg.shape, amp) * env for _ in range(2))
+    d = CauchyData(Spectrum(sg, (u0 + _conj_reflect_by_index(u0)) / 2.0),
+                   Spectrum(sg, (u1 + _conj_reflect_by_index(u1)) / 2.0))
+    fp, fm = to_first_order(d)
+    source = None
+    if with_source:
+        source = SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j)
+    ns, cfg = NonlinearitySpec(k, derivative), default_config(g, 0.25)
+    real = solve_local(fp, fm, ns, cfg, source=source)
+    general = _general_solve(fp, fm, ns, cfg, source=source)
+    assert real.result.real_data and not general.result.real_data
+    assert real.result.iterations == general.result.iterations
+    assert _max_rel(real.u.data, general.u.data) <= 1e-13
+    assert _max_rel(real.dtu.data, general.dtu.data) <= 1e-13
+    assert _max_rel(real.result.distances, general.result.distances) <= 1e-13
+    assert _max_rel(real.result.restricted_distances,
+                    general.result.restricted_distances) <= 1e-13
+    assert np.array_equal(real.result.sm, _conj_reflect_by_index(real.result.sp))
+
+
+def test_real_path_detection_edges():
+    g = _small_grid()
+    sg = g.spatial
+    ns, cfg = NonlinearitySpec(1, "x1"), default_config(g, 0.25, max_iter=3)
+    fp, fm = to_first_order(_gaussian_data(sg))
+    assert picard_iterate(fp, fm, ns, cfg).real_data
+    rng = np.random.default_rng(3)
+    scale = np.abs(fp.data).max()
+
+    # 1e-10 off real data: the general path
+    off = Spectrum(sg, fp.data + _complex_noise(rng, sg.shape, 1e-10 * scale))
+    assert not picard_iterate(off, fm, ns, cfg).real_data
+
+    # within the tolerance, with mass on the Nyquist planes: projected, and
+    # u_- is conj R u_+ exactly at the end
+    z = _complex_noise(rng, sg.shape, scale)
+    z = (z + _conj_reflect_by_index(z)) / 2.0
+    near_p = Spectrum(sg, z + _complex_noise(rng, sg.shape, 1e-16 * scale))
+    near_m = Spectrum(sg, _conj_reflect_by_index(z) + _complex_noise(rng, sg.shape, 1e-16 * scale))
+    res = picard_iterate(near_p, near_m, ns, cfg)
+    assert res.real_data
+    assert np.abs(res.sp[:, 0]).min() > 0 and np.abs(res.sp[..., 0]).min() > 0
+    assert np.array_equal(res.sm, _conj_reflect_by_index(res.sp))
+
+    # a real source keeps the real path; a non-real one forces the general path
+    real_src = spatial_forward_slices(SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j))
+    assert picard_iterate(fp, fm, ns, cfg, source=real_src).real_data
+    odd_src = real_src + _complex_noise(rng, g.shape, 1e-10 * np.abs(real_src).max())
+    assert not picard_iterate(fp, fm, ns, cfg, source=odd_src).real_data
+
+
+def test_picard_grid_validation():
+    """Real data are checked against the grid too, although u_- is not iterated."""
+    g = _small_grid()
+    fp, fm = to_first_order(_gaussian_data(g.spatial))
+    ns, cfg = NonlinearitySpec(1, "x1"), default_config(g, 0.25, max_iter=2)
+    other = Spectrum(SpatialGrid(8, np.pi), fm.data)
+    with pytest.raises(GridMismatchError):
+        picard_iterate(fp, other, ns, cfg)
+    with pytest.raises(GridMismatchError):
+        picard_iterate(fp, fm, ns, cfg, source=np.zeros((g.m - 1,) + g.spatial.shape, complex))
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+def test_real_path_transform_count(monkeypatch, k, derivative):
+    """Per Picard iteration the real path makes at most the general path's
+    scipy.fft calls less the second component's one time transform."""
+    calls = []
+
+    def counted(name):
+        original = getattr(scipy.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, counted(name))
+    g = _small_grid()
+    fp, fm = to_first_order(_gaussian_data(g.spatial))
+    ns = NonlinearitySpec(k, derivative)
+
+    def per_iteration(run):
+        counts = []
+        for iterations in (2, 3):
+            calls.clear()
+            res = run(default_config(g, 0.25, max_iter=iterations, tol=0.0))
+            assert res.iterations == iterations
+            counts.append(len(calls))
+        return counts[1] - counts[0]
+
+    real = per_iteration(lambda cfg: picard_iterate(fp, fm, ns, cfg))
+    general = per_iteration(lambda cfg: solver_mod._picard(fp, fm, ns, cfg, 2.0, 1.0, None))
+    assert real <= general - 1

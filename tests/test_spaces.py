@@ -14,6 +14,7 @@ from halfwave.grid import (
 )
 from halfwave.spaces import (
     NormParams,
+    _xsb_norms,
     _xsb_weight,
     WindowSpec,
     apply_window,
@@ -178,3 +179,24 @@ def test_xsb_weight_matches_lattice_formula(n, half_length, m):
             want = sg.bracket ** (p.s * rp) * modulation ** (p.b * rp)
             assert got.shape == g.shape and got.flags.c_contiguous
             assert np.array_equal(got[sample], want)
+
+
+@pytest.mark.parametrize("r", [2.0, 1.5, 1.2])
+def test_xsb_norm_matches_out_of_place_formula(stg, r):
+    """|F|^{r'} w formed in place sums bit for bit as the out-of-place
+    formula; a second weight reuses |F|^{r'}."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(stg.shape) + 1j * rng.standard_normal(stg.shape)
+    F = forward_transform(SpacetimeField(stg, x))
+    keep = F.data.copy()
+    p = NormParams(r, 1.0, 0.55, +1)
+    w = _xsb_weight(stg, p)
+    total = np.sum(w * np.abs(F.data) ** p.rprime) * stg.spatial.dxi**3 * stg.dtau
+    want = float(total ** (1.0 / p.rprime))
+    assert xsb_norm(F, p) == want
+    assert xsb_norm(SpacetimeField(stg, x), p, weight=w) == want
+    other = _xsb_weight(stg, NormParams(r, 1.0, 0.55, -1))
+    pair = _xsb_norms(F, p, (other, w))
+    assert pair[1] == want
+    assert pair[0] == pytest.approx(xsb_norm(F, p, weight=other), rel=1e-13)
+    assert np.array_equal(F.data, keep)
