@@ -29,15 +29,17 @@ from .errors import (
     ParameterError,
 )
 from .grid import (
+    SpacetimeField,
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
+    _spatial_dft,
     forward_transform,
     time_forward,
 )
-from .propagator import EvolutionSpec, free_slices, free_spacetime
+from .propagator import EvolutionSpec, _free_slices_at, free_slices
 from .quadrature import tanh_sinh
-from .spaces import WindowSpec, apply_window, window_values
+from .spaces import WindowSpec, _grid_window, window_values
 
 __all__ = [
     "ReductionSpec",
@@ -310,14 +312,39 @@ def product_transform_direct(
     g: SpacetimeGrid,
     w: WindowSpec,
 ) -> SpacetimeSpectrum:
-    """Space-time transform of the windowed product of two free waves."""
+    """Space-time transform of the windowed product of two free waves.
+
+    The time slices on which the window vanishes are left exact zeros: the
+    free waves and their product are formed only where it is nonzero.
+    """
     if u0.grid != g.spatial or v0.grid != g.spatial:
         raise GridMismatchError("data do not live on the spatial lattice")
-    uf = free_spacetime(u0, g, EvolutionSpec("D", sp.first))
-    vf = free_spacetime(v0, g, EvolutionSpec("D", sp.second))
-    prod = type(uf)(g, uf.data * vf.data)
-    windowed = apply_window(prod, w)
-    return forward_transform(windowed)
+    return _windowed_product(u0, v0, sp, g, _grid_window(g, w))
+
+
+def _windowed_product(
+    u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor: np.ndarray
+) -> SpacetimeSpectrum:
+    """Space-time transform of factor(t) times the product of two free waves.
+
+    The free slices, their spatial inverses and the product are formed from
+    the first to the last time slice on which factor is nonzero; the other
+    slices are exact zeros, which is what factor makes of them.  Each formed
+    slice is the one the full-lattice formula gives.
+    """
+    out = np.zeros(g.shape, dtype=np.complex128)
+    nonzero = np.flatnonzero(factor)
+    if nonzero.size:
+        keep = slice(nonzero[0], nonzero[-1] + 1)
+        uf, vf = (
+            _spatial_dft(_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep]),
+                         (1, 2, 3), g.spatial, inverse=True)
+            for a, sign in ((u0, sp.first), (v0, sp.second))
+        )
+        prod = out[keep]
+        np.multiply(uf, vf, out=prod)
+        prod *= factor[keep, None, None, None]
+    return forward_transform(SpacetimeField(g, out))
 
 
 def bilinear_symbol_product(

@@ -61,15 +61,25 @@ def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:
     The phase depends on xi through the radial symbol only, so it is
     evaluated once per (time, shell) and gathered onto the lattice.
     """
-    sg = g.spatial
-    if u0.grid != sg:
+    if u0.grid != g.spatial:
         raise GridMismatchError("initial spectrum does not live on the spatial lattice")
+    return _free_slices_at(u0, e, g.t_axis)
+
+
+def _phase_table(sg, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
+    """The free phases at the times t on every shell, shape (len(t), n_shells)."""
     if e.kind == "D":
         sgn, sym = e.sign, sg.shell_values
     else:
         sgn, sym = -e.sign, sg.shell_brackets
-    table = np.exp(1j * sgn * g.t_axis[:, None] * sym[None])
-    out = np.take(table, sg.shell_index, axis=1)  # C order, unlike table[:, index]
+    return np.exp(1j * sgn * t[:, None] * sym[None])
+
+
+def _free_slices_at(u0: Spectrum, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
+    """free_slices on the times t alone: each slice is the one free_slices gives."""
+    sg = u0.grid
+    # np.take gives C order, unlike table[:, index]
+    out = np.take(_phase_table(sg, e, t), sg.shell_index, axis=1)
     out *= u0.data
     return out
 

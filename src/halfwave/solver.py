@@ -39,6 +39,7 @@ from .propagator import EvolutionSpec, duhamel, free_slices
 from .spaces import (
     NormParams,
     WindowSpec,
+    _sobolev_weight,
     _xsb_norms,
     _xsb_weight,
     dual_exponent,
@@ -308,12 +309,6 @@ def _hermitian_part(fp: Spectrum, fm: Spectrum, source: np.ndarray | None):
     return Spectrum(fp.grid, (fp.data + rfm) / 2.0), source
 
 
-def _slice_weight(g: SpacetimeGrid, r: float, s: float) -> np.ndarray:
-    """<xi>^(s r'), the lattice weight of the data-space norm, per shell and gathered."""
-    sg = g.spatial
-    return np.take(sg.shell_brackets ** (s * dual_exponent(r)), sg.shell_index)
-
-
 def _slice_norms(
     g: SpacetimeGrid,
     spec_slices: np.ndarray,
@@ -321,10 +316,10 @@ def _slice_norms(
     s: float,
     wt: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sobolev_hat_norm of every time slice, vectorized; wt is _slice_weight(g, r, s)."""
+    """sobolev_hat_norm of every time slice, vectorized; wt is _sobolev_weight(g.spatial, r, s)."""
     rp = dual_exponent(r)
     if wt is None:
-        wt = _slice_weight(g, r, s)
+        wt = _sobolev_weight(g.spatial, r, s)
     totals = np.sum(wt[None] * np.abs(spec_slices) ** rp, axis=(1, 2, 3))
     return (totals * g.spatial.dxi**3) ** (1.0 / rp)
 
@@ -416,7 +411,7 @@ def _picard(
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
     core = _core_slices(g, cfg.delta)
     params = NormParams(r, s, cfg.b, +1)
-    slice_wt = _slice_weight(g, r, s)
+    slice_wt = _sobolev_weight(g.spatial, r, s)
     xsb_wt = _xsb_weight(g, params)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     if real:

@@ -19,7 +19,9 @@ from .grid import (
     SpacetimeSpectrum,
     Spectrum,
     forward_transform,
+    time_forward,
 )
+from .propagator import EvolutionSpec, _phase_table
 
 __all__ = [
     "NormParams",
@@ -100,15 +102,19 @@ def window_values(w: WindowSpec, t) -> np.ndarray:
     return out
 
 
-def apply_window(u: SpacetimeField, w: WindowSpec) -> SpacetimeField:
-    """Multiply a space-time field by the time window."""
-    g = u.grid
+def _grid_window(g, w: WindowSpec) -> np.ndarray:
+    """The window on g's time axis; it must fit inside the time range."""
     if w.support > g.half_time:
         raise ParameterError(
             f"window support {w.support} exceeds the time half-width {g.half_time}"
         )
-    vals = window_values(w, g.t_axis)
-    return SpacetimeField(g, u.data * vals[:, None, None, None])
+    return window_values(w, g.t_axis)
+
+
+def apply_window(u: SpacetimeField, w: WindowSpec) -> SpacetimeField:
+    """Multiply a space-time field by the time window."""
+    vals = _grid_window(u.grid, w)
+    return SpacetimeField(u.grid, u.data * vals[:, None, None, None])
 
 
 def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
@@ -118,9 +124,13 @@ def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
         raise RepresentationError("sobolev_hat_norm expects a spatial Spectrum")
     rp = dual_exponent(r)
     g = F.grid
-    w = g.bracket ** (s * rp)
-    total = np.sum(w * np.abs(F.data) ** rp) * g.dxi**3
+    total = np.sum(_sobolev_weight(g, r, s) * np.abs(F.data) ** rp) * g.dxi**3
     return float(total ** (1.0 / rp))
+
+
+def _sobolev_weight(sg, r: float, s: float) -> np.ndarray:
+    """<xi>^{s r'} on the spatial lattice, evaluated per shell and gathered."""
+    return np.take(sg.shell_brackets ** (s * dual_exponent(r)), sg.shell_index)
 
 
 def _spacetime_spectrum(u) -> SpacetimeSpectrum:
@@ -141,18 +151,22 @@ def lr_xt_norm(F, r: float) -> float:
     return float(total ** (1.0 / rp))
 
 
-def _xsb_weight(grid, p: NormParams) -> np.ndarray:
-    """<xi>^{s r'} <tau - sign*|xi|>^{b r'} on the (M, N, N, N) lattice.
-
-    The weight is radial in xi: it is evaluated once per (tau, shell) and
-    gathered through the grid's shell_index.
-    """
+def _xsb_weight_table(grid, p: NormParams) -> np.ndarray:
+    """<xi>^{s r'} <tau - sign*|xi|>^{b r'} per (tau, shell), shape (M, n_shells)."""
     sg = grid.spatial
     tau = grid.tau_axis[:, None]
     rp = p.rprime
     modulation = np.sqrt(1.0 + (tau - p.sign * sg.shell_values) ** 2)
-    table = sg.shell_brackets ** (p.s * rp) * modulation ** (p.b * rp)
-    return np.take(table, sg.shell_index, axis=1)
+    return sg.shell_brackets ** (p.s * rp) * modulation ** (p.b * rp)
+
+
+def _xsb_weight(grid, p: NormParams) -> np.ndarray:
+    """The X-weight on the (M, N, N, N) lattice.
+
+    The weight is radial in xi: it is evaluated once per (tau, shell) and
+    gathered through the grid's shell_index.
+    """
+    return np.take(_xsb_weight_table(grid, p), grid.spatial.shell_index, axis=1)
 
 
 def xsb_norm(u, p: NormParams, weight: np.ndarray | None = None) -> float:
@@ -177,6 +191,30 @@ def _xsb_norms(F: SpacetimeSpectrum, p: NormParams, weights) -> list[float]:
     a *= weights[-1]
     totals.append(np.sum(a))
     return [float((t * g.spatial.dxi**3 * g.dtau) ** (1.0 / p.rprime)) for t in totals]
+
+
+def _free_xsb_norm(u0: Spectrum, g, time_factor: np.ndarray, p: NormParams) -> float:
+    """xsb_norm of the free wave time_factor(t) e^{i sign t|xi|} u0, sign = p.sign.
+
+    Taken from the data, with no lattice transform: the space-time spectrum
+    is T(tau, shell(xi)) u0(xi), where T is the time transform of
+    time_factor(t) e^{i sign t|xi|} on each shell.  So the norm is the sum
+    over (tau, shell) of the X-weight times |T|^{r'} times the shell sum of
+    |u0|^{r'}.
+    """
+    sg = g.spatial
+    rp = p.rprime
+    phases = _phase_table(sg, EvolutionSpec("D", p.sign), g.t_axis)
+    phases *= time_factor[:, None]
+    T = np.abs(time_forward(g, phases))
+    T **= rp
+    T *= _xsb_weight_table(g, p)
+    a = np.abs(u0.data)
+    a **= rp
+    shell_sums = np.bincount(sg.shell_index.ravel(), weights=a.ravel(),
+                             minlength=sg.shell_values.size)
+    total = np.dot(T.sum(axis=0), shell_sums)
+    return float((total * sg.dxi**3 * g.dtau) ** (1.0 / rp))
 
 
 def z_norm(u, dtu, p: NormParams) -> float:

@@ -19,6 +19,7 @@ from scipy.optimize import minimize
 
 from .bilinear import (
     SignPair,
+    _windowed_product,
     bilinear_symbol_product,
     product_transform_direct,
     surface_mass,
@@ -30,10 +31,15 @@ from .grid import (
     SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
-    forward_transform,
 )
-from .propagator import EvolutionSpec, free_spacetime
-from .spaces import NormParams, WindowSpec, apply_window, dual_exponent, sobolev_hat_norm, xsb_norm
+from .spaces import (
+    NormParams,
+    WindowSpec,
+    _free_xsb_norm,
+    _grid_window,
+    dual_exponent,
+    sobolev_hat_norm,
+)
 
 __all__ = [
     "scaling_grid",
@@ -184,10 +190,13 @@ class EstimateReport:
 
 
 def _weighted_st_norm(S: SpacetimeSpectrum, r: float, weight: np.ndarray) -> float:
-    """L^{r'} space-time lattice norm of weight * |F|."""
+    """L^{r'} space-time lattice norm of weight * |F|, formed in place."""
     rp = dual_exponent(r)
     g = S.grid
-    total = np.sum((weight * np.abs(S.data)) ** rp) * g.spatial.dxi**3 * g.dtau
+    a = np.abs(S.data)
+    a *= weight
+    a **= rp
+    total = np.sum(a) * g.spatial.dxi**3 * g.dtau
     return float(total ** (1.0 / rp))
 
 
@@ -204,11 +213,17 @@ def _judge_groups(report: EstimateReport, key: str, groups) -> EstimateReport:
 
 
 def _key_weights(grid, sigma: float):
-    """(J^sigma, J^(sigma-1) d_x, J^(sigma-1) d_t) weights on the (tau, xi) lattice."""
+    """(J^sigma, J^(sigma-1) d_x, J^(sigma-1) d_t) weights on the (tau, xi) lattice.
+
+    The first two depend on xi alone, shape (N, N, N); the third has shape
+    (M, N, N, N).  Each is evaluated per shell and gathered.
+    """
     sg = grid.spatial
-    tau = grid.tau_axis[:, None, None, None]
-    br = sg.bracket[None]
-    return br**sigma, br ** (sigma - 1.0) * sg.modulus, br ** (sigma - 1.0) * np.abs(tau)
+    lower = sg.shell_brackets ** (sigma - 1.0)
+    dt_table = lower * np.abs(grid.tau_axis)[:, None]
+    return (np.take(sg.shell_brackets**sigma, sg.shell_index),
+            np.take(lower * sg.shell_values, sg.shell_index),
+            np.take(dt_table, sg.shell_index, axis=1))
 
 
 def _fixed_window_grid(lam: float, n: int) -> tuple[SpacetimeGrid, WindowSpec]:
@@ -314,7 +329,11 @@ def check_key_estimate(
     Free-wave rows compare the two derivative-weighted product norms to the
     product of data norms.  Full rows window (and optionally modulate) the
     free waves and compare to the product of their modulation-weighted
-    space-time norms.
+    space-time norms.  Those X-norms are taken straight from the data (the
+    spectrum of a windowed free wave is a time transform per shell times the
+    data), and the modulations cancel in the product, which is windowed by
+    the square of the window.  Products are formed and transformed only on
+    the time slices where their window is nonzero.
     """
     if sigma <= 2.0 / r or b <= 1.0 / r:
         raise ParameterError("key estimate needs sigma > 2/r and b > 1/r")
@@ -332,18 +351,16 @@ def check_key_estimate(
         # grid whose physical window duration does not depend on the scale
         gf, wf = _fixed_window_grid(lam, n)
         u0f, v0f = _data_pair(kind, lam, seed, gf.spatial)
-        mod = np.exp(1j * modulation * gf.t_axis)[:, None, None, None]
-        uw = free_spacetime(u0f, gf, EvolutionSpec("D", signs.first))
-        vw = free_spacetime(v0f, gf, EvolutionSpec("D", signs.second))
-        uw = apply_window(type(uw)(gf, uw.data * mod), wf)
-        vw = apply_window(type(vw)(gf, vw.data * np.conj(mod)), wf)
-        prod = forward_transform(type(uw)(gf, uw.data * vw.data))
+        win = _grid_window(gf, wf)
+        mod = np.exp(1j * modulation * gf.t_axis)
+        prod = _windowed_product(u0f, v0f, signs, gf, win * win)
         wj, _, wt2 = _key_weights(gf, sigma)
         report.add(
             lam,
             _weighted_st_norm(prod, r, wj) + _weighted_st_norm(prod, r, wt2),
-            xsb_norm(uw, NormParams(r, sigma, b, signs.first))
-            * xsb_norm(vw, NormParams(r, sigma, b, signs.second)),
+            _free_xsb_norm(u0f, gf, win * mod, NormParams(r, sigma, b, signs.first))
+            * _free_xsb_norm(v0f, gf, win * np.conj(mod),
+                             NormParams(r, sigma, b, signs.second)),
             form="full",
         )
     return _judge_groups(report.finalize(), "form", ("free", "full"))
@@ -531,14 +548,14 @@ def extremizer_search(
         scale, width, a2, a3 = x
         key = round(float(scale), 6)
         if key not in sg_cache:
-            sg_cache[key] = scaling_grid(float(scale), n=n, m=m)
-        g, w = sg_cache[key]
+            g, w = scaling_grid(float(scale), n=n, m=m)
+            sg_cache[key] = g, w, _key_weights(g, sigma)[1:]
+        g, w, (wx, wt) = sg_cache[key]
         fam = DataFamily(kind=kind, scale=float(scale), width=float(width),
                          anisotropy=(1.0, float(a2), float(a3)), seed=seed)
         rng = np.random.default_rng(seed)
         u0 = family_spectrum(fam, g.spatial, rng)
         S = product_transform_direct(u0, u0, signs, g, w)
-        _, wx, wt = _key_weights(g, sigma)
         lhs = _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt)
         rhs = sobolev_hat_norm(u0, r, sigma) ** 2
         return _ratio(lhs, rhs)

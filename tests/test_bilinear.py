@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halfwave import bilinear
 from halfwave.bilinear import (
     PowerWeight,
     ReductionSpec,
@@ -15,8 +16,10 @@ from halfwave.bilinear import (
 )
 from halfwave.dyadic import region_masks
 from halfwave.errors import BudgetError, DivergentIntegralError, ParameterError
-from halfwave.grid import SpacetimeGrid, SpatialGrid, Spectrum
-from halfwave.spaces import WindowSpec
+from halfwave.grid import SpacetimeField, SpacetimeGrid, SpatialGrid, Spectrum, forward_transform
+from halfwave.propagator import EvolutionSpec, free_spacetime
+from halfwave.spaces import WindowSpec, apply_window, window_values
+from halfwave.verify import _data_pair, scaling_grid
 
 
 def test_elliptic_constant():
@@ -173,6 +176,52 @@ def test_exchange_symmetry():
     one = product_transform_direct(u0, v0, SignPair(+1, -1), g, w)
     two = product_transform_direct(v0, u0, SignPair(-1, +1), g, w)
     assert np.abs(one.data - two.data).max() < 1e-10 * np.abs(one.data).max()
+
+
+def _product_reference(u0, v0, sp, g, w):
+    """The full-lattice formula: both free waves in configuration space on
+    every time slice, multiplied, windowed and transformed."""
+    uf = free_spacetime(u0, g, EvolutionSpec("D", sp.first))
+    vf = free_spacetime(v0, g, EvolutionSpec("D", sp.second))
+    return forward_transform(apply_window(SpacetimeField(g, uf.data * vf.data), w))
+
+
+@pytest.mark.parametrize("lam", [2.0, 16.0])
+@pytest.mark.parametrize("flat_fraction", [0.5, 1.0])
+@pytest.mark.parametrize("full_support", [False, True])
+def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_support,
+                                                     monkeypatch):
+    """The product formed only on the slices where the window is nonzero
+    equals the full-lattice formula bit for bit; with the sharp window over
+    the whole time range every slice is formed."""
+    g, ladder = scaling_grid(lam)
+    support = g.half_time if full_support else ladder.support
+    w = WindowSpec(flat_fraction=flat_fraction, support=support)
+    u0, v0 = _data_pair("random-bandlimited", lam, 5, g.spatial)
+    formed = []
+    real = bilinear._free_slices_at
+
+    def counted(u, e, t):
+        formed.append(t.size)
+        return real(u, e, t)
+
+    monkeypatch.setattr(bilinear, "_free_slices_at", counted)
+    for sp in (SignPair(+1, +1), SignPair(+1, -1), SignPair(-1, +1)):
+        got = product_transform_direct(u0, v0, sp, g, w)
+        assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w).data)
+    nonzero = np.flatnonzero(window_values(w, g.t_axis))
+    assert set(formed) == {nonzero[-1] + 1 - nonzero[0]}
+    if full_support and flat_fraction == 1.0:
+        assert formed[0] == g.m
+    elif not full_support:
+        assert formed[0] <= g.m // 2 + 1
+
+
+def test_product_transform_window_wider_than_time_range():
+    sg, g, w, u0, v0 = _small_setup()
+    wide = WindowSpec(support=1.01 * g.half_time, flat_fraction=0.5)
+    with pytest.raises(ParameterError):
+        product_transform_direct(u0, v0, SignPair(+1, +1), g, wide)
 
 
 def test_single_mode_peak_location():

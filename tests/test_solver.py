@@ -27,7 +27,6 @@ from halfwave.solver import (
     NonlinearitySpec,
     SolveConfig,
     _slice_norms,
-    _slice_weight,
     default_config,
     flow_lipschitz_probe,
     from_first_order,
@@ -40,6 +39,7 @@ from halfwave.solver import (
 from halfwave.spaces import (
     NormParams,
     WindowSpec,
+    _sobolev_weight,
     _xsb_weight,
     dual_exponent,
     window_values,
@@ -320,7 +320,7 @@ def test_slice_weight_matches_lattice_formula(n, half_length):
     g = SpacetimeGrid(SpatialGrid(n, half_length), 4, 1.0)
     for r in (2.0, 1.5, 1.2):
         for s in (1.0, 2.0, -0.5):
-            got = _slice_weight(g, r, s)
+            got = _sobolev_weight(g.spatial, r, s)
             assert got.shape == g.spatial.shape and got.flags.c_contiguous
             assert np.array_equal(got, g.spatial.bracket ** (s * dual_exponent(r)))
 

@@ -161,6 +161,21 @@ def test_restricted_norm_bounds(stg):
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
+def test_sobolev_hat_norm_matches_lattice_formula(n, half_length):
+    """The norm with its weight from the shell table equals the sum with
+    <xi>^{s r'} evaluated on every lattice point, bit for bit."""
+    sg = SpatialGrid(n, half_length)
+    rng = np.random.default_rng(n)
+    F = Spectrum(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape))
+    for r in (2.0, 1.5, 1.2):
+        rp = dual_exponent(r)
+        for s in (1.0, 1.4, -0.5):
+            total = np.sum(sg.bracket ** (s * rp) * np.abs(F.data) ** rp) * sg.dxi**3
+            assert sobolev_hat_norm(F, r, s) == float(total ** (1.0 / rp))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_length", [2.0 * np.pi, 1.3])
 @pytest.mark.parametrize("m", [16, 64, 256])
 def test_xsb_weight_matches_lattice_formula(n, half_length, m):
     """The shell-table weight equals <xi>^{s r'} <tau - sign|xi|>^{b r'}

@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 
 from halfwave import verify
-from halfwave.bilinear import SignPair
+from halfwave.bilinear import SignPair, product_transform_direct
 from halfwave.errors import ParameterError
+from halfwave.grid import SpacetimeField, forward_transform
+from halfwave.propagator import EvolutionSpec, free_spacetime
+from halfwave.spaces import (
+    NormParams,
+    _free_xsb_norm,
+    apply_window,
+    dual_exponent,
+    window_values,
+    xsb_norm,
+)
 from halfwave.verify import (
     BOUNDED_SPREAD,
     DataFamily,
@@ -155,6 +165,113 @@ def test_key_estimate_reports_both_forms():
         check_key_estimate(2.0, 1.25, 0.3)  # b must exceed 1/r
 
 
+def _fixed_window_grid16(lam):
+    return verify._fixed_window_grid(lam, 16)
+
+
+_GRIDS = {"scaling": scaling_grid, "fixed-window": _fixed_window_grid16}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("kind", ["gaussian-bump", "shell-concentrated"])
+@pytest.mark.parametrize("lam", [2.0, 16.0])
+def test_free_xsb_norm_matches_lattice_norm(grid, kind, lam):
+    """The X-norm taken from the data equals xsb_norm of the windowed,
+    modulated free wave sampled on the space-time lattice."""
+    g, w = _GRIDS[grid](lam)
+    u0, _ = verify._data_pair(kind, lam, 0, g.spatial)
+    win = window_values(w, g.t_axis)
+    for mu in (0.0, 2.5):
+        mod = np.exp(1j * mu * g.t_axis)
+        for sign in (+1, -1):
+            wave = free_spacetime(u0, g, EvolutionSpec("D", sign))
+            field = apply_window(SpacetimeField(g, wave.data * mod[:, None, None, None]), w)
+            for r, sigma, b in ((2.0, 1.25, 0.55), (1.5, 1.4, 0.72)):
+                p = NormParams(r, sigma, b, sign)
+                assert _free_xsb_norm(u0, g, win * mod, p) == pytest.approx(
+                    xsb_norm(field, p), rel=1e-13)
+
+
+def _key_weights_reference(g, sigma):
+    """The key-estimate weights evaluated on every lattice point."""
+    sg = g.spatial
+    tau = g.tau_axis[:, None, None, None]
+    lower = sg.bracket ** (sigma - 1.0)
+    return sg.bracket**sigma, lower * sg.modulus, lower[None] * np.abs(tau)
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("lam", [2.0, 16.0])
+def test_key_weights_match_lattice_formula(grid, lam):
+    g, _ = _GRIDS[grid](lam)
+    for sigma in (1.25, 1.4, 0.5):
+        for got, want in zip(verify._key_weights(g, sigma), _key_weights_reference(g, sigma)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
+def _weighted_norm_reference(S, r, weight):
+    rp = dual_exponent(r)
+    total = np.sum((weight * np.abs(S.data)) ** rp) * S.grid.spatial.dxi**3 * S.grid.dtau
+    return float(total ** (1.0 / rp))
+
+
+def _sobolev_reference(F, r, s):
+    rp = dual_exponent(r)
+    sg = F.grid
+    total = np.sum(sg.bracket ** (s * rp) * np.abs(F.data) ** rp) * sg.dxi**3
+    return float(total ** (1.0 / rp))
+
+
+def _key_rows_reference(r, sigma, b, signs, kind, lams, n, m, modulation, seed):
+    """(lhs, rhs, form) of every check_key_estimate row, by the lattice
+    formulas: the full form windows and modulates each free wave in
+    configuration space and takes its X-norm through a forward transform."""
+    rows = []
+    for lam in lams:
+        g, w = scaling_grid(lam, n=n, m=m)
+        u0, v0 = verify._data_pair(kind, lam, seed, g.spatial)
+        S = product_transform_direct(u0, v0, signs, g, w)
+        _, wx, wt = _key_weights_reference(g, sigma)
+        rows.append((_weighted_norm_reference(S, r, wx) + _weighted_norm_reference(S, r, wt),
+                     _sobolev_reference(u0, r, sigma) * _sobolev_reference(v0, r, sigma),
+                     "free"))
+        gf, wf = verify._fixed_window_grid(lam, n)
+        u0f, v0f = verify._data_pair(kind, lam, seed, gf.spatial)
+        mod = np.exp(1j * modulation * gf.t_axis)[:, None, None, None]
+        uw = free_spacetime(u0f, gf, EvolutionSpec("D", signs.first))
+        vw = free_spacetime(v0f, gf, EvolutionSpec("D", signs.second))
+        uw = apply_window(SpacetimeField(gf, uw.data * mod), wf)
+        vw = apply_window(SpacetimeField(gf, vw.data * np.conj(mod)), wf)
+        prod = forward_transform(SpacetimeField(gf, uw.data * vw.data))
+        wj, _, wt2 = _key_weights_reference(gf, sigma)
+        rows.append((_weighted_norm_reference(prod, r, wj)
+                     + _weighted_norm_reference(prod, r, wt2),
+                     xsb_norm(uw, NormParams(r, sigma, b, signs.first))
+                     * xsb_norm(vw, NormParams(r, sigma, b, signs.second)),
+                     "full"))
+    return rows
+
+
+@pytest.mark.parametrize("signs", [SignPair(+1, +1), SignPair(+1, -1)], ids=["ee", "hyp"])
+@pytest.mark.parametrize("r, sigma, b, modulation", [(2.0, 1.25, 0.55, 0.0),
+                                                     (1.5, 1.4, 0.72, 2.5)])
+def test_key_estimate_matches_lattice_reference(signs, r, sigma, b, modulation):
+    """Free-form rows are bit-identical to the lattice formulas; full-form
+    rows, whose X-norms come from the data, agree to 1e-13."""
+    args = dict(signs=signs, kind="shell-concentrated", lams=(2.0, 8.0), n=16, m=32,
+                modulation=modulation, seed=0)
+    rep = check_key_estimate(r, sigma, b, **args)
+    want = _key_rows_reference(r, sigma, b, **args)
+    assert [row["form"] for row in rep.rows] == [form for _, _, form in want]
+    for row, (lhs, rhs, form) in zip(rep.rows, want):
+        if form == "free":
+            assert (row["lhs"], row["rhs"]) == (lhs, rhs)
+        else:
+            assert row["lhs"] == pytest.approx(lhs, rel=1e-13)
+            assert row["rhs"] == pytest.approx(rhs, rel=1e-13)
+
+
 def test_sharpness_growth_and_control():
     grow = sharpness_probe(2.0, 0.5, lams=(4.0, 8.0, 16.0, 32.0))
     assert grow.exponent >= 0.4
@@ -202,6 +319,19 @@ def test_extremizer_degenerate_box():
     assert res["converged"]
     assert res["best_params"] == (2.0, 1.0, 0.5, 0.5)
     assert np.isfinite(res["best_ratio"])
+
+
+def test_extremizer_weights_once_per_grid(monkeypatch):
+    """The key weights are computed with each cached grid, not per evaluation."""
+    grids, weights = [], []
+    for name, calls in (("scaling_grid", grids), ("_key_weights", weights)):
+        def counted(*args, real=getattr(verify, name), calls=calls, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(verify, name, counted)
+    res = extremizer_search(2.0, 1.25, 0.55, budget=30, n=8, m=8, seed=0)
+    assert len(weights) == len(grids) < res["evaluations"]
 
 
 def test_extremizer_flag_ignores_budget_remainder():
