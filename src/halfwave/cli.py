@@ -350,6 +350,7 @@ def cmd_solve(cfg, args):
             "delta_trace": trace,
             "converged": rep.result.converged,
             "diverged": rep.result.diverged,
+            "status": rep.result.status,
             "iterations": rep.result.iterations,
             "real_data": rep.result.real_data,
             "contraction_factors": rep.result.rhos,

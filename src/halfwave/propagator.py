@@ -94,7 +94,10 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
 
     Takes and returns spatial spectral slices, shape (M, N, N, N) on g.
     Trapezoidal integrating-factor rule, second order in dt, swept forward
-    and backward from the time-origin lattice point.
+    and backward from the time-origin lattice point.  Slice m of the result
+    reads the forcing between the origin and slice m only, so a forcing that
+    vanishes outside a block of slices can be swept on that block alone
+    (the Picard solver does); outside it the sweep is the free step.
     """
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
@@ -102,15 +105,19 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
         raise GridMismatchError(
             f"forcing slices of shape {np.shape(gs)} do not match the grid {g.shape}"
         )
+    return _duhamel(gs, sign, g, g.origin_index)
+
+
+def _duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid, m0: int) -> np.ndarray:
+    """duhamel on a stack of consecutive time slices whose slice m0 is t = 0."""
     sg = g.spatial
     dt = g.dt
     # e^{-sign i dt J}, radial: evaluated per shell and gathered
     step = np.take(np.exp(-1j * sign * dt * sg.shell_brackets), sg.shell_index)
     step_back = np.conj(step)
-    out = np.zeros(g.shape, dtype=np.complex128)
-    m0 = g.origin_index
+    out = np.zeros(gs.shape, dtype=np.complex128)
     half = -1j * dt / 2.0
-    for m in range(m0, g.m - 1):
+    for m in range(m0, len(gs) - 1):
         out[m + 1] = step * out[m] + half * (step * gs[m] + gs[m + 1])
     for m in range(m0, 0, -1):
         out[m - 1] = step_back * out[m] - half * (step_back * gs[m] + gs[m - 1])

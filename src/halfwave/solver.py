@@ -26,16 +26,15 @@ from .grid import (
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
+    _spatial_dft,
     conj_reflect,
     hermitian_full,
     reflect,
-    spatial_forward_half,
     spatial_forward_slices,
-    spatial_inverse_half,
     spatial_inverse_slices,
     time_forward,
 )
-from .propagator import EvolutionSpec, duhamel, free_slices
+from .propagator import EvolutionSpec, _duhamel, duhamel, free_slices
 from .spaces import (
     NormParams,
     WindowSpec,
@@ -152,13 +151,14 @@ def from_first_order(fp: Spectrum, fm: Spectrum) -> tuple[Spectrum, Spectrum]:
     return Spectrum(sg, u0), Spectrum(sg, u1)
 
 
-def _spatial_derivative(g: SpacetimeGrid, spec_slices: np.ndarray, derivative: str) -> np.ndarray:
-    """i xi_d times the slices, in place; on a half spectrum xi_3 is cut to its half."""
+def _spatial_derivative(
+    g: SpacetimeGrid, spec_slices: np.ndarray, derivative: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """i xi_d times the slices, into out; on a half spectrum xi_3 is cut to its half."""
     axis = _DERIVS.index(derivative)
     shape = [1, 1, 1, 1]
     shape[axis] = spec_slices.shape[axis]
-    spec_slices *= 1j * g.spatial.xi_axis[: shape[axis]].reshape(shape)
-    return spec_slices
+    return np.multiply(spec_slices, 1j * g.spatial.xi_axis[: shape[axis]].reshape(shape), out=out)
 
 
 def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray:
@@ -169,34 +169,36 @@ def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray
 
 
 def _to_space(g: SpacetimeGrid, spec: np.ndarray, real: bool) -> np.ndarray:
-    """Configuration slices of spectral slices; real ones from half spectra."""
-    return spatial_inverse_half(g, spec) if real else spatial_inverse_slices(g, spec).data
+    """Configuration slices of any number of spectral slices; real ones from half spectra."""
+    return _spatial_dft(spec, (1, 2, 3), g.spatial, inverse=True, real=real)
 
 
 def _to_spectrum(g: SpacetimeGrid, values: np.ndarray, real: bool) -> np.ndarray:
-    """Spectral slices of configuration slices; half spectra of real ones."""
-    if real:
-        return spatial_forward_half(g, values)
-    return spatial_forward_slices(SpacetimeField(g, values))
+    """Spectral slices of any number of configuration slices; half spectra of real ones."""
+    return _spatial_dft(values, (1, 2, 3), g.spatial, real=real)
 
 
 def _bilinear_spec(
-    sp: np.ndarray, sm: np.ndarray, ns: NonlinearitySpec, g: SpacetimeGrid, real: bool = False
+    sp: np.ndarray,
+    sm: np.ndarray,
+    w: np.ndarray,
+    ns: NonlinearitySpec,
+    g: SpacetimeGrid,
+    real: bool = False,
 ) -> np.ndarray:
-    """Spectral slices of B_k(w, w) for w = u_+ + u_-, from 2/3-rule dealiased factors.
+    """Spectral slices of B_k(w, w) for w = sp + sm, from 2/3-rule dealiased factors.
 
     For d(w^2) with a spatial derivative the factor of d is the dealiased
     product; otherwise the output itself is not masked.  d_t w always comes
     from the evolution identity, never from differencing.  With real=True,
-    sp and sm are the half spectra of real data (sm = conj R sp), w is real,
-    and the product goes through the real transforms; the output is the half
-    spectrum of B.
+    sp, sm and w are the half spectra of real data (sm = conj R sp), w is
+    real, and the product goes through the real transforms; the output is
+    the half spectrum of B.  The slices may be any consecutive time slices;
+    none of the arguments is changed.
     """
     mask = g.spatial.dealias_mask[..., : sp.shape[-1]]
     if ns.k == 1:
-        w = sp + sm
-        w *= mask
-        w = _to_space(g, w, real)
+        w = _to_space(g, w * mask, real)
         if ns.derivative == "t":
             # d_t(w^2) = 2 w d_t w
             dtw = _dt_w_slices(g, sp, sm)
@@ -207,11 +209,11 @@ def _bilinear_spec(
         w *= w
         pspec = _to_spectrum(g, w, real)
         pspec *= mask
-        return _spatial_derivative(g, pspec, ns.derivative)
+        return _spatial_derivative(g, pspec, ns.derivative, out=pspec)
     if ns.derivative == "t":
         dspec = _dt_w_slices(g, sp, sm)
     else:
-        dspec = _spatial_derivative(g, sp + sm, ns.derivative)
+        dspec = _spatial_derivative(g, w, ns.derivative)
     dspec *= mask
     dw = _to_space(g, dspec, real)
     dw *= dw
@@ -228,13 +230,14 @@ def _rhs_minus(
 ) -> np.ndarray:
     """g_- = J^{-1} (B_k(w, w)/4 + w/2 + S), in place on the product's slices.
 
-    With real=True every argument and the result are half spectra.
+    With real=True every argument and the result are half spectra.  Any
+    number of consecutive time slices is accepted.
     """
     h = sp.shape[-1]
-    out = _bilinear_spec(sp, sm, ns, g, real)
+    w = sp + sm
+    out = _bilinear_spec(sp, sm, w, ns, g, real)
     out *= g.spatial.dealias_mask[..., :h]
     out /= 4.0
-    w = sp + sm
     w /= 2.0
     out += w
     if source is not None:
@@ -334,7 +337,10 @@ class PicardResult:
 
     up and um are the same iterates in configuration space, transformed on
     first access.  real_data tells whether the real-data path ran (see
-    picard_iterate).
+    picard_iterate).  status says why the loop stopped: "converged" (a
+    distance reached tol), "unconverged" (the budget ran out), "diverged"
+    (three consecutive growing distances) or "nonfinite" (a non-finite
+    distance); converged and diverged are read from it.
     """
 
     grid: SpacetimeGrid
@@ -343,10 +349,17 @@ class PicardResult:
     distances: list = dc_field(default_factory=list)
     restricted_distances: list = dc_field(default_factory=list)
     rhos: list = dc_field(default_factory=list)
-    converged: bool = False
-    diverged: bool = False
     iterations: int = 0
     real_data: bool = False
+    status: str = "unconverged"
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+    @property
+    def diverged(self) -> bool:
+        return self.status in ("diverged", "nonfinite")
 
     @cached_property
     def up(self) -> SpacetimeField:
@@ -373,7 +386,14 @@ def picard_iterate(
     |t| <= delta of the data-space norm (both components) and as the
     windowed space-time restriction norm; rho_n is their step ratio.  Three
     consecutive growing distances, or one non-finite distance, flag
-    divergence.
+    divergence (see PicardResult.status).
+
+    The forcing is multiplied by the time window, so the loop reads only
+    the block of time slices where the window is nonzero: the right side,
+    its transforms and the Duhamel sweep run there, and the iterate is
+    extended to the whole time axis once, at the end, by one full sweep of
+    the last forcing.  The result is the same, bit for bit, as iterating on
+    every slice.
 
     Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
@@ -406,54 +426,79 @@ def _picard(
     """picard_iterate on both components, or on u_+ of real data when fm is None."""
     g = cfg.grid
     real = fm is None
+    # the window is even, nonincreasing in |t| and 1 on the core, so the
+    # slices where it is nonzero are one block around t = 0; the core is
+    # joined in only so that no rounding of delta can leave a core slice out
+    window = window_values(cfg.window, g.t_axis)
+    core = _core_slices(g, cfg.delta)
+    kept = np.flatnonzero((window != 0) | core)
+    blk = slice(kept[0], kept[-1] + 1)
+    m0 = g.origin_index - blk.start
+    core = core[blk]
     # loop invariants; the window only scales time, so it commutes with the
     # spatial transform and applies to spectral slices directly
-    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
-    core = _core_slices(g, cfg.delta)
+    window = window[blk, None, None, None]
     params = NormParams(r, s, cfg.b, +1)
     slice_wt = _sobolev_weight(g.spatial, r, s)
     xsb_wt = _xsb_weight(g, params)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
+    free_bp = free_p[blk]
+    if source is not None:
+        source = source[blk]
     if real:
         h = g.spatial.n // 2 + 1
-        source_half = None if source is None else source[..., :h]
+        source = None if source is None else source[..., :h]
         # <xi> is R-invariant, so u_- has the sup distance of u_+.  The
         # X-weight is not: |F_-(tau, xi)| = |F_+(-tau, -xi)|, periodically on
         # both axes, so the X-norm of F_- is that of F_+ under the reflected weight
         xsb_wt_m = reflect(xsb_wt, (0, 1, 2, 3))
-        free_m = None
+        free_m = free_bm = None
     else:
         free_m = free_slices(fm, g, EvolutionSpec("J", -1))
+        free_bm = free_m[blk]
+    # the windowed difference on every slice, zero off the block
+    windowed = np.zeros(g.shape, dtype=np.complex128)
 
     def sup_norm(diff):
         return np.max(_slice_norms(g, diff[core], r, s, slice_wt))
 
     def windowed_spectrum(diff):
         # upper bound for the [-delta, delta] restriction norm via one window
-        diff *= window
-        return SpacetimeSpectrum(g, time_forward(g, diff))
+        np.multiply(diff, window, out=windowed[blk])
+        return SpacetimeSpectrum(g, time_forward(g, windowed))
 
-    sp, sm = free_p, free_m
-    result = PicardResult(g, sp, sm, real_data=real)
+    def extend(forcing, sign, free):
+        # the iterate on every slice: one sweep of the forcing, zero off the block
+        if forcing is None:
+            return free
+        full = np.zeros(g.shape, dtype=np.complex128)
+        full[blk] = forcing
+        out = duhamel(full, sign, g)
+        out += free
+        return out
+
+    sp, sm = free_bp, free_bm
+    gp = gm = None
+    result = PicardResult(g, free_p, free_m, real_data=real)
     grew = 0
     for n in range(cfg.max_iter):
         if real:
-            gp = _rhs_real(sp, ns, g, source_half, window)
+            gp = _rhs_real(sp, ns, g, source, window)
         else:
-            gp, gm = rhs_eval(sp, sm, ns, g, source=source)
-            gp *= window
-        new_p = duhamel(gp, +1, g)
-        new_p += free_p
+            gm = _rhs_minus(sp, sm, ns, g, source, real=False)
+            gm *= window
+            gp = -gm
+        new_p = _duhamel(gp, +1, g, m0)
+        new_p += free_bp
         # the old iterate is dead once differenced: its buffer takes the difference
-        diff_p = np.subtract(new_p, sp, out=None if sp is free_p else sp)
+        diff_p = np.subtract(new_p, sp, out=None if sp is free_bp else sp)
         if real:
             d = 2.0 * float(sup_norm(diff_p))
             dr = sum(_xsb_norms(windowed_spectrum(diff_p), params, (xsb_wt, xsb_wt_m)))
         else:
-            gm *= window
-            new_m = duhamel(gm, -1, g)
-            new_m += free_m
-            diff_m = np.subtract(new_m, sm, out=None if sm is free_m else sm)
+            new_m = _duhamel(gm, -1, g, m0)
+            new_m += free_bm
+            diff_m = np.subtract(new_m, sm, out=None if sm is free_bm else sm)
             d = float(sup_norm(diff_p) + sup_norm(diff_m))
             dr = (xsb_norm(windowed_spectrum(diff_p), params, weight=xsb_wt)
                   + xsb_norm(windowed_spectrum(diff_m), params, weight=xsb_wt))
@@ -467,15 +512,16 @@ def _picard(
         sp = new_p
         result.iterations = n + 1
         if not (math.isfinite(d) and math.isfinite(dr)):
-            result.diverged = True
+            result.status = "nonfinite"
             break
         if d <= cfg.tol:
-            result.converged = True
+            result.status = "converged"
             break
         if grew >= 3:
-            result.diverged = True
+            result.status = "diverged"
             break
-    result.sp, result.sm = sp, conj_reflect(sp) if real else sm
+    result.sp = extend(gp, +1, free_p)
+    result.sm = conj_reflect(result.sp) if real else extend(gm, -1, free_m)
     return result
 
 
@@ -496,22 +542,23 @@ def _box_residual(
     u_spec: np.ndarray,
     g: SpacetimeGrid,
     b_spec: np.ndarray,
-    core: np.ndarray,
+    audit: slice,
 ) -> tuple[float, float]:
-    """RMS of Box u - B over interior core slices; d_t^2 by 4th-order differences.
+    """RMS of Box u - B over the audit slices; d_t^2 by 4th-order differences.
 
-    u_spec and b_spec are spatial spectral slices.
+    u_spec holds the spatial spectral slices of u on the whole time axis,
+    b_spec those of B on the audit slices alone, which lie at least two
+    slices inside the grid.
     """
-    dt2 = g.dt**2
-    utt = np.full_like(u_spec, np.nan)
-    utt[2:-2] = (
-        -u_spec[:-4] + 16 * u_spec[1:-3] - 30 * u_spec[2:-2] + 16 * u_spec[3:-1] - u_spec[4:]
-    ) / (12.0 * dt2)
-    box = utt + g.spatial.modulus**2 * u_spec  # -Laplacian has symbol |xi|^2
-    idx = core.copy()
-    idx[:2] = idx[-2:] = False
-    resid = box[idx] - b_spec[idx]
-    scale = float(np.sqrt(np.mean(np.abs(b_spec[idx]) ** 2))) if idx.any() else 0.0
+    lo, hi = audit.start, audit.stop
+    u = u_spec
+    utt = (
+        -u[lo - 2:hi - 2] + 16 * u[lo - 1:hi - 1] - 30 * u[lo:hi] + 16 * u[lo + 1:hi + 1]
+        - u[lo + 2:hi + 2]
+    ) / (12.0 * g.dt**2)
+    box = utt + g.spatial.modulus**2 * u[lo:hi]  # -Laplacian has symbol |xi|^2
+    resid = box - b_spec
+    scale = float(np.sqrt(np.mean(np.abs(b_spec) ** 2))) if hi > lo else 0.0
     return float(np.sqrt(np.mean(np.abs(resid) ** 2))), scale
 
 
@@ -528,7 +575,10 @@ def solve_local(
 
     Reports the Box-residual on the interior of [-delta, delta], the
     persistence curve t -> data-space norm of the components, and for k = 2
-    the Z-norm diagnostic (both regularities of the pair (u, d_t u)).
+    the Z-norm diagnostic (both regularities of the pair (u, d_t u)).  u,
+    d_t u, the persistence curve and the Z-norm cover the whole time axis;
+    B(u, u) and the source term of the residual are formed only on the
+    slices it reads, the core less the grid's first and last two.
     """
     g = cfg.grid
     src = None if source is None else spatial_forward_slices(source)
@@ -537,19 +587,23 @@ def solve_local(
     real = result.real_data
     n = g.spatial.n
     h = n // 2 + 1 if real else n      # real data: u and d_t u from half spectra
-    u_spec = (sp + sm) / 2.0
+    w = sp + sm
+    u_spec = w / 2.0
     dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
     u = SpacetimeField(g, _to_space(g, u_spec[..., :h], real))
     dtu = SpacetimeField(g, _to_space(g, dtu_spec, real))
 
     core = _core_slices(g, cfg.delta)
+    interior = np.flatnonzero(core[2:-2]) + 2
+    audit = slice(interior[0], interior[-1] + 1) if interior.size else slice(2, 2)
     # B(u, u) = B(w, w)/4 for u = w/2
-    b_spec = _bilinear_spec(sp[..., :h], sm[..., :h], ns, g, real) / 4.0
+    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], w[audit, ..., :h],
+                            ns, g, real) / 4.0
     if real:
         b_spec = hermitian_full(b_spec, n)
     if src is not None:
-        b_spec = b_spec + src
-    residual, scale = _box_residual(u_spec, g, b_spec, core)
+        b_spec = b_spec + src[audit]
+    residual, scale = _box_residual(u_spec, g, b_spec, audit)
 
     if real:    # u_- = conj R u_+ has the slice norms of u_+
         norms = 2.0 * _slice_norms(g, sp, r, s)
@@ -560,7 +614,6 @@ def solve_local(
     z_value = None
     if ns.k == 2:
         z_value = z_norm(u, dtu, NormParams(r, s, cfg.b, +1))
-    success = result.converged and not result.diverged
     return SolveReport(
         result=result,
         u=u,
@@ -570,7 +623,7 @@ def solve_local(
         persistence=pers,
         max_jump=float(jumps.max()) if jumps.size else 0.0,
         z_value=z_value,
-        success=success,
+        success=result.converged,
     )
 
 

@@ -237,3 +237,13 @@ def test_solve_reports_picard_path(tmp_path):
     code, out = _run(tmp_path, *small, "--input", str(path), "solve")
     assert code == 0
     assert json.loads((out / "solve.json").read_text())["summary"]["real_data"] is False
+
+
+def test_solve_reports_picard_status(tmp_path):
+    """The solve JSON carries the Picard status next to the two flags it sets."""
+    code, out = _run(tmp_path, "--set", "grid.n=8", "--set", "grid.m=16",
+                     "--set", "params.delta=0.25", "solve")
+    summary = json.loads((out / "solve.json").read_text())["summary"]
+    assert code == 0
+    assert summary["status"] == "converged"
+    assert summary["converged"] is True and summary["diverged"] is False

@@ -16,7 +16,10 @@ from halfwave.grid import (
     SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
+    conj_reflect,
     forward_transform,
+    hermitian_full,
+    reflect,
     spatial_forward_slices,
     spatial_inverse_slices,
     time_forward,
@@ -40,6 +43,7 @@ from halfwave.spaces import (
     NormParams,
     WindowSpec,
     _sobolev_weight,
+    _xsb_norms,
     _xsb_weight,
     dual_exponent,
     window_values,
@@ -177,6 +181,27 @@ def test_nonfinite_distances_diverge():
     assert res.diverged and not res.converged
     assert res.iterations <= 3
     assert not np.isfinite(res.distances[-1]) or not np.isfinite(res.restricted_distances[-1])
+
+
+def test_picard_status(stg):
+    """One status says why the loop stopped; converged and diverged follow it."""
+    ns = NonlinearitySpec(1, "x1")
+    fp, fm = to_first_order(_gaussian_data(stg.spatial))
+    res = picard_iterate(fp, fm, ns, default_config(stg, 0.25))
+    assert res.status == "converged" and res.converged and not res.diverged
+    cfg = default_config(stg, 0.25, max_iter=2, tol=0.0)
+    res = picard_iterate(fp, fm, ns, cfg)
+    assert res.status == "unconverged" and not res.converged and not res.diverged
+    assert res.iterations == 2
+    assert not solve_local(fp, fm, ns, cfg).success
+    small = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    for amp, status in ((1e6, "diverged"), (1e60, "nonfinite")):
+        fp, fm = to_first_order(_gaussian_data(small.spatial, amp=amp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = picard_iterate(fp, fm, ns, default_config(small, 0.25))
+        assert res.status == status and res.diverged and not res.converged
+        finite = np.isfinite(res.distances[-1]) and np.isfinite(res.restricted_distances[-1])
+        assert finite == (status == "diverged")
 
 
 def test_budget_independence(stg):
@@ -566,3 +591,178 @@ def test_real_path_transform_count(monkeypatch, k, derivative):
     real = per_iteration(lambda cfg: picard_iterate(fp, fm, ns, cfg))
     general = per_iteration(lambda cfg: solver_mod._picard(fp, fm, ns, cfg, 2.0, 1.0, None))
     assert real <= general - 1
+
+
+# ------------------------------------------------------- window-block Picard
+
+def _window_configs(g):
+    """A window on every slice, the default one, and one on five slices."""
+    return [
+        SolveConfig(g, 0.25, WindowSpec(support=g.half_time, flat_fraction=1.0)),
+        default_config(g, 0.25),
+        SolveConfig(g, 1.5 * g.dt, WindowSpec(support=3.0 * g.dt, flat_fraction=0.5)),
+    ]
+
+
+def _block_size(cfg):
+    return int(np.count_nonzero(window_values(cfg.window, cfg.grid.t_axis)))
+
+
+def _real_data(g, amp=0.02):
+    return to_first_order(_gaussian_data(g.spatial, amp))
+
+
+def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
+    """The real-data loop on every time slice, as it ran before the loop was
+    restricted to the window's block; it returns the fields of a PicardResult."""
+    g = cfg.grid
+    fp, source = solver_mod._hermitian_part(fp, fm, source)
+    h = g.spatial.n // 2 + 1
+    source_half = None if source is None else source[..., :h]
+    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    core = np.abs(g.t_axis) <= cfg.delta + 1e-12
+    params = NormParams(r, s, cfg.b, +1)
+    xsb_wt = _xsb_weight(g, params)
+    xsb_wt_m = reflect(xsb_wt, (0, 1, 2, 3))
+    free_p = free_slices(fp, g, EvolutionSpec("J", +1))
+    sp = free_p
+    distances, restricted, rhos, status = [], [], [], "unconverged"
+    grew = 0
+    for _ in range(cfg.max_iter):
+        gp = solver_mod._rhs_real(sp, ns, g, source_half, window)
+        new_p = duhamel(gp, +1, g) + free_p
+        diff = new_p - sp
+        d = 2.0 * float(np.max(_slice_norms(g, diff[core], r, s)))
+        spec = SpacetimeSpectrum(g, time_forward(g, diff * window))
+        dr = sum(_xsb_norms(spec, params, (xsb_wt, xsb_wt_m)))
+        if distances:
+            rhos.append(d / distances[-1] if distances[-1] > 0 else 0.0)
+            grew = grew + 1 if d > distances[-1] else 0
+        distances.append(d)
+        restricted.append(dr)
+        sp = new_p
+        if not (np.isfinite(d) and np.isfinite(dr)):
+            status = "nonfinite"
+            break
+        if d <= cfg.tol:
+            status = "converged"
+            break
+        if grew >= 3:
+            status = "diverged"
+            break
+    return dict(sp=sp, sm=conj_reflect(sp), distances=distances,
+                restricted_distances=restricted, rhos=rhos, iterations=len(distances),
+                status=status, real_data=True)
+
+
+@pytest.mark.parametrize("window", [0, 1, 2])
+@pytest.mark.parametrize("k, derivative", [(1, "x1"), (2, "t")])
+def test_window_block_matches_reference_bitwise(window, k, derivative):
+    """On every window, from all slices to five, the block loop is the
+    full-axis loop bit for bit: the general path against the out-of-place
+    loop, real data against the full-axis real loop."""
+    g = _small_grid()
+    sg = g.spatial
+    cfg = _window_configs(g)[window]
+    assert _block_size(cfg) == (g.m, 7, 5)[window]
+    ns = NonlinearitySpec(k, derivative)
+    rng = np.random.default_rng(window)
+    env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    fp = Spectrum(sg, _complex_noise(rng, sg.shape, 0.02) * env)
+    fm = Spectrum(sg, _complex_noise(rng, sg.shape, 0.02) * env)
+    src = _complex_noise(rng, g.shape, 1e-3)
+    for source in (None, src):
+        res = picard_iterate(fp, fm, ns, cfg, source=source)
+        sp, sm, dist, rdist = _picard_reference(fp, fm, ns, cfg, source)
+        assert not res.real_data and res.converged
+        assert np.array_equal(res.sp, sp) and np.array_equal(res.sm, sm)
+        assert res.distances == dist and res.restricted_distances == rdist
+    rp, rm = _real_data(g)
+    real_src = spatial_forward_slices(SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j))
+    for source in (None, real_src):
+        res = picard_iterate(rp, rm, ns, cfg, source=source)
+        want = _picard_real_reference(rp, rm, ns, cfg, source)
+        assert res.real_data and res.converged
+        for name, value in want.items():
+            got = getattr(res, name)
+            assert np.array_equal(got, value) if name in ("sp", "sm") else got == value, name
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_window_block_transform_shapes(monkeypatch, real):
+    """Inside the loop every spatial transform sees the block's slices and
+    every time transform all M."""
+    g = _small_grid()
+    cfg = default_config(g, 0.25, max_iter=3, tol=0.0)
+    blk = _block_size(cfg)
+    assert blk < g.m
+    seen = []
+
+    def recorded(name):
+        original = getattr(scipy.fft, name)
+
+        def wrapper(x, *args, **kwargs):
+            seen.append((tuple(kwargs["axes"]), np.shape(x)[0]))
+            return original(x, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, recorded(name))
+    fp, fm = _real_data(g)
+    if not real:
+        fm = Spectrum(g.spatial, fm.data * np.exp(0.1j))
+    res = picard_iterate(fp, fm, NonlinearitySpec(1, "t"), cfg)
+    assert res.real_data == real and res.iterations == 3
+    spatial = [m for axes, m in seen if axes == (1, 2, 3)]
+    timed = [m for axes, m in seen if axes == (0,)]
+    assert len(spatial) + len(timed) == len(seen)
+    assert spatial and set(spatial) == {blk}
+    assert timed and set(timed) == {g.m}
+
+
+def _residual_reference(rep, ns, cfg, src=None):
+    """The Box-residual audit on full arrays: B, its source term and d_t^2 u
+    on every slice, then the core slices less the grid's first and last two."""
+    g = cfg.grid
+    sp, sm = rep.result.sp, rep.result.sm
+    real = rep.result.real_data
+    n = g.spatial.n
+    h = n // 2 + 1 if real else n
+    u_spec = (sp + sm) / 2.0
+    a, b = sp[..., :h], sm[..., :h]
+    b_spec = solver_mod._bilinear_spec(a, b, a + b, ns, g, real) / 4.0
+    if real:
+        b_spec = hermitian_full(b_spec, n)
+    if src is not None:
+        b_spec = b_spec + src
+    utt = np.full_like(u_spec, np.nan)
+    utt[2:-2] = (
+        -u_spec[:-4] + 16 * u_spec[1:-3] - 30 * u_spec[2:-2] + 16 * u_spec[3:-1] - u_spec[4:]
+    ) / (12.0 * g.dt**2)
+    box = utt + g.spatial.modulus**2 * u_spec
+    idx = np.abs(g.t_axis) <= cfg.delta + 1e-12
+    idx[:2] = idx[-2:] = False
+    resid = box[idx] - b_spec[idx]
+    return (float(np.sqrt(np.mean(np.abs(resid) ** 2))),
+            float(np.sqrt(np.mean(np.abs(b_spec[idx]) ** 2))))
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+@pytest.mark.parametrize("real", [True, False])
+def test_residual_audit_matches_full_array_reference(k, derivative, real):
+    """The Box residual formed on the audited slices alone equals the
+    full-array audit, for each window, with and without a source."""
+    g = _small_grid()
+    rng = np.random.default_rng(k)
+    fp, fm = _real_data(g)
+    if not real:
+        fm = Spectrum(g.spatial, fm.data * np.exp(0.1j))
+    source = SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j)
+    ns = NonlinearitySpec(k, derivative)
+    for cfg in _window_configs(g):
+        for src in (None, source):
+            rep = solve_local(fp, fm, ns, cfg, source=src)
+            assert rep.result.real_data == real
+            spec = None if src is None else spatial_forward_slices(src)
+            assert (rep.residual, rep.residual_scale) == _residual_reference(rep, ns, cfg, spec)
