@@ -367,21 +367,6 @@ def spatial_inverse_slices(grid: SpacetimeGrid, spec_slices: np.ndarray) -> Spac
     return SpacetimeField(grid, _spatial_dft(spec_slices, (1, 2, 3), grid.spatial, True))
 
 
-def spatial_forward_half(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:
-    """Space-only transform of real (M, N, N, N) slices to their half spectra.
-
-    The half spectrum is the first N//2 + 1 entries of the last axis of the
-    spectrum spatial_forward_slices would return; hermitian_full restores
-    the rest.
-    """
-    return _spatial_dft(slices, (1, 2, 3), grid.spatial, real=True)
-
-
-def spatial_inverse_half(grid: SpacetimeGrid, half: np.ndarray) -> np.ndarray:
-    """Real (M, N, N, N) slices from half spectra; inverse of spatial_forward_half."""
-    return _spatial_dft(half, (1, 2, 3), grid.spatial, inverse=True, real=True)
-
-
 def reflect(a: np.ndarray, axes) -> np.ndarray:
     """a(-xi): the periodic reflection k -> (-k) mod n along each of `axes`.
 
@@ -403,30 +388,27 @@ def _conj_reflect_into(out: np.ndarray, a: np.ndarray) -> None:
             np.conjugate(a[..., s1, s2, :], out=out[..., t1, t2, :])
 
 
-def conj_reflect(a: np.ndarray, size: int | None = None) -> np.ndarray:
-    """conj a(-xi), reflected on the three spatial (last) axes.
-
-    With size, only the first size entries of the last axis are formed:
-    size = N//2 + 1 gives the half spectrum of a + conj_reflect(a).
-    """
-    n = a.shape[-1]
-    size = n if size is None else size
-    out = np.empty(a.shape[:-1] + (size,), dtype=np.complex128)
+def conj_reflect(a: np.ndarray) -> np.ndarray:
+    """conj a(-xi), reflected on the three spatial (last) axes."""
+    out = np.empty(a.shape, dtype=np.complex128)
     _conj_reflect_into(out[..., :1], a[..., :1])
-    _conj_reflect_into(out[..., 1:], a[..., : n - size : -1])
+    _conj_reflect_into(out[..., 1:], a[..., :0:-1])
     return out
 
 
-def hermitian_full(half: np.ndarray, n: int) -> np.ndarray:
+def hermitian_full(half: np.ndarray, n: int, mate: np.ndarray | None = None) -> np.ndarray:
     """The full spectrum, last three axes (N, N, n), of real data from its half.
 
     half holds the first n//2 + 1 entries of the last axis; each remaining
-    entry is conj F(-xi) of one it holds.
+    entry is conj F(-xi) of one it holds.  With mate, the remaining entries
+    are conj mate(-xi) instead: the full u_+ from the half spectra of the
+    pair (u_+, u_-) of real data, u_- = conj u_+(-xi).
     """
     h = n // 2 + 1
+    mate = half if mate is None else mate
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :h] = half
-    _conj_reflect_into(out[..., h:], half[..., h - 2 : 0 : -1])
+    _conj_reflect_into(out[..., h:], mate[..., h - 2 : 0 : -1])
     return out
 
 

@@ -75,12 +75,17 @@ def _phase_table(sg, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
     return np.exp(1j * sgn * t[:, None] * sym[None])
 
 
-def _free_slices_at(u0: Spectrum, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
-    """free_slices on the times t alone: each slice is the one free_slices gives."""
+def _free_slices_at(
+    u0: Spectrum, e: EvolutionSpec, t: np.ndarray, size: int | None = None
+) -> np.ndarray:
+    """free_slices on the times t alone: each slice is the one free_slices gives.
+
+    With size, only the first size entries of the last axis are formed.
+    """
     sg = u0.grid
     # np.take gives C order, unlike table[:, index]
-    out = np.take(_phase_table(sg, e, t), sg.shell_index, axis=1)
-    out *= u0.data
+    out = np.take(_phase_table(sg, e, t), sg.shell_index[..., :size], axis=1)
+    out *= u0.data[..., :size]
     return out
 
 
@@ -109,11 +114,15 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
 
 
 def _duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid, m0: int) -> np.ndarray:
-    """duhamel on a stack of consecutive time slices whose slice m0 is t = 0."""
+    """duhamel on a stack of consecutive time slices whose slice m0 is t = 0.
+
+    The last axis may be cut to its first entries (a half spectrum).
+    """
     sg = g.spatial
     dt = g.dt
     # e^{-sign i dt J}, radial: evaluated per shell and gathered
-    step = np.take(np.exp(-1j * sign * dt * sg.shell_brackets), sg.shell_index)
+    index = sg.shell_index[..., : gs.shape[-1]]
+    step = np.take(np.exp(-1j * sign * dt * sg.shell_brackets), index)
     step_back = np.conj(step)
     out = np.zeros(gs.shape, dtype=np.complex128)
     half = -1j * dt / 2.0

@@ -6,7 +6,7 @@ exponential integrator; the nonlinearity is evaluated pointwise with
 2/3-rule dealiasing.  The iterates are kept as spatial spectral slices,
 shape (M, N, N, N); configuration space is visited only for the pointwise
 product.  Real data have u_- = conj u_+(-xi) at every iterate, so for them
-only u_+ is iterated and the product runs on half spectra.  Correctness is
+the same loop runs on the half spectra of both components.  Correctness is
 judged convention-free through the Box residual and through contraction
 diagnostics.
 """
@@ -24,7 +24,6 @@ from .errors import GridMismatchError, ParameterError
 from .grid import (
     SpacetimeField,
     SpacetimeGrid,
-    SpacetimeSpectrum,
     Spectrum,
     _spatial_dft,
     conj_reflect,
@@ -34,17 +33,15 @@ from .grid import (
     spatial_inverse_slices,
     time_forward,
 )
-from .propagator import EvolutionSpec, _duhamel, duhamel, free_slices
+from .propagator import EvolutionSpec, _duhamel, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
     _sobolev_weight,
-    _xsb_norms,
-    _xsb_weight,
+    _xsb_weight_table,
     dual_exponent,
     sobolev_hat_norm,
     window_values,
-    xsb_norm,
     z_norm,
 )
 
@@ -269,33 +266,17 @@ def rhs_eval(
     return -gm, gm
 
 
-def _rhs_real(
-    sp: np.ndarray, ns: NonlinearitySpec, g: SpacetimeGrid, source_half, window: np.ndarray
-) -> np.ndarray:
-    """window * g_+ of rhs_eval for real data, from u_+ alone.
-
-    g_+ is minus a Hermitian spectrum, so it is formed on the half lattice
-    and completed once.  The window is real and depends on t only, so it
-    commutes with the completion.
-    """
-    n = g.spatial.n
-    h = n // 2 + 1
-    gp = _rhs_minus(sp[..., :h], conj_reflect(sp, h), ns, g, source_half, real=True)
-    gp *= -window
-    return hermitian_full(gp, n)
-
-
 _REAL_RTOL = 1e-14
 
 
 def _hermitian_part(fp: Spectrum, fm: Spectrum, source: np.ndarray | None):
-    """(fp, source) projected onto real data, or None when the data are not real.
+    """(fp, fm, source) projected onto real data, or None when the data are not real.
 
     Real Cauchy data have fm = conj R fp, R the reflection xi -> -xi, and a
     real source has slices S = conj R S.  Each relation is tested to
     _REAL_RTOL relative to the largest entry of its two sides; data that
-    pass are projected onto it exactly, fp to (fp + conj R fm)/2 and S to
-    (S + conj R S)/2, so that conj R of the projected fp is the projected fm.
+    pass are projected onto it exactly, fp to (fp + conj R fm)/2, fm to
+    conj R of that and S to (S + conj R S)/2.
     """
     def close(a, b):
         scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
@@ -309,20 +290,14 @@ def _hermitian_part(fp: Spectrum, fm: Spectrum, source: np.ndarray | None):
         if not close(source, rs):
             return None
         source = (source + rs) / 2.0
-    return Spectrum(fp.grid, (fp.data + rfm) / 2.0), source
+    fp = Spectrum(fp.grid, (fp.data + rfm) / 2.0)
+    return fp, Spectrum(fp.grid, conj_reflect(fp.data)), source
 
 
-def _slice_norms(
-    g: SpacetimeGrid,
-    spec_slices: np.ndarray,
-    r: float,
-    s: float,
-    wt: np.ndarray | None = None,
-) -> np.ndarray:
-    """sobolev_hat_norm of every time slice, vectorized; wt is _sobolev_weight(g.spatial, r, s)."""
+def _slice_norms(g: SpacetimeGrid, spec_slices: np.ndarray, r: float, s: float) -> np.ndarray:
+    """sobolev_hat_norm of every time slice, vectorized."""
     rp = dual_exponent(r)
-    if wt is None:
-        wt = _sobolev_weight(g.spatial, r, s)
+    wt = _sobolev_weight(g.spatial, r, s)
     totals = np.sum(wt[None] * np.abs(spec_slices) ** rp, axis=(1, 2, 3))
     return (totals * g.spatial.dxi**3) ** (1.0 / rp)
 
@@ -331,16 +306,46 @@ def _core_slices(g: SpacetimeGrid, delta: float) -> np.ndarray:
     return np.abs(g.t_axis) <= delta + 1e-12
 
 
+def _norm_weights(g: SpacetimeGrid, p: NormParams, h: int) -> list:
+    """(weight, mate) of the slice norms and of the X-norm on the first h entries
+    of the last axis.  On the full lattice the mates are None.  On the half
+    lattice of real data, F_+ off the half is conj F_- at the reflected point,
+    (t, -xi) or (-tau, -xi); a mate is the weight there (the X-weight reflected
+    in tau) on the planes 1 .. h-2, and zero on the self-conjugate planes 0 and
+    h-1, which the half holds whole."""
+    index = g.spatial.shell_index[..., :h]
+    table = _xsb_weight_table(g, p)
+    weights = _sobolev_weight(g.spatial, p.r, p.s)[..., :h], np.take(table, index, axis=1)
+    if h == g.spatial.n:
+        return [(wt, None) for wt in weights]
+    mates = weights[0].copy(), np.take(reflect(table, (0,)), index, axis=1)
+    for mate in mates:
+        mate[..., [0, -1]] = 0.0
+    return list(zip(weights, mates))
+
+
+def _pair_totals(a_p: np.ndarray, a_m: np.ndarray, weights, axes):
+    """sum(wt a_+) + sum(mate a_-) over axes, and the same with +- swapped, for
+    a_pm = |F_pm|^{r'} (overwritten) and a (wt, mate) pair of _norm_weights."""
+    wt, mate = weights
+    mates = (0.0, 0.0) if mate is None else (
+        np.sum(a_m * mate, axis=axes), np.sum(a_p * mate, axis=axes))
+    a_p *= wt
+    a_m *= wt
+    return np.sum(a_p, axis=axes) + mates[0], np.sum(a_m, axis=axes) + mates[1]
+
+
 @dataclass
 class PicardResult:
     """Final iterates as spatial spectral slices (sp, sm), plus diagnostics.
 
     up and um are the same iterates in configuration space, transformed on
-    first access.  real_data tells whether the real-data path ran (see
-    picard_iterate).  status says why the loop stopped: "converged" (a
-    distance reached tol), "unconverged" (the budget ran out), "diverged"
-    (three consecutive growing distances) or "nonfinite" (a non-finite
-    distance); converged and diverged are read from it.
+    first access.  real_data tells whether the data were real, so that the
+    loop ran on half spectra (see picard_iterate); sm is then conj R sp
+    exactly.  status says why the loop stopped: "converged" (a distance
+    reached tol), "unconverged" (the budget ran out), "diverged" (three
+    consecutive growing distances) or "nonfinite" (a non-finite distance);
+    converged and diverged are read from it.
     """
 
     grid: SpacetimeGrid
@@ -397,8 +402,10 @@ def picard_iterate(
 
     Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
-    only u_+ is iterated, its pointwise product goes through the real
-    transforms, and u_- is formed once at the end.
+    the pair cut to the half lattice (the first N//2 + 1 entries of the last
+    axis) fixes both components.  The loop then runs on half spectra, with
+    the real transforms and the mate weights of _norm_weights; u_+ is
+    completed once, at the end.
     """
     g = cfg.grid
     if fp.grid != g.spatial or fm.grid != g.spatial:
@@ -407,25 +414,11 @@ def picard_iterate(
         raise GridMismatchError(
             f"source slices of shape {np.shape(source)} do not match the grid {g.shape}"
         )
-    real = _hermitian_part(fp, fm, source)
-    if real is None:
-        return _picard(fp, fm, ns, cfg, r, s, source)
-    fp, source = real
-    return _picard(fp, None, ns, cfg, r, s, source)
-
-
-def _picard(
-    fp: Spectrum,
-    fm: Spectrum | None,
-    ns: NonlinearitySpec,
-    cfg: SolveConfig,
-    r: float,
-    s: float,
-    source: np.ndarray | None,
-) -> PicardResult:
-    """picard_iterate on both components, or on u_+ of real data when fm is None."""
-    g = cfg.grid
-    real = fm is None
+    projected = _hermitian_part(fp, fm, source)
+    real = projected is not None
+    if real:
+        fp, fm, source = projected
+    h = g.spatial.n // 2 + 1 if real else g.spatial.n
     # the window is even, nonincreasing in |t| and 1 on the core, so the
     # slices where it is nonzero are one block around t = 0; the core is
     # joined in only so that no rounding of delta can leave a core slice out
@@ -439,78 +432,65 @@ def _picard(
     # spatial transform and applies to spectral slices directly
     window = window[blk, None, None, None]
     params = NormParams(r, s, cfg.b, +1)
-    slice_wt = _sobolev_weight(g.spatial, r, s)
-    xsb_wt = _xsb_weight(g, params)
-    free_p = free_slices(fp, g, EvolutionSpec("J", +1))
-    free_bp = free_p[blk]
+    rp = params.rprime
+    dxi3 = g.spatial.dxi**3
+    slice_wts, xsb_wts = _norm_weights(g, params, h)
+    free_p = _free_slices_at(fp, EvolutionSpec("J", +1), g.t_axis, h)
+    free_m = _free_slices_at(fm, EvolutionSpec("J", -1), g.t_axis, h)
+    free_bp, free_bm = free_p[blk], free_m[blk]
     if source is not None:
-        source = source[blk]
-    if real:
-        h = g.spatial.n // 2 + 1
-        source = None if source is None else source[..., :h]
-        # <xi> is R-invariant, so u_- has the sup distance of u_+.  The
-        # X-weight is not: |F_-(tau, xi)| = |F_+(-tau, -xi)|, periodically on
-        # both axes, so the X-norm of F_- is that of F_+ under the reflected weight
-        xsb_wt_m = reflect(xsb_wt, (0, 1, 2, 3))
-        free_m = free_bm = None
-    else:
-        free_m = free_slices(fm, g, EvolutionSpec("J", -1))
-        free_bm = free_m[blk]
+        source = source[blk, ..., :h]
     # the windowed difference on every slice, zero off the block
-    windowed = np.zeros(g.shape, dtype=np.complex128)
+    windowed = np.zeros(free_p.shape, dtype=np.complex128)
 
-    def sup_norm(diff):
-        return np.max(_slice_norms(g, diff[core], r, s, slice_wt))
+    def sup_distance(diffs):
+        totals = _pair_totals(*(np.abs(x[core]) ** rp for x in diffs), slice_wts, (1, 2, 3))
+        return float(sum(np.max((t * dxi3) ** (1.0 / rp)) for t in totals))
 
-    def windowed_spectrum(diff):
+    def x_distance(diffs):
         # upper bound for the [-delta, delta] restriction norm via one window
-        np.multiply(diff, window, out=windowed[blk])
-        return SpacetimeSpectrum(g, time_forward(g, windowed))
+        powers = []
+        for x in diffs:
+            np.multiply(x, window, out=windowed[blk])
+            powers.append(np.abs(time_forward(g, windowed)) ** rp)
+        totals = _pair_totals(*powers, xsb_wts, None)
+        return sum(float((t * dxi3 * g.dtau) ** (1.0 / rp)) for t in totals)
 
     def extend(forcing, sign, free):
         # the iterate on every slice: one sweep of the forcing, zero off the block
         if forcing is None:
             return free
-        full = np.zeros(g.shape, dtype=np.complex128)
+        full = np.zeros(free.shape, dtype=np.complex128)
         full[blk] = forcing
-        out = duhamel(full, sign, g)
+        out = _duhamel(full, sign, g, g.origin_index)
         out += free
         return out
 
     sp, sm = free_bp, free_bm
     gp = gm = None
-    result = PicardResult(g, free_p, free_m, real_data=real)
+    result = PicardResult(g, None, None, real_data=real)
     grew = 0
-    for n in range(cfg.max_iter):
-        if real:
-            gp = _rhs_real(sp, ns, g, source, window)
-        else:
-            gm = _rhs_minus(sp, sm, ns, g, source, real=False)
-            gm *= window
-            gp = -gm
+    for it in range(cfg.max_iter):
+        gm = _rhs_minus(sp, sm, ns, g, source, real)
+        gm *= window
+        gp = -gm
         new_p = _duhamel(gp, +1, g, m0)
         new_p += free_bp
-        # the old iterate is dead once differenced: its buffer takes the difference
-        diff_p = np.subtract(new_p, sp, out=None if sp is free_bp else sp)
-        if real:
-            d = 2.0 * float(sup_norm(diff_p))
-            dr = sum(_xsb_norms(windowed_spectrum(diff_p), params, (xsb_wt, xsb_wt_m)))
-        else:
-            new_m = _duhamel(gm, -1, g, m0)
-            new_m += free_bm
-            diff_m = np.subtract(new_m, sm, out=None if sm is free_bm else sm)
-            d = float(sup_norm(diff_p) + sup_norm(diff_m))
-            dr = (xsb_norm(windowed_spectrum(diff_p), params, weight=xsb_wt)
-                  + xsb_norm(windowed_spectrum(diff_m), params, weight=xsb_wt))
-            sm = new_m
+        new_m = _duhamel(gm, -1, g, m0)
+        new_m += free_bm
+        # the old iterates are dead once differenced: their buffers take the differences
+        diffs = (np.subtract(new_p, sp, out=None if sp is free_bp else sp),
+                 np.subtract(new_m, sm, out=None if sm is free_bm else sm))
+        d = sup_distance(diffs)
+        dr = x_distance(diffs)
         if result.distances:
             prev = result.distances[-1]
             result.rhos.append(d / prev if prev > 0 else 0.0)
             grew = grew + 1 if d > prev else 0
         result.distances.append(d)
         result.restricted_distances.append(dr)
-        sp = new_p
-        result.iterations = n + 1
+        sp, sm = new_p, new_m
+        result.iterations = it + 1
         if not (math.isfinite(d) and math.isfinite(dr)):
             result.status = "nonfinite"
             break
@@ -520,13 +500,19 @@ def _picard(
         if grew >= 3:
             result.status = "diverged"
             break
-    result.sp = extend(gp, +1, free_p)
-    result.sm = conj_reflect(result.sp) if real else extend(gm, -1, free_m)
+    sp, sm = extend(gp, +1, free_p), extend(gm, -1, free_m)
+    if real:
+        sp = hermitian_full(sp, g.spatial.n, sm)
+        sm = conj_reflect(sp)
+    result.sp, result.sm = sp, sm
     return result
 
 
 @dataclass
 class SolveReport:
+    """A solve and its audit; status is the Picard status, or "unaudited"
+    when a converged solve has no slice to audit.  success reads status."""
+
     result: PicardResult
     u: SpacetimeField
     dtu: SpacetimeField
@@ -535,7 +521,11 @@ class SolveReport:
     persistence: np.ndarray
     max_jump: float
     z_value: float | None
-    success: bool
+    status: str
+
+    @property
+    def success(self) -> bool:
+        return self.status == "converged"
 
 
 def _box_residual(
@@ -548,9 +538,11 @@ def _box_residual(
 
     u_spec holds the spatial spectral slices of u on the whole time axis,
     b_spec those of B on the audit slices alone, which lie at least two
-    slices inside the grid.
+    slices inside the grid.  An empty audit has no residual (NaN) and scale 0.
     """
     lo, hi = audit.start, audit.stop
+    if hi <= lo:
+        return math.nan, 0.0
     u = u_spec
     utt = (
         -u[lo - 2:hi - 2] + 16 * u[lo - 1:hi - 1] - 30 * u[lo:hi] + 16 * u[lo + 1:hi + 1]
@@ -558,7 +550,7 @@ def _box_residual(
     ) / (12.0 * g.dt**2)
     box = utt + g.spatial.modulus**2 * u[lo:hi]  # -Laplacian has symbol |xi|^2
     resid = box - b_spec
-    scale = float(np.sqrt(np.mean(np.abs(b_spec) ** 2))) if hi > lo else 0.0
+    scale = float(np.sqrt(np.mean(np.abs(b_spec) ** 2)))
     return float(np.sqrt(np.mean(np.abs(resid) ** 2))), scale
 
 
@@ -578,7 +570,8 @@ def solve_local(
     the Z-norm diagnostic (both regularities of the pair (u, d_t u)).  u,
     d_t u, the persistence curve and the Z-norm cover the whole time axis;
     B(u, u) and the source term of the residual are formed only on the
-    slices it reads, the core less the grid's first and last two.
+    slices it reads, the core less the grid's first and last two.  When no
+    slice is left to audit, the report says so (SolveReport.status).
     """
     g = cfg.grid
     src = None if source is None else spatial_forward_slices(source)
@@ -623,7 +616,7 @@ def solve_local(
         persistence=pers,
         max_jump=float(jumps.max()) if jumps.size else 0.0,
         z_value=z_value,
-        success=result.converged,
+        status="unaudited" if result.converged and not interior.size else result.status,
     )
 
 

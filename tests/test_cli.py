@@ -3,6 +3,7 @@
 import ast
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,16 @@ def test_solve_reports_picard_path(tmp_path):
     code, out = _run(tmp_path, *small, "--input", str(path), "solve")
     assert code == 0
     assert json.loads((out / "solve.json").read_text())["summary"]["real_data"] is False
+
+
+def test_solve_empty_audit_fails(tmp_path):
+    """A converged solve with no slice left to audit is reported unaudited and fails."""
+    code, out = _run(tmp_path, "--set", "grid.n=8", "--set", "grid.m=4",
+                     "--set", "params.delta=0.5", "solve")
+    payload = json.loads((out / "solve.json").read_text())
+    assert code == 2 and payload["passed"] is False
+    assert payload["summary"]["status"] == "unaudited" and payload["summary"]["converged"]
+    assert math.isnan(payload["summary"]["residual"])
 
 
 def test_solve_reports_picard_status(tmp_path):

@@ -24,7 +24,7 @@ from halfwave.grid import (
     spatial_inverse_slices,
     time_forward,
 )
-from halfwave.propagator import EvolutionSpec, duhamel, free_slices
+from halfwave.propagator import EvolutionSpec, _duhamel, duhamel, free_slices
 from halfwave.solver import (
     CauchyData,
     NonlinearitySpec,
@@ -45,6 +45,7 @@ from halfwave.spaces import (
     _sobolev_weight,
     _xsb_norms,
     _xsb_weight,
+    _xsb_weight_table,
     dual_exponent,
     window_values,
     xsb_norm,
@@ -547,7 +548,7 @@ def test_real_path_detection_edges():
 
 
 def test_picard_grid_validation():
-    """Real data are checked against the grid too, although u_- is not iterated."""
+    """Both spectra and the source are checked against the grid, for real data too."""
     g = _small_grid()
     fp, fm = to_first_order(_gaussian_data(g.spatial))
     ns, cfg = NonlinearitySpec(1, "x1"), default_config(g, 0.25, max_iter=2)
@@ -560,37 +561,44 @@ def test_picard_grid_validation():
 
 @pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
 def test_real_path_transform_count(monkeypatch, k, derivative):
-    """Per Picard iteration the real path makes at most the general path's
-    scipy.fft calls less the second component's one time transform."""
+    """Per Picard iteration the real path makes the general path's scipy.fft
+    calls, each on an array whose last spectral axis is N//2 + 1."""
     calls = []
 
-    def counted(name):
+    def recorded(name):
         original = getattr(scipy.fft, name)
+        kind = {"rfftn": "fftn", "irfftn": "ifftn"}.get(name, name)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+        def wrapper(x, *args, **kwargs):
+            out = original(x, *args, **kwargs)
+            spectral = x if kind == "ifftn" else out
+            calls.append((kind, tuple(kwargs["axes"]), spectral.shape[-1]))
+            return out
 
         return wrapper
 
     for name in ("fft", "fftn", "ifftn", "rfftn", "irfftn"):
-        monkeypatch.setattr(scipy.fft, name, counted(name))
+        monkeypatch.setattr(scipy.fft, name, recorded(name))
     g = _small_grid()
+    n = g.spatial.n
     fp, fm = to_first_order(_gaussian_data(g.spatial))
     ns = NonlinearitySpec(k, derivative)
 
-    def per_iteration(run):
+    def per_iteration(real):
         counts = []
-        for iterations in (2, 3):
+        for iterations in (1, 2):
             calls.clear()
-            res = run(default_config(g, 0.25, max_iter=iterations, tol=0.0))
-            assert res.iterations == iterations
-            counts.append(len(calls))
-        return counts[1] - counts[0]
+            res = picard_iterate(fp, fm, ns, default_config(g, 0.25, max_iter=iterations, tol=0.0))
+            assert res.iterations == iterations and res.real_data == real
+            counts.append(list(calls))
+        assert counts[1] == 2 * counts[0]
+        return counts[0]
 
-    real = per_iteration(lambda cfg: picard_iterate(fp, fm, ns, cfg))
-    general = per_iteration(lambda cfg: solver_mod._picard(fp, fm, ns, cfg, 2.0, 1.0, None))
-    assert real <= general - 1
+    real = per_iteration(True)
+    monkeypatch.setattr(solver_mod, "_hermitian_part", lambda fp, fm, source: None)
+    general = per_iteration(False)
+    assert general and {size for _, _, size in general} == {n}
+    assert real == [(kind, axes, n // 2 + 1) for kind, axes, _ in general]
 
 
 # ------------------------------------------------------- window-block Picard
@@ -612,11 +620,23 @@ def _real_data(g, amp=0.02):
     return to_first_order(_gaussian_data(g.spatial, amp))
 
 
-def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
-    """The real-data loop on every time slice, as it ran before the loop was
-    restricted to the window's block; it returns the fields of a PicardResult."""
+def _rhs_real(sp, ns, g, source_half, window):
+    """window * g_+ for real data from u_+ alone on the full lattice: u_- is
+    rebuilt and g_+ completed from its half on every call."""
+    n = g.spatial.n
+    h = n // 2 + 1
+    sm = conj_reflect(sp)[..., :h]
+    gp = solver_mod._rhs_minus(sp[..., :h], sm, ns, g, source_half, real=True)
+    gp *= -window
+    return hermitian_full(gp, n)
+
+
+def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
+    """The full-lattice real-data loop on every time slice, the oracle of the
+    half-lattice one: u_+ alone, with u_- = conj R u_+ measured under the
+    reflected X-weight.  It returns the fields of a PicardResult."""
     g = cfg.grid
-    fp, source = solver_mod._hermitian_part(fp, fm, source)
+    fp, _, source = solver_mod._hermitian_part(fp, fm, source)
     h = g.spatial.n // 2 + 1
     source_half = None if source is None else source[..., :h]
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
@@ -626,17 +646,16 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     xsb_wt_m = reflect(xsb_wt, (0, 1, 2, 3))
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     sp = free_p
-    distances, restricted, rhos, status = [], [], [], "unconverged"
+    distances, restricted, status = [], [], "unconverged"
     grew = 0
     for _ in range(cfg.max_iter):
-        gp = solver_mod._rhs_real(sp, ns, g, source_half, window)
+        gp = _rhs_real(sp, ns, g, source_half, window)
         new_p = duhamel(gp, +1, g) + free_p
         diff = new_p - sp
         d = 2.0 * float(np.max(_slice_norms(g, diff[core], r, s)))
         spec = SpacetimeSpectrum(g, time_forward(g, diff * window))
         dr = sum(_xsb_norms(spec, params, (xsb_wt, xsb_wt_m)))
         if distances:
-            rhos.append(d / distances[-1] if distances[-1] > 0 else 0.0)
             grew = grew + 1 if d > distances[-1] else 0
         distances.append(d)
         restricted.append(dr)
@@ -650,6 +669,64 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
         if grew >= 3:
             status = "diverged"
             break
+    return dict(sp=sp, sm=conj_reflect(sp), distances=distances,
+                restricted_distances=restricted, iterations=len(distances), status=status)
+
+
+def _half_lattice_totals(a_p, a_m, weights, axes):
+    """The weighted sums of the half-lattice loop, out of place."""
+    wt, mate = weights
+    return (np.sum(wt * a_p, axis=axes) + np.sum(mate * a_m, axis=axes),
+            np.sum(wt * a_m, axis=axes) + np.sum(mate * a_p, axis=axes))
+
+
+def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
+    """The half-lattice real-data loop on every time slice, out of place: both
+    components on the first N//2 + 1 entries of the last axis.  It returns
+    the fields of a PicardResult."""
+    g = cfg.grid
+    n = g.spatial.n
+    h = n // 2 + 1
+    fp, fm, source = solver_mod._hermitian_part(fp, fm, source)
+    source_half = None if source is None else source[..., :h]
+    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    core = np.abs(g.t_axis) <= cfg.delta + 1e-12
+    params = NormParams(r, s, cfg.b, +1)
+    rp = params.rprime
+    slice_wts, xsb_wts = solver_mod._norm_weights(g, params, h)
+    free_p = free_slices(fp, g, EvolutionSpec("J", +1))[..., :h]
+    free_m = free_slices(fm, g, EvolutionSpec("J", -1))[..., :h]
+    sp, sm = free_p, free_m
+    distances, restricted, rhos, status = [], [], [], "unconverged"
+    grew = 0
+    for _ in range(cfg.max_iter):
+        gm = window * solver_mod._rhs_minus(sp, sm, ns, g, source_half, real=True)
+        new_p = _duhamel(-gm, +1, g, g.origin_index) + free_p
+        new_m = _duhamel(gm, -1, g, g.origin_index) + free_m
+        dp, dm = new_p - sp, new_m - sm
+        tp, tm = _half_lattice_totals(np.abs(dp[core]) ** rp, np.abs(dm[core]) ** rp,
+                                      slice_wts, (1, 2, 3))
+        dxi3 = g.spatial.dxi**3
+        d = float(np.max((tp * dxi3) ** (1.0 / rp)) + np.max((tm * dxi3) ** (1.0 / rp)))
+        fp_, fm_ = (np.abs(time_forward(g, window * x)) ** rp for x in (dp, dm))
+        xp, xm = _half_lattice_totals(fp_, fm_, xsb_wts, None)
+        dr = float((xp * dxi3 * g.dtau) ** (1.0 / rp)) + float((xm * dxi3 * g.dtau) ** (1.0 / rp))
+        if distances:
+            rhos.append(d / distances[-1] if distances[-1] > 0 else 0.0)
+            grew = grew + 1 if d > distances[-1] else 0
+        distances.append(d)
+        restricted.append(dr)
+        sp, sm = new_p, new_m
+        if not (np.isfinite(d) and np.isfinite(dr)):
+            status = "nonfinite"
+            break
+        if d <= cfg.tol:
+            status = "converged"
+            break
+        if grew >= 3:
+            status = "diverged"
+            break
+    sp = hermitian_full(sp, n, sm)
     return dict(sp=sp, sm=conj_reflect(sp), distances=distances,
                 restricted_distances=restricted, rhos=rhos, iterations=len(distances),
                 status=status, real_data=True)
@@ -766,3 +843,76 @@ def test_residual_audit_matches_full_array_reference(k, derivative, real):
             assert rep.result.real_data == real
             spec = None if src is None else spatial_forward_slices(src)
             assert (rep.residual, rep.residual_scale) == _residual_reference(rep, ns, cfg, spec)
+
+
+# ----------------------------------------------- real data on the half lattice
+
+def _random_real_data(g, rng, amp=0.02):
+    """First-order data of a random real datum with a Gaussian envelope."""
+    sg = g.spatial
+    env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    u0, u1 = (_complex_noise(rng, sg.shape, amp) * env for _ in range(2))
+    return to_first_order(CauchyData(Spectrum(sg, (u0 + _conj_reflect_by_index(u0)) / 2.0),
+                                     Spectrum(sg, (u1 + _conj_reflect_by_index(u1)) / 2.0)))
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+def test_real_path_matches_full_lattice_loop(k, derivative):
+    """The half-lattice loop reproduces the full-lattice real loop to
+    1e-13 relative, with the same iteration count and status, on each window,
+    with and without a source, converged or not, and at r = 1.5."""
+    g = _small_grid()
+    rng = np.random.default_rng(20 + k)
+    fp, fm = _random_real_data(g, rng)
+    src = spatial_forward_slices(SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j))
+    ns = NonlinearitySpec(k, derivative)
+    runs = [(cfg, source, 2.0) for cfg in _window_configs(g) for source in (None, src)]
+    runs += [(default_config(g, 0.25, max_iter=3, tol=0.0), src, 2.0),
+             (default_config(g, 0.25), src, 1.5)]
+    for cfg, source, r in runs:
+        res = picard_iterate(fp, fm, ns, cfg, r=r, source=source)
+        want = _picard_real_full_lattice(fp, fm, ns, cfg, source, r=r)
+        assert res.real_data
+        assert (res.iterations, res.status) == (want["iterations"], want["status"])
+        for name in ("sp", "sm", "distances", "restricted_distances"):
+            assert _max_rel(getattr(res, name), want[name]) <= 1e-13, name
+        assert np.array_equal(res.sm, _conj_reflect_by_index(res.sp))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("r", [1.2, 1.5, 2.0])
+def test_half_lattice_norms_match_full_lattice(n, r):
+    """For u_- = conj R u_+ the half-lattice sums with the mate weights give
+    the full-lattice slice norms and X-norms of both components to 1e-13."""
+    g = SpacetimeGrid(SpatialGrid(n, 2 * np.pi), 16, 1.0)
+    h = n // 2 + 1
+    rng = np.random.default_rng(n + int(10 * r))
+    up = _complex_noise(rng, g.shape)
+    um = _conj_reflect_by_index(up)
+    assert np.abs(um - up).max() > 0.1      # u_+ is not Hermitian
+    params = NormParams(r, 1.0, 0.55, +1)
+    rp = params.rprime
+    slice_wts, xsb_wts = solver_mod._norm_weights(g, params, h)
+    dxi3 = g.spatial.dxi**3
+    totals = solver_mod._pair_totals(np.abs(up[..., :h]) ** rp, np.abs(um[..., :h]) ** rp,
+                                     slice_wts, (1, 2, 3))
+    for t, u in zip(totals, (up, um)):
+        want = _slice_norms(g, u, r, 1.0)
+        assert np.max(np.abs((t * dxi3) ** (1.0 / rp) - want) / want) <= 1e-13
+    spectra = [time_forward(g, u) for u in (up, um)]
+    totals = solver_mod._pair_totals(*(np.abs(F[..., :h]) ** rp for F in spectra),
+                                     xsb_wts, None)
+    for t, F in zip(totals, spectra):
+        want = xsb_norm(SpacetimeSpectrum(g, F), params)
+        assert abs((t * dxi3 * g.dtau) ** (1.0 / rp) - want) <= 1e-13 * want
+
+
+def test_empty_audit_is_unaudited():
+    """A converged solve with no slice left to audit neither succeeds nor
+    takes the mean of an empty slice."""
+    g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 4, 1.0)
+    fp, fm = to_first_order(_gaussian_data(g.spatial))
+    rep = solve_local(fp, fm, NonlinearitySpec(1, "x1"), default_config(g, 0.5))
+    assert rep.result.converged
+    assert rep.status == "unaudited" and not rep.success
+    assert np.isnan(rep.residual) and rep.residual_scale == 0.0
