@@ -8,11 +8,11 @@ local solver for quadratic wave equations.
 
 from .bilinear import (
     PowerWeight,
+    ReductionResult,
     ReductionSpec,
     SignPair,
     SurfaceMassResult,
     bilinear_symbol_product,
-    far_tail_mass,
     product_transform_direct,
     reduction_integral,
     surface_mass,

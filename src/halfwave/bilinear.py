@@ -17,9 +17,10 @@ far-hyperbolic tail [c1, inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from . import kernels
 from .errors import (
@@ -38,16 +39,15 @@ from .grid import (
     time_forward,
 )
 from .propagator import EvolutionSpec, _free_slices_at, free_slices
-from .quadrature import tanh_sinh
 from .spaces import WindowSpec, _grid_window, window_values
 
 __all__ = [
     "ReductionSpec",
     "SignPair",
     "PowerWeight",
+    "ReductionResult",
     "SurfaceMassResult",
     "reduction_integral",
-    "far_tail_mass",
     "product_transform_direct",
     "surface_mass",
     "bilinear_symbol_product",
@@ -68,7 +68,6 @@ class ReductionSpec:
     q: float
     region: str
     c1: float = 2.0
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.region not in _REGIONS:
@@ -109,89 +108,59 @@ class SignPair:
         return self.first == self.second
 
 
-def _power_product(a: float, p: float, q: float, lo: float, hi: float) -> float:
-    """Integral of |a+x|^p |a-x|^q over [lo, hi] with stable endpoint handling."""
-
-    def integrand(x, d_lo, d_hi):
-        # |x + a|: distance to the zero at x = -a
-        if lo == -a:
-            s1 = d_lo
-        elif hi == -a:
-            s1 = d_hi
-        else:
-            s1 = abs(x + a)
-        # |a - x|: zero at x = +a
-        if lo == a:
-            s2 = d_lo
-        elif hi == a:
-            s2 = d_hi
-        else:
-            s2 = abs(a - x)
-        if (s1 == 0.0 and p != 0.0) or (s2 == 0.0 and q != 0.0):
-            return 0.0
-        val = 1.0
-        if p != 0.0:
-            val *= s1**p
-        if q != 0.0:
-            val *= s2**q
-        return val
-
-    return tanh_sinh(integrand, lo, hi)
+# QUADPACK tolerances for the reduction integrals: relative error only
+_EPSABS = 0.0
+_EPSREL = 1e-13
 
 
-def _split_points(a: float, lo: float, hi: float) -> list[float]:
-    pts = [lo]
-    for s in sorted({-a, a}):
-        if lo < s < hi:
-            pts.append(s)
-    pts.append(hi)
-    return pts
+@dataclass(frozen=True)
+class ReductionResult:
+    """A reduction integral with QUADPACK's error estimate; converged means
+    ier == 0 and a finite value."""
+
+    value: float
+    abserr: float
+    converged: bool
 
 
-def _far_integral(a: float, p: float, q: float, c1: float) -> float:
-    """Tail integral over [c1, inf) via x = c1/t, t in (0, 1]."""
-    amp = p + q + 2.0  # endpoint exponent: integrand ~ t^(-amp) at t -> 0
-
-    def integrand(t, d_lo, d_hi):
-        tt = d_lo  # stable distance to t = 0
-        if tt == 0.0:
-            return 0.0
-        base = c1 ** (p + q + 1.0) * tt ** (-amp)
-        val = base
-        if p != 0.0:
-            val *= abs(1.0 + a * tt / c1) ** p
-        if q != 0.0:
-            val *= abs(1.0 - a * tt / c1) ** q
-        return val
-
-    return tanh_sinh(integrand, 0.0, 1.0)
+def _qaws(f, lo: float, hi: float, alpha: float, beta: float) -> ReductionResult:
+    """Integral of (x-lo)^alpha (hi-x)^beta f(x) over [lo, hi] (QUADPACK QAWS)."""
+    out = quad(f, lo, hi, weight="alg", wvar=(alpha, beta),
+               epsabs=_EPSABS, epsrel=_EPSREL, full_output=1)
+    # quad appends a message to (value, abserr, infodict) exactly when ier != 0
+    value, abserr = out[:2]
+    return ReductionResult(value, abserr, len(out) == 3 and math.isfinite(value))
 
 
-def reduction_integral(spec: ReductionSpec) -> float:
-    """Value of the region integral of |a+x|^p |a-x|^q dx."""
+def _power_product(a: float, p: float, q: float, lo: float, hi: float) -> ReductionResult:
+    """Integral of |a+x|^p |a-x|^q over [lo, hi], whose zeros -a, a lie
+    outside (lo, hi): a factor that vanishes at an end is the algebraic weight
+    there, the others are f."""
+    alpha = p * (lo == -a) + q * (lo == a)
+    beta = p * (hi == -a) + q * (hi == a)
+    pf = 0.0 if -a in (lo, hi) else p
+    qf = 0.0 if a in (lo, hi) else q
+    return _qaws(lambda x: abs(a + x) ** pf * abs(a - x) ** qf, lo, hi, alpha, beta)
+
+
+def _far_integral(a: float, p: float, q: float, c1: float) -> ReductionResult:
+    """Tail integral over [c1, inf) via x = c1/t, t in (0, 1]: the integrand
+    is t^-(p+q+2) times a factor that is smooth on [0, 1] since |a| < c1."""
+
+    def f(t):
+        return c1 ** (p + q + 1.0) * abs(1.0 + a * t / c1) ** p * abs(1.0 - a * t / c1) ** q
+
+    return _qaws(f, 0.0, 1.0, -(p + q + 2.0), 0.0)
+
+
+def reduction_integral(spec: ReductionSpec) -> ReductionResult:
+    """The region integral of |a+x|^p |a-x|^q dx with its error estimate."""
     a, p, q = spec.a, spec.p, spec.q
     if spec.region == "elliptic":
-        lo, hi = -1.0, 1.0
-    elif spec.region == "hyperbolic-near":
-        lo, hi = 1.0, spec.c1
-    else:
-        return _far_integral(a, p, q, spec.c1)
-    total = 0.0
-    pts = _split_points(a, lo, hi)
-    for left, right in zip(pts[:-1], pts[1:]):
-        total += _power_product(a, p, q, left, right)
-    return total
-
-
-def far_tail_mass(rho: float, tau: float, p: float, q: float, c1: float = 2.0) -> float:
-    """Unscaled far-region integral of |tau + rho*x|^p |tau - rho*x|^q over [c1, inf).
-
-    Used to measure the |xi|-scaling exponent 2 - (s1+s2)*r without pulling
-    the prefactor out analytically.
-    """
-    if p + q >= -1.0:
-        raise DivergentIntegralError("far tail diverges: p + q >= -1")
-    return rho ** (p + q) * _far_integral(tau / rho, p, q, c1) * rho
+        return _power_product(a, p, q, -1.0, 1.0)
+    if spec.region == "hyperbolic-near":
+        return _power_product(a, p, q, 1.0, spec.c1)
+    return _far_integral(a, p, q, spec.c1)
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,10 @@ def cmd_reduce(cfg, args):
     def run():
         rows = []
         for a in a_values:
-            val = reduction_integral(ReductionSpec(a=a, p=p, q=q, region=region, c1=c1))
-            rows.append({"a": a, "p": p, "q": q, "region": region, "value": val})
-        ok = all(np.isfinite(row["value"]) for row in rows)
+            res = reduction_integral(ReductionSpec(a=a, p=p, q=q, region=region, c1=c1))
+            rows.append({"a": a, "p": p, "q": q, "region": region, "value": res.value,
+                         "abserr": res.abserr, "converged": res.converged})
+        ok = all(row["converged"] for row in rows)
         return rows, {"params": {"p": p, "q": q, "region": region, "c1": c1}}, ok
 
     return run

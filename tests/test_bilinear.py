@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from halfwave import bilinear
 from halfwave.bilinear import (
@@ -9,7 +10,6 @@ from halfwave.bilinear import (
     ReductionSpec,
     SignPair,
     bilinear_symbol_product,
-    far_tail_mass,
     product_transform_direct,
     reduction_integral,
     surface_mass,
@@ -22,41 +22,67 @@ from halfwave.spaces import WindowSpec, apply_window, window_values
 from halfwave.verify import _data_pair, scaling_grid
 
 
+def _reduce(a, p, q, region, c1=2.0):
+    """The value of a reduction integral that must report convergence."""
+    res = reduction_integral(ReductionSpec(a=a, p=p, q=q, region=region, c1=c1))
+    assert res.converged and res.abserr >= 0.0
+    return res.value
+
+
 def test_elliptic_constant():
     """p = q = 0 integrates the unit interval pair exactly: length 2."""
     for a in (1.0, 2.0, 10.0, 1000.0):
-        val = reduction_integral(ReductionSpec(a=a, p=0.0, q=0.0, region="elliptic"))
-        assert val == pytest.approx(2.0, rel=1e-12)
+        assert _reduce(a, 0.0, 0.0, "elliptic") == pytest.approx(2.0, rel=1e-12)
 
 
 def test_elliptic_pi_oracle():
-    """a = 1, p = -1/2, q = 1/2: int_{-1}^1 sqrt((1-x)/(1+x)) dx = pi."""
-    val = reduction_integral(ReductionSpec(a=1.0, p=-0.5, q=0.5, region="elliptic"))
-    assert val == pytest.approx(np.pi, abs=1e-9)
+    """At a = 1 the elliptic integral is 2^{p+q+1} B(p+1, q+1); p = -1/2,
+    q = 1/2 gives int_{-1}^1 sqrt((1-x)/(1+x)) dx = pi."""
+    assert _reduce(1.0, -0.5, 0.5, "elliptic") == pytest.approx(np.pi, rel=1e-13)
+    for p, q in [(0.0, 0.0), (-0.95, 0.3), (0.4, -0.95), (-0.95, -0.95), (1.7, -0.6), (2.0, 1.5)]:
+        exact = 2.0 ** (p + q + 1.0) * beta(p + 1.0, q + 1.0)
+        assert _reduce(1.0, p, q, "elliptic") == pytest.approx(exact, rel=1e-13)
 
 
 def test_far_inverse_square():
-    """a = 0, p = q = -1: int_2^inf x^{-2} dx = 1/2."""
-    val = reduction_integral(ReductionSpec(a=0.0, p=-1.0, q=-1.0, region="hyperbolic-far"))
-    assert val == pytest.approx(0.5, abs=1e-10)
+    """At a = 0 the far integral is int_{c1}^inf x^{p+q} dx = c1^e/(-e) with
+    e = p+q+1; p = q = -1, c1 = 2 gives int_2^inf x^{-2} dx = 1/2."""
+    assert _reduce(0.0, -1.0, -1.0, "hyperbolic-far") == pytest.approx(0.5, rel=1e-13)
+    for p, q, c1 in [(-0.95, -0.3, 2.0), (-0.2, -0.95, 3.5), (0.5, -2.5, 1.5), (-1.6, -1.3, 2.0)]:
+        e = p + q + 1.0
+        assert _reduce(0.0, p, q, "hyperbolic-far", c1) == pytest.approx(c1**e / -e, rel=1e-13)
 
 
 def test_near_constant():
-    val = reduction_integral(ReductionSpec(a=0.5, p=0.0, q=0.0, region="hyperbolic-near", c1=2.0))
-    assert val == pytest.approx(1.0, rel=1e-12)
+    """p = q = 0 gives the length c1 - 1; at a = 0 the near integral is
+    int_1^{c1} x^{p+q} dx = (c1^e - 1)/e with e = p+q+1."""
+    assert _reduce(0.5, 0.0, 0.0, "hyperbolic-near") == pytest.approx(1.0, rel=1e-12)
+    for p, q, c1 in [(-0.95, 0.3, 2.0), (0.4, -0.95, 3.5), (-0.95, -0.95, 2.0), (1.5, 2.0, 1.5)]:
+        e = p + q + 1.0
+        assert _reduce(0.0, p, q, "hyperbolic-near", c1) == pytest.approx((c1**e - 1.0) / e,
+                                                                          rel=1e-13)
+
+
+def test_near_singular_end_is_unconverged():
+    """With the zero x = -a just outside the end x = -1 the rule cannot reach
+    its tolerance: it says so, and its error estimate bounds the true error
+    (the reference value is a 40-digit evaluation)."""
+    res = reduction_integral(ReductionSpec(a=1.0 + 1e-15, p=-0.9, q=0.3, region="elliptic"))
+    assert res.converged is False
+    assert res.abserr >= abs(res.value - 12.304143010284637)
 
 
 def test_symmetry_pq_swap():
     for a in (1.0, 3.0):
-        one = reduction_integral(ReductionSpec(a=a, p=-0.4, q=0.3, region="elliptic"))
-        two = reduction_integral(ReductionSpec(a=a, p=0.3, q=-0.4, region="elliptic"))
+        one = _reduce(a, -0.4, 0.3, "elliptic")
+        two = _reduce(a, 0.3, -0.4, "elliptic")
         assert one == pytest.approx(two, rel=1e-10)
 
 
 def test_large_a_limit():
     """For p + q = 0 the elliptic integral tends to the interval length 2."""
-    v100 = reduction_integral(ReductionSpec(a=100.0, p=-0.7, q=0.7, region="elliptic"))
-    v1000 = reduction_integral(ReductionSpec(a=1000.0, p=-0.7, q=0.7, region="elliptic"))
+    v100 = _reduce(100.0, -0.7, 0.7, "elliptic")
+    v1000 = _reduce(1000.0, -0.7, 0.7, "elliptic")
     assert abs(v100 - v1000) / v1000 < 0.01
     assert v1000 == pytest.approx(2.0, rel=1e-2)
 
@@ -72,15 +98,6 @@ def test_reduction_validation():
         ReductionSpec(a=0.0, p=-0.5, q=-0.4, region="hyperbolic-far")  # p+q >= -1
     with pytest.raises(ParameterError):
         ReductionSpec(a=1.0, p=0.0, q=0.0, region="nowhere")
-
-
-def test_far_tail_mass_scaling():
-    """At fixed ratio a = tau/rho the mass (with its measure factor rho)
-    scales like rho^{p+q+1}."""
-    p, q = -0.8, -0.6
-    v1 = far_tail_mass(8.0, 4.0, p, q)
-    v2 = far_tail_mass(16.0, 8.0, p, q)
-    assert v2 / v1 == pytest.approx(2.0 ** (p + q + 1), rel=1e-8)
 
 
 def test_sign_pair():
@@ -108,8 +125,8 @@ def test_surface_mass_power_weight_oracle():
     xi = np.array([3.0, 0.0, 0.0])
     tau = 7.0
     a1, a2 = 0.5, 1.0
-    spec = ReductionSpec(a=tau / 3.0, p=1 - a1, q=1 - a2, region="elliptic")
-    exact = (np.pi / 4) * 2 ** (a1 + a2) * 3.0 ** (2 - a1 - a2) * reduction_integral(spec)
+    reduced = _reduce(tau / 3.0, 1 - a1, 1 - a2, "elliptic")
+    exact = (np.pi / 4) * 2 ** (a1 + a2) * 3.0 ** (2 - a1 - a2) * reduced
     res = surface_mass(xi, tau, SignPair(+1, +1), PowerWeight(e1=-a1, e2=-a2), h=0.15, n0=64)
     assert res.value == pytest.approx(exact, rel=0.03)
 

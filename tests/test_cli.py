@@ -26,12 +26,24 @@ def test_reduce_table(tmp_path):
     code, out = _run(tmp_path, "reduce")
     assert code == 0
     lines = (out / "reduce.csv").read_text().strip().splitlines()
-    assert lines[0] == "a,p,q,region,value"
+    assert lines[0] == "a,p,q,region,value,abserr,converged"
     for line in lines[1:]:
-        assert float(line.split(",")[-1]) == pytest.approx(2.0, rel=1e-10)
+        value, abserr, converged = line.split(",")[4:]
+        assert float(value) == pytest.approx(2.0, rel=1e-10)
+        assert 0.0 <= float(abserr) < 1e-12 and converged == "True"
     payload = json.loads((out / "reduce.json").read_text())
     assert payload["passed"] is True
     assert payload["runtime_seconds"] is None  # no --timing
+
+
+def test_reduce_unconverged_row_fails(tmp_path):
+    """A zero of the integrand just outside an end of the interval leaves the
+    quadrature unconverged; the row says so and the command exits 2."""
+    code, out = _run(tmp_path, "--set", "sweep.a_values=1.000000000000001",
+                     "--set", "params.p=-0.9", "--set", "params.q=0.3", "reduce")
+    assert code == 2
+    assert (out / "reduce.csv").read_text().strip().splitlines()[1].endswith(",False")
+    assert json.loads((out / "reduce.json").read_text())["passed"] is False
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -135,7 +147,7 @@ def test_config_file_and_override(tmp_path):
     assert code == 0
     lines = (out / "reduce.csv").read_text().strip().splitlines()
     assert len(lines) == 2
-    assert float(lines[1].split(",")[-1]) == pytest.approx(np.pi, abs=1e-6)
+    assert float(lines[1].split(",")[4]) == pytest.approx(np.pi, abs=1e-6)
 
 
 def test_config_unknown_section(tmp_path):
