@@ -345,6 +345,7 @@ def cmd_solve(cfg, args):
         fp, fm = solver_mod.to_first_order(data)
         rep = solver_mod.solve_local(fp, fm, ns, scfg, r=data.r, s=data.s)
         rows = [{"t_index": i, "persistence": float(v)} for i, v in enumerate(rep.persistence)]
+        dr = rep.result.restricted_distances
         summary = {
             "params": {"k": ns.k, "derivative": ns.derivative, "delta": chosen,
                        "r": data.r, "s": data.s},
@@ -355,6 +356,9 @@ def cmd_solve(cfg, args):
             "iterations": rep.result.iterations,
             "real_data": rep.result.real_data,
             "contraction_factors": rep.result.rhos,
+            "restricted_distances": dr,
+            "restricted_contraction_factors": [cur / prev if prev > 0 else 0.0
+                                               for prev, cur in zip(dr, dr[1:])],
             "residual": rep.residual,
             "residual_scale": rep.residual_scale,
             "max_persistence_jump": rep.max_jump,

@@ -324,9 +324,10 @@ def _shifted_dft(
     return out
 
 
-def _spatial_dft(
-    data, axes, sg: SpatialGrid, inverse: bool = False, real: bool = False
-) -> np.ndarray:
+def _spatial_dft(data, axes, sg: SpatialGrid, inverse: bool = False) -> np.ndarray:
+    """Centered spatial transform over `axes`.  The real path is read off the
+    array: a real forward input, or an inverse input on the half lattice."""
+    real = data.shape[axes[-1]] < sg.n if inverse else np.isrealobj(data)
     scale = _half_sign(sg.n) * (sg.dx**-3 if inverse else sg.dx**3)
     return _shifted_dft(data, axes, (_checkerboard(sg.n),), scale, inverse, real)
 
@@ -377,39 +378,23 @@ def reflect(a: np.ndarray, axes) -> np.ndarray:
     return np.roll(np.flip(a, axes), 1, axes)
 
 
-# (target, source) slices of the reflection along one axis: 0 <- 0, k <- n - k
-_REFLECTION = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-
-
-def _conj_reflect_into(out: np.ndarray, a: np.ndarray) -> None:
-    """out = conj a, reflected along axes -3 and -2 (the last axis as is)."""
-    for t1, s1 in _REFLECTION:
-        for t2, s2 in _REFLECTION:
-            np.conjugate(a[..., s1, s2, :], out=out[..., t1, t2, :])
-
-
 def conj_reflect(a: np.ndarray) -> np.ndarray:
     """conj a(-xi), reflected on the three spatial (last) axes."""
-    out = np.empty(a.shape, dtype=np.complex128)
-    _conj_reflect_into(out[..., :1], a[..., :1])
-    _conj_reflect_into(out[..., 1:], a[..., :0:-1])
-    return out
+    return np.conj(reflect(a, (-3, -2, -1)))
 
 
-def hermitian_full(half: np.ndarray, n: int, mate: np.ndarray | None = None) -> np.ndarray:
-    """The full spectrum, last three axes (N, N, n), of real data from its half.
+def hermitian_full(half: np.ndarray, mate: np.ndarray | None = None) -> np.ndarray:
+    """The full spectrum, last three axes (N, N, N), of real data from its half.
 
-    half holds the first n//2 + 1 entries of the last axis; each remaining
+    half holds the first N//2 + 1 entries of the last axis; each remaining
     entry is conj F(-xi) of one it holds.  With mate, the remaining entries
     are conj mate(-xi) instead: the full u_+ from the half spectra of the
     pair (u_+, u_-) of real data, u_- = conj u_+(-xi).
     """
-    h = n // 2 + 1
+    h = half.shape[-1]
     mate = half if mate is None else mate
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :h] = half
-    _conj_reflect_into(out[..., h:], mate[..., h - 2 : 0 : -1])
-    return out
+    upper = np.conj(reflect(mate[..., h - 2 : 0 : -1], (-3, -2)))
+    return np.concatenate((half, upper), axis=-1)
 
 
 def time_forward(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:

@@ -39,20 +39,9 @@ class EvolutionSpec:
             raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
 
 
-def _symbol(grid, kind: str) -> np.ndarray:
-    return grid.modulus if kind == "D" else grid.bracket
-
-
-def _phase(grid, e: EvolutionSpec, t: float) -> np.ndarray:
-    sym = _symbol(grid, e.kind)
-    if e.kind == "D":
-        return np.exp(1j * e.sign * t * sym)
-    return np.exp(-1j * e.sign * t * sym)
-
-
 def evolve(F: Spectrum, e: EvolutionSpec) -> Spectrum:
     """Apply the unitary evolution at time e.t."""
-    return Spectrum(F.grid, F.data * _phase(F.grid, e, e.t))
+    return Spectrum(F.grid, _free_slices_at(F, e, np.array([e.t]))[0])
 
 
 def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:

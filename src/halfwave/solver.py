@@ -165,14 +165,14 @@ def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray
     return out
 
 
-def _to_space(g: SpacetimeGrid, spec: np.ndarray, real: bool) -> np.ndarray:
+def _to_space(g: SpacetimeGrid, spec: np.ndarray) -> np.ndarray:
     """Configuration slices of any number of spectral slices; real ones from half spectra."""
-    return _spatial_dft(spec, (1, 2, 3), g.spatial, inverse=True, real=real)
+    return _spatial_dft(spec, (1, 2, 3), g.spatial, inverse=True)
 
 
-def _to_spectrum(g: SpacetimeGrid, values: np.ndarray, real: bool) -> np.ndarray:
+def _to_spectrum(g: SpacetimeGrid, values: np.ndarray) -> np.ndarray:
     """Spectral slices of any number of configuration slices; half spectra of real ones."""
-    return _spatial_dft(values, (1, 2, 3), g.spatial, real=real)
+    return _spatial_dft(values, (1, 2, 3), g.spatial)
 
 
 def _bilinear_spec(
@@ -181,30 +181,29 @@ def _bilinear_spec(
     w: np.ndarray,
     ns: NonlinearitySpec,
     g: SpacetimeGrid,
-    real: bool = False,
 ) -> np.ndarray:
     """Spectral slices of B_k(w, w) for w = sp + sm, from 2/3-rule dealiased factors.
 
     For d(w^2) with a spatial derivative the factor of d is the dealiased
     product; otherwise the output itself is not masked.  d_t w always comes
-    from the evolution identity, never from differencing.  With real=True,
-    sp, sm and w are the half spectra of real data (sm = conj R sp), w is
-    real, and the product goes through the real transforms; the output is
-    the half spectrum of B.  The slices may be any consecutive time slices;
-    none of the arguments is changed.
+    from the evolution identity, never from differencing.  When sp, sm and
+    w are the half spectra of real data (sm = conj R sp), w is real, and the
+    product goes through the real transforms; the output is the half
+    spectrum of B.  The slices may be any consecutive time slices; none of
+    the arguments is changed.
     """
     mask = g.spatial.dealias_mask[..., : sp.shape[-1]]
     if ns.k == 1:
-        w = _to_space(g, w * mask, real)
+        w = _to_space(g, w * mask)
         if ns.derivative == "t":
             # d_t(w^2) = 2 w d_t w
             dtw = _dt_w_slices(g, sp, sm)
             dtw *= mask
             w *= 2.0
-            w *= _to_space(g, dtw, real)
-            return _to_spectrum(g, w, real)
+            w *= _to_space(g, dtw)
+            return _to_spectrum(g, w)
         w *= w
-        pspec = _to_spectrum(g, w, real)
+        pspec = _to_spectrum(g, w)
         pspec *= mask
         return _spatial_derivative(g, pspec, ns.derivative, out=pspec)
     if ns.derivative == "t":
@@ -212,9 +211,9 @@ def _bilinear_spec(
     else:
         dspec = _spatial_derivative(g, w, ns.derivative)
     dspec *= mask
-    dw = _to_space(g, dspec, real)
+    dw = _to_space(g, dspec)
     dw *= dw
-    return _to_spectrum(g, dw, real)
+    return _to_spectrum(g, dw)
 
 
 def _rhs_minus(
@@ -223,16 +222,15 @@ def _rhs_minus(
     ns: NonlinearitySpec,
     g: SpacetimeGrid,
     source: np.ndarray | None,
-    real: bool,
 ) -> np.ndarray:
     """g_- = J^{-1} (B_k(w, w)/4 + w/2 + S), in place on the product's slices.
 
-    With real=True every argument and the result are half spectra.  Any
+    For real data every argument and the result are half spectra.  Any
     number of consecutive time slices is accepted.
     """
     h = sp.shape[-1]
     w = sp + sm
-    out = _bilinear_spec(sp, sm, w, ns, g, real)
+    out = _bilinear_spec(sp, sm, w, ns, g)
     out *= g.spatial.dealias_mask[..., :h]
     out /= 4.0
     w /= 2.0
@@ -262,7 +260,7 @@ def rhs_eval(
             raise GridMismatchError(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
-    gm = _rhs_minus(sp, sm, ns, g, source, real=False)
+    gm = _rhs_minus(sp, sm, ns, g, source)
     return -gm, gm
 
 
@@ -471,7 +469,7 @@ def picard_iterate(
     result = PicardResult(g, None, None, real_data=real)
     grew = 0
     for it in range(cfg.max_iter):
-        gm = _rhs_minus(sp, sm, ns, g, source, real)
+        gm = _rhs_minus(sp, sm, ns, g, source)
         gm *= window
         gp = -gm
         new_p = _duhamel(gp, +1, g, m0)
@@ -502,7 +500,7 @@ def picard_iterate(
             break
     sp, sm = extend(gp, +1, free_p), extend(gm, -1, free_m)
     if real:
-        sp = hermitian_full(sp, g.spatial.n, sm)
+        sp = hermitian_full(sp, sm)
         sm = conj_reflect(sp)
     result.sp, result.sm = sp, sm
     return result
@@ -583,17 +581,17 @@ def solve_local(
     w = sp + sm
     u_spec = w / 2.0
     dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
-    u = SpacetimeField(g, _to_space(g, u_spec[..., :h], real))
-    dtu = SpacetimeField(g, _to_space(g, dtu_spec, real))
+    u = SpacetimeField(g, _to_space(g, u_spec[..., :h]))
+    dtu = SpacetimeField(g, _to_space(g, dtu_spec))
 
     core = _core_slices(g, cfg.delta)
     interior = np.flatnonzero(core[2:-2]) + 2
     audit = slice(interior[0], interior[-1] + 1) if interior.size else slice(2, 2)
     # B(u, u) = B(w, w)/4 for u = w/2
     b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], w[audit, ..., :h],
-                            ns, g, real) / 4.0
+                            ns, g) / 4.0
     if real:
-        b_spec = hermitian_full(b_spec, n)
+        b_spec = hermitian_full(b_spec)
     if src is not None:
         b_spec = b_spec + src[audit]
     residual, scale = _box_residual(u_spec, g, b_spec, audit)
@@ -620,30 +618,32 @@ def solve_local(
     )
 
 
+_RHO_TARGET = 0.9       # select_delta accepts a delta whose rho_1 is below this
+_MAX_HALVINGS = 8
+
+
 def select_delta(
     d: CauchyData,
     ns: NonlinearitySpec,
     grid: SpacetimeGrid,
-    start: float | None = None,
-    rho_target: float = 0.9,
-    max_halvings: int = 8,
     **cfg_kw,
 ) -> tuple[float, list[dict]]:
     """Halve the local time radius until the first contraction factor is small.
 
     Starts at min(1, 0.5 / (1 + max data norm)) and returns the accepted
-    delta with the trial trace.
+    delta with the trial trace.  Each trial runs the two Picard steps that
+    rho_1 reads.
     """
     n0, n1 = d.norms()
-    delta = start if start is not None else min(1.0, 0.5 / (1.0 + max(n0, n1)))
+    delta = min(1.0, 0.5 / (1.0 + max(n0, n1)))
     fp, fm = to_first_order(d)
     trace = []
-    for _ in range(max_halvings):
-        cfg = default_config(grid, delta, max_iter=3, **cfg_kw)
+    for _ in range(_MAX_HALVINGS):
+        cfg = default_config(grid, delta, max_iter=2, **cfg_kw)
         res = picard_iterate(fp, fm, ns, cfg, r=d.r, s=d.s)
         rho1 = res.rhos[0] if res.rhos else 0.0
         trace.append({"delta": delta, "rho1": rho1})
-        if rho1 < rho_target:
+        if rho1 < _RHO_TARGET:
             return delta, trace
         delta /= 2.0
     return delta, trace

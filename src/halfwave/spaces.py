@@ -169,28 +169,14 @@ def _xsb_weight(grid, p: NormParams) -> np.ndarray:
     return np.take(_xsb_weight_table(grid, p), grid.spatial.shell_index, axis=1)
 
 
-def xsb_norm(u, p: NormParams, weight: np.ndarray | None = None) -> float:
-    """Modulation-weighted space-time norm; fields are transformed first.
-
-    weight, when given, must be _xsb_weight(grid, p); a caller that takes
-    many norms on one grid computes it once.
-    """
+def xsb_norm(u, p: NormParams) -> float:
+    """Modulation-weighted space-time norm; fields are transformed first."""
     F = _spacetime_spectrum(u)
-    return _xsb_norms(F, p, (_xsb_weight(F.grid, p) if weight is None else weight,))[0]
-
-
-def _xsb_norms(F: SpacetimeSpectrum, p: NormParams, weights) -> list[float]:
-    """xsb_norm of F under each weight; |F|^{r'} is formed once.
-
-    The last weight multiplies |F|^{r'} in place.
-    """
     g = F.grid
     a = np.abs(F.data)
     a **= p.rprime
-    totals = [np.vdot(w, a) for w in weights[:-1]]
-    a *= weights[-1]
-    totals.append(np.sum(a))
-    return [float((t * g.spatial.dxi**3 * g.dtau) ** (1.0 / p.rprime)) for t in totals]
+    a *= _xsb_weight(g, p)
+    return float((np.sum(a) * g.spatial.dxi**3 * g.dtau) ** (1.0 / p.rprime))
 
 
 def _free_xsb_norm(u0: Spectrum, g, time_factor: np.ndarray, p: NormParams) -> float:

@@ -86,7 +86,6 @@ class DataFamily:
     scale: float = 4.0
     width: float | None = None
     anisotropy: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    amplitude: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ def family_spectrum(fam: DataFamily, grid: SpatialGrid, rng=None) -> Spectrum:
         prof = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
         prof = prof * (xi <= lam)
     band = xi < 0.98 * grid.nyquist
-    return Spectrum(grid, fam.amplitude * np.broadcast_to(prof, grid.shape) * band)
+    return Spectrum(grid, np.broadcast_to(prof, grid.shape) * band)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -143,7 +142,6 @@ class EstimateReport:
     exponent_r2: float | None = None
     passed: bool | None = None
     skipped: bool = False
-    runtime: float | None = None
 
     def add(self, scale: float, lhs: float, rhs: float, **tags) -> EstimateReport:
         """Append one row; tags are extra columns such as the region or form."""
@@ -449,23 +447,21 @@ def check_strichartz_l2(
     return rep.judge(rep.exponent is not None and rep.exponent > GROWTH_SLOPE)
 
 
-def surface_cross_check(
-    widths=(1.2, 1.5),
-    n: int = 16,
-    m: int = 32,
-    n_probes: int = 4,
-    tol: float = 0.05,
-) -> EstimateReport:
+# surface_cross_check: Gaussian widths of the two data, lattice sizes, tolerance
+_CROSS_WIDTHS, _CROSS_N, _CROSS_M, _CROSS_TOL = (1.2, 1.5), 16, 32, 0.05
+
+
+def surface_cross_check(n_probes: int = 4) -> EstimateReport:
     """Grid transform of a Gaussian free-wave product vs the surface-measure
     quadrature with the matching radial weight.
 
     One probe calibrates the overall constant; the remaining probes must
-    reproduce it to the stated relative tolerance, and every surface mass
-    must have converged.
+    reproduce it to the relative tolerance _CROSS_TOL, and every surface
+    mass must have converged.
     """
-    w1, w2 = widths
-    sg = SpatialGrid(n, 2.0 * np.pi)  # dxi = 0.5, Nyquist 4
-    g = SpacetimeGrid(sg, m, 2.0 * np.pi)  # dtau = 0.5
+    w1, w2 = _CROSS_WIDTHS
+    sg = SpatialGrid(_CROSS_N, 2.0 * np.pi)  # dxi = 0.5, Nyquist 4
+    g = SpacetimeGrid(sg, _CROSS_M, 2.0 * np.pi)  # dtau = 0.5
     win = WindowSpec(support=0.95 * g.half_time, flat_fraction=0.5)
     xi = sg.xi_modulus()
     u0 = Spectrum(sg, np.exp(-(xi**2) / (2.0 * w1**2)))
@@ -496,7 +492,8 @@ def surface_cross_check(
         return np.exp(-(r1**2) / (2.0 * w1**2)) * np.exp(-(r2**2) / (2.0 * w2**2))
 
     report = EstimateReport(
-        "surface_cross_check", {"widths": widths, "n": n, "m": m, "tol": tol}
+        "surface_cross_check",
+        {"widths": _CROSS_WIDTHS, "n": _CROSS_N, "m": _CROSS_M, "tol": _CROSS_TOL},
     )
     for xivec, tau, gridval, _ in probes:
         sm = surface_mass(xivec, tau, SignPair(+1, +1), gauss_weight,
@@ -513,7 +510,7 @@ def surface_cross_check(
         devs = [abs(c / ref - 1.0) for c in consts[1:]]
         report.params["max_deviation"] = max(devs)
         report.params["calibration"] = ref
-        ok = max(devs) <= tol and all(row["converged"] for row in report.rows)
+        ok = max(devs) <= _CROSS_TOL and all(row["converged"] for row in report.rows)
     else:
         report.skipped = True
     return report.judge(ok)

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven criteria, one pass/fail line each.
+"""Acceptance suite: twelve criteria, one pass/fail line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines; every
 criterion is also asserted so the suite fails loudly.
@@ -17,6 +17,7 @@ from halfwave.bilinear import (
     reduction_integral,
     surface_mass,
 )
+from halfwave import solver as solver_mod
 from halfwave.cli import main as cli_main
 from halfwave.dyadic import shell_surface_mass
 from halfwave.grid import (
@@ -30,6 +31,7 @@ from halfwave.grid import (
 from halfwave.solver import (
     CauchyData,
     NonlinearitySpec,
+    _slice_norms,
     default_config,
     flow_lipschitz_probe,
     from_first_order,
@@ -189,6 +191,30 @@ def _solver_setup(n, m, amp=0.01):
     return g, CauchyData(u0, u1, 2.0, 1.0)
 
 
+_MANUFACTURED_AMP = 0.02
+
+
+def _manufactured_solve(n, m):
+    """(grid, solve report, exact u) for the manufactured solution
+    u = amp cos(1.5 t) cos(x1) of Box u = d_x1(u^2) + S, at delta = 0.25."""
+    sg = SpatialGrid(n, 2 * np.pi)
+    q, om, amp = 1.0, 1.5, _MANUFACTURED_AMP
+    g = SpacetimeGrid(sg, m, 1.0)
+    x1 = sg.x_axis[:, None, None]
+    t = g.t_axis[:, None, None, None]
+    u = amp * np.cos(om * t) * np.cos(q * x1)[None] * np.ones((1,) + sg.shape)
+    ut = -amp * om * np.sin(om * t) * np.cos(q * x1)[None] * np.ones((1,) + sg.shape)
+    b = -amp**2 * np.cos(om * t) ** 2 * q * np.sin(2 * q * x1)[None] * np.ones((1,) + sg.shape)
+    src = SpacetimeField(g, ((q * q - om * om) * u - b).astype(complex))
+    d = CauchyData(
+        forward_transform(Field(sg, u[g.origin_index].astype(complex))),
+        forward_transform(Field(sg, ut[g.origin_index].astype(complex))),
+    )
+    fp, fm = to_first_order(d)
+    rep = solve_local(fp, fm, NonlinearitySpec(1, "x1"), default_config(g, 0.25), source=src)
+    return g, rep, u
+
+
 def test_criterion_8_solver_contraction_and_residual():
     t0 = time.perf_counter()
     ok = True
@@ -206,24 +232,9 @@ def test_criterion_8_solver_contraction_and_residual():
         if np.abs(v0.data - d.u0.data).max() > 1e-12:
             ok = False
     # manufactured-solution refinement at N = 32
-    sg = SpatialGrid(32, 2 * np.pi)
-    q, om, amp = 1.0, 1.5, 0.02
     residuals = []
     for m in (32, 64):
-        g = SpacetimeGrid(sg, m, 1.0)
-        x1 = sg.x_axis[:, None, None]
-        t = g.t_axis[:, None, None, None]
-        u = amp * np.cos(om * t) * np.cos(q * x1)[None] * np.ones((1,) + sg.shape)
-        ut = -amp * om * np.sin(om * t) * np.cos(q * x1)[None] * np.ones((1,) + sg.shape)
-        b = -amp**2 * np.cos(om * t) ** 2 * q * np.sin(2 * q * x1)[None] * np.ones((1,) + sg.shape)
-        src = SpacetimeField(g, ((q * q - om * om) * u - b).astype(complex))
-        d = CauchyData(
-            forward_transform(Field(sg, u[g.origin_index].astype(complex))),
-            forward_transform(Field(sg, ut[g.origin_index].astype(complex))),
-        )
-        fp, fm = to_first_order(d)
-        rep = solve_local(fp, fm, NonlinearitySpec(1, "x1"),
-                          default_config(g, 0.25), source=src)
+        g, rep, _ = _manufactured_solve(32, m)
         if not rep.success:
             ok = False
         residuals.append(rep.residual)
@@ -302,3 +313,54 @@ def test_criterion_11_determinism(tmp_path):
     ok = code1 == 0 and code2 == 0 and same_csv and same_json
     assert _line(11, "determinism", ok,
                  f"csv identical {same_csv}, json identical {same_json}, {dt:.1f}s")
+
+
+def _criterion_12_parts():
+    """Each part of criterion 12 with its pass flag, and the measured numbers.
+
+    The manufactured solution of criterion 8, at 16^3, is compared with the
+    solver's u over the core.  The quadratic response
+    Q(eps) = sup_{|t| <= delta} ||u(2 eps d) - 2 u(eps d)|| / eps^2 is taken
+    over both components with the solver's slice norms; a solver whose
+    bilinear term vanishes gives Q = 0 and an error that does not fall in M.
+    """
+    parts, details = {}, []
+    errors = []
+    for m in (32, 64):
+        g, rep, u = _manufactured_solve(16, m)
+        core = np.abs(g.t_axis) <= 0.25 + 1e-12
+        errors.append(float(np.max(np.abs(rep.u.data[core] - u[core]))) / _MANUFACTURED_AMP)
+    parts["manufactured error <= 1e-5"] = max(errors) <= 1e-5
+    parts["error falls >= 3x"] = errors[0] >= 3.0 * errors[1]
+    details.append(f"error {errors[0]:.2e} -> {errors[1]:.2e}")
+    g, _ = _solver_setup(16, 64)
+    cfg = default_config(g, 0.25)
+    core = np.abs(g.t_axis) <= 0.25 + 1e-12
+    for k, deriv in ((1, "x1"), (1, "t"), (2, "x1"), (2, "t")):
+        ns = NonlinearitySpec(k, deriv)
+        sols = {eps: picard_iterate(*to_first_order(_solver_setup(16, 64, amp=eps)[1]), ns, cfg)
+                for eps in (0.2, 0.1, 0.05, 0.025)}
+        qs = []
+        for eps in (0.1, 0.05, 0.025):
+            big, small = sols[2 * eps], sols[eps]
+            dist = (_slice_norms(g, big.sp - 2 * small.sp, 2.0, 1.0)
+                    + _slice_norms(g, big.sm - 2 * small.sm, 2.0, 1.0))
+            qs.append(float(np.max(dist[core])) / eps**2)
+        parts[f"k={k} d{deriv} Q >= 1e-3"] = min(qs) >= 1e-3
+        parts[f"k={k} d{deriv} Q varies <= 2%"] = min(qs) > 0 and max(qs) <= 1.02 * min(qs)
+        details.append(f"k={k} d{deriv} Q {qs[0]:.4g} -> {qs[-1]:.4g}")
+    return parts, details
+
+
+def test_criterion_12_solver_is_nonlinear(monkeypatch):
+    t0 = time.perf_counter()
+    parts, details = _criterion_12_parts()
+    dt = time.perf_counter() - t0
+    # negative control: with B == 0 the solver is linear and every part fails
+    monkeypatch.setattr(solver_mod, "_bilinear_spec",
+                        lambda sp, sm, w, ns, g: np.zeros_like(sp))
+    control, _ = _criterion_12_parts()
+    ok = all(parts.values()) and not any(control.values()) and dt < 30.0
+    assert _line(12, "solver is nonlinear", ok,
+                 f"{', '.join(details)}, control fails {sum(not v for v in control.values())}"
+                 f"/{len(control)} parts, {dt:.1f}s")

@@ -270,3 +270,18 @@ def test_solve_reports_picard_status(tmp_path):
     assert code == 0
     assert summary["status"] == "converged"
     assert summary["converged"] is True and summary["diverged"] is False
+
+
+@pytest.mark.parametrize("k, derivative", [(1, "x1"), (1, "t"), (2, "x1"), (2, "t")])
+def test_solve_reports_restricted_contraction(tmp_path, k, derivative):
+    """The solve JSON carries the windowed X^{s,b} distances and their step
+    ratios, and the default data contract in that norm with every factor
+    below 0.5, the bound criterion 8 puts on the sup-norm factors."""
+    code, out = _run(tmp_path, "--set", f"params.k={k}", "--set",
+                     f"params.derivative={derivative}", "--set", "params.delta=0.25", "solve")
+    summary = json.loads((out / "solve.json").read_text())["summary"]
+    dr = summary["restricted_distances"]
+    factors = summary["restricted_contraction_factors"]
+    assert code == 0 and len(dr) == summary["iterations"] >= 3
+    assert factors == [cur / prev for prev, cur in zip(dr, dr[1:])]
+    assert all(f < 0.5 for f in factors)

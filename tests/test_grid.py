@@ -303,29 +303,35 @@ def test_reflections_match_index_map(n, m, half_length, half_time, seed):
     assert np.array_equal(conj_reflect(x[0]), full[0])
     # u_+ from the half spectra of (u_+, u_- = conj R u_+), u_+ not Hermitian
     h = n // 2 + 1
-    assert np.array_equal(hermitian_full(x[..., :h], n, full[..., :h]), x)
+    assert np.array_equal(hermitian_full(x[..., :h], full[..., :h]), x)
 
 
 @settings(max_examples=25, deadline=None)
 @given(**_lattices)
 def test_half_spectrum_transforms_match_full(n, m, half_length, half_time, seed):
-    """The real transforms agree with the complex ones on real data, and the
-    completed half spectrum is the full one, Nyquist planes included."""
+    """The arrays pick the transform: a real input gives the half spectrum,
+    the first N//2 + 1 planes of the complex transform, and a half spectrum
+    inverts to the real array, while complex data and full spectra take the
+    complex path.  The completed half spectrum is the full one, Nyquist
+    planes included."""
     g, x = _random_lattice(n, m, half_length, half_time, seed)
     f = x.real.copy()
     keep = f.copy()
     h = n // 2 + 1
     full = spatial_forward_slices(SpacetimeField(g, f))
-    half = _spatial_dft(f, (1, 2, 3), g.spatial, real=True)
+    assert full.shape == g.shape
+    half = _spatial_dft(f, (1, 2, 3), g.spatial)
     assert np.array_equal(f, keep)
     assert half.shape == (m, n, n, h)
     assert _close(half, full[..., :h], 1e-13)
-    completed = hermitian_full(half, n)
+    inverse = _spatial_dft(full, (1, 2, 3), g.spatial, inverse=True)
+    assert np.iscomplexobj(inverse) and _close(inverse, f, 1e-13)
+    completed = hermitian_full(half)
     assert np.array_equal(completed[..., :h], half)
     upper = np.conj(_reflect_by_index(completed, (1, 2, 3)))[..., h:]
     assert np.array_equal(completed[..., h:], upper)
     assert _close(completed, full, 1e-13)
-    back = _spatial_dft(half, (1, 2, 3), g.spatial, inverse=True, real=True)
+    back = _spatial_dft(half, (1, 2, 3), g.spatial, inverse=True)
     assert back.dtype == np.float64 and back.shape == g.shape
     assert _close(back, f, 1e-13)
     assert _close(back, spatial_inverse_slices(g, completed).data, 1e-13)

@@ -43,7 +43,6 @@ from halfwave.spaces import (
     NormParams,
     WindowSpec,
     _sobolev_weight,
-    _xsb_norms,
     _xsb_weight,
     _xsb_weight_table,
     dual_exponent,
@@ -395,7 +394,6 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
-    weight = _xsb_weight(g, params)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     free_m = free_slices(fm, g, EvolutionSpec("J", -1))
 
@@ -404,7 +402,7 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
 
     def restricted(diff):
         spec = SpacetimeSpectrum(g, time_forward(g, window * diff))
-        return xsb_norm(spec, params, weight=weight)
+        return xsb_norm(spec, params)
 
     sp, sm = free_p, free_m
     distances, restricted_distances = [], []
@@ -623,12 +621,11 @@ def _real_data(g, amp=0.02):
 def _rhs_real(sp, ns, g, source_half, window):
     """window * g_+ for real data from u_+ alone on the full lattice: u_- is
     rebuilt and g_+ completed from its half on every call."""
-    n = g.spatial.n
-    h = n // 2 + 1
+    h = g.spatial.n // 2 + 1
     sm = conj_reflect(sp)[..., :h]
-    gp = solver_mod._rhs_minus(sp[..., :h], sm, ns, g, source_half, real=True)
+    gp = solver_mod._rhs_minus(sp[..., :h], sm, ns, g, source_half)
     gp *= -window
-    return hermitian_full(gp, n)
+    return hermitian_full(gp)
 
 
 def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
@@ -642,8 +639,9 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
+    rp = params.rprime
     xsb_wt = _xsb_weight(g, params)
-    xsb_wt_m = reflect(xsb_wt, (0, 1, 2, 3))
+    xsb_wts = xsb_wt, reflect(xsb_wt, (0, 1, 2, 3))
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     sp = free_p
     distances, restricted, status = [], [], "unconverged"
@@ -653,8 +651,9 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
         new_p = duhamel(gp, +1, g) + free_p
         diff = new_p - sp
         d = 2.0 * float(np.max(_slice_norms(g, diff[core], r, s)))
-        spec = SpacetimeSpectrum(g, time_forward(g, diff * window))
-        dr = sum(_xsb_norms(spec, params, (xsb_wt, xsb_wt_m)))
+        a = np.abs(time_forward(g, diff * window)) ** rp
+        dr = sum(float((np.sum(wt * a) * g.spatial.dxi**3 * g.dtau) ** (1.0 / rp))
+                 for wt in xsb_wts)
         if distances:
             grew = grew + 1 if d > distances[-1] else 0
         distances.append(d)
@@ -700,7 +699,7 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     distances, restricted, rhos, status = [], [], [], "unconverged"
     grew = 0
     for _ in range(cfg.max_iter):
-        gm = window * solver_mod._rhs_minus(sp, sm, ns, g, source_half, real=True)
+        gm = window * solver_mod._rhs_minus(sp, sm, ns, g, source_half)
         new_p = _duhamel(-gm, +1, g, g.origin_index) + free_p
         new_m = _duhamel(gm, -1, g, g.origin_index) + free_m
         dp, dm = new_p - sp, new_m - sm
@@ -726,7 +725,7 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
         if grew >= 3:
             status = "diverged"
             break
-    sp = hermitian_full(sp, n, sm)
+    sp = hermitian_full(sp, sm)
     return dict(sp=sp, sm=conj_reflect(sp), distances=distances,
                 restricted_distances=restricted, rhos=rhos, iterations=len(distances),
                 status=status, real_data=True)
@@ -808,9 +807,9 @@ def _residual_reference(rep, ns, cfg, src=None):
     h = n // 2 + 1 if real else n
     u_spec = (sp + sm) / 2.0
     a, b = sp[..., :h], sm[..., :h]
-    b_spec = solver_mod._bilinear_spec(a, b, a + b, ns, g, real) / 4.0
+    b_spec = solver_mod._bilinear_spec(a, b, a + b, ns, g) / 4.0
     if real:
-        b_spec = hermitian_full(b_spec, n)
+        b_spec = hermitian_full(b_spec)
     if src is not None:
         b_spec = b_spec + src
     utt = np.full_like(u_spec, np.nan)

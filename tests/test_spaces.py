@@ -14,7 +14,6 @@ from halfwave.grid import (
 )
 from halfwave.spaces import (
     NormParams,
-    _xsb_norms,
     _xsb_weight,
     WindowSpec,
     apply_window,
@@ -199,7 +198,7 @@ def test_xsb_weight_matches_lattice_formula(n, half_length, m):
 @pytest.mark.parametrize("r", [2.0, 1.5, 1.2])
 def test_xsb_norm_matches_out_of_place_formula(stg, r):
     """|F|^{r'} w formed in place sums bit for bit as the out-of-place
-    formula; a second weight reuses |F|^{r'}."""
+    formula, for a spectrum and for the field it transforms."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal(stg.shape) + 1j * rng.standard_normal(stg.shape)
     F = forward_transform(SpacetimeField(stg, x))
@@ -209,9 +208,5 @@ def test_xsb_norm_matches_out_of_place_formula(stg, r):
     total = np.sum(w * np.abs(F.data) ** p.rprime) * stg.spatial.dxi**3 * stg.dtau
     want = float(total ** (1.0 / p.rprime))
     assert xsb_norm(F, p) == want
-    assert xsb_norm(SpacetimeField(stg, x), p, weight=w) == want
-    other = _xsb_weight(stg, NormParams(r, 1.0, 0.55, -1))
-    pair = _xsb_norms(F, p, (other, w))
-    assert pair[1] == want
-    assert pair[0] == pytest.approx(xsb_norm(F, p, weight=other), rel=1e-13)
+    assert xsb_norm(SpacetimeField(stg, x), p) == want
     assert np.array_equal(F.data, keep)
