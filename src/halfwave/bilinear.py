@@ -39,7 +39,7 @@ from .grid import (
     time_forward,
 )
 from .propagator import EvolutionSpec, _free_slices_at, free_slices
-from .spaces import WindowSpec, _grid_window, window_values
+from .spaces import WindowSpec, _grid_window
 
 __all__ = [
     "ReductionSpec",
@@ -339,11 +339,11 @@ def bilinear_symbol_product(
         raise BudgetError(
             f"direct convolution budget allows N <= {CONV_BUDGET_N}, got N = {sg.n}"
         )
+    wvals = _grid_window(g, w)
     us = free_slices(u0, g, EvolutionSpec("D", sp.first))
     vs = free_slices(v0, g, EvolutionSpec("D", sp.second))
     conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
     conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
-    wvals = window_values(w, g.t_axis)
     slices = conv * wvals[:, None, None, None]
     return SpacetimeSpectrum(g, time_forward(g, slices))
 

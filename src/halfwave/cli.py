@@ -345,7 +345,6 @@ def cmd_solve(cfg, args):
         fp, fm = solver_mod.to_first_order(data)
         rep = solver_mod.solve_local(fp, fm, ns, scfg, r=data.r, s=data.s)
         rows = [{"t_index": i, "persistence": float(v)} for i, v in enumerate(rep.persistence)]
-        dr = rep.result.restricted_distances
         summary = {
             "params": {"k": ns.k, "derivative": ns.derivative, "delta": chosen,
                        "r": data.r, "s": data.s},
@@ -356,9 +355,8 @@ def cmd_solve(cfg, args):
             "iterations": rep.result.iterations,
             "real_data": rep.result.real_data,
             "contraction_factors": rep.result.rhos,
-            "restricted_distances": dr,
-            "restricted_contraction_factors": [cur / prev if prev > 0 else 0.0
-                                               for prev, cur in zip(dr, dr[1:])],
+            "restricted_distances": rep.result.restricted_distances,
+            "restricted_contraction_factors": rep.result.restricted_rhos,
             "residual": rep.residual,
             "residual_scale": rep.residual_scale,
             "max_persistence_jump": rep.max_jump,
@@ -383,7 +381,7 @@ def cmd_lipschitz(cfg, args):
         xi = g.spatial.xi_modulus()
         envelope = np.exp(-(xi**2) / 2.0)
         rows = []
-        max_ratios = {}
+        max_ratios, max_off = {}, {}
         for scale_name, scale in (("eps", 1.0), ("eps/2", 0.5)):
             pairs = []
             for _ in range(n_pairs):
@@ -397,12 +395,15 @@ def cmd_lipschitz(cfg, args):
                 pairs.append((data, d2))
             out = solver_mod.flow_lipschitz_probe(pairs, ns, scfg)
             max_ratios[scale_name] = out["max_ratio"]
+            max_off[scale_name] = out["max_ratio_off_origin"]
             for i, row in enumerate(out["rows"]):
                 rows.append({"perturbation": scale_name, "pair": i,
                              "ratio": row["ratio"], "status": row["status"]})
         r1, r2 = max_ratios["eps"], max_ratios["eps/2"]
         stable = r1 is not None and r2 is not None and abs(r2 / r1 - 1.0) <= 0.3
         summary = {"max_ratio": r1, "max_ratio_half": r2, "stable": stable,
+                   "max_ratio_off_origin": max_off["eps"],
+                   "max_ratio_off_origin_half": max_off["eps/2"],
                    "params": {"pairs": n_pairs, "eps": eps, "delta": delta}}
         return rows, summary, bool(stable)
 

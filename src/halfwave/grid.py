@@ -212,30 +212,6 @@ class _LatticeData:
         self.grid = grid
         self.data = data
 
-    def copy(self):
-        return type(self)(self.grid, self.data.copy())
-
-    def __add__(self, other):
-        self._check_mate(other)
-        return type(self)(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_mate(other)
-        return type(self)(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return type(self)(self.grid, self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_mate(self, other):
-        if type(other) is not type(self):
-            raise RepresentationError(
-                f"cannot combine {type(self).__name__} with {type(other).__name__}"
-            )
-        if other.grid != self.grid:
-            raise GridMismatchError("operands live on different grids")
-
 
 class Field(_LatticeData):
     """Configuration-space samples over a SpatialGrid."""

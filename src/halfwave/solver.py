@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .grid import (
     hermitian_full,
     reflect,
     spatial_forward_slices,
-    spatial_inverse_slices,
     time_forward,
 )
 from .propagator import EvolutionSpec, _duhamel, _free_slices_at
@@ -292,39 +290,42 @@ def _hermitian_part(fp: Spectrum, fm: Spectrum, source: np.ndarray | None):
     return fp, Spectrum(fp.grid, conj_reflect(fp.data)), source
 
 
-def _slice_norms(g: SpacetimeGrid, spec_slices: np.ndarray, r: float, s: float) -> np.ndarray:
-    """sobolev_hat_norm of every time slice, vectorized."""
-    rp = dual_exponent(r)
-    wt = _sobolev_weight(g.spatial, r, s)
-    totals = np.sum(wt[None] * np.abs(spec_slices) ** rp, axis=(1, 2, 3))
-    return (totals * g.spatial.dxi**3) ** (1.0 / rp)
-
-
 def _core_slices(g: SpacetimeGrid, delta: float) -> np.ndarray:
     return np.abs(g.t_axis) <= delta + 1e-12
 
 
-def _norm_weights(g: SpacetimeGrid, p: NormParams, h: int) -> list:
-    """(weight, mate) of the slice norms and of the X-norm on the first h entries
-    of the last axis.  On the full lattice the mates are None.  On the half
-    lattice of real data, F_+ off the half is conj F_- at the reflected point,
-    (t, -xi) or (-tau, -xi); a mate is the weight there (the X-weight reflected
-    in tau) on the planes 1 .. h-2, and zero on the self-conjugate planes 0 and
-    h-1, which the half holds whole."""
+def _mate(weight: np.ndarray) -> np.ndarray:
+    """The mate of a norm on the half lattice of real data, the first h
+    entries of the last axis: F_+ off the half is conj F_- at the reflected
+    point, (t, -xi) or (-tau, -xi), so the weight there, given here, times
+    |F_-| stands for it.  The half holds the self-conjugate planes 0 and h-1
+    whole, so the mate is zeroed there, in place."""
+    weight[..., [0, -1]] = 0.0
+    return weight
+
+
+def _slice_weights(sg, r: float, s: float, h: int) -> tuple:
+    """(weight, mate) of the slice norms on the first h entries of the last
+    axis; the weight is radial, so its reflection is itself.  On the full
+    lattice the mate is None."""
+    wt = _sobolev_weight(sg, r, s)[..., :h]
+    return wt, None if h == sg.n else _mate(wt.copy())
+
+
+def _xsb_weights(g: SpacetimeGrid, p: NormParams, h: int) -> tuple:
+    """(weight, mate) of the X-norm on the first h entries of the last axis;
+    the mate is the X-weight reflected in tau.  On the full lattice it is None."""
     index = g.spatial.shell_index[..., :h]
     table = _xsb_weight_table(g, p)
-    weights = _sobolev_weight(g.spatial, p.r, p.s)[..., :h], np.take(table, index, axis=1)
+    wt = np.take(table, index, axis=1)
     if h == g.spatial.n:
-        return [(wt, None) for wt in weights]
-    mates = weights[0].copy(), np.take(reflect(table, (0,)), index, axis=1)
-    for mate in mates:
-        mate[..., [0, -1]] = 0.0
-    return list(zip(weights, mates))
+        return wt, None
+    return wt, _mate(np.take(reflect(table, (0,)), index, axis=1))
 
 
 def _pair_totals(a_p: np.ndarray, a_m: np.ndarray, weights, axes):
     """sum(wt a_+) + sum(mate a_-) over axes, and the same with +- swapped, for
-    a_pm = |F_pm|^{r'} (overwritten) and a (wt, mate) pair of _norm_weights."""
+    a_pm = |F_pm|^{r'} (overwritten) and a (wt, mate) pair of weights."""
     wt, mate = weights
     mates = (0.0, 0.0) if mate is None else (
         np.sum(a_m * mate, axis=axes), np.sum(a_p * mate, axis=axes))
@@ -333,17 +334,34 @@ def _pair_totals(a_p: np.ndarray, a_m: np.ndarray, weights, axes):
     return np.sum(a_p, axis=axes) + mates[0], np.sum(a_m, axis=axes) + mates[1]
 
 
+def _slice_norms(g: SpacetimeGrid, pair, r: float, s: float) -> tuple:
+    """The data-space norm of every time slice of both components of pair.
+
+    pair is (F_+, F_-), or their differences, as spatial spectral slices on
+    the full lattice or, for real data (F_- = conj R F_+), on the half
+    lattice; the last axis says which.  Returns the two per-slice curves.
+    """
+    rp = dual_exponent(r)
+    weights = _slice_weights(g.spatial, r, s, pair[0].shape[-1])
+    totals = _pair_totals(*(np.abs(x) ** rp for x in pair), weights, (1, 2, 3))
+    return tuple((t * g.spatial.dxi**3) ** (1.0 / rp) for t in totals)
+
+
+def _step_ratios(distances: list) -> list:
+    """cur/prev of consecutive distances, 0 where prev is not positive."""
+    return [cur / prev if prev > 0 else 0.0 for prev, cur in zip(distances, distances[1:])]
+
+
 @dataclass
 class PicardResult:
     """Final iterates as spatial spectral slices (sp, sm), plus diagnostics.
 
-    up and um are the same iterates in configuration space, transformed on
-    first access.  real_data tells whether the data were real, so that the
-    loop ran on half spectra (see picard_iterate); sm is then conj R sp
-    exactly.  status says why the loop stopped: "converged" (a distance
-    reached tol), "unconverged" (the budget ran out), "diverged" (three
-    consecutive growing distances) or "nonfinite" (a non-finite distance);
-    converged and diverged are read from it.
+    real_data tells whether the data were real, so that the loop ran on half
+    spectra (see picard_iterate); sm is then conj R sp exactly.  status says
+    why the loop stopped: "converged" (a distance reached tol), "unconverged"
+    (the budget ran out), "diverged" (three consecutive growing distances)
+    or "nonfinite" (a non-finite distance); converged and diverged are read
+    from it, and the step ratios from the distances.
     """
 
     grid: SpacetimeGrid
@@ -351,7 +369,6 @@ class PicardResult:
     sm: np.ndarray
     distances: list = dc_field(default_factory=list)
     restricted_distances: list = dc_field(default_factory=list)
-    rhos: list = dc_field(default_factory=list)
     iterations: int = 0
     real_data: bool = False
     status: str = "unconverged"
@@ -364,13 +381,13 @@ class PicardResult:
     def diverged(self) -> bool:
         return self.status in ("diverged", "nonfinite")
 
-    @cached_property
-    def up(self) -> SpacetimeField:
-        return spatial_inverse_slices(self.grid, self.sp)
+    @property
+    def rhos(self) -> list:
+        return _step_ratios(self.distances)
 
-    @cached_property
-    def um(self) -> SpacetimeField:
-        return spatial_inverse_slices(self.grid, self.sm)
+    @property
+    def restricted_rhos(self) -> list:
+        return _step_ratios(self.restricted_distances)
 
 
 def picard_iterate(
@@ -402,8 +419,8 @@ def picard_iterate(
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
     the pair cut to the half lattice (the first N//2 + 1 entries of the last
     axis) fixes both components.  The loop then runs on half spectra, with
-    the real transforms and the mate weights of _norm_weights; u_+ is
-    completed once, at the end.
+    the real transforms and mate weights (see _mate); u_+ is completed once,
+    at the end.
     """
     g = cfg.grid
     if fp.grid != g.spatial or fm.grid != g.spatial:
@@ -432,7 +449,7 @@ def picard_iterate(
     params = NormParams(r, s, cfg.b, +1)
     rp = params.rprime
     dxi3 = g.spatial.dxi**3
-    slice_wts, xsb_wts = _norm_weights(g, params, h)
+    xsb_wts = _xsb_weights(g, params, h)
     free_p = _free_slices_at(fp, EvolutionSpec("J", +1), g.t_axis, h)
     free_m = _free_slices_at(fm, EvolutionSpec("J", -1), g.t_axis, h)
     free_bp, free_bm = free_p[blk], free_m[blk]
@@ -440,10 +457,6 @@ def picard_iterate(
         source = source[blk, ..., :h]
     # the windowed difference on every slice, zero off the block
     windowed = np.zeros(free_p.shape, dtype=np.complex128)
-
-    def sup_distance(diffs):
-        totals = _pair_totals(*(np.abs(x[core]) ** rp for x in diffs), slice_wts, (1, 2, 3))
-        return float(sum(np.max((t * dxi3) ** (1.0 / rp)) for t in totals))
 
     def x_distance(diffs):
         # upper bound for the [-delta, delta] restriction norm via one window
@@ -479,12 +492,11 @@ def picard_iterate(
         # the old iterates are dead once differenced: their buffers take the differences
         diffs = (np.subtract(new_p, sp, out=None if sp is free_bp else sp),
                  np.subtract(new_m, sm, out=None if sm is free_bm else sm))
-        d = sup_distance(diffs)
+        norms_p, norms_m = _slice_norms(g, [x[core] for x in diffs], r, s)
+        d = float(np.max(norms_p) + np.max(norms_m))
         dr = x_distance(diffs)
         if result.distances:
-            prev = result.distances[-1]
-            result.rhos.append(d / prev if prev > 0 else 0.0)
-            grew = grew + 1 if d > prev else 0
+            grew = grew + 1 if d > result.distances[-1] else 0
         result.distances.append(d)
         result.restricted_distances.append(dr)
         sp, sm = new_p, new_m
@@ -577,7 +589,7 @@ def solve_local(
     sp, sm = result.sp, result.sm
     real = result.real_data
     n = g.spatial.n
-    h = n // 2 + 1 if real else n      # real data: u and d_t u from half spectra
+    h = n // 2 + 1 if real else n      # real data: u, d_t u and norms from half spectra
     w = sp + sm
     u_spec = w / 2.0
     dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
@@ -596,11 +608,8 @@ def solve_local(
         b_spec = b_spec + src[audit]
     residual, scale = _box_residual(u_spec, g, b_spec, audit)
 
-    if real:    # u_- = conj R u_+ has the slice norms of u_+
-        norms = 2.0 * _slice_norms(g, sp, r, s)
-    else:
-        norms = _slice_norms(g, sp, r, s) + _slice_norms(g, sm, r, s)
-    pers = norms[core]
+    norms_p, norms_m = _slice_norms(g, (sp[core, ..., :h], sm[core, ..., :h]), r, s)
+    pers = norms_p + norms_m
     jumps = np.abs(np.diff(pers))
     z_value = None
     if ns.k == 2:
@@ -656,6 +665,11 @@ def flow_lipschitz_probe(
 ) -> dict:
     """Solution-distance / data-distance ratios for pairs of Cauchy data.
 
+    The solution distance is the sup over |t| <= delta of the data-space
+    norm of the difference (both components).  The off-origin ratios take
+    the sup over the core slices with t != 0 alone, so they leave out t = 0,
+    where the solution distance is the data distance.
+
     Each pair is a (CauchyData, CauchyData) tuple on cfg.grid, and both of
     its data are solved with the first datum's (r, s).  Pairs whose solves
     fail to contract are excluded and flagged; identical pairs are reported
@@ -664,6 +678,7 @@ def flow_lipschitz_probe(
     """
     g = cfg.grid
     core = _core_slices(g, cfg.delta)
+    off_origin = np.flatnonzero(core) != g.origin_index
 
     def key(d, r_, s_):
         return d.u0.data.tobytes(), d.u1.data.tobytes(), r_, s_
@@ -693,7 +708,7 @@ def flow_lipschitz_probe(
             del reports[k]
         return rep
 
-    ratios, skipped, failed = [], 0, 0
+    ratios, ratios_off, skipped, failed = [], [], 0, 0
     rows = []
     for job in jobs:
         if job is None:
@@ -707,18 +722,20 @@ def flow_lipschitz_probe(
             failed += 1
             rows.append({"ratio": None, "status": "no-contraction"})
             continue
-        dp = rep1.result.sp - rep2.result.sp
-        dm = rep1.result.sm - rep2.result.sm
-        sdist = float(
-            np.max(_slice_norms(g, dp, r_, s_)[core])
-            + np.max(_slice_norms(g, dm, r_, s_)[core])
-        )
-        ratio = sdist / ddist
+        res1, res2 = rep1.result, rep2.result
+        diffs = res1.sp[core] - res2.sp[core], res1.sm[core] - res2.sm[core]
+        norms_p, norms_m = _slice_norms(g, diffs, r_, s_)
+        ratio = float(np.max(norms_p) + np.max(norms_m)) / ddist
         ratios.append(ratio)
+        if off_origin.any():
+            off = float(np.max(norms_p[off_origin]) + np.max(norms_m[off_origin]))
+            ratios_off.append(off / ddist)
         rows.append({"ratio": ratio, "status": "ok"})
     return {
         "max_ratio": max(ratios) if ratios else None,
         "ratios": ratios,
+        "max_ratio_off_origin": max(ratios_off) if ratios_off else None,
+        "ratios_off_origin": ratios_off,
         "rows": rows,
         "skipped": skipped,
         "failed": failed,

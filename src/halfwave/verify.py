@@ -563,12 +563,6 @@ def extremizer_search(
     converged = True
     for kind in kinds:
         x0 = 0.5 * (lo + hi)
-        if degenerate:
-            val = ratio_for(kind, x0)
-            trace.append(max(val, best["ratio"] if trace else val))
-            if val > best["ratio"]:
-                best = {"ratio": val, "params": tuple(x0), "kind": kind}
-            continue
 
         def neg(x, kind=kind):
             nonlocal evals
@@ -580,6 +574,9 @@ def extremizer_search(
                 best.update(ratio=val, params=tuple(np.clip(x, lo, hi)), kind=kind)
             return -val
 
+        if degenerate:
+            neg(x0)
+            continue
         maxfev = max(1, budget // len(kinds))
         res = minimize(neg, x0, method="Nelder-Mead",
                        options={"maxfev": maxfev, "xatol": 1e-3, "fatol": 1e-4})

@@ -343,8 +343,8 @@ def _criterion_12_parts():
         qs = []
         for eps in (0.1, 0.05, 0.025):
             big, small = sols[2 * eps], sols[eps]
-            dist = (_slice_norms(g, big.sp - 2 * small.sp, 2.0, 1.0)
-                    + _slice_norms(g, big.sm - 2 * small.sm, 2.0, 1.0))
+            dist = np.add(*_slice_norms(g, (big.sp - 2 * small.sp, big.sm - 2 * small.sm),
+                                        2.0, 1.0))
             qs.append(float(np.max(dist[core])) / eps**2)
         parts[f"k={k} d{deriv} Q >= 1e-3"] = min(qs) >= 1e-3
         parts[f"k={k} d{deriv} Q varies <= 2%"] = min(qs) > 0 and max(qs) <= 1.02 * min(qs)

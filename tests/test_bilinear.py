@@ -235,10 +235,13 @@ def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_su
 
 
 def test_product_transform_window_wider_than_time_range():
+    """Both products refuse a window wider than the time box."""
     sg, g, w, u0, v0 = _small_setup()
     wide = WindowSpec(support=1.01 * g.half_time, flat_fraction=0.5)
     with pytest.raises(ParameterError):
         product_transform_direct(u0, v0, SignPair(+1, +1), g, wide)
+    with pytest.raises(ParameterError):
+        bilinear_symbol_product(u0, v0, SignPair(+1, +1), region_masks()["one"], g, wide)
 
 
 def test_single_mode_peak_location():

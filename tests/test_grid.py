@@ -114,18 +114,6 @@ def test_representation_guards(sg):
 def test_shape_and_grid_mismatch(sg):
     with pytest.raises(GridMismatchError):
         Field(sg, np.zeros((4, 4, 4), complex))
-    other = Field(SpatialGrid(16, 2 * np.pi), np.zeros((16, 16, 16), complex))
-    with pytest.raises(GridMismatchError):
-        _ = Field(sg, np.zeros(sg.shape, complex)) + other
-
-
-def test_arithmetic(sg):
-    rng = np.random.default_rng(3)
-    a = Field(sg, rng.standard_normal(sg.shape) + 0j)
-    b = Field(sg, rng.standard_normal(sg.shape) + 0j)
-    assert np.array_equal((a + b).data, a.data + b.data)
-    assert np.array_equal((a - b).data, a.data - b.data)
-    assert np.array_equal((2.5 * a).data, 2.5 * a.data)
 
 
 def test_symbols_read_only(sg):

@@ -46,6 +46,7 @@ from halfwave.spaces import (
     _xsb_weight,
     _xsb_weight_table,
     dual_exponent,
+    sobolev_hat_norm,
     window_values,
     xsb_norm,
 )
@@ -147,19 +148,18 @@ def test_zero_data_fixed_point(stg):
     cfg = default_config(stg, 0.25)
     res = picard_iterate(z, z, NonlinearitySpec(1, "x1"), cfg)
     assert res.converged
-    assert np.abs(res.up.data).max() == 0.0
+    assert np.abs(res.sp).max() == 0.0 and np.abs(res.sm).max() == 0.0
 
 
 def test_linear_flow_unitary(stg):
     """With the nonlinearity dropped the data-space norm is t-independent
-    for the pure free flow (iterate 0)."""
-    from halfwave.propagator import EvolutionSpec, free_spacetime
-
+    for the pure free flow (iterate 0) of each component."""
     d = _gaussian_data(stg.spatial)
     fp, fm = to_first_order(d)
-    u = free_spacetime(fp, stg, EvolutionSpec("J", +1))
-    norms = _slice_norms(stg, spatial_forward_slices(u), 2.0, 1.0)
-    assert norms.std() / norms.mean() < 1e-12
+    free = (free_slices(fp, stg, EvolutionSpec("J", +1)),
+            free_slices(fm, stg, EvolutionSpec("J", -1)))
+    for norms in _slice_norms(stg, free, 2.0, 1.0):
+        assert norms.std() / norms.mean() < 1e-12
 
 
 def test_contraction_small_data(stg):
@@ -211,7 +211,8 @@ def test_budget_independence(stg):
     ns = NonlinearitySpec(1, "x1")
     a = picard_iterate(fp, fm, ns, default_config(stg, 0.25, max_iter=8, tol=1e-11))
     b = picard_iterate(fp, fm, ns, default_config(stg, 0.25, max_iter=16, tol=1e-11))
-    assert np.abs(a.up.data - b.up.data).max() < 1e-10
+    ua, ub = (spatial_inverse_slices(stg, res.sp) for res in (a, b))
+    assert np.abs(ua.data - ub.data).max() < 1e-10
 
 
 def test_reconstruction_identity(stg):
@@ -306,6 +307,25 @@ def test_lipschitz_probe_ratio(stg):
     assert out["max_ratio"] == pytest.approx(1.0, abs=0.3)
 
 
+def test_lipschitz_probe_off_origin_ratios():
+    """The sup over the core slices with t != 0 is finite, positive and at
+    most the sup over the whole core, pair by pair."""
+    stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    sg = stg.spatial
+    d = _gaussian_data(sg)
+    rng = np.random.default_rng(5)
+    env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    pairs = [(d, CauchyData(Spectrum(sg, d.u0.data + _complex_noise(rng, sg.shape, eps) * env),
+                            d.u1, 2.0, 1.0))
+             for eps in (1e-3, 5e-4)]
+    out = flow_lipschitz_probe(pairs, NonlinearitySpec(1, "x1"), default_config(stg, 0.25))
+    off, full = out["ratios_off_origin"], out["ratios"]
+    assert len(off) == len(full) == 2
+    for ratio_off, ratio in zip(off, full):
+        assert np.isfinite(ratio_off) and 0.0 < ratio_off <= ratio
+    assert out["max_ratio_off_origin"] == max(off)
+
+
 def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
     """A datum shared by several pairs is solved once; the ratios do not move."""
     stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
@@ -397,8 +417,8 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     free_m = free_slices(fm, g, EvolutionSpec("J", -1))
 
-    def sup_norm(diff):
-        return np.max(_slice_norms(g, diff, r, s)[core])
+    def sup_distance(dp, dm):
+        return float(sum(np.max(norms[core]) for norms in _slice_norms(g, (dp, dm), r, s)))
 
     def restricted(diff):
         spec = SpacetimeSpectrum(g, time_forward(g, window * diff))
@@ -410,7 +430,7 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
         gp, gm = _rhs_reference(sp, sm, ns, g, source)
         new_p = free_p + duhamel(window * gp, +1, g)
         new_m = free_m + duhamel(window * gm, -1, g)
-        d = float(sup_norm(new_p - sp) + sup_norm(new_m - sm))
+        d = sup_distance(new_p - sp, new_m - sm)
         distances.append(d)
         restricted_distances.append(restricted(new_p - sp) + restricted(new_m - sm))
         sp, sm = new_p, new_m
@@ -650,7 +670,7 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
         gp = _rhs_real(sp, ns, g, source_half, window)
         new_p = duhamel(gp, +1, g) + free_p
         diff = new_p - sp
-        d = 2.0 * float(np.max(_slice_norms(g, diff[core], r, s)))
+        d = 2.0 * float(np.max(_slice_norms(g, (diff[core],) * 2, r, s)[0]))
         a = np.abs(time_forward(g, diff * window)) ** rp
         dr = sum(float((np.sum(wt * a) * g.spatial.dxi**3 * g.dtau) ** (1.0 / rp))
                  for wt in xsb_wts)
@@ -692,7 +712,8 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
     rp = params.rprime
-    slice_wts, xsb_wts = solver_mod._norm_weights(g, params, h)
+    slice_wts = solver_mod._slice_weights(g.spatial, r, s, h)
+    xsb_wts = solver_mod._xsb_weights(g, params, h)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))[..., :h]
     free_m = free_slices(fm, g, EvolutionSpec("J", -1))[..., :h]
     sp, sm = free_p, free_m
@@ -891,16 +912,14 @@ def test_half_lattice_norms_match_full_lattice(n, r):
     assert np.abs(um - up).max() > 0.1      # u_+ is not Hermitian
     params = NormParams(r, 1.0, 0.55, +1)
     rp = params.rprime
-    slice_wts, xsb_wts = solver_mod._norm_weights(g, params, h)
     dxi3 = g.spatial.dxi**3
-    totals = solver_mod._pair_totals(np.abs(up[..., :h]) ** rp, np.abs(um[..., :h]) ** rp,
-                                     slice_wts, (1, 2, 3))
-    for t, u in zip(totals, (up, um)):
-        want = _slice_norms(g, u, r, 1.0)
-        assert np.max(np.abs((t * dxi3) ** (1.0 / rp) - want) / want) <= 1e-13
+    half = _slice_norms(g, (up[..., :h], um[..., :h]), r, 1.0)
+    for got, u in zip(half, (up, um)):
+        want = [sobolev_hat_norm(Spectrum(g.spatial, x), r, 1.0) for x in u]
+        assert np.max(np.abs(got - want) / want) <= 1e-13
     spectra = [time_forward(g, u) for u in (up, um)]
     totals = solver_mod._pair_totals(*(np.abs(F[..., :h]) ** rp for F in spectra),
-                                     xsb_wts, None)
+                                     solver_mod._xsb_weights(g, params, h), None)
     for t, F in zip(totals, spectra):
         want = xsb_norm(SpacetimeSpectrum(g, F), params)
         assert abs((t * dxi3 * g.dtau) ** (1.0 / rp) - want) <= 1e-13 * want

@@ -319,6 +319,7 @@ def test_extremizer_degenerate_box():
     assert res["converged"]
     assert res["best_params"] == (2.0, 1.0, 0.5, 0.5)
     assert np.isfinite(res["best_ratio"])
+    assert len(res["trace"]) == res["evaluations"] == 3
 
 
 def test_extremizer_weights_once_per_grid(monkeypatch):
