@@ -156,7 +156,7 @@ def cmd_norms(cfg, args):
                 F = forward_transform(obj)
             rows.append({"norm": "sobolev_hat", "value": sobolev_hat_norm(F, r, s)})
         summary = {"params": {"r": r, "s": s, "b": b, "input": args.input}}
-        return rows, summary, True
+        return rows, summary, all(np.isfinite(row["value"]) for row in rows)
 
     return run
 

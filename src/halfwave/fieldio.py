@@ -8,11 +8,12 @@ M = 0 marks a spatial-only object (no time axis).
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import FieldLoadError
+from .errors import FieldLoadError, ParameterError
 from .grid import Field, SpacetimeField, SpacetimeGrid, SpatialGrid, Spectrum, SpacetimeSpectrum
 
 __all__ = ["write_field", "read_field", "MAGIC", "VERSION"]
@@ -48,7 +49,7 @@ def write_field(path, obj) -> None:
 
 
 def read_field(path):
-    """Load a lattice object, validating magic, version and sample count."""
+    """Load a lattice object, validating magic, version, lattice and sample count."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -62,21 +63,16 @@ def read_field(path):
             raise FieldLoadError(f"unsupported container version {version}")
         if flag not in _CLASSES:
             raise FieldLoadError(f"unknown representation flag {flag}")
-        if n <= 0 or n % 2 or L <= 0:
-            raise FieldLoadError(f"invalid spatial descriptor N={n}, L={L}")
-        cls = _CLASSES[flag]
-        spacetime = flag >= 2
-        if spacetime:
-            if m <= 0 or m % 2 or T <= 0:
-                raise FieldLoadError(f"invalid time descriptor M={m}, T={T}")
-            grid = SpacetimeGrid(SpatialGrid(int(n), L), int(m), T)
-            shape = (int(m), int(n), int(n), int(n))
-        else:
-            if m != 0:
-                raise FieldLoadError(f"spatial-only flag {flag} with M={m}")
-            grid = SpatialGrid(int(n), L)
-            shape = grid.shape
-        count = int(np.prod(shape))
+        if flag < 2 and m != 0:
+            raise FieldLoadError(f"spatial-only flag {flag} with M={m}")
+        try:
+            grid = SpatialGrid(n, L)
+            if flag >= 2:
+                grid = SpacetimeGrid(grid, m, T)
+        except ParameterError as e:
+            raise FieldLoadError(f"invalid lattice descriptor N={n}, L={L}, M={m}, T={T}: {e}")
+        shape = grid.shape
+        count = math.prod(shape)    # exact: an int64 product wraps for a huge N
         raw = fh.read()
         expected = 16 * count
         if len(raw) != expected:
@@ -85,4 +81,4 @@ def read_field(path):
                 f"({count} complex samples)"
             )
         data = np.frombuffer(raw, dtype="<c16").reshape(shape)
-        return cls(grid, data.astype(np.complex128))
+        return _CLASSES[flag](grid, data.astype(np.complex128))

@@ -80,8 +80,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ParameterError(f"N must be an even integer >= 4, got {self.n}")
-        if self.half_length <= 0:
-            raise ParameterError(f"L must be positive, got {self.half_length}")
+        if not 0 < self.half_length < np.inf:
+            raise ParameterError(f"L must be finite and positive, got {self.half_length}")
 
     @property
     def dx(self) -> float:
@@ -167,8 +167,8 @@ class SpacetimeGrid:
     def __post_init__(self):
         if self.m < 4 or self.m % 2 != 0:
             raise ParameterError(f"M must be an even integer >= 4, got {self.m}")
-        if self.half_time <= 0:
-            raise ParameterError(f"T must be positive, got {self.half_time}")
+        if not 0 < self.half_time < np.inf:
+            raise ParameterError(f"T must be finite and positive, got {self.half_time}")
 
     @property
     def dt(self) -> float:

@@ -7,8 +7,10 @@ exponential integrator; the nonlinearity is evaluated pointwise with
 shape (M, N, N, N); configuration space is visited only for the pointwise
 product.  Real data have u_- = conj u_+(-xi) at every iterate, so for them
 the same loop runs on the half spectra of both components.  Correctness is
-judged convention-free through the Box residual and through contraction
-diagnostics.
+judged convention-free through the Box residual, audited where the whole
+d_t^2 stencil lies in |t| <= delta, and through contraction diagnostics.
+Every norm comes from spaces: the solver passes slices and weights and
+takes norms back.  select_delta tries no delta below 2 dt.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .grid import (
     _spatial_dft,
     conj_reflect,
     hermitian_full,
-    reflect,
     spatial_forward_slices,
     time_forward,
 )
@@ -35,9 +36,9 @@ from .propagator import EvolutionSpec, _duhamel, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
-    _sobolev_weight,
-    _xsb_weight_table,
-    dual_exponent,
+    _lattice_norms,
+    _slice_norms,
+    _xsb_weights,
     sobolev_hat_norm,
     window_values,
     z_norm,
@@ -294,59 +295,6 @@ def _core_slices(g: SpacetimeGrid, delta: float) -> np.ndarray:
     return np.abs(g.t_axis) <= delta + 1e-12
 
 
-def _mate(weight: np.ndarray) -> np.ndarray:
-    """The mate of a norm on the half lattice of real data, the first h
-    entries of the last axis: F_+ off the half is conj F_- at the reflected
-    point, (t, -xi) or (-tau, -xi), so the weight there, given here, times
-    |F_-| stands for it.  The half holds the self-conjugate planes 0 and h-1
-    whole, so the mate is zeroed there, in place."""
-    weight[..., [0, -1]] = 0.0
-    return weight
-
-
-def _slice_weights(sg, r: float, s: float, h: int) -> tuple:
-    """(weight, mate) of the slice norms on the first h entries of the last
-    axis; the weight is radial, so its reflection is itself.  On the full
-    lattice the mate is None."""
-    wt = _sobolev_weight(sg, r, s)[..., :h]
-    return wt, None if h == sg.n else _mate(wt.copy())
-
-
-def _xsb_weights(g: SpacetimeGrid, p: NormParams, h: int) -> tuple:
-    """(weight, mate) of the X-norm on the first h entries of the last axis;
-    the mate is the X-weight reflected in tau.  On the full lattice it is None."""
-    index = g.spatial.shell_index[..., :h]
-    table = _xsb_weight_table(g, p)
-    wt = np.take(table, index, axis=1)
-    if h == g.spatial.n:
-        return wt, None
-    return wt, _mate(np.take(reflect(table, (0,)), index, axis=1))
-
-
-def _pair_totals(a_p: np.ndarray, a_m: np.ndarray, weights, axes):
-    """sum(wt a_+) + sum(mate a_-) over axes, and the same with +- swapped, for
-    a_pm = |F_pm|^{r'} (overwritten) and a (wt, mate) pair of weights."""
-    wt, mate = weights
-    mates = (0.0, 0.0) if mate is None else (
-        np.sum(a_m * mate, axis=axes), np.sum(a_p * mate, axis=axes))
-    a_p *= wt
-    a_m *= wt
-    return np.sum(a_p, axis=axes) + mates[0], np.sum(a_m, axis=axes) + mates[1]
-
-
-def _slice_norms(g: SpacetimeGrid, pair, r: float, s: float) -> tuple:
-    """The data-space norm of every time slice of both components of pair.
-
-    pair is (F_+, F_-), or their differences, as spatial spectral slices on
-    the full lattice or, for real data (F_- = conj R F_+), on the half
-    lattice; the last axis says which.  Returns the two per-slice curves.
-    """
-    rp = dual_exponent(r)
-    weights = _slice_weights(g.spatial, r, s, pair[0].shape[-1])
-    totals = _pair_totals(*(np.abs(x) ** rp for x in pair), weights, (1, 2, 3))
-    return tuple((t * g.spatial.dxi**3) ** (1.0 / rp) for t in totals)
-
-
 def _step_ratios(distances: list) -> list:
     """cur/prev of consecutive distances, 0 where prev is not positive."""
     return [cur / prev if prev > 0 else 0.0 for prev, cur in zip(distances, distances[1:])]
@@ -419,8 +367,8 @@ def picard_iterate(
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
     the pair cut to the half lattice (the first N//2 + 1 entries of the last
     axis) fixes both components.  The loop then runs on half spectra, with
-    the real transforms and mate weights (see _mate); u_+ is completed once,
-    at the end.
+    the real transforms and mate weights (see spaces._mate); u_+ is
+    completed once, at the end.
     """
     g = cfg.grid
     if fp.grid != g.spatial or fm.grid != g.spatial:
@@ -446,10 +394,7 @@ def picard_iterate(
     # loop invariants; the window only scales time, so it commutes with the
     # spatial transform and applies to spectral slices directly
     window = window[blk, None, None, None]
-    params = NormParams(r, s, cfg.b, +1)
-    rp = params.rprime
-    dxi3 = g.spatial.dxi**3
-    xsb_wts = _xsb_weights(g, params, h)
+    xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h)
     free_p = _free_slices_at(fp, EvolutionSpec("J", +1), g.t_axis, h)
     free_m = _free_slices_at(fm, EvolutionSpec("J", -1), g.t_axis, h)
     free_bp, free_bm = free_p[blk], free_m[blk]
@@ -460,12 +405,11 @@ def picard_iterate(
 
     def x_distance(diffs):
         # upper bound for the [-delta, delta] restriction norm via one window
-        powers = []
-        for x in diffs:
-            np.multiply(x, window, out=windowed[blk])
-            powers.append(np.abs(time_forward(g, windowed)) ** rp)
-        totals = _pair_totals(*powers, xsb_wts, None)
-        return sum(float((t * dxi3 * g.dtau) ** (1.0 / rp)) for t in totals)
+        def spectra():
+            for x in diffs:
+                np.multiply(x, window, out=windowed[blk])
+                yield time_forward(g, windowed)
+        return float(sum(_lattice_norms(g, spectra(), xsb_wts, r)))
 
     def extend(forcing, sign, free):
         # the iterate on every slice: one sweep of the forcing, zero off the block
@@ -548,7 +492,7 @@ def _box_residual(
 
     u_spec holds the spatial spectral slices of u on the whole time axis,
     b_spec those of B on the audit slices alone, which lie at least two
-    slices inside the grid.  An empty audit has no residual (NaN) and scale 0.
+    slices inside the core.  An empty audit has no residual (NaN) and scale 0.
     """
     lo, hi = audit.start, audit.stop
     if hi <= lo:
@@ -578,10 +522,12 @@ def solve_local(
     Reports the Box-residual on the interior of [-delta, delta], the
     persistence curve t -> data-space norm of the components, and for k = 2
     the Z-norm diagnostic (both regularities of the pair (u, d_t u)).  u,
-    d_t u, the persistence curve and the Z-norm cover the whole time axis;
-    B(u, u) and the source term of the residual are formed only on the
-    slices it reads, the core less the grid's first and last two.  When no
-    slice is left to audit, the report says so (SolveReport.status).
+    d_t u, the persistence curve and the Z-norm cover the whole time axis.
+    The residual audits the core slices whose d_t^2 stencil, two slices each
+    way, lies in the core: outside it the window has cut the forcing, so u
+    solves no equation there.  B(u, u) and the source term are formed on the
+    audited slices alone.  When no slice is left to audit, the report says
+    so (SolveReport.status).
     """
     g = cfg.grid
     src = None if source is None else spatial_forward_slices(source)
@@ -597,8 +543,8 @@ def solve_local(
     dtu = SpacetimeField(g, _to_space(g, dtu_spec))
 
     core = _core_slices(g, cfg.delta)
-    interior = np.flatnonzero(core[2:-2]) + 2
-    audit = slice(interior[0], interior[-1] + 1) if interior.size else slice(2, 2)
+    lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)
+    audit = slice(lo, max(lo, hi))
     # B(u, u) = B(w, w)/4 for u = w/2
     b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], w[audit, ..., :h],
                             ns, g) / 4.0
@@ -623,12 +569,12 @@ def solve_local(
         persistence=pers,
         max_jump=float(jumps.max()) if jumps.size else 0.0,
         z_value=z_value,
-        status="unaudited" if result.converged and not interior.size else result.status,
+        status="unaudited" if result.converged and hi <= lo else result.status,
     )
 
 
 _RHO_TARGET = 0.9       # select_delta accepts a delta whose rho_1 is below this
-_MAX_HALVINGS = 8
+_MAX_TRIALS = 8
 
 
 def select_delta(
@@ -639,23 +585,26 @@ def select_delta(
 ) -> tuple[float, list[dict]]:
     """Halve the local time radius until the first contraction factor is small.
 
-    Starts at min(1, 0.5 / (1 + max data norm)) and returns the accepted
-    delta with the trial trace.  Each trial runs the two Picard steps that
-    rho_1 reads.
+    Starts at min(1, 0.5 / (1 + max data norm)), and tries no delta below
+    2 dt: the core then keeps two slices on each side of t = 0, where a core
+    of t = 0 alone would give rho_1 = 0 by construction.  Returns the first
+    accepted delta with the trial trace; when none is accepted, the last one
+    tried, at the floor or after _MAX_TRIALS trials.  Each trial runs the
+    two Picard steps that rho_1 reads.
     """
     n0, n1 = d.norms()
-    delta = min(1.0, 0.5 / (1.0 + max(n0, n1)))
+    floor = 2.0 * grid.dt
+    delta = max(floor, min(1.0, 0.5 / (1.0 + max(n0, n1))))
     fp, fm = to_first_order(d)
     trace = []
-    for _ in range(_MAX_HALVINGS):
+    while True:
         cfg = default_config(grid, delta, max_iter=2, **cfg_kw)
         res = picard_iterate(fp, fm, ns, cfg, r=d.r, s=d.s)
         rho1 = res.rhos[0] if res.rhos else 0.0
         trace.append({"delta": delta, "rho1": rho1})
-        if rho1 < _RHO_TARGET:
+        if rho1 < _RHO_TARGET or delta == floor or len(trace) == _MAX_TRIALS:
             return delta, trace
-        delta /= 2.0
-    return delta, trace
+        delta = max(floor, delta / 2.0)
 
 
 def flow_lipschitz_probe(

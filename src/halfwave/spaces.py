@@ -16,9 +16,11 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError, RepresentationError
 from .grid import (
     SpacetimeField,
+    SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
     forward_transform,
+    reflect,
     time_forward,
 )
 from .propagator import EvolutionSpec, _phase_table
@@ -122,15 +124,77 @@ def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
     _check_r(r)
     if not isinstance(F, Spectrum):
         raise RepresentationError("sobolev_hat_norm expects a spatial Spectrum")
-    rp = dual_exponent(r)
     g = F.grid
-    total = np.sum(_sobolev_weight(g, r, s) * np.abs(F.data) ** rp) * g.dxi**3
-    return float(total ** (1.0 / rp))
+    return float(_lattice_norms(g, [F.data], (_sobolev_weight(g, r, s), None), r)[0])
 
 
 def _sobolev_weight(sg, r: float, s: float) -> np.ndarray:
     """<xi>^{s r'} on the spatial lattice, evaluated per shell and gathered."""
     return np.take(sg.shell_brackets ** (s * dual_exponent(r)), sg.shell_index)
+
+
+def _mate(weight: np.ndarray) -> np.ndarray:
+    """The mate of a norm on the half lattice of real data, the first h
+    entries of the last axis: F_+ off the half is conj F_- at the reflected
+    point, (t, -xi) or (-tau, -xi), so the weight there, given here, times
+    |F_-| stands for it.  The half holds the self-conjugate planes 0 and h-1
+    whole, so the mate is zeroed there, in place."""
+    weight[..., [0, -1]] = 0.0
+    return weight
+
+
+def _slice_weights(sg, r: float, s: float, h: int) -> tuple:
+    """(weight, mate) of the slice norms on the first h entries of the last
+    axis; the weight is radial, so its reflection is itself.  On the full
+    lattice the mate is None."""
+    wt = _sobolev_weight(sg, r, s)[..., :h]
+    return wt, None if h == sg.n else _mate(wt.copy())
+
+
+def _xsb_weights(g: SpacetimeGrid, p: NormParams, h: int) -> tuple:
+    """(weight, mate) of the X-norm on the first h entries of the last axis;
+    the mate is the X-weight reflected in tau.  On the full lattice it is None."""
+    index = g.spatial.shell_index[..., :h]
+    table = _xsb_weight_table(g, p)
+    wt = np.take(table, index, axis=1)
+    if h == g.spatial.n:
+        return wt, None
+    return wt, _mate(np.take(reflect(table, (0,)), index, axis=1))
+
+
+def _root(total, g, rp: float):
+    """(total times the lattice cell dxi^3, or dxi^3 dtau on a space-time
+    grid)^{1/r'}: a lattice sum made a norm."""
+    if isinstance(g, SpacetimeGrid):
+        return (total * g.spatial.dxi**3 * g.dtau) ** (1.0 / rp)
+    return (total * g.dxi**3) ** (1.0 / rp)
+
+
+def _lattice_norms(g, spectra, weights, r: float, axes=None) -> list:
+    """The L^{r'} norm (sum wt |F|^{r'})^{1/r'} of each array F of spectra on
+    g's lattice, summed over axes, for weights = (wt, mate).  With a mate (see
+    _mate) spectra is a pair (F_+, F_-), and each sum adds that of the mate
+    times the other's |F|^{r'}."""
+    rp = dual_exponent(r)
+    wt, mate = weights
+    powers = list(map(np.abs, spectra))     # drops each spectrum once its |F| is formed
+    for a in powers:
+        a **= rp
+    mates = [0.0] * len(powers) if mate is None else [
+        np.sum(a * mate, axis=axes) for a in powers[::-1]]
+    return [_root(np.sum(np.multiply(a, wt, out=a), axis=axes) + m, g, rp)
+            for a, m in zip(powers, mates)]
+
+
+def _slice_norms(g: SpacetimeGrid, pair, r: float, s: float) -> list:
+    """The data-space norm of every time slice of both components of pair.
+
+    pair is (F_+, F_-), or their differences, as spatial spectral slices on
+    the full lattice or, for real data (F_- = conj R F_+), on the half
+    lattice; the last axis says which.  Returns the two per-slice curves.
+    """
+    weights = _slice_weights(g.spatial, r, s, pair[0].shape[-1])
+    return _lattice_norms(g.spatial, pair, weights, r, (1, 2, 3))
 
 
 def _spacetime_spectrum(u) -> SpacetimeSpectrum:
@@ -144,11 +208,16 @@ def _spacetime_spectrum(u) -> SpacetimeSpectrum:
 def lr_xt_norm(F, r: float) -> float:
     """Unweighted space-time lattice L^{r'} norm of the full transform."""
     _check_r(r)
-    F = _spacetime_spectrum(F)
+    return _weighted_st_norm(_spacetime_spectrum(F), r, 1.0)
+
+
+def _weighted_st_norm(S: SpacetimeSpectrum, r: float, weight) -> float:
+    """L^{r'} space-time lattice norm of weight * |F|, formed in place."""
     rp = dual_exponent(r)
-    g = F.grid
-    total = np.sum(np.abs(F.data) ** rp) * g.spatial.dxi**3 * g.dtau
-    return float(total ** (1.0 / rp))
+    a = np.abs(S.data)
+    a *= weight
+    a **= rp
+    return float(_root(np.sum(a), S.grid, rp))
 
 
 def _xsb_weight_table(grid, p: NormParams) -> np.ndarray:
@@ -160,23 +229,11 @@ def _xsb_weight_table(grid, p: NormParams) -> np.ndarray:
     return sg.shell_brackets ** (p.s * rp) * modulation ** (p.b * rp)
 
 
-def _xsb_weight(grid, p: NormParams) -> np.ndarray:
-    """The X-weight on the (M, N, N, N) lattice.
-
-    The weight is radial in xi: it is evaluated once per (tau, shell) and
-    gathered through the grid's shell_index.
-    """
-    return np.take(_xsb_weight_table(grid, p), grid.spatial.shell_index, axis=1)
-
-
 def xsb_norm(u, p: NormParams) -> float:
     """Modulation-weighted space-time norm; fields are transformed first."""
     F = _spacetime_spectrum(u)
     g = F.grid
-    a = np.abs(F.data)
-    a **= p.rprime
-    a *= _xsb_weight(g, p)
-    return float((np.sum(a) * g.spatial.dxi**3 * g.dtau) ** (1.0 / p.rprime))
+    return float(_lattice_norms(g, [F.data], _xsb_weights(g, p, g.spatial.n), p.r)[0])
 
 
 def _free_xsb_norm(u0: Spectrum, g, time_factor: np.ndarray, p: NormParams) -> float:
@@ -199,8 +256,7 @@ def _free_xsb_norm(u0: Spectrum, g, time_factor: np.ndarray, p: NormParams) -> f
     a **= rp
     shell_sums = np.bincount(sg.shell_index.ravel(), weights=a.ravel(),
                              minlength=sg.shell_values.size)
-    total = np.dot(T.sum(axis=0), shell_sums)
-    return float((total * sg.dxi**3 * g.dtau) ** (1.0 / rp))
+    return float(_root(np.dot(T.sum(axis=0), shell_sums), g, rp))
 
 
 def z_norm(u, dtu, p: NormParams) -> float:

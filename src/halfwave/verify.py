@@ -28,7 +28,6 @@ from .dyadic import region_masks
 from .errors import ParameterError
 from .grid import (
     SpacetimeGrid,
-    SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
 )
@@ -37,7 +36,7 @@ from .spaces import (
     WindowSpec,
     _free_xsb_norm,
     _grid_window,
-    dual_exponent,
+    _weighted_st_norm,
     sobolev_hat_norm,
 )
 
@@ -185,17 +184,6 @@ class EstimateReport:
         elif not self.skipped:
             self.passed = bool(ok)
         return self
-
-
-def _weighted_st_norm(S: SpacetimeSpectrum, r: float, weight: np.ndarray) -> float:
-    """L^{r'} space-time lattice norm of weight * |F|, formed in place."""
-    rp = dual_exponent(r)
-    g = S.grid
-    a = np.abs(S.data)
-    a *= weight
-    a **= rp
-    total = np.sum(a) * g.spatial.dxi**3 * g.dtau
-    return float(total ** (1.0 / rp))
 
 
 def _judge_groups(report: EstimateReport, key: str, groups) -> EstimateReport:

@@ -31,7 +31,6 @@ from halfwave.grid import (
 from halfwave.solver import (
     CauchyData,
     NonlinearitySpec,
-    _slice_norms,
     default_config,
     flow_lipschitz_probe,
     from_first_order,
@@ -40,6 +39,7 @@ from halfwave.solver import (
     solve_local,
     to_first_order,
 )
+from halfwave.spaces import _slice_norms
 from halfwave.verify import (
     check_key_estimate,
     check_lowfreq_young,

@@ -4,6 +4,7 @@ import ast
 import filecmp
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,41 @@ def test_norms_command(tmp_path):
     lines = (out / "norms.csv").read_text().strip().splitlines()
     assert lines[0] == "norm,value"
     assert lines[1].startswith("sobolev_hat,")
+
+
+def test_norms_rejects_non_finite_lattice(tmp_path):
+    """A container whose L is NaN is a load error, exit 1, with no output."""
+    sg = SpatialGrid(8, np.pi)
+    path = tmp_path / "data.hw"
+    write_field(path, Spectrum(sg, np.ones(sg.shape, complex)))
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = struct.pack("<d", math.nan)
+    path.write_bytes(bytes(raw))
+    code, out = _run(tmp_path, "--input", str(path), "norms")
+    assert code == 1 and not out.exists()
+
+
+def test_norms_fails_on_non_finite_value(tmp_path):
+    sg = SpatialGrid(8, np.pi)
+    data = np.ones(sg.shape, complex)
+    data[1, 2, 3] = np.inf
+    path = tmp_path / "data.hw"
+    write_field(path, Spectrum(sg, data))
+    code, out = _run(tmp_path, "--input", str(path), "norms")
+    assert code == 2
+    assert json.loads((out / "norms.json").read_text())["passed"] is False
+
+
+def test_solve_large_data_fails_at_the_delta_floor(tmp_path):
+    """Data too large to contract at delta = 2 dt fail: the solve is not run
+    on a core of t = 0 alone, where nothing is measured."""
+    code, out = _run(tmp_path, "--set", "family.amplitude=2000", "--set", "params.k=2",
+                     "--set", "params.derivative=t", "solve")
+    summary = json.loads((out / "solve.json").read_text())["summary"]
+    trace = summary["delta_trace"]
+    assert code == 2 and summary["status"] != "converged"
+    assert [row["delta"] for row in trace] == [summary["params"]["delta"]] == [2.0 / 32]
+    assert trace[0]["rho1"] >= 0.9
 
 
 def test_sharpness_reports_exponent(tmp_path):

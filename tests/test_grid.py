@@ -50,6 +50,14 @@ def test_grid_validation():
         SpatialGrid(16, -1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_grid_lengths_finite_and_positive(bad):
+    with pytest.raises(ParameterError, match="finite and positive"):
+        SpatialGrid(8, bad)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        SpacetimeGrid(SpatialGrid(8, 1.0), 8, bad)
+
+
 def test_roundtrip(sg):
     rng = np.random.default_rng(0)
     f = Field(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape))

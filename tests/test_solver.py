@@ -29,7 +29,6 @@ from halfwave.solver import (
     CauchyData,
     NonlinearitySpec,
     SolveConfig,
-    _slice_norms,
     default_config,
     flow_lipschitz_probe,
     from_first_order,
@@ -42,9 +41,11 @@ from halfwave.solver import (
 from halfwave.spaces import (
     NormParams,
     WindowSpec,
+    _lattice_norms,
+    _slice_norms,
+    _slice_weights,
     _sobolev_weight,
-    _xsb_weight,
-    _xsb_weight_table,
+    _xsb_weights,
     dual_exponent,
     sobolev_hat_norm,
     window_values,
@@ -286,6 +287,44 @@ def test_select_delta_monotone_in_size(stg):
         assert trace[-1]["rho1"] < 0.9
         deltas.append(delta)
     assert deltas[0] >= deltas[1] >= deltas[2]
+
+
+@pytest.mark.parametrize("amp, k, derivative, accepted", [
+    (10.0, 1, "x1", True), (100.0, 1, "x1", True), (500.0, 1, "x1", True),
+    (2000.0, 2, "t", False),
+])
+def test_select_delta_floor(stg, amp, k, derivative, accepted):
+    """Data whose start formula falls below 2 dt are tried at 2 dt, where the
+    core keeps two slices on each side of t = 0 and rho_1 is not 0 by
+    construction; the large k=2 d_t datum fails there, and the trace shows it."""
+    d = _gaussian_data(stg.spatial, amp=amp)
+    assert 0.5 / (1.0 + max(d.norms())) < 2.0 * stg.dt
+    delta, trace = select_delta(d, NonlinearitySpec(k, derivative), stg)
+    assert [row["delta"] for row in trace] == [delta] == [2.0 * stg.dt]
+    assert trace[0]["rho1"] > 0.0
+    assert (trace[0]["rho1"] < 0.9) == accepted
+
+
+def test_select_delta_returns_a_tried_delta(stg, monkeypatch):
+    """With no delta accepted, the halving stops at the floor 2 dt, or after
+    the trial budget, and returns the last delta tried."""
+    d = _gaussian_data(stg.spatial)
+    ns = NonlinearitySpec(1, "x1")
+    monkeypatch.setattr(solver_mod, "_RHO_TARGET", 0.0)
+    delta, trace = select_delta(d, ns, stg)
+    deltas = [row["delta"] for row in trace]
+    assert delta == deltas[-1] == 2.0 * stg.dt < deltas[-2]
+    assert deltas[:-1] == [deltas[0] / 2**i for i in range(len(deltas) - 1)]
+    monkeypatch.setattr(solver_mod, "_MAX_TRIALS", 2)
+    delta, trace = select_delta(d, ns, stg)
+    assert delta == trace[-1]["delta"] == deltas[1] and len(trace) == 2
+
+
+def test_select_delta_without_a_floor_delta_raises():
+    """On M = 4 the floor 2 dt is the whole time half-width: no window fits."""
+    g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 4, 1.0)
+    with pytest.raises(ParameterError):
+        select_delta(_gaussian_data(g.spatial), NonlinearitySpec(1, "x1"), g)
 
 
 def test_lipschitz_probe_skips_identical(stg):
@@ -660,7 +699,7 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
     rp = params.rprime
-    xsb_wt = _xsb_weight(g, params)
+    xsb_wt = _xsb_weights(g, params, g.spatial.n)[0]
     xsb_wts = xsb_wt, reflect(xsb_wt, (0, 1, 2, 3))
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     sp = free_p
@@ -712,8 +751,8 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
     rp = params.rprime
-    slice_wts = solver_mod._slice_weights(g.spatial, r, s, h)
-    xsb_wts = solver_mod._xsb_weights(g, params, h)
+    slice_wts = _slice_weights(g.spatial, r, s, h)
+    xsb_wts = _xsb_weights(g, params, h)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))[..., :h]
     free_m = free_slices(fm, g, EvolutionSpec("J", -1))[..., :h]
     sp, sm = free_p, free_m
@@ -820,7 +859,8 @@ def test_window_block_transform_shapes(monkeypatch, real):
 
 def _residual_reference(rep, ns, cfg, src=None):
     """The Box-residual audit on full arrays: B, its source term and d_t^2 u
-    on every slice, then the core slices less the grid's first and last two."""
+    on every slice, then the core slices less the core's first and last two;
+    (NaN, 0) when none is left."""
     g = cfg.grid
     sp, sm = rep.result.sp, rep.result.sm
     real = rep.result.real_data
@@ -839,7 +879,10 @@ def _residual_reference(rep, ns, cfg, src=None):
     ) / (12.0 * g.dt**2)
     box = utt + g.spatial.modulus**2 * u_spec
     idx = np.abs(g.t_axis) <= cfg.delta + 1e-12
-    idx[:2] = idx[-2:] = False
+    kept = np.flatnonzero(idx)
+    idx[kept[:2]] = idx[kept[-2:]] = False
+    if not idx.any():
+        return np.nan, 0.0
     resid = box[idx] - b_spec[idx]
     return (float(np.sqrt(np.mean(np.abs(resid) ** 2))),
             float(np.sqrt(np.mean(np.abs(b_spec[idx]) ** 2))))
@@ -862,7 +905,8 @@ def test_residual_audit_matches_full_array_reference(k, derivative, real):
             rep = solve_local(fp, fm, ns, cfg, source=src)
             assert rep.result.real_data == real
             spec = None if src is None else spatial_forward_slices(src)
-            assert (rep.residual, rep.residual_scale) == _residual_reference(rep, ns, cfg, spec)
+            assert np.array_equal((rep.residual, rep.residual_scale),
+                                  _residual_reference(rep, ns, cfg, spec), equal_nan=True)
 
 
 # ----------------------------------------------- real data on the half lattice
@@ -911,18 +955,15 @@ def test_half_lattice_norms_match_full_lattice(n, r):
     um = _conj_reflect_by_index(up)
     assert np.abs(um - up).max() > 0.1      # u_+ is not Hermitian
     params = NormParams(r, 1.0, 0.55, +1)
-    rp = params.rprime
-    dxi3 = g.spatial.dxi**3
     half = _slice_norms(g, (up[..., :h], um[..., :h]), r, 1.0)
     for got, u in zip(half, (up, um)):
         want = [sobolev_hat_norm(Spectrum(g.spatial, x), r, 1.0) for x in u]
         assert np.max(np.abs(got - want) / want) <= 1e-13
     spectra = [time_forward(g, u) for u in (up, um)]
-    totals = solver_mod._pair_totals(*(np.abs(F[..., :h]) ** rp for F in spectra),
-                                     solver_mod._xsb_weights(g, params, h), None)
-    for t, F in zip(totals, spectra):
+    norms = _lattice_norms(g, [F[..., :h] for F in spectra], _xsb_weights(g, params, h), r)
+    for got, F in zip(norms, spectra):
         want = xsb_norm(SpacetimeSpectrum(g, F), params)
-        assert abs((t * dxi3 * g.dtau) ** (1.0 / rp) - want) <= 1e-13 * want
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_empty_audit_is_unaudited():

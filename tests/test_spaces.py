@@ -14,7 +14,7 @@ from halfwave.grid import (
 )
 from halfwave.spaces import (
     NormParams,
-    _xsb_weight,
+    _xsb_weights,
     WindowSpec,
     apply_window,
     dual_exponent,
@@ -188,10 +188,10 @@ def test_xsb_weight_matches_lattice_formula(n, half_length, m):
         for sign in (+1, -1):
             p = NormParams(r, 1.25, 0.55, sign)
             rp = p.rprime
-            got = _xsb_weight(g, p)
+            got, mate = _xsb_weights(g, p, n)
             modulation = np.sqrt(1.0 + (tau - p.sign * sg.modulus) ** 2)
             want = sg.bracket ** (p.s * rp) * modulation ** (p.b * rp)
-            assert got.shape == g.shape and got.flags.c_contiguous
+            assert got.shape == g.shape and got.flags.c_contiguous and mate is None
             assert np.array_equal(got[sample], want)
 
 
@@ -204,7 +204,7 @@ def test_xsb_norm_matches_out_of_place_formula(stg, r):
     F = forward_transform(SpacetimeField(stg, x))
     keep = F.data.copy()
     p = NormParams(r, 1.0, 0.55, +1)
-    w = _xsb_weight(stg, p)
+    w = _xsb_weights(stg, p, stg.spatial.n)[0]
     total = np.sum(w * np.abs(F.data) ** p.rprime) * stg.spatial.dxi**3 * stg.dtau
     want = float(total ** (1.0 / p.rprime))
     assert xsb_norm(F, p) == want
