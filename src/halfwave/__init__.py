@@ -45,7 +45,7 @@ from .grid import (
     forward_transform,
     inverse_transform,
 )
-from .propagator import EvolutionSpec, duhamel, evolve, free_spacetime
+from .propagator import EvolutionSpec, duhamel, free_spacetime
 from .solver import (
     CauchyData,
     NonlinearitySpec,
@@ -62,7 +62,6 @@ from .solver import (
 from .spaces import (
     NormParams,
     WindowSpec,
-    apply_window,
     dual_exponent,
     lr_xt_norm,
     restricted_norm,

@@ -34,7 +34,7 @@ from .grid import (
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
-    _spatial_dft,
+    _dft,
     forward_transform,
     time_forward,
 )
@@ -306,8 +306,8 @@ def _windowed_product(
     if nonzero.size:
         keep = slice(nonzero[0], nonzero[-1] + 1)
         uf, vf = (
-            _spatial_dft(_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep]),
-                         (1, 2, 3), g.spatial, inverse=True)
+            _dft(_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep]), g.spatial,
+                 inverse=True)
             for a, sign in ((u0, sp.first), (v0, sp.second))
         )
         prod = out[keep]

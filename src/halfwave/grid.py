@@ -13,12 +13,14 @@ F_t u(tau) = dt * sum_t u(t) exp(-i t tau).
 All sample arrays are stored in ascending-coordinate order: x (and t)
 increase along each axis, and frequency axes run from -N/2*dxi upward.
 
-Every transform is one fused scipy.fft.fftn/ifftn over all the requested
-axes.  Because N and M are even, the fftshift that centers the frequency
-axis is the same as multiplying by the (-1)^n checkerboard, which is applied
-before and after the FFT; the remaining (-1)^(N/2) and the lattice steps
-fold into one scalar.  The 1-D sign vectors and the N^3 spatial
-checkerboards are cached read-only by size; nothing of size M*N^3 is cached.
+Every transform goes through one routine, _dft: one fused scipy.fft call
+over the last three (space) axes, axis 0 (time), or both; the typed
+front-ends name which.  Because N and M are even, the fftshift that centers
+the frequency axis is the same as multiplying by the (-1)^n checkerboard,
+which is applied before and after the FFT; the remaining (-1)^(N/2) and the
+lattice steps fold into one scalar.  The 1-D sign vectors and the N^3
+spatial checkerboards are cached read-only by size; nothing of size M*N^3
+is cached.
 
 SpatialGrid is the one symbol table: |xi|, <xi> = (1 + |xi|^2)^(1/2) and the
 2/3-rule dealiasing mask are built once per grid and cached read-only.  So
@@ -254,41 +256,56 @@ def _checkerboard(n: int) -> np.ndarray:
     return _read_only(s[:, None, None] * s[None, :, None] * s[None, None, :])
 
 
-def _time_signs(m: int, ndim: int) -> np.ndarray:
-    """_signs(m) shaped to broadcast along axis 0 of an ndim-array."""
-    return _signs(m).reshape((m,) + (1,) * (ndim - 1))
-
-
 def _half_sign(n: int) -> float:
     """(-1)^(n/2), the phase that ties the centered index j = k - n/2 to k."""
     return -1.0 if (n // 2) % 2 else 1.0
 
 
-def _shifted_dft(
-    data, axes, signs, scale: float, inverse: bool = False, real: bool = False
+def _dft(
+    data, space: SpatialGrid | None = None, time: SpacetimeGrid | None = None,
+    inverse: bool = False,
 ) -> np.ndarray:
-    """scale * S * DFT(S * data) over `axes`, S the product of the sign arrays.
+    """The centered lattice transform of data, or its inverse: every transform.
 
-    With S the (-1)^k checkerboard of the transformed axes this is the
-    centered lattice transform: for even n, fftshift(fft(f)) = fft((-1)^k f)
-    and the output phase (-1)^j equals (-1)^k * (-1)^(n/2), folded into
-    scale.  The inverse has the same form with ifft.
+    space transforms the last three axes on that lattice, time transforms
+    axis 0 on the time lattice of that grid, at any ndim.  The result is
+    scale * S * DFT(S * data), S the product of the (-1)^k sign arrays of
+    the transformed axes: for even n, fftshift(fft(f)) = fft((-1)^k f), and
+    the output phase (-1)^j equals (-1)^k * (-1)^(n/2), folded into scale
+    with the lattice steps.  The inverse has the same form with ifft.
 
-    real=True is the same transform of real configuration data through
-    rfftn/irfftn.  S is even under k -> (-k) mod n, so it maps a Hermitian
-    spectrum (F(-xi) = conj F(xi)) to a Hermitian DFT input.  The spectrum
-    is then held on its half lattice, the first n//2 + 1 entries of the last
-    axis (j = -n/2 .. 0), and S is cut to that half on the spectral side.
+    The real path is read off the array: a real spatial input, or a spatial
+    inverse input on the half lattice, goes through rfftn/irfftn.  S is even
+    under k -> (-k) mod n, so it maps a Hermitian spectrum (F(-xi) =
+    conj F(xi)) to a Hermitian DFT input.  The spectrum is then held on its
+    half lattice, the first n//2 + 1 entries of the last axis
+    (j = -n/2 .. 0), and S is cut to that half on the spectral side.
     """
+    ndim = np.ndim(data)
+    axes, signs, half, cell = [], [], 1.0, 1.0
+    if time is not None:
+        axes.append(0)
+        signs.append(_signs(time.m).reshape((time.m,) + (1,) * (ndim - 1)))
+        half, cell = _half_sign(time.m), time.dt
+    if space is not None:
+        axes += range(ndim - 3, ndim)
+        signs.append(_checkerboard(space.n))
+        half *= _half_sign(space.n)
+        cell *= space.dx**3
+    if inverse:
+        # dx**-3 and 1/dx**3 differ in the last bit on some lattices
+        cell = space.dx**-3 if time is None else 1.0 / cell
+    scale = half * cell
+
+    real = space is not None and (data.shape[-1] < space.n if inverse else np.isrealobj(data))
     signs_in = signs_out = signs
     if not real:
         dft = sfft.ifftn if inverse else sfft.fftn
     elif inverse:
-        n = 2 * (data.shape[axes[-1]] - 1)
-        signs_in = tuple(s[..., : n // 2 + 1] for s in signs)
-        dft = partial(sfft.irfftn, s=[data.shape[a] for a in axes[:-1]] + [n])
+        signs_in = [s[..., : space.n // 2 + 1] for s in signs]
+        dft = partial(sfft.irfftn, s=[data.shape[a] for a in axes[:-1]] + [space.n])
     else:
-        signs_out = tuple(s[..., : data.shape[axes[-1]] // 2 + 1] for s in signs)
+        signs_out = [s[..., : space.n // 2 + 1] for s in signs]
         dft = sfft.rfftn
     out = data * signs_in[0]       # a fresh array, transformed in place
     for s in signs_in[1:]:
@@ -300,25 +317,13 @@ def _shifted_dft(
     return out
 
 
-def _spatial_dft(data, axes, sg: SpatialGrid, inverse: bool = False) -> np.ndarray:
-    """Centered spatial transform over `axes`.  The real path is read off the
-    array: a real forward input, or an inverse input on the half lattice."""
-    real = data.shape[axes[-1]] < sg.n if inverse else np.isrealobj(data)
-    scale = _half_sign(sg.n) * (sg.dx**-3 if inverse else sg.dx**3)
-    return _shifted_dft(data, axes, (_checkerboard(sg.n),), scale, inverse, real)
-
-
 def forward_transform(f):
     """Continuum-normalized forward transform (space, and time when present)."""
     if f.is_frequency:
         raise RepresentationError("forward_transform expects configuration data")
     if f.is_spacetime:
-        g = f.grid
-        sg = g.spatial
-        signs = (_checkerboard(sg.n), _time_signs(g.m, 4))
-        scale = _half_sign(sg.n) * _half_sign(g.m) * sg.dx**3 * g.dt
-        return SpacetimeSpectrum(g, _shifted_dft(f.data, (0, 1, 2, 3), signs, scale))
-    return Spectrum(f.grid, _spatial_dft(f.data, (0, 1, 2), f.grid))
+        return SpacetimeSpectrum(f.grid, _dft(f.data, f.grid.spatial, f.grid))
+    return Spectrum(f.grid, _dft(f.data, f.grid))
 
 
 def inverse_transform(F):
@@ -326,22 +331,18 @@ def inverse_transform(F):
     if not F.is_frequency:
         raise RepresentationError("inverse_transform expects frequency data")
     if F.is_spacetime:
-        g = F.grid
-        sg = g.spatial
-        signs = (_checkerboard(sg.n), _time_signs(g.m, 4))
-        scale = _half_sign(sg.n) * _half_sign(g.m) / (sg.dx**3 * g.dt)
-        return SpacetimeField(g, _shifted_dft(F.data, (0, 1, 2, 3), signs, scale, True))
-    return Field(F.grid, _spatial_dft(F.data, (0, 1, 2), F.grid, True))
+        return SpacetimeField(F.grid, _dft(F.data, F.grid.spatial, F.grid, inverse=True))
+    return Field(F.grid, _dft(F.data, F.grid, inverse=True))
 
 
 def spatial_forward_slices(f: SpacetimeField) -> np.ndarray:
     """Space-only transform of every time slice; returns the raw (M,N,N,N) array."""
-    return _spatial_dft(f.data, (1, 2, 3), f.grid.spatial)
+    return _dft(f.data, f.grid.spatial)
 
 
 def spatial_inverse_slices(grid: SpacetimeGrid, spec_slices: np.ndarray) -> SpacetimeField:
     """Inverse space-only transform of per-time-slice spectra."""
-    return SpacetimeField(grid, _spatial_dft(spec_slices, (1, 2, 3), grid.spatial, True))
+    return SpacetimeField(grid, _dft(spec_slices, grid.spatial, inverse=True))
 
 
 def reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -375,5 +376,4 @@ def hermitian_full(half: np.ndarray, mate: np.ndarray | None = None) -> np.ndarr
 
 def time_forward(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:
     """Time-direction transform of an (M, ...) stack, convention e^{-i t tau}."""
-    signs = (_time_signs(grid.m, np.ndim(slices)),)
-    return _shifted_dft(slices, (0,), signs, _half_sign(grid.m) * grid.dt)
+    return _dft(slices, time=grid)

@@ -21,27 +21,21 @@ from .grid import (
     spatial_inverse_slices,
 )
 
-__all__ = ["EvolutionSpec", "evolve", "free_slices", "free_spacetime", "duhamel"]
+__all__ = ["EvolutionSpec", "free_slices", "free_spacetime", "duhamel"]
 
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """kind 'D' (half-wave) or 'J' (Bessel system flow), a sign, and a time."""
+    """kind 'D' (half-wave) or 'J' (Bessel system flow) and a sign."""
 
     kind: str
     sign: int
-    t: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("D", "J"):
             raise ParameterError(f"evolution kind must be 'D' or 'J', got {self.kind!r}")
         if self.sign not in (+1, -1):
             raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
-
-
-def evolve(F: Spectrum, e: EvolutionSpec) -> Spectrum:
-    """Apply the unitary evolution at time e.t."""
-    return Spectrum(F.grid, _free_slices_at(F, e, np.array([e.t]))[0])
 
 
 def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:
@@ -56,7 +50,11 @@ def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:
 
 
 def _phase_table(sg, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
-    """The free phases at the times t on every shell, shape (len(t), n_shells)."""
+    """The free phases at the times t on every shell, shape (len(t), n_shells).
+
+    The one place a free phase is evaluated: the free slices, the Duhamel
+    step and the free X-norm all read it.
+    """
     if e.kind == "D":
         sgn, sym = e.sign, sg.shell_values
     else:
@@ -79,7 +77,7 @@ def _free_slices_at(
 
 
 def free_spacetime(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> SpacetimeField:
-    """Free solution sampled on the space-time lattice (e.t is ignored)."""
+    """Free solution sampled on the space-time lattice."""
     return spatial_inverse_slices(g, free_slices(u0, g, e))
 
 
@@ -109,9 +107,9 @@ def _duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid, m0: int) -> np.ndarray
     """
     sg = g.spatial
     dt = g.dt
-    # e^{-sign i dt J}, radial: evaluated per shell and gathered
+    # e^{-sign i dt J}, the J-flow phase at t = dt, gathered from its shells
     index = sg.shell_index[..., : gs.shape[-1]]
-    step = np.take(np.exp(-1j * sign * dt * sg.shell_brackets), index)
+    step = np.take(_phase_table(sg, EvolutionSpec("J", sign), np.array([dt]))[0], index)
     step_back = np.conj(step)
     out = np.zeros(gs.shape, dtype=np.complex128)
     half = -1j * dt / 2.0

@@ -26,7 +26,7 @@ from .grid import (
     SpacetimeField,
     SpacetimeGrid,
     Spectrum,
-    _spatial_dft,
+    _dft,
     conj_reflect,
     hermitian_full,
     spatial_forward_slices,
@@ -164,16 +164,6 @@ def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray
     return out
 
 
-def _to_space(g: SpacetimeGrid, spec: np.ndarray) -> np.ndarray:
-    """Configuration slices of any number of spectral slices; real ones from half spectra."""
-    return _spatial_dft(spec, (1, 2, 3), g.spatial, inverse=True)
-
-
-def _to_spectrum(g: SpacetimeGrid, values: np.ndarray) -> np.ndarray:
-    """Spectral slices of any number of configuration slices; half spectra of real ones."""
-    return _spatial_dft(values, (1, 2, 3), g.spatial)
-
-
 def _bilinear_spec(
     sp: np.ndarray,
     sm: np.ndarray,
@@ -191,18 +181,19 @@ def _bilinear_spec(
     spectrum of B.  The slices may be any consecutive time slices; none of
     the arguments is changed.
     """
-    mask = g.spatial.dealias_mask[..., : sp.shape[-1]]
+    sg = g.spatial
+    mask = sg.dealias_mask[..., : sp.shape[-1]]
     if ns.k == 1:
-        w = _to_space(g, w * mask)
+        w = _dft(w * mask, sg, inverse=True)
         if ns.derivative == "t":
             # d_t(w^2) = 2 w d_t w
             dtw = _dt_w_slices(g, sp, sm)
             dtw *= mask
             w *= 2.0
-            w *= _to_space(g, dtw)
-            return _to_spectrum(g, w)
+            w *= _dft(dtw, sg, inverse=True)
+            return _dft(w, sg)
         w *= w
-        pspec = _to_spectrum(g, w)
+        pspec = _dft(w, sg)
         pspec *= mask
         return _spatial_derivative(g, pspec, ns.derivative, out=pspec)
     if ns.derivative == "t":
@@ -210,9 +201,9 @@ def _bilinear_spec(
     else:
         dspec = _spatial_derivative(g, w, ns.derivative)
     dspec *= mask
-    dw = _to_space(g, dspec)
+    dw = _dft(dspec, sg, inverse=True)
     dw *= dw
-    return _to_spectrum(g, dw)
+    return _dft(dw, sg)
 
 
 def _rhs_minus(
@@ -534,13 +525,13 @@ def solve_local(
     result = picard_iterate(fp, fm, ns, cfg, r=r, s=s, source=src)
     sp, sm = result.sp, result.sm
     real = result.real_data
-    n = g.spatial.n
-    h = n // 2 + 1 if real else n      # real data: u, d_t u and norms from half spectra
+    sg = g.spatial
+    h = sg.n // 2 + 1 if real else sg.n      # real data: u, d_t u and norms from half spectra
     w = sp + sm
     u_spec = w / 2.0
     dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
-    u = SpacetimeField(g, _to_space(g, u_spec[..., :h]))
-    dtu = SpacetimeField(g, _to_space(g, dtu_spec))
+    u = SpacetimeField(g, _dft(u_spec[..., :h], sg, inverse=True))
+    dtu = SpacetimeField(g, _dft(dtu_spec, sg, inverse=True))
 
     core = _core_slices(g, cfg.delta)
     lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)

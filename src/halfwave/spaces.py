@@ -35,7 +35,6 @@ __all__ = [
     "xsb_norm",
     "z_norm",
     "restricted_norm",
-    "apply_window",
 ]
 
 
@@ -111,12 +110,6 @@ def _grid_window(g, w: WindowSpec) -> np.ndarray:
             f"window support {w.support} exceeds the time half-width {g.half_time}"
         )
     return window_values(w, g.t_axis)
-
-
-def apply_window(u: SpacetimeField, w: WindowSpec) -> SpacetimeField:
-    """Multiply a space-time field by the time window."""
-    vals = _grid_window(u.grid, w)
-    return SpacetimeField(u.grid, u.data * vals[:, None, None, None])
 
 
 def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
@@ -280,4 +273,5 @@ def restricted_norm(u: SpacetimeField, delta: float, w: WindowSpec, p: NormParam
         raise ParameterError(
             f"delta = {delta} exceeds the window flat core {w.flat_core}"
         )
-    return xsb_norm(apply_window(u, w), p)
+    vals = _grid_window(u.grid, w)
+    return xsb_norm(SpacetimeField(u.grid, u.data * vals[:, None, None, None]), p)

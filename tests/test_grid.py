@@ -22,7 +22,7 @@ from halfwave.grid import (
     spatial_inverse_slices,
     time_forward,
 )
-from halfwave.grid import _checkerboard, _signs, _spatial_dft
+from halfwave.grid import _checkerboard, _dft, _signs
 
 
 @pytest.fixture
@@ -234,6 +234,9 @@ def test_fused_transforms_match_per_axis_reference(n, m, half_length, half_time,
     space = [(1, n, sg.dx), (2, n, sg.dx), (3, n, sg.dx)]
     time_ax = [(0, m, g.dt)]
     space3 = [(0, n, sg.dx), (1, n, sg.dx), (2, n, sg.dx)]
+    # the (M, n_shells) phase table of the free X-norm; the half-lattice X-distance
+    stack = x.reshape(m, -1)
+    half = x[..., : n // 2 + 1]
     cases = [
         (forward_transform(SpacetimeField(g, x)).data, _ref_forward(x, space + time_ax)),
         (inverse_transform(SpacetimeSpectrum(g, x)).data, _ref_inverse(x, time_ax + space)),
@@ -242,6 +245,8 @@ def test_fused_transforms_match_per_axis_reference(n, m, half_length, half_time,
         (time_forward(g, x), _ref_forward(x, time_ax)),
         (forward_transform(Field(sg, x[0])).data, _ref_forward(x[0], space3)),
         (inverse_transform(Spectrum(sg, x[0])).data, _ref_inverse(x[0], space3)),
+        (time_forward(g, stack), _ref_forward(stack, time_ax)),
+        (time_forward(g, half), _ref_forward(half, time_ax)),
     ]
     for got, want in cases:
         assert _close(got, want, 1e-13)
@@ -316,18 +321,18 @@ def test_half_spectrum_transforms_match_full(n, m, half_length, half_time, seed)
     h = n // 2 + 1
     full = spatial_forward_slices(SpacetimeField(g, f))
     assert full.shape == g.shape
-    half = _spatial_dft(f, (1, 2, 3), g.spatial)
+    half = _dft(f, g.spatial)
     assert np.array_equal(f, keep)
     assert half.shape == (m, n, n, h)
     assert _close(half, full[..., :h], 1e-13)
-    inverse = _spatial_dft(full, (1, 2, 3), g.spatial, inverse=True)
+    inverse = _dft(full, g.spatial, inverse=True)
     assert np.iscomplexobj(inverse) and _close(inverse, f, 1e-13)
     completed = hermitian_full(half)
     assert np.array_equal(completed[..., :h], half)
     upper = np.conj(_reflect_by_index(completed, (1, 2, 3)))[..., h:]
     assert np.array_equal(completed[..., h:], upper)
     assert _close(completed, full, 1e-13)
-    back = _spatial_dft(half, (1, 2, 3), g.spatial, inverse=True)
+    back = _dft(half, g.spatial, inverse=True)
     assert back.dtype == np.float64 and back.shape == g.shape
     assert _close(back, f, 1e-13)
     assert _close(back, spatial_inverse_slices(g, completed).data, 1e-13)

@@ -1,4 +1,4 @@
-"""Tooling: no module of the package imports a name that it never uses."""
+"""Tooling: no module of the package or of its tests imports a name that it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import halfwave
 
-_MODULES = sorted(Path(halfwave.__file__).parent.glob("*.py"))
+_PACKAGE = Path(halfwave.__file__).parent
+_MODULES = sorted(_PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str, reexports: bool = False) -> list:
@@ -48,6 +49,11 @@ def test_detector_finds_unused_imports():
     assert _unused_imports(source, reexports=True) == []
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == _PACKAGE else f"tests/{path.name}"
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=_module_id)
 def test_no_unused_imports(path):
-    assert _unused_imports(path.read_text(), reexports=path.name == "__init__.py") == []
+    reexports = path.parent == _PACKAGE and path.name == "__init__.py"
+    assert _unused_imports(path.read_text(), reexports=reexports) == []

@@ -5,7 +5,6 @@ import pytest
 
 from halfwave.errors import ParameterError
 from halfwave.grid import (
-    Field,
     SpacetimeField,
     SpacetimeGrid,
     SpatialGrid,
@@ -16,7 +15,6 @@ from halfwave.spaces import (
     NormParams,
     _xsb_weights,
     WindowSpec,
-    apply_window,
     dual_exponent,
     lr_xt_norm,
     restricted_norm,
@@ -103,9 +101,10 @@ def test_window_full_core_is_indicator():
 
 
 def test_window_support_check(stg):
+    """A window wider than the time box is refused, even when delta fits its core."""
     u = SpacetimeField(stg, np.zeros((stg.m,) + stg.spatial.shape, complex))
-    with pytest.raises(ParameterError):
-        apply_window(u, WindowSpec(support=3.0))
+    with pytest.raises(ParameterError, match="exceeds the time half-width"):
+        restricted_norm(u, 0.1, WindowSpec(support=3.0), NormParams(2.0))
 
 
 def test_xsb_zero_modulation(stg):

@@ -14,7 +14,6 @@ from halfwave.propagator import EvolutionSpec, free_spacetime
 from halfwave.spaces import (
     NormParams,
     _free_xsb_norm,
-    apply_window,
     dual_exponent,
     window_values,
     xsb_norm,
@@ -185,7 +184,8 @@ def test_free_xsb_norm_matches_lattice_norm(grid, kind, lam):
         mod = np.exp(1j * mu * g.t_axis)
         for sign in (+1, -1):
             wave = free_spacetime(u0, g, EvolutionSpec("D", sign))
-            field = apply_window(SpacetimeField(g, wave.data * mod[:, None, None, None]), w)
+            field = SpacetimeField(g, wave.data * mod[:, None, None, None]
+                                   * win[:, None, None, None])
             for r, sigma, b in ((2.0, 1.25, 0.55), (1.5, 1.4, 0.72)):
                 p = NormParams(r, sigma, b, sign)
                 assert _free_xsb_norm(u0, g, win * mod, p) == pytest.approx(
@@ -241,8 +241,9 @@ def _key_rows_reference(r, sigma, b, signs, kind, lams, n, m, modulation, seed):
         mod = np.exp(1j * modulation * gf.t_axis)[:, None, None, None]
         uw = free_spacetime(u0f, gf, EvolutionSpec("D", signs.first))
         vw = free_spacetime(v0f, gf, EvolutionSpec("D", signs.second))
-        uw = apply_window(SpacetimeField(gf, uw.data * mod), wf)
-        vw = apply_window(SpacetimeField(gf, vw.data * np.conj(mod)), wf)
+        win = window_values(wf, gf.t_axis)[:, None, None, None]
+        uw = SpacetimeField(gf, uw.data * mod * win)
+        vw = SpacetimeField(gf, vw.data * np.conj(mod) * win)
         prod = forward_transform(SpacetimeField(gf, uw.data * vw.data))
         wj, _, wt2 = _key_weights_reference(gf, sigma)
         rows.append((_weighted_norm_reference(prod, r, wj)
