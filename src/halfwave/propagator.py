@@ -81,6 +81,14 @@ def free_spacetime(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> Spacetim
     return spatial_inverse_slices(g, free_slices(u0, g, e))
 
 
+def _duhamel_step(g: SpacetimeGrid, sign: int, size: int) -> np.ndarray:
+    """e^{-sign i dt J}, the J-flow phase at t = dt, gathered from its shells
+    onto the first size entries of the last axis; its conjugate steps back."""
+    sg = g.spatial
+    table = _phase_table(sg, EvolutionSpec("J", sign), np.array([g.dt]))[0]
+    return np.take(table, sg.shell_index[..., :size])
+
+
 def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
     """Cumulative solution of (i d/dt - sign*J) w = g with w(0) = 0.
 
@@ -89,7 +97,7 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
     and backward from the time-origin lattice point.  Slice m of the result
     reads the forcing between the origin and slice m only, so a forcing that
     vanishes outside a block of slices can be swept on that block alone
-    (the Picard solver does); outside it the sweep is the free step.
+    (the Picard solver's sweep does); outside it the sweep is the free step.
     """
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
@@ -97,22 +105,11 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
         raise GridMismatchError(
             f"forcing slices of shape {np.shape(gs)} do not match the grid {g.shape}"
         )
-    return _duhamel(gs, sign, g, g.origin_index)
-
-
-def _duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid, m0: int) -> np.ndarray:
-    """duhamel on a stack of consecutive time slices whose slice m0 is t = 0.
-
-    The last axis may be cut to its first entries (a half spectrum).
-    """
-    sg = g.spatial
-    dt = g.dt
-    # e^{-sign i dt J}, the J-flow phase at t = dt, gathered from its shells
-    index = sg.shell_index[..., : gs.shape[-1]]
-    step = np.take(_phase_table(sg, EvolutionSpec("J", sign), np.array([dt]))[0], index)
+    step = _duhamel_step(g, sign, g.spatial.n)
     step_back = np.conj(step)
     out = np.zeros(gs.shape, dtype=np.complex128)
-    half = -1j * dt / 2.0
+    half = -1j * g.dt / 2.0
+    m0 = g.origin_index
     for m in range(m0, len(gs) - 1):
         out[m + 1] = step * out[m] + half * (step * gs[m] + gs[m + 1])
     for m in range(m0, 0, -1):

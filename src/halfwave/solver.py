@@ -3,12 +3,17 @@
 The second-order problem Box u = B_k(u, u) is rewritten as a first-order
 system for u_pm = u +- i J^{-1} u_t, which the iteration solves with the
 exponential integrator; the nonlinearity is evaluated pointwise with
-2/3-rule dealiasing.  The iterates are kept as spatial spectral slices,
-shape (M, N, N, N); configuration space is visited only for the pointwise
-product.  Real data have u_- = conj u_+(-xi) at every iterate, so for them
-the same loop runs on the half spectra of both components.  Correctness is
-judged convention-free through the Box residual, audited where the whole
-d_t^2 stencil lies in |t| <= delta, and through contraction diagnostics.
+2/3-rule dealiasing.  With J = <xi> the rewrite reads (d_t^2 + J^2) u =
+B + u, so the forcing carries the linear term u = w/2 besides B.  The
+iteration takes only B (and a source) from the previous iterate and solves
+the linear term slice by slice inside the trapezoid sweep, so its
+contraction factors measure the nonlinearity.  The iterates are kept as
+spatial spectral slices, shape (M, N, N, N); configuration space is
+visited only for the pointwise product.  Real data have u_- = conj u_+(-xi)
+at every iterate, so for them the same loop runs on the half spectra of
+both components.  Correctness is judged convention-free through the Box
+residual, audited where the whole d_t^2 stencil lies in |t| <= delta, and
+through contraction diagnostics.
 Every norm comes from spaces: the solver passes slices and weights and
 takes norms back.  select_delta tries no delta below 2 dt.
 """
@@ -25,6 +30,7 @@ from .errors import GridMismatchError, ParameterError
 from .grid import (
     SpacetimeField,
     SpacetimeGrid,
+    SpacetimeSpectrum,
     Spectrum,
     _dft,
     conj_reflect,
@@ -32,7 +38,7 @@ from .grid import (
     spatial_forward_slices,
     time_forward,
 )
-from .propagator import EvolutionSpec, _duhamel, _free_slices_at
+from .propagator import EvolutionSpec, _duhamel_step, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
@@ -212,19 +218,23 @@ def _rhs_minus(
     ns: NonlinearitySpec,
     g: SpacetimeGrid,
     source: np.ndarray | None,
+    linear: bool = True,
 ) -> np.ndarray:
     """g_- = J^{-1} (B_k(w, w)/4 + w/2 + S), in place on the product's slices.
 
-    For real data every argument and the result are half spectra.  Any
-    number of consecutive time slices is accepted.
+    With linear False the linear term w/2 is left out: J^{-1} (B_k(w, w)/4 + S)
+    is the forcing the Picard loop iterates.  For real data every argument
+    and the result are half spectra.  Any number of consecutive time slices
+    is accepted.
     """
     h = sp.shape[-1]
     w = sp + sm
     out = _bilinear_spec(sp, sm, w, ns, g)
     out *= g.spatial.dealias_mask[..., :h]
     out /= 4.0
-    w /= 2.0
-    out += w
+    if linear:
+        w /= 2.0
+        out += w
     if source is not None:
         out += source
     out /= g.spatial.bracket[..., :h]
@@ -300,7 +310,9 @@ class PicardResult:
     why the loop stopped: "converged" (a distance reached tol), "unconverged"
     (the budget ran out), "diverged" (three consecutive growing distances)
     or "nonfinite" (a non-finite distance); converged and diverged are read
-    from it, and the step ratios from the distances.
+    from it, and the step ratios from the distances.  The loop iterates the
+    nonlinearity alone, so rho_1 = distances[1]/distances[0] is, to leading
+    order, proportional to the size of the data, and 0 when B = 0.
     """
 
     grid: SpacetimeGrid
@@ -329,37 +341,104 @@ class PicardResult:
         return _step_ratios(self.restricted_distances)
 
 
-def picard_iterate(
+def _linear_sweep(
+    f: np.ndarray,
+    half_c: np.ndarray,
+    free_w: np.ndarray,
+    steps: tuple,
+    g: SpacetimeGrid,
+    m0: int,
+) -> tuple:
+    """Duhamel parts (d_+, d_-) of the iterate whose linear term is solved.
+
+    The iterate u_pm = free_pm + d_pm solves d_pm = Duhamel(g_pm) for
+    g_- = f + c w/2 = -g_+, w = u_+ + u_-, c = window/J, in duhamel's
+    trapezoid rule, swept forward and backward from t = 0.  A step from
+    slice m to k takes the explicit parts a_+ = S_+ (d_+[m] + h g_+[m])
+    - h f[k] and a_- = S_- (d_-[m] + h g_-[m]) + h f[k], with S_pm duhamel's
+    step and h = -i dt/2 forward, +i dt/2 backward.  The implicit terms
+    -+ h c[k] w[k]/2 cancel in w, so w[k] = free_+[k] + free_-[k] + a_+ + a_-
+    needs no solve, and d_pm[k] = a_pm -+ h c[k] w[k]/2.  Slice k reads the
+    arguments between t = 0 and slice k only.
+
+    f, half_c (c/2, complex), free_w (free_+ + free_-) and d_pm are
+    consecutive slices, slice m0 at t = 0; steps holds (S_+, S_-) forward,
+    then back.  Past the last slice each way the step would read f = c = 0,
+    so it is S_pm (d_pm[e] -+ h g_-[e]) from the end slice e: these seeds,
+    forward then back, are returned with (d_+, d_-).
+    """
+    n = len(f)
+    dp = np.zeros(f.shape, dtype=np.complex128)
+    dm = np.zeros(f.shape, dtype=np.complex128)
+    hs = -0.5j * g.dt, 0.5j * g.dt
+    # h f[k], with the h of the sweep that reaches slice k
+    hf = np.empty(f.shape, dtype=np.complex128)
+    np.multiply(hs[0], f[m0 + 1:], out=hf[m0 + 1:])
+    np.multiply(hs[1], f[:m0], out=hf[:m0])
+    # g_- at t = 0, where d_pm = 0
+    g0 = half_c[m0] * free_w[m0]
+    g0 += f[m0]
+    seeds = []
+    forward = range(m0 + 1, n), n - 1, -1, hs[0], steps[0]
+    backward = range(m0 - 1, -1, -1), 0, +1, hs[1], steps[1]
+    for ks, end, prev, h, (step_p, step_m) in (forward, backward):
+        gm = g0
+        for k in ks:
+            # complex products round differently with their factors swapped,
+            # so every product keeps duhamel's order: step, h or c first
+            hg = h * gm
+            a_p = dp[k + prev] - hg
+            np.multiply(step_p, a_p, out=a_p)
+            a_p -= hf[k]
+            a_m = dm[k + prev] + hg
+            np.multiply(step_m, a_m, out=a_m)
+            a_m += hf[k]
+            cw = free_w[k] + a_p
+            cw += a_m
+            np.multiply(half_c[k], cw, out=cw)      # c w/2
+            gm = f[k] + cw
+            np.multiply(h, cw, out=cw)
+            np.subtract(a_p, cw, out=dp[k])
+            np.add(a_m, cw, out=dm[k])
+        hg = h * gm
+        seeds.append((dp[end] - hg, dm[end] + hg))
+    return dp, dm, seeds
+
+
+def _extend(u: np.ndarray, free: np.ndarray, blk: slice, seeds, steps) -> np.ndarray:
+    """One component of the iterate on every slice from its window block.
+
+    Off the block f = c = 0, so each step of the sweep multiplies the
+    Duhamel part by its step, starting from the seed _linear_sweep returned
+    for that end; seeds and steps are (forward, back).  The values are
+    those of sweeping every slice, and on the block u is kept bit for bit.
+    """
+    out = free.copy()
+    out[blk] = u
+    tails = range(blk.stop, len(out)), range(blk.start - 1, -1, -1)
+    for ks, d, step in zip(tails, seeds, steps):
+        for k in ks:
+            d = step * d
+            out[k] += d
+    return out
+
+
+def _picard_loop(
     fp: Spectrum,
     fm: Spectrum,
     ns: NonlinearitySpec,
     cfg: SolveConfig,
-    r: float = 2.0,
-    s: float = 1.0,
-    source: np.ndarray | None = None,
+    r: float,
+    s: float,
+    source: np.ndarray | None,
+    full: bool,
 ) -> PicardResult:
-    """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)})).
+    """picard_iterate, or with full False its block loop alone.
 
-    The iterates, and the source if given, are spatial spectral slices.
-    Distances between consecutive iterates are measured as the sup over
-    |t| <= delta of the data-space norm (both components) and as the
-    windowed space-time restriction norm; rho_n is their step ratio.  Three
-    consecutive growing distances, or one non-finite distance, flag
-    divergence (see PicardResult.status).
-
-    The forcing is multiplied by the time window, so the loop reads only
-    the block of time slices where the window is nonzero: the right side,
-    its transforms and the Duhamel sweep run there, and the iterate is
-    extended to the whole time axis once, at the end, by one full sweep of
-    the last forcing.  The result is the same, bit for bit, as iterating on
-    every slice.
-
-    Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
-    source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
-    the pair cut to the half lattice (the first N//2 + 1 entries of the last
-    axis) fixes both components.  The loop then runs on half spectra, with
-    the real transforms and mate weights (see spaces._mate); u_+ is
-    completed once, at the end.
+    The block loop measures the sup distances only.  With full False it
+    skips the restricted distances, the extension to every slice and the
+    Hermitian completion, and the result holds no iterates (sp and sm are
+    None): what select_delta's trials read.
     """
     g = cfg.grid
     if fp.grid != g.spatial or fm.grid != g.spatial:
@@ -383,16 +462,22 @@ def picard_iterate(
     m0 = g.origin_index - blk.start
     core = core[blk]
     # loop invariants; the window only scales time, so it commutes with the
-    # spatial transform and applies to spectral slices directly
+    # spatial transform and applies to spectral slices directly.  c/2 is
+    # held complex: a real factor would be cast on every product.
     window = window[blk, None, None, None]
-    xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h)
+    half_c = (window / g.spatial.bracket[..., :h] / 2.0).astype(np.complex128)
+    forward = tuple(_duhamel_step(g, sign, h) for sign in (+1, -1))
+    steps = forward, tuple(np.conj(step) for step in forward)
     free_p = _free_slices_at(fp, EvolutionSpec("J", +1), g.t_axis, h)
     free_m = _free_slices_at(fm, EvolutionSpec("J", -1), g.t_axis, h)
     free_bp, free_bm = free_p[blk], free_m[blk]
+    free_w = free_bp + free_bm
     if source is not None:
         source = source[blk, ..., :h]
-    # the windowed difference on every slice, zero off the block
-    windowed = np.zeros(free_p.shape, dtype=np.complex128)
+    if full:
+        xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h)
+        # the windowed difference on every slice, zero off the block
+        windowed = np.zeros(free_p.shape, dtype=np.complex128)
 
     def x_distance(diffs):
         # upper bound for the [-delta, delta] restriction norm via one window
@@ -402,38 +487,27 @@ def picard_iterate(
                 yield time_forward(g, windowed)
         return float(sum(_lattice_norms(g, spectra(), xsb_wts, r)))
 
-    def extend(forcing, sign, free):
-        # the iterate on every slice: one sweep of the forcing, zero off the block
-        if forcing is None:
-            return free
-        full = np.zeros(free.shape, dtype=np.complex128)
-        full[blk] = forcing
-        out = _duhamel(full, sign, g, g.origin_index)
-        out += free
-        return out
-
     sp, sm = free_bp, free_bm
-    gp = gm = None
+    f = None
     result = PicardResult(g, None, None, real_data=real)
     grew = 0
     for it in range(cfg.max_iter):
-        gm = _rhs_minus(sp, sm, ns, g, source)
-        gm *= window
-        gp = -gm
-        new_p = _duhamel(gp, +1, g, m0)
+        f = _rhs_minus(sp, sm, ns, g, source, linear=False)
+        f *= window
+        new_p, new_m, seeds = _linear_sweep(f, half_c, free_w, steps, g, m0)
         new_p += free_bp
-        new_m = _duhamel(gm, -1, g, m0)
         new_m += free_bm
         # the old iterates are dead once differenced: their buffers take the differences
         diffs = (np.subtract(new_p, sp, out=None if sp is free_bp else sp),
                  np.subtract(new_m, sm, out=None if sm is free_bm else sm))
         norms_p, norms_m = _slice_norms(g, [x[core] for x in diffs], r, s)
         d = float(np.max(norms_p) + np.max(norms_m))
-        dr = x_distance(diffs)
+        dr = x_distance(diffs) if full else 0.0
         if result.distances:
             grew = grew + 1 if d > result.distances[-1] else 0
         result.distances.append(d)
-        result.restricted_distances.append(dr)
+        if full:
+            result.restricted_distances.append(dr)
         sp, sm = new_p, new_m
         result.iterations = it + 1
         if not (math.isfinite(d) and math.isfinite(dr)):
@@ -445,12 +519,63 @@ def picard_iterate(
         if grew >= 3:
             result.status = "diverged"
             break
-    sp, sm = extend(gp, +1, free_p), extend(gm, -1, free_m)
+    if not full:
+        return result
+    if f is None:
+        sp, sm = free_p, free_m
+    else:
+        # the last sweep continued to every slice
+        sp, sm = (_extend(u, free, blk, seed, step) for u, free, seed, step in
+                  zip((sp, sm), (free_p, free_m), zip(*seeds), zip(*steps)))
     if real:
         sp = hermitian_full(sp, sm)
         sm = conj_reflect(sp)
     result.sp, result.sm = sp, sm
     return result
+
+
+def picard_iterate(
+    fp: Spectrum,
+    fm: Spectrum,
+    ns: NonlinearitySpec,
+    cfg: SolveConfig,
+    r: float = 2.0,
+    s: float = 1.0,
+    source: np.ndarray | None = None,
+) -> PicardResult:
+    """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)}, u^{(n+1)})).
+
+    Only the nonlinearity is iterated: the forcing f = window J^{-1}
+    (B_k(w, w)/4 + S) comes from the previous iterate, and the linear term
+    c w/2, c = window/J, that the first-order rewrite adds to the forcing is
+    solved slice by slice inside the trapezoid sweep (see _linear_sweep).
+    The fixed point solves the same discrete equations u = free +
+    Duhamel(window g(u)) as iterating the whole forcing, but the step
+    ratios measure B and the source alone: with B = 0 and no source the
+    second iterate equals the first.
+
+    The iterates, and the source if given, are spatial spectral slices.
+    Distances between consecutive iterates are measured as the sup over
+    |t| <= delta of the data-space norm (both components) and as the
+    windowed space-time restriction norm; rho_n is their step ratio.  Three
+    consecutive growing distances, or one non-finite distance, flag
+    divergence (see PicardResult.status).
+
+    The forcing is multiplied by the time window, so the loop reads only
+    the block of time slices where the window is nonzero: the forcing, its
+    transforms and the sweep run there, and the iterate is extended to the
+    whole time axis once, at the end, by continuing the last sweep past the
+    block, where the forcing and c vanish.  The result is the same, bit for
+    bit, as iterating on every slice.
+
+    Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
+    source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
+    the pair cut to the half lattice (the first N//2 + 1 entries of the last
+    axis) fixes both components.  The loop then runs on half spectra, with
+    the real transforms and mate weights (see spaces._mate); u_+ is
+    completed once, at the end.
+    """
+    return _picard_loop(fp, fm, ns, cfg, r, s, source, full=True)
 
 
 @dataclass
@@ -550,7 +675,9 @@ def solve_local(
     jumps = np.abs(np.diff(pers))
     z_value = None
     if ns.k == 2:
-        z_value = z_norm(u, dtu, NormParams(r, s, cfg.b, +1))
+        spectra = (u_spec, hermitian_full(dtu_spec) if real else dtu_spec)
+        z_value = z_norm(*(SpacetimeSpectrum(g, time_forward(g, x)) for x in spectra),
+                         NormParams(r, s, cfg.b, +1))
     return SolveReport(
         result=result,
         u=u,
@@ -581,7 +708,9 @@ def select_delta(
     of t = 0 alone would give rho_1 = 0 by construction.  Returns the first
     accepted delta with the trial trace; when none is accepted, the last one
     tried, at the floor or after _MAX_TRIALS trials.  Each trial runs the
-    two Picard steps that rho_1 reads.
+    two Picard steps that rho_1 reads, on the window block alone.  rho_1 is
+    the contraction factor of the nonlinearity, so it shrinks with the data
+    and with delta.
     """
     n0, n1 = d.norms()
     floor = 2.0 * grid.dt
@@ -590,7 +719,7 @@ def select_delta(
     trace = []
     while True:
         cfg = default_config(grid, delta, max_iter=2, **cfg_kw)
-        res = picard_iterate(fp, fm, ns, cfg, r=d.r, s=d.s)
+        res = _picard_loop(fp, fm, ns, cfg, d.r, d.s, None, full=False)
         rho1 = res.rhos[0] if res.rhos else 0.0
         trace.append({"delta": delta, "rho1": rho1})
         if rho1 < _RHO_TARGET or delta == floor or len(trace) == _MAX_TRIALS:

@@ -226,7 +226,7 @@ def test_criterion_8_solver_contraction_and_residual():
                              default_config(g, 0.25))
         if not res.converged or any(rho >= 0.5 for rho in res.rhos):
             ok = False
-        details.append(f"k={k} rho1={res.rhos[0]:.3f}")
+        details.append(f"k={k} rho1={res.rhos[0]:.2e}")
         # roundtrip identity
         v0, v1 = from_first_order(fp, fm)
         if np.abs(v0.data - d.u0.data).max() > 1e-12:

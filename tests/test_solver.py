@@ -1,5 +1,7 @@
 """First-order reformulation, Picard contraction, residual consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from halfwave.grid import (
     spatial_inverse_slices,
     time_forward,
 )
-from halfwave.propagator import EvolutionSpec, _duhamel, duhamel, free_slices
+from halfwave.propagator import EvolutionSpec, _duhamel_step, duhamel, free_slices
 from halfwave.solver import (
     CauchyData,
     NonlinearitySpec,
@@ -320,6 +322,18 @@ def test_select_delta_returns_a_tried_delta(stg, monkeypatch):
     assert delta == trace[-1]["delta"] == deltas[1] and len(trace) == 2
 
 
+def test_select_delta_trials_read_the_picard_loop(stg):
+    """A trial runs the window-block loop alone, and its rho_1 is that of
+    picard_iterate at the same delta, bit for bit, for real and complex data."""
+    ns = NonlinearitySpec(2, "t")
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    twisted = CauchyData(d.u0, Spectrum(stg.spatial, d.u1.data * np.exp(0.1j)), d.r, d.s)
+    for data in (d, twisted):
+        delta, trace = select_delta(data, ns, stg)
+        res = picard_iterate(*to_first_order(data), ns, default_config(stg, delta, max_iter=2))
+        assert trace[-1]["rho1"] == res.rhos[0] > 0.0
+
+
 def test_select_delta_without_a_floor_delta_raises():
     """On M = 4 the floor 2 dt is the whole time half-width: no window fits."""
     g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 4, 1.0)
@@ -414,8 +428,8 @@ def test_slice_weight_matches_lattice_formula(n, half_length):
 _NONLINEARITIES = [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")]
 
 
-def _rhs_reference(sp, sm, ns, g, source=None):
-    """The out-of-place rhs_eval formula; the in-place one must match it bit for bit."""
+def _bilinear_reference(sp, sm, ns, g):
+    """B_k(w, w) for w = u_+ + u_-, out of place on the full lattice."""
     sg = g.spatial
     mask = sg.dealias_mask
 
@@ -434,23 +448,67 @@ def _rhs_reference(sp, sm, ns, g, source=None):
     if ns.k == 1:
         w = inverse(mask * (sp + sm))
         if ns.derivative == "t":
-            b = forward(2.0 * w * inverse(mask * dtw))
-        else:
-            b = deriv(mask * forward(w * w))
-    else:
-        dw = inverse(mask * (dtw if ns.derivative == "t" else deriv(sp + sm)))
-        b = forward(dw * dw)
-    bracket = (mask * b) / 4.0 + (sp + sm) / 2.0
+            return forward(2.0 * w * inverse(mask * dtw))
+        return deriv(mask * forward(w * w))
+    dw = inverse(mask * (dtw if ns.derivative == "t" else deriv(sp + sm)))
+    return forward(dw * dw)
+
+
+def _rhs_reference(sp, sm, ns, g, source=None):
+    """The out-of-place rhs_eval formula; the in-place one must match it bit for bit."""
+    b = _bilinear_reference(sp, sm, ns, g)
+    bracket = (g.spatial.dealias_mask * b) / 4.0 + (sp + sm) / 2.0
     if source is not None:
         bracket = bracket + source
-    gm = bracket / sg.bracket
+    gm = bracket / g.spatial.bracket
     return -gm, gm
 
 
-def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
-    """The out-of-place two-component Picard loop with _rhs_reference."""
+def _forcing_reference(sp, sm, ns, g, source=None):
+    """J^{-1} (B_k(w, w)/4 + S), the forcing the Picard loop iterates, out of place."""
+    b = _bilinear_reference(sp, sm, ns, g)
+    bracket = (g.spatial.dealias_mask * b) / 4.0
+    if source is not None:
+        bracket = bracket + source
+    return bracket / g.spatial.bracket
+
+
+def _sweep_reference(f, c, free_p, free_m, g):
+    """Duhamel parts (d_+, d_-) of the iterate whose linear term is solved, on
+    every slice and out of place: d_pm = Duhamel(g_pm), g_- = f + c w/2 = -g_+,
+    w = u_+ + u_-, in the trapezoid rule with the implicit terms at the new
+    slice taken from w[k] = free_+[k] + free_-[k] + a_+ + a_-."""
+    size = f.shape[-1]
+    m0 = g.origin_index
+    dp, dm, w = np.zeros_like(f), np.zeros_like(f), np.zeros_like(f)
+    w[m0] = free_p[m0] + free_m[m0]
+    s_p, s_m = _duhamel_step(g, +1, size), _duhamel_step(g, -1, size)
+    sweeps = ((range(m0 + 1, g.m), -1, -0.5j * g.dt, s_p, s_m),
+              (range(m0 - 1, -1, -1), +1, 0.5j * g.dt, np.conj(s_p), np.conj(s_m)))
+    for ks, prev, h, step_p, step_m in sweeps:
+        for k in ks:
+            m = k + prev
+            g_m = f[m] + c[m] * w[m] / 2.0
+            a_p = step_p * (dp[m] + h * -g_m) - h * f[k]
+            a_m = step_m * (dm[m] + h * g_m) + h * f[k]
+            w[k] = free_p[k] + free_m[k] + a_p + a_m
+            dp[k] = a_p - h * (c[k] * w[k] / 2.0)
+            dm[k] = a_m + h * (c[k] * w[k] / 2.0)
+    return dp, dm
+
+
+def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=False):
+    """The out-of-place two-component Picard loop on every slice: the forcing
+    from the old iterate, the linear term solved in _sweep_reference.
+
+    With whole_forcing, the loop iterates the whole forcing of rhs_eval,
+    linear term w/2 included, and sweeps it with duhamel.  That iteration
+    map differs, but its fixed point solves the same discrete equations: it
+    is the fixed-point oracle.
+    """
     g = cfg.grid
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    c = window / g.spatial.bracket
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
@@ -466,9 +524,14 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     sp, sm = free_p, free_m
     distances, restricted_distances = [], []
     for _ in range(cfg.max_iter):
-        gp, gm = _rhs_reference(sp, sm, ns, g, source)
-        new_p = free_p + duhamel(window * gp, +1, g)
-        new_m = free_m + duhamel(window * gm, -1, g)
+        if whole_forcing:
+            gp, gm = _rhs_reference(sp, sm, ns, g, source)
+            new_p = free_p + duhamel(window * gp, +1, g)
+            new_m = free_m + duhamel(window * gm, -1, g)
+        else:
+            f = window * _forcing_reference(sp, sm, ns, g, source)
+            dp, dm = _sweep_reference(f, c, free_p, free_m, g)
+            new_p, new_m = free_p + dp, free_m + dm
         d = sup_distance(new_p - sp, new_m - sm)
         distances.append(d)
         restricted_distances.append(restricted(new_p - sp) + restricted(new_m - sm))
@@ -677,14 +740,32 @@ def _real_data(g, amp=0.02):
     return to_first_order(_gaussian_data(g.spatial, amp))
 
 
-def _rhs_real(sp, ns, g, source_half, window):
-    """window * g_+ for real data from u_+ alone on the full lattice: u_- is
-    rebuilt and g_+ completed from its half on every call."""
+def _forcing_real(sp, ns, g, source_half, window):
+    """window * f for real data from u_+ alone on the full lattice: u_- is
+    rebuilt and f completed from its half on every call."""
     h = g.spatial.n // 2 + 1
     sm = conj_reflect(sp)[..., :h]
-    gp = solver_mod._rhs_minus(sp[..., :h], sm, ns, g, source_half)
-    gp *= -window
-    return hermitian_full(gp)
+    f = solver_mod._rhs_minus(sp[..., :h], sm, ns, g, source_half, linear=False)
+    f *= window
+    return hermitian_full(f)
+
+
+def _sweep_real_full_lattice(f, c, free_p, g):
+    """The Duhamel part d_+ of _sweep_reference for real data from u_+ alone:
+    a_- = conj R a_+, so w[k] = free_+[k] + conj R free_+[k] + a_+ + conj R a_+."""
+    m0 = g.origin_index
+    dp, w = np.zeros_like(f), np.zeros_like(f)
+    w[m0] = free_p[m0] + conj_reflect(free_p[m0])
+    s_p = _duhamel_step(g, +1, g.spatial.n)
+    for ks, prev, h, step in ((range(m0 + 1, g.m), -1, -0.5j * g.dt, s_p),
+                              (range(m0 - 1, -1, -1), +1, 0.5j * g.dt, np.conj(s_p))):
+        for k in ks:
+            m = k + prev
+            g_m = f[m] + c[m] * w[m] / 2.0
+            a_p = step * (dp[m] - h * g_m) - h * f[k]
+            w[k] = free_p[k] + conj_reflect(free_p[k]) + a_p + conj_reflect(a_p)
+            dp[k] = a_p - h * (c[k] * w[k] / 2.0)
+    return dp
 
 
 def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
@@ -696,6 +777,7 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     h = g.spatial.n // 2 + 1
     source_half = None if source is None else source[..., :h]
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    c = window / g.spatial.bracket
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
     rp = params.rprime
@@ -706,8 +788,8 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     distances, restricted, status = [], [], "unconverged"
     grew = 0
     for _ in range(cfg.max_iter):
-        gp = _rhs_real(sp, ns, g, source_half, window)
-        new_p = duhamel(gp, +1, g) + free_p
+        f = _forcing_real(sp, ns, g, source_half, window)
+        new_p = _sweep_real_full_lattice(f, c, free_p, g) + free_p
         diff = new_p - sp
         d = 2.0 * float(np.max(_slice_norms(g, (diff[core],) * 2, r, s)[0]))
         a = np.abs(time_forward(g, diff * window)) ** rp
@@ -740,14 +822,15 @@ def _half_lattice_totals(a_p, a_m, weights, axes):
 
 def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     """The half-lattice real-data loop on every time slice, out of place: both
-    components on the first N//2 + 1 entries of the last axis.  It returns
-    the fields of a PicardResult."""
+    components on the first N//2 + 1 entries of the last axis, swept by
+    _sweep_reference.  It returns the fields of a PicardResult."""
     g = cfg.grid
     n = g.spatial.n
     h = n // 2 + 1
     fp, fm, source = solver_mod._hermitian_part(fp, fm, source)
     source_half = None if source is None else source[..., :h]
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    c = window / g.spatial.bracket[..., :h]
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
     rp = params.rprime
@@ -759,9 +842,9 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     distances, restricted, rhos, status = [], [], [], "unconverged"
     grew = 0
     for _ in range(cfg.max_iter):
-        gm = window * solver_mod._rhs_minus(sp, sm, ns, g, source_half)
-        new_p = _duhamel(-gm, +1, g, g.origin_index) + free_p
-        new_m = _duhamel(gm, -1, g, g.origin_index) + free_m
+        f = window * solver_mod._rhs_minus(sp, sm, ns, g, source_half, linear=False)
+        dp, dm = _sweep_reference(f, c, free_p, free_m, g)
+        new_p, new_m = free_p + dp, free_m + dm
         dp, dm = new_p - sp, new_m - sm
         tp, tm = _half_lattice_totals(np.abs(dp[core]) ** rp, np.abs(dm[core]) ** rp,
                                       slice_wts, (1, 2, 3))
@@ -941,6 +1024,61 @@ def test_real_path_matches_full_lattice_loop(k, derivative):
         for name in ("sp", "sm", "distances", "restricted_distances"):
             assert _max_rel(getattr(res, name), want[name]) <= 1e-13, name
         assert np.array_equal(res.sm, _conj_reflect_by_index(res.sp))
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+@pytest.mark.parametrize("real", [True, False])
+def test_fixed_point_matches_whole_forcing_loop(k, derivative, real):
+    """Iterating the nonlinearity alone changes the iteration map, not its
+    fixed point: the converged iterates match those of the loop that
+    iterates the whole forcing, w/2 included, to 1e-10 of the largest entry,
+    on each window, with and without a source."""
+    g = _small_grid()
+    rng = np.random.default_rng(30 + 2 * k + len(derivative))
+    fp, fm = _random_real_data(g, rng)
+    if not real:
+        fm = Spectrum(g.spatial, fm.data * np.exp(0.1j))
+    src = spatial_forward_slices(SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j))
+    ns = NonlinearitySpec(k, derivative)
+    for cfg in _window_configs(g):
+        # ten whole-forcing iterations, with no stop: its core converges
+        # first, and on a window wider than the core the slices outside it
+        # need more iterations
+        oracle_cfg = dataclasses.replace(cfg, max_iter=10, tol=-1.0)
+        for source in (None, src):
+            res = picard_iterate(fp, fm, ns, cfg, source=source)
+            sp, sm, dist, _ = _picard_reference(fp, fm, ns, oracle_cfg, source,
+                                                whole_forcing=True)
+            assert res.converged and dist[-1] <= cfg.tol and res.real_data == real
+            scale = max(np.abs(sp).max(), np.abs(sm).max())
+            assert np.abs(res.sp - sp).max() <= 1e-10 * scale
+            assert np.abs(res.sm - sm).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
+def test_first_contraction_factor_is_linear_in_the_data(stg, k, derivative):
+    """rho_1 measures the quadratic term, so doubling the data doubles it, to
+    1%.  A loop that iterates the linear term w/2 reads the same rho_1 at
+    both amplitudes."""
+    ns = NonlinearitySpec(k, derivative)
+    cfg = default_config(stg, 0.25, max_iter=2, tol=0.0)
+    rho1 = [picard_iterate(*_real_data(stg, amp), ns, cfg).rhos[0] for amp in (0.01, 0.02)]
+    assert rho1[1] / rho1[0] == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_linear_problem_converges_at_the_second_iterate(stg, monkeypatch, real):
+    """With B = 0 and no source the iterated forcing vanishes: the first
+    iterate solves the linear discrete problem, and the second repeats it."""
+    monkeypatch.setattr(solver_mod, "_bilinear_spec",
+                        lambda sp, sm, w, ns, g: np.zeros_like(sp))
+    fp, fm = _real_data(stg)
+    if not real:
+        fm = Spectrum(stg.spatial, fm.data * np.exp(0.1j))
+    for k, derivative in _NONLINEARITIES:
+        res = picard_iterate(fp, fm, NonlinearitySpec(k, derivative), default_config(stg, 0.25))
+        assert res.real_data == real and res.converged
+        assert res.iterations == 2 and res.distances[0] > 0.0 and res.distances[1] == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 12])
