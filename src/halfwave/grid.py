@@ -18,9 +18,14 @@ over the last three (space) axes, axis 0 (time), or both; the typed
 front-ends name which.  Because N and M are even, the fftshift that centers
 the frequency axis is the same as multiplying by the (-1)^n checkerboard,
 which is applied before and after the FFT; the remaining (-1)^(N/2) and the
-lattice steps fold into one scalar.  The 1-D sign vectors and the N^3
-spatial checkerboards are cached read-only by size; nothing of size M*N^3
-is cached.
+lattice steps fold into one scalar (_dft_scale).  The 1-D sign vectors and
+the N^3 spatial checkerboards are cached read-only by size; nothing of size
+M*N^3 is cached.  A bare transform (_dft(..., bare=True)) skips the sign and
+scale passes; its caller folds them into multiplies it makes anyway: the
+solver's product kernel into its cached spectral tables (one multiply
+before each inverse, one after the forward transform, and one x-space sign
+pass per product), and its X-distance into the rolled X-weights and the
+norm's root, since only the modulus of the time spectrum is read.
 
 SpatialGrid is the one symbol table: |xi|, <xi> = (1 + |xi|^2)^(1/2) and the
 2/3-rule dealiasing mask are built once per grid and cached read-only.  So
@@ -261,9 +266,26 @@ def _half_sign(n: int) -> float:
     return -1.0 if (n // 2) % 2 else 1.0
 
 
+def _dft_scale(
+    space: SpatialGrid | None = None, time: SpacetimeGrid | None = None, inverse: bool = False,
+) -> float:
+    """The scalar of a centered transform: (-1)^(n/2) per transformed axis
+    family times the lattice steps, dx^3 and dt, or their inverse."""
+    half, cell = 1.0, 1.0
+    if time is not None:
+        half, cell = _half_sign(time.m), time.dt
+    if space is not None:
+        half *= _half_sign(space.n)
+        cell *= space.dx**3
+    if inverse:
+        # dx**-3 and 1/dx**3 differ in the last bit on some lattices
+        cell = space.dx**-3 if time is None else 1.0 / cell
+    return half * cell
+
+
 def _dft(
     data, space: SpatialGrid | None = None, time: SpacetimeGrid | None = None,
-    inverse: bool = False,
+    inverse: bool = False, bare: bool = False,
 ) -> np.ndarray:
     """The centered lattice transform of data, or its inverse: every transform.
 
@@ -272,7 +294,11 @@ def _dft(
     scale * S * DFT(S * data), S the product of the (-1)^k sign arrays of
     the transformed axes: for even n, fftshift(fft(f)) = fft((-1)^k f), and
     the output phase (-1)^j equals (-1)^k * (-1)^(n/2), folded into scale
-    with the lattice steps.  The inverse has the same form with ifft.
+    (_dft_scale) with the lattice steps.  The inverse has the same form with
+    ifft.
+
+    bare returns DFT(data) alone, with no sign or scale pass, and may
+    overwrite data: the caller folds S and scale into its own multiplies.
 
     The real path is read off the array: a real spatial input, or a spatial
     inverse input on the half lattice, goes through rfftn/irfftn.  S is even
@@ -282,38 +308,38 @@ def _dft(
     (j = -n/2 .. 0), and S is cut to that half on the spectral side.
     """
     ndim = np.ndim(data)
-    axes, signs, half, cell = [], [], 1.0, 1.0
-    if time is not None:
-        axes.append(0)
-        signs.append(_signs(time.m).reshape((time.m,) + (1,) * (ndim - 1)))
-        half, cell = _half_sign(time.m), time.dt
+    axes = [0] if time is not None else []
     if space is not None:
         axes += range(ndim - 3, ndim)
-        signs.append(_checkerboard(space.n))
-        half *= _half_sign(space.n)
-        cell *= space.dx**3
-    if inverse:
-        # dx**-3 and 1/dx**3 differ in the last bit on some lattices
-        cell = space.dx**-3 if time is None else 1.0 / cell
-    scale = half * cell
-
     real = space is not None and (data.shape[-1] < space.n if inverse else np.isrealobj(data))
-    signs_in = signs_out = signs
     if not real:
         dft = sfft.ifftn if inverse else sfft.fftn
     elif inverse:
-        signs_in = [s[..., : space.n // 2 + 1] for s in signs]
         dft = partial(sfft.irfftn, s=[data.shape[a] for a in axes[:-1]] + [space.n])
     else:
-        signs_out = [s[..., : space.n // 2 + 1] for s in signs]
         dft = sfft.rfftn
+    if bare:
+        return dft(data, axes=axes, overwrite_x=True)
+
+    signs = []
+    if time is not None:
+        signs.append(_signs(time.m).reshape((time.m,) + (1,) * (ndim - 1)))
+    if space is not None:
+        signs.append(_checkerboard(space.n))
+    signs_in = signs_out = signs
+    if real:
+        cut = [s[..., : space.n // 2 + 1] for s in signs]
+        if inverse:
+            signs_in = cut
+        else:
+            signs_out = cut
     out = data * signs_in[0]       # a fresh array, transformed in place
     for s in signs_in[1:]:
         out *= s
     out = dft(out, axes=axes, overwrite_x=True)
     for s in signs_out[:-1]:
         out *= s
-    out *= scale * signs_out[-1]
+    out *= _dft_scale(space, time, inverse) * signs_out[-1]
     return out
 
 
@@ -357,7 +383,8 @@ def reflect(a: np.ndarray, axes) -> np.ndarray:
 
 def conj_reflect(a: np.ndarray) -> np.ndarray:
     """conj a(-xi), reflected on the three spatial (last) axes."""
-    return np.conj(reflect(a, (-3, -2, -1)))
+    out = reflect(a, (-3, -2, -1))
+    return np.conjugate(out, out=out)
 
 
 def hermitian_full(half: np.ndarray, mate: np.ndarray | None = None) -> np.ndarray:
@@ -370,8 +397,8 @@ def hermitian_full(half: np.ndarray, mate: np.ndarray | None = None) -> np.ndarr
     """
     h = half.shape[-1]
     mate = half if mate is None else mate
-    upper = np.conj(reflect(mate[..., h - 2 : 0 : -1], (-3, -2)))
-    return np.concatenate((half, upper), axis=-1)
+    upper = reflect(mate[..., h - 2 : 0 : -1], (-3, -2))
+    return np.concatenate((half, np.conjugate(upper, out=upper)), axis=-1)
 
 
 def time_forward(grid: SpacetimeGrid, slices: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ iteration takes only B (and a source) from the previous iterate and solves
 the linear term slice by slice inside the trapezoid sweep, so its
 contraction factors measure the nonlinearity.  The iterates are kept as
 spatial spectral slices, shape (M, N, N, N); configuration space is
-visited only for the pointwise product.  Real data have u_- = conj u_+(-xi)
+visited only for the pointwise product, which one tabled kernel forms
+(_bilinear_spec).  Real data have u_- = conj u_+(-xi)
 at every iterate, so for them the same loop runs on the half spectra of
 both components.  Correctness is judged convention-free through the Box
 residual, audited where the whole d_t^2 stencil lies in |t| <= delta, and
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +33,12 @@ from .grid import (
     SpacetimeField,
     SpacetimeGrid,
     SpacetimeSpectrum,
+    SpatialGrid,
     Spectrum,
+    _checkerboard,
     _dft,
+    _dft_scale,
+    _read_only,
     conj_reflect,
     hermitian_full,
     spatial_forward_slices,
@@ -153,21 +159,46 @@ def from_first_order(fp: Spectrum, fm: Spectrum) -> tuple[Spectrum, Spectrum]:
     return Spectrum(sg, u0), Spectrum(sg, u1)
 
 
-def _spatial_derivative(
-    g: SpacetimeGrid, spec_slices: np.ndarray, derivative: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """i xi_d times the slices, into out; on a half spectrum xi_3 is cut to its half."""
-    axis = _DERIVS.index(derivative)
-    shape = [1, 1, 1, 1]
-    shape[axis] = spec_slices.shape[axis]
-    return np.multiply(spec_slices, 1j * g.spatial.xi_axis[: shape[axis]].reshape(shape), out=out)
-
-
 def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray:
     """Spectral slices of d_t(u_+ + u_-) via the evolution identity -iJ(u_+ - u_-)."""
     out = sp - sm
     out *= -1j * g.spatial.bracket[..., : sp.shape[-1]]
     return out
+
+
+@lru_cache(maxsize=32)
+def _product_tables(sg: SpatialGrid, h: int, ns: NonlinearitySpec) -> tuple:
+    """(w_in, d_in, out, sign): the factors of B_k's tabled product, read-only.
+
+    w_in multiplies w and d_in multiplies u_+ - u_- before their bare
+    inverse transforms, out multiplies the bare forward transform of the
+    product, and sign is the x-space sign S_x of the N^3 lattice.  On the
+    spectral side they fold the transform signs S, the transform scales,
+    the 2/3 mask of the factors and the derivative symbol: i xi_d, or
+    -i<xi> for d_t w (-2i<xi> for k = 1, with the 2 of d_t(w^2) = 2 w d_t w).
+    The x-space values of the factors are those of the centered transforms
+    times S_x, so a product of two carries S_x^2 = 1, and one sign pass puts
+    it back into S_x form for the forward transform.  w_in is None where B
+    reads no w, d_in where it reads no d_t w.  All are cut to the first h
+    entries of the last axis.
+    """
+    mask = sg.dealias_mask[..., :h]
+    signs = _checkerboard(sg.n)[..., :h]
+    inverse = mask * signs * _dft_scale(sg, inverse=True)
+    forward = signs * _dft_scale(sg)
+    w_in = d_in = None
+    if ns.derivative == "t":
+        d_in = (-2j if ns.k == 1 else -1j) * sg.bracket[..., :h] * inverse
+    if ns.derivative != "t" or ns.k == 1:
+        w_in = inverse
+    if ns.derivative != "t":
+        deriv = 1j * sg.xi_mesh()[_DERIVS.index(ns.derivative) - 1][..., :h]
+        if ns.k == 1:
+            forward = deriv * mask * forward
+        else:
+            w_in = deriv * inverse
+    return tuple(None if t is None else _read_only(t)
+                 for t in (w_in, d_in, forward, _checkerboard(sg.n)))
 
 
 def _bilinear_spec(
@@ -179,66 +210,38 @@ def _bilinear_spec(
 ) -> np.ndarray:
     """Spectral slices of B_k(w, w) for w = sp + sm, from 2/3-rule dealiased factors.
 
-    For d(w^2) with a spatial derivative the factor of d is the dealiased
+    The one product kernel (see _product_tables): each factor is one table
+    multiply and one bare inverse transform, the product takes one x-space
+    sign pass, and its bare forward transform one table multiply.  For
+    d(w^2) with a spatial derivative the factor of d is the dealiased
     product; otherwise the output itself is not masked.  d_t w always comes
-    from the evolution identity, never from differencing.  When sp, sm and
-    w are the half spectra of real data (sm = conj R sp), w is real, and the
-    product goes through the real transforms; the output is the half
-    spectrum of B.  The slices may be any consecutive time slices; none of
-    the arguments is changed.
+    from the evolution identity -iJ(u_+ - u_-), never from differencing.
+    When sp, sm and w are the half spectra of real data (sm = conj R sp), w
+    is real, and the product goes through the real transforms; the output
+    is the half spectrum of B.  The slices may be any consecutive time
+    slices; none of the arguments is changed.
     """
     sg = g.spatial
-    mask = sg.dealias_mask[..., : sp.shape[-1]]
-    if ns.k == 1:
-        w = _dft(w * mask, sg, inverse=True)
-        if ns.derivative == "t":
-            # d_t(w^2) = 2 w d_t w
-            dtw = _dt_w_slices(g, sp, sm)
-            dtw *= mask
-            w *= 2.0
-            w *= _dft(dtw, sg, inverse=True)
-            return _dft(w, sg)
-        w *= w
-        pspec = _dft(w, sg)
-        pspec *= mask
-        return _spatial_derivative(g, pspec, ns.derivative, out=pspec)
-    if ns.derivative == "t":
-        dspec = _dt_w_slices(g, sp, sm)
-    else:
-        dspec = _spatial_derivative(g, w, ns.derivative)
-    dspec *= mask
-    dw = _dft(dspec, sg, inverse=True)
-    dw *= dw
-    return _dft(dw, sg)
+    w_in, d_in, out, sign = _product_tables(sg, sp.shape[-1], ns)
+    factors = []
+    if w_in is not None:
+        factors.append(_dft(w * w_in, sg, inverse=True, bare=True))
+    if d_in is not None:
+        d = sp - sm
+        d *= d_in
+        factors.append(_dft(d, sg, inverse=True, bare=True))
+    p = factors[0]
+    p *= factors[-1]
+    p *= sign
+    p = _dft(p, sg, bare=True)
+    p *= out
+    return p
 
 
-def _rhs_minus(
-    sp: np.ndarray,
-    sm: np.ndarray,
-    ns: NonlinearitySpec,
-    g: SpacetimeGrid,
-    source: np.ndarray | None,
-    linear: bool = True,
-) -> np.ndarray:
-    """g_- = J^{-1} (B_k(w, w)/4 + w/2 + S), in place on the product's slices.
-
-    With linear False the linear term w/2 is left out: J^{-1} (B_k(w, w)/4 + S)
-    is the forcing the Picard loop iterates.  For real data every argument
-    and the result are half spectra.  Any number of consecutive time slices
-    is accepted.
-    """
-    h = sp.shape[-1]
-    w = sp + sm
-    out = _bilinear_spec(sp, sm, w, ns, g)
-    out *= g.spatial.dealias_mask[..., :h]
-    out /= 4.0
-    if linear:
-        w /= 2.0
-        out += w
-    if source is not None:
-        out += source
-    out /= g.spatial.bracket[..., :h]
-    return out
+def _forcing_factor(sg: SpatialGrid, h: int) -> np.ndarray:
+    """mask / (4J) on the first h entries of the last axis: B(w, w) times it is
+    J^{-1} mask B(u, u), u = w/2, the dealiased nonlinear forcing."""
+    return sg.dealias_mask[..., :h] / (4.0 * sg.bracket[..., :h])
 
 
 def rhs_eval(
@@ -253,14 +256,22 @@ def rhs_eval(
     sp, sm, the source S and the returned pair are spatial spectral slices,
     shape (M, N, N, N) on g; only the pointwise product visits configuration
     space.  Spatial derivatives are spectral, and the product and its factors
-    are 2/3-rule dealiased.
+    are 2/3-rule dealiased.  B comes from the product kernel, times
+    _forcing_factor; the linear part (w/2 + S)/J is added to it.
     """
     for a in (sp, sm) if source is None else (sp, sm, source):
         if np.shape(a) != g.shape:
             raise GridMismatchError(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
-    gm = _rhs_minus(sp, sm, ns, g, source)
+    w = sp + sm
+    gm = _bilinear_spec(sp, sm, w, ns, g)
+    gm *= _forcing_factor(g.spatial, g.spatial.n)
+    w /= 2.0
+    if source is not None:
+        w += source
+    w /= g.spatial.bracket
+    gm += w
     return -gm, gm
 
 
@@ -405,18 +416,21 @@ def _linear_sweep(
     return dp, dm, seeds
 
 
-def _extend(u: np.ndarray, free: np.ndarray, blk: slice, seeds, steps) -> np.ndarray:
+def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, blk: slice,
+            seeds, steps) -> np.ndarray:
     """One component of the iterate on every slice from its window block.
 
     Off the block f = c = 0, so each step of the sweep multiplies the
     Duhamel part by its step, starting from the seed _linear_sweep returned
-    for that end; seeds and steps are (forward, back).  The values are
-    those of sweeping every slice, and on the block u is kept bit for bit.
+    for that end, and adds it to the free slice of data under e; seeds and
+    steps are (forward, back).  The values are those of sweeping every
+    slice, and on the block u is kept bit for bit.
     """
-    out = free.copy()
+    out = np.empty((g.m,) + u.shape[1:], dtype=np.complex128)
     out[blk] = u
-    tails = range(blk.stop, len(out)), range(blk.start - 1, -1, -1)
+    tails = range(blk.stop, g.m), range(blk.start - 1, -1, -1)
     for ks, d, step in zip(tails, seeds, steps):
+        out[ks] = _free_slices_at(data, e, g.t_axis[ks], u.shape[-1])
         for k in ks:
             d = step * d
             out[k] += d
@@ -460,40 +474,50 @@ def _picard_loop(
     kept = np.flatnonzero((window != 0) | core)
     blk = slice(kept[0], kept[-1] + 1)
     m0 = g.origin_index - blk.start
-    core = core[blk]
+    core = np.flatnonzero(core[blk])
+    core = slice(core[0], core[-1] + 1)
     # loop invariants; the window only scales time, so it commutes with the
     # spatial transform and applies to spectral slices directly.  c/2 is
     # held complex: a real factor would be cast on every product.
     window = window[blk, None, None, None]
     half_c = (window / g.spatial.bracket[..., :h] / 2.0).astype(np.complex128)
+    # f = B(w, w) T + window S/J, T = window mask/(4J)
+    weight = window * _forcing_factor(g.spatial, h)
+    if source is not None:
+        source = window * source[blk, ..., :h] / g.spatial.bracket[..., :h]
     forward = tuple(_duhamel_step(g, sign, h) for sign in (+1, -1))
     steps = forward, tuple(np.conj(step) for step in forward)
-    free_p = _free_slices_at(fp, EvolutionSpec("J", +1), g.t_axis, h)
-    free_m = _free_slices_at(fm, EvolutionSpec("J", -1), g.t_axis, h)
-    free_bp, free_bm = free_p[blk], free_m[blk]
+    # the free parts on the block; the slices off it are formed once, at the end
+    flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
+    free_bp, free_bm = (_free_slices_at(x, e, g.t_axis[blk], h) for x, e in zip((fp, fm), flows))
     free_w = free_bp + free_bm
-    if source is not None:
-        source = source[blk, ..., :h]
     if full:
-        xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h)
+        # the centered time spectrum at tau index j is dt times the bare
+        # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
+        # M/2 and dt goes into the norm
+        xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
         # the windowed difference on every slice, zero off the block
-        windowed = np.zeros(free_p.shape, dtype=np.complex128)
+        windowed = np.zeros((g.m,) + free_bp.shape[1:], dtype=np.complex128)
 
     def x_distance(diffs):
         # upper bound for the [-delta, delta] restriction norm via one window
         def spectra():
             for x in diffs:
+                # the bare transform may have overwritten the zeros
+                windowed[:blk.start] = windowed[blk.stop:] = 0.0
                 np.multiply(x, window, out=windowed[blk])
-                yield time_forward(g, windowed)
-        return float(sum(_lattice_norms(g, spectra(), xsb_wts, r)))
+                yield _dft(windowed, time=g, bare=True)
+        return float(sum(_lattice_norms(g, spectra(), xsb_wts, r, unit=g.dt)))
 
     sp, sm = free_bp, free_bm
     f = None
     result = PicardResult(g, None, None, real_data=real)
     grew = 0
     for it in range(cfg.max_iter):
-        f = _rhs_minus(sp, sm, ns, g, source, linear=False)
-        f *= window
+        f = _bilinear_spec(sp, sm, sp + sm, ns, g)
+        f *= weight
+        if source is not None:
+            f += source
         new_p, new_m, seeds = _linear_sweep(f, half_c, free_w, steps, g, m0)
         new_p += free_bp
         new_m += free_bm
@@ -522,11 +546,11 @@ def _picard_loop(
     if not full:
         return result
     if f is None:
-        sp, sm = free_p, free_m
+        sp, sm = (_free_slices_at(x, e, g.t_axis, h) for x, e in zip((fp, fm), flows))
     else:
         # the last sweep continued to every slice
-        sp, sm = (_extend(u, free, blk, seed, step) for u, free, seed, step in
-                  zip((sp, sm), (free_p, free_m), zip(*seeds), zip(*steps)))
+        sp, sm = (_extend(u, x, e, g, blk, seed, step) for u, x, e, seed, step in
+                  zip((sp, sm), (fp, fm), flows, zip(*seeds), zip(*steps)))
     if real:
         sp = hermitian_full(sp, sm)
         sm = conj_reflect(sp)
@@ -546,7 +570,9 @@ def picard_iterate(
     """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)}, u^{(n+1)})).
 
     Only the nonlinearity is iterated: the forcing f = window J^{-1}
-    (B_k(w, w)/4 + S) comes from the previous iterate, and the linear term
+    (mask B_k(w, w)/4 + S) comes from the previous iterate, formed as
+    B T + window S/J from the product kernel (_bilinear_spec), with
+    T = window mask/(4J) and window S/J built once per call; the linear term
     c w/2, c = window/J, that the first-order rewrite adds to the forcing is
     solved slice by slice inside the trapezoid sweep (see _linear_sweep).
     The fixed point solves the same discrete equations u = free +
@@ -557,7 +583,11 @@ def picard_iterate(
     The iterates, and the source if given, are spatial spectral slices.
     Distances between consecutive iterates are measured as the sup over
     |t| <= delta of the data-space norm (both components) and as the
-    windowed space-time restriction norm; rho_n is their step ratio.  Three
+    windowed space-time restriction norm; rho_n is their step ratio.  The
+    restriction norm reads the bare time DFT of the windowed difference:
+    in modulus the centered spectrum at tau index j is dt times the bare
+    one at (j - M/2) mod M, so the X-weights are rolled by M/2 once per call
+    and dt^{r'} goes into the norm's root.  Three
     consecutive growing distances, or one non-finite distance, flag
     divergence (see PicardResult.status).
 
@@ -710,7 +740,10 @@ def select_delta(
     tried, at the floor or after _MAX_TRIALS trials.  Each trial runs the
     two Picard steps that rho_1 reads, on the window block alone.  rho_1 is
     the contraction factor of the nonlinearity, so it shrinks with the data
-    and with delta.
+    and with delta.  Each trace entry holds the trial's delta, rho_1 and
+    Picard status.  rho_1 is 0 for a trial that converged at its first
+    distance (zero data), and None, never accepted, for a trial that
+    stopped with fewer than two finite distances.
     """
     n0, n1 = d.norms()
     floor = 2.0 * grid.dt
@@ -720,9 +753,15 @@ def select_delta(
     while True:
         cfg = default_config(grid, delta, max_iter=2, **cfg_kw)
         res = _picard_loop(fp, fm, ns, cfg, d.r, d.s, None, full=False)
-        rho1 = res.rhos[0] if res.rhos else 0.0
-        trace.append({"delta": delta, "rho1": rho1})
-        if rho1 < _RHO_TARGET or delta == floor or len(trace) == _MAX_TRIALS:
+        if len(res.distances) == 2 and all(map(math.isfinite, res.distances)):
+            rho1 = res.rhos[0]
+        elif res.converged:
+            rho1 = 0.0          # converged at its first distance: zero data
+        else:
+            rho1 = None         # no two finite distances: nothing was measured
+        trace.append({"delta": delta, "rho1": rho1, "status": res.status})
+        accepted = rho1 is not None and rho1 < _RHO_TARGET
+        if accepted or delta == floor or len(trace) == _MAX_TRIALS:
             return delta, trace
         delta = max(floor, delta / 2.0)
 

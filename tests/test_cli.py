@@ -257,6 +257,22 @@ def test_solve_large_data_fails_at_the_delta_floor(tmp_path):
     assert trace[0]["rho1"] >= 0.9
 
 
+def test_solve_delta_trace_carries_trial_status(tmp_path):
+    """Each delta_trace entry holds the trial's status; a trial that stopped
+    non-finite writes rho1 null, is not accepted, and the solve fails."""
+    small = ["--set", "grid.n=8", "--set", "grid.m=16"]
+    code, out = _run(tmp_path / "a", *small, "solve")
+    trace = json.loads((out / "solve.json").read_text())["summary"]["delta_trace"]
+    assert code == 0 and trace[-1]["status"] == "unconverged" and trace[-1]["rho1"] < 0.9
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(tmp_path / "b", *small, "--set", "family.amplitude=1e150", "solve")
+    payload = json.loads((out / "solve.json").read_text())
+    assert code == 2 and payload["passed"] is False
+    assert payload["summary"]["delta_trace"] == [
+        {"delta": 0.25, "rho1": None, "status": "nonfinite"}]
+    assert payload["summary"]["status"] == "nonfinite"
+
+
 def test_sharpness_reports_exponent(tmp_path):
     code, out = _run(tmp_path, "--set", "params.sigma=0.5", "sharpness")
     assert code == 0

@@ -22,7 +22,7 @@ from halfwave.grid import (
     spatial_inverse_slices,
     time_forward,
 )
-from halfwave.grid import _checkerboard, _dft, _signs
+from halfwave.grid import _checkerboard, _dft, _dft_scale, _signs
 
 
 @pytest.fixture
@@ -336,3 +336,32 @@ def test_half_spectrum_transforms_match_full(n, m, half_length, half_time, seed)
     assert back.dtype == np.float64 and back.shape == g.shape
     assert _close(back, f, 1e-13)
     assert _close(back, spatial_inverse_slices(g, completed).data, 1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_lattices)
+def test_bare_transform_is_the_centered_one_without_its_passes(n, m, half_length, half_time,
+                                                                seed):
+    """The centered transform is scale * S_out * bare(S_in * x), bit for bit:
+    the spatial forward and inverse on complex data, real data and half
+    spectra, and the time axis both ways."""
+    g, x = _random_lattice(n, m, half_length, half_time, seed)
+    sg = g.spatial
+    h = n // 2 + 1
+    c = _checkerboard(n)
+    s_t = _signs(m).reshape(m, 1, 1, 1)
+    cases = [   # data, space, time, inverse, S_in, S_out
+        (x, sg, None, False, c, c),
+        (x, sg, None, True, c, c),
+        (x.real.copy(), sg, None, False, c, c[..., :h]),
+        (x[..., :h].copy(), sg, None, True, c[..., :h], c),
+        (x, None, g, False, s_t, s_t),
+        (x, None, g, True, s_t, s_t),
+    ]
+    for data, space, time, inverse, s_in, s_out in cases:
+        keep = data.copy()
+        want = _dft(data, space, time, inverse)
+        assert np.array_equal(data, keep)
+        got = _dft(data * s_in, space, time, inverse, bare=True)
+        got *= _dft_scale(space, time, inverse) * s_out
+        assert got.shape == want.shape and np.array_equal(got, want)
