@@ -359,6 +359,7 @@ def _linear_sweep(
     steps: tuple,
     g: SpacetimeGrid,
     m0: int,
+    out: tuple,
 ) -> tuple:
     """Duhamel parts (d_+, d_-) of the iterate whose linear term is solved.
 
@@ -376,14 +377,15 @@ def _linear_sweep(
     consecutive slices, slice m0 at t = 0; steps holds (S_+, S_-) forward,
     then back.  Past the last slice each way the step would read f = c = 0,
     so it is S_pm (d_pm[e] -+ h g_-[e]) from the end slice e: these seeds,
-    forward then back, are returned with (d_+, d_-).
+    forward then back, are returned with (d_+, d_-).  out holds the three
+    complex work arrays of f's shape the sweep writes, (d_+, d_-, h f); every
+    slice of them but m0, which is zeroed, is written before it is read.
     """
     n = len(f)
-    dp = np.zeros(f.shape, dtype=np.complex128)
-    dm = np.zeros(f.shape, dtype=np.complex128)
+    dp, dm, hf = out
+    dp[m0] = dm[m0] = 0.0
     hs = -0.5j * g.dt, 0.5j * g.dt
     # h f[k], with the h of the sweep that reaches slice k
-    hf = np.empty(f.shape, dtype=np.complex128)
     np.multiply(hs[0], f[m0 + 1:], out=hf[m0 + 1:])
     np.multiply(hs[1], f[:m0], out=hf[:m0])
     # g_- at t = 0, where d_pm = 0
@@ -437,6 +439,157 @@ def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, b
     return out
 
 
+class _PicardState:
+    """The Picard loop of picard_iterate as a state, in three steps.
+
+    The constructor is the set-up: it checks the data against the grid,
+    projects real data (see _hermitian_part), finds the window block and the
+    core, and builds the loop invariants, the free slices on the block, the
+    X-weights and the windowed buffer of the X-distance.  advance runs
+    iterations and may be called again to resume them; the state carries the
+    iterates, the distances (in result), the growth count and the seeds of
+    the last sweep.  finish extends the last iterate to every slice and
+    completes real data.
+
+    The state owns its work buffers: after the first iteration each sweep
+    writes into the buffers of the last differences and the last h f, and
+    w = u_+ + u_- goes into the buffer of the last forcing, all dead by then.
+    """
+
+    def __init__(self, fp, fm, ns, cfg, r, s, source):
+        g = cfg.grid
+        if fp.grid != g.spatial or fm.grid != g.spatial:
+            raise GridMismatchError("initial spectra do not live on the spatial lattice")
+        if source is not None and np.shape(source) != g.shape:
+            raise GridMismatchError(
+                f"source slices of shape {np.shape(source)} do not match the grid {g.shape}"
+            )
+        projected = _hermitian_part(fp, fm, source)
+        real = projected is not None
+        if real:
+            fp, fm, source = projected
+        h = g.spatial.n // 2 + 1 if real else g.spatial.n
+        # the window is even, nonincreasing in |t| and 1 on the core, so the
+        # slices where it is nonzero are one block around t = 0; the core is
+        # joined in only so that no rounding of delta can leave a core slice out
+        window = window_values(cfg.window, g.t_axis)
+        core = _core_slices(g, cfg.delta)
+        kept = np.flatnonzero((window != 0) | core)
+        blk = slice(kept[0], kept[-1] + 1)
+        core = np.flatnonzero(core[blk])
+        self.g, self.ns, self.tol, self.r, self.s = g, ns, cfg.tol, r, s
+        self.data, self.h, self.blk = (fp, fm), h, blk
+        self.m0 = g.origin_index - blk.start
+        self.core = slice(core[0], core[-1] + 1)
+        # loop invariants; the window only scales time, so it commutes with the
+        # spatial transform and applies to spectral slices directly.  c/2 is
+        # held complex: a real factor would be cast on every product.
+        self.window = window = window[blk, None, None, None]
+        self.half_c = (window / g.spatial.bracket[..., :h] / 2.0).astype(np.complex128)
+        # f = B(w, w) T + window S/J, T = window mask/(4J)
+        self.weight = window * _forcing_factor(g.spatial, h)
+        if source is not None:
+            source = window * source[blk, ..., :h] / g.spatial.bracket[..., :h]
+        self.source = source
+        forward = tuple(_duhamel_step(g, sign, h) for sign in (+1, -1))
+        self.steps = forward, tuple(np.conj(step) for step in forward)
+        # the free parts on the block; the slices off it are formed once, at the end
+        self.flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
+        self.free_p, self.free_m = (_free_slices_at(x, e, g.t_axis[blk], h)
+                                    for x, e in zip(self.data, self.flows))
+        self.free_w = self.free_p + self.free_m
+        # the centered time spectrum at tau index j is dt times the bare
+        # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
+        # M/2 and dt goes into the norm
+        self.xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
+        # the windowed difference on every slice, zero off the block
+        self.windowed = np.zeros((g.m,) + self.free_p.shape[1:], dtype=np.complex128)
+        self.sp, self.sm = self.free_p, self.free_m
+        self.grew = 0
+        self.seeds = None           # of the last sweep: none before the first
+        self.f = None               # the last forcing
+        self.spare = None           # the last differences and h f
+        self.result = PicardResult(g, None, None, real_data=real)
+
+    def _x_distance(self, diffs) -> float:
+        # upper bound for the [-delta, delta] restriction norm via one window
+        g, blk, windowed = self.g, self.blk, self.windowed
+
+        def spectra():
+            for x in diffs:
+                # the bare transform may have overwritten the zeros
+                windowed[:blk.start] = windowed[blk.stop:] = 0.0
+                np.multiply(x, self.window, out=windowed[blk])
+                yield _dft(windowed, time=g, bare=True)
+        return float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r, unit=g.dt)))
+
+    def advance(self, max_iter: int) -> None:
+        """Iterate until the loop stops or max_iter iterations ran in all."""
+        g, result = self.g, self.result
+        while result.status == "unconverged" and result.iterations < max_iter:
+            sp, sm = self.sp, self.sm
+            f = _bilinear_spec(sp, sm, np.add(sp, sm, out=self.f), self.ns, g)
+            f *= self.weight
+            if self.source is not None:
+                f += self.source
+            out = self.spare
+            if out is None:
+                out = tuple(np.empty(f.shape, dtype=np.complex128) for _ in range(3))
+            new_p, new_m, self.seeds = _linear_sweep(f, self.half_c, self.free_w, self.steps,
+                                                     g, self.m0, out)
+            new_p += self.free_p
+            new_m += self.free_m
+            # the old iterates are dead once differenced: their buffers take the
+            # differences, except the free slices, which are kept
+            diffs = (np.subtract(new_p, sp, out=None if sp is self.free_p else sp),
+                     np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
+            norms_p, norms_m = _slice_norms(g, [x[self.core] for x in diffs], self.r, self.s)
+            d = float(np.max(norms_p) + np.max(norms_m))
+            dr = self._x_distance(diffs)
+            if result.distances:
+                self.grew = self.grew + 1 if d > result.distances[-1] else 0
+            result.distances.append(d)
+            result.restricted_distances.append(dr)
+            self.sp, self.sm = new_p, new_m
+            self.f, self.spare = f, diffs + (out[2],)
+            result.iterations += 1
+            if not (math.isfinite(d) and math.isfinite(dr)):
+                result.status = "nonfinite"
+            elif d <= self.tol:
+                result.status = "converged"
+            elif self.grew >= 3:
+                result.status = "diverged"
+
+    def finish(self) -> PicardResult:
+        """The result, with the last iterate on every slice, completed for real data."""
+        g, h, result = self.g, self.h, self.result
+        self.f = self.spare = self.windowed = None       # the work buffers are dead
+        if self.seeds is None:
+            sp, sm = (_free_slices_at(x, e, g.t_axis, h) for x, e in zip(self.data, self.flows))
+        else:
+            # the last sweep continued to every slice
+            sp, sm = (_extend(u, x, e, g, self.blk, seed, step) for u, x, e, seed, step in
+                      zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds),
+                          zip(*self.steps)))
+        if result.real_data:
+            sp = hermitian_full(sp, sm)
+            sm = conj_reflect(sp)
+        result.sp, result.sm = sp, sm
+        return result
+
+
+# select_delta's last trial, {key: _PicardState}; see _picard_loop
+_TRIAL: dict = {}
+
+
+def _loop_key(fp: Spectrum, fm: Spectrum, ns: NonlinearitySpec, cfg: SolveConfig,
+              r: float, s: float) -> tuple:
+    """Every input of the Picard loop but the iteration budget and a source,
+    with the product kernel in use."""
+    data = tuple((x.grid, x.data.dtype, x.data.shape, x.data.tobytes()) for x in (fp, fm))
+    return (data, ns, cfg.grid, cfg.delta, cfg.window, cfg.tol, cfg.b, r, s, _bilinear_spec)
+
+
 def _picard_loop(
     fp: Spectrum,
     fm: Spectrum,
@@ -447,115 +600,31 @@ def _picard_loop(
     source: np.ndarray | None,
     full: bool,
 ) -> PicardResult:
-    """picard_iterate, or with full False its block loop alone.
+    """picard_iterate, or with full False one of select_delta's trials.
 
-    The block loop measures the sup distances only.  With full False it
-    skips the restricted distances, the extension to every slice and the
-    Hermitian completion, and the result holds no iterates (sp and sm are
-    None): what select_delta's trials read.
+    Either call first empties the one-entry memo _TRIAL.  A trial runs the
+    loop to cfg.max_iter, leaves its state in the memo under _loop_key and
+    returns its result, which holds no iterates (sp and sm are None).  With
+    full True the memo's state is resumed when its key is that of the call,
+    the call has no source and cfg.max_iter is at least the trial's
+    iteration count: it is advanced from where the trial stopped, and
+    finished.  The resumed loop runs the same code on the same arrays as a
+    fresh one, so its result is the same, bit for bit.
     """
-    g = cfg.grid
-    if fp.grid != g.spatial or fm.grid != g.spatial:
-        raise GridMismatchError("initial spectra do not live on the spatial lattice")
-    if source is not None and np.shape(source) != g.shape:
-        raise GridMismatchError(
-            f"source slices of shape {np.shape(source)} do not match the grid {g.shape}"
-        )
-    projected = _hermitian_part(fp, fm, source)
-    real = projected is not None
-    if real:
-        fp, fm, source = projected
-    h = g.spatial.n // 2 + 1 if real else g.spatial.n
-    # the window is even, nonincreasing in |t| and 1 on the core, so the
-    # slices where it is nonzero are one block around t = 0; the core is
-    # joined in only so that no rounding of delta can leave a core slice out
-    window = window_values(cfg.window, g.t_axis)
-    core = _core_slices(g, cfg.delta)
-    kept = np.flatnonzero((window != 0) | core)
-    blk = slice(kept[0], kept[-1] + 1)
-    m0 = g.origin_index - blk.start
-    core = np.flatnonzero(core[blk])
-    core = slice(core[0], core[-1] + 1)
-    # loop invariants; the window only scales time, so it commutes with the
-    # spatial transform and applies to spectral slices directly.  c/2 is
-    # held complex: a real factor would be cast on every product.
-    window = window[blk, None, None, None]
-    half_c = (window / g.spatial.bracket[..., :h] / 2.0).astype(np.complex128)
-    # f = B(w, w) T + window S/J, T = window mask/(4J)
-    weight = window * _forcing_factor(g.spatial, h)
-    if source is not None:
-        source = window * source[blk, ..., :h] / g.spatial.bracket[..., :h]
-    forward = tuple(_duhamel_step(g, sign, h) for sign in (+1, -1))
-    steps = forward, tuple(np.conj(step) for step in forward)
-    # the free parts on the block; the slices off it are formed once, at the end
-    flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
-    free_bp, free_bm = (_free_slices_at(x, e, g.t_axis[blk], h) for x, e in zip((fp, fm), flows))
-    free_w = free_bp + free_bm
+    memo = _TRIAL.popitem() if _TRIAL else None
+    state = None
+    if full and memo is not None and source is None \
+            and memo[1].result.iterations <= cfg.max_iter \
+            and memo[0] == _loop_key(fp, fm, ns, cfg, r, s):
+        state = memo[1]
+    memo = None             # a state not resumed goes before a new one is built
+    if state is None:
+        state = _PicardState(fp, fm, ns, cfg, r, s, source)
+    state.advance(cfg.max_iter)
     if full:
-        # the centered time spectrum at tau index j is dt times the bare
-        # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
-        # M/2 and dt goes into the norm
-        xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
-        # the windowed difference on every slice, zero off the block
-        windowed = np.zeros((g.m,) + free_bp.shape[1:], dtype=np.complex128)
-
-    def x_distance(diffs):
-        # upper bound for the [-delta, delta] restriction norm via one window
-        def spectra():
-            for x in diffs:
-                # the bare transform may have overwritten the zeros
-                windowed[:blk.start] = windowed[blk.stop:] = 0.0
-                np.multiply(x, window, out=windowed[blk])
-                yield _dft(windowed, time=g, bare=True)
-        return float(sum(_lattice_norms(g, spectra(), xsb_wts, r, unit=g.dt)))
-
-    sp, sm = free_bp, free_bm
-    f = None
-    result = PicardResult(g, None, None, real_data=real)
-    grew = 0
-    for it in range(cfg.max_iter):
-        f = _bilinear_spec(sp, sm, sp + sm, ns, g)
-        f *= weight
-        if source is not None:
-            f += source
-        new_p, new_m, seeds = _linear_sweep(f, half_c, free_w, steps, g, m0)
-        new_p += free_bp
-        new_m += free_bm
-        # the old iterates are dead once differenced: their buffers take the differences
-        diffs = (np.subtract(new_p, sp, out=None if sp is free_bp else sp),
-                 np.subtract(new_m, sm, out=None if sm is free_bm else sm))
-        norms_p, norms_m = _slice_norms(g, [x[core] for x in diffs], r, s)
-        d = float(np.max(norms_p) + np.max(norms_m))
-        dr = x_distance(diffs) if full else 0.0
-        if result.distances:
-            grew = grew + 1 if d > result.distances[-1] else 0
-        result.distances.append(d)
-        if full:
-            result.restricted_distances.append(dr)
-        sp, sm = new_p, new_m
-        result.iterations = it + 1
-        if not (math.isfinite(d) and math.isfinite(dr)):
-            result.status = "nonfinite"
-            break
-        if d <= cfg.tol:
-            result.status = "converged"
-            break
-        if grew >= 3:
-            result.status = "diverged"
-            break
-    if not full:
-        return result
-    if f is None:
-        sp, sm = (_free_slices_at(x, e, g.t_axis, h) for x, e in zip((fp, fm), flows))
-    else:
-        # the last sweep continued to every slice
-        sp, sm = (_extend(u, x, e, g, blk, seed, step) for u, x, e, seed, step in
-                  zip((sp, sm), (fp, fm), flows, zip(*seeds), zip(*steps)))
-    if real:
-        sp = hermitian_full(sp, sm)
-        sm = conj_reflect(sp)
-    result.sp, result.sm = sp, sm
-    return result
+        return state.finish()
+    _TRIAL[_loop_key(fp, fm, ns, cfg, r, s)] = state
+    return state.result
 
 
 def picard_iterate(
@@ -604,6 +673,13 @@ def picard_iterate(
     axis) fixes both components.  The loop then runs on half spectra, with
     the real transforms and mate weights (see spaces._mate); u_+ is
     completed once, at the end.
+
+    A call right after select_delta, at its returned delta, on the same
+    data and settings (the same nonlinearity, grid, window, tol, b, r and s,
+    and the same product kernel), with no source and a budget of at least
+    the trial's iterations, resumes select_delta's last trial in place of
+    starting again from the free flow: the trial's iterations are not run
+    again, and the result is the same, bit for bit (see _picard_loop).
     """
     return _picard_loop(fp, fm, ns, cfg, r, s, source, full=True)
 
@@ -682,18 +758,18 @@ def solve_local(
     real = result.real_data
     sg = g.spatial
     h = sg.n // 2 + 1 if real else sg.n      # real data: u, d_t u and norms from half spectra
-    w = sp + sm
-    u_spec = w / 2.0
-    dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
-    u = SpacetimeField(g, _dft(u_spec[..., :h], sg, inverse=True))
-    dtu = SpacetimeField(g, _dft(dtu_spec, sg, inverse=True))
-
     core = _core_slices(g, cfg.delta)
     lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)
     audit = slice(lo, max(lo, hi))
     # B(u, u) = B(w, w)/4 for u = w/2
+    w = sp + sm
     b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], w[audit, ..., :h],
                             ns, g) / 4.0
+    u_spec = w          # w is dead once B is formed: u = w/2 takes its buffer
+    u_spec /= 2.0
+    dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
+    u = SpacetimeField(g, _dft(u_spec[..., :h], sg, inverse=True))
+    dtu = SpacetimeField(g, _dft(dtu_spec, sg, inverse=True))
     if real:
         b_spec = hermitian_full(b_spec)
     if src is not None:
@@ -737,8 +813,12 @@ def select_delta(
     2 dt: the core then keeps two slices on each side of t = 0, where a core
     of t = 0 alone would give rho_1 = 0 by construction.  Returns the first
     accepted delta with the trial trace; when none is accepted, the last one
-    tried, at the floor or after _MAX_TRIALS trials.  Each trial runs the
-    two Picard steps that rho_1 reads, on the window block alone.  rho_1 is
+    tried, at the floor or after _MAX_TRIALS trials.  Each trial is the
+    set-up and the first two iterations of picard_iterate's loop, the
+    windowed X-distances included, so that its state is complete; the state
+    of the last trial, the returned delta's, is left in a one-entry memo,
+    and picard_iterate (so solve_local) at that delta on the same data and
+    settings resumes it from iteration 2 (see _picard_loop).  rho_1 is
     the contraction factor of the nonlinearity, so it shrinks with the data
     and with delta.  Each trace entry holds the trial's delta, rho_1 and
     Picard status.  rho_1 is 0 for a trial that converged at its first

@@ -337,3 +337,57 @@ def test_solve_reports_restricted_contraction(tmp_path, k, derivative):
     assert code == 0 and len(dr) == summary["iterations"] >= 3
     assert factors == [cur / prev for prev, cur in zip(dr, dr[1:])]
     assert all(f < 0.5 for f in factors)
+
+
+def test_solve_at_the_selected_delta_matches_delta_selection(tmp_path):
+    """A delta-selected solve resumes select_delta's accepted trial; solving
+    again with that delta given writes the same solve.json, delta_trace
+    aside, and a cmp-identical persistence CSV."""
+    code, out = _run(tmp_path / "a", "solve")
+    selected = json.loads((out / "solve.json").read_text())
+    delta = selected["summary"]["params"]["delta"]
+    assert code == 0 and selected["summary"]["delta_trace"][-1]["delta"] == delta
+    code, given = _run(tmp_path / "b", "--set", f"params.delta={delta!r}", "solve")
+    payload = json.loads((given / "solve.json").read_text())
+    assert code == 0 and payload["summary"].pop("delta_trace") == []
+    selected["summary"].pop("delta_trace")
+    assert payload == selected
+    assert filecmp.cmp(out / "solve.csv", given / "solve.csv", shallow=False)
+
+
+_SMALL = ["--set", "grid.n=8", "--set", "grid.m=16"]
+# every command, on small inputs where it reads them
+_DETERMINISM_RUNS = {
+    "norms": [],            # on a small input file, see below
+    "reduce": [],
+    "lemma-elliptic": _SMALL + ["lemma", "--suite", "elliptic"],
+    "lemma-hyperbolic": _SMALL + ["--set", "sweep.lams=2,4", "lemma", "--suite", "hyperbolic"],
+    "lemma-shell": ["--set", "sweep.shells=2,3", "lemma", "--suite", "shell"],
+    "key": _SMALL + ["--set", "sweep.lams=2,4"],
+    "sharpness": _SMALL,
+    "lowfreq": _SMALL + ["--set", "sweep.samples=2"],
+    "strichartz": _SMALL + ["--set", "sweep.lams=2,4"],
+    "extremize": _SMALL + ["--set", "sweep.budget=6"],
+    "solve": _SMALL,
+    "lipschitz": _SMALL + ["--set", "sweep.pairs=2"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_DETERMINISM_RUNS))
+def test_every_command_is_deterministic(tmp_path, run):
+    """Two --seed 0 runs of a command in one process write cmp-identical CSV
+    and JSON, the solver's trial memo notwithstanding."""
+    assert {name.split("-")[0] for name in _DETERMINISM_RUNS} == set(cli._COMMANDS)
+    command = run.split("-")[0]
+    argv = _DETERMINISM_RUNS[run]
+    if command == "norms":
+        argv = ["--input", str(_spectrum_file(tmp_path)), "norms"]
+    elif command != "lemma":
+        argv = argv + [command]
+    outs = []
+    for name in ("a", "b"):
+        code, out = _run(tmp_path / name, "--seed", "0", *argv)
+        assert code in (0, 2)
+        outs.append(out)
+    for suffix in ("csv", "json"):
+        assert filecmp.cmp(*(out / f"{command}.{suffix}" for out in outs), shallow=False)

@@ -330,11 +330,151 @@ def test_select_delta_trials_read_the_picard_loop(stg):
     picard_iterate at the same delta, bit for bit, for real and complex data."""
     ns = NonlinearitySpec(2, "t")
     d = _gaussian_data(stg.spatial, amp=1.0)
-    twisted = CauchyData(d.u0, Spectrum(stg.spatial, d.u1.data * np.exp(0.1j)), d.r, d.s)
-    for data in (d, twisted):
+    for data in (d, _twisted(d)):
         delta, trace = select_delta(data, ns, stg)
+        solver_mod._TRIAL.clear()       # a fresh loop, not the trial resumed
         res = picard_iterate(*to_first_order(data), ns, default_config(stg, delta, max_iter=2))
         assert trace[-1]["rho1"] == res.rhos[0] > 0.0
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of report values: arrays by dtype, shape and
+    bytes, floats by their bytes (so NaN equals NaN), containers item by item."""
+    if isinstance(a, (SpacetimeField, SpacetimeSpectrum)):
+        return type(a) is type(b) and a.grid == b.grid and _same(a.data, b.data)
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, float):
+        return isinstance(b, float) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _assert_same_report(got, want):
+    """Every SolveReport field, and every PicardResult field in it, bit for bit."""
+    for f in dataclasses.fields(want):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "result":
+            for rf in dataclasses.fields(y):
+                assert _same(getattr(x, rf.name), getattr(y, rf.name)), rf.name
+        else:
+            assert _same(x, y), f.name
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts the calls of the Picard loop's sweep."""
+    calls = []
+    sweep = solver_mod._linear_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_linear_sweep", counted)
+    return calls
+
+
+def _delta_selected_solves(g, d, ns, sweeps, source=None, **cfg_kw):
+    """solve_local at select_delta's delta right after select_delta, and again
+    with the trial memo emptied; the sweeps each of the two ran."""
+    delta, trace = select_delta(d, ns, g)
+    assert len(solver_mod._TRIAL) == 1
+    fp, fm = to_first_order(d)
+    cfg = default_config(g, delta, **cfg_kw)
+    sweeps.clear()
+    resumed = solve_local(fp, fm, ns, cfg, r=d.r, s=d.s, source=source)
+    counts = [len(sweeps)]
+    assert not solver_mod._TRIAL
+    sweeps.clear()
+    fresh = solve_local(fp, fm, ns, cfg, r=d.r, s=d.s, source=source)
+    counts.append(len(sweeps))
+    _assert_same_report(resumed, fresh)
+    return resumed, counts
+
+
+def _twisted(d):
+    """d with a phase on the velocity: complex data."""
+    return CauchyData(d.u0, Spectrum(d.u0.grid, d.u1.data * np.exp(0.1j)), d.r, d.s)
+
+
+@pytest.mark.parametrize("max_iter", [12, 2, 1])
+@pytest.mark.parametrize("k, derivative", [(1, "x1"), (2, "t")])
+@pytest.mark.parametrize("real", [True, False])
+def test_delta_selected_solve_resumes_the_trial_bitwise(stg, sweeps, real, k, derivative,
+                                                        max_iter):
+    """solve_local right after select_delta resumes the accepted trial from
+    its second iteration and reports every field as a fresh solve does, bit
+    for bit.  With max_iter = 2 it runs no new iteration and extends the
+    trial's last sweep; with max_iter = 1 it cannot resume."""
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    d = d if real else _twisted(d)
+    rep, (resumed, fresh) = _delta_selected_solves(stg, d, NonlinearitySpec(k, derivative),
+                                                   sweeps, max_iter=max_iter)
+    assert rep.result.real_data == real
+    assert fresh == rep.result.iterations
+    if max_iter < 3:
+        assert fresh == max_iter and rep.result.status == "unconverged"
+    else:
+        assert rep.success and fresh >= 3
+    assert resumed == (fresh if max_iter == 1 else fresh - 2)
+
+
+def test_delta_selected_solve_sweeps_past_the_trial_only(stg, sweeps):
+    """A delta-selected solve_local after select_delta sweeps iterations - 2
+    times: the two iterations of the accepted trial are not run again."""
+    ns = NonlinearitySpec(1, "t")
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    delta, _ = select_delta(d, ns, stg)
+    sweeps.clear()
+    rep = solve_local(*to_first_order(d), ns, default_config(stg, delta))
+    assert rep.success and len(sweeps) == rep.result.iterations - 2 > 0
+
+
+def test_zero_data_solve_finishes_the_converged_trial(stg, sweeps):
+    """Zero data converge at the trial's first distance: the solve only
+    finishes the trial, and runs no sweep."""
+    d = _gaussian_data(stg.spatial, amp=0.0)
+    rep, counts = _delta_selected_solves(stg, d, NonlinearitySpec(2, "t"), sweeps)
+    assert rep.result.distances == [0.0] and rep.success
+    assert counts == [0, 1]
+
+
+def test_solve_resumes_the_trial_accepted_after_a_rejected_one(stg, sweeps, monkeypatch):
+    """With a first trial rejected, the memo holds the accepted second one."""
+    ns = NonlinearitySpec(2, "t")
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    monkeypatch.setattr(solver_mod, "_RHO_TARGET", 0.0)
+    rho1 = [row["rho1"] for row in select_delta(d, ns, stg)[1]]
+    assert rho1[0] > rho1[1]
+    monkeypatch.setattr(solver_mod, "_RHO_TARGET", (rho1[0] + rho1[1]) / 2.0)
+    assert [row["rho1"] for row in select_delta(d, ns, stg)[1]] == rho1[:2]
+    rep, (resumed, fresh) = _delta_selected_solves(stg, d, ns, sweeps)
+    assert rep.success and resumed == fresh - 2
+
+
+def test_solve_with_a_source_never_resumes(stg, sweeps):
+    """A call with a source runs its own loop, and empties the memo."""
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    src = SpacetimeField(stg, np.zeros(stg.shape, complex))
+    rep, (resumed, fresh) = _delta_selected_solves(stg, d, NonlinearitySpec(1, "x1"), sweeps,
+                                                   source=src)
+    assert resumed == fresh == rep.result.iterations
+
+
+def test_solve_with_b_patched_after_the_trial_does_not_resume(stg, sweeps, monkeypatch):
+    """The trial memo is keyed by the product kernel: with B = 0 patched in
+    after select_delta, the solve is the linear one, not the trial resumed."""
+    ns = NonlinearitySpec(1, "x1")
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    delta, _ = select_delta(d, ns, stg)
+    monkeypatch.setattr(solver_mod, "_bilinear_spec", lambda sp, sm, w, ns, g: np.zeros_like(sp))
+    sweeps.clear()
+    rep = solve_local(*to_first_order(d), ns, default_config(stg, delta))
+    assert not solver_mod._TRIAL
+    assert len(sweeps) == rep.result.iterations == 2 and rep.result.distances[1] == 0.0
 
 
 def test_select_delta_nonfinite_trial_is_not_accepted():
