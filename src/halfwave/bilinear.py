@@ -38,7 +38,7 @@ from .grid import (
     forward_transform,
     time_forward,
 )
-from .propagator import EvolutionSpec, _free_slices_at, free_slices
+from .propagator import EvolutionSpec, _free_slices_at
 from .spaces import WindowSpec, _grid_window
 
 __all__ = [
@@ -291,20 +291,26 @@ def product_transform_direct(
     return _windowed_product(u0, v0, sp, g, _grid_window(g, w))
 
 
+def _window_block(factor: np.ndarray) -> slice | None:
+    """The slices a windowed product of free waves forms: from the first to
+    the last on which factor is nonzero, None if there are none."""
+    nonzero = np.flatnonzero(factor)
+    return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else None
+
+
 def _windowed_product(
     u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor: np.ndarray
 ) -> SpacetimeSpectrum:
     """Space-time transform of factor(t) times the product of two free waves.
 
-    The free slices, their spatial inverses and the product are formed from
-    the first to the last time slice on which factor is nonzero; the other
-    slices are exact zeros, which is what factor makes of them.  Each formed
-    slice is the one the full-lattice formula gives.
+    The free slices, their spatial inverses and the product are formed on
+    the window block alone; the other slices are exact zeros, which is what
+    factor makes of them.  Each formed slice is the one the full-lattice
+    formula gives.
     """
     out = np.zeros(g.shape, dtype=np.complex128)
-    nonzero = np.flatnonzero(factor)
-    if nonzero.size:
-        keep = slice(nonzero[0], nonzero[-1] + 1)
+    keep = _window_block(factor)
+    if keep is not None:
         uf, vf = (
             _dft(_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep]), g.spatial,
                  inverse=True)
@@ -329,7 +335,8 @@ def bilinear_symbol_product(
 
     With the trivial mask this equals product_transform_direct (the product
     in configuration space is exactly the periodic lattice convolution).
-    mask is a dyadic.MaskSpec.
+    mask is a dyadic.MaskSpec.  As there, the free slices and their
+    convolution are formed on the window block alone.
     """
     _check_mask(mask)
     sg = g.spatial
@@ -340,10 +347,13 @@ def bilinear_symbol_product(
             f"direct convolution budget allows N <= {CONV_BUDGET_N}, got N = {sg.n}"
         )
     wvals = _grid_window(g, w)
-    us = free_slices(u0, g, EvolutionSpec("D", sp.first))
-    vs = free_slices(v0, g, EvolutionSpec("D", sp.second))
-    conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
-    conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
-    slices = conv * wvals[:, None, None, None]
+    slices = np.zeros(g.shape, dtype=np.complex128)
+    keep = _window_block(wvals)
+    if keep is not None:
+        us, vs = (_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep])
+                  for a, sign in ((u0, sp.first), (v0, sp.second)))
+        conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
+        conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
+        np.multiply(conv, wvals[keep, None, None, None], out=slices[keep])
     return SpacetimeSpectrum(g, time_forward(g, slices))
 

@@ -381,7 +381,7 @@ def cmd_lipschitz(cfg, args):
         xi = g.spatial.xi_modulus()
         envelope = np.exp(-(xi**2) / 2.0)
         rows = []
-        max_ratios, max_off = {}, {}
+        max_ratios, max_off, failed = {}, {}, {}
         for scale_name, scale in (("eps", 1.0), ("eps/2", 0.5)):
             pairs = []
             for _ in range(n_pairs):
@@ -396,6 +396,7 @@ def cmd_lipschitz(cfg, args):
             out = solver_mod.flow_lipschitz_probe(pairs, ns, scfg)
             max_ratios[scale_name] = out["max_ratio"]
             max_off[scale_name] = out["max_ratio_off_origin"]
+            failed[scale_name] = out["failed"]
             for i, row in enumerate(out["rows"]):
                 rows.append({"perturbation": scale_name, "pair": i,
                              "ratio": row["ratio"], "status": row["status"]})
@@ -404,8 +405,9 @@ def cmd_lipschitz(cfg, args):
         summary = {"max_ratio": r1, "max_ratio_half": r2, "stable": stable,
                    "max_ratio_off_origin": max_off["eps"],
                    "max_ratio_off_origin_half": max_off["eps/2"],
+                   "failed": failed["eps"], "failed_half": failed["eps/2"],
                    "params": {"pairs": n_pairs, "eps": eps, "delta": delta}}
-        return rows, summary, bool(stable)
+        return rows, summary, bool(stable) and not any(failed.values())
 
     return run
 

@@ -97,7 +97,8 @@ def duhamel(gs: np.ndarray, sign: int, g: SpacetimeGrid) -> np.ndarray:
     and backward from the time-origin lattice point.  Slice m of the result
     reads the forcing between the origin and slice m only, so a forcing that
     vanishes outside a block of slices can be swept on that block alone
-    (the Picard solver's sweep does); outside it the sweep is the free step.
+    (the Picard loop's sweep, solver._linear_sweep, does); outside it the
+    sweep is the free step.
     """
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")

@@ -440,7 +440,8 @@ def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, b
 
 
 class _PicardState:
-    """The Picard loop of picard_iterate as a state, in three steps.
+    """The Picard loop as a state, in three steps; select_delta's trials
+    and picard_iterate drive it.
 
     The constructor is the set-up: it checks the data against the grid,
     projects real data (see _hermitian_part), finds the window block and the
@@ -578,7 +579,7 @@ class _PicardState:
         return result
 
 
-# select_delta's last trial, {key: _PicardState}; see _picard_loop
+# select_delta's accepted trial, {_loop_key: _PicardState}; see picard_iterate
 _TRIAL: dict = {}
 
 
@@ -588,43 +589,6 @@ def _loop_key(fp: Spectrum, fm: Spectrum, ns: NonlinearitySpec, cfg: SolveConfig
     with the product kernel in use."""
     data = tuple((x.grid, x.data.dtype, x.data.shape, x.data.tobytes()) for x in (fp, fm))
     return (data, ns, cfg.grid, cfg.delta, cfg.window, cfg.tol, cfg.b, r, s, _bilinear_spec)
-
-
-def _picard_loop(
-    fp: Spectrum,
-    fm: Spectrum,
-    ns: NonlinearitySpec,
-    cfg: SolveConfig,
-    r: float,
-    s: float,
-    source: np.ndarray | None,
-    full: bool,
-) -> PicardResult:
-    """picard_iterate, or with full False one of select_delta's trials.
-
-    Either call first empties the one-entry memo _TRIAL.  A trial runs the
-    loop to cfg.max_iter, leaves its state in the memo under _loop_key and
-    returns its result, which holds no iterates (sp and sm are None).  With
-    full True the memo's state is resumed when its key is that of the call,
-    the call has no source and cfg.max_iter is at least the trial's
-    iteration count: it is advanced from where the trial stopped, and
-    finished.  The resumed loop runs the same code on the same arrays as a
-    fresh one, so its result is the same, bit for bit.
-    """
-    memo = _TRIAL.popitem() if _TRIAL else None
-    state = None
-    if full and memo is not None and source is None \
-            and memo[1].result.iterations <= cfg.max_iter \
-            and memo[0] == _loop_key(fp, fm, ns, cfg, r, s):
-        state = memo[1]
-    memo = None             # a state not resumed goes before a new one is built
-    if state is None:
-        state = _PicardState(fp, fm, ns, cfg, r, s, source)
-    state.advance(cfg.max_iter)
-    if full:
-        return state.finish()
-    _TRIAL[_loop_key(fp, fm, ns, cfg, r, s)] = state
-    return state.result
 
 
 def picard_iterate(
@@ -677,11 +641,22 @@ def picard_iterate(
     A call right after select_delta, at its returned delta, on the same
     data and settings (the same nonlinearity, grid, window, tol, b, r and s,
     and the same product kernel), with no source and a budget of at least
-    the trial's iterations, resumes select_delta's last trial in place of
-    starting again from the free flow: the trial's iterations are not run
-    again, and the result is the same, bit for bit (see _picard_loop).
+    the trial's iterations, resumes the trial select_delta parked in place
+    of starting again from the free flow.  The resumed loop runs the same
+    code on the same arrays as a fresh one, so the result is the same, bit
+    for bit.  Every call empties the one-entry memo.
     """
-    return _picard_loop(fp, fm, ns, cfg, r, s, source, full=True)
+    memo = _TRIAL.popitem() if _TRIAL else None
+    state = None
+    if memo is not None and source is None \
+            and memo[1].result.iterations <= cfg.max_iter \
+            and memo[0] == _loop_key(fp, fm, ns, cfg, r, s):
+        state = memo[1]
+    memo = None             # a parked state not resumed goes before a new one is built
+    if state is None:
+        state = _PicardState(fp, fm, ns, cfg, r, s, source)
+    state.advance(cfg.max_iter)
+    return state.finish()
 
 
 @dataclass
@@ -744,7 +719,9 @@ def solve_local(
     Reports the Box-residual on the interior of [-delta, delta], the
     persistence curve t -> data-space norm of the components, and for k = 2
     the Z-norm diagnostic (both regularities of the pair (u, d_t u)).  u,
-    d_t u, the persistence curve and the Z-norm cover the whole time axis.
+    d_t u and the Z-norm cover the whole time axis; the persistence curve
+    covers the core slices |t| <= delta alone, its first entry at the first
+    core slice (so the t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
     way, lies in the core: outside it the window has cut the forcing, so u
     solves no equation there.  B(u, u) and the source term are formed on the
@@ -813,12 +790,12 @@ def select_delta(
     2 dt: the core then keeps two slices on each side of t = 0, where a core
     of t = 0 alone would give rho_1 = 0 by construction.  Returns the first
     accepted delta with the trial trace; when none is accepted, the last one
-    tried, at the floor or after _MAX_TRIALS trials.  Each trial is the
-    set-up and the first two iterations of picard_iterate's loop, the
-    windowed X-distances included, so that its state is complete; the state
-    of the last trial, the returned delta's, is left in a one-entry memo,
-    and picard_iterate (so solve_local) at that delta on the same data and
-    settings resumes it from iteration 2 (see _picard_loop).  rho_1 is
+    tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
+    picard_iterate's loop state and advances it two iterations, the
+    windowed X-distances included, so that the state is complete.  Only the
+    returned delta's state is parked in the one-entry memo, and
+    picard_iterate (so solve_local) at that delta on the same data and
+    settings resumes it from iteration 2.  rho_1 is
     the contraction factor of the nonlinearity, so it shrinks with the data
     and with delta.  Each trace entry holds the trial's delta, rho_1 and
     Picard status.  rho_1 is 0 for a trial that converged at its first
@@ -829,10 +806,13 @@ def select_delta(
     floor = 2.0 * grid.dt
     delta = max(floor, min(1.0, 0.5 / (1.0 + max(n0, n1))))
     fp, fm = to_first_order(d)
+    _TRIAL.clear()
     trace = []
     while True:
         cfg = default_config(grid, delta, max_iter=2, **cfg_kw)
-        res = _picard_loop(fp, fm, ns, cfg, d.r, d.s, None, full=False)
+        state = _PicardState(fp, fm, ns, cfg, d.r, d.s, None)
+        state.advance(cfg.max_iter)
+        res = state.result
         if len(res.distances) == 2 and all(map(math.isfinite, res.distances)):
             rho1 = res.rhos[0]
         elif res.converged:
@@ -842,7 +822,9 @@ def select_delta(
         trace.append({"delta": delta, "rho1": rho1, "status": res.status})
         accepted = rho1 is not None and rho1 < _RHO_TARGET
         if accepted or delta == floor or len(trace) == _MAX_TRIALS:
+            _TRIAL[_loop_key(fp, fm, ns, cfg, d.r, d.s)] = state
             return delta, trace
+        state = None        # the rejected trial's state goes before the next is built
         delta = max(floor, delta / 2.0)
 
 
@@ -859,10 +841,11 @@ def flow_lipschitz_probe(
     where the solution distance is the data distance.
 
     Each pair is a (CauchyData, CauchyData) tuple on cfg.grid, and both of
-    its data are solved with the first datum's (r, s).  Pairs whose solves
-    fail to contract are excluded and flagged; identical pairs are reported
-    as skipped.  A datum that recurs (equal arrays, equal r and s) is solved
-    once, and its report is kept only until its last pair.
+    its data are solved with the first datum's (r, s) by picard_iterate: the
+    ratios read the iterates alone, not solve_local's audit.  Pairs whose
+    loops do not converge are excluded and flagged; identical pairs are
+    reported as skipped.  A datum that recurs (equal arrays, equal r and s)
+    is solved once, and its result is kept only until its last pair.
     """
     g = cfg.grid
     core = _core_slices(g, cfg.delta)
@@ -884,17 +867,17 @@ def flow_lipschitz_probe(
             continue
         jobs.append((d1, d2, r_, s_, ddist))
         uses.update((key(d1, r_, s_), key(d2, r_, s_)))
-    reports = {}
+    results = {}
 
-    def report(d, r_, s_):
+    def solved(d, r_, s_):
         k = key(d, r_, s_)
-        if k not in reports:
-            reports[k] = solve_local(*to_first_order(d), ns, cfg, r=r_, s=s_)
-        rep = reports[k]
+        if k not in results:
+            results[k] = picard_iterate(*to_first_order(d), ns, cfg, r=r_, s=s_)
+        res = results[k]
         uses[k] -= 1
         if uses[k] == 0:
-            del reports[k]
-        return rep
+            del results[k]
+        return res
 
     ratios, ratios_off, skipped, failed = [], [], 0, 0
     rows = []
@@ -904,13 +887,12 @@ def flow_lipschitz_probe(
             rows.append({"ratio": None, "status": "skipped"})
             continue
         d1, d2, r_, s_, ddist = job
-        rep1 = report(d1, r_, s_)
-        rep2 = report(d2, r_, s_)
-        if not (rep1.success and rep2.success):
+        res1 = solved(d1, r_, s_)
+        res2 = solved(d2, r_, s_)
+        if not (res1.converged and res2.converged):
             failed += 1
             rows.append({"ratio": None, "status": "no-contraction"})
             continue
-        res1, res2 = rep1.result, rep2.result
         diffs = res1.sp[core] - res2.sp[core], res1.sm[core] - res2.sm[core]
         norms_p, norms_m = _slice_norms(g, diffs, r_, s_)
         ratio = float(np.max(norms_p) + np.max(norms_m)) / ddist

@@ -259,7 +259,7 @@ def test_criterion_9_lipschitz_flow_probe():
     rng = np.random.default_rng(0)
     xi = g.spatial.xi_modulus()
     envelope = np.exp(-(xi**2) / 2.0)
-    maxima = {}
+    maxima, failed = {}, {}
     for scale in (1.0, 0.5):
         pairs = []
         for _ in range(8):
@@ -271,6 +271,8 @@ def test_criterion_9_lipschitz_flow_probe():
             pairs.append((d, d2))
         out = flow_lipschitz_probe(pairs, ns, cfg)
         maxima[scale] = out["max_ratio"]
+        failed[scale] = out["failed"]
+    contracted = failed == {1.0: 0, 0.5: 0}
     stable = abs(maxima[0.5] / maxima[1.0] - 1.0) <= 0.3
     deltas = []
     for amp in (0.01, 1.0, 100.0):
@@ -279,9 +281,9 @@ def test_criterion_9_lipschitz_flow_probe():
         deltas.append(delta)
     monotone = all(a >= b for a, b in zip(deltas, deltas[1:]))
     dt = time.perf_counter() - t0
-    ok = stable and monotone and dt < 600.0
+    ok = contracted and stable and monotone and dt < 600.0
     assert _line(9, "Lipschitz flow probe", ok,
-                 f"max ratio {maxima[1.0]:.3f} -> {maxima[0.5]:.3f}, "
+                 f"max ratio {maxima[1.0]:.3f} -> {maxima[0.5]:.3f}, failed {failed}, "
                  f"delta table {['%.3f' % x for x in deltas]}, {dt:.1f}s")
 
 

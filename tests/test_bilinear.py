@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import beta
 
-from halfwave import bilinear
+from halfwave import bilinear, kernels
 from halfwave.bilinear import (
     PowerWeight,
     ReductionSpec,
@@ -16,8 +16,15 @@ from halfwave.bilinear import (
 )
 from halfwave.dyadic import region_masks
 from halfwave.errors import BudgetError, DivergentIntegralError, ParameterError
-from halfwave.grid import SpacetimeField, SpacetimeGrid, SpatialGrid, Spectrum, forward_transform
-from halfwave.propagator import EvolutionSpec, free_spacetime
+from halfwave.grid import (
+    SpacetimeField,
+    SpacetimeGrid,
+    SpatialGrid,
+    Spectrum,
+    forward_transform,
+    time_forward,
+)
+from halfwave.propagator import EvolutionSpec, free_slices, free_spacetime
 from halfwave.spaces import WindowSpec, window_values
 from halfwave.verify import _data_pair, scaling_grid
 
@@ -233,6 +240,41 @@ def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_su
         assert formed[0] == g.m
     elif not full_support:
         assert formed[0] <= g.m // 2 + 1
+
+
+def _symbol_product_reference(u0, v0, sp, mask, g, w):
+    """The all-slices formula: both free-wave spectra and their masked
+    convolution on every time slice, then windowed and transformed."""
+    sg = g.spatial
+    us = free_slices(u0, g, EvolutionSpec("D", sp.first))
+    vs = free_slices(v0, g, EvolutionSpec("D", sp.second))
+    conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
+    conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
+    return time_forward(g, conv * window_values(w, g.t_axis)[:, None, None, None])
+
+
+@pytest.mark.parametrize("lam", [2.0, 4.0, 8.0])
+def test_symbol_product_matches_all_slices_formula(lam, monkeypatch):
+    """The masked convolution formed on the slices where the window is
+    nonzero alone equals the all-slices formula bit for bit."""
+    g, w = scaling_grid(lam)
+    convolved = []
+    conv = kernels.masked_convolution
+
+    def counted(us, vs, *args):
+        convolved.append((len(us), len(vs)))
+        return conv(us, vs, *args)
+
+    monkeypatch.setattr(kernels, "masked_convolution", counted)
+    sp, masks = SignPair(+1, -1), region_masks()
+    for seed in range(3):
+        u0, v0 = _data_pair("random-bandlimited", lam, seed, g.spatial)
+        for mask in (masks["P"], masks["Q"], masks["one"]):
+            got = bilinear_symbol_product(u0, v0, sp, mask, g, w)
+            assert np.array_equal(got.data, _symbol_product_reference(u0, v0, sp, mask, g, w))
+    nonzero = np.flatnonzero(window_values(w, g.t_axis))
+    block = nonzero[-1] + 1 - nonzero[0]
+    assert block < g.m and set(convolved) == {(block, block), (g.m, g.m)}
 
 
 def test_product_transform_window_wider_than_time_range():

@@ -1,6 +1,7 @@
 """First-order reformulation, Picard contraction, residual consistency."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -493,17 +494,20 @@ def test_select_delta_nonfinite_trial_is_not_accepted():
 
 def test_select_delta_halves_past_a_nonfinite_trial(stg, monkeypatch):
     """Above the floor a non-finite trial is halved past like a rejected one."""
-    loop = solver_mod._picard_loop
     calls = []
 
-    def first_nonfinite(fp, fm, ns, cfg, *args, **kwargs):
-        calls.append(cfg.delta)
-        if len(calls) > 1:
-            return loop(fp, fm, ns, cfg, *args, **kwargs)
-        return solver_mod.PicardResult(cfg.grid, None, None, [np.nan], iterations=1,
-                                       status="nonfinite")
+    class FirstNonfinite(solver_mod._PicardState):
+        def __init__(self, fp, fm, ns, cfg, *args):
+            calls.append(cfg.delta)
+            super().__init__(fp, fm, ns, cfg, *args)
 
-    monkeypatch.setattr(solver_mod, "_picard_loop", first_nonfinite)
+        def advance(self, max_iter):
+            if len(calls) > 1:
+                return super().advance(max_iter)
+            self.result = solver_mod.PicardResult(self.g, None, None, [np.nan], iterations=1,
+                                                  status="nonfinite")
+
+    monkeypatch.setattr(solver_mod, "_PicardState", FirstNonfinite)
     delta, trace = select_delta(_gaussian_data(stg.spatial), NonlinearitySpec(1, "x1"), stg)
     assert [row["delta"] for row in trace] == calls == [2.0 * delta, delta]
     assert trace[0] == {"delta": calls[0], "rho1": None, "status": "nonfinite"}
@@ -579,19 +583,111 @@ def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
     separate = [flow_lipschitz_probe([p], ns, cfg)["rows"][0]["ratio"] for p in pairs]
 
     calls = []
-    solve = solver_mod.solve_local
+    solve = solver_mod.picard_iterate
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("r"))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "solve_local", counting)
+    monkeypatch.setattr(solver_mod, "picard_iterate", counting)
     out = flow_lipschitz_probe(pairs, ns, cfg)
     # d, d2, d3 at r = 2, then d and d2 again at r = 1.5
     assert calls == [2.0, 2.0, 2.0, 1.5, 1.5]
     assert [row["ratio"] for row in out["rows"]] == separate
     assert out["skipped"] == 1 and out["failed"] == 0
     assert separate[3] == separate[0]
+
+
+def _probe_reference(pairs, ns, cfg):
+    """The probe's rows and off-origin ratios from solve_local reports, every
+    datum solved apart, each pair's ratios taken as the probe defines them."""
+    g = cfg.grid
+    core = solver_mod._core_slices(g, cfg.delta)
+    off_origin = np.flatnonzero(core) != g.origin_index
+    rows, off = [], []
+    for d1, d2 in pairs:
+        reps = [solve_local(*to_first_order(x), ns, cfg, r=d1.r, s=d1.s) for x in (d1, d2)]
+        assert all(rep.success for rep in reps)
+        a, b = (rep.result for rep in reps)
+        f1, f2 = to_first_order(d1), to_first_order(d2)
+        ddist = sobolev_hat_norm(Spectrum(g.spatial, f1[0].data - f2[0].data), d1.r, d1.s) + \
+            sobolev_hat_norm(Spectrum(g.spatial, f1[1].data - f2[1].data), d1.r, d1.s)
+        norms_p, norms_m = _slice_norms(g, (a.sp[core] - b.sp[core], a.sm[core] - b.sm[core]),
+                                        d1.r, d1.s)
+        rows.append({"ratio": float(np.max(norms_p) + np.max(norms_m)) / ddist, "status": "ok"})
+        off.append(float(np.max(norms_p[off_origin]) + np.max(norms_m[off_origin])) / ddist)
+    return rows, off
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("k, derivative", [(1, "x1"), (2, "t")])
+def test_lipschitz_probe_matches_solve_local_reports(real, k, derivative):
+    """The probe reads picard_iterate's iterates, which are those of
+    solve_local's report: its rows and ratios equal those taken from the
+    reports, for real and complex data."""
+    stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    sg = stg.spatial
+    d = _gaussian_data(sg, amp=0.5)
+    d = d if real else _twisted(d)
+    rng = np.random.default_rng(7)
+    env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
+    pert = [eps * (env if real else _complex_noise(rng, sg.shape) * env) for eps in (1e-3, 5e-4)]
+    others = [CauchyData(Spectrum(sg, d.u0.data + p), d.u1, 2.0, 1.0) for p in pert]
+    pairs = [(d, others[0]), (d, others[1]), (others[0], others[1])]
+    ns, cfg = NonlinearitySpec(k, derivative), default_config(stg, 0.25)
+    assert picard_iterate(*to_first_order(others[0]), ns, cfg).real_data == real
+    out = flow_lipschitz_probe(pairs, ns, cfg)
+    rows, off = _probe_reference(pairs, ns, cfg)
+    assert out["rows"] == rows and out["ratios"] == [row["ratio"] for row in rows]
+    assert out["ratios_off_origin"] == off
+    assert out["failed"] == out["skipped"] == 0
+
+
+def test_lipschitz_probe_counts_an_unaudited_solve(stg):
+    """At delta = dt no core slice is left to audit, so solve_local reports a
+    converged solve unaudited; the probe reads the Picard loops alone, and
+    its pair is a contracting one."""
+    ns = NonlinearitySpec(1, "x1")
+    d = _gaussian_data(stg.spatial)
+    d2 = CauchyData(Spectrum(stg.spatial, 1.001 * d.u0.data), d.u1, 2.0, 1.0)
+    cfg = default_config(stg, stg.dt)
+    assert solve_local(*to_first_order(d), ns, cfg).status == "unaudited"
+    out = flow_lipschitz_probe([(d, d2)], ns, cfg)
+    assert out["failed"] == 0 and out["rows"] == [{"ratio": out["max_ratio"], "status": "ok"}]
+    assert np.isfinite(out["max_ratio"]) and out["max_ratio"] > 0.0
+
+
+@pytest.fixture
+def states_alive(monkeypatch):
+    """The number of other live Picard loop states each time one is built."""
+    live, counts = weakref.WeakSet(), []
+    init = solver_mod._PicardState.__init__
+
+    def counted(self, *args):
+        counts.append(len(live))
+        init(self, *args)
+        live.add(self)
+
+    monkeypatch.setattr(solver_mod._PicardState, "__init__", counted)
+    return counts
+
+
+def test_one_loop_state_alive_at_a_time(stg, states_alive, monkeypatch):
+    """No other loop state is alive while one is built: not a rejected
+    trial's, nor a memo an earlier select_delta left, while select_delta
+    builds a trial, and not the unmatched memo's while picard_iterate builds
+    a fresh state.  Each holds 27-47 MB at 16^3 x 64."""
+    ns = NonlinearitySpec(2, "t")
+    d = _gaussian_data(stg.spatial)
+    monkeypatch.setattr(solver_mod, "_RHO_TARGET", 0.0)    # every trial is rejected
+    delta, trace = select_delta(d, ns, stg)
+    assert len(trace) >= 3 and delta == 2.0 * stg.dt
+    select_delta(d, ns, stg)
+    assert states_alive == [0] * (2 * len(trace))
+    assert len(solver_mod._TRIAL) == 1
+    states_alive.clear()
+    picard_iterate(*to_first_order(d), ns, default_config(stg, 2.0 * delta))
+    assert states_alive == [0] and not solver_mod._TRIAL
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
