@@ -7,6 +7,7 @@ local solver for quadratic wave equations.
 """
 
 from .bilinear import (
+    MaskSpec,
     PowerWeight,
     ReductionResult,
     ReductionSpec,
@@ -18,7 +19,6 @@ from .bilinear import (
     surface_mass,
 )
 from .dyadic import (
-    MaskSpec,
     lp_projection,
     region_masks,
     shell_bounds,

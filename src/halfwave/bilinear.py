@@ -12,6 +12,10 @@ surface integral with a weight depending only on the two focal distances
 with a = tau/|xi|, p = 1 - s1*r, q = 1 - s2*r.  The three regions are the
 elliptic interval [-1, 1], the near-hyperbolic interval [1, c1], and the
 far-hyperbolic tail [c1, inf).
+
+MaskSpec, the pair-frequency mask that splits the lattice convolution and
+the surface masses by region (geq/ll, the near/far P/Q split, shell against
+shell), lives here; dyadic builds its named masks from it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "product_transform_direct",
     "surface_mass",
     "bilinear_symbol_product",
+    "MaskSpec",
     "CONV_BUDGET_N",
 ]
 
@@ -182,9 +187,58 @@ class SurfaceMassResult:
     n_final: int = 0
 
 
-def _check_mask(mask):
-    from .dyadic import MaskSpec  # dyadic imports this module
+LL_THRESHOLD = 0.5      # the 'much smaller' rule: |xi1| < LL_THRESHOLD * |xi2|
 
+_RULES = ("one", "geq", "ll", "near", "far", "shell_ll")
+
+
+@dataclass(frozen=True)
+class MaskSpec:
+    """A named pair-frequency mask.
+
+    The rule depends on the pair (xi1, xi2) only through the three moduli
+    |xi1|, |xi2| and |xi1 + xi2|; select() is the one place it is written.
+    Calling the mask with stacked (..., 3) arrays (xi1, xi2) evaluates it
+    vectorized.  kernels.masked_convolution calls select() directly, and
+    select() is also used by kernels.band_mass, so a surface mass is masked
+    by the same rule as the lattice convolution.  dyadic.region_masks and
+    dyadic.shell_mask build the named masks.
+    """
+
+    name: str
+    rule: str
+    c1: float = 2.0
+    sh_lo: float = 0.0
+    sh_hi: float = np.inf
+
+    def __post_init__(self):
+        if self.rule not in _RULES:
+            raise ParameterError(f"unknown mask rule {self.rule!r}")
+
+    def select(self, n1, n2, n12) -> np.ndarray:
+        """The mask as a function of |xi1|, |xi2| and |xi1 + xi2|."""
+        if self.rule == "one":
+            return np.ones(np.broadcast(n1, n2, n12).shape, dtype=bool)
+        if self.rule == "geq":
+            return n1 >= LL_THRESHOLD * n2
+        if self.rule == "ll":
+            return n1 < LL_THRESHOLD * n2
+        if self.rule == "near":
+            return n1 + n2 <= self.c1 * n12
+        if self.rule == "far":
+            return n1 + n2 > self.c1 * n12
+        return (n1 > self.sh_lo) & (n1 <= self.sh_hi) & (n1 < LL_THRESHOLD * n2)
+
+    def __call__(self, xi1, xi2) -> np.ndarray:
+        xi1, xi2 = np.asarray(xi1), np.asarray(xi2)
+        return self.select(
+            np.linalg.norm(xi1, axis=-1),
+            np.linalg.norm(xi2, axis=-1),
+            np.linalg.norm(xi1 + xi2, axis=-1),
+        )
+
+
+def _check_mask(mask):
     if not isinstance(mask, MaskSpec):
         raise ParameterError(f"mask must be a MaskSpec, got {type(mask).__name__}")
 
@@ -225,7 +279,7 @@ def surface_mass(
     int_{P(eta)=tau} dS/|grad P| F(rho1, rho2).
 
     F is a vectorized callable F(rho1, rho2), such as a PowerWeight.  A
-    dyadic.MaskSpec mask keeps the pairs (xi/2 - eta, xi/2 + eta) that its
+    MaskSpec mask keeps the pairs (xi/2 - eta, xi/2 + eta) that its
     select() keeps in the lattice convolution; a finite mask.sh_hi also sets
     the default box.  The level set is a surface of rotation about the axis
     xi/|xi|, so the band sum runs over the (z, rho) half-plane about that
@@ -335,7 +389,7 @@ def bilinear_symbol_product(
 
     With the trivial mask this equals product_transform_direct (the product
     in configuration space is exactly the periodic lattice convolution).
-    mask is a dyadic.MaskSpec.  As there, the free slices and their
+    mask is a MaskSpec.  As there, the free slices and their
     convolution are formed on the window block alone.
     """
     _check_mask(mask)

@@ -30,7 +30,7 @@ from .bilinear import ReductionSpec, SignPair, reduction_integral
 from .dyadic import shell_surface_mass
 from .errors import HalfwaveError
 from .fieldio import read_field
-from .grid import SpacetimeGrid, SpatialGrid, Spectrum
+from .grid import SpacetimeGrid, SpatialGrid, Spectrum, forward_transform
 from .spaces import NormParams, lr_xt_norm, sobolev_hat_norm, xsb_norm
 from . import solver as solver_mod
 from . import verify
@@ -85,6 +85,7 @@ def apply_overrides(cfg: dict, sets) -> dict:
             raise UsageError(f"override must look like section.key=value, got {item!r}")
         target, val = item.split("=", 1)
         sec, key = target.split(".", 1)
+        key = key.lower()  # as configparser does for INI keys; sections stay case-sensitive
         if sec not in _SECTIONS or key not in _SECTIONS[sec]:
             raise UsageError(f"unknown config key {sec}.{key}")
         cfg[sec][key] = val
@@ -99,12 +100,31 @@ def _get(cfg, sec, key, cast, default):
         return default
     try:
         return cast(raw)
-    except ValueError:
-        raise UsageError(f"bad value for {sec}.{key}: {raw!r}")
+    except ValueError as e:
+        raise UsageError(f"bad value for {sec}.{key}: {raw!r} ({e})")
 
 
 def _float_list(raw: str):
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    """A non-empty list of numbers, separated by commas or blanks."""
+    vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    if not vals:
+        raise ValueError("the list is empty")
+    return vals
+
+
+def _shells(raw: str):
+    """Shell indices for a slope fit, which needs two points."""
+    shells = tuple(int(k) for k in _float_list(raw))
+    if len(shells) < 2:
+        raise ValueError("a slope needs at least two shells")
+    return shells
+
+
+def _positive_int(raw: str):
+    val = int(raw)
+    if val < 1:
+        raise ValueError("must be at least 1")
+    return val
 
 
 def _signs(cfg) -> SignPair:
@@ -129,7 +149,7 @@ def _report_to_outputs(rep: verify.EstimateReport):
         "exponent_r2": rep.exponent_r2,
         "skipped": rep.skipped,
     }
-    return rows, summary, bool(rep.passed) if rep.passed is not None else True
+    return rows, summary, bool(rep.passed)
 
 
 def cmd_norms(cfg, args):
@@ -149,11 +169,7 @@ def cmd_norms(cfg, args):
             rows.append({"norm": "lr_xt", "value": lr_xt_norm(obj, r)})
             rows.append({"norm": "xsb", "value": xsb_norm(obj, p)})
         else:
-            F = obj if obj.is_frequency else None
-            if F is None:
-                from .grid import forward_transform
-
-                F = forward_transform(obj)
+            F = obj if obj.is_frequency else forward_transform(obj)
             rows.append({"norm": "sobolev_hat", "value": sobolev_hat_norm(F, r, s)})
         summary = {"params": {"r": r, "s": s, "b": b, "input": args.input}}
         return rows, summary, all(np.isfinite(row["value"]) for row in rows)
@@ -208,7 +224,7 @@ def cmd_lemma(cfg, args):
                            c1=_get(cfg, "params", "c1", float, 2.0), **kw)
     if suite == "shell":
         h = _get(cfg, "params", "h", float, 1.0)
-        shells = tuple(int(k) for k in _get(cfg, "sweep", "shells", _float_list, (2, 3, 4, 5, 6)))
+        shells = _get(cfg, "sweep", "shells", _shells, (2, 3, 4, 5, 6))
         return lambda: _shell_suite(h, shells)
     raise UsageError(f"unknown lemma suite {suite!r}")
 
@@ -256,7 +272,7 @@ def cmd_lowfreq(cfg, args):
         verify.check_lowfreq_young,
         r=_get(cfg, "params", "r", float, 1.5),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
-        samples=_get(cfg, "sweep", "samples", int, 8),
+        samples=_get(cfg, "sweep", "samples", _positive_int, 8),
         n=_get(cfg, "grid", "n", int, 16),
         m=_get(cfg, "grid", "m", int, 32),
         seed=_get(cfg, "family", "seed", int, 0),
@@ -371,7 +387,7 @@ def cmd_lipschitz(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, 0.25)
     b = _get(cfg, "params", "b", float, 0.55)
-    n_pairs = _get(cfg, "sweep", "pairs", int, 8)
+    n_pairs = _get(cfg, "sweep", "pairs", _positive_int, 8)
     eps = 0.1 * _get(cfg, "family", "amplitude", float, 0.01)
     seed = _get(cfg, "family", "seed", int, 0)
 

@@ -2,16 +2,16 @@
 
 Shell 0 is {|xi| <= 1}; shell k >= 1 is {2^(k-1) < |xi| <= 2^k}.  Cutoffs
 are sharp indicators so that shell sums and mask partitions recombine
-exactly on the lattice.  The 'much smaller' threshold is |xi1| < |xi2|/2.
+exactly on the lattice.  The masks are bilinear.MaskSpec values (MaskSpec
+is re-exported here); its 'much smaller' rule is |xi1| < |xi2|/2
+(bilinear.LL_THRESHOLD).  This module builds the named masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bilinear import PowerWeight, SignPair, SurfaceMassResult, surface_mass
+from .bilinear import MaskSpec, PowerWeight, SignPair, SurfaceMassResult, surface_mass
 from .errors import ParameterError
 from .grid import Spectrum
 
@@ -23,9 +23,6 @@ __all__ = [
     "region_masks",
     "shell_surface_mass",
 ]
-
-LL_THRESHOLD = 0.5
-
 
 def shell_bounds(k: int) -> tuple[float, float]:
     """(lo, hi] bounds of dyadic shell k."""
@@ -51,74 +48,25 @@ def lp_projection(F: Spectrum, k: int) -> Spectrum:
     return Spectrum(F.grid, F.data * _shell_mask(F.grid, k))
 
 
-_RULES = ("one", "geq", "ll", "near", "far", "shell_ll")
-
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """A named pair-frequency mask.
-
-    The rule depends on the pair (xi1, xi2) only through the three moduli
-    |xi1|, |xi2| and |xi1 + xi2|; select() is the one place it is written.
-    Calling the mask with stacked (..., 3) arrays (xi1, xi2) evaluates it
-    vectorized.  kernels.masked_convolution calls select() directly, and
-    select() is also used by kernels.band_mass, so a surface mass is masked
-    by the same rule as the lattice convolution.
-    """
-
-    name: str
-    rule: str
-    c1: float = 2.0
-    threshold: float = LL_THRESHOLD
-    sh_lo: float = 0.0
-    sh_hi: float = np.inf
-
-    def __post_init__(self):
-        if self.rule not in _RULES:
-            raise ParameterError(f"unknown mask rule {self.rule!r}")
-
-    def select(self, n1, n2, n12) -> np.ndarray:
-        """The mask as a function of |xi1|, |xi2| and |xi1 + xi2|."""
-        if self.rule == "one":
-            return np.ones(np.broadcast(n1, n2, n12).shape, dtype=bool)
-        if self.rule == "geq":
-            return n1 >= self.threshold * n2
-        if self.rule == "ll":
-            return n1 < self.threshold * n2
-        if self.rule == "near":
-            return n1 + n2 <= self.c1 * n12
-        if self.rule == "far":
-            return n1 + n2 > self.c1 * n12
-        return (n1 > self.sh_lo) & (n1 <= self.sh_hi) & (n1 < self.threshold * n2)
-
-    def __call__(self, xi1, xi2) -> np.ndarray:
-        xi1, xi2 = np.asarray(xi1), np.asarray(xi2)
-        return self.select(
-            np.linalg.norm(xi1, axis=-1),
-            np.linalg.norm(xi2, axis=-1),
-            np.linalg.norm(xi1 + xi2, axis=-1),
-        )
-
-
-def region_masks(c1: float = 2.0, threshold: float = LL_THRESHOLD) -> dict[str, MaskSpec]:
+def region_masks(c1: float = 2.0) -> dict[str, MaskSpec]:
     """The mask family used by the bilinear splittings.
 
     geq/ll split by relative input size; P/Q split the hyperbolic product by
     whether the two focal distances are comparable to the output frequency.
     """
     return {
-        "one": MaskSpec("one", "one", c1, threshold),
-        "geq": MaskSpec("geq", "geq", c1, threshold),
-        "ll": MaskSpec("ll", "ll", c1, threshold),
-        "P": MaskSpec("P", "near", c1, threshold),
-        "Q": MaskSpec("Q", "far", c1, threshold),
+        "one": MaskSpec("one", "one", c1),
+        "geq": MaskSpec("geq", "geq", c1),
+        "ll": MaskSpec("ll", "ll", c1),
+        "P": MaskSpec("P", "near", c1),
+        "Q": MaskSpec("Q", "far", c1),
     }
 
 
-def shell_mask(k: int, threshold: float = LL_THRESHOLD) -> MaskSpec:
-    """Mask selecting xi1 in shell k with |xi1| < threshold * |xi2|."""
+def shell_mask(k: int) -> MaskSpec:
+    """Mask selecting xi1 in shell k with |xi1| < |xi2|/2."""
     lo, hi = shell_bounds(k)
-    return MaskSpec(f"shell_ll_{k}", "shell_ll", threshold=threshold, sh_lo=lo, sh_hi=hi)
+    return MaskSpec(f"shell_ll_{k}", "shell_ll", sh_lo=lo, sh_hi=hi)
 
 
 def shell_surface_mass(

@@ -8,8 +8,8 @@ O(|supp u| * N^3 * M).  The band sum uses the rotational symmetry of the
 level set about the focal axis: it visits square cells of the (z, rho)
 half-plane, each weighted by the volume of its annulus and by the exact
 fraction of the cell inside the band.  Mask rules live in
-dyadic.MaskSpec.select, which both kernels call; this module only supplies
-the moduli.
+bilinear.MaskSpec.select, which both kernels call; this module only supplies
+the moduli and takes the mask duck-typed, so it imports no package module.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def masked_convolution(us: np.ndarray, vs: np.ndarray, xi_axis: np.ndarray, mask
     mask(xi1, xi2) * us(xi1) * vs(xi2), per time slice.
 
     Arrays are (M, N, N, N) in ascending-frequency order and mask is a
-    dyadic.MaskSpec; the caller supplies any continuum-normalization
+    bilinear.MaskSpec; the caller supplies any continuum-normalization
     prefactor.  The support of a factor is the set of modes that are
     nonzero in some time slice.  The modes xi1 of supp us are visited in
     index order; for each, the mask is evaluated on the pairs (xi1, xi2),
@@ -104,7 +104,7 @@ def band_mass(
     cells of side width/n (n in z, n//2 in rho).  Each cell carries its
     annulus volume 2 pi rho_c step^2 times the exact fraction of the cell in
     the band under P linearised at the cell centre.  F is the vectorized
-    weight(r1, r2) at the centre.  A dyadic.MaskSpec mask keeps the cells
+    weight(r1, r2) at the centre.  A bilinear.MaskSpec mask keeps the cells
     where mask.select(r1, r2, |xi|) holds: the pair xi/2 -+ eta has moduli
     r1, r2 and sum xi.
     """

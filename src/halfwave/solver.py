@@ -122,6 +122,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.delta <= 0:
             raise ParameterError("delta must be positive")
+        if self.max_iter < 1:
+            raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.delta > self.window.flat_core + 1e-12:
             raise ParameterError(
                 f"delta = {self.delta} exceeds the window flat core {self.window.flat_core}"
@@ -479,7 +481,7 @@ class _PicardState:
         blk = slice(kept[0], kept[-1] + 1)
         core = np.flatnonzero(core[blk])
         self.g, self.ns, self.tol, self.r, self.s = g, ns, cfg.tol, r, s
-        self.data, self.h, self.blk = (fp, fm), h, blk
+        self.data, self.blk = (fp, fm), blk
         self.m0 = g.origin_index - blk.start
         self.core = slice(core[0], core[-1] + 1)
         # loop invariants; the window only scales time, so it commutes with the
@@ -563,15 +565,13 @@ class _PicardState:
 
     def finish(self) -> PicardResult:
         """The result, with the last iterate on every slice, completed for real data."""
-        g, h, result = self.g, self.h, self.result
+        g, result = self.g, self.result
         self.f = self.spare = self.windowed = None       # the work buffers are dead
-        if self.seeds is None:
-            sp, sm = (_free_slices_at(x, e, g.t_axis, h) for x, e in zip(self.data, self.flows))
-        else:
-            # the last sweep continued to every slice
-            sp, sm = (_extend(u, x, e, g, self.blk, seed, step) for u, x, e, seed, step in
-                      zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds),
-                          zip(*self.steps)))
+        # the last sweep continued to every slice; SolveConfig's max_iter >= 1
+        # means advance ran one
+        sp, sm = (_extend(u, x, e, g, self.blk, seed, step) for u, x, e, seed, step in
+                  zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds),
+                      zip(*self.steps)))
         if result.real_data:
             sp = hermitian_full(sp, sm)
             sm = conj_reflect(sp)
@@ -782,7 +782,7 @@ def select_delta(
     d: CauchyData,
     ns: NonlinearitySpec,
     grid: SpacetimeGrid,
-    **cfg_kw,
+    b: float = SolveConfig.b,
 ) -> tuple[float, list[dict]]:
     """Halve the local time radius until the first contraction factor is small.
 
@@ -791,8 +791,9 @@ def select_delta(
     of t = 0 alone would give rho_1 = 0 by construction.  Returns the first
     accepted delta with the trial trace; when none is accepted, the last one
     tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
-    picard_iterate's loop state and advances it two iterations, the
-    windowed X-distances included, so that the state is complete.  Only the
+    picard_iterate's loop state for default_config(grid, delta, max_iter=2,
+    b=b) and advances it two iterations, the windowed X-distances (whose
+    weights take b) included, so that the state is complete.  Only the
     returned delta's state is parked in the one-entry memo, and
     picard_iterate (so solve_local) at that delta on the same data and
     settings resumes it from iteration 2.  rho_1 is
@@ -809,7 +810,7 @@ def select_delta(
     _TRIAL.clear()
     trace = []
     while True:
-        cfg = default_config(grid, delta, max_iter=2, **cfg_kw)
+        cfg = default_config(grid, delta, max_iter=2, b=b)
         state = _PicardState(fp, fm, ns, cfg, d.r, d.s, None)
         state.advance(cfg.max_iter)
         res = state.result

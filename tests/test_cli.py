@@ -14,6 +14,7 @@ from halfwave import dyadic
 from halfwave.bilinear import SurfaceMassResult
 from halfwave import cli
 from halfwave import solver as solver_mod
+from halfwave import verify
 from halfwave.cli import UsageError, apply_overrides, load_config, main
 from halfwave.fieldio import write_field
 from halfwave.grid import SpatialGrid, Spectrum
@@ -163,6 +164,47 @@ def test_override_validation():
     cfg = load_config(None)
     with pytest.raises(UsageError):
         apply_overrides(cfg, ["grid.q=1"])
+
+
+def test_set_keys_are_case_insensitive(tmp_path):
+    """--set lower-cases the key, as configparser does for INI keys; the
+    section name stays case-sensitive."""
+    outs = []
+    for key in ("N", "n"):
+        code, out = _run(tmp_path / key, "--set", f"grid.{key}=8", "--set", "sweep.samples=2",
+                         "lowfreq")
+        assert code in (0, 2)
+        outs.append(out)
+    for suffix in ("csv", "json"):
+        assert filecmp.cmp(*(out / f"lowfreq.{suffix}" for out in outs), shallow=False)
+    code, out = _run(tmp_path / "sec", "--set", "GRID.n=8", "lowfreq")
+    assert code == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--set", "sweep.lams=", "key"],
+    ["--set", "sweep.lams=", "lemma"],
+    ["--set", "sweep.lams= , ", "strichartz"],
+    ["--set", "sweep.shells=", "lemma", "--suite", "shell"],
+    ["--set", "sweep.shells=3", "lemma", "--suite", "shell"],
+    ["--set", "sweep.samples=0", "lowfreq"],
+    ["--set", "sweep.a_values=", "reduce"],
+    ["--set", "sweep.pairs=0", "lipschitz"],
+    ["--set", "sweep.pairs=-1", "lipschitz"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_empty_sweep_is_a_usage_error(tmp_path, argv):
+    """A sweep with nothing to judge, or a shell slope with one point, is a
+    configuration error: exit 1 before anything runs, and nothing written."""
+    code, out = _run(tmp_path, *argv)
+    assert code == 1
+    assert not out.exists()
+
+
+def test_unjudged_report_never_passes():
+    """A report that nothing judged (passed is None) is written as a failure."""
+    rep = verify.EstimateReport("empty", {}).finalize()
+    assert rep.skipped and rep.passed is None
+    assert cli._report_to_outputs(rep)[2] is False
 
 
 def test_lemma_determinism(tmp_path):

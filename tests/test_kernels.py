@@ -181,14 +181,13 @@ def test_convolution_edge_cases():
 @given(
     n=st.sampled_from([4, 6]),
     c1=st.floats(1.0, 4.0, exclude_min=True),
-    threshold=st.floats(0.1, 1.0, exclude_min=True, exclude_max=True),
     seed=st.integers(0, 2**16),
 )
-def test_mask_partitions(n, c1, threshold, seed):
+def test_mask_partitions(n, c1, seed):
     """geq + ll and near + far each recombine to the full convolution."""
     sg = SpatialGrid(n, np.pi)
     us, vs = _random_slices(sg, seed=seed)
-    masks = region_masks(c1=c1, threshold=threshold)
+    masks = region_masks(c1=c1)
 
     def conv(name):
         return kernels.masked_convolution(us, vs, sg.xi_axis, masks[name])

@@ -112,6 +112,10 @@ def test_config_validation(stg):
     with pytest.raises(ParameterError):
         # delta outside the window flat core
         SolveConfig(stg, 0.45, WindowSpec(support=0.5, flat_fraction=0.5))
+    with pytest.raises(ParameterError):
+        # a Picard budget is at least one iteration
+        default_config(stg, 0.25, max_iter=0)
+    assert default_config(stg, 0.25, max_iter=1).max_iter == 1
 
 
 def test_rhs_zero_and_antisymmetry(stg):
@@ -519,6 +523,31 @@ def test_select_delta_zero_data_converges_at_the_first_distance(stg):
     delta, trace = select_delta(_gaussian_data(stg.spatial, amp=0.0), NonlinearitySpec(2, "t"),
                                 stg)
     assert trace == [{"delta": delta, "rho1": 0.0, "status": "converged"}]
+
+
+def test_select_delta_takes_b_by_name(stg, monkeypatch):
+    """select_delta's one setting is b, which reaches every trial's config
+    beside the trial budget; its default is SolveConfig's, and any other
+    keyword is refused before a trial runs."""
+    seen = []
+    make = solver_mod.default_config
+
+    def recorded(grid, delta, **kw):
+        seen.append(kw)
+        return make(grid, delta, **kw)
+
+    monkeypatch.setattr(solver_mod, "default_config", recorded)
+    d, ns = _gaussian_data(stg.spatial), NonlinearitySpec(1, "x1")
+    select_delta(d, ns, stg)
+    assert seen and all(kw == {"max_iter": 2, "b": SolveConfig.b} for kw in seen)
+    seen.clear()
+    select_delta(d, ns, stg, b=0.7)
+    assert seen and all(kw == {"max_iter": 2, "b": 0.7} for kw in seen)
+    seen.clear()
+    for kw in ({"max_iter": 5}, {"tol": 1e-8}):
+        with pytest.raises(TypeError):
+            select_delta(d, ns, stg, **kw)
+    assert not seen
 
 
 def test_select_delta_without_a_floor_delta_raises():
