@@ -15,7 +15,8 @@ far-hyperbolic tail [c1, inf).
 
 MaskSpec, the pair-frequency mask that splits the lattice convolution and
 the surface masses by region (geq/ll, the near/far P/Q split, shell against
-shell), lives here; dyadic builds its named masks from it.
+shell), lives here; dyadic builds its named masks from it.  The time window
+and its block of nonzero slices come from spaces, where its rules live.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .grid import (
     time_forward,
 )
 from .propagator import EvolutionSpec, _free_slices_at
-from .spaces import WindowSpec, _grid_window
+from .spaces import WindowSpec, _grid_window, _window_block
 
 __all__ = [
     "ReductionSpec",
@@ -343,13 +344,6 @@ def product_transform_direct(
     if u0.grid != g.spatial or v0.grid != g.spatial:
         raise GridMismatchError("data do not live on the spatial lattice")
     return _windowed_product(u0, v0, sp, g, _grid_window(g, w))
-
-
-def _window_block(factor: np.ndarray) -> slice | None:
-    """The slices a windowed product of free waves forms: from the first to
-    the last on which factor is nonzero, None if there are none."""
-    nonzero = np.flatnonzero(factor)
-    return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else None
 
 
 def _windowed_product(

@@ -5,10 +5,11 @@ deterministic order) and <out>/<command>.json (inputs echoed, pass/fail,
 fitted exponents).  Runtimes are reported as null unless --timing is given
 so that outputs are byte-identical across runs with the same seed.
 
-Each command reads all of its config keys before it computes anything.  A
-key given through --config or --set that the chosen command does not read is
-a configuration error: nothing runs and no output is written.  The global
---seed flag is exempt.
+Each command accepts exactly the config keys it reads, and reads all of them
+before it computes anything.  A key given through --config or --set that the
+chosen command does not read, in a known section or not, is a configuration
+error: nothing runs and no output is written.  The global --seed flag is
+exempt.
 
 Exit status: 0 all enabled criteria pass, 2 criterion failure, 1 usage or
 configuration error.
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 import time
+from collections import defaultdict
 
 import numpy as np
 
@@ -34,17 +36,6 @@ from .grid import SpacetimeGrid, SpatialGrid, Spectrum, forward_transform
 from .spaces import NormParams, lr_xt_norm, sobolev_hat_norm, xsb_norm
 from . import solver as solver_mod
 from . import verify
-
-_SECTIONS = {
-    "grid": {"n", "l", "m", "t"},
-    "params": {
-        "r", "sigma", "b", "sign1", "sign2", "k", "derivative", "delta",
-        "s", "sigma1", "sigma2", "p", "q", "region", "c1", "h",
-    },
-    "family": {"kind", "width", "amplitude", "seed"},
-    "sweep": {"lams", "a_values", "shells", "samples", "budget", "pairs"},
-}
-
 
 class UsageError(Exception):
     pass
@@ -59,7 +50,8 @@ class _Section(dict):
 
 
 def load_config(path: str | None) -> dict:
-    cfg = {sec: _Section() for sec in _SECTIONS}
+    """The config sections by name; main rejects the keys a command does not read."""
+    cfg = defaultdict(_Section)
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
@@ -70,12 +62,7 @@ def load_config(path: str | None) -> dict:
     if not read:
         raise UsageError(f"config file not found: {path}")
     for sec in parser.sections():
-        if sec not in _SECTIONS:
-            raise UsageError(f"unknown config section [{sec}]")
-        for key, val in parser[sec].items():
-            if key not in _SECTIONS[sec]:
-                raise UsageError(f"unknown config key {sec}.{key}")
-            cfg[sec][key] = val
+        cfg[sec].update(parser[sec])
     return cfg
 
 
@@ -86,8 +73,6 @@ def apply_overrides(cfg: dict, sets) -> dict:
         target, val = item.split("=", 1)
         sec, key = target.split(".", 1)
         key = key.lower()  # as configparser does for INI keys; sections stay case-sensitive
-        if sec not in _SECTIONS or key not in _SECTIONS[sec]:
-            raise UsageError(f"unknown config key {sec}.{key}")
         cfg[sec][key] = val
     return cfg
 
@@ -158,7 +143,7 @@ def cmd_norms(cfg, args):
     obj = read_field(args.input)
     r = _get(cfg, "params", "r", float, 2.0)
     s = _get(cfg, "params", "s", float, 1.0)
-    b = _get(cfg, "params", "b", float, 0.55)
+    b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
     spacetime = getattr(obj, "is_spacetime", False)
     if spacetime:
         p = NormParams(r, s, b, _get(cfg, "params", "sign1", int, 1))
@@ -196,12 +181,12 @@ def cmd_reduce(cfg, args):
     return run
 
 
-def _common_lemma_args(cfg):
+def _common_lemma_args(cfg, lams=(2.0, 4.0, 8.0, 16.0)):
     return dict(
         r=_get(cfg, "params", "r", float, 2.0),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
         kind=_get(cfg, "family", "kind", str, "gaussian-bump"),
-        lams=_get(cfg, "sweep", "lams", _float_list, (2.0, 4.0, 8.0, 16.0)),
+        lams=_get(cfg, "sweep", "lams", _float_list, lams),
         n=_get(cfg, "grid", "n", int, 16),
         m=_get(cfg, "grid", "m", int, 32),
         seed=_get(cfg, "family", "seed", int, 0),
@@ -218,10 +203,9 @@ def cmd_lemma(cfg, args):
     if suite == "elliptic":
         return _report_run(verify.check_elliptic_lemma, **_common_lemma_args(cfg))
     if suite == "hyperbolic":
-        kw = _common_lemma_args(cfg)
-        kw["lams"] = kw["lams"][:3]
         return _report_run(verify.check_hyperbolic_lemmas,
-                           c1=_get(cfg, "params", "c1", float, 2.0), **kw)
+                           c1=_get(cfg, "params", "c1", float, 2.0),
+                           **_common_lemma_args(cfg, lams=(2.0, 4.0, 8.0)))
     if suite == "shell":
         h = _get(cfg, "params", "h", float, 1.0)
         shells = _get(cfg, "sweep", "shells", _shells, (2, 3, 4, 5, 6))
@@ -251,8 +235,9 @@ def _shell_suite(h, shells):
 
 
 def cmd_key(cfg, args):
-    return _report_run(verify.check_key_estimate, b=_get(cfg, "params", "b", float, 0.55),
-                       signs=_signs(cfg), **_common_lemma_args(cfg))
+    return _report_run(verify.check_key_estimate, signs=_signs(cfg),
+                       b=_get(cfg, "params", "b", float, solver_mod.SolveConfig.b),
+                       **_common_lemma_args(cfg))
 
 
 def cmd_sharpness(cfg, args):
@@ -296,13 +281,15 @@ def cmd_extremize(cfg, args):
     kw = dict(
         r=_get(cfg, "params", "r", float, 2.0),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
-        b=_get(cfg, "params", "b", float, 0.55),
+        b=_get(cfg, "params", "b", float, solver_mod.SolveConfig.b),
         signs=_signs(cfg),
-        budget=_get(cfg, "sweep", "budget", int, 120),
         n=_get(cfg, "grid", "n", int, 12),
         m=_get(cfg, "grid", "m", int, 16),
         seed=_get(cfg, "family", "seed", int, 0),
     )
+    budget = _get(cfg, "sweep", "budget", _positive_int, None)
+    if budget is not None:  # else extremizer_search's own
+        kw["budget"] = budget
     kind = _get(cfg, "family", "kind", str, None)
     if kind is not None:  # one family in place of the default restarts over three
         kw["kinds"] = (kind,)
@@ -317,7 +304,7 @@ def cmd_extremize(cfg, args):
             "converged": res["converged"],
             "evaluations": res["evaluations"],
         }
-        return rows, summary, bool(np.isfinite(res["best_ratio"]))
+        return rows, summary, bool(np.isfinite(res["best_ratio"]) and res["converged"])
 
     return run
 
@@ -350,7 +337,7 @@ def _solve_setup(cfg, args):
 def cmd_solve(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, 0.0)
-    b = _get(cfg, "params", "b", float, 0.55)
+    b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
 
     def run():
         if delta <= 0:
@@ -386,7 +373,7 @@ def cmd_solve(cfg, args):
 def cmd_lipschitz(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, 0.25)
-    b = _get(cfg, "params", "b", float, 0.55)
+    b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
     n_pairs = _get(cfg, "sweep", "pairs", _positive_int, 8)
     eps = 0.1 * _get(cfg, "family", "amplitude", float, 0.01)
     seed = _get(cfg, "family", "seed", int, 0)
@@ -498,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override family.seed")
     parser.add_argument("--timing", action="store_true",
                         help="record wall-clock runtimes (breaks byte-determinism)")
-    parser.add_argument("--input", help="input field container (norms, solve)")
+    parser.add_argument("--input", help="input field container (norms, solve, lipschitz)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)

@@ -48,8 +48,11 @@ from .propagator import EvolutionSpec, _duhamel_step, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
+    _core_slices,
+    _grid_window,
     _lattice_norms,
     _slice_norms,
+    _window_block,
     _xsb_weights,
     sobolev_hat_norm,
     window_values,
@@ -110,7 +113,10 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Local solve parameters: time radius, window, iteration budget, norms."""
+    """Local solve parameters: time radius, window, iteration budget, norms.
+
+    The window must fit the time box and hold [-delta, delta] in its flat
+    core; spaces._grid_window, which restricted_norm calls too, judges both."""
 
     grid: SpacetimeGrid
     delta: float
@@ -124,12 +130,7 @@ class SolveConfig:
             raise ParameterError("delta must be positive")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.delta > self.window.flat_core + 1e-12:
-            raise ParameterError(
-                f"delta = {self.delta} exceeds the window flat core {self.window.flat_core}"
-            )
-        if self.window.support > self.grid.half_time:
-            raise ParameterError("window support exceeds the time box")
+        _grid_window(self.grid, self.window, self.delta)
 
 
 def default_config(grid: SpacetimeGrid, delta: float, **kw) -> SolveConfig:
@@ -305,10 +306,6 @@ def _hermitian_part(fp: Spectrum, fm: Spectrum, source: np.ndarray | None):
     return fp, Spectrum(fp.grid, conj_reflect(fp.data)), source
 
 
-def _core_slices(g: SpacetimeGrid, delta: float) -> np.ndarray:
-    return np.abs(g.t_axis) <= delta + 1e-12
-
-
 def _step_ratios(distances: list) -> list:
     """cur/prev of consecutive distances, 0 where prev is not positive."""
     return [cur / prev if prev > 0 else 0.0 for prev, cur in zip(distances, distances[1:])]
@@ -472,13 +469,11 @@ class _PicardState:
         if real:
             fp, fm, source = projected
         h = g.spatial.n // 2 + 1 if real else g.spatial.n
-        # the window is even, nonincreasing in |t| and 1 on the core, so the
-        # slices where it is nonzero are one block around t = 0; the core is
-        # joined in only so that no rounding of delta can leave a core slice out
+        # the window is 1 on the core, which is joined in only so that no
+        # rounding of delta can leave a core slice out of the block
         window = window_values(cfg.window, g.t_axis)
         core = _core_slices(g, cfg.delta)
-        kept = np.flatnonzero((window != 0) | core)
-        blk = slice(kept[0], kept[-1] + 1)
+        blk = _window_block((window != 0) | core)
         core = np.flatnonzero(core[blk])
         self.g, self.ns, self.tol, self.r, self.s = g, ns, cfg.tol, r, s
         self.data, self.blk = (fp, fm), blk

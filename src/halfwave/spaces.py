@@ -5,6 +5,10 @@ lattice sum; the space-time norms add the modulation weight
 <tau - sign*|xi|>^b.  Under the global e^{-i t tau} transform convention a
 free wave e^{+i t D} u0 concentrates on tau = |xi|, so the '+' weight
 measures distance to that cone and free +waves carry zero modulation.
+
+The time window of the X^{s,b}_delta norms keeps all its rules here:
+_grid_window checks its support and flat core, _core_slices and
+_window_block give its core and its block of nonzero slices.
 """
 
 from __future__ import annotations
@@ -103,13 +107,33 @@ def window_values(w: WindowSpec, t) -> np.ndarray:
     return out
 
 
-def _grid_window(g, w: WindowSpec) -> np.ndarray:
-    """The window on g's time axis; it must fit inside the time range."""
+# slack of the window's time comparisons: no rounding of delta drops a core slice
+_TIME_SLACK = 1e-12
+
+
+def _grid_window(g, w: WindowSpec, delta: float | None = None) -> np.ndarray:
+    """The window on g's time axis.  Its support must fit inside the time
+    box and, when delta is given, [-delta, delta] inside its flat core."""
     if w.support > g.half_time:
         raise ParameterError(
             f"window support {w.support} exceeds the time half-width {g.half_time}"
         )
+    if delta is not None and delta > w.flat_core + _TIME_SLACK:
+        raise ParameterError(f"delta = {delta} exceeds the window flat core {w.flat_core}")
     return window_values(w, g.t_axis)
+
+
+def _core_slices(g, delta: float) -> np.ndarray:
+    """Which slices of g's time axis lie in [-delta, delta]."""
+    return np.abs(g.t_axis) <= delta + _TIME_SLACK
+
+
+def _window_block(factor: np.ndarray) -> slice | None:
+    """The slices from the first to the last on which factor is nonzero,
+    None if there are none.  A window is even and nonincreasing in |t|, so
+    its nonzero slices are this one block around t = 0."""
+    nonzero = np.flatnonzero(factor)
+    return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else None
 
 
 def sobolev_hat_norm(F: Spectrum, r: float, s: float) -> float:
@@ -272,9 +296,5 @@ def restricted_norm(u: SpacetimeField, delta: float, w: WindowSpec, p: NormParam
     field with a cutoff that equals 1 on [-delta, delta] produces one
     admissible extension, hence an upper bound.
     """
-    if delta > w.flat_core * (1.0 + 1e-12):
-        raise ParameterError(
-            f"delta = {delta} exceeds the window flat core {w.flat_core}"
-        )
-    vals = _grid_window(u.grid, w)
+    vals = _grid_window(u.grid, w, delta)
     return xsb_norm(SpacetimeField(u.grid, u.data * vals[:, None, None, None]), p)

@@ -511,7 +511,7 @@ def extremizer_search(
     signs: SignPair = SignPair(+1, +1),
     kinds=("gaussian-bump", "shell-concentrated", "knapp-box"),
     bounds=((1.0, 6.0), (0.2, 3.0), (0.1, 1.0), (0.1, 1.0)),
-    budget: int = 120,
+    budget: int = 600,
     n: int = 12,
     m: int = 16,
     seed: int = 0,

@@ -1,11 +1,9 @@
 """CLI: config handling, outputs, exit codes, determinism."""
 
-import ast
 import filecmp
 import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from halfwave.bilinear import SurfaceMassResult
 from halfwave import cli
 from halfwave import solver as solver_mod
 from halfwave import verify
-from halfwave.cli import UsageError, apply_overrides, load_config, main
+from halfwave.cli import main
 from halfwave.fieldio import write_field
 from halfwave.grid import SpatialGrid, Spectrum
 
@@ -63,18 +61,6 @@ def test_unread_config_key_rejected(tmp_path, key):
     assert not (out / "sharpness.csv").exists()
 
 
-def test_accepted_keys_are_read():
-    """The keys _SECTIONS accepts are exactly the keys some _get(cfg, sec, key, ...) reads."""
-    tree = ast.parse(Path(cli.__file__).read_text())
-    read = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
-            sec, key = (ast.literal_eval(arg) for arg in node.args[1:3])
-            read.add((sec, key))
-    accepted = {(sec, key) for sec, keys in cli._SECTIONS.items() for key in keys}
-    assert read == accepted
-
-
 # For each command, a key it never reads (lemma runs its default elliptic suite)
 _UNREAD_BY_COMMAND = {
     "norms": "sweep.lams",
@@ -97,21 +83,29 @@ def _spectrum_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(_UNREAD_BY_COMMAND))
-def test_key_unread_by_command_rejected(tmp_path, capsys, command):
-    """A key that is valid for some command but not read by this one exits 1
-    before anything runs, whether it comes from --set or from --config."""
-    assert set(_UNREAD_BY_COMMAND) == set(cli._COMMANDS)
-    sec, key = _UNREAD_BY_COMMAND[command].split(".")
-    argv = ["--input", str(_spectrum_file(tmp_path))] if command == "norms" else []
-    argv.append(command)
-    code, out = _run(tmp_path, "--set", f"{sec}.{key}=4,8", *argv)
-    assert code == 1 and not out.exists()
+def _rejected(tmp_path, capsys, command, target, *argv):
+    """Whether target (sec.key) given through --set and through --config each
+    exits 1, writes nothing and is named as a key the command does not read."""
+    sec, key = target.split(".")
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{sec}]\n{key} = 4, 8\n")
-    code, out = _run(tmp_path, "--config", str(ini), *argv)
-    assert code == 1 and not out.exists()
-    assert capsys.readouterr().err.count(f"{command} does not read {sec}.{key}") == 2
+    for given in (["--set", f"{target}=4,8"], ["--config", str(ini)]):
+        code, out = _run(tmp_path, *given, *argv)
+        if code != 1 or out.exists():
+            return False
+    return capsys.readouterr().err.count(f"{command} does not read {target}") == 2
+
+
+@pytest.mark.parametrize("command", sorted(_UNREAD_BY_COMMAND))
+def test_key_unread_by_command_rejected(tmp_path, capsys, command):
+    """A key that is valid for some command but not read by this one, a key
+    no command reads and a section no command reads each exit 1 before
+    anything runs, whether they come from --set or from --config."""
+    assert set(_UNREAD_BY_COMMAND) == set(cli._COMMANDS)
+    argv = ["--input", str(_spectrum_file(tmp_path))] if command == "norms" else []
+    argv.append(command)
+    for target in (_UNREAD_BY_COMMAND[command], "params.nope", "mystery.x"):
+        assert _rejected(tmp_path, capsys, command, target, *argv), target
 
 
 def test_seed_flag_is_exempt(tmp_path, capsys):
@@ -126,11 +120,26 @@ def test_seed_flag_is_exempt(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["knapp-box", "shell-concentrated"])
 def test_extremize_reads_family_kind(tmp_path, kind):
     """family.kind restricts the extremizer search to that one family."""
-    code, out = _run(tmp_path, "--set", "sweep.budget=6", "--set", f"family.kind={kind}",
+    code, out = _run(tmp_path, "--set", "sweep.budget=120", "--set", f"family.kind={kind}",
                      "extremize")
     assert code == 0
     summary = json.loads((out / "extremize.json").read_text())["summary"]
-    assert summary["best_kind"] == kind and summary["evaluations"] <= 6
+    assert summary["best_kind"] == kind and summary["evaluations"] <= 120
+    assert summary["converged"]
+
+
+@pytest.mark.parametrize("budget, code", [("6", 2), ("0", 1), ("-3", 1)])
+def test_extremize_judges_convergence(tmp_path, budget, code):
+    """A search that stops unconverged fails, exit 2, however finite its
+    ratio; a budget below one evaluation is a configuration error, exit 1."""
+    got, out = _run(tmp_path, "--set", f"sweep.budget={budget}",
+                    "--set", "family.kind=knapp-box", "extremize")
+    assert got == code
+    if code == 1:
+        assert not out.exists()
+    else:
+        payload = json.loads((out / "extremize.json").read_text())
+        assert payload["passed"] is False and payload["summary"]["converged"] is False
 
 
 def test_malformed_override(tmp_path):
@@ -153,17 +162,21 @@ def test_config_file_and_override(tmp_path):
     assert float(lines[1].split(",")[4]) == pytest.approx(np.pi, abs=1e-6)
 
 
-def test_config_unknown_section(tmp_path):
+def test_config_unknown_section(tmp_path, capsys):
+    """A section no command reads is refused from the config file: exit 1,
+    nothing written, and the error names its key."""
     ini = tmp_path / "run.ini"
     ini.write_text("[mystery]\nx = 1\n")
-    with pytest.raises(UsageError):
-        load_config(str(ini))
+    code, out = _run(tmp_path, "--config", str(ini), "reduce")
+    assert code == 1 and not out.exists()
+    assert "reduce does not read mystery.x" in capsys.readouterr().err
 
 
-def test_override_validation():
-    cfg = load_config(None)
-    with pytest.raises(UsageError):
-        apply_overrides(cfg, ["grid.q=1"])
+def test_override_validation(tmp_path, capsys):
+    """An override of a key no command reads is refused the same way."""
+    code, out = _run(tmp_path, "--set", "grid.q=1", "solve")
+    assert code == 1 and not out.exists()
+    assert "solve does not read grid.q" in capsys.readouterr().err
 
 
 def test_set_keys_are_case_insensitive(tmp_path):
