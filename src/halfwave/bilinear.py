@@ -188,6 +188,7 @@ class SurfaceMassResult:
     n_final: int = 0
 
 
+_MAX_REFINE = 3         # cell doublings surface_mass tries before it reports unconverged
 LL_THRESHOLD = 0.5      # the 'much smaller' rule: |xi1| < LL_THRESHOLD * |xi2|
 
 _RULES = ("one", "geq", "ll", "near", "far", "shell_ll")
@@ -195,7 +196,7 @@ _RULES = ("one", "geq", "ll", "near", "far", "shell_ll")
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """A named pair-frequency mask.
+    """A pair-frequency mask.
 
     The rule depends on the pair (xi1, xi2) only through the three moduli
     |xi1|, |xi2| and |xi1 + xi2|; select() is the one place it is written.
@@ -203,10 +204,9 @@ class MaskSpec:
     vectorized.  kernels.masked_convolution calls select() directly, and
     select() is also used by kernels.band_mass, so a surface mass is masked
     by the same rule as the lattice convolution.  dyadic.region_masks and
-    dyadic.shell_mask build the named masks.
+    dyadic.shell_mask build the masks and name them.
     """
 
-    name: str
     rule: str
     c1: float = 2.0
     sh_lo: float = 0.0
@@ -273,7 +273,6 @@ def surface_mass(
     box_radius: float | None = None,
     tol: float = 0.01,
     n0: int = 48,
-    max_refine: int = 3,
     mask=None,
 ) -> SurfaceMassResult:
     """Thickened-level-set estimate of the surface-measure integral
@@ -289,9 +288,9 @@ def surface_mass(
     box_radius: the cylinder inscribed in the cube of side 2R about
     box_center.  box_center must lie on the axis and needs a box_radius; a
     box_radius alone centres the cylinder at the origin, and with neither
-    the default box is used.  The cells are refined (n -> 2n) until the
-    value is stable to the requested relative tolerance.  An empty level
-    set returns value 0 with the empty flag set.
+    the default box is used.  The cells are refined (n -> 2n), at most
+    _MAX_REFINE times, until the value is stable to the requested relative
+    tolerance.  An empty level set returns value 0 with the empty flag set.
     """
     if h <= 0:
         raise ParameterError("band half-thickness h must be positive")
@@ -320,7 +319,7 @@ def surface_mass(
 
     n = n0
     prev = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, F, mask)
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         n *= 2
         cur = kernels.band_mass(rho, sp.first, sp.second, tau, h, z_lo, width, n, F, mask)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):

@@ -54,7 +54,8 @@ def load_config(path: str | None) -> dict:
     cfg = defaultdict(_Section)
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # no header names "", so [DEFAULT] is an ordinary section, which no command reads
+    parser = configparser.ConfigParser(default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as e:
@@ -320,14 +321,14 @@ def _solve_setup(cfg, args):
     ns = solver_mod.NonlinearitySpec(
         _get(cfg, "params", "k", int, 1), _get(cfg, "params", "derivative", str, "x1")
     )
-    amp = _get(cfg, "family", "amplitude", float, 0.01)
-    width = _get(cfg, "family", "width", float, 1.0)
     if args.input:
         u0 = read_field(args.input)
         if not isinstance(u0, Spectrum):
             raise UsageError("solve --input expects a spatial Spectrum container")
         u1 = Spectrum(g.spatial, np.zeros(g.spatial.shape, complex))
     else:
+        amp = _get(cfg, "family", "amplitude", float, 0.01)
+        width = _get(cfg, "family", "width", float, 1.0)
         xi = g.spatial.xi_modulus()
         u0 = Spectrum(g.spatial, amp * np.exp(-(xi**2) / (2.0 * width**2)))
         u1 = Spectrum(g.spatial, 0.5 * amp * np.exp(-(xi**2) / (2.0 * width**2)))
@@ -336,11 +337,11 @@ def _solve_setup(cfg, args):
 
 def cmd_solve(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
-    delta = _get(cfg, "params", "delta", float, 0.0)
+    delta = _get(cfg, "params", "delta", float, None)
     b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
 
     def run():
-        if delta <= 0:
+        if delta is None:
             chosen, trace = solver_mod.select_delta(data, ns, g, b=b)
         else:
             chosen, trace = delta, []

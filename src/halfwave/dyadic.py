@@ -55,18 +55,18 @@ def region_masks(c1: float = 2.0) -> dict[str, MaskSpec]:
     whether the two focal distances are comparable to the output frequency.
     """
     return {
-        "one": MaskSpec("one", "one", c1),
-        "geq": MaskSpec("geq", "geq", c1),
-        "ll": MaskSpec("ll", "ll", c1),
-        "P": MaskSpec("P", "near", c1),
-        "Q": MaskSpec("Q", "far", c1),
+        "one": MaskSpec("one", c1),
+        "geq": MaskSpec("geq", c1),
+        "ll": MaskSpec("ll", c1),
+        "P": MaskSpec("near", c1),
+        "Q": MaskSpec("far", c1),
     }
 
 
 def shell_mask(k: int) -> MaskSpec:
     """Mask selecting xi1 in shell k with |xi1| < |xi2|/2."""
     lo, hi = shell_bounds(k)
-    return MaskSpec(f"shell_ll_{k}", "shell_ll", sh_lo=lo, sh_hi=hi)
+    return MaskSpec("shell_ll", sh_lo=lo, sh_hi=hi)
 
 
 def shell_surface_mass(

@@ -49,7 +49,6 @@ from .spaces import (
     NormParams,
     WindowSpec,
     _core_slices,
-    _grid_window,
     _lattice_norms,
     _slice_norms,
     _window_block,
@@ -113,14 +112,14 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Local solve parameters: time radius, window, iteration budget, norms.
+    """Local solve parameters: time radius, iteration budget, norms.
 
-    The window must fit the time box and hold [-delta, delta] in its flat
-    core; spaces._grid_window, which restricted_norm calls too, judges both."""
+    delta fixes the time window (see window), so a config exists for every
+    delta in (0, 0.95 T], T the time half-width; default_config is a second
+    name for this class."""
 
     grid: SpacetimeGrid
     delta: float
-    window: WindowSpec
     max_iter: int = 12
     tol: float = 1e-10
     b: float = 0.55
@@ -130,19 +129,20 @@ class SolveConfig:
             raise ParameterError("delta must be positive")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
-        _grid_window(self.grid, self.window, self.delta)
+        if self.delta > 0.95 * self.grid.half_time:
+            raise ParameterError(f"delta = {self.delta} does not fit the time box "
+                                 f"(half_time {self.grid.half_time})")
+
+    @property
+    def window(self) -> WindowSpec:
+        """1 on [-delta, delta], vanishing by min(2 delta, 0.95 T): it fits
+        the time box and holds [-delta, delta] in its flat core."""
+        support = min(2.0 * self.delta, 0.95 * self.grid.half_time)
+        flat = min(1.0, max(0.5, self.delta / support))
+        return WindowSpec(support=support, flat_fraction=flat)
 
 
-def default_config(grid: SpacetimeGrid, delta: float, **kw) -> SolveConfig:
-    """Config whose window is 1 on [-delta, delta] and vanishes by 2*delta."""
-    support = min(2.0 * delta, 0.95 * grid.half_time)
-    if delta > support:
-        raise ParameterError(
-            f"delta = {delta} does not fit the time box (half_time {grid.half_time})"
-        )
-    # the flat core must cover [-delta, delta]
-    w = WindowSpec(support=support, flat_fraction=min(1.0, max(0.5, delta / support)))
-    return SolveConfig(grid, delta, w, **kw)
+default_config = SolveConfig
 
 
 def to_first_order(d: CauchyData) -> tuple[Spectrum, Spectrum]:
@@ -583,7 +583,7 @@ def _loop_key(fp: Spectrum, fm: Spectrum, ns: NonlinearitySpec, cfg: SolveConfig
     """Every input of the Picard loop but the iteration budget and a source,
     with the product kernel in use."""
     data = tuple((x.grid, x.data.dtype, x.data.shape, x.data.tobytes()) for x in (fp, fm))
-    return (data, ns, cfg.grid, cfg.delta, cfg.window, cfg.tol, cfg.b, r, s, _bilinear_spec)
+    return (data, ns, cfg.grid, cfg.delta, cfg.tol, cfg.b, r, s, _bilinear_spec)
 
 
 def picard_iterate(
@@ -634,7 +634,7 @@ def picard_iterate(
     completed once, at the end.
 
     A call right after select_delta, at its returned delta, on the same
-    data and settings (the same nonlinearity, grid, window, tol, b, r and s,
+    data and settings (the same nonlinearity, grid, tol, b, r and s,
     and the same product kernel), with no source and a budget of at least
     the trial's iterations, resumes the trial select_delta parked in place
     of starting again from the free flow.  The resumed loop runs the same

@@ -85,15 +85,14 @@ class DataFamily:
     scale: float = 4.0
     width: float | None = None
     anisotropy: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("gaussian-bump", "shell-concentrated", "knapp-box", "random-bandlimited"):
             raise ParameterError(f"unknown family kind {self.kind!r}")
 
 
-def family_spectrum(fam: DataFamily, grid: SpatialGrid, rng=None) -> Spectrum:
-    """Band-limited spectrum realizing the family on the given lattice."""
+def family_spectrum(fam: DataFamily, grid: SpatialGrid, rng: np.random.Generator) -> Spectrum:
+    """Band-limited spectrum of the family on the lattice; rng draws the random kind."""
     k1, k2, k3 = grid.xi_mesh()
     xi = grid.xi_modulus()
     lam = fam.scale
@@ -113,8 +112,6 @@ def family_spectrum(fam: DataFamily, grid: SpatialGrid, rng=None) -> Spectrum:
             & (np.abs(k3) <= w * a3)
         ).astype(float) * np.ones_like(xi)
     else:  # random-bandlimited
-        if rng is None:
-            rng = np.random.default_rng(fam.seed)
         prof = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
         prof = prof * (xi <= lam)
     band = xi < 0.98 * grid.nyquist
@@ -226,10 +223,10 @@ def _fixed_window_grid(lam: float, n: int) -> tuple[SpacetimeGrid, WindowSpec]:
 
 
 def _data_pair(kind: str, lam: float, seed: int, sg: SpatialGrid) -> tuple[Spectrum, Spectrum]:
-    """The (u, v) data of one rung: families seeded seed and seed + 1, drawn from one rng."""
+    """The (u, v) data of one rung: two draws of the family from one rng seeded seed."""
     rng = np.random.default_rng(seed)
-    return tuple(family_spectrum(DataFamily(kind=kind, scale=lam, seed=sd), sg, rng)
-                 for sd in (seed, seed + 1))
+    fam = DataFamily(kind=kind, scale=lam)
+    return family_spectrum(fam, sg, rng), family_spectrum(fam, sg, rng)
 
 
 def _ladder(kind: str, lams, n: int, m: int, seed: int):
@@ -537,7 +534,7 @@ def extremizer_search(
             sg_cache[key] = g, w, _key_weights(g, sigma)[1:]
         g, w, (wx, wt) = sg_cache[key]
         fam = DataFamily(kind=kind, scale=float(scale), width=float(width),
-                         anisotropy=(1.0, float(a2), float(a3)), seed=seed)
+                         anisotropy=(1.0, float(a2), float(a3)))
         rng = np.random.default_rng(seed)
         u0 = family_spectrum(fam, g.spatial, rng)
         S = product_transform_direct(u0, u0, signs, g, w)

@@ -1,5 +1,7 @@
 """Reduction integrals and surface masses against closed-form oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.special import beta
@@ -145,6 +147,15 @@ def test_surface_mass_empty():
     assert surface_mass(xi, 3.0, SignPair(+1, -1), PowerWeight(), h=0.2,
                         box_center=np.zeros(3), box_radius=4.0).empty
     assert surface_mass(np.zeros(3), 2.0, SignPair(+1, +1), PowerWeight(), h=0.2).empty
+
+
+def test_surface_mass_refines_three_times():
+    """A tolerance no refinement meets stops after three doublings of the
+    cells, unconverged, with the last value."""
+    xi = np.array([2.0, 0.0, 0.0])
+    res = surface_mass(xi, 5.0, SignPair(+1, +1), PowerWeight(), h=0.2, tol=0.0, n0=16)
+    assert not res.converged and res.n_final == 16 * 2**3
+    assert "max_refine" not in inspect.signature(surface_mass).parameters
 
 
 def test_surface_mass_hyperbolic_needs_box():

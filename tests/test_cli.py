@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from halfwave import dyadic
 from halfwave.bilinear import SurfaceMassResult
@@ -76,11 +77,25 @@ _UNREAD_BY_COMMAND = {
 }
 
 
+# With --input the data come from the file, so the Gaussian's keys go unread;
+# lipschitz still reads family.amplitude for its perturbation size
+_UNREAD_WITH_INPUT = {
+    "solve": ("family.amplitude", "family.width"),
+    "lipschitz": ("family.width",),
+}
+
+
 def _spectrum_file(tmp_path):
     sg = SpatialGrid(8, np.pi)
     path = tmp_path / "data.hw"
     write_field(path, Spectrum(sg, np.exp(-(sg.xi_modulus() ** 2)).astype(complex)))
     return path
+
+
+def _input_argv(tmp_path):
+    """--input of _spectrum_file, with the spatial lattice set to match it."""
+    return ["--input", str(_spectrum_file(tmp_path)),
+            "--set", "grid.n=8", "--set", f"grid.l={math.pi!r}"]
 
 
 def _rejected(tmp_path, capsys, command, target, *argv):
@@ -100,12 +115,40 @@ def _rejected(tmp_path, capsys, command, target, *argv):
 def test_key_unread_by_command_rejected(tmp_path, capsys, command):
     """A key that is valid for some command but not read by this one, a key
     no command reads and a section no command reads each exit 1 before
-    anything runs, whether they come from --set or from --config."""
+    anything runs, whether they come from --set or from --config; so do the
+    Gaussian data's keys when solve or lipschitz reads its data from --input."""
     assert set(_UNREAD_BY_COMMAND) == set(cli._COMMANDS)
     argv = ["--input", str(_spectrum_file(tmp_path))] if command == "norms" else []
     argv.append(command)
     for target in (_UNREAD_BY_COMMAND[command], "params.nope", "mystery.x"):
         assert _rejected(tmp_path, capsys, command, target, *argv), target
+    argv = [*_input_argv(tmp_path), command]
+    for target in _UNREAD_WITH_INPUT.get(command, ()):
+        assert _rejected(tmp_path, capsys, command, target, *argv), target
+
+
+def test_lipschitz_input_reads_amplitude(tmp_path):
+    """With --input, family.amplitude still sets lipschitz's perturbation size."""
+    code, out = _run(tmp_path, *_input_argv(tmp_path), "--set", "grid.m=16",
+                     "--set", "family.amplitude=0.02", "--set", "sweep.pairs=1", "lipschitz")
+    params = json.loads((out / "lipschitz.json").read_text())["summary"]["params"]
+    assert code in (0, 2) and params["eps"] == pytest.approx(0.002)
+
+
+@pytest.mark.parametrize("ini, command, key", [
+    ("[DEFAULT]\nlams = 2,4\n", "reduce", "lams"),
+    ("[DEFAULT]\nbudget = 6\n\n[grid]\nn = 8\nm = 16\n", "extremize", "budget"),
+])
+def test_default_section_refused(tmp_path, capsys, ini, command, key):
+    """[DEFAULT] is an ordinary section, which no command reads: its keys
+    exit 1 with nothing written, named as DEFAULT keys, and reach no other
+    section."""
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    code, out = _run(tmp_path, "--config", str(path), command)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"{command} does not read DEFAULT.{key}" in err and "grid." not in err
 
 
 def test_seed_flag_is_exempt(tmp_path, capsys):
@@ -444,6 +487,17 @@ def test_solve_at_the_selected_delta_matches_delta_selection(tmp_path):
 
 
 _SMALL = ["--set", "grid.n=8", "--set", "grid.m=16"]
+
+
+@pytest.mark.parametrize("delta", ["0", "-0.25"])
+def test_solve_refuses_a_nonpositive_delta(tmp_path, capsys, delta):
+    """delta is selected only when params.delta is absent: a given delta
+    <= 0 exits 1 with nothing written."""
+    code, out = _run(tmp_path, *_SMALL, "--set", f"params.delta={delta}", "solve")
+    assert code == 1 and not out.exists()
+    assert "delta must be positive" in capsys.readouterr().err
+
+
 # every command, on small inputs where it reads them
 _DETERMINISM_RUNS = {
     "norms": [],            # on a small input file, see below
@@ -463,8 +517,9 @@ _DETERMINISM_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(_DETERMINISM_RUNS))
 def test_every_command_is_deterministic(tmp_path, run):
-    """Two --seed 0 runs of a command in one process write cmp-identical CSV
-    and JSON, the solver's trial memo notwithstanding."""
+    """Two --seed 0 runs of a command in one process, and a third with the
+    FFTs on two threads, write cmp-identical CSV and JSON, the solver's
+    trial memo notwithstanding."""
     assert {name.split("-")[0] for name in _DETERMINISM_RUNS} == set(cli._COMMANDS)
     command = run.split("-")[0]
     argv = _DETERMINISM_RUNS[run]
@@ -473,9 +528,12 @@ def test_every_command_is_deterministic(tmp_path, run):
     elif command != "lemma":
         argv = argv + [command]
     outs = []
-    for name in ("a", "b"):
-        code, out = _run(tmp_path / name, "--seed", "0", *argv)
+    for name, workers in (("a", 1), ("b", 1), ("threaded", 2)):
+        with scipy.fft.set_workers(workers):
+            code, out = _run(tmp_path / name, "--seed", "0", *argv)
         assert code in (0, 2)
         outs.append(out)
     for suffix in ("csv", "json"):
-        assert filecmp.cmp(*(out / f"{command}.{suffix}" for out in outs), shallow=False)
+        first = outs[0] / f"{command}.{suffix}"
+        for out in outs[1:]:
+            assert filecmp.cmp(first, out / f"{command}.{suffix}", shallow=False), out.parent.name

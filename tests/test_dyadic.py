@@ -92,14 +92,14 @@ def test_mask_semantics():
 
 def test_mask_rule_validated():
     with pytest.raises(ParameterError):
-        MaskSpec("x", "nearby")
+        MaskSpec("nearby")
 
 
 def test_maskspec_lives_in_bilinear():
     """One MaskSpec under every name it is reached by; the 'much smaller' rule
     reads bilinear.LL_THRESHOLD and no field sets it."""
     assert halfwave.MaskSpec is dyadic.MaskSpec is bilinear.MaskSpec
-    assert [f.name for f in fields(MaskSpec)] == ["name", "rule", "c1", "sh_lo", "sh_hi"]
+    assert [f.name for f in fields(MaskSpec)] == ["rule", "c1", "sh_lo", "sh_hi"]
     assert bilinear.LL_THRESHOLD == 0.5
 
 

@@ -47,6 +47,7 @@ from halfwave.solver import (
 from halfwave.spaces import (
     NormParams,
     WindowSpec,
+    _grid_window,
     _lattice_norms,
     _slice_norms,
     _slice_weights,
@@ -107,15 +108,32 @@ def test_nonlinearity_validation():
 
 
 def test_config_validation(stg):
-    with pytest.raises(ParameterError):
-        SolveConfig(stg, -0.1, WindowSpec(support=0.5))
-    with pytest.raises(ParameterError):
-        # delta outside the window flat core
-        SolveConfig(stg, 0.45, WindowSpec(support=0.5, flat_fraction=0.5))
+    assert [f.name for f in dataclasses.fields(SolveConfig)] == [
+        "grid", "delta", "max_iter", "tol", "b"]
+    with pytest.raises(ParameterError, match="delta must be positive"):
+        SolveConfig(stg, -0.1)
     with pytest.raises(ParameterError):
         # a Picard budget is at least one iteration
         default_config(stg, 0.25, max_iter=0)
     assert default_config(stg, 0.25, max_iter=1).max_iter == 1
+
+
+@pytest.mark.parametrize("n, m", [(8, 16), (16, 64)])
+def test_window_follows_from_delta(n, m):
+    """From delta = 2 dt to 0.95 T the config's window has support
+    min(2 delta, 0.95 T) and [-delta, delta] as its flat core, and the time
+    window check accepts it; a delta just past 0.95 T has no config."""
+    g = SpacetimeGrid(SpatialGrid(n, 2 * np.pi), m, 1.0)
+    top = 0.95 * g.half_time
+    on_slices = g.dt * np.arange(2, m // 2)
+    for delta in np.concatenate([np.linspace(2.0 * g.dt, top, 97), on_slices[on_slices <= top]]):
+        cfg = SolveConfig(g, float(delta))
+        support = min(2.0 * cfg.delta, top)
+        assert cfg.window == WindowSpec(support=support,
+                                        flat_fraction=min(1.0, max(0.5, cfg.delta / support)))
+        _grid_window(g, cfg.window, cfg.delta)
+    with pytest.raises(ParameterError, match="does not fit the time box"):
+        SolveConfig(g, float(np.nextafter(top, np.inf)))
 
 
 def test_rhs_zero_and_antisymmetry(stg):
@@ -1168,12 +1186,8 @@ def test_real_path_transform_count(monkeypatch, k, derivative):
 # ------------------------------------------------------- window-block Picard
 
 def _window_configs(g):
-    """A window on every slice, the default one, and one on five slices."""
-    return [
-        SolveConfig(g, 0.25, WindowSpec(support=g.half_time, flat_fraction=1.0)),
-        default_config(g, 0.25),
-        SolveConfig(g, 1.5 * g.dt, WindowSpec(support=3.0 * g.dt, flat_fraction=0.5)),
-    ]
+    """The widest window a config makes, the default one, and one on five slices."""
+    return [default_config(g, 0.5), default_config(g, 0.25), default_config(g, 1.5 * g.dt)]
 
 
 def _block_size(cfg):
@@ -1319,13 +1333,13 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
 @pytest.mark.parametrize("window", [0, 1, 2])
 @pytest.mark.parametrize("k, derivative", [(1, "x1"), (2, "t")])
 def test_window_block_matches_reference_bitwise(window, k, derivative):
-    """On every window, from all slices to five, the block loop is the
-    full-axis loop bit for bit: the general path against the out-of-place
+    """On every window, from all slices but one to five, the block loop is
+    the full-axis loop bit for bit: the general path against the out-of-place
     loop, real data against the full-axis real loop."""
     g = _small_grid()
     sg = g.spatial
     cfg = _window_configs(g)[window]
-    assert _block_size(cfg) == (g.m, 7, 5)[window]
+    assert _block_size(cfg) == (g.m - 1, 7, 5)[window]
     ns = NonlinearitySpec(k, derivative)
     rng = np.random.default_rng(window)
     env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)

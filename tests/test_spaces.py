@@ -11,7 +11,6 @@ from halfwave.grid import (
     Spectrum,
     forward_transform,
 )
-from halfwave.solver import SolveConfig
 from halfwave.spaces import (
     NormParams,
     _xsb_weights,
@@ -102,13 +101,11 @@ def test_window_full_core_is_indicator():
 
 
 def test_window_support_check(stg):
-    """A window wider than the time box is refused, even when delta fits its
-    core, by restricted_norm and SolveConfig alike."""
+    """A window wider than the time box is refused by restricted_norm, even
+    when delta fits its core."""
     u = SpacetimeField(stg, np.zeros((stg.m,) + stg.spatial.shape, complex))
     with pytest.raises(ParameterError, match="exceeds the time half-width"):
         restricted_norm(u, 0.1, WindowSpec(support=3.0), NormParams(2.0))
-    with pytest.raises(ParameterError, match="exceeds the time half-width"):
-        SolveConfig(stg, 0.1, WindowSpec(support=3.0))
 
 
 def test_xsb_zero_modulation(stg):
@@ -162,21 +159,16 @@ def test_restricted_norm_bounds(stg):
 
 
 def test_one_flat_core_slack(stg):
-    """SolveConfig and restricted_norm judge delta against the flat core with
-    the one absolute slack of the core slices: both accept a delta 5e-13
-    past a core of 0.25 and both refuse one 2e-12 past it."""
+    """restricted_norm judges delta against the flat core with the one
+    absolute slack of the core slices: it accepts a delta 5e-13 past a core
+    of 0.25 and refuses one 2e-12 past it."""
     u = SpacetimeField(stg, np.ones((stg.m,) + stg.spatial.shape, complex))
     w = WindowSpec(support=0.5, flat_fraction=0.5)
     p = NormParams(2.0)
     assert w.flat_core == 0.25
-    for delta in (0.25 + 5e-13, 0.25 + 2e-12):
-        accepted = delta < 0.25 + 1e-12
-        for judge in (lambda: SolveConfig(stg, delta, w), lambda: restricted_norm(u, delta, w, p)):
-            if accepted:
-                judge()
-            else:
-                with pytest.raises(ParameterError, match="exceeds the window flat core"):
-                    judge()
+    restricted_norm(u, 0.25 + 5e-13, w, p)
+    with pytest.raises(ParameterError, match="exceeds the window flat core"):
+        restricted_norm(u, 0.25 + 2e-12, w, p)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
