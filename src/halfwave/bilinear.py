@@ -17,6 +17,9 @@ MaskSpec, the pair-frequency mask that splits the lattice convolution and
 the surface masses by region (geq/ll, the near/far P/Q split, shell against
 shell), lives here; dyadic builds its named masks from it.  The time window
 and its block of nonzero slices come from spaces, where its rules live.
+Each windowed product has a block stage, _product_block and _symbol_block,
+that forms it on that block alone: the public products pad and transform
+it, and the estimate harness hands it to spaces._block_norms.
 """
 
 from __future__ import annotations
@@ -338,35 +341,54 @@ def product_transform_direct(
     """Space-time transform of the windowed product of two free waves.
 
     The time slices on which the window vanishes are left exact zeros: the
-    free waves and their product are formed only where it is nonzero.
+    free waves and their product are formed only where it is nonzero, by
+    _product_block.
     """
     if u0.grid != g.spatial or v0.grid != g.spatial:
         raise GridMismatchError("data do not live on the spatial lattice")
-    return _windowed_product(u0, v0, sp, g, _grid_window(g, w))
-
-
-def _windowed_product(
-    u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor: np.ndarray
-) -> SpacetimeSpectrum:
-    """Space-time transform of factor(t) times the product of two free waves.
-
-    The free slices, their spatial inverses and the product are formed on
-    the window block alone; the other slices are exact zeros, which is what
-    factor makes of them.  Each formed slice is the one the full-lattice
-    formula gives.
-    """
     out = np.zeros(g.shape, dtype=np.complex128)
-    keep = _window_block(factor)
+    keep, block = _product_block(u0, v0, sp, g, _grid_window(g, w), spectral=False)
     if keep is not None:
+        out[keep] = block
+    return forward_transform(SpacetimeField(g, out))
+
+
+# lattice points of a group of slices in _product_block: 32 slices at N = 16
+_GROUP_POINTS = 1 << 17
+
+
+def _product_block(
+    u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor: np.ndarray,
+    spectral: bool = True,
+) -> tuple:
+    """The block stage of the free-wave product: (keep, block), keep the
+    window block of factor and block, shape (K, N, N, N), factor(t) times
+    the product of the two free waves on it, as spatial spectra or, with
+    spectral False, in configuration space.  (None, None) when factor
+    vanishes.
+
+    The free slices, their spatial inverses and the product are formed in
+    groups of _GROUP_POINTS lattice points, each written into the block, so
+    the block is the one array of its size alive.  Each slice is the one
+    the full-lattice formula gives.
+    """
+    keep = _window_block(factor)
+    if keep is None:
+        return None, None
+    sg = g.spatial
+    t, f = g.t_axis[keep], factor[keep, None, None, None]
+    block = np.empty((t.size,) + sg.shape, dtype=np.complex128)
+    step = max(1, _GROUP_POINTS // sg.n**3)
+    for start in range(0, t.size, step):
+        group = slice(start, start + step)
         uf, vf = (
-            _dft(_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep]), g.spatial,
-                 inverse=True)
+            _dft(_free_slices_at(a, EvolutionSpec("D", sign), t[group]), sg, inverse=True)
             for a, sign in ((u0, sp.first), (v0, sp.second))
         )
-        prod = out[keep]
-        np.multiply(uf, vf, out=prod)
-        prod *= factor[keep, None, None, None]
-    return forward_transform(SpacetimeField(g, out))
+        prod = np.multiply(uf, vf, out=uf)
+        prod *= f[group]
+        block[group] = _dft(prod, sg) if spectral else prod
+    return keep, block
 
 
 def bilinear_symbol_product(
@@ -383,24 +405,36 @@ def bilinear_symbol_product(
     With the trivial mask this equals product_transform_direct (the product
     in configuration space is exactly the periodic lattice convolution).
     mask is a MaskSpec.  As there, the free slices and their
-    convolution are formed on the window block alone.
+    convolution are formed on the window block alone, by _symbol_block.
     """
+    if u0.grid != g.spatial or v0.grid != g.spatial:
+        raise GridMismatchError("data do not live on the spatial lattice")
+    slices = np.zeros(g.shape, dtype=np.complex128)
+    keep, block = _symbol_block(u0, v0, sp, mask, g, _grid_window(g, w))
+    if keep is not None:
+        slices[keep] = block
+    return SpacetimeSpectrum(g, time_forward(g, slices))
+
+
+def _symbol_block(
+    u0: Spectrum, v0: Spectrum, sp: SignPair, mask, g: SpacetimeGrid, factor: np.ndarray,
+) -> tuple:
+    """The block stage of bilinear_symbol_product: (keep, block), keep the
+    window block of factor and block, shape (K, N, N, N), factor(t) times
+    the masked convolution of the two free-wave spectra on it.  (None, None)
+    when factor vanishes.  Checks the mask and the convolution budget."""
     _check_mask(mask)
     sg = g.spatial
-    if u0.grid != sg or v0.grid != sg:
-        raise GridMismatchError("data do not live on the spatial lattice")
     if sg.n > CONV_BUDGET_N:
         raise BudgetError(
             f"direct convolution budget allows N <= {CONV_BUDGET_N}, got N = {sg.n}"
         )
-    wvals = _grid_window(g, w)
-    slices = np.zeros(g.shape, dtype=np.complex128)
-    keep = _window_block(wvals)
-    if keep is not None:
-        us, vs = (_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep])
-                  for a, sign in ((u0, sp.first), (v0, sp.second)))
-        conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
-        conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
-        np.multiply(conv, wvals[keep, None, None, None], out=slices[keep])
-    return SpacetimeSpectrum(g, time_forward(g, slices))
-
+    keep = _window_block(factor)
+    if keep is None:
+        return None, None
+    us, vs = (_free_slices_at(a, EvolutionSpec("D", sign), g.t_axis[keep])
+              for a, sign in ((u0, sp.first), (v0, sp.second)))
+    conv = kernels.masked_convolution(us, vs, sg.xi_axis, mask)
+    conv *= (2.0 * np.pi) ** -3 * sg.dxi**3
+    conv *= factor[keep, None, None, None]
+    return keep, conv

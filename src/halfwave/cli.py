@@ -54,8 +54,9 @@ def load_config(path: str | None) -> dict:
     cfg = defaultdict(_Section)
     if path is None:
         return cfg
-    # no header names "", so [DEFAULT] is an ordinary section, which no command reads
-    parser = configparser.ConfigParser(default_section="")
+    # no header names "", so [DEFAULT] is an ordinary section, which no command
+    # reads; values are read as written, so a '%' is a character like any other
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as e:
@@ -325,6 +326,11 @@ def _solve_setup(cfg, args):
         u0 = read_field(args.input)
         if not isinstance(u0, Spectrum):
             raise UsageError("solve --input expects a spatial Spectrum container")
+        if u0.grid != g.spatial:
+            raise UsageError(
+                f"the --input data live on the N = {u0.grid.n}, "
+                f"L = {u0.grid.half_length!r} lattice, not on grid.n = {n}, "
+                f"grid.l = {L!r}; set grid.n and grid.l to match it")
         u1 = Spectrum(g.spatial, np.zeros(g.spatial.shape, complex))
     else:
         amp = _get(cfg, "family", "amplitude", float, 0.01)

@@ -228,16 +228,45 @@ def _spacetime_spectrum(u) -> SpacetimeSpectrum:
 def lr_xt_norm(F, r: float) -> float:
     """Unweighted space-time lattice L^{r'} norm of the full transform."""
     _check_r(r)
-    return _weighted_st_norm(_spacetime_spectrum(F), r, 1.0)
+    S = _spacetime_spectrum(F)
+    return float(_lattice_norms(S.grid, [S.data], (1.0, None), r)[0])
 
 
-def _weighted_st_norm(S: SpacetimeSpectrum, r: float, weight) -> float:
-    """L^{r'} space-time lattice norm of weight * |F|, formed in place."""
+# spatial columns per time transform of _block_norms: an (M, 256) chunk is 1 MB at M = 256
+_COLUMNS = 256
+
+
+def _block_norms(g: SpacetimeGrid, keep: slice | None, block, r: float, terms) -> list:
+    """The weighted space-time norms (sum (c(tau) a(|xi|) |S|)^{r'} dxi^3 dtau)^{1/r'}
+    of a windowed product's spectrum S, given its spatial spectra on its
+    window block: block (K, N, N, N) holds the slices keep, and the others
+    are zero.  keep None is the product that vanishes.
+
+    terms holds one (a, c) per norm: a a table on g's shells, c a factor on
+    the tau axis or None for 1.  The block is read one chunk of _COLUMNS
+    spatial columns at a time: the zero-padded chunk is transformed in time,
+    |S| is raised to r' once, each term adds a matrix-vector product with
+    a^{r'} gathered over the chunk's columns to its sum per tau, and the
+    sums are dotted with c^{r'} at the end.  No (M, N^3) array is formed.
+    """
+    _check_r(r)
     rp = dual_exponent(r)
-    a = np.abs(S.data)
-    a *= weight
-    a **= rp
-    return float(_root(np.sum(a), S.grid, rp))
+    sums = np.zeros((len(terms), g.m))
+    if keep is not None:
+        index = g.spatial.shell_index.ravel()
+        tables = [a**rp for a, _ in terms]
+        cols = block.reshape(len(block), -1)
+        pad = np.zeros((g.m, min(_COLUMNS, cols.shape[1])), dtype=np.complex128)
+        for start in range(0, cols.shape[1], _COLUMNS):
+            chunk = slice(start, start + _COLUMNS)
+            width = len(index[chunk])
+            pad[keep, :width] = cols[:, chunk]
+            power = np.abs(time_forward(g, pad[:, :width]))
+            power **= rp
+            for total, table in zip(sums, tables):
+                total += power @ np.take(table, index[chunk])
+    return [float(_root(total.sum() if c is None else total @ c**rp, g, rp))
+            for total, (_, c) in zip(sums, terms)]
 
 
 def _xsb_weight_table(grid, p: NormParams) -> np.ndarray:

@@ -19,8 +19,8 @@ from scipy.optimize import minimize
 
 from .bilinear import (
     SignPair,
-    _windowed_product,
-    bilinear_symbol_product,
+    _product_block,
+    _symbol_block,
     product_transform_direct,
     surface_mass,
 )
@@ -34,9 +34,9 @@ from .grid import (
 from .spaces import (
     NormParams,
     WindowSpec,
+    _block_norms,
     _free_xsb_norm,
     _grid_window,
-    _weighted_st_norm,
     sobolev_hat_norm,
 )
 
@@ -195,18 +195,22 @@ def _judge_groups(report: EstimateReport, key: str, groups) -> EstimateReport:
     return report.judge(ok)
 
 
-def _key_weights(grid, sigma: float):
-    """(J^sigma, J^(sigma-1) d_x, J^(sigma-1) d_t) weights on the (tau, xi) lattice.
-
-    The first two depend on xi alone, shape (N, N, N); the third has shape
-    (M, N, N, N).  Each is evaluated per shell and gathered.
+def _key_tables(grid, sigma: float):
+    """The (J^sigma, J^(sigma-1) d_x, J^(sigma-1) d_t) terms of the estimates,
+    as spaces._block_norms takes them: (a, c), a table on the shells and a
+    factor on the tau axis, None for 1.  The weight of a term is c(tau) a(|xi|).
     """
     sg = grid.spatial
     lower = sg.shell_brackets ** (sigma - 1.0)
-    dt_table = lower * np.abs(grid.tau_axis)[:, None]
-    return (np.take(sg.shell_brackets**sigma, sg.shell_index),
-            np.take(lower * sg.shell_values, sg.shell_index),
-            np.take(dt_table, sg.shell_index, axis=1))
+    return ((sg.shell_brackets**sigma, None), (lower * sg.shell_values, None),
+            (lower, np.abs(grid.tau_axis)))
+
+
+def _product_lhs(u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor,
+                 r: float, terms) -> float:
+    """The sum of the norms of terms of factor(t) times the product of the
+    free waves u0, v0 with signs sp, taken from the product's block stage."""
+    return sum(_block_norms(g, *_product_block(u0, v0, sp, g, factor), r, terms))
 
 
 def _fixed_window_grid(lam: float, n: int) -> tuple[SpacetimeGrid, WindowSpec]:
@@ -252,9 +256,8 @@ def check_elliptic_lemma(
         "elliptic_lemma", {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "seed": seed}
     )
     for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
-        S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
-        wj, _, wt = _key_weights(g, sigma)
-        rep.add(lam, _weighted_st_norm(S, r, wj) + _weighted_st_norm(S, r, wt),
+        wj, _, wt = _key_tables(g, sigma)
+        rep.add(lam, _product_lhs(u0, v0, SignPair(+1, +1), g, _grid_window(g, w), r, (wj, wt)),
                 sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma))
     rep.finalize(fit_against="scale")
     return rep.judge(rep.spread <= BOUNDED_SPREAD)
@@ -284,14 +287,12 @@ def check_hyperbolic_lemmas(
     )
     sp = SignPair(+1, -1)
     for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
-        SP = bilinear_symbol_product(u0, v0, sp, masks["P"], g, w)
-        SQ = bilinear_symbol_product(u0, v0, sp, masks["Q"], g, w)
-        wj, wx, wt = _key_weights(g, sigma)
+        wvals = _grid_window(g, w)
+        wj, wx, wt = _key_tables(g, sigma)
         rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        report.add(lam, _weighted_st_norm(SP, r, wj) + _weighted_st_norm(SP, r, wt), rhs,
-                   region="P")
-        report.add(lam, _weighted_st_norm(SQ, r, wx) + _weighted_st_norm(SQ, r, wt), rhs,
-                   region="Q")
+        for region, terms in (("P", (wj, wt)), ("Q", (wx, wt))):
+            block = _symbol_block(u0, v0, sp, masks[region], g, wvals)
+            report.add(lam, sum(_block_norms(g, *block, r, terms)), rhs, region=region)
     return _judge_groups(report.finalize(), "region", ("P", "Q"))
 
 
@@ -315,8 +316,10 @@ def check_key_estimate(
     space-time norms.  Those X-norms are taken straight from the data (the
     spectrum of a windowed free wave is a time transform per shell times the
     data), and the modulations cancel in the product, which is windowed by
-    the square of the window.  Products are formed and transformed only on
-    the time slices where their window is nonzero.
+    the square of the window.  Products are formed only on the time slices
+    where their window is nonzero, and their norms are taken from those
+    slices a chunk of spatial columns at a time (spaces._block_norms), so no
+    (M, N^3) array is held.
     """
     if sigma <= 2.0 / r or b <= 1.0 / r:
         raise ParameterError("key estimate needs sigma > 2/r and b > 1/r")
@@ -326,9 +329,8 @@ def check_key_estimate(
          "kind": kind, "n": n, "m": m, "modulation": modulation, "seed": seed},
     )
     for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
-        S = product_transform_direct(u0, v0, signs, g, w)
-        _, wx, wt = _key_weights(g, sigma)
-        report.add(lam, _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt),
+        _, wx, wt = _key_tables(g, sigma)
+        report.add(lam, _product_lhs(u0, v0, signs, g, _grid_window(g, w), r, (wx, wt)),
                    sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma), form="free")
         # full form: windowed (modulated) waves measured in X norms, on a
         # grid whose physical window duration does not depend on the scale
@@ -336,11 +338,10 @@ def check_key_estimate(
         u0f, v0f = _data_pair(kind, lam, seed, gf.spatial)
         win = _grid_window(gf, wf)
         mod = np.exp(1j * modulation * gf.t_axis)
-        prod = _windowed_product(u0f, v0f, signs, gf, win * win)
-        wj, _, wt2 = _key_weights(gf, sigma)
+        wj, _, wt2 = _key_tables(gf, sigma)
         report.add(
             lam,
-            _weighted_st_norm(prod, r, wj) + _weighted_st_norm(prod, r, wt2),
+            _product_lhs(u0f, v0f, signs, gf, win * win, r, (wj, wt2)),
             _free_xsb_norm(u0f, gf, win * mod, NormParams(r, sigma, b, signs.first))
             * _free_xsb_norm(v0f, gf, win * np.conj(mod),
                              NormParams(r, sigma, b, signs.second)),
@@ -371,9 +372,8 @@ def sharpness_probe(
          "kind": kind, "n": n, "m": m, "seed": seed},
     )
     for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
-        S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
-        _, wx, wt = _key_weights(g, sigma_below)
-        rep.add(lam, _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt),
+        _, wx, wt = _key_tables(g, sigma_below)
+        rep.add(lam, _product_lhs(u0, v0, SignPair(+1, +1), g, _grid_window(g, w), r, (wx, wt)),
                 sobolev_hat_norm(u0, r, sigma_below) * sobolev_hat_norm(v0, r, sigma_below))
     return rep.finalize(fit_against="scale")
 
@@ -395,12 +395,12 @@ def check_lowfreq_young(
         "lowfreq_young", {"r": r, "sigma": sigma, "samples": samples, "seed": seed}
     )
     fam = DataFamily(kind="random-bandlimited", scale=1.0)
+    wvals = _grid_window(g, w)
+    wj = _key_tables(g, sigma)[0]
     for i in range(samples):
         u0 = family_spectrum(fam, sg, rng)
         v0 = family_spectrum(fam, sg, rng)
-        S = product_transform_direct(u0, v0, SignPair(+1, +1), g, w)
-        wj, _, _ = _key_weights(g, sigma)
-        report.add(float(i), _weighted_st_norm(S, r, wj),
+        report.add(float(i), _product_lhs(u0, v0, SignPair(+1, +1), g, wvals, r, (wj,)),
                    sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma))
     report.finalize()
     return report.judge(report.spread <= 2.0)
@@ -423,8 +423,8 @@ def check_strichartz_l2(
         {"sigma1": sigma1, "sigma2": sigma2, "kind": kind, "n": n, "m": m, "seed": seed},
     )
     for lam, g, w, u0, v0 in _ladder(kind, lams, n, m, seed):
-        S = product_transform_direct(u0, v0, SignPair(+1, -1), g, w)
-        rep.add(lam, _weighted_st_norm(S, 2.0, np.ones(1)),
+        unit = (np.ones(g.spatial.shell_values.size), None)
+        rep.add(lam, _product_lhs(u0, v0, SignPair(+1, -1), g, _grid_window(g, w), 2.0, (unit,)),
                 sobolev_hat_norm(u0, 2.0, sigma1) * sobolev_hat_norm(v0, 2.0, sigma2))
     rep.finalize(fit_against="scale")
     if sigma1 + sigma2 > 1.0:
@@ -531,14 +531,13 @@ def extremizer_search(
         key = round(float(scale), 6)
         if key not in sg_cache:
             g, w = scaling_grid(float(scale), n=n, m=m)
-            sg_cache[key] = g, w, _key_weights(g, sigma)[1:]
-        g, w, (wx, wt) = sg_cache[key]
+            sg_cache[key] = g, _grid_window(g, w), _key_tables(g, sigma)[1:]
+        g, wvals, terms = sg_cache[key]
         fam = DataFamily(kind=kind, scale=float(scale), width=float(width),
                          anisotropy=(1.0, float(a2), float(a3)))
         rng = np.random.default_rng(seed)
         u0 = family_spectrum(fam, g.spatial, rng)
-        S = product_transform_direct(u0, u0, signs, g, w)
-        lhs = _weighted_st_norm(S, r, wx) + _weighted_st_norm(S, r, wt)
+        lhs = _product_lhs(u0, u0, signs, g, wvals, r, terms)
         rhs = sobolev_hat_norm(u0, r, sigma) ** 2
         return _ratio(lhs, rhs)
 

@@ -20,6 +20,7 @@ from halfwave.dyadic import region_masks
 from halfwave.errors import BudgetError, DivergentIntegralError, ParameterError
 from halfwave.grid import (
     SpacetimeField,
+    _dft,
     SpacetimeGrid,
     SpatialGrid,
     Spectrum,
@@ -28,7 +29,7 @@ from halfwave.grid import (
 )
 from halfwave.propagator import EvolutionSpec, free_slices, free_spacetime
 from halfwave.spaces import WindowSpec, window_values
-from halfwave.verify import _data_pair, scaling_grid
+from halfwave.verify import _data_pair, _fixed_window_grid, scaling_grid
 
 
 def _reduce(a, p, q, region, c1=2.0):
@@ -251,6 +252,33 @@ def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_su
         assert formed[0] == g.m
     elif not full_support:
         assert formed[0] <= g.m // 2 + 1
+
+
+def test_product_block_groups_bitwise(monkeypatch):
+    """A window block of more slices than one group is formed group by
+    group, and the product still equals the full-lattice formula bit for
+    bit; the spectral block is the spatial transform of each slice."""
+    g, w = _fixed_window_grid(16.0, 16)         # M = 256: a block of 127 slices
+    u0, v0 = _data_pair("random-bandlimited", 16.0, 5, g.spatial)
+    formed = []
+    real = bilinear._free_slices_at
+
+    def counted(u, e, t):
+        formed.append(t.size)
+        return real(u, e, t)
+
+    monkeypatch.setattr(bilinear, "_free_slices_at", counted)
+    sp = SignPair(+1, -1)
+    got = product_transform_direct(u0, v0, sp, g, w)
+    assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w).data)
+    nonzero = np.flatnonzero(window_values(w, g.t_axis))
+    block = nonzero[-1] + 1 - nonzero[0]
+    assert len(formed) >= 8 and sum(formed) == 2 * block
+    factor = window_values(w, g.t_axis)
+    keep, spatial = bilinear._product_block(u0, v0, sp, g, factor, spectral=False)
+    keep2, spectral = bilinear._product_block(u0, v0, sp, g, factor)
+    assert keep == keep2 == slice(nonzero[0], nonzero[-1] + 1)
+    assert np.array_equal(spectral, _dft(spatial, g.spatial))
 
 
 def _symbol_product_reference(u0, v0, sp, mask, g, w):

@@ -135,6 +135,30 @@ def test_lipschitz_input_reads_amplitude(tmp_path):
     assert code in (0, 2) and params["eps"] == pytest.approx(0.002)
 
 
+def test_percent_in_a_config_value(tmp_path, capsys):
+    """A '%' is read as written: a bad value is an error line naming its key,
+    with no traceback and nothing written."""
+    path = tmp_path / "run.ini"
+    path.write_text("[sweep]\na_values = 1%\n")
+    code, out = _run(tmp_path, "--config", str(path), "reduce")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad value for sweep.a_values: '1%'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "lipschitz"])
+def test_input_on_another_lattice(tmp_path, capsys, command):
+    """An --input spectrum on a lattice other than grid.n/grid.l's is refused
+    with both lattices named, and nothing is written."""
+    code, out = _run(tmp_path, "--input", str(_spectrum_file(tmp_path)), command)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"N = 8, L = {math.pi!r}" in err
+    assert f"grid.n = 16, grid.l = {2 * math.pi!r}" in err
+    assert "different lattices" not in err
+
+
 @pytest.mark.parametrize("ini, command, key", [
     ("[DEFAULT]\nlams = 2,4\n", "reduce", "lams"),
     ("[DEFAULT]\nbudget = 6\n\n[grid]\nn = 8\nm = 16\n", "extremize", "budget"),

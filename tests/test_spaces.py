@@ -10,9 +10,11 @@ from halfwave.grid import (
     SpatialGrid,
     Spectrum,
     forward_transform,
+    time_forward,
 )
 from halfwave.spaces import (
     NormParams,
+    _block_norms,
     _xsb_weights,
     WindowSpec,
     dual_exponent,
@@ -78,6 +80,29 @@ def test_lr_xt_parseval(stg):
     u = SpacetimeField(stg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     l2 = np.sqrt(np.sum(np.abs(u.data) ** 2) * stg.spatial.dx**3 * stg.dt)
     assert lr_xt_norm(forward_transform(u), 2.0) == pytest.approx((2 * np.pi) ** 2 * l2, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, m, keep", [(12, 16, slice(3, 12)), (8, 8, slice(0, 8))])
+def test_block_norms_match_lattice_formula(n, m, keep):
+    """The norms taken a column chunk at a time, with a last chunk narrower
+    than the rest at N = 12, equal the weighted sums over the zero-padded
+    space-time spectrum; a product with no block has norm 0."""
+    g = SpacetimeGrid(SpatialGrid(n, 3.0), m, 2.0)
+    sg = g.spatial
+    rng = np.random.default_rng(4)
+    shape = (keep.stop - keep.start,) + sg.shape
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    padded = np.zeros(g.shape, dtype=complex)
+    padded[keep] = block
+    S = np.abs(time_forward(g, padded))
+    tau = np.abs(g.tau_axis)
+    terms = ((sg.shell_brackets**1.3, None), (sg.shell_values, tau))
+    weights = (sg.bracket**1.3, sg.modulus[None] * tau[:, None, None, None])
+    for r in (2.0, 1.5, 1.2):
+        rp = dual_exponent(r)
+        want = [(np.sum((wt * S) ** rp) * sg.dxi**3 * g.dtau) ** (1.0 / rp) for wt in weights]
+        assert _block_norms(g, keep, block, r, terms) == pytest.approx(want, rel=1e-13)
+    assert _block_norms(g, None, None, 2.0, terms) == [0.0, 0.0]
 
 
 def test_window_shape():

@@ -2,17 +2,20 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from halfwave import verify
-from halfwave.bilinear import SignPair, product_transform_direct
+from halfwave.bilinear import SignPair, _product_block, product_transform_direct
 from halfwave.errors import ParameterError
 from halfwave.grid import SpacetimeField, forward_transform
 from halfwave.propagator import EvolutionSpec, free_spacetime
 from halfwave.spaces import (
     NormParams,
+    WindowSpec,
+    _block_norms,
     _free_xsb_norm,
     dual_exponent,
     window_values,
@@ -126,14 +129,14 @@ _SMALL_CHECKS = {
 @pytest.mark.parametrize("name", sorted(_SMALL_CHECKS))
 def test_check_with_nan_row_fails(name, monkeypatch):
     assert _SMALL_CHECKS[name]().passed
-    real = verify._weighted_st_norm
+    real = verify._block_norms
     calls = []
 
-    def second_is_nan(*args):
+    def second_is_nan(g, keep, block, r, terms):
         calls.append(1)
-        return math.nan if len(calls) == 2 else real(*args)
+        return [math.nan] * len(terms) if len(calls) == 2 else real(g, keep, block, r, terms)
 
-    monkeypatch.setattr(verify, "_weighted_st_norm", second_is_nan)
+    monkeypatch.setattr(verify, "_block_norms", second_is_nan)
     rep = _SMALL_CHECKS[name]()
     assert not rep.finite()
     assert rep.passed is False
@@ -205,10 +208,19 @@ def _key_weights_reference(g, sigma):
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
 @pytest.mark.parametrize("lam", [2.0, 16.0])
 def test_key_weights_match_lattice_formula(grid, lam):
+    """Each key term's shell table gathered onto the lattice, times its tau
+    factor, is the weight evaluated on every lattice point."""
     g, _ = _GRIDS[grid](lam)
+    index = g.spatial.shell_index
     for sigma in (1.25, 1.4, 0.5):
-        for got, want in zip(verify._key_weights(g, sigma), _key_weights_reference(g, sigma)):
-            assert got.flags.c_contiguous
+        terms = verify._key_tables(g, sigma)
+        assert [c is None for _, c in terms] == [True, True, False]
+        for (table, c), want in zip(terms, _key_weights_reference(g, sigma)):
+            assert table.shape == g.spatial.shell_values.shape
+            got = np.take(table, index)
+            if c is not None:
+                assert c.shape == (g.m,)
+                got = got[None] * c[:, None, None, None]
             assert np.array_equal(got, want)
 
 
@@ -260,19 +272,67 @@ def _key_rows_reference(r, sigma, b, signs, kind, lams, n, m, modulation, seed):
 @pytest.mark.parametrize("r, sigma, b, modulation", [(2.0, 1.25, 0.55, 0.0),
                                                      (1.5, 1.4, 0.72, 2.5)])
 def test_key_estimate_matches_lattice_reference(signs, r, sigma, b, modulation):
-    """Free-form rows are bit-identical to the lattice formulas; full-form
-    rows, whose X-norms come from the data, agree to 1e-13."""
+    """Every row agrees with the lattice formulas to 1e-13: the lhs is summed
+    per tau and shell chunk by chunk, and the full-form X-norms come from the
+    data."""
     args = dict(signs=signs, kind="shell-concentrated", lams=(2.0, 8.0), n=16, m=32,
                 modulation=modulation, seed=0)
     rep = check_key_estimate(r, sigma, b, **args)
     want = _key_rows_reference(r, sigma, b, **args)
     assert [row["form"] for row in rep.rows] == [form for _, _, form in want]
     for row, (lhs, rhs, form) in zip(rep.rows, want):
+        assert row["lhs"] == pytest.approx(lhs, rel=1e-13)
         if form == "free":
-            assert (row["lhs"], row["rhs"]) == (lhs, rhs)
+            assert row["rhs"] == rhs
         else:
-            assert row["lhs"] == pytest.approx(lhs, rel=1e-13)
             assert row["rhs"] == pytest.approx(rhs, rel=1e-13)
+
+
+def _parseval_square(u0, v0, sp, g, win):
+    """(2 pi)^4 sum |win u v|^2 dx^3 dt, the square of the r = 2 unit-weight
+    norm of the product's spectrum, from the free waves in configuration space."""
+    u = free_spacetime(u0, g, EvolutionSpec("D", sp.first)).data
+    v = free_spacetime(v0, g, EvolutionSpec("D", sp.second)).data
+    prod = u * v * win[:, None, None, None]
+    return (2.0 * np.pi) ** 4 * np.sum(np.abs(prod) ** 2) * g.spatial.dx**3 * g.dt
+
+
+def test_block_norms_parseval():
+    """At r = 2 with unit weight the lhs is Parseval's configuration-space
+    sum: on two rungs of check_strichartz_l2, whose window blocks are shorter
+    than the time axis, and in one direct call with the sharp window over the
+    whole time range, whose block is the whole axis."""
+    lams = (2.0, 4.0)
+    rep = check_strichartz_l2(0.75, 0.5, lams=lams)
+    sp = SignPair(+1, -1)
+    for row, lam in zip(rep.rows, lams):
+        g, w = scaling_grid(lam)
+        win = window_values(w, g.t_axis)
+        assert np.count_nonzero(win) < g.m
+        u0, v0 = verify._data_pair("gaussian-bump", lam, 0, g.spatial)
+        assert row["lhs"] ** 2 == pytest.approx(_parseval_square(u0, v0, sp, g, win), rel=1e-12)
+    g, _ = scaling_grid(4.0)
+    win = window_values(WindowSpec(flat_fraction=1.0, support=g.half_time), g.t_axis)
+    u0, v0 = verify._data_pair("shell-concentrated", 4.0, 0, g.spatial)
+    keep, block = _product_block(u0, v0, SignPair(+1, +1), g, win)
+    assert keep == slice(0, g.m)
+    unit = (np.ones(g.spatial.shell_values.size), None)
+    (lhs,) = _block_norms(g, keep, block, 2.0, (unit,))
+    assert lhs**2 == pytest.approx(_parseval_square(u0, v0, SignPair(+1, +1), g, win),
+                                   rel=1e-12)
+
+
+def test_key_estimate_memory():
+    """The key estimate's lhs never holds an (M, N^3) array: at n = 16, where
+    the full form reaches M = 256, the peak traced memory is at most 30 MB
+    (66.7 MB when the product's spectrum and weights were formed whole)."""
+    tracemalloc.start()
+    try:
+        check_key_estimate(2.0, 1.25, 0.55, lams=(2.0, 4.0, 8.0, 16.0), n=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
 
 
 def test_sharpness_growth_and_control():
@@ -326,9 +386,9 @@ def test_extremizer_degenerate_box():
 
 
 def test_extremizer_weights_once_per_grid(monkeypatch):
-    """The key weights are computed with each cached grid, not per evaluation."""
+    """The key tables are built with each cached grid, not per evaluation."""
     grids, weights = [], []
-    for name, calls in (("scaling_grid", grids), ("_key_weights", weights)):
+    for name, calls in (("scaling_grid", grids), ("_key_tables", weights)):
         def counted(*args, real=getattr(verify, name), calls=calls, **kw):
             calls.append(1)
             return real(*args, **kw)
@@ -361,10 +421,6 @@ def test_extremizer_vs_random_oracle():
     rng = np.random.default_rng(1)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    from halfwave.verify import DataFamily, family_spectrum, scaling_grid, _key_weights, _weighted_st_norm
-    from halfwave.bilinear import product_transform_direct
-    from halfwave.spaces import sobolev_hat_norm
-
     best = 0.0
     for _ in range(60):
         x = lo + (hi - lo) * rng.random(4)
@@ -373,9 +429,9 @@ def test_extremizer_vs_random_oracle():
                          anisotropy=(1.0, float(x[2]), float(x[3])))
         u0 = family_spectrum(fam, g.spatial, np.random.default_rng(0))
         S = product_transform_direct(u0, u0, SignPair(+1, +1), g, w)
-        _, wx, wt = _key_weights(g, 1.25)
-        lhs = _weighted_st_norm(S, 2.0, wx) + _weighted_st_norm(S, 2.0, wt)
-        rhs = sobolev_hat_norm(u0, 2.0, 1.25) ** 2
+        _, wx, wt = _key_weights_reference(g, 1.25)
+        lhs = _weighted_norm_reference(S, 2.0, wx) + _weighted_norm_reference(S, 2.0, wt)
+        rhs = _sobolev_reference(u0, 2.0, 1.25) ** 2
         if rhs > 0:
             best = max(best, lhs / rhs)
     assert res["best_ratio"] >= best / 2.0
