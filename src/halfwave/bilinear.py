@@ -17,9 +17,10 @@ MaskSpec, the pair-frequency mask that splits the lattice convolution and
 the surface masses by region (geq/ll, the near/far P/Q split, shell against
 shell), lives here; dyadic builds its named masks from it.  The time window
 and its block of nonzero slices come from spaces, where its rules live.
-Each windowed product has a block stage, _product_block and _symbol_block,
-that forms it on that block alone: the public products pad and transform
-it, and the estimate harness hands it to spaces._block_norms.
+Each windowed product has a block stage, _product_block or _symbol_block,
+that forms its spatial spectra on that block alone: the public products
+pad it onto the time axis and transform it in time through _time_padded,
+and the estimate harness hands it to spaces._block_norms.
 """
 
 from __future__ import annotations
@@ -38,12 +39,10 @@ from .errors import (
     ParameterError,
 )
 from .grid import (
-    SpacetimeField,
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
     _dft,
-    forward_transform,
     time_forward,
 )
 from .propagator import EvolutionSpec, _free_slices_at
@@ -247,23 +246,23 @@ def _check_mask(mask):
         raise ParameterError(f"mask must be a MaskSpec, got {type(mask).__name__}")
 
 
-def _default_box(xi_vec, tau, sp: SignPair, h, mask):
-    """Truncation centre, on the xi axis, and radius for the thickened
-    surface: a mask with a finite shell bound sh_hi keeps eta within sh_hi
-    of the rho1 focus; ellipsoids are bounded by |eta| <= tau/2."""
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    if mask is not None and np.isfinite(mask.sh_hi):
-        center = xi_vec / 2.0
-        radius = mask.sh_hi + 2.0 * h
-    elif sp.elliptic:
-        center = np.zeros(3)
-        radius = abs(tau) / 2.0 + 2.0 * h
-    else:
-        raise ParameterError(
-            "the hyperbolic surface is unbounded: pass box_center/box_radius "
-            "or a shell-restricted mask"
-        )
-    return center, radius
+def _default_box(xi_vec, rho: float, tau, sp: SignPair, h, mask, box_radius):
+    """surface_mass's cylinder: its centre z_c on the axis xi/|xi| and its
+    radius, box_radius if given.  A mask with a finite shell bound sh_hi
+    keeps eta within sh_hi of the rho1 focus xi/2: z_c = xi/2 . xi/|xi|,
+    default radius sh_hi + 2h.  Else z_c = 0, and ellipsoids, bounded by
+    |eta| <= tau/2, have default radius tau/2 + 2h; hyperboloids have none."""
+    shell = mask is not None and np.isfinite(mask.sh_hi)
+    z_c = float(xi_vec @ (xi_vec / rho)) / 2.0 if shell else 0.0
+    if box_radius is not None:
+        return z_c, box_radius
+    if shell:
+        return z_c, mask.sh_hi + 2.0 * h
+    if sp.elliptic:
+        return z_c, abs(tau) / 2.0 + 2.0 * h
+    raise ParameterError(
+        "the hyperbolic surface is unbounded: pass box_radius or a shell-restricted mask"
+    )
 
 
 def surface_mass(
@@ -272,7 +271,6 @@ def surface_mass(
     sp: SignPair,
     F,
     h: float,
-    box_center=None,
     box_radius: float | None = None,
     tol: float = 0.01,
     n0: int = 48,
@@ -283,22 +281,17 @@ def surface_mass(
 
     F is a vectorized callable F(rho1, rho2), such as a PowerWeight.  A
     MaskSpec mask keeps the pairs (xi/2 - eta, xi/2 + eta) that its
-    select() keeps in the lattice convolution; a finite mask.sh_hi also sets
-    the default box.  The level set is a surface of rotation about the axis
-    xi/|xi|, so the band sum runs over the (z, rho) half-plane about that
-    axis.  The integral is truncated to the cylinder |z - z_c| <= R,
-    rho <= R, where z_c is box_center projected on the axis and R is
-    box_radius: the cylinder inscribed in the cube of side 2R about
-    box_center.  box_center must lie on the axis and needs a box_radius; a
-    box_radius alone centres the cylinder at the origin, and with neither
-    the default box is used.  The cells are refined (n -> 2n), at most
+    select() keeps in the lattice convolution.  The level set is a surface
+    of rotation about the axis xi/|xi|, so the band sum runs over the
+    (z, rho) half-plane about that axis.  The integral is truncated to the
+    cylinder |z - z_c| <= R, rho <= R: z_c is 0, or |xi|/2 under a mask with
+    a finite shell bound, and R is box_radius, or by default the radius
+    _default_box gives.  The cells are refined (n -> 2n), at most
     _MAX_REFINE times, until the value is stable to the requested relative
     tolerance.  An empty level set returns value 0 with the empty flag set.
     """
     if h <= 0:
         raise ParameterError("band half-thickness h must be positive")
-    if box_center is not None and box_radius is None:
-        raise ParameterError("box_center needs a box_radius")
     if mask is not None:
         _check_mask(mask)
     xi_vec = np.asarray(xi_vec, dtype=float)
@@ -310,13 +303,7 @@ def surface_mass(
     else:
         if rho == 0.0 or abs(tau) >= rho:
             return SurfaceMassResult(0.0, empty=True)
-    if box_radius is None:
-        box_center, box_radius = _default_box(xi_vec, tau, sp, h, mask)
-    box_center = np.zeros(3) if box_center is None else np.asarray(box_center, float)
-    axis = xi_vec / rho
-    z_c = float(box_center @ axis)
-    if np.linalg.norm(box_center - z_c * axis) > 1e-12 * max(abs(z_c), box_radius):
-        raise ParameterError("box_center must lie on the axis xi/|xi|")
+    z_c, box_radius = _default_box(xi_vec, rho, tau, sp, h, mask, box_radius)
     z_lo = z_c - box_radius
     width = 2.0 * box_radius
 
@@ -341,16 +328,22 @@ def product_transform_direct(
     """Space-time transform of the windowed product of two free waves.
 
     The time slices on which the window vanishes are left exact zeros: the
-    free waves and their product are formed only where it is nonzero, by
-    _product_block.
+    free waves and their product are formed only where it is nonzero, as
+    spatial spectra, by _product_block.
     """
     if u0.grid != g.spatial or v0.grid != g.spatial:
         raise GridMismatchError("data do not live on the spatial lattice")
-    out = np.zeros(g.shape, dtype=np.complex128)
-    keep, block = _product_block(u0, v0, sp, g, _grid_window(g, w), spectral=False)
+    return _time_padded(g, *_product_block(u0, v0, sp, g, _grid_window(g, w)))
+
+
+def _time_padded(g: SpacetimeGrid, keep, block) -> SpacetimeSpectrum:
+    """The space-time spectrum of a block stage's (keep, block): the block
+    of spatial spectra padded with zero slices onto the time axis and
+    transformed in time."""
+    slices = np.zeros(g.shape, dtype=np.complex128)
     if keep is not None:
-        out[keep] = block
-    return forward_transform(SpacetimeField(g, out))
+        slices[keep] = block
+    return SpacetimeSpectrum(g, time_forward(g, slices))
 
 
 # lattice points of a group of slices in _product_block: 32 slices at N = 16
@@ -359,18 +352,16 @@ _GROUP_POINTS = 1 << 17
 
 def _product_block(
     u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor: np.ndarray,
-    spectral: bool = True,
 ) -> tuple:
     """The block stage of the free-wave product: (keep, block), keep the
-    window block of factor and block, shape (K, N, N, N), factor(t) times
-    the product of the two free waves on it, as spatial spectra or, with
-    spectral False, in configuration space.  (None, None) when factor
-    vanishes.
+    window block of factor and block, shape (K, N, N, N), the spatial
+    spectra of factor(t) times the product of the two free waves on it.
+    (None, None) when factor vanishes.
 
-    The free slices, their spatial inverses and the product are formed in
-    groups of _GROUP_POINTS lattice points, each written into the block, so
-    the block is the one array of its size alive.  Each slice is the one
-    the full-lattice formula gives.
+    The free slices, their spatial inverses, the product and its spatial
+    transform are formed in groups of _GROUP_POINTS lattice points, each
+    written into the block, so the block is the one array of its size
+    alive.  Each slice is the one the full-lattice formula gives.
     """
     keep = _window_block(factor)
     if keep is None:
@@ -387,7 +378,7 @@ def _product_block(
         )
         prod = np.multiply(uf, vf, out=uf)
         prod *= f[group]
-        block[group] = _dft(prod, sg) if spectral else prod
+        block[group] = _dft(prod, sg)
     return keep, block
 
 
@@ -404,16 +395,13 @@ def bilinear_symbol_product(
 
     With the trivial mask this equals product_transform_direct (the product
     in configuration space is exactly the periodic lattice convolution).
-    mask is a MaskSpec.  As there, the free slices and their
-    convolution are formed on the window block alone, by _symbol_block.
+    mask is a MaskSpec.  As there, the free slices and their convolution
+    are formed on the window block alone, by _symbol_block, and padded and
+    transformed in time by the same helper.
     """
     if u0.grid != g.spatial or v0.grid != g.spatial:
         raise GridMismatchError("data do not live on the spatial lattice")
-    slices = np.zeros(g.shape, dtype=np.complex128)
-    keep, block = _symbol_block(u0, v0, sp, mask, g, _grid_window(g, w))
-    if keep is not None:
-        slices[keep] = block
-    return SpacetimeSpectrum(g, time_forward(g, slices))
+    return _time_padded(g, *_symbol_block(u0, v0, sp, mask, g, _grid_window(g, w)))
 
 
 def _symbol_block(

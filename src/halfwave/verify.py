@@ -146,16 +146,18 @@ class EstimateReport:
         return self
 
     def finalize(self, fit_against: str | None = None):
-        ratios = [row["ratio"] for row in self.rows if row.get("ratio", 0.0) > 0.0]
-        if not ratios:
+        kept = [row for row in self.rows if row.get("ratio", 0.0) > 0.0]
+        if not kept:
             self.skipped = True
             return self
+        ratios = [row["ratio"] for row in kept]
         self.max_ratio = max(ratios)
         self.min_ratio = min(ratios)
         self.median_ratio = float(np.median(ratios))
         self.spread = self.max_ratio / self.min_ratio
-        if fit_against is not None and len(ratios) >= 3:
-            xs = np.log2([row[fit_against] for row in self.rows if row.get("ratio", 0.0) > 0.0])
+        # a slope needs three distinct values of fit_against, else exponent stays None
+        if fit_against is not None and len({row[fit_against] for row in kept}) >= 3:
+            xs = np.log2([row[fit_against] for row in kept])
             ys = np.log2(ratios)
             slope, intercept = np.polyfit(xs, ys, 1)
             pred = slope * xs + intercept
@@ -276,11 +278,14 @@ def check_hyperbolic_lemmas(
     """Opposite-sign products split into the near (P) and far (Q) regions.
 
     The near region carries the J^sigma and d_t terms; the far region the
-    J^(sigma-1) d_x and d_t terms (the derivative is essential there).
+    J^(sigma-1) d_x and d_t terms (the derivative is essential there).  The
+    two masks partition the frequency pairs, so P is the one masked
+    convolution of a rung (_symbol_block) and Q is the FFT product block
+    (_product_block) minus P.
     """
     if sigma <= 2.0 / r:
         raise ParameterError(f"hyperbolic check needs sigma > 2/r = {2.0 / r}")
-    masks = region_masks(c1=c1)
+    near = region_masks(c1=c1)["P"]
     report = EstimateReport(
         "hyperbolic_lemmas",
         {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "c1": c1, "seed": seed},
@@ -290,9 +295,11 @@ def check_hyperbolic_lemmas(
         wvals = _grid_window(g, w)
         wj, wx, wt = _key_tables(g, sigma)
         rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        for region, terms in (("P", (wj, wt)), ("Q", (wx, wt))):
-            block = _symbol_block(u0, v0, sp, masks[region], g, wvals)
-            report.add(lam, sum(_block_norms(g, *block, r, terms)), rhs, region=region)
+        keep, p_block = _symbol_block(u0, v0, sp, near, g, wvals)
+        _, q_block = _product_block(u0, v0, sp, g, wvals)
+        q_block -= p_block
+        for region, block, terms in (("P", p_block, (wj, wt)), ("Q", q_block, (wx, wt))):
+            report.add(lam, sum(_block_norms(g, keep, block, r, terms)), rhs, region=region)
     return _judge_groups(report.finalize(), "region", ("P", "Q"))
 
 
@@ -364,8 +371,8 @@ def sharpness_probe(
     The predicted growth exponent for concentrated equal-sign interactions
     is 2/r - sigma.
     """
-    if len(lams) < 3:
-        raise ParameterError("need at least 3 scales to fit a growth exponent")
+    if len(set(lams)) < 3:
+        raise ParameterError("need at least 3 distinct scales to fit a growth exponent")
     rep = EstimateReport(
         "sharpness_probe",
         {"r": r, "sigma": sigma_below, "prediction": 2.0 / r - sigma_below,

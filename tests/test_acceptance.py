@@ -128,7 +128,7 @@ def test_criterion_4_q_region_scaling():
             res = surface_mass(
                 np.array([rho, 0.0, 0.0]), 0.5 * rho, SignPair(+1, -1),
                 PowerWeight(e1=-a1, e2=-a2), h=1.0,
-                box_center=np.zeros(3), box_radius=2.5 * rho, n0=96,
+                box_radius=2.5 * rho, n0=96,
             )
             vals.append(res.value)
             if not res.converged:

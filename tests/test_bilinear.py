@@ -19,12 +19,10 @@ from halfwave.bilinear import (
 from halfwave.dyadic import region_masks
 from halfwave.errors import BudgetError, DivergentIntegralError, ParameterError
 from halfwave.grid import (
-    SpacetimeField,
     _dft,
     SpacetimeGrid,
     SpatialGrid,
     Spectrum,
-    forward_transform,
     time_forward,
 )
 from halfwave.propagator import EvolutionSpec, free_slices, free_spacetime
@@ -146,8 +144,9 @@ def test_surface_mass_empty():
     assert surface_mass(xi, 1.5, SignPair(+1, +1), PowerWeight(), h=0.2).empty
     assert surface_mass(xi, -5.0, SignPair(+1, +1), PowerWeight(), h=0.2).empty
     assert surface_mass(xi, 3.0, SignPair(+1, -1), PowerWeight(), h=0.2,
-                        box_center=np.zeros(3), box_radius=4.0).empty
+                        box_radius=4.0).empty
     assert surface_mass(np.zeros(3), 2.0, SignPair(+1, +1), PowerWeight(), h=0.2).empty
+    assert "box_center" not in inspect.signature(surface_mass).parameters
 
 
 def test_surface_mass_refines_three_times():
@@ -216,11 +215,12 @@ def test_exchange_symmetry():
 
 def _product_reference(u0, v0, sp, g, w):
     """The full-lattice formula: both free waves in configuration space on
-    every time slice, multiplied, windowed and transformed."""
+    every time slice, multiplied and windowed, each slice transformed in
+    space, then the stack transformed in time."""
     uf = free_spacetime(u0, g, EvolutionSpec("D", sp.first))
     vf = free_spacetime(v0, g, EvolutionSpec("D", sp.second))
     win = window_values(w, g.t_axis)[:, None, None, None]
-    return forward_transform(SpacetimeField(g, uf.data * vf.data * win))
+    return time_forward(g, _dft(uf.data * vf.data * win, g.spatial))
 
 
 @pytest.mark.parametrize("lam", [2.0, 16.0])
@@ -245,7 +245,7 @@ def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_su
     monkeypatch.setattr(bilinear, "_free_slices_at", counted)
     for sp in (SignPair(+1, +1), SignPair(+1, -1), SignPair(-1, +1)):
         got = product_transform_direct(u0, v0, sp, g, w)
-        assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w).data)
+        assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w))
     nonzero = np.flatnonzero(window_values(w, g.t_axis))
     assert set(formed) == {nonzero[-1] + 1 - nonzero[0]}
     if full_support and flat_fraction == 1.0:
@@ -257,7 +257,7 @@ def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_su
 def test_product_block_groups_bitwise(monkeypatch):
     """A window block of more slices than one group is formed group by
     group, and the product still equals the full-lattice formula bit for
-    bit; the spectral block is the spatial transform of each slice."""
+    bit; the block stage keeps the window block."""
     g, w = _fixed_window_grid(16.0, 16)         # M = 256: a block of 127 slices
     u0, v0 = _data_pair("random-bandlimited", 16.0, 5, g.spatial)
     formed = []
@@ -270,15 +270,13 @@ def test_product_block_groups_bitwise(monkeypatch):
     monkeypatch.setattr(bilinear, "_free_slices_at", counted)
     sp = SignPair(+1, -1)
     got = product_transform_direct(u0, v0, sp, g, w)
-    assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w).data)
+    assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w))
     nonzero = np.flatnonzero(window_values(w, g.t_axis))
     block = nonzero[-1] + 1 - nonzero[0]
     assert len(formed) >= 8 and sum(formed) == 2 * block
-    factor = window_values(w, g.t_axis)
-    keep, spatial = bilinear._product_block(u0, v0, sp, g, factor, spectral=False)
-    keep2, spectral = bilinear._product_block(u0, v0, sp, g, factor)
-    assert keep == keep2 == slice(nonzero[0], nonzero[-1] + 1)
-    assert np.array_equal(spectral, _dft(spatial, g.spatial))
+    keep, _ = bilinear._product_block(u0, v0, sp, g, window_values(w, g.t_axis))
+    assert keep == slice(nonzero[0], nonzero[-1] + 1)
+    assert "spectral" not in inspect.signature(bilinear._product_block).parameters
 
 
 def _symbol_product_reference(u0, v0, sp, mask, g, w):

@@ -403,6 +403,15 @@ def test_sharpness_reports_exponent(tmp_path):
     assert payload["summary"]["exponent"] >= 0.4
 
 
+def test_sharpness_needs_three_distinct_scales(tmp_path, capsys):
+    """Repeated scales cannot fit an exponent: exit 1, an error line, and
+    nothing written."""
+    code, out = _run(tmp_path, "--set", "sweep.lams=4,4,4", "sharpness")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_seed_flag_changes_family(tmp_path):
     _, out1 = _run(tmp_path / "a", "--seed", "0",
                    "--set", "family.kind=random-bandlimited", "lemma", "--suite", "elliptic")

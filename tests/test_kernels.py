@@ -273,7 +273,7 @@ def test_uniform_sum_cdf_limits():
 
 
 def test_surface_mass_rotation_invariant():
-    """Only |xi| and the position of box_center on the axis enter the sum."""
+    """Only |xi| enters the sum."""
     rng = np.random.default_rng(3)
     xi = np.array([1.3, 0.0, 0.0])
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -284,20 +284,9 @@ def test_surface_mass_rotation_invariant():
     assert turned.value == pytest.approx(base.value, rel=1e-14, abs=0.0)
     hyp = dict(tau=0.4, sp=SignPair(+1, -1), F=PowerWeight(e1=-1.8, e2=-1.8), h=0.2,
                box_radius=3.0)
-    base = surface_mass(xi, box_center=xi / 2.0, **hyp)
-    turned = surface_mass(rot @ xi, box_center=rot @ xi / 2.0, **hyp)
+    base = surface_mass(xi, **hyp)
+    turned = surface_mass(rot @ xi, **hyp)
     assert turned.value == pytest.approx(base.value, rel=1e-14, abs=0.0)
-
-
-def test_surface_mass_off_axis_center_rejected():
-    xi = np.array([0.0, 2.0, 0.0])
-    with pytest.raises(ParameterError):
-        surface_mass(xi, 1.0, SignPair(+1, -1), PowerWeight(), h=0.2,
-                     box_center=np.array([0.1, 0.0, 0.0]), box_radius=4.0)
-    # a centre on the axis, on either side of the origin, is accepted
-    for c in (-0.7, 0.0, 1.0):
-        surface_mass(xi, 1.0, SignPair(+1, -1), PowerWeight(), h=0.2,
-                     box_center=c * xi, box_radius=4.0)
 
 
 def test_surface_mass_mask_must_be_maskspec():
@@ -306,13 +295,3 @@ def test_surface_mass_mask_must_be_maskspec():
     with pytest.raises(ParameterError):
         surface_mass(xi, 3.0, SignPair(+1, +1), PowerWeight(), h=0.2,
                      mask=lambda r1, r2, r12: r1 < r2)
-
-
-def test_surface_mass_center_needs_radius():
-    """A box_center without a box_radius is rejected, not replaced by the default box."""
-    xi = np.array([2.0, 0.0, 0.0])
-    kw = dict(tau=3.0, sp=SignPair(+1, +1), F=PowerWeight(), h=0.2)
-    for center in (np.array([5.0, 5.0, 5.0]), np.zeros(3)):
-        with pytest.raises(ParameterError):
-            surface_mass(xi, box_center=center, **kw)
-    assert surface_mass(xi, **kw).converged

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from halfwave import verify
-from halfwave.bilinear import SignPair, _product_block, product_transform_direct
+from halfwave import kernels, verify
+from halfwave.bilinear import SignPair, _product_block, _symbol_block, product_transform_direct
+from halfwave.dyadic import region_masks
 from halfwave.errors import ParameterError
 from halfwave.grid import SpacetimeField, forward_transform
 from halfwave.propagator import EvolutionSpec, free_spacetime
@@ -17,6 +18,7 @@ from halfwave.spaces import (
     WindowSpec,
     _block_norms,
     _free_xsb_norm,
+    _grid_window,
     dual_exponent,
     window_values,
     xsb_norm,
@@ -158,6 +160,42 @@ def test_hyperbolic_lemmas_bounded():
     assert rep.passed
     regions = {row["region"] for row in rep.rows}
     assert regions == {"P", "Q"}
+
+
+def test_hyperbolic_lemmas_convolve_once_per_rung(monkeypatch):
+    """Each rung makes one masked convolution, for P; Q is read off the
+    product block."""
+    real = kernels.masked_convolution
+    masks = []
+
+    def counted(us, vs, xi_axis, mask):
+        masks.append(mask)
+        return real(us, vs, xi_axis, mask)
+
+    monkeypatch.setattr(kernels, "masked_convolution", counted)
+    check_hyperbolic_lemmas(2.0, 1.25, kind="random-bandlimited", lams=(2.0, 4.0, 8.0))
+    assert masks == [region_masks()["P"]] * 3
+
+
+# the full-support families convolve every pair, so they run on a smaller lattice
+@pytest.mark.parametrize("r, sigma", [(2.0, 1.25), (1.5, 1.4)])
+@pytest.mark.parametrize("kind, n, m", [("random-bandlimited", 16, 32),
+                                        ("gaussian-bump", 8, 16),
+                                        ("shell-concentrated", 8, 16)])
+def test_hyperbolic_q_matches_masked_convolution(kind, n, m, r, sigma):
+    """The Q lhs, taken from the product block minus P, is the lhs of the
+    masked convolution under the Q mask."""
+    lams = (2.0, 4.0, 8.0)
+    rep = check_hyperbolic_lemmas(r, sigma, kind=kind, lams=lams, n=n, m=m)
+    rows = [row for row in rep.rows if row["region"] == "Q"]
+    assert all(row["lhs"] > 0 for row in rows)
+    sp, far = SignPair(+1, -1), region_masks()["Q"]
+    for row, (lam, g, w, u0, v0) in zip(rows, verify._ladder(kind, lams, n, m, 0)):
+        _, wx, wt = verify._key_tables(g, sigma)
+        block = _symbol_block(u0, v0, sp, far, g, _grid_window(g, w))
+        want = sum(_block_norms(g, *block, r, (wx, wt)))
+        assert row["scale"] == lam
+        assert row["lhs"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_key_estimate_reports_both_forms():
@@ -343,6 +381,8 @@ def test_sharpness_growth_and_control():
     assert ctrl.exponent <= 0.1
     with pytest.raises(ParameterError):
         sharpness_probe(2.0, 0.5, lams=(4.0, 8.0))
+    with pytest.raises(ParameterError):
+        sharpness_probe(2.0, 0.5, lams=(4, 4, 4))
 
 
 def test_lowfreq_young_flat():
@@ -357,6 +397,19 @@ def test_strichartz_branches():
     growth = check_strichartz_l2(0.2, 0.2, lams=(2.0, 4.0, 8.0, 16.0))
     assert growth.passed  # well below 1: growth detected
     assert growth.exponent > 0.25
+
+
+def test_fit_needs_three_distinct_scales():
+    """Rows at one repeated scale give no exponent, so the growth branch
+    cannot pass on a slope fitted to them."""
+    rep = check_strichartz_l2(0.25, 0.25, lams=(8, 8, 8, 8))
+    assert len(rep.rows) == 4
+    assert rep.exponent is None and rep.exponent_r2 is None
+    assert rep.passed is False
+    rep = EstimateReport("two", {})
+    for scale, ratio in ((2.0, 1.0), (4.0, 2.0), (4.0, 3.0), (2.0, 5.0)):
+        rep.add(scale, ratio, 1.0)
+    assert rep.finalize(fit_against="scale").exponent is None
 
 
 def test_surface_cross_check():
