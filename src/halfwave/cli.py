@@ -100,10 +100,10 @@ def _float_list(raw: str):
 
 
 def _shells(raw: str):
-    """Shell indices for a slope fit, which needs two points."""
+    """Shell indices for a slope fit, which needs two distinct shells."""
     shells = tuple(int(k) for k in _float_list(raw))
-    if len(shells) < 2:
-        raise ValueError("a slope needs at least two shells")
+    if len(set(shells)) < 2:
+        raise ValueError("a slope needs at least two distinct shells")
     return shells
 
 

@@ -22,7 +22,6 @@ takes norms back.  select_delta tries no delta below 2 dt.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -444,16 +443,14 @@ class _PicardState:
 
     The constructor is the set-up: it checks the data against the grid,
     projects real data (see _hermitian_part), finds the window block and the
-    core, and builds the loop invariants, the free slices on the block, the
-    X-weights and the windowed buffer of the X-distance.  advance runs
-    iterations and may be called again to resume them; the state carries the
-    iterates, the distances (in result), the growth count and the seeds of
-    the last sweep.  finish extends the last iterate to every slice and
-    completes real data.
+    core, and builds the loop invariants, the free slices on the block and
+    the X-weights.  advance runs iterations and may be called again to
+    resume them; the state carries the iterates, the distances (in result),
+    the growth count and the seeds of the last sweep.  finish extends the
+    last iterate to every slice and completes real data.
 
-    The state owns its work buffers: after the first iteration each sweep
-    writes into the buffers of the last differences and the last h f, and
-    w = u_+ + u_- goes into the buffer of the last forcing, all dead by then.
+    The state holds loop values alone, so a trial parked between calls holds
+    no work buffer: those are locals of advance (see there).
     """
 
     def __init__(self, fp, fm, ns, cfg, r, s, source):
@@ -500,18 +497,15 @@ class _PicardState:
         # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
         # M/2 and dt goes into the norm
         self.xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
-        # the windowed difference on every slice, zero off the block
-        self.windowed = np.zeros((g.m,) + self.free_p.shape[1:], dtype=np.complex128)
         self.sp, self.sm = self.free_p, self.free_m
         self.grew = 0
         self.seeds = None           # of the last sweep: none before the first
-        self.f = None               # the last forcing
-        self.spare = None           # the last differences and h f
         self.result = PicardResult(g, None, None, real_data=real)
 
-    def _x_distance(self, diffs) -> float:
-        # upper bound for the [-delta, delta] restriction norm via one window
-        g, blk, windowed = self.g, self.blk, self.windowed
+    def _x_distance(self, diffs, windowed) -> float:
+        # upper bound for the [-delta, delta] restriction norm via one window;
+        # windowed holds the windowed difference on every slice, zero off the block
+        g, blk = self.g, self.blk
 
         def spectra():
             for x in diffs:
@@ -522,17 +516,23 @@ class _PicardState:
         return float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r, unit=g.dt)))
 
     def advance(self, max_iter: int) -> None:
-        """Iterate until the loop stops or max_iter iterations ran in all."""
+        """Iterate until the loop stops or max_iter iterations ran in all.
+
+        The work buffers live for one call: after its first iteration each
+        sweep writes into the buffers of the last differences and the last
+        h f, and w = u_+ + u_- goes into the buffer of the last forcing, all
+        dead by then.
+        """
         g, result = self.g, self.result
+        w_out = spare = None
+        windowed = np.zeros((g.m,) + self.free_p.shape[1:], dtype=np.complex128)
         while result.status == "unconverged" and result.iterations < max_iter:
             sp, sm = self.sp, self.sm
-            f = _bilinear_spec(sp, sm, np.add(sp, sm, out=self.f), self.ns, g)
+            f = _bilinear_spec(sp, sm, np.add(sp, sm, out=w_out), self.ns, g)
             f *= self.weight
             if self.source is not None:
                 f += self.source
-            out = self.spare
-            if out is None:
-                out = tuple(np.empty(f.shape, dtype=np.complex128) for _ in range(3))
+            out = spare or tuple(np.empty(f.shape, dtype=np.complex128) for _ in range(3))
             new_p, new_m, self.seeds = _linear_sweep(f, self.half_c, self.free_w, self.steps,
                                                      g, self.m0, out)
             new_p += self.free_p
@@ -543,13 +543,13 @@ class _PicardState:
                      np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
             norms_p, norms_m = _slice_norms(g, [x[self.core] for x in diffs], self.r, self.s)
             d = float(np.max(norms_p) + np.max(norms_m))
-            dr = self._x_distance(diffs)
+            dr = self._x_distance(diffs, windowed)
             if result.distances:
                 self.grew = self.grew + 1 if d > result.distances[-1] else 0
             result.distances.append(d)
             result.restricted_distances.append(dr)
             self.sp, self.sm = new_p, new_m
-            self.f, self.spare = f, diffs + (out[2],)
+            w_out, spare = f, diffs + (out[2],)
             result.iterations += 1
             if not (math.isfinite(d) and math.isfinite(dr)):
                 result.status = "nonfinite"
@@ -561,7 +561,6 @@ class _PicardState:
     def finish(self) -> PicardResult:
         """The result, with the last iterate on every slice, completed for real data."""
         g, result = self.g, self.result
-        self.f = self.spare = self.windowed = None       # the work buffers are dead
         # the last sweep continued to every slice; SolveConfig's max_iter >= 1
         # means advance ran one
         sp, sm = (_extend(u, x, e, g, self.blk, seed, step) for u, x, e, seed, step in
@@ -840,53 +839,30 @@ def flow_lipschitz_probe(
     its data are solved with the first datum's (r, s) by picard_iterate: the
     ratios read the iterates alone, not solve_local's audit.  Pairs whose
     loops do not converge are excluded and flagged; identical pairs are
-    reported as skipped.  A datum that recurs (equal arrays, equal r and s)
-    is solved once, and its result is kept only until its last pair.
+    reported as skipped.  The solve of a pair's first datum is kept while
+    the pairs that follow repeat it (equal arrays, equal r and s), so pairs
+    built around one base datum solve it once; every other datum is solved
+    for each pair it is in.
     """
     g = cfg.grid
     core = _core_slices(g, cfg.delta)
     off_origin = np.flatnonzero(core) != g.origin_index
-
-    def key(d, r_, s_):
-        return d.u0.data.tobytes(), d.u1.data.tobytes(), r_, s_
-
-    jobs = []           # per pair: None when skipped, else (d1, d2, r, s, data distance)
-    uses = Counter()    # solved pairs per datum key
+    first = None            # (key, result) of the last first datum solved
+    ratios, ratios_off, rows = [], [], []
     for d1, d2 in pairs:
         r_, s_ = d1.r, d1.s
-        f1 = to_first_order(d1)
-        f2 = to_first_order(d2)
+        f1, f2 = to_first_order(d1), to_first_order(d2)
         ddist = sobolev_hat_norm(Spectrum(g.spatial, f1[0].data - f2[0].data), r_, s_) + \
             sobolev_hat_norm(Spectrum(g.spatial, f1[1].data - f2[1].data), r_, s_)
         if ddist == 0.0:
-            jobs.append(None)
-            continue
-        jobs.append((d1, d2, r_, s_, ddist))
-        uses.update((key(d1, r_, s_), key(d2, r_, s_)))
-    results = {}
-
-    def solved(d, r_, s_):
-        k = key(d, r_, s_)
-        if k not in results:
-            results[k] = picard_iterate(*to_first_order(d), ns, cfg, r=r_, s=s_)
-        res = results[k]
-        uses[k] -= 1
-        if uses[k] == 0:
-            del results[k]
-        return res
-
-    ratios, ratios_off, skipped, failed = [], [], 0, 0
-    rows = []
-    for job in jobs:
-        if job is None:
-            skipped += 1
             rows.append({"ratio": None, "status": "skipped"})
             continue
-        d1, d2, r_, s_, ddist = job
-        res1 = solved(d1, r_, s_)
-        res2 = solved(d2, r_, s_)
+        key = d1.u0.data.tobytes(), d1.u1.data.tobytes(), r_, s_
+        if first is None or first[0] != key:
+            first = None        # the kept solve goes before the next is formed
+            first = key, picard_iterate(*f1, ns, cfg, r=r_, s=s_)
+        res1, res2 = first[1], picard_iterate(*f2, ns, cfg, r=r_, s=s_)
         if not (res1.converged and res2.converged):
-            failed += 1
             rows.append({"ratio": None, "status": "no-contraction"})
             continue
         diffs = res1.sp[core] - res2.sp[core], res1.sm[core] - res2.sm[core]
@@ -897,12 +873,13 @@ def flow_lipschitz_probe(
             off = float(np.max(norms_p[off_origin]) + np.max(norms_m[off_origin]))
             ratios_off.append(off / ddist)
         rows.append({"ratio": ratio, "status": "ok"})
+    statuses = [row["status"] for row in rows]
     return {
         "max_ratio": max(ratios) if ratios else None,
         "ratios": ratios,
         "max_ratio_off_origin": max(ratios_off) if ratios_off else None,
         "ratios_off_origin": ratios_off,
         "rows": rows,
-        "skipped": skipped,
-        "failed": failed,
+        "skipped": statuses.count("skipped"),
+        "failed": statuses.count("no-contraction"),
     }

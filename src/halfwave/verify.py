@@ -154,7 +154,9 @@ class EstimateReport:
         self.max_ratio = max(ratios)
         self.min_ratio = min(ratios)
         self.median_ratio = float(np.median(ratios))
-        self.spread = self.max_ratio / self.min_ratio
+        # a spread needs two distinct scales, else it stays NaN, which no bound passes
+        if len({row["scale"] for row in kept}) >= 2:
+            self.spread = self.max_ratio / self.min_ratio
         # a slope needs three distinct values of fit_against, else exponent stays None
         if fit_against is not None and len({row[fit_against] for row in kept}) >= 3:
             xs = np.log2([row[fit_against] for row in kept])
@@ -186,12 +188,15 @@ class EstimateReport:
 
 
 def _judge_groups(report: EstimateReport, key: str, groups) -> EstimateReport:
-    """Pass when the ratio spread within every row group is bounded; record each spread."""
+    """Pass when the ratio spread within every row group is bounded; record
+    each spread, NaN (no pass) for a group with fewer than two distinct scales."""
     ok = True
     if not report.skipped:
         for group in groups:
-            ratios = [row["ratio"] for row in report.rows if row[key] == group and row["ratio"] > 0]
-            spread = max(ratios) / min(ratios) if ratios else math.nan
+            kept = [row for row in report.rows if row[key] == group and row["ratio"] > 0]
+            ratios = [row["ratio"] for row in kept]
+            two_scales = len({row["scale"] for row in kept}) >= 2
+            spread = max(ratios) / min(ratios) if two_scales else math.nan
             report.params[f"spread_{group}"] = spread
             ok = ok and spread <= BOUNDED_SPREAD
     return report.judge(ok)

@@ -267,6 +267,7 @@ def test_set_keys_are_case_insensitive(tmp_path):
     ["--set", "sweep.lams= , ", "strichartz"],
     ["--set", "sweep.shells=", "lemma", "--suite", "shell"],
     ["--set", "sweep.shells=3", "lemma", "--suite", "shell"],
+    ["--set", "sweep.shells=3,3", "lemma", "--suite", "shell"],
     ["--set", "sweep.samples=0", "lowfreq"],
     ["--set", "sweep.a_values=", "reduce"],
     ["--set", "sweep.pairs=0", "lipschitz"],
@@ -278,6 +279,40 @@ def test_empty_sweep_is_a_usage_error(tmp_path, argv):
     code, out = _run(tmp_path, *argv)
     assert code == 1
     assert not out.exists()
+
+
+def test_shell_slope_needs_two_distinct_shells(tmp_path, capsys):
+    """A repeated shell is one point of the slope fit: 3,3 is refused with
+    an error line and nothing written, and 3,3,4 is read as given."""
+    code, out = _run(tmp_path, "--set", "sweep.shells=3,3", "lemma", "--suite", "shell")
+    assert code == 1 and not out.exists()
+    assert "error: bad value for sweep.shells" in capsys.readouterr().err
+    assert cli._shells("3,3,4") == (3, 3, 4)
+
+
+# a ladder of one distinct scale, or one sample: its output file and the
+# spreads its JSON summary (or the summary's params) reports
+_ONE_SCALE_RUNS = {
+    "lemma-elliptic": (["--set", "sweep.lams=8", "lemma", "--suite", "elliptic"], "lemma",
+                       ["spread"]),
+    "lemma-hyperbolic": (["--set", "sweep.lams=4,4", "lemma", "--suite", "hyperbolic"], "lemma",
+                         ["spread", "spread_P", "spread_Q"]),
+    "key": (["--set", "sweep.lams=4,4,4", "key"], "key", ["spread", "spread_free", "spread_full"]),
+    "strichartz": (["--set", "sweep.lams=8", "strichartz"], "strichartz", ["spread"]),
+    "lowfreq": (["--set", "sweep.samples=1", "lowfreq"], "lowfreq", ["spread"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_ONE_SCALE_RUNS))
+def test_one_scale_run_fails(tmp_path, run):
+    """A spread over one distinct scale bounds nothing: it is written as NaN
+    and the run exits 2."""
+    argv, name, keys = _ONE_SCALE_RUNS[run]
+    code, out = _run(tmp_path, "--set", "grid.n=8", "--set", "grid.m=16", *argv)
+    assert code == 2
+    summary = json.loads((out / f"{name}.json").read_text())["summary"]
+    values = {**summary["params"], **summary}
+    assert all(math.isnan(values[key]) for key in keys)
 
 
 def test_unjudged_report_never_passes():

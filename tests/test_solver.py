@@ -1,6 +1,7 @@
 """First-order reformulation, Picard contraction, residual consistency."""
 
 import dataclasses
+import gc
 import weakref
 
 import numpy as np
@@ -614,7 +615,8 @@ def test_lipschitz_probe_off_origin_ratios():
 
 
 def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
-    """A datum shared by several pairs is solved once; the ratios do not move."""
+    """A first datum that the next pairs repeat is solved once; the ratios
+    are those of one-pair probes."""
     stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
     sg = stg.spatial
     d = _gaussian_data(sg)
@@ -626,7 +628,7 @@ def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
     # equal arrays, other exponents: solved apart
     other_r = CauchyData(d.u0, d.u1, 1.5, 1.0)
     ns, cfg = NonlinearitySpec(1, "x1"), default_config(stg, 0.25)
-    pairs = [(d, d2), (d, d), (twin, d3), (d2, d), (other_r, d2)]
+    pairs = [(d, d2), (d, d), (twin, d3), (other_r, d2)]
     separate = [flow_lipschitz_probe([p], ns, cfg)["rows"][0]["ratio"] for p in pairs]
 
     calls = []
@@ -642,7 +644,29 @@ def test_lipschitz_probe_solves_each_datum_once(monkeypatch):
     assert calls == [2.0, 2.0, 2.0, 1.5, 1.5]
     assert [row["ratio"] for row in out["rows"]] == separate
     assert out["skipped"] == 1 and out["failed"] == 0
-    assert separate[3] == separate[0]
+
+
+def test_lipschitz_probe_keeps_the_solve_of_one_first_datum(monkeypatch):
+    """Only the first datum of consecutive pairs is kept: a datum that comes
+    back after another first datum, or as a second datum, is solved again."""
+    stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    sg = stg.spatial
+    d = _gaussian_data(sg)
+    d2, d3 = (CauchyData(Spectrum(sg, a * d.u0.data), d.u1, 2.0, 1.0) for a in (1.001, 1.002))
+    calls = []
+    solve = solver_mod.picard_iterate
+
+    def counting(fp, *args, **kwargs):
+        calls.append(fp.data.tobytes())
+        return solve(fp, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "picard_iterate", counting)
+    out = flow_lipschitz_probe([(d, d2), (d3, d), (d, d3)], NonlinearitySpec(1, "x1"),
+                               default_config(stg, 0.25))
+    assert [row["status"] for row in out["rows"]] == ["ok"] * 3
+    names = {to_first_order(x)[0].data.tobytes(): name
+             for x, name in ((d, "d"), (d2, "d2"), (d3, "d3"))}
+    assert [names[c] for c in calls] == ["d", "d2", "d3", "d", "d", "d3"]
 
 
 def _probe_reference(pairs, ns, cfg):
@@ -735,6 +759,47 @@ def test_one_loop_state_alive_at_a_time(stg, states_alive, monkeypatch):
     states_alive.clear()
     picard_iterate(*to_first_order(d), ns, default_config(stg, 2.0 * delta))
     assert states_alive == [0] and not solver_mod._TRIAL
+
+
+def _reachable_bytes(root) -> int:
+    """Bytes of the distinct arrays reachable from root, a view counted as
+    the array that owns its data; the lattices' shared tables are left out."""
+    seen, owners, todo = set(), {}, [root]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (SpatialGrid, SpacetimeGrid, type)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            owners[id(x)] = x.nbytes
+        else:
+            todo.extend(gc.get_referents(x))
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_parked_trial_holds_loop_values_alone(stg, real):
+    """The trial select_delta parks holds no work buffer: its arrays are no
+    more than its loop values, counted from their shapes."""
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    d = d if real else _twisted(d)
+    select_delta(d, NonlinearitySpec(2, "t"), stg)
+    (state,) = solver_mod._TRIAL.values()
+    n, m = stg.spatial.n, stg.m
+    column = n * n * (n // 2 + 1 if real else n)       # entries of one time slice
+    block = (state.blk.stop - state.blk.start) * column
+    loop_values = (
+        16 * 3 * block                          # the free slices and their sum
+        + 16 * block + 8 * block                # c/2 (complex) and the forcing weight
+        + 16 * 2 * block                        # the two iterates
+        + 8 * m * column * (2 if real else 1)   # the X-weights and, on half spectra, their mate
+        + 16 * 4 * column + 16 * 4 * column     # the steps and the seeds, forward and back
+        + 16 * 2 * n**3 + 8 * m                 # the data and the window
+    )
+    assert state.result.iterations == 2
+    assert _reachable_bytes(state) <= loop_values
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -102,6 +102,41 @@ def test_report_nan_ratio_never_passes():
     assert nan_rhs.finalize().judge(True).passed is False
 
 
+def test_spread_needs_two_distinct_scales():
+    """Rows at one repeated scale give no spread (NaN, which no bound passes),
+    in the report and in each row group; a second scale gives one."""
+    rep = EstimateReport("x", {})
+    rep.add(4.0, 1.0, 1.0, form="free").add(4.0, 2.0, 1.0, form="free")
+    rep.add(2.0, 1.0, 1.0, form="full").add(2.0, 1.5, 1.0, form="full")
+    verify._judge_groups(rep.finalize(), "form", ("free", "full"))
+    assert rep.spread == pytest.approx(2.0)
+    assert math.isnan(rep.params["spread_free"]) and math.isnan(rep.params["spread_full"])
+    assert rep.passed is False
+    one = EstimateReport("one", {}).add(4.0, 1.0, 1.0).add(4.0, 2.0, 1.0).finalize()
+    assert math.isnan(one.spread) and one.max_ratio == 2.0
+    assert one.judge(one.spread <= BOUNDED_SPREAD).passed is False
+
+
+_ONE_SCALE_CHECKS = {
+    "elliptic": lambda: check_elliptic_lemma(2.0, 1.25, lams=(8.0,), n=8, m=16),
+    "hyperbolic": lambda: check_hyperbolic_lemmas(2.0, 1.25, lams=(4.0, 4.0), n=8, m=16),
+    "key": lambda: check_key_estimate(2.0, 1.25, 0.55, lams=(4.0, 4.0, 4.0), n=8, m=16),
+    "lowfreq": lambda: check_lowfreq_young(1.5, samples=1, n=8, m=16),
+    "strichartz": lambda: check_strichartz_l2(0.75, 0.5, lams=(8.0,), n=8, m=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_SCALE_CHECKS))
+def test_one_scale_is_no_bounded_ladder(name):
+    """A ladder of one distinct scale (or one sample) bounds nothing: every
+    spread the check reports stays NaN, and the check fails."""
+    rep = _ONE_SCALE_CHECKS[name]()
+    assert rep.rows and rep.finite() and not rep.skipped
+    spreads = [rep.spread] + [v for k, v in rep.params.items() if k.startswith("spread_")]
+    assert all(math.isnan(x) for x in spreads)
+    assert rep.passed is False
+
+
 def test_report_add_guards_ratio():
     """add() stores ratio 0 for a zero or NaN rhs; finalize leaves those rows
     out of the statistics and judge fails the NaN row."""

@@ -69,7 +69,9 @@ def _seed0_ops():
     (surface,) = wl.build_rounds("surface", 0, 1)
     (estimates,) = wl.build_rounds("estimates", 0, 1)
     picked = [op for op in estimates if op.kind in ("hyperbolic_lemmas", "pq_split")]
-    assert len(picked) == 2
+    (solve,) = wl.build_rounds("solve", 0, 1)
+    picked += [op for op in solve if op.kind == "lipschitz_probe"]
+    assert len(picked) == 3
     return surface + picked + [wl.build_warmup("solve", 0)]
 
 
