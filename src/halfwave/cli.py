@@ -21,6 +21,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -457,7 +458,7 @@ def _write_outputs(out_dir, command, rows, summary, passed, runtime, timing):
     }
     json_path = os.path.join(out_dir, f"{command}.json")
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
 
@@ -470,14 +471,18 @@ def _cell(val):
     return str(val)
 
 
-def _jsonable(val):
+def _strict(val):
+    """val with numpy values made Python ones and NaN or +-inf made None:
+    strict JSON (RFC 8259) has no token for a non-finite number."""
+    if isinstance(val, dict):
+        return {key: _strict(x) for key, x in val.items()}
+    if isinstance(val, (list, tuple, np.ndarray)):
+        return [_strict(x) for x in val]
     if isinstance(val, (np.floating, np.integer)):
-        return val.item()
-    if isinstance(val, np.ndarray):
-        return val.tolist()
-    if isinstance(val, tuple):
-        return list(val)
-    raise TypeError(f"not JSON-serializable: {type(val)}")
+        val = val.item()
+    if isinstance(val, float) and not math.isfinite(val):
+        return None
+    return val
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,7 +54,7 @@ from .spaces import (
     _xsb_weights,
     sobolev_hat_norm,
     window_values,
-    z_norm,
+    xsb_norm,
 )
 
 __all__ = [
@@ -206,9 +206,10 @@ def _product_tables(sg: SpatialGrid, h: int, ns: NonlinearitySpec) -> tuple:
 def _bilinear_spec(
     sp: np.ndarray,
     sm: np.ndarray,
-    w: np.ndarray,
+    out: np.ndarray | None,
     ns: NonlinearitySpec,
     g: SpacetimeGrid,
+    spare: np.ndarray | None = None,
 ) -> np.ndarray:
     """Spectral slices of B_k(w, w) for w = sp + sm, from 2/3-rule dealiased factors.
 
@@ -218,25 +219,35 @@ def _bilinear_spec(
     d(w^2) with a spatial derivative the factor of d is the dealiased
     product; otherwise the output itself is not masked.  d_t w always comes
     from the evolution identity -iJ(u_+ - u_-), never from differencing.
-    When sp, sm and w are the half spectra of real data (sm = conj R sp), w
+    When sp and sm are the half spectra of real data (sm = conj R sp), w
     is real, and the product goes through the real transforms; the output
     is the half spectrum of B.  The slices may be any consecutive time
-    slices; none of the arguments is changed.
+    slices.
+
+    Only the factors B reads are formed (no w for k = 2 with d_t), the
+    first in out and the second (d_t w beside w, for d_t(w^2)) in spare:
+    complex arrays of sp's shape, or None for fresh ones.  No value of
+    theirs is read and both may be overwritten.  On complex data the
+    result takes out's memory; on half spectra it is the real forward
+    transform's output.  sp and sm are not changed.
     """
     sg = g.spatial
-    w_in, d_in, out, sign = _product_tables(sg, sp.shape[-1], ns)
+    w_in, d_in, table, sign = _product_tables(sg, sp.shape[-1], ns)
+    bufs = (np.empty(sp.shape, dtype=np.complex128) if b is None else b for b in (out, spare))
     factors = []
     if w_in is not None:
-        factors.append(_dft(w * w_in, sg, inverse=True, bare=True))
+        x = np.add(sp, sm, out=next(bufs))
+        x *= w_in
+        factors.append(_dft(x, sg, inverse=True, bare=True))
     if d_in is not None:
-        d = sp - sm
-        d *= d_in
-        factors.append(_dft(d, sg, inverse=True, bare=True))
+        x = np.subtract(sp, sm, out=next(bufs))
+        x *= d_in
+        factors.append(_dft(x, sg, inverse=True, bare=True))
     p = factors[0]
     p *= factors[-1]
     p *= sign
     p = _dft(p, sg, bare=True)
-    p *= out
+    p *= table
     return p
 
 
@@ -266,9 +277,9 @@ def rhs_eval(
             raise GridMismatchError(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
-    w = sp + sm
-    gm = _bilinear_spec(sp, sm, w, ns, g)
+    gm = _bilinear_spec(sp, sm, None, ns, g)
     gm *= _forcing_factor(g.spatial, g.spatial.n)
+    w = sp + sm
     w /= 2.0
     if source is not None:
         w += source
@@ -352,8 +363,8 @@ class PicardResult:
 
 def _linear_sweep(
     f: np.ndarray,
-    half_c: np.ndarray,
-    free_w: np.ndarray,
+    window: np.ndarray,
+    free: tuple,
     steps: tuple,
     g: SpacetimeGrid,
     m0: int,
@@ -371,42 +382,49 @@ def _linear_sweep(
     needs no solve, and d_pm[k] = a_pm -+ h c[k] w[k]/2.  Slice k reads the
     arguments between t = 0 and slice k only.
 
-    f, half_c (c/2, complex), free_w (free_+ + free_-) and d_pm are
+    f, the window, the free slices free = (free_+, free_-) and d_pm are
     consecutive slices, slice m0 at t = 0; steps holds (S_+, S_-) forward,
-    then back.  Past the last slice each way the step would read f = c = 0,
-    so it is S_pm (d_pm[e] -+ h g_-[e]) from the end slice e: these seeds,
-    forward then back, are returned with (d_+, d_-).  out holds the three
-    complex work arrays of f's shape the sweep writes, (d_+, d_-, h f); every
-    slice of them but m0, which is zeroed, is written before it is read.
+    then back.  c[k]/2, free_+[k] + free_-[k] and h f[k] are formed slice by
+    slice, so the sweep holds no block of them.  Past the last slice each
+    way the step would read f = c = 0, so it is S_pm (d_pm[e] -+ h g_-[e])
+    from the end slice e: these seeds, forward then back, are returned with
+    (d_+, d_-).  out holds the two complex arrays of f's shape the sweep
+    writes, (d_+, d_-); every slice of them but m0, which is zeroed, is
+    written before it is read.
     """
     n = len(f)
-    dp, dm, hf = out
+    dp, dm = out
+    free_p, free_m = free
+    bracket = g.spatial.bracket[..., :f.shape[-1]]
+
+    def half_c(k):
+        # c/2 complex, as a factor of complex products
+        return (window[k] / bracket / 2.0).astype(np.complex128)
+
     dp[m0] = dm[m0] = 0.0
-    hs = -0.5j * g.dt, 0.5j * g.dt
-    # h f[k], with the h of the sweep that reaches slice k
-    np.multiply(hs[0], f[m0 + 1:], out=hf[m0 + 1:])
-    np.multiply(hs[1], f[:m0], out=hf[:m0])
     # g_- at t = 0, where d_pm = 0
-    g0 = half_c[m0] * free_w[m0]
+    g0 = half_c(m0) * (free_p[m0] + free_m[m0])
     g0 += f[m0]
     seeds = []
-    forward = range(m0 + 1, n), n - 1, -1, hs[0], steps[0]
-    backward = range(m0 - 1, -1, -1), 0, +1, hs[1], steps[1]
+    forward = range(m0 + 1, n), n - 1, -1, -0.5j * g.dt, steps[0]
+    backward = range(m0 - 1, -1, -1), 0, +1, 0.5j * g.dt, steps[1]
     for ks, end, prev, h, (step_p, step_m) in (forward, backward):
         gm = g0
         for k in ks:
             # complex products round differently with their factors swapped,
             # so every product keeps duhamel's order: step, h or c first
             hg = h * gm
+            hf = h * f[k]
             a_p = dp[k + prev] - hg
             np.multiply(step_p, a_p, out=a_p)
-            a_p -= hf[k]
+            a_p -= hf
             a_m = dm[k + prev] + hg
             np.multiply(step_m, a_m, out=a_m)
-            a_m += hf[k]
-            cw = free_w[k] + a_p
+            a_m += hf
+            cw = free_p[k] + free_m[k]
+            cw += a_p
             cw += a_m
-            np.multiply(half_c[k], cw, out=cw)      # c w/2
+            np.multiply(half_c(k), cw, out=cw)      # c w/2
             gm = f[k] + cw
             np.multiply(h, cw, out=cw)
             np.subtract(a_p, cw, out=dp[k])
@@ -435,6 +453,11 @@ def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, b
             d = step * d
             out[k] += d
     return out
+
+
+def _two_buffers(spare: list, shape: tuple) -> list:
+    """The first two arrays of spare, made up to two with fresh complex ones of shape."""
+    return spare[:2] + [np.empty(shape, dtype=np.complex128) for _ in range(2 - len(spare))]
 
 
 class _PicardState:
@@ -477,10 +500,8 @@ class _PicardState:
         self.m0 = g.origin_index - blk.start
         self.core = slice(core[0], core[-1] + 1)
         # loop invariants; the window only scales time, so it commutes with the
-        # spatial transform and applies to spectral slices directly.  c/2 is
-        # held complex: a real factor would be cast on every product.
+        # spatial transform and applies to spectral slices directly
         self.window = window = window[blk, None, None, None]
-        self.half_c = (window / g.spatial.bracket[..., :h] / 2.0).astype(np.complex128)
         # f = B(w, w) T + window S/J, T = window mask/(4J)
         self.weight = window * _forcing_factor(g.spatial, h)
         if source is not None:
@@ -492,7 +513,6 @@ class _PicardState:
         self.flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
         self.free_p, self.free_m = (_free_slices_at(x, e, g.t_axis[blk], h)
                                     for x, e in zip(self.data, self.flows))
-        self.free_w = self.free_p + self.free_m
         # the centered time spectrum at tau index j is dt times the bare
         # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
         # M/2 and dt goes into the norm
@@ -518,23 +538,33 @@ class _PicardState:
     def advance(self, max_iter: int) -> None:
         """Iterate until the loop stops or max_iter iterations ran in all.
 
-        The work buffers live for one call: after its first iteration each
-        sweep writes into the buffers of the last differences and the last
-        h f, and w = u_+ + u_- goes into the buffer of the last forcing, all
-        dead by then.
+        The work buffers live for one call.  An iteration holds seven block
+        arrays: the free slices, the iterates, the forcing and the sweep's
+        two outputs, which become the next iterates.  Its dead arrays (the
+        last forcing and the differences, written into the old iterates'
+        buffers) are the spares of the next: the product kernel forms its
+        factors in the forcing's and one difference's, and the sweep writes
+        into the two the forcing leaves.  So after the first iteration one
+        on complex data makes no block array; on half spectra the kernel's
+        real transforms make their outputs, and a spare left over is dropped.
         """
         g, result = self.g, self.result
-        w_out = spare = None
-        windowed = np.zeros((g.m,) + self.free_p.shape[1:], dtype=np.complex128)
+        shape = self.free_p.shape
+        spare = []
+        windowed = np.zeros((g.m,) + shape[1:], dtype=np.complex128)
         while result.status == "unconverged" and result.iterations < max_iter:
             sp, sm = self.sp, self.sm
-            f = _bilinear_spec(sp, sm, np.add(sp, sm, out=w_out), self.ns, g)
+            bufs = _two_buffers(spare, shape)
+            f = _bilinear_spec(sp, sm, bufs[0], self.ns, g, bufs[1])
+            # the buffers f does not occupy, and the spare the kernel was not handed, are dead
+            out = _two_buffers([x for x in bufs + spare[2:] if not np.may_share_memory(x, f)],
+                               shape)
+            spare = bufs = None     # on half spectra a third dead array is dropped
             f *= self.weight
             if self.source is not None:
                 f += self.source
-            out = spare or tuple(np.empty(f.shape, dtype=np.complex128) for _ in range(3))
-            new_p, new_m, self.seeds = _linear_sweep(f, self.half_c, self.free_w, self.steps,
-                                                     g, self.m0, out)
+            new_p, new_m, self.seeds = _linear_sweep(f, self.window, (self.free_p, self.free_m),
+                                                     self.steps, g, self.m0, out)
             new_p += self.free_p
             new_m += self.free_m
             # the old iterates are dead once differenced: their buffers take the
@@ -549,7 +579,7 @@ class _PicardState:
             result.distances.append(d)
             result.restricted_distances.append(dr)
             self.sp, self.sm = new_p, new_m
-            w_out, spare = f, diffs + (out[2],)
+            spare = [f, *diffs]
             result.iterations += 1
             if not (math.isfinite(d) and math.isfinite(dr)):
                 result.status = "nonfinite"
@@ -733,10 +763,8 @@ def solve_local(
     lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)
     audit = slice(lo, max(lo, hi))
     # B(u, u) = B(w, w)/4 for u = w/2
-    w = sp + sm
-    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], w[audit, ..., :h],
-                            ns, g) / 4.0
-    u_spec = w          # w is dead once B is formed: u = w/2 takes its buffer
+    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], None, ns, g) / 4.0
+    u_spec = sp + sm
     u_spec /= 2.0
     dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
     u = SpacetimeField(g, _dft(u_spec[..., :h], sg, inverse=True))
@@ -752,9 +780,11 @@ def solve_local(
     jumps = np.abs(np.diff(pers))
     z_value = None
     if ns.k == 2:
-        spectra = (u_spec, hermitian_full(dtu_spec) if real else dtu_spec)
-        z_value = z_norm(*(SpacetimeSpectrum(g, time_forward(g, x)) for x in spectra),
-                         NormParams(r, s, cfg.b, +1))
+        # z_norm's two terms, with one time transform alive at a time
+        upper, lower = (NormParams(r, reg, cfg.b, +1) for reg in (s, s - 1.0))
+        z_value = xsb_norm(SpacetimeSpectrum(g, time_forward(g, u_spec)), upper)
+        z_value += xsb_norm(SpacetimeSpectrum(g, time_forward(
+            g, hermitian_full(dtu_spec) if real else dtu_spec)), lower)
     return SolveReport(
         result=result,
         u=u,
@@ -839,7 +869,8 @@ def flow_lipschitz_probe(
     its data are solved with the first datum's (r, s) by picard_iterate: the
     ratios read the iterates alone, not solve_local's audit.  Pairs whose
     loops do not converge are excluded and flagged; identical pairs are
-    reported as skipped.  The solve of a pair's first datum is kept while
+    reported as skipped.  Of each solve only its status and the core slices
+    of its iterates are kept.  Those of a pair's first datum are kept while
     the pairs that follow repeat it (equal arrays, equal r and s), so pairs
     built around one base datum solve it once; every other datum is solved
     for each pair it is in.
@@ -847,7 +878,13 @@ def flow_lipschitz_probe(
     g = cfg.grid
     core = _core_slices(g, cfg.delta)
     off_origin = np.flatnonzero(core) != g.origin_index
-    first = None            # (key, result) of the last first datum solved
+
+    def solved(f, r_, s_):
+        # (converged, u_+ and u_- on the core) of one solve, the rest dropped
+        res = picard_iterate(*f, ns, cfg, r=r_, s=s_)
+        return res.converged, res.sp[core], res.sm[core]
+
+    first = None            # (key, solved) of the last first datum solved
     ratios, ratios_off, rows = [], [], []
     for d1, d2 in pairs:
         r_, s_ = d1.r, d1.s
@@ -860,12 +897,13 @@ def flow_lipschitz_probe(
         key = d1.u0.data.tobytes(), d1.u1.data.tobytes(), r_, s_
         if first is None or first[0] != key:
             first = None        # the kept solve goes before the next is formed
-            first = key, picard_iterate(*f1, ns, cfg, r=r_, s=s_)
-        res1, res2 = first[1], picard_iterate(*f2, ns, cfg, r=r_, s=s_)
-        if not (res1.converged and res2.converged):
+            first = key, solved(f1, r_, s_)
+        (ok1, p1, m1), (ok2, p2, m2) = first[1], solved(f2, r_, s_)
+        if not (ok1 and ok2):
             rows.append({"ratio": None, "status": "no-contraction"})
             continue
-        diffs = res1.sp[core] - res2.sp[core], res1.sm[core] - res2.sm[core]
+        # the second solve's core slices take the differences
+        diffs = np.subtract(p1, p2, out=p2), np.subtract(m1, m2, out=m2)
         norms_p, norms_m = _slice_norms(g, diffs, r_, s_)
         ratio = float(np.max(norms_p) + np.max(norms_m)) / ddist
         ratios.append(ratio)

@@ -189,7 +189,9 @@ class EstimateReport:
 
 def _judge_groups(report: EstimateReport, key: str, groups) -> EstimateReport:
     """Pass when the ratio spread within every row group is bounded; record
-    each spread, NaN (no pass) for a group with fewer than two distinct scales."""
+    each spread, NaN (no pass) for a group with fewer than two distinct scales.
+    The groups' ratios use different norms, so a spread over all rows means
+    nothing: the checks judged here leave report.spread unset (NaN)."""
     ok = True
     if not report.skipped:
         for group in groups:
@@ -305,7 +307,8 @@ def check_hyperbolic_lemmas(
         q_block -= p_block
         for region, block, terms in (("P", p_block, (wj, wt)), ("Q", q_block, (wx, wt))):
             report.add(lam, sum(_block_norms(g, keep, block, r, terms)), rhs, region=region)
-    return _judge_groups(report.finalize(), "region", ("P", "Q"))
+    report.finalize().spread = math.nan      # judged per group (see _judge_groups)
+    return _judge_groups(report, "region", ("P", "Q"))
 
 
 def check_key_estimate(
@@ -359,7 +362,8 @@ def check_key_estimate(
                              NormParams(r, sigma, b, signs.second)),
             form="full",
         )
-    return _judge_groups(report.finalize(), "form", ("free", "full"))
+    report.finalize().spread = math.nan      # judged per group (see _judge_groups)
+    return _judge_groups(report, "form", ("free", "full"))
 
 
 def sharpness_probe(

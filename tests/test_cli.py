@@ -303,16 +303,47 @@ _ONE_SCALE_RUNS = {
 }
 
 
+def _strict_json(path):
+    """path read as strict JSON: a NaN or Infinity token is an error."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 @pytest.mark.parametrize("run", sorted(_ONE_SCALE_RUNS))
 def test_one_scale_run_fails(tmp_path, run):
-    """A spread over one distinct scale bounds nothing: it is written as NaN
-    and the run exits 2."""
+    """A spread over one distinct scale bounds nothing: it is NaN, written
+    as null, and the run exits 2."""
     argv, name, keys = _ONE_SCALE_RUNS[run]
     code, out = _run(tmp_path, "--set", "grid.n=8", "--set", "grid.m=16", *argv)
     assert code == 2
-    summary = json.loads((out / f"{name}.json").read_text())["summary"]
+    summary = _strict_json(out / f"{name}.json")["summary"]
     values = {**summary["params"], **summary}
-    assert all(math.isnan(values[key]) for key in keys)
+    assert all(values[key] is None for key in keys)
+
+
+def test_json_holds_no_nonfinite_token():
+    """A non-finite value at any depth, numpy or Python, is written as null;
+    finite values are written as before."""
+    payload = {"a": math.nan, "b": [np.float64(-np.inf), 1.5, (np.inf, 2)],
+               "c": {"d": np.array([[np.nan, 0.25]])}, "e": np.int64(3), "f": None}
+    strict = json.loads(json.dumps(cli._strict(payload), allow_nan=False))
+    assert strict == {"a": None, "b": [None, 1.5, [None, 2]], "c": {"d": [[None, 0.25]]},
+                      "e": 3, "f": None}
+
+
+@pytest.mark.parametrize("argv, name, groups", [
+    (["key"], "key", ("free", "full")),
+    (["lemma", "--suite", "hyperbolic"], "lemma", ("P", "Q")),
+])
+def test_group_judged_run_writes_no_overall_spread(tmp_path, argv, name, groups):
+    """A report judged on its row groups, whose ratios use different norms,
+    writes its group spreads and no spread over all rows."""
+    code, out = _run(tmp_path, "--set", "grid.n=8", "--set", "grid.m=16", *argv)
+    assert code == 0
+    summary = _strict_json(out / f"{name}.json")["summary"]
+    assert summary["spread"] is None
+    assert all(1.0 <= summary["params"][f"spread_{g}"] <= verify.BOUNDED_SPREAD for g in groups)
 
 
 def test_unjudged_report_never_passes():
@@ -475,10 +506,10 @@ def test_solve_empty_audit_fails(tmp_path):
     """A converged solve with no slice left to audit is reported unaudited and fails."""
     code, out = _run(tmp_path, "--set", "grid.n=8", "--set", "grid.m=4",
                      "--set", "params.delta=0.5", "solve")
-    payload = json.loads((out / "solve.json").read_text())
+    payload = _strict_json(out / "solve.json")
     assert code == 2 and payload["passed"] is False
     assert payload["summary"]["status"] == "unaudited" and payload["summary"]["converged"]
-    assert math.isnan(payload["summary"]["residual"])
+    assert payload["summary"]["residual"] is None
 
 
 def test_solve_reports_picard_status(tmp_path):

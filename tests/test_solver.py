@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -53,6 +54,7 @@ from halfwave.spaces import (
     _slice_norms,
     _slice_weights,
     _sobolev_weight,
+    _window_block,
     _xsb_weights,
     dual_exponent,
     sobolev_hat_norm,
@@ -494,7 +496,7 @@ def test_solve_with_b_patched_after_the_trial_does_not_resume(stg, sweeps, monke
     ns = NonlinearitySpec(1, "x1")
     d = _gaussian_data(stg.spatial, amp=1.0)
     delta, _ = select_delta(d, ns, stg)
-    monkeypatch.setattr(solver_mod, "_bilinear_spec", lambda sp, sm, w, ns, g: np.zeros_like(sp))
+    monkeypatch.setattr(solver_mod, "_bilinear_spec", lambda sp, sm, out, ns, g, spare=None: np.zeros_like(sp))
     sweeps.clear()
     rep = solve_local(*to_first_order(d), ns, default_config(stg, delta))
     assert not solver_mod._TRIAL
@@ -791,8 +793,8 @@ def test_parked_trial_holds_loop_values_alone(stg, real):
     column = n * n * (n // 2 + 1 if real else n)       # entries of one time slice
     block = (state.blk.stop - state.blk.start) * column
     loop_values = (
-        16 * 3 * block                          # the free slices and their sum
-        + 16 * block + 8 * block                # c/2 (complex) and the forcing weight
+        16 * 2 * block                          # the free slices
+        + 8 * block                             # the forcing weight
         + 16 * 2 * block                        # the two iterates
         + 8 * m * column * (2 if real else 1)   # the X-weights and, on half spectra, their mate
         + 16 * 4 * column + 16 * 4 * column     # the steps and the seeds, forward and back
@@ -800,6 +802,70 @@ def test_parked_trial_holds_loop_values_alone(stg, real):
     )
     assert state.result.iterations == 2
     assert _reachable_bytes(state) <= loop_values
+
+
+def _traced_peak(call):
+    """The result of call() and the peak of the bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _complex_solve_case():
+    """Complex data at 8^3 x 16, delta = 0.25: the loop runs on the full lattice."""
+    g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 16, 1.0)
+    d = _twisted(_gaussian_data(g.spatial))
+    return g, d, default_config(g, 0.25)
+
+
+@pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
+def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
+    """One Picard solve on complex data holds seven block arrays at a time:
+    the free slices, the iterates, the forcing and two spare blocks.  Its
+    traced peak, reached in the X-distance, is no more than those, the
+    zero-padded (M, ...) buffer and the two moduli the X-distance forms,
+    the forcing weight, the X-weights and sixteen column-sized arrays (the
+    data, the steps, the seeds and the sweep's slices).  Eleven block
+    arrays, with the sum of the free slices, c/2, w and h f, exceed it."""
+    g, d, cfg = _complex_solve_case()
+    fp, fm = to_first_order(d)
+    ns = NonlinearitySpec(k, derivative)
+    picard_iterate(fp, fm, ns, cfg)             # builds the cached tables
+    res, peak = _traced_peak(lambda: picard_iterate(fp, fm, ns, cfg))
+    assert not res.real_data and res.iterations >= 2
+    column = g.spatial.n**3                     # entries of one time slice
+    blk = _window_block(window_values(cfg.window, g.t_axis) != 0)
+    block = (blk.stop - blk.start) * column
+    bound = (
+        16 * 7 * block                          # free slices, iterates, forcing, two spares
+        + 16 * g.m * column                     # the padded buffer of the X-distance
+        + 8 * 2 * g.m * column                  # its two moduli
+        + 8 * block + 8 * g.m * column          # the forcing weight and the X-weights
+        + 16 * 16 * column                      # column-sized arrays
+    )
+    assert peak <= bound
+
+
+def test_lipschitz_probe_keeps_the_core_of_its_first_solve():
+    """Of the solve of the base datum that two pairs share, the probe keeps
+    the core slices of both components alone: its traced peak is that of one
+    solve plus those, the last pair's core differences and column-sized
+    arrays (the data and their first-order forms), not the whole first
+    solve."""
+    g, d, cfg = _complex_solve_case()
+    ns = NonlinearitySpec(1, "x1")
+    pairs = [(d, CauchyData(Spectrum(g.spatial, d.u0.data * (1.0 + eps)), d.u1, d.r, d.s))
+             for eps in (1e-3, 5e-4)]
+    flow_lipschitz_probe(pairs, ns, cfg)        # builds the cached tables
+    _, solve_peak = _traced_peak(lambda: picard_iterate(*to_first_order(pairs[0][1]), ns, cfg))
+    out, peak = _traced_peak(lambda: flow_lipschitz_probe(pairs, ns, cfg))
+    assert [row["status"] for row in out["rows"]] == ["ok", "ok"]
+    column = g.spatial.n**3
+    core = int(np.count_nonzero(np.abs(g.t_axis) <= cfg.delta + 1e-12)) * column
+    assert peak <= solve_peak + 16 * 2 * 2 * core + 16 * 16 * column
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -1592,7 +1658,7 @@ def test_linear_problem_converges_at_the_second_iterate(stg, monkeypatch, real):
     """With B = 0 and no source the iterated forcing vanishes: the first
     iterate solves the linear discrete problem, and the second repeats it."""
     monkeypatch.setattr(solver_mod, "_bilinear_spec",
-                        lambda sp, sm, w, ns, g: np.zeros_like(sp))
+                        lambda sp, sm, out, ns, g, spare=None: np.zeros_like(sp))
     fp, fm = _real_data(stg)
     if not real:
         fm = Spectrum(stg.spatial, fm.data * np.exp(0.1j))

@@ -70,8 +70,9 @@ def _seed0_ops():
     (estimates,) = wl.build_rounds("estimates", 0, 1)
     picked = [op for op in estimates if op.kind in ("hyperbolic_lemmas", "pq_split")]
     (solve,) = wl.build_rounds("solve", 0, 1)
-    picked += [op for op in solve if op.kind == "lipschitz_probe"]
-    assert len(picked) == 3
+    # the probe, and the two solves on complex data
+    picked += [op for op in solve if op.kind in ("lipschitz_probe", "solve_k1_x1", "solve_k2_t")]
+    assert len(picked) == 5
     return surface + picked + [wl.build_warmup("solve", 0)]
 
 
