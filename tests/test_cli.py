@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,9 +598,10 @@ def test_solve_refuses_a_nonpositive_delta(tmp_path, capsys, delta):
     assert "delta must be positive" in capsys.readouterr().err
 
 
-# every command, on small inputs where it reads them
+# every command, on small inputs where it reads them, and the settings changes
+# quote: solve and lipschitz at their full defaults, and a k = 2 d_t solve
 _DETERMINISM_RUNS = {
-    "norms": [],            # on a small input file, see below
+    "norms": [],            # on a small input file, see _seed0_outputs
     "reduce": [],
     "lemma-elliptic": _SMALL + ["lemma", "--suite", "elliptic"],
     "lemma-hyperbolic": _SMALL + ["--set", "sweep.lams=2,4", "lemma", "--suite", "hyperbolic"],
@@ -610,29 +612,64 @@ _DETERMINISM_RUNS = {
     "strichartz": _SMALL + ["--set", "sweep.lams=2,4"],
     "extremize": _SMALL + ["--set", "sweep.budget=6"],
     "solve": _SMALL,
+    "solve-defaults": [],
+    "solve-k2-dt": _SMALL + ["--set", "params.k=2", "--set", "params.derivative=t"],
     "lipschitz": _SMALL + ["--set", "sweep.pairs=2"],
+    "lipschitz-defaults": [],
 }
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _seed0_outputs(where, run, workers=1):
+    """(exit code, {suffix: bytes}) of a --seed 0 run of _DETERMINISM_RUNS[run]
+    with the FFTs on `workers` threads, writing under the new directory
+    where.  norms reads _spectrum_file(where), and its JSON echoes that path
+    as the file name alone, so that the bytes do not depend on where."""
+    command = run.split("-")[0]
+    argv = _DETERMINISM_RUNS[run]
+    if command == "norms":
+        data = _spectrum_file(where)
+        argv = ["--input", str(data), "norms"]
+    elif command != "lemma":
+        argv = argv + [command]
+    with scipy.fft.set_workers(workers):
+        code, out = _run(where, "--seed", "0", *argv)
+    outputs = {suffix: (out / f"{command}.{suffix}").read_bytes() for suffix in ("csv", "json")}
+    if command == "norms":
+        outputs["json"] = outputs["json"].replace(json.dumps(str(data)).encode(),
+                                                  json.dumps(data.name).encode())
+    return code, outputs
+
+
+def _first_difference(got: bytes, want: bytes) -> str:
+    """The first line where got and want differ, as 'line n: got ... golden ...'."""
+    a, b = got.decode().splitlines(), want.decode().splitlines()
+    n = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    line = lambda lines: lines[n] if n < len(lines) else "<end of file>"
+    return f"line {n + 1}: got {line(a)!r}, golden {line(b)!r}"
 
 
 @pytest.mark.parametrize("run", sorted(_DETERMINISM_RUNS))
 def test_every_command_is_deterministic(tmp_path, run):
     """Two --seed 0 runs of a command in one process, and a third with the
     FFTs on two threads, write cmp-identical CSV and JSON, the solver's
-    trial memo notwithstanding."""
+    trial memo notwithstanding; and the first run writes the bytes of
+    tests/golden/<run>.csv and .json.
+
+    The golden files pin the output bits of numpy 2.4.6 and scipy 1.17.1
+    (pocketfft): another version may round differently and fail here.  A
+    change that moves an output on purpose rewrites them with
+    `python tests/make_golden.py`, and names each moved file."""
     assert {name.split("-")[0] for name in _DETERMINISM_RUNS} == set(cli._COMMANDS)
-    command = run.split("-")[0]
-    argv = _DETERMINISM_RUNS[run]
-    if command == "norms":
-        argv = ["--input", str(_spectrum_file(tmp_path)), "norms"]
-    elif command != "lemma":
-        argv = argv + [command]
     outs = []
     for name, workers in (("a", 1), ("b", 1), ("threaded", 2)):
-        with scipy.fft.set_workers(workers):
-            code, out = _run(tmp_path / name, "--seed", "0", *argv)
+        (tmp_path / name).mkdir()
+        code, outputs = _seed0_outputs(tmp_path / name, run, workers)
         assert code in (0, 2)
-        outs.append(out)
-    for suffix in ("csv", "json"):
-        first = outs[0] / f"{command}.{suffix}"
-        for out in outs[1:]:
-            assert filecmp.cmp(first, out / f"{command}.{suffix}", shallow=False), out.parent.name
+        outs.append(outputs)
+    for suffix, got in outs[0].items():
+        want = (GOLDEN / f"{run}.{suffix}").read_bytes()
+        assert got == want, f"{run}.{suffix}, " + _first_difference(got, want)
+        for name, out in zip(("b", "threaded"), outs[1:]):
+            assert out[suffix] == got, name
