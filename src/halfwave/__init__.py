@@ -19,10 +19,8 @@ from .bilinear import (
     surface_mass,
 )
 from .dyadic import (
-    lp_projection,
     region_masks,
     shell_bounds,
-    shell_on_lattice,
     shell_surface_mass,
 )
 from .errors import (
@@ -52,7 +50,6 @@ from .solver import (
     SolveConfig,
     default_config,
     flow_lipschitz_probe,
-    from_first_order,
     picard_iterate,
     rhs_eval,
     select_delta,

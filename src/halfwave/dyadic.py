@@ -1,4 +1,4 @@
-"""Dyadic shell projections and the frequency-region masks.
+"""Dyadic shells and the frequency-region masks.
 
 Shell 0 is {|xi| <= 1}; shell k >= 1 is {2^(k-1) < |xi| <= 2^k}.  Cutoffs
 are sharp indicators so that shell sums and mask partitions recombine
@@ -9,16 +9,11 @@ is re-exported here); its 'much smaller' rule is |xi1| < |xi2|/2
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bilinear import MaskSpec, PowerWeight, SignPair, SurfaceMassResult, surface_mass
 from .errors import ParameterError
-from .grid import Spectrum
 
 __all__ = [
     "shell_bounds",
-    "lp_projection",
-    "shell_on_lattice",
     "MaskSpec",
     "region_masks",
     "shell_surface_mass",
@@ -31,21 +26,6 @@ def shell_bounds(k: int) -> tuple[float, float]:
     if k == 0:
         return (-1.0, 1.0)  # lo < 0 so that |xi| = 0 is included
     return (float(2 ** (k - 1)), float(2**k))
-
-
-def _shell_mask(grid, k: int) -> np.ndarray:
-    lo, hi = shell_bounds(k)
-    return (grid.modulus > lo) & (grid.modulus <= hi)
-
-
-def shell_on_lattice(grid, k: int) -> bool:
-    """Whether shell k contains any lattice frequency."""
-    return bool(_shell_mask(grid, k).any())
-
-
-def lp_projection(F: Spectrum, k: int) -> Spectrum:
-    """Sharp restriction of the spectrum to dyadic shell k."""
-    return Spectrum(F.grid, F.data * _shell_mask(F.grid, k))
 
 
 def region_masks(c1: float = 2.0) -> dict[str, MaskSpec]:

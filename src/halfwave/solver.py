@@ -1,20 +1,22 @@
 """Pseudospectral Picard solver for the quadratic wave equation.
 
-The second-order problem Box u = B_k(u, u) is rewritten as a first-order
+The second-order problem Box u = B_k(u, u) is solved in its Galerkin form
+Box u = mask B_k(u, u), mask the 2/3 rule, rewritten as a first-order
 system for u_pm = u +- i J^{-1} u_t, which the iteration solves with the
-exponential integrator; the nonlinearity is evaluated pointwise with
-2/3-rule dealiasing.  With J = <xi> the rewrite reads (d_t^2 + J^2) u =
-B + u, so the forcing carries the linear term u = w/2 besides B.  The
-iteration takes only B (and a source) from the previous iterate and solves
-the linear term slice by slice inside the trapezoid sweep, so its
-contraction factors measure the nonlinearity.  The iterates are kept as
-spatial spectral slices, shape (M, N, N, N); configuration space is
-visited only for the pointwise product, which one tabled kernel forms
-(_bilinear_spec).  Real data have u_- = conj u_+(-xi)
-at every iterate, so for them the same loop runs on the half spectra of
-both components.  Correctness is judged convention-free through the Box
-residual, audited where the whole d_t^2 stencil lies in |t| <= delta, and
-through contraction diagnostics.
+exponential integrator.  One tabled kernel (_bilinear_spec) forms
+mask B_k(u, u), u = w/2 for w = u_+ + u_-, from dealiased factors; the
+Picard loop, rhs_eval and the residual audit all read it, so the audit
+checks the equation the loop solved.  With J = <xi> the rewrite reads
+(d_t^2 + J^2) u = mask B + u, so the forcing carries the linear term
+u = w/2 besides mask B.  The iteration takes only mask B (and a source)
+from the previous iterate and solves the linear term slice by slice inside
+the trapezoid sweep, so its contraction factors measure the nonlinearity.
+The iterates are kept as spatial spectral slices, shape (M, N, N, N);
+configuration space is visited only for the pointwise product.  Real data
+have u_- = conj u_+(-xi) at every iterate, so for them the same loop runs
+on the half spectra of both components.  Correctness is judged
+convention-free through the Box residual, audited where the whole d_t^2
+stencil lies in |t| <= delta, and through contraction diagnostics.
 Every norm comes from spaces: the solver passes slices and weights and
 takes norms back.  select_delta tries no delta below 2 dt.
 """
@@ -62,7 +64,6 @@ __all__ = [
     "NonlinearitySpec",
     "SolveConfig",
     "to_first_order",
-    "from_first_order",
     "rhs_eval",
     "picard_iterate",
     "PicardResult",
@@ -151,23 +152,6 @@ def to_first_order(d: CauchyData) -> tuple[Spectrum, Spectrum]:
     return Spectrum(sg, d.u0.data + shift), Spectrum(sg, d.u0.data - shift)
 
 
-def from_first_order(fp: Spectrum, fm: Spectrum) -> tuple[Spectrum, Spectrum]:
-    """Exact inverse of to_first_order."""
-    if fp.grid != fm.grid:
-        raise GridMismatchError("the two components live on different lattices")
-    sg = fp.grid
-    u0 = (fp.data + fm.data) / 2.0
-    u1 = sg.bracket * (fp.data - fm.data) / (2.0 * 1j)
-    return Spectrum(sg, u0), Spectrum(sg, u1)
-
-
-def _dt_w_slices(g: SpacetimeGrid, sp: np.ndarray, sm: np.ndarray) -> np.ndarray:
-    """Spectral slices of d_t(u_+ + u_-) via the evolution identity -iJ(u_+ - u_-)."""
-    out = sp - sm
-    out *= -1j * g.spatial.bracket[..., : sp.shape[-1]]
-    return out
-
-
 @lru_cache(maxsize=32)
 def _product_tables(sg: SpatialGrid, h: int, ns: NonlinearitySpec) -> tuple:
     """(w_in, d_in, out, sign): the factors of B_k's tabled product, read-only.
@@ -176,18 +160,22 @@ def _product_tables(sg: SpatialGrid, h: int, ns: NonlinearitySpec) -> tuple:
     inverse transforms, out multiplies the bare forward transform of the
     product, and sign is the x-space sign S_x of the N^3 lattice.  On the
     spectral side they fold the transform signs S, the transform scales,
-    the 2/3 mask of the factors and the derivative symbol: i xi_d, or
-    -i<xi> for d_t w (-2i<xi> for k = 1, with the 2 of d_t(w^2) = 2 w d_t w).
-    The x-space values of the factors are those of the centered transforms
-    times S_x, so a product of two carries S_x^2 = 1, and one sign pass puts
-    it back into S_x form for the forward transform.  w_in is None where B
+    the 2/3 mask and the derivative symbol: i xi_d, or -i<xi> for d_t w
+    (-2i<xi> for k = 1, with the 2 of d_t(w^2) = 2 w d_t w).  The mask cuts
+    both factors and the output, and out carries the 1/4 of B(u, u) =
+    B(w, w)/4, u = w/2: this is the one place the solver reads the mask and
+    the 1/4.  Both are 0/1 or powers of two, so folding them changes no bit
+    of the values kept.  For d(w^2) with a spatial derivative the symbol
+    goes into out.  The x-space values of the factors are those of the
+    centered transforms times S_x, so a product of two carries S_x^2 = 1,
+    and one sign pass puts it back into S_x form for the forward transform.  w_in is None where B
     reads no w, d_in where it reads no d_t w.  All are cut to the first h
     entries of the last axis.
     """
     mask = sg.dealias_mask[..., :h]
     signs = _checkerboard(sg.n)[..., :h]
     inverse = mask * signs * _dft_scale(sg, inverse=True)
-    forward = signs * _dft_scale(sg)
+    forward = mask * signs * (_dft_scale(sg) / 4.0)
     w_in = d_in = None
     if ns.derivative == "t":
         d_in = (-2j if ns.k == 1 else -1j) * sg.bracket[..., :h] * inverse
@@ -196,7 +184,7 @@ def _product_tables(sg: SpatialGrid, h: int, ns: NonlinearitySpec) -> tuple:
     if ns.derivative != "t":
         deriv = 1j * sg.xi_mesh()[_DERIVS.index(ns.derivative) - 1][..., :h]
         if ns.k == 1:
-            forward = deriv * mask * forward
+            forward = deriv * forward
         else:
             w_in = deriv * inverse
     return tuple(None if t is None else _read_only(t)
@@ -211,17 +199,17 @@ def _bilinear_spec(
     g: SpacetimeGrid,
     spare: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Spectral slices of B_k(w, w) for w = sp + sm, from 2/3-rule dealiased factors.
+    """Spectral slices of mask B_k(u, u) for u = w/2, w = sp + sm: the dealiased nonlinearity.
 
     The one product kernel (see _product_tables): each factor is one table
     multiply and one bare inverse transform, the product takes one x-space
-    sign pass, and its bare forward transform one table multiply.  For
-    d(w^2) with a spatial derivative the factor of d is the dealiased
-    product; otherwise the output itself is not masked.  d_t w always comes
-    from the evolution identity -iJ(u_+ - u_-), never from differencing.
+    sign pass, and its bare forward transform one table multiply, which
+    masks it and takes the 1/4 of u = w/2.  The factors are masked too.
+    d_t w always comes from the evolution identity -iJ(u_+ - u_-), never
+    from differencing.
     When sp and sm are the half spectra of real data (sm = conj R sp), w
     is real, and the product goes through the real transforms; the output
-    is the half spectrum of B.  The slices may be any consecutive time
+    is the half spectrum of mask B.  The slices may be any consecutive time
     slices.
 
     Only the factors B reads are formed (no w for k = 2 with d_t), the
@@ -251,12 +239,6 @@ def _bilinear_spec(
     return p
 
 
-def _forcing_factor(sg: SpatialGrid, h: int) -> np.ndarray:
-    """mask / (4J) on the first h entries of the last axis: B(w, w) times it is
-    J^{-1} mask B(u, u), u = w/2, the dealiased nonlinear forcing."""
-    return sg.dealias_mask[..., :h] / (4.0 * sg.bracket[..., :h])
-
-
 def rhs_eval(
     sp: np.ndarray,
     sm: np.ndarray,
@@ -264,13 +246,14 @@ def rhs_eval(
     g: SpacetimeGrid,
     source: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """g_pm = -+ J^{-1} (B_k(w, w)/4 + w/2 + S) for w = u_+ + u_-.
+    """g_pm = -+ J^{-1} (mask B_k(u, u) + u + S) for u = w/2, w = u_+ + u_-.
 
     sp, sm, the source S and the returned pair are spatial spectral slices,
     shape (M, N, N, N) on g; only the pointwise product visits configuration
     space.  Spatial derivatives are spectral, and the product and its factors
-    are 2/3-rule dealiased.  B comes from the product kernel, times
-    _forcing_factor; the linear part (w/2 + S)/J is added to it.
+    are 2/3-rule dealiased.  mask B comes from the product kernel, times the
+    reciprocal 1/J the Picard loop weighs it with; the linear part
+    (w/2 + S)/J is added to it.
     """
     for a in (sp, sm) if source is None else (sp, sm, source):
         if np.shape(a) != g.shape:
@@ -278,7 +261,7 @@ def rhs_eval(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
     gm = _bilinear_spec(sp, sm, None, ns, g)
-    gm *= _forcing_factor(g.spatial, g.spatial.n)
+    gm *= 1.0 / g.spatial.bracket
     w = sp + sm
     w /= 2.0
     if source is not None:
@@ -502,8 +485,8 @@ class _PicardState:
         # loop invariants; the window only scales time, so it commutes with the
         # spatial transform and applies to spectral slices directly
         self.window = window = window[blk, None, None, None]
-        # f = B(w, w) T + window S/J, T = window mask/(4J)
-        self.weight = window * _forcing_factor(g.spatial, h)
+        # f = mask B(u, u) T + window S/J, T = window/J
+        self.weight = window * (1.0 / g.spatial.bracket[..., :h])
         if source is not None:
             source = window * source[blk, ..., :h] / g.spatial.bracket[..., :h]
         self.source = source
@@ -627,9 +610,9 @@ def picard_iterate(
     """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)}, u^{(n+1)})).
 
     Only the nonlinearity is iterated: the forcing f = window J^{-1}
-    (mask B_k(w, w)/4 + S) comes from the previous iterate, formed as
-    B T + window S/J from the product kernel (_bilinear_spec), with
-    T = window mask/(4J) and window S/J built once per call; the linear term
+    (mask B_k(u, u) + S), u = w/2, comes from the previous iterate, formed
+    as mask B T + window S/J from the product kernel (_bilinear_spec), with
+    T = window/J and window S/J built once per call; the linear term
     c w/2, c = window/J, that the first-order rewrite adds to the forcing is
     solved slice by slice inside the trapezoid sweep (see _linear_sweep).
     The fixed point solves the same discrete equations u = free +
@@ -748,9 +731,9 @@ def solve_local(
     core slice (so the t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
     way, lies in the core: outside it the window has cut the forcing, so u
-    solves no equation there.  B(u, u) and the source term are formed on the
-    audited slices alone.  When no slice is left to audit, the report says
-    so (SolveReport.status).
+    solves no equation there.  mask B(u, u), the forcing the loop iterated,
+    and the source term are formed on the audited slices alone.  When no
+    slice is left to audit, the report says so (SolveReport.status).
     """
     g = cfg.grid
     src = None if source is None else spatial_forward_slices(source)
@@ -762,11 +745,14 @@ def solve_local(
     core = _core_slices(g, cfg.delta)
     lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)
     audit = slice(lo, max(lo, hi))
-    # B(u, u) = B(w, w)/4 for u = w/2
-    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], None, ns, g) / 4.0
+    # mask B(u, u), the forcing the loop iterated
+    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], None, ns, g)
     u_spec = sp + sm
     u_spec /= 2.0
-    dtu_spec = _dt_w_slices(g, sp[..., :h], sm[..., :h]) / 2.0
+    # d_t u = d_t w/2 by the evolution identity d_t w = -iJ(u_+ - u_-)
+    dtu_spec = sp[..., :h] - sm[..., :h]
+    dtu_spec *= -1j * sg.bracket[..., :h]
+    dtu_spec /= 2.0
     u = SpacetimeField(g, _dft(u_spec[..., :h], sg, inverse=True))
     dtu = SpacetimeField(g, _dft(dtu_spec, sg, inverse=True))
     if real:

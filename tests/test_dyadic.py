@@ -9,11 +9,9 @@ import halfwave
 from halfwave import bilinear, dyadic
 from halfwave.dyadic import (
     MaskSpec,
-    lp_projection,
     region_masks,
     shell_bounds,
     shell_mask,
-    shell_on_lattice,
     shell_surface_mass,
 )
 from halfwave.bilinear import SignPair
@@ -34,36 +32,39 @@ def test_shell_bounds():
         shell_bounds(-1)
 
 
+def _in_shell(sg, k):
+    """The lattice points of dyadic shell k: shell_bounds on the modulus."""
+    lo, hi = shell_bounds(k)
+    return (sg.modulus > lo) & (sg.modulus <= hi)
+
+
 def test_shell_partition_exact(sg):
-    """Summing shell projections up to the Nyquist shell recovers the input."""
+    """Summing the shells' restrictions up to the Nyquist shell recovers the input."""
     rng = np.random.default_rng(0)
     F = Spectrum(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape))
     kmax = int(np.ceil(np.log2(np.sqrt(3) * sg.nyquist))) + 1
     total = np.zeros(sg.shape, complex)
     for k in range(kmax + 1):
-        total += lp_projection(F, k).data
+        total += F.data * _in_shell(sg, k)
     assert np.array_equal(total, F.data)
 
 
 def test_shells_disjoint(sg):
-    F = Spectrum(sg, np.ones(sg.shape, complex))
-    masks = [np.abs(lp_projection(F, k).data) > 0 for k in range(6)]
+    masks = [_in_shell(sg, k) for k in range(6)]
     for i in range(6):
         for j in range(i + 1, 6):
             assert not np.any(masks[i] & masks[j])
 
 
 def test_zero_mode_in_shell_zero(sg):
-    F = Spectrum(sg, np.ones(sg.shape, complex))
-    P0 = lp_projection(F, 0)
     c = sg.n // 2
-    assert P0.data[c, c, c] == 1.0
+    assert sg.modulus[c, c, c] == 0.0 and _in_shell(sg, 0)[c, c, c]
 
 
 def test_shell_on_lattice(sg):
-    assert shell_on_lattice(sg, 0)
-    assert shell_on_lattice(sg, 3)  # up to |xi| ~ 8 <= sqrt(3) * nyquist
-    assert not shell_on_lattice(sg, 12)
+    assert _in_shell(sg, 0).any()
+    assert _in_shell(sg, 3).any()  # up to |xi| ~ 8 <= sqrt(3) * nyquist
+    assert not _in_shell(sg, 12).any()
 
 
 def test_region_masks_partition():
