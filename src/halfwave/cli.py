@@ -38,6 +38,12 @@ from .spaces import NormParams, lr_xt_norm, sobolev_hat_norm, xsb_norm
 from . import solver as solver_mod
 from . import verify
 
+# The default params.b of every command that forms an X^r_{s,b} norm.  The
+# solver forms none unless its caller sets b; solve sets it, so its JSON
+# reports the restricted distances and, for k = 2, the Z-norm.
+_DEFAULT_B = 0.55
+
+
 class UsageError(Exception):
     pass
 
@@ -146,7 +152,7 @@ def cmd_norms(cfg, args):
     obj = read_field(args.input)
     r = _get(cfg, "params", "r", float, 2.0)
     s = _get(cfg, "params", "s", float, 1.0)
-    b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
+    b = _get(cfg, "params", "b", float, _DEFAULT_B)
     spacetime = getattr(obj, "is_spacetime", False)
     if spacetime:
         p = NormParams(r, s, b, _get(cfg, "params", "sign1", int, 1))
@@ -239,7 +245,7 @@ def _shell_suite(h, shells):
 
 def cmd_key(cfg, args):
     return _report_run(verify.check_key_estimate, signs=_signs(cfg),
-                       b=_get(cfg, "params", "b", float, solver_mod.SolveConfig.b),
+                       b=_get(cfg, "params", "b", float, _DEFAULT_B),
                        **_common_lemma_args(cfg))
 
 
@@ -284,7 +290,7 @@ def cmd_extremize(cfg, args):
     kw = dict(
         r=_get(cfg, "params", "r", float, 2.0),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
-        b=_get(cfg, "params", "b", float, solver_mod.SolveConfig.b),
+        b=_get(cfg, "params", "b", float, _DEFAULT_B),
         signs=_signs(cfg),
         n=_get(cfg, "grid", "n", int, 12),
         m=_get(cfg, "grid", "m", int, 16),
@@ -345,7 +351,7 @@ def _solve_setup(cfg, args):
 def cmd_solve(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, None)
-    b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
+    b = _get(cfg, "params", "b", float, _DEFAULT_B)
 
     def run():
         if delta is None:
@@ -381,13 +387,12 @@ def cmd_solve(cfg, args):
 def cmd_lipschitz(cfg, args):
     g, data, ns = _solve_setup(cfg, args)
     delta = _get(cfg, "params", "delta", float, 0.25)
-    b = _get(cfg, "params", "b", float, solver_mod.SolveConfig.b)
     n_pairs = _get(cfg, "sweep", "pairs", _positive_int, 8)
     eps = 0.1 * _get(cfg, "family", "amplitude", float, 0.01)
     seed = _get(cfg, "family", "seed", int, 0)
 
     def run():
-        scfg = solver_mod.default_config(g, delta, b=b)
+        scfg = solver_mod.default_config(g, delta)
         rng = np.random.default_rng(seed)
         xi = g.spatial.xi_modulus()
         envelope = np.exp(-(xi**2) / 2.0)

@@ -24,7 +24,7 @@ takes norms back.  select_delta tries no delta below 2 dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -116,13 +116,15 @@ class SolveConfig:
 
     delta fixes the time window (see window), so a config exists for every
     delta in (0, 0.95 T], T the time half-width; default_config is a second
-    name for this class."""
+    name for this class.  b is the modulation exponent of the X^r_{s,b}
+    diagnostics, the windowed restricted distances and the Z-norm; None
+    forms neither.  No decision of the solver reads it."""
 
     grid: SpacetimeGrid
     delta: float
     max_iter: int = 12
     tol: float = 1e-10
-    b: float = 0.55
+    b: float | None = None
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -312,10 +314,12 @@ class PicardResult:
     spectra (see picard_iterate); sm is then conj R sp exactly.  status says
     why the loop stopped: "converged" (a distance reached tol), "unconverged"
     (the budget ran out), "diverged" (three consecutive growing distances)
-    or "nonfinite" (a non-finite distance); converged and diverged are read
-    from it, and the step ratios from the distances.  The loop iterates the
-    nonlinearity alone, so rho_1 = distances[1]/distances[0] is, to leading
-    order, proportional to the size of the data, and 0 when B = 0.
+    or "nonfinite" (a non-finite distance or guard, see picard_iterate);
+    converged and diverged are read from it, and the step ratios from the
+    distances.  The loop iterates the nonlinearity alone, so
+    rho_1 = distances[1]/distances[0] is, to leading order, proportional to
+    the size of the data, and 0 when B = 0.  restricted_distances holds the
+    windowed X-distances when the config sets b, and stays empty when not.
     """
 
     grid: SpacetimeGrid
@@ -449,11 +453,11 @@ class _PicardState:
 
     The constructor is the set-up: it checks the data against the grid,
     projects real data (see _hermitian_part), finds the window block and the
-    core, and builds the loop invariants, the free slices on the block and
-    the X-weights.  advance runs iterations and may be called again to
-    resume them; the state carries the iterates, the distances (in result),
-    the growth count and the seeds of the last sweep.  finish extends the
-    last iterate to every slice and completes real data.
+    core, and builds the loop invariants, the free slices on the block and,
+    when the config sets b, the X-weights.  advance runs iterations and may
+    be called again to resume them; the state carries the iterates, the
+    distances (in result), the growth count and the seeds of the last sweep.
+    finish extends the last iterate to every slice and completes real data.
 
     The state holds loop values alone, so a trial parked between calls holds
     no work buffer: those are locals of advance (see there).
@@ -499,7 +503,8 @@ class _PicardState:
         # the centered time spectrum at tau index j is dt times the bare
         # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
         # M/2 and dt goes into the norm
-        self.xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
+        self.xsb_wts = None if cfg.b is None else \
+            _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
         self.sp, self.sm = self.free_p, self.free_m
         self.grew = 0
         self.seeds = None           # of the last sweep: none before the first
@@ -530,11 +535,13 @@ class _PicardState:
         into the two the forcing leaves.  So after the first iteration one
         on complex data makes no block array; on half spectra the kernel's
         real transforms make their outputs, and a spare left over is dropped.
+        The X-distance's zero-padded buffer is made only when b is set.
         """
         g, result = self.g, self.result
         shape = self.free_p.shape
         spare = []
-        windowed = np.zeros((g.m,) + shape[1:], dtype=np.complex128)
+        windowed = None if self.xsb_wts is None else \
+            np.zeros((g.m,) + shape[1:], dtype=np.complex128)
         while result.status == "unconverged" and result.iterations < max_iter:
             sp, sm = self.sp, self.sm
             bufs = _two_buffers(spare, shape)
@@ -554,17 +561,23 @@ class _PicardState:
             # differences, except the free slices, which are kept
             diffs = (np.subtract(new_p, sp, out=None if sp is self.free_p else sp),
                      np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
-            norms_p, norms_m = _slice_norms(g, [x[self.core] for x in diffs], self.r, self.s)
-            d = float(np.max(norms_p) + np.max(norms_m))
-            dr = self._x_distance(diffs, windowed)
+            # the distance is the sup over the core; the sup over the whole
+            # block, which holds the core, guards the slices past it, where
+            # a solve beyond its lifespan overflows first
+            norms_p, norms_m = _slice_norms(g, diffs, self.r, self.s)
+            d = float(np.max(norms_p[self.core]) + np.max(norms_m[self.core]))
+            finite = math.isfinite(np.max(norms_p) + np.max(norms_m))
+            if windowed is not None:
+                dr = self._x_distance(diffs, windowed)
+                result.restricted_distances.append(dr)
+                finite = finite and math.isfinite(dr)
             if result.distances:
                 self.grew = self.grew + 1 if d > result.distances[-1] else 0
             result.distances.append(d)
-            result.restricted_distances.append(dr)
             self.sp, self.sm = new_p, new_m
             spare = [f, *diffs]
             result.iterations += 1
-            if not (math.isfinite(d) and math.isfinite(dr)):
+            if not finite:
                 result.status = "nonfinite"
             elif d <= self.tol:
                 result.status = "converged"
@@ -621,15 +634,19 @@ def picard_iterate(
     second iterate equals the first.
 
     The iterates, and the source if given, are spatial spectral slices.
-    Distances between consecutive iterates are measured as the sup over
-    |t| <= delta of the data-space norm (both components) and as the
-    windowed space-time restriction norm; rho_n is their step ratio.  The
+    The distance between consecutive iterates is the sup over |t| <= delta
+    of the data-space norm (both components), and rho_n is its step ratio:
+    it alone decides convergence and divergence.  Three consecutive growing
+    distances flag divergence, and so does one non-finite distance or guard,
+    the sup of the same norm over the whole window block, which overflows
+    first past a solve's lifespan (see PicardResult.status).  When cfg.b is
+    set, each iteration also measures the windowed space-time restriction
+    norm in X^r_{s,b}, reported as restricted_distances, and a non-finite
+    one flags divergence too; with b None no time transform is made.  The
     restriction norm reads the bare time DFT of the windowed difference:
     in modulus the centered spectrum at tau index j is dt times the bare
     one at (j - M/2) mod M, so the X-weights are rolled by M/2 once per call
-    and dt^{r'} goes into the norm's root.  Three
-    consecutive growing distances, or one non-finite distance, flag
-    divergence (see PicardResult.status).
+    and dt^{r'} goes into the norm's root.
 
     The forcing is multiplied by the time window, so the loop reads only
     the block of time slices where the window is nonzero: the forcing, its
@@ -724,11 +741,12 @@ def solve_local(
     """Run the contraction to tolerance and audit the solution.
 
     Reports the Box-residual on the interior of [-delta, delta], the
-    persistence curve t -> data-space norm of the components, and for k = 2
-    the Z-norm diagnostic (both regularities of the pair (u, d_t u)).  u,
-    d_t u and the Z-norm cover the whole time axis; the persistence curve
-    covers the core slices |t| <= delta alone, its first entry at the first
-    core slice (so the t_index of solve.csv counts from there).
+    persistence curve t -> data-space norm of the components, and for k = 2,
+    when cfg.b is set, the Z-norm diagnostic (both regularities of the pair
+    (u, d_t u)); z_value is None otherwise.  u, d_t u and the Z-norm cover
+    the whole time axis; the persistence curve covers the core slices
+    |t| <= delta alone, its first entry at the first core slice (so the
+    t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
     way, lies in the core: outside it the window has cut the forcing, so u
     solves no equation there.  mask B(u, u), the forcing the loop iterated,
@@ -765,7 +783,7 @@ def solve_local(
     pers = norms_p + norms_m
     jumps = np.abs(np.diff(pers))
     z_value = None
-    if ns.k == 2:
+    if ns.k == 2 and cfg.b is not None:
         # z_norm's two terms, with one time transform alive at a time
         upper, lower = (NormParams(r, reg, cfg.b, +1) for reg in (s, s - 1.0))
         z_value = xsb_norm(SpacetimeSpectrum(g, time_forward(g, u_spec)), upper)
@@ -792,7 +810,7 @@ def select_delta(
     d: CauchyData,
     ns: NonlinearitySpec,
     grid: SpacetimeGrid,
-    b: float = SolveConfig.b,
+    b: float | None = None,
 ) -> tuple[float, list[dict]]:
     """Halve the local time radius until the first contraction factor is small.
 
@@ -802,11 +820,12 @@ def select_delta(
     accepted delta with the trial trace; when none is accepted, the last one
     tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
     picard_iterate's loop state for default_config(grid, delta, max_iter=2,
-    b=b) and advances it two iterations, the windowed X-distances (whose
-    weights take b) included, so that the state is complete.  Only the
-    returned delta's state is parked in the one-entry memo, and
-    picard_iterate (so solve_local) at that delta on the same data and
-    settings resumes it from iteration 2.  rho_1 is
+    b=b) and advances it two iterations; b reaches no decision, and the
+    trials form the windowed X-distances only when it is set, so that the
+    state is that of a solve with the same b.  Only the returned delta's
+    state is parked in the one-entry memo, and picard_iterate (so
+    solve_local) at that delta on the same data and settings, b included,
+    resumes it from iteration 2.  rho_1 is
     the contraction factor of the nonlinearity, so it shrinks with the data
     and with delta.  Each trace entry holds the trial's delta, rho_1 and
     Picard status.  rho_1 is 0 for a trial that converged at its first
@@ -853,7 +872,8 @@ def flow_lipschitz_probe(
 
     Each pair is a (CauchyData, CauchyData) tuple on cfg.grid, and both of
     its data are solved with the first datum's (r, s) by picard_iterate: the
-    ratios read the iterates alone, not solve_local's audit.  Pairs whose
+    ratios read the iterates alone, not solve_local's audit, and no X-norm:
+    the solves take cfg with b None, so cfg.b changes nothing.  Pairs whose
     loops do not converge are excluded and flagged; identical pairs are
     reported as skipped.  Of each solve only its status and the core slices
     of its iterates are kept.  Those of a pair's first datum are kept while
@@ -861,6 +881,7 @@ def flow_lipschitz_probe(
     built around one base datum solve it once; every other datum is solved
     for each pair it is in.
     """
+    cfg = replace(cfg, b=None)
     g = cfg.grid
     core = _core_slices(g, cfg.delta)
     off_origin = np.flatnonzero(core) != g.origin_index

@@ -128,6 +128,12 @@ def test_key_unread_by_command_rejected(tmp_path, capsys, command):
         assert _rejected(tmp_path, capsys, command, target, *argv), target
 
 
+def test_lipschitz_does_not_read_b(tmp_path, capsys):
+    """The probe's ratios read no X-norm, so lipschitz forms none and
+    params.b, which solve reads, is a key it does not read."""
+    assert _rejected(tmp_path, capsys, "lipschitz", "params.b", "lipschitz")
+
+
 def test_lipschitz_input_reads_amplitude(tmp_path):
     """With --input, family.amplitude still sets lipschitz's perturbation size."""
     code, out = _run(tmp_path, *_input_argv(tmp_path), "--set", "grid.m=16",

@@ -42,12 +42,12 @@ def _constant(sg, value):
     return forward_transform(Field(sg, np.full(sg.shape, value, dtype=complex)))
 
 
-def _solve(ns, a, c, m, half_time=1.0, delta=0.5, max_iter=60, tol=1e-13):
+def _solve(ns, a, c, m, half_time=1.0, delta=0.5, max_iter=60, tol=1e-13, b=None):
     """The solve of constant data (a, c) on 4^3 with L = pi, and its grid."""
     sg = SpatialGrid(4, np.pi)
     g = SpacetimeGrid(sg, m, half_time)
     fp, fm = to_first_order(CauchyData(_constant(sg, a), _constant(sg, c)))
-    return g, solve_local(fp, fm, ns, SolveConfig(g, delta, max_iter=max_iter, tol=tol))
+    return g, solve_local(fp, fm, ns, SolveConfig(g, delta, max_iter=max_iter, tol=tol, b=b))
 
 
 def _error(g, report, exact, delta):
@@ -106,13 +106,15 @@ def test_dropped_factor_two_fails_gate(monkeypatch):
 def test_lifespan(c):
     """u = -log(1 - c t) lives until t = 1/c: on T = 2/c with M = 256 the
     solve at delta = 0.6/c converges and matches it (errors 1.3e-4, 9.4e-5,
-    8.6e-5), and the one at delta = 0.7/c ends non-finite.  Past the
-    lifespan the norms overflow, so those warnings are silenced."""
+    8.6e-5), and the one at delta = 0.7/c ends non-finite, with the
+    X-distance (b set) or without it, by the slice-norm guard alone.  Past
+    the lifespan the norms overflow, so those warnings are silenced."""
     ns = NonlinearitySpec(2, "t")
     kw = dict(half_time=2.0 / c, max_iter=80, tol=1e-12)
     with np.errstate(over="ignore", invalid="ignore"):
         g, inside = _solve(ns, 0.0, c, 256, delta=0.6 / c, **kw)
-        _, past = _solve(ns, 0.0, c, 256, delta=0.7 / c, **kw)
+        past = [_solve(ns, 0.0, c, 256, delta=0.7 / c, b=b, **kw)[1] for b in (None, 0.55)]
     assert inside.success and inside.result.status == "converged"
     assert _error(g, inside, lambda t: _log_solution(0.0, c, t), 0.6 / c) <= 2e-4
-    assert past.result.status == "nonfinite" and not past.success
+    for rep in past:
+        assert rep.result.status == "nonfinite" and not rep.success

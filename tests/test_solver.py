@@ -198,7 +198,7 @@ def test_linear_flow_unitary(stg):
 def test_contraction_small_data(stg):
     d = _gaussian_data(stg.spatial)
     fp, fm = to_first_order(d)
-    cfg = default_config(stg, 0.25)
+    cfg = default_config(stg, 0.25, b=0.55)
     res = picard_iterate(fp, fm, NonlinearitySpec(1, "x1"), cfg)
     assert res.converged and not res.diverged
     assert all(rho < 0.5 for rho in res.rhos)
@@ -210,14 +210,16 @@ def test_nonfinite_distances_diverge():
     stg = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
     fp, fm = to_first_order(_gaussian_data(stg.spatial, amp=1e60))
     with np.errstate(over="ignore", invalid="ignore"):
-        res = picard_iterate(fp, fm, NonlinearitySpec(1, "x1"), default_config(stg, 0.25))
+        res = picard_iterate(fp, fm, NonlinearitySpec(1, "x1"), default_config(stg, 0.25, b=0.55))
     assert res.diverged and not res.converged
     assert res.iterations <= 3
     assert not np.isfinite(res.distances[-1]) or not np.isfinite(res.restricted_distances[-1])
 
 
 def test_picard_status(stg):
-    """One status says why the loop stopped; converged and diverged follow it."""
+    """One status says why the loop stopped; converged and diverged follow it.
+    Overflow ends the loop non-finite with or without the X-distance (b set
+    or None): the block guard alone catches it."""
     ns = NonlinearitySpec(1, "x1")
     fp, fm = to_first_order(_gaussian_data(stg.spatial))
     res = picard_iterate(fp, fm, ns, default_config(stg, 0.25))
@@ -230,11 +232,15 @@ def test_picard_status(stg):
     small = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
     for amp, status in ((1e6, "diverged"), (1e60, "nonfinite")):
         fp, fm = to_first_order(_gaussian_data(small.spatial, amp=amp))
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = picard_iterate(fp, fm, ns, default_config(small, 0.25))
-        assert res.status == status and res.diverged and not res.converged
-        finite = np.isfinite(res.distances[-1]) and np.isfinite(res.restricted_distances[-1])
-        assert finite == (status == "diverged")
+        for b in (0.55, None):
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = picard_iterate(fp, fm, ns, default_config(small, 0.25, b=b))
+            assert res.status == status and res.diverged and not res.converged
+            if b is None:
+                assert res.restricted_distances == []
+            else:
+                last = res.distances[-1], res.restricted_distances[-1]
+                assert all(map(np.isfinite, last)) == (status == "diverged")
 
 
 def test_budget_independence(stg):
@@ -273,7 +279,7 @@ def test_solve_local_k1_residual(stg):
 def test_solve_local_k2_z_diagnostic(stg):
     d = _gaussian_data(stg.spatial)
     fp, fm = to_first_order(d)
-    rep = solve_local(fp, fm, NonlinearitySpec(2, "t"), default_config(stg, 0.25), s=2.0)
+    rep = solve_local(fp, fm, NonlinearitySpec(2, "t"), default_config(stg, 0.25, b=0.55), s=2.0)
     assert rep.success
     assert rep.z_value is not None and np.isfinite(rep.z_value)
 
@@ -572,6 +578,33 @@ def test_select_delta_takes_b_by_name(stg, monkeypatch):
     assert not seen
 
 
+@pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
+@pytest.mark.parametrize("real", [True, False])
+def test_x_norm_never_steers_the_loop(stg, real, k, derivative):
+    """b enters the X-distances and the Z-norm alone: a delta-selected solve
+    with b = 0.55 reports them, one with b None forms neither, and both give
+    the same delta, trace, iterates, distances, status, residual and u, bit
+    for bit."""
+    d = _gaussian_data(stg.spatial, amp=1.0)
+    d = d if real else _twisted(d)
+    ns = NonlinearitySpec(k, derivative)
+    runs = []
+    for b in (None, 0.55):
+        delta, trace = select_delta(d, ns, stg, b=b)
+        rep = solve_local(*to_first_order(d), ns, default_config(stg, delta, b=b))
+        runs.append((delta, trace, rep))
+    (delta, trace, bare), (delta_b, trace_b, rep) = runs
+    assert delta == delta_b and trace == trace_b
+    assert bare.result.real_data == real and bare.success
+    for name in ("sp", "sm", "distances", "iterations", "status"):
+        assert _same(getattr(bare.result, name), getattr(rep.result, name)), name
+    for name in ("u", "dtu", "residual", "residual_scale", "persistence", "max_jump", "status"):
+        assert _same(getattr(bare, name), getattr(rep, name)), name
+    assert bare.result.restricted_distances == [] and bare.z_value is None
+    assert len(rep.result.restricted_distances) == rep.result.iterations
+    assert (rep.z_value is not None) == (k == 2)
+
+
 def test_select_delta_without_a_floor_delta_raises():
     """On M = 4 the floor 2 dt is the whole time half-width: no window fits."""
     g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 4, 1.0)
@@ -785,7 +818,8 @@ def _reachable_bytes(root) -> int:
 @pytest.mark.parametrize("real", [True, False])
 def test_parked_trial_holds_loop_values_alone(stg, real):
     """The trial select_delta parks holds no work buffer: its arrays are no
-    more than its loop values, counted from their shapes."""
+    more than its loop values, counted from their shapes.  At the default
+    b = None they hold no X-weights."""
     d = _gaussian_data(stg.spatial, amp=1.0)
     d = d if real else _twisted(d)
     select_delta(d, NonlinearitySpec(2, "t"), stg)
@@ -797,7 +831,6 @@ def test_parked_trial_holds_loop_values_alone(stg, real):
         16 * 2 * block                          # the free slices
         + 8 * block                             # the forcing weight
         + 16 * 2 * block                        # the two iterates
-        + 8 * m * column * (2 if real else 1)   # the X-weights and, on half spectra, their mate
         + 16 * 4 * column + 16 * 4 * column     # the steps and the seeds, forward and back
         + 16 * 2 * n**3 + 8 * m                 # the data and the window
     )
@@ -815,23 +848,23 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def _complex_solve_case():
+def _complex_solve_case(b=None):
     """Complex data at 8^3 x 16, delta = 0.25: the loop runs on the full lattice."""
     g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 16, 1.0)
     d = _twisted(_gaussian_data(g.spatial))
-    return g, d, default_config(g, 0.25)
+    return g, d, default_config(g, 0.25, b=b)
 
 
 @pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
 def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
     """One Picard solve on complex data holds seven block arrays at a time:
-    the free slices, the iterates, the forcing and two spare blocks.  Its
-    traced peak, reached in the X-distance, is no more than those, the
-    zero-padded (M, ...) buffer and the two moduli the X-distance forms,
+    the free slices, the iterates, the forcing and two spare blocks.  With b
+    set, its traced peak, reached in the X-distance, is no more than those,
+    the zero-padded (M, ...) buffer and the two moduli the X-distance forms,
     the forcing weight, the X-weights and sixteen column-sized arrays (the
     data, the steps, the seeds and the sweep's slices).  Eleven block
     arrays, with the sum of the free slices, c/2, w and h f, exceed it."""
-    g, d, cfg = _complex_solve_case()
+    g, d, cfg = _complex_solve_case(b=0.55)
     fp, fm = to_first_order(d)
     ns = NonlinearitySpec(k, derivative)
     picard_iterate(fp, fm, ns, cfg)             # builds the cached tables
@@ -848,6 +881,28 @@ def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
         + 16 * 16 * column                      # column-sized arrays
     )
     assert peak <= bound
+
+
+@pytest.mark.parametrize("k, derivative", [(1, "t"), (2, "x1")])
+def test_picard_iterations_without_b_make_no_whole_axis_array(k, derivative):
+    """With b None the iterations form no X-distance: the traced peak of
+    advancing a loop state on complex data is no more than the five block
+    arrays an iteration adds to the state's free slices (the iterates, the
+    forcing and two spares), the two block moduli of the slice-norm guard
+    and sixteen column-sized arrays, and one (M, ...) complex array more
+    would exceed that (50.7 against 58 and 66.7 columns of 16 bytes
+    measured)."""
+    g, d, cfg = _complex_solve_case()
+    fp, fm = to_first_order(d)
+    ns = NonlinearitySpec(k, derivative)
+    picard_iterate(fp, fm, ns, cfg)             # builds the cached tables
+    state = solver_mod._PicardState(fp, fm, ns, cfg, d.r, d.s, None)
+    _, peak = _traced_peak(lambda: state.advance(cfg.max_iter))
+    assert state.result.iterations >= 2 and state.result.restricted_distances == []
+    column = g.spatial.n**3
+    blk = state.blk.stop - state.blk.start
+    bound = 16 * 5 * blk * column + 8 * 2 * blk * column + 16 * 16 * column
+    assert peak <= bound < peak + 16 * g.m * column
 
 
 def test_lipschitz_probe_keeps_the_core_of_its_first_solve():
@@ -1028,7 +1083,8 @@ def _sweep_reference(f, c, free_p, free_m, g):
 
 def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=False):
     """The out-of-place two-component Picard loop on every slice: the forcing
-    from the old iterate, the linear term solved in _sweep_reference.
+    from the old iterate, the linear term solved in _sweep_reference; the
+    restricted distances only when cfg sets b.
 
     With whole_forcing, the loop iterates the whole forcing of rhs_eval,
     linear term w/2 included, and sweeps it with duhamel.  That iteration
@@ -1039,7 +1095,6 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
     c = window / g.spatial.bracket
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
-    params = NormParams(r, s, cfg.b, +1)
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
     free_m = free_slices(fm, g, EvolutionSpec("J", -1))
 
@@ -1047,6 +1102,7 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=
         return float(sum(np.max(norms[core]) for norms in _slice_norms(g, (dp, dm), r, s)))
 
     def restricted(diff):
+        params = NormParams(r, s, cfg.b, +1)
         a, (wt, _) = _restricted_terms(g, window, diff, _xsb_weights(g, params, g.spatial.n),
                                        params.rprime)
         return _restricted_root(g, np.sum(a * wt), params.rprime)
@@ -1064,7 +1120,8 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=
             new_p, new_m = free_p + dp, free_m + dm
         d = sup_distance(new_p - sp, new_m - sm)
         distances.append(d)
-        restricted_distances.append(restricted(new_p - sp) + restricted(new_m - sm))
+        if cfg.b is not None:
+            restricted_distances.append(restricted(new_p - sp) + restricted(new_m - sm))
         sp, sm = new_p, new_m
         if d <= cfg.tol:
             break
@@ -1151,7 +1208,7 @@ def test_restricted_distance_matches_textbook_formula(r):
     relative (2.2e-16 measured), on the full lattice and, with the mate
     weights, on the half lattice of a pair u_- = conj R u_+."""
     g = _small_grid()
-    cfg = default_config(g, 0.25)
+    cfg = default_config(g, 0.25, b=0.55)
     window = window_values(cfg.window, g.t_axis)[:, None, None, None]
     params = NormParams(r, 1.0, cfg.b, +1)
     rng = np.random.default_rng(int(10 * r))
@@ -1180,7 +1237,7 @@ def test_general_path_matches_reference_bitwise(k, derivative):
     fm = Spectrum(sg, _complex_noise(rng, sg.shape, 0.02) * env)
     src = _complex_noise(rng, g.shape, 1e-3)
     ns = NonlinearitySpec(k, derivative)
-    cfg = default_config(g, 0.25)
+    cfg = default_config(g, 0.25, b=0.55)
     for source in (None, src):
         res = picard_iterate(fp, fm, ns, cfg, source=source)
         sp, sm, dist, rdist = _picard_reference(fp, fm, ns, cfg, source)
@@ -1219,7 +1276,7 @@ def test_real_path_matches_general(k, derivative, with_source, seed, amp):
     source = None
     if with_source:
         source = SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j)
-    ns, cfg = NonlinearitySpec(k, derivative), default_config(g, 0.25)
+    ns, cfg = NonlinearitySpec(k, derivative), default_config(g, 0.25, b=0.55)
     real = solve_local(fp, fm, ns, cfg, source=source)
     general = _general_solve(fp, fm, ns, cfg, source=source)
     assert real.result.real_data and not general.result.real_data
@@ -1319,9 +1376,9 @@ def test_real_path_transform_count(monkeypatch, k, derivative):
 
 # ------------------------------------------------------- window-block Picard
 
-def _window_configs(g):
+def _window_configs(g, b=None):
     """The widest window a config makes, the default one, and one on five slices."""
-    return [default_config(g, 0.5), default_config(g, 0.25), default_config(g, 1.5 * g.dt)]
+    return [default_config(g, delta, b=b) for delta in (0.5, 0.25, 1.5 * g.dt)]
 
 
 def _block_size(cfg):
@@ -1472,7 +1529,7 @@ def test_window_block_matches_reference_bitwise(window, k, derivative):
     loop, real data against the full-axis real loop."""
     g = _small_grid()
     sg = g.spatial
-    cfg = _window_configs(g)[window]
+    cfg = _window_configs(g, b=0.55)[window]
     assert _block_size(cfg) == (g.m - 1, 7, 5)[window]
     ns = NonlinearitySpec(k, derivative)
     rng = np.random.default_rng(window)
@@ -1500,11 +1557,9 @@ def test_window_block_matches_reference_bitwise(window, k, derivative):
 @pytest.mark.parametrize("real", [True, False])
 def test_window_block_transform_shapes(monkeypatch, real):
     """Inside the loop every spatial transform sees the block's slices and
-    every time transform all M."""
+    every time transform, which the X-distance alone makes, all M: with b
+    None the loop makes none."""
     g = _small_grid()
-    cfg = default_config(g, 0.25, max_iter=3, tol=0.0)
-    blk = _block_size(cfg)
-    assert blk < g.m
     seen = []
 
     def recorded(name):
@@ -1521,13 +1576,21 @@ def test_window_block_transform_shapes(monkeypatch, real):
     fp, fm = _real_data(g)
     if not real:
         fm = Spectrum(g.spatial, fm.data * np.exp(0.1j))
-    res = picard_iterate(fp, fm, NonlinearitySpec(1, "t"), cfg)
-    assert res.real_data == real and res.iterations == 3
-    spatial = [m for axes, m in seen if axes == (1, 2, 3)]
-    timed = [m for axes, m in seen if axes == (0,)]
-    assert len(spatial) + len(timed) == len(seen)
-    assert spatial and set(spatial) == {blk}
-    assert timed and set(timed) == {g.m}
+    for b in (0.55, None):
+        cfg = default_config(g, 0.25, max_iter=3, tol=0.0, b=b)
+        blk = _block_size(cfg)
+        assert blk < g.m
+        seen.clear()
+        res = picard_iterate(fp, fm, NonlinearitySpec(1, "t"), cfg)
+        assert res.real_data == real and res.iterations == 3
+        spatial = [m for axes, m in seen if axes == (1, 2, 3)]
+        timed = [m for axes, m in seen if axes == (0,)]
+        assert len(spatial) + len(timed) == len(seen)
+        assert spatial and set(spatial) == {blk}
+        if b is None:
+            assert timed == []
+        else:
+            assert timed and set(timed) == {g.m}
 
 
 def _residual_reference(rep, ns, cfg, src=None, b_spec=None):
@@ -1631,9 +1694,9 @@ def test_real_path_matches_full_lattice_loop(k, derivative):
     fp, fm = _random_real_data(g, rng)
     src = spatial_forward_slices(SpacetimeField(g, 1e-3 * rng.standard_normal(g.shape) + 0j))
     ns = NonlinearitySpec(k, derivative)
-    runs = [(cfg, source, 2.0) for cfg in _window_configs(g) for source in (None, src)]
-    runs += [(default_config(g, 0.25, max_iter=3, tol=0.0), src, 2.0),
-             (default_config(g, 0.25), src, 1.5)]
+    runs = [(cfg, source, 2.0) for cfg in _window_configs(g, b=0.55) for source in (None, src)]
+    runs += [(default_config(g, 0.25, max_iter=3, tol=0.0, b=0.55), src, 2.0),
+             (default_config(g, 0.25, b=0.55), src, 1.5)]
     for cfg, source, r in runs:
         res = picard_iterate(fp, fm, ns, cfg, r=r, source=source)
         want = _picard_real_full_lattice(fp, fm, ns, cfg, source, r=r)
