@@ -24,8 +24,8 @@ M*N^3 is cached.  A bare transform (_dft(..., bare=True)) skips the sign and
 scale passes; its caller folds them into multiplies it makes anyway: the
 solver's product kernel into its cached spectral tables (one multiply
 before each inverse, one after the forward transform, and one x-space sign
-pass per product), and its X-distance into the rolled X-weights and the
-norm's root, since only the modulus of the time spectrum is read.
+pass per product), and its X-distance into its time window (the input
+signs and dt), since only the modulus of the time spectrum is read.
 
 SpatialGrid is the one symbol table: |xi|, <xi> = (1 + |xi|^2)^(1/2) and the
 2/3-rule dealiasing mask are built once per grid and cached read-only.  So

@@ -40,6 +40,7 @@ from .grid import (
     _dft,
     _dft_scale,
     _read_only,
+    _signs,
     conj_reflect,
     hermitian_full,
     spatial_forward_slices,
@@ -49,6 +50,7 @@ from .propagator import EvolutionSpec, _duhamel_step, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
+    _check_r,
     _core_slices,
     _lattice_norms,
     _slice_norms,
@@ -118,7 +120,9 @@ class SolveConfig:
     delta in (0, 0.95 T], T the time half-width; default_config is a second
     name for this class.  b is the modulation exponent of the X^r_{s,b}
     diagnostics, the windowed restricted distances and the Z-norm; None
-    forms neither.  No decision of the solver reads it."""
+    forms neither, and a loop refuses b <= 1/r.  Convergence, divergence
+    and select_delta read the sup distance alone; b enters one decision, as
+    a guard: with b set, a non-finite X-distance ends the loop nonfinite."""
 
     grid: SpacetimeGrid
     delta: float
@@ -451,10 +455,11 @@ class _PicardState:
     """The Picard loop as a state, in three steps; select_delta's trials
     and picard_iterate drive it.
 
-    The constructor is the set-up: it checks the data against the grid,
-    projects real data (see _hermitian_part), finds the window block and the
-    core, and builds the loop invariants, the free slices on the block and,
-    when the config sets b, the X-weights.  advance runs iterations and may
+    The constructor is the set-up: it checks r, and b > 1/r when the config
+    sets b, checks the data against the grid, projects real data (see
+    _hermitian_part), finds the window block and the core, and builds the
+    loop invariants, the free slices on the block and, when b is set, the
+    X-weights and the X-distance's window.  advance runs iterations and may
     be called again to resume them; the state carries the iterates, the
     distances (in result), the growth count and the seeds of the last sweep.
     finish extends the last iterate to every slice and completes real data.
@@ -464,6 +469,9 @@ class _PicardState:
     """
 
     def __init__(self, fp, fm, ns, cfg, r, s, source):
+        _check_r(r)
+        if cfg.b is not None and cfg.b <= 1.0 / r:
+            raise ParameterError(f"X^r_{{s,b}} norms need b > 1/r, got b = {cfg.b} at r = {r}")
         g = cfg.grid
         if fp.grid != g.spatial or fm.grid != g.spatial:
             raise GridMismatchError("initial spectra do not live on the spatial lattice")
@@ -500,11 +508,12 @@ class _PicardState:
         self.flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
         self.free_p, self.free_m = (_free_slices_at(x, e, g.t_axis[blk], h)
                                     for x, e in zip(self.data, self.flows))
-        # the centered time spectrum at tau index j is dt times the bare
-        # DFT at (j - M/2) mod M in modulus, so the X-weights are rolled by
-        # M/2 and dt goes into the norm
-        self.xsb_wts = None if cfg.b is None else \
-            _xsb_weights(g, NormParams(r, s, cfg.b, +1), h, shift=g.m // 2)
+        # the X-distance's window folds in dt and the time signs, so the bare
+        # time DFT of the windowed difference has the centered spectrum's modulus
+        self.xsb_wts = self.x_window = None
+        if cfg.b is not None:
+            self.xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h)
+            self.x_window = window * g.dt * _signs(g.m)[blk, None, None, None]
         self.sp, self.sm = self.free_p, self.free_m
         self.grew = 0
         self.seeds = None           # of the last sweep: none before the first
@@ -519,9 +528,9 @@ class _PicardState:
             for x in diffs:
                 # the bare transform may have overwritten the zeros
                 windowed[:blk.start] = windowed[blk.stop:] = 0.0
-                np.multiply(x, self.window, out=windowed[blk])
+                np.multiply(x, self.x_window, out=windowed[blk])
                 yield _dft(windowed, time=g, bare=True)
-        return float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r, unit=g.dt)))
+        return float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r)))
 
     def advance(self, max_iter: int) -> None:
         """Iterate until the loop stops or max_iter iterations ran in all.
@@ -606,9 +615,10 @@ _TRIAL: dict = {}
 def _loop_key(fp: Spectrum, fm: Spectrum, ns: NonlinearitySpec, cfg: SolveConfig,
               r: float, s: float) -> tuple:
     """Every input of the Picard loop but the iteration budget and a source,
-    with the product kernel in use."""
+    with the product kernel in use: the config enters whole, its budget set
+    to 1, so a field added to it joins the key."""
     data = tuple((x.grid, x.data.dtype, x.data.shape, x.data.tobytes()) for x in (fp, fm))
-    return (data, ns, cfg.grid, cfg.delta, cfg.tol, cfg.b, r, s, _bilinear_spec)
+    return (data, ns, replace(cfg, max_iter=1), r, s, _bilinear_spec)
 
 
 def picard_iterate(
@@ -643,10 +653,8 @@ def picard_iterate(
     set, each iteration also measures the windowed space-time restriction
     norm in X^r_{s,b}, reported as restricted_distances, and a non-finite
     one flags divergence too; with b None no time transform is made.  The
-    restriction norm reads the bare time DFT of the windowed difference:
-    in modulus the centered spectrum at tau index j is dt times the bare
-    one at (j - M/2) mod M, so the X-weights are rolled by M/2 once per call
-    and dt^{r'} goes into the norm's root.
+    restriction norm takes xsb_norm's X-weights and a bare time DFT, with
+    dt and the time signs folded into the window.
 
     The forcing is multiplied by the time window, so the loop reads only
     the block of time slices where the window is nonzero: the forcing, its
@@ -820,13 +828,13 @@ def select_delta(
     accepted delta with the trial trace; when none is accepted, the last one
     tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
     picard_iterate's loop state for default_config(grid, delta, max_iter=2,
-    b=b) and advances it two iterations; b reaches no decision, and the
-    trials form the windowed X-distances only when it is set, so that the
-    state is that of a solve with the same b.  Only the returned delta's
-    state is parked in the one-entry memo, and picard_iterate (so
-    solve_local) at that delta on the same data and settings, b included,
-    resumes it from iteration 2.  rho_1 is
-    the contraction factor of the nonlinearity, so it shrinks with the data
+    b=b) and advances it two iterations; b enters only the loop's guard
+    (see SolveConfig), and the trials form the windowed X-distances only
+    when it is set, so that the state is that of a solve with the same b.
+    Only the returned delta's state is parked in the one-entry memo, and
+    picard_iterate (so solve_local) at that delta on the same data and
+    settings, b included, resumes it from iteration 2.  rho_1 is the
+    contraction factor of the nonlinearity, so it shrinks with the data
     and with delta.  Each trace entry holds the trial's delta, rho_1 and
     Picard status.  rho_1 is 0 for a trial that converged at its first
     distance (zero data), and None, never accepted, for a trial that

@@ -168,33 +168,30 @@ def _slice_weights(sg, r: float, s: float, h: int) -> tuple:
     return wt, None if h == sg.n else _mate(wt.copy())
 
 
-def _xsb_weights(g: SpacetimeGrid, p: NormParams, h: int, shift: int = 0) -> tuple:
+def _xsb_weights(g: SpacetimeGrid, p: NormParams, h: int) -> tuple:
     """(weight, mate) of the X-norm on the first h entries of the last axis;
-    the mate is the X-weight reflected in tau.  On the full lattice it is None.
-    shift rolls both along tau, for spectra whose tau index is rolled by it."""
+    the mate is the X-weight reflected in tau.  On the full lattice it is None."""
     index = g.spatial.shell_index[..., :h]
     table = _xsb_weight_table(g, p)
-    wt = np.take(np.roll(table, shift, axis=0), index, axis=1)
+    wt = np.take(table, index, axis=1)
     if h == g.spatial.n:
         return wt, None
-    return wt, _mate(np.take(np.roll(reflect(table, (0,)), shift, axis=0), index, axis=1))
+    return wt, _mate(np.take(reflect(table, (0,)), index, axis=1))
 
 
-def _root(total, g, rp: float, unit: float = 1.0):
+def _root(total, g, rp: float):
     """(total times the lattice cell dxi^3, or dxi^3 dtau on a space-time
-    grid, times unit^{r'})^{1/r'}: a lattice sum made a norm.  unit is the
-    factor the summed |F| leave out (see _lattice_norms)."""
+    grid)^{1/r'}: a lattice sum made a norm."""
     if isinstance(g, SpacetimeGrid):
-        return (total * g.spatial.dxi**3 * g.dtau * unit**rp) ** (1.0 / rp)
-    return (total * g.dxi**3 * unit**rp) ** (1.0 / rp)
+        return (total * g.spatial.dxi**3 * g.dtau) ** (1.0 / rp)
+    return (total * g.dxi**3) ** (1.0 / rp)
 
 
-def _lattice_norms(g, spectra, weights, r: float, axes=None, unit: float = 1.0) -> list:
+def _lattice_norms(g, spectra, weights, r: float, axes=None) -> list:
     """The L^{r'} norm (sum wt |F|^{r'})^{1/r'} of each array F of spectra on
     g's lattice, summed over axes, for weights = (wt, mate).  With a mate (see
     _mate) spectra is a pair (F_+, F_-), and each sum adds that of the mate
-    times the other's |F|^{r'}.  Each spectrum may be given divided by unit:
-    the Picard loop passes bare time DFTs, the centered spectra over dt."""
+    times the other's |F|^{r'}."""
     rp = dual_exponent(r)
     wt, mate = weights
     powers = list(map(np.abs, spectra))     # drops each spectrum once its |F| is formed
@@ -202,7 +199,7 @@ def _lattice_norms(g, spectra, weights, r: float, axes=None, unit: float = 1.0) 
         a **= rp
     mates = [0.0] * len(powers) if mate is None else [
         np.sum(a * mate, axis=axes) for a in powers[::-1]]
-    return [_root(np.sum(np.multiply(a, wt, out=a), axis=axes) + m, g, rp, unit)
+    return [_root(np.sum(np.multiply(a, wt, out=a), axis=axes) + m, g, rp)
             for a, m in zip(powers, mates)]
 
 

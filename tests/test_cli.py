@@ -604,6 +604,18 @@ def test_solve_refuses_a_nonpositive_delta(tmp_path, capsys, delta):
     assert "delta must be positive" in capsys.readouterr().err
 
 
+def test_solve_refuses_b_at_most_one_over_r(tmp_path, capsys):
+    """At r = 1.5 the default b = 0.55 is below 1/r: the solve exits 1 with
+    nothing written, and with b = 0.7 it runs."""
+    code, out = _run(tmp_path, "--seed", "0", "--set", "params.r=1.5", "solve")
+    assert code == 1 and not out.exists()
+    assert "b > 1/r" in capsys.readouterr().err
+    code, out = _run(tmp_path, "--seed", "0", "--set", "params.r=1.5", "--set", "params.b=0.7",
+                     "solve")
+    assert code == 0
+    assert json.loads((out / "solve.json").read_text())["passed"] is True
+
+
 # every command, on small inputs where it reads them, and the settings changes
 # quote: solve and lipschitz at their full defaults, and a k = 2 d_t solve
 _DETERMINISM_RUNS = {

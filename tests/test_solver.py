@@ -19,6 +19,7 @@ from halfwave.grid import (
     _checkerboard,
     _dft,
     _dft_scale,
+    _signs,
     SpacetimeField,
     SpacetimeGrid,
     SpacetimeSpectrum,
@@ -1047,13 +1048,15 @@ def _forcing_reference(sp, sm, ns, g, window, source=None):
 
 def _restricted_terms(g, window, diff, wts, rp):
     """|bare time DFT of window * diff|^{r'} and the X-weights (weight, mate)
-    rolled by M/2 onto its tau order: the loop's restricted-distance sums."""
+    rolled by M/2 onto its tau order: the restricted-distance sums without
+    the loop's time signs and dt.  On the bitwise tests' grid (dt = 1/8)
+    they give the loop's distances bit for bit."""
     a = np.abs(scipy.fft.fftn(window * diff, axes=[0])) ** rp
     return a, tuple(None if x is None else np.roll(x, g.m // 2, axis=0) for x in wts)
 
 
 def _restricted_root(g, total, rp):
-    """The loop's restricted distance from its sum: dt enters as dt^{r'}."""
+    """The restricted distance from a sum of _restricted_terms: dt enters as dt^{r'}."""
     return float((total * g.spatial.dxi**3 * g.dtau * g.dt**rp) ** (1.0 / rp))
 
 
@@ -1203,27 +1206,30 @@ def test_product_tables_are_cached_and_read_only():
 
 @pytest.mark.parametrize("r", [2.0, 1.5, 1.2])
 def test_restricted_distance_matches_textbook_formula(r):
-    """The loop's restricted distance (a bare time DFT, the X-weights rolled
-    by M/2, dt in the norm) is xsb_norm(time_forward(window diff)) to 1e-15
-    relative (2.2e-16 measured), on the full lattice and, with the mate
-    weights, on the half lattice of a pair u_- = conj R u_+."""
-    g = _small_grid()
-    cfg = default_config(g, 0.25, b=0.55)
-    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
-    params = NormParams(r, 1.0, cfg.b, +1)
-    rng = np.random.default_rng(int(10 * r))
-    up = _complex_noise(rng, g.shape)
-    n = g.spatial.n
-    real_pair = up, _conj_reflect_by_index(up)
-    for pair, sizes in ((real_pair, (n // 2 + 1, n)), ((up, _complex_noise(rng, g.shape)), (n,))):
-        want = [xsb_norm(SpacetimeSpectrum(g, time_forward(g, window * x)), params)
-                for x in pair]
-        for h in sizes:
-            wts = tuple(None if x is None else np.roll(x, g.m // 2, axis=0)
-                        for x in _xsb_weights(g, params, h))
-            spectra = [_dft(window * x[..., :h], time=g, bare=True) for x in pair]
-            got = _lattice_norms(g, spectra, wts, r, unit=g.dt)
-            assert _max_rel(got, want) <= 1e-15
+    """The loop's restricted distance (a bare time DFT of the difference
+    under the window times dt and the time signs, with xsb_norm's X-weights)
+    is xsb_norm(time_forward(window diff)) to 1e-15 relative, on the full
+    lattice and, with the mate weights, on the half lattice of a pair
+    u_- = conj R u_+ (1.8e-16 measured).  The grids take dt = 1/8 and, at
+    M = 24, dt = 1/12, which is no power of two, so folding it rounds."""
+    for m in (16, 24):
+        g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), m, 1.0)
+        cfg = default_config(g, 0.25, b=0.55)
+        window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+        x_window = window * g.dt * _signs(m)[:, None, None, None]
+        params = NormParams(r, 1.0, cfg.b, +1)
+        rng = np.random.default_rng(int(10 * r) + m)
+        up = _complex_noise(rng, g.shape)
+        n = g.spatial.n
+        real_pair = up, _conj_reflect_by_index(up)
+        for pair, sizes in ((real_pair, (n // 2 + 1, n)),
+                            ((up, _complex_noise(rng, g.shape)), (n,))):
+            want = [xsb_norm(SpacetimeSpectrum(g, time_forward(g, window * x)), params)
+                    for x in pair]
+            for h in sizes:
+                spectra = [_dft(x_window * x[..., :h], time=g, bare=True) for x in pair]
+                got = _lattice_norms(g, spectra, _xsb_weights(g, params, h), r)
+                assert _max_rel(got, want) <= 1e-15
 
 
 @pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
@@ -1330,6 +1336,33 @@ def test_picard_grid_validation():
         picard_iterate(fp, other, ns, cfg)
     with pytest.raises(GridMismatchError):
         picard_iterate(fp, fm, ns, cfg, source=np.zeros((g.m - 1,) + g.spatial.shape, complex))
+
+
+@pytest.mark.parametrize("r", [3.0, 0.5])
+def test_picard_refuses_r_outside_the_data_range(r):
+    """r lies in (1, 2], as for every norm of spaces: r = 3 would report its
+    distances in r' = 1.5, and r = 0.5 in a negative exponent."""
+    g = _small_grid()
+    fp, fm = to_first_order(_gaussian_data(g.spatial))
+    with pytest.raises(ParameterError, match="must lie in"):
+        solve_local(fp, fm, NonlinearitySpec(1, "x1"), default_config(g, 0.25), r=r)
+
+
+def test_picard_refuses_b_at_most_one_over_r():
+    """With b set, the X-distance needs b > 1/r, as the key estimate does; with
+    b None nothing reads it.  select_delta's trials refuse it too."""
+    g = _small_grid()
+    d = _gaussian_data(g.spatial)
+    d = CauchyData(d.u0, d.u1, 1.5, d.s)
+    fp, fm = to_first_order(d)
+    ns = NonlinearitySpec(1, "x1")
+    for b in (0.55, 2.0 / 3.0):
+        with pytest.raises(ParameterError, match="b > 1/r"):
+            solve_local(fp, fm, ns, default_config(g, 0.25, b=b), r=1.5)
+        with pytest.raises(ParameterError, match="b > 1/r"):
+            select_delta(d, ns, g, b=b)
+    for b in (0.7, None):
+        assert solve_local(fp, fm, ns, default_config(g, 0.25, b=b), r=1.5).success
 
 
 @pytest.mark.parametrize("k, derivative", _NONLINEARITIES)
@@ -1696,7 +1729,7 @@ def test_real_path_matches_full_lattice_loop(k, derivative):
     ns = NonlinearitySpec(k, derivative)
     runs = [(cfg, source, 2.0) for cfg in _window_configs(g, b=0.55) for source in (None, src)]
     runs += [(default_config(g, 0.25, max_iter=3, tol=0.0, b=0.55), src, 2.0),
-             (default_config(g, 0.25, b=0.55), src, 1.5)]
+             (default_config(g, 0.25, b=0.7), src, 1.5)]
     for cfg, source, r in runs:
         res = picard_iterate(fp, fm, ns, cfg, r=r, source=source)
         want = _picard_real_full_lattice(fp, fm, ns, cfg, source, r=r)
