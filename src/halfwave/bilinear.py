@@ -42,7 +42,9 @@ from .grid import (
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
+    _checkerboard,
     _dft,
+    _dft_scale,
     time_forward,
 )
 from .propagator import EvolutionSpec, _free_slices_at
@@ -358,27 +360,33 @@ def _product_block(
     spectra of factor(t) times the product of the two free waves on it.
     (None, None) when factor vanishes.
 
-    The free slices, their spatial inverses, the product and its spatial
-    transform are formed in groups of _GROUP_POINTS lattice points, each
-    written into the block, so the block is the one array of its size
+    The transforms are bare (grid._dft): the data are multiplied by the
+    checkerboard S once, the free factors' S_x cancel in the product, the
+    per-slice factor carries the scales (two inverse and one forward make
+    one inverse), and the product takes one sign pass before its forward
+    transform and one after.  The free slices, their inverses, the product
+    and its transform are formed in groups of _GROUP_POINTS lattice points,
+    each written into the block, so the block is the one array of its size
     alive.  Each slice is the one the full-lattice formula gives.
     """
     keep = _window_block(factor)
     if keep is None:
         return None, None
     sg = g.spatial
-    t, f = g.t_axis[keep], factor[keep, None, None, None]
+    signs = _checkerboard(sg.n)
+    data = [(Spectrum(sg, a.data * signs), EvolutionSpec("D", sign))
+            for a, sign in ((u0, sp.first), (v0, sp.second))]
+    t, f = g.t_axis[keep], factor[keep, None, None, None] * _dft_scale(sg, inverse=True)
     block = np.empty((t.size,) + sg.shape, dtype=np.complex128)
     step = max(1, _GROUP_POINTS // sg.n**3)
     for start in range(0, t.size, step):
         group = slice(start, start + step)
-        uf, vf = (
-            _dft(_free_slices_at(a, EvolutionSpec("D", sign), t[group]), sg, inverse=True)
-            for a, sign in ((u0, sp.first), (v0, sp.second))
-        )
+        uf, vf = (_dft(_free_slices_at(a, e, t[group]), sg, inverse=True, bare=True)
+                  for a, e in data)
         prod = np.multiply(uf, vf, out=uf)
         prod *= f[group]
-        block[group] = _dft(prod, sg)
+        prod *= signs
+        np.multiply(_dft(prod, sg, bare=True), signs, out=block[group])
     return keep, block
 
 

@@ -21,11 +21,14 @@ which is applied before and after the FFT; the remaining (-1)^(N/2) and the
 lattice steps fold into one scalar (_dft_scale).  The 1-D sign vectors and
 the N^3 spatial checkerboards are cached read-only by size; nothing of size
 M*N^3 is cached.  A bare transform (_dft(..., bare=True)) skips the sign and
-scale passes; its caller folds them into multiplies it makes anyway: the
-solver's product kernel into its cached spectral tables (one multiply
-before each inverse, one after the forward transform, and one x-space sign
-pass per product), and its X-distance into its time window (the input
-signs and dt), since only the modulus of the time spectrum is read.
+scale passes; its caller folds them into multiplies it makes anyway.  The
+two product kernels, the solver's (into its cached spectral tables) and the
+estimate harness's (bilinear._product_block: into its data and its time
+factor), make one multiply before each inverse, one x-space sign pass per
+product and one multiply after the forward transform.  Where only the
+modulus of a time spectrum is read, the input carries the time signs and
+dt goes into the norm: the solver's X-distance (in its time window),
+spaces._block_norms (in the copy into the zero padding) and _free_xsb_norm.
 
 SpatialGrid is the one symbol table: |xi|, <xi> = (1 + |xi|^2)^(1/2) and the
 2/3-rule dealiasing mask are built once per grid and cached read-only.  So

@@ -23,9 +23,10 @@ from .grid import (
     SpacetimeGrid,
     SpacetimeSpectrum,
     Spectrum,
+    _dft,
+    _signs,
     forward_transform,
     reflect,
-    time_forward,
 )
 from .propagator import EvolutionSpec, _phase_table
 
@@ -229,8 +230,8 @@ def lr_xt_norm(F, r: float) -> float:
     return float(_lattice_norms(S.grid, [S.data], (1.0, None), r)[0])
 
 
-# spatial columns per time transform of _block_norms: an (M, 256) chunk is 1 MB at M = 256
-_COLUMNS = 256
+# lattice points per time transform of _block_norms: 2^16 points is 1 MB of complex data
+_CHUNK_POINTS = 1 << 16
 
 
 def _block_norms(g: SpacetimeGrid, keep: slice | None, block, r: float, terms) -> list:
@@ -240,29 +241,32 @@ def _block_norms(g: SpacetimeGrid, keep: slice | None, block, r: float, terms) -
     are zero.  keep None is the product that vanishes.
 
     terms holds one (a, c) per norm: a a table on g's shells, c a factor on
-    the tau axis or None for 1.  The block is read one chunk of _COLUMNS
-    spatial columns at a time: the zero-padded chunk is transformed in time,
+    the tau axis or None for 1.  The block is read one chunk of _CHUNK_POINTS
+    lattice points at a time: copied into the zero padding times the time
+    signs and transformed bare, it gives |S|/dt (dt^{r'} goes into the root);
     |S| is raised to r' once, each term adds a matrix-vector product with
-    a^{r'} gathered over the chunk's columns to its sum per tau, and the
-    sums are dotted with c^{r'} at the end.  No (M, N^3) array is formed.
+    a^{r'}, gathered onto the lattice once, to its sum per tau, and the sums
+    are dotted with c^{r'} at the end.  No (M, N^3) array is formed.
     """
     _check_r(r)
     rp = dual_exponent(r)
     sums = np.zeros((len(terms), g.m))
     if keep is not None:
         index = g.spatial.shell_index.ravel()
-        tables = [a**rp for a, _ in terms]
+        tables = [np.take(a**rp, index) for a, _ in terms]
         cols = block.reshape(len(block), -1)
-        pad = np.zeros((g.m, min(_COLUMNS, cols.shape[1])), dtype=np.complex128)
-        for start in range(0, cols.shape[1], _COLUMNS):
-            chunk = slice(start, start + _COLUMNS)
-            width = len(index[chunk])
-            pad[keep, :width] = cols[:, chunk]
-            power = np.abs(time_forward(g, pad[:, :width]))
+        step = max(1, _CHUNK_POINTS // g.m)
+        pad = np.empty((g.m, min(step, cols.shape[1])), dtype=np.complex128)
+        for start in range(0, cols.shape[1], step):
+            chunk = slice(start, start + step)
+            part = pad[:, :len(index[chunk])]
+            part[: keep.start] = part[keep.stop :] = 0.0    # the bare transform overwrote them
+            np.multiply(cols[:, chunk], _signs(g.m)[keep, None], out=part[keep])
+            power = np.abs(_dft(part, time=g, bare=True))
             power **= rp
             for total, table in zip(sums, tables):
-                total += power @ np.take(table, index[chunk])
-    return [float(_root(total.sum() if c is None else total @ c**rp, g, rp))
+                total += power @ table[chunk]
+    return [float(_root(g.dt**rp * (total.sum() if c is None else total @ c**rp), g, rp))
             for total, (_, c) in zip(sums, terms)]
 
 
@@ -289,20 +293,20 @@ def _free_xsb_norm(u0: Spectrum, g, time_factor: np.ndarray, p: NormParams) -> f
     is T(tau, shell(xi)) u0(xi), where T is the time transform of
     time_factor(t) e^{i sign t|xi|} on each shell.  So the norm is the sum
     over (tau, shell) of the X-weight times |T|^{r'} times the shell sum of
-    |u0|^{r'}.
+    |u0|^{r'}.  T is transformed bare, as in _block_norms.
     """
     sg = g.spatial
     rp = p.rprime
     phases = _phase_table(sg, EvolutionSpec("D", p.sign), g.t_axis)
-    phases *= time_factor[:, None]
-    T = np.abs(time_forward(g, phases))
+    phases *= (time_factor * _signs(g.m))[:, None]
+    T = np.abs(_dft(phases, time=g, bare=True))
     T **= rp
     T *= _xsb_weight_table(g, p)
     a = np.abs(u0.data)
     a **= rp
     shell_sums = np.bincount(sg.shell_index.ravel(), weights=a.ravel(),
                              minlength=sg.shell_values.size)
-    return float(_root(np.dot(T.sum(axis=0), shell_sums), g, rp))
+    return float(_root(g.dt**rp * np.dot(T.sum(axis=0), shell_sums), g, rp))
 
 
 def z_norm(u, dtu, p: NormParams) -> float:

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.special import beta
 
 from halfwave import bilinear, kernels
@@ -19,13 +20,14 @@ from halfwave.bilinear import (
 from halfwave.dyadic import region_masks
 from halfwave.errors import BudgetError, DivergentIntegralError, ParameterError
 from halfwave.grid import (
-    _dft,
+    _checkerboard,
+    _dft_scale,
     SpacetimeGrid,
     SpatialGrid,
     Spectrum,
     time_forward,
 )
-from halfwave.propagator import EvolutionSpec, free_slices, free_spacetime
+from halfwave.propagator import EvolutionSpec, free_slices
 from halfwave.spaces import WindowSpec, window_values
 from halfwave.verify import _data_pair, _fixed_window_grid, scaling_grid
 
@@ -214,13 +216,18 @@ def test_exchange_symmetry():
 
 
 def _product_reference(u0, v0, sp, g, w):
-    """The full-lattice formula: both free waves in configuration space on
-    every time slice, multiplied and windowed, each slice transformed in
-    space, then the stack transformed in time."""
-    uf = free_spacetime(u0, g, EvolutionSpec("D", sp.first))
-    vf = free_spacetime(v0, g, EvolutionSpec("D", sp.second))
-    win = window_values(w, g.t_axis)[:, None, None, None]
-    return time_forward(g, _dft(uf.data * vf.data * win, g.spatial))
+    """The full-lattice formula in the block stage's folded arithmetic: both
+    free waves, from the data times the checkerboard S, through bare scipy
+    inverse transforms on every time slice, multiplied, windowed times the
+    inverse scale (two inverse scales and one forward), signed, transformed
+    bare and multiplied by S; then the stack transformed in time."""
+    sg = g.spatial
+    signs = _checkerboard(sg.n)
+    uf, vf = (sfft.ifftn(free_slices(Spectrum(sg, a.data * signs), g, EvolutionSpec("D", sign)),
+                         axes=(1, 2, 3))
+              for a, sign in ((u0, sp.first), (v0, sp.second)))
+    win = window_values(w, g.t_axis)[:, None, None, None] * _dft_scale(sg, inverse=True)
+    return time_forward(g, sfft.fftn(uf * vf * win * signs, axes=(1, 2, 3)) * signs)
 
 
 @pytest.mark.parametrize("lam", [2.0, 16.0])

@@ -89,10 +89,12 @@ def test_lr_xt_parseval(stg):
 
 
 @pytest.mark.parametrize("n, m, keep", [(12, 16, slice(3, 12)), (8, 8, slice(0, 8))])
-def test_block_norms_match_lattice_formula(n, m, keep):
-    """The norms taken a column chunk at a time, with a last chunk narrower
-    than the rest at N = 12, equal the weighted sums over the zero-padded
-    space-time spectrum; a product with no block has norm 0."""
+def test_block_norms_match_lattice_formula(n, m, keep, monkeypatch):
+    """The norms taken a chunk of 256 columns at a time (the point budget
+    cut to 256 M), with a last chunk narrower than the rest at N = 12, equal
+    the weighted sums over the zero-padded space-time spectrum; a product
+    with no block has norm 0."""
+    monkeypatch.setattr(spaces, "_CHUNK_POINTS", 256 * m)
     g = SpacetimeGrid(SpatialGrid(n, 3.0), m, 2.0)
     sg = g.spatial
     rng = np.random.default_rng(4)
@@ -109,6 +111,30 @@ def test_block_norms_match_lattice_formula(n, m, keep):
         want = [(np.sum((wt * S) ** rp) * sg.dxi**3 * g.dtau) ** (1.0 / rp) for wt in weights]
         assert _block_norms(g, keep, block, r, terms) == pytest.approx(want, rel=1e-13)
     assert _block_norms(g, None, None, 2.0, terms) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("m", [256, 1024])
+def test_block_norms_chunks_keep_to_the_point_budget(m, monkeypatch):
+    """Every time transform of _block_norms is bare and holds at most
+    _CHUNK_POINTS lattice points, however long the time axis: M = 1024 on
+    the 8^3 lattice takes ceil(8^3 M / 2^16) = 8 chunks of 64 columns."""
+    g = SpacetimeGrid(SpatialGrid(8, 3.0), m, 2.0)
+    keep = slice(m // 4, 3 * m // 4)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((m // 2,) + g.spatial.shape) + 0j
+    sizes = []
+    real = spaces._dft
+
+    def counted(data, *args, **kwargs):
+        assert kwargs == {"time": g, "bare": True}
+        sizes.append(data.shape)
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(spaces, "_dft", counted)
+    terms = ((g.spatial.shell_brackets, None),)
+    _block_norms(g, keep, block, 1.5, terms)
+    assert len(sizes) == -(-8**3 * m // spaces._CHUNK_POINTS)
+    assert all(rows == m and rows * cols <= spaces._CHUNK_POINTS for rows, cols in sizes)
 
 
 def test_window_shape():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from halfwave import kernels, verify
+from halfwave import bilinear, kernels, spaces, verify
 from halfwave.bilinear import SignPair, _product_block, _symbol_block, product_transform_direct
 from halfwave.dyadic import region_masks
 from halfwave.errors import ParameterError
@@ -406,6 +406,37 @@ def test_key_estimate_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 30e6
+
+
+@pytest.mark.parametrize("grid", ["scaling", "fixed-window"])
+def test_estimate_harness_transforms_are_bare(grid, monkeypatch):
+    """At the estimates' settings (n = 16, m = 32, and the fixed-window rung
+    at M = 256) the product lhs and the free X-norm make no signed transform
+    pass: every _dft call is bare, and _block_norms makes ceil(N^3 M /
+    _CHUNK_POINTS) time transforms per call."""
+    g, w = scaling_grid(4.0, n=16, m=32) if grid == "scaling" else _fixed_window_grid16(16.0)
+    u0, v0 = verify._data_pair("gaussian-bump", 4.0, 0, g.spatial)
+    calls = []
+
+    def recorded(module):
+        real = module._dft
+
+        def wrapped(data, *args, **kwargs):
+            calls.append((module.__name__, kwargs.get("bare", False), kwargs.get("time")))
+            return real(data, *args, **kwargs)
+        monkeypatch.setattr(module, "_dft", wrapped)
+
+    recorded(bilinear)
+    recorded(spaces)
+    win = _grid_window(g, w)
+    _, wx, wt = verify._key_tables(g, 1.25)
+    verify._product_lhs(u0, v0, SignPair(+1, -1), g, win, 2.0, (wx, wt))
+    chunks = [c for c in calls if c[0] == spaces.__name__]
+    assert len(chunks) == -(-16**3 * g.m // spaces._CHUNK_POINTS)
+    assert all(time is g for _, _, time in chunks)
+    _free_xsb_norm(u0, g, win, NormParams(2.0, 1.25, 0.55, +1))
+    assert len(calls) > len(chunks) + 1 and all(bare for _, bare, _ in calls)
+    assert g.m == (32 if grid == "scaling" else 256)
 
 
 def test_sharpness_growth_and_control():
