@@ -50,6 +50,7 @@ from .propagator import EvolutionSpec, _duhamel_step, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
+    _TIME_SLACK,
     _check_r,
     _core_slices,
     _lattice_norms,
@@ -116,13 +117,19 @@ class NonlinearitySpec:
 class SolveConfig:
     """Local solve parameters: time radius, iteration budget, norms.
 
-    delta fixes the time window (see window), so a config exists for every
-    delta in (0, 0.95 T], T the time half-width; default_config is a second
-    name for this class.  b is the modulation exponent of the X^r_{s,b}
-    diagnostics, the windowed restricted distances and the Z-norm; None
-    forms neither, and a loop refuses b <= 1/r.  Convergence, divergence
-    and select_delta read the sup distance alone; b enters one decision, as
-    a guard: with b set, a non-finite X-distance ends the loop nonfinite."""
+    delta and b fix the time window (see window), so a config exists for
+    every delta in (0, 0.95 T], T the time half-width; default_config is a
+    second name for this class.  b is the modulation exponent of the
+    X^r_{s,b} diagnostics, the windowed restricted distances and the
+    Z-norm; None forms neither, and a loop refuses b <= 1/r.  With b None
+    the window is the core [-delta, delta] itself: the loop runs there
+    alone, its block guard is the core, and u off the core is the J-flow
+    continued from the core's edge.  With b set the window ramps smoothly
+    to zero past delta, and the loop runs on the ramp too.  Convergence,
+    divergence and select_delta read the sup distance over the core alone,
+    which is the same, bit for bit, for either window; b enters one
+    decision, as a guard: with b set, a non-finite X-distance or a
+    non-finite norm on the ramp ends the loop nonfinite."""
 
     grid: SpacetimeGrid
     delta: float
@@ -141,8 +148,13 @@ class SolveConfig:
 
     @property
     def window(self) -> WindowSpec:
-        """1 on [-delta, delta], vanishing by min(2 delta, 0.95 T): it fits
-        the time box and holds [-delta, delta] in its flat core."""
+        """1 on [-delta, delta].  With b None it is the sharp indicator of the
+        core, with _core_slices' slack, so the window and the core pick the
+        same slices.  With b set it vanishes smoothly by min(2 delta, 0.95 T),
+        fitting the time box, since a sharp cutoff has no finite X^{s,b} norm
+        for b > 1/r."""
+        if self.b is None:
+            return WindowSpec(support=self.delta + _TIME_SLACK, flat_fraction=1.0)
         support = min(2.0 * self.delta, 0.95 * self.grid.half_time)
         flat = min(1.0, max(0.5, self.delta / support))
         return WindowSpec(support=support, flat_fraction=flat)
@@ -375,8 +387,10 @@ def _linear_sweep(
 
     f, the window, the free slices free = (free_+, free_-) and d_pm are
     consecutive slices, slice m0 at t = 0; steps holds (S_+, S_-) forward,
-    then back.  c[k]/2, free_+[k] + free_-[k] and h f[k] are formed slice by
-    slice, so the sweep holds no block of them.  Past the last slice each
+    then back.  c[k]/2 is formed once for the slices where the window is 1
+    (every slice when the config leaves b unset) and slice by slice
+    elsewhere; free_+[k] + free_-[k] and h f[k] are formed slice by slice,
+    so the sweep holds no block of them.  Past the last slice each
     way the step would read f = c = 0, so it is S_pm (d_pm[e] -+ h g_-[e])
     from the end slice e: these seeds, forward then back, are returned with
     (d_+, d_-).  out holds the two complex arrays of f's shape the sweep
@@ -387,9 +401,13 @@ def _linear_sweep(
     dp, dm = out
     free_p, free_m = free
     bracket = g.spatial.bracket[..., :f.shape[-1]]
+    # c/2 on the slices where the window is 1, built once: window/J is 1/J there
+    unit = (1.0 / bracket / 2.0).astype(np.complex128)
 
     def half_c(k):
         # c/2 complex, as a factor of complex products
+        if np.all(window[k] == 1.0):
+            return unit
         return (window[k] / bracket / 2.0).astype(np.complex128)
 
     dp[m0] = dm[m0] = 0.0
@@ -572,7 +590,8 @@ class _PicardState:
                      np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
             # the distance is the sup over the core; the sup over the whole
             # block, which holds the core, guards the slices past it, where
-            # a solve beyond its lifespan overflows first
+            # a solve beyond its lifespan overflows first.  With b None the
+            # block is the core, and the guard is the distance's own finiteness
             norms_p, norms_m = _slice_norms(g, diffs, self.r, self.s)
             d = float(np.max(norms_p[self.core]) + np.max(norms_m[self.core]))
             finite = math.isfinite(np.max(norms_p) + np.max(norms_m))
@@ -648,20 +667,26 @@ def picard_iterate(
     of the data-space norm (both components), and rho_n is its step ratio:
     it alone decides convergence and divergence.  Three consecutive growing
     distances flag divergence, and so does one non-finite distance or guard,
-    the sup of the same norm over the whole window block, which overflows
-    first past a solve's lifespan (see PicardResult.status).  When cfg.b is
-    set, each iteration also measures the windowed space-time restriction
-    norm in X^r_{s,b}, reported as restricted_distances, and a non-finite
-    one flags divergence too; with b None no time transform is made.  The
-    restriction norm takes xsb_norm's X-weights and a bare time DFT, with
-    dt and the time signs folded into the window.
+    the sup of the same norm over the whole window block (see
+    PicardResult.status).  With b None the block is the core; with b set it
+    holds the window's ramp past delta, which overflows first when the ramp
+    reaches past a solve's lifespan.  When cfg.b is set, each iteration also
+    measures the windowed space-time restriction norm in X^r_{s,b}, reported
+    as restricted_distances, and a non-finite one flags divergence too; with
+    b None no time transform is made.  The restriction norm takes xsb_norm's
+    X-weights and a bare time DFT, with dt and the time signs folded into
+    the window.
 
     The forcing is multiplied by the time window, so the loop reads only
     the block of time slices where the window is nonzero: the forcing, its
     transforms and the sweep run there, and the iterate is extended to the
     whole time axis once, at the end, by continuing the last sweep past the
     block, where the forcing and c vanish.  The result is the same, bit for
-    bit, as iterating on every slice.
+    bit, as iterating on every slice.  With b None the window is the sharp
+    core window (see SolveConfig.window), so the block is the core and u
+    off the core is the J-flow continued from the core's edge; on the core
+    the iterates, the distances and the status are those of the smooth
+    window of a b set, bit for bit.
 
     Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
@@ -757,7 +782,10 @@ def solve_local(
     t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
     way, lies in the core: outside it the window has cut the forcing, so u
-    solves no equation there.  mask B(u, u), the forcing the loop iterated,
+    solves no equation there.  With b None the loop runs on the core alone,
+    and u off it is the J-flow continued from the core's edge (see
+    picard_iterate); the residual, the persistence curve and u on the core
+    do not depend on b.  mask B(u, u), the forcing the loop iterated,
     and the source term are formed on the audited slices alone.  When no
     slice is left to audit, the report says so (SolveReport.status).
     """
@@ -828,9 +856,11 @@ def select_delta(
     accepted delta with the trial trace; when none is accepted, the last one
     tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
     picard_iterate's loop state for default_config(grid, delta, max_iter=2,
-    b=b) and advances it two iterations; b enters only the loop's guard
-    (see SolveConfig), and the trials form the windowed X-distances only
-    when it is set, so that the state is that of a solve with the same b.
+    b=b) and advances it two iterations; b enters only the loop's window and
+    guard (see SolveConfig).  With b None a trial runs on the core alone and
+    its block guard is the core; with b set it runs on the window's ramp too
+    and forms the windowed X-distances, so that the state is that of a solve
+    with the same b.  rho_1 reads the core alone, so it does not depend on b.
     Only the returned delta's state is parked in the one-entry memo, and
     picard_iterate (so solve_local) at that delta on the same data and
     settings, b included, resumes it from iteration 2.  rho_1 is the

@@ -49,6 +49,8 @@ from halfwave.solver import (
 from halfwave.spaces import (
     NormParams,
     WindowSpec,
+    _TIME_SLACK,
+    _core_slices,
     _grid_window,
     _lattice_norms,
     _slice_norms,
@@ -125,18 +127,25 @@ def test_config_validation(stg):
 
 @pytest.mark.parametrize("n, m", [(8, 16), (16, 64)])
 def test_window_follows_from_delta(n, m):
-    """From delta = 2 dt to 0.95 T the config's window has support
-    min(2 delta, 0.95 T) and [-delta, delta] as its flat core, and the time
-    window check accepts it; a delta just past 0.95 T has no config."""
+    """From delta = 2 dt to 0.95 T, with b set, the config's window has
+    support min(2 delta, 0.95 T) and [-delta, delta] as its flat core; with
+    b None it is the sharp indicator of the core, nonzero on exactly the
+    slices _core_slices picks.  The time window check accepts both; a delta
+    just past 0.95 T has no config."""
     g = SpacetimeGrid(SpatialGrid(n, 2 * np.pi), m, 1.0)
     top = 0.95 * g.half_time
     on_slices = g.dt * np.arange(2, m // 2)
     for delta in np.concatenate([np.linspace(2.0 * g.dt, top, 97), on_slices[on_slices <= top]]):
-        cfg = SolveConfig(g, float(delta))
+        cfg = SolveConfig(g, float(delta), b=0.55)
         support = min(2.0 * cfg.delta, top)
         assert cfg.window == WindowSpec(support=support,
                                         flat_fraction=min(1.0, max(0.5, cfg.delta / support)))
         _grid_window(g, cfg.window, cfg.delta)
+        sharp = dataclasses.replace(cfg, b=None).window
+        assert sharp == WindowSpec(support=cfg.delta + _TIME_SLACK, flat_fraction=1.0)
+        values = _grid_window(g, sharp, cfg.delta)
+        assert np.array_equal(values != 0, _core_slices(g, cfg.delta))
+        assert set(np.unique(values)) <= {0.0, 1.0}
     with pytest.raises(ParameterError, match="does not fit the time box"):
         SolveConfig(g, float(np.nextafter(top, np.inf)))
 
@@ -582,10 +591,13 @@ def test_select_delta_takes_b_by_name(stg, monkeypatch):
 @pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
 @pytest.mark.parametrize("real", [True, False])
 def test_x_norm_never_steers_the_loop(stg, real, k, derivative):
-    """b enters the X-distances and the Z-norm alone: a delta-selected solve
-    with b = 0.55 reports them, one with b None forms neither, and both give
-    the same delta, trace, iterates, distances, status, residual and u, bit
-    for bit."""
+    """b enters the X-distances, the Z-norm and the window alone: a
+    delta-selected solve with b = 0.55 reports the first two, one with b None
+    forms neither and runs on the core alone, where the window of b = 0.55
+    is 1 too.  Both give the same delta, trace, distances, status and
+    residual, bit for bit, and the same iterates, u and d_t u on the core
+    slices; off the core, b None continues the last sweep from the core's
+    edge."""
     d = _gaussian_data(stg.spatial, amp=1.0)
     d = d if real else _twisted(d)
     ns = NonlinearitySpec(k, derivative)
@@ -597,9 +609,17 @@ def test_x_norm_never_steers_the_loop(stg, real, k, derivative):
     (delta, trace, bare), (delta_b, trace_b, rep) = runs
     assert delta == delta_b and trace == trace_b
     assert bare.result.real_data == real and bare.success
-    for name in ("sp", "sm", "distances", "iterations", "status"):
+    core = _core_slices(stg, delta)
+    state = solver_mod._PicardState(*to_first_order(d), ns, default_config(stg, delta),
+                                    d.r, d.s, None)
+    assert np.array_equal(np.arange(stg.m)[state.blk], np.flatnonzero(core))
+    for name in ("distances", "iterations", "status"):
         assert _same(getattr(bare.result, name), getattr(rep.result, name)), name
-    for name in ("u", "dtu", "residual", "residual_scale", "persistence", "max_jump", "status"):
+    for name in ("sp", "sm"):
+        assert _same(getattr(bare.result, name)[core], getattr(rep.result, name)[core]), name
+    for name in ("u", "dtu"):
+        assert _same(getattr(bare, name).data[core], getattr(rep, name).data[core]), name
+    for name in ("residual", "residual_scale", "persistence", "max_jump", "status"):
         assert _same(getattr(bare, name), getattr(rep, name)), name
     assert bare.result.restricted_distances == [] and bare.z_value is None
     assert len(rep.result.restricted_distances) == rep.result.iterations
@@ -1587,6 +1607,22 @@ def test_window_block_matches_reference_bitwise(window, k, derivative):
             assert np.array_equal(got, value) if name in ("sp", "sm") else got == value, name
 
 
+def _record_transforms(monkeypatch, record):
+    """Wrap scipy.fft's transforms so that each call first hands its axes
+    and the length of its input's first axis to record."""
+    def recorded(name):
+        original = getattr(scipy.fft, name)
+
+        def wrapper(x, *args, **kwargs):
+            record(tuple(kwargs["axes"]), np.shape(x)[0])
+            return original(x, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, recorded(name))
+
+
 @pytest.mark.parametrize("real", [True, False])
 def test_window_block_transform_shapes(monkeypatch, real):
     """Inside the loop every spatial transform sees the block's slices and
@@ -1594,18 +1630,7 @@ def test_window_block_transform_shapes(monkeypatch, real):
     None the loop makes none."""
     g = _small_grid()
     seen = []
-
-    def recorded(name):
-        original = getattr(scipy.fft, name)
-
-        def wrapper(x, *args, **kwargs):
-            seen.append((tuple(kwargs["axes"]), np.shape(x)[0]))
-            return original(x, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("fft", "fftn", "ifftn", "rfftn", "irfftn"):
-        monkeypatch.setattr(scipy.fft, name, recorded(name))
+    _record_transforms(monkeypatch, lambda axes, m: seen.append((axes, m)))
     fp, fm = _real_data(g)
     if not real:
         fm = Spectrum(g.spatial, fm.data * np.exp(0.1j))
@@ -1624,6 +1649,37 @@ def test_window_block_transform_shapes(monkeypatch, real):
             assert timed == []
         else:
             assert timed and set(timed) == {g.m}
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_loop_without_b_transforms_the_core_alone(monkeypatch, real):
+    """With b None the window is the core, so every spatial transform inside
+    picard_iterate, and inside each select_delta trial, sees exactly the
+    slices _core_slices picks at its delta, on deltas on and off the time
+    slices; no time transform is made."""
+    g = SpacetimeGrid(SpatialGrid(8, 2 * np.pi), 32, 1.0)
+    cores, seen = [], []
+    _record_transforms(monkeypatch, lambda axes, m: seen.append((axes, m, cores[-1])))
+    config = solver_mod.default_config
+
+    def tracked(grid, delta, **kwargs):
+        cores.append(int(_core_slices(grid, delta).sum()))
+        return config(grid, delta, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "default_config", tracked)
+    monkeypatch.setattr(solver_mod, "_RHO_TARGET", 0.0)    # every trial is rejected
+    d = _gaussian_data(g.spatial)
+    d = d if real else _twisted(d)
+    fp, fm = to_first_order(d)
+    ns = NonlinearitySpec(1, "t")
+    for delta in (0.5, 0.3, 0.25, 2.0 * g.dt):
+        res = picard_iterate(fp, fm, ns, tracked(g, delta, max_iter=3, tol=0.0))
+        assert res.real_data == real and res.iterations == 3
+    delta, trace = select_delta(d, ns, g)
+    assert len(trace) >= 3 and delta == 2.0 * g.dt
+    assert len(cores) == 4 + len(trace) and len(set(cores)) >= 4
+    assert seen and {axes for axes, _, _ in seen} == {(1, 2, 3)}
+    assert all(m == core < g.m for _, m, core in seen)
 
 
 def _residual_reference(rep, ns, cfg, src=None, b_spec=None):
