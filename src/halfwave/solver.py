@@ -11,6 +11,8 @@ checks the equation the loop solved.  With J = <xi> the rewrite reads
 u = w/2 besides mask B.  The iteration takes only mask B (and a source)
 from the previous iterate and solves the linear term slice by slice inside
 the trapezoid sweep, so its contraction factors measure the nonlinearity.
+The loop runs on the core |t| <= delta alone, u off it is the J-flow
+continued from the core's edge, and b adds only the X^{s,b} diagnostics.
 The iterates are kept as spatial spectral slices, shape (M, N, N, N);
 configuration space is visited only for the pointwise product.  Real data
 have u_- = conj u_+(-xi) at every iterate, so for them the same loop runs
@@ -50,7 +52,6 @@ from .propagator import EvolutionSpec, _duhamel_step, _free_slices_at
 from .spaces import (
     NormParams,
     WindowSpec,
-    _TIME_SLACK,
     _check_r,
     _core_slices,
     _lattice_norms,
@@ -91,6 +92,8 @@ class CauchyData:
     def __post_init__(self):
         if self.u0.grid != self.u1.grid:
             raise GridMismatchError("position and velocity data live on different lattices")
+        if not math.isfinite(self.s):
+            raise ParameterError(f"the data regularity s must be finite, got {self.s}")
 
     def norms(self) -> tuple[float, float]:
         return (
@@ -117,19 +120,15 @@ class NonlinearitySpec:
 class SolveConfig:
     """Local solve parameters: time radius, iteration budget, norms.
 
-    delta and b fix the time window (see window), so a config exists for
-    every delta in (0, 0.95 T], T the time half-width; default_config is a
-    second name for this class.  b is the modulation exponent of the
+    A config exists for every delta in (0, 0.95 T], T the time half-width;
+    default_config is a second name for this class.  The Picard loop runs on
+    the core [-delta, delta] alone, and u off the core is the J-flow
+    continued from the core's edge.  b is the modulation exponent of the
     X^r_{s,b} diagnostics, the windowed restricted distances and the
-    Z-norm; None forms neither, and a loop refuses b <= 1/r.  With b None
-    the window is the core [-delta, delta] itself: the loop runs there
-    alone, its block guard is the core, and u off the core is the J-flow
-    continued from the core's edge.  With b set the window ramps smoothly
-    to zero past delta, and the loop runs on the ramp too.  Convergence,
-    divergence and select_delta read the sup distance over the core alone,
-    which is the same, bit for bit, for either window; b enters one
-    decision, as a guard: with b set, a non-finite X-distance or a
-    non-finite norm on the ramp ends the loop nonfinite."""
+    Z-norm; None forms neither, and a loop refuses b <= 1/r.  Convergence,
+    divergence and select_delta read the sup distance over the core, which
+    b does not change; b enters one decision, as a guard: a non-finite
+    X-distance ends the loop nonfinite."""
 
     grid: SpacetimeGrid
     delta: float
@@ -138,23 +137,19 @@ class SolveConfig:
     b: float | None = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ParameterError("delta must be positive")
+        # written so that delta = NaN fails it too
+        if not 0 < self.delta <= 0.95 * self.grid.half_time:
+            raise ParameterError("delta must be positive" if self.delta <= 0 else
+                                 f"delta = {self.delta} does not fit the time box "
+                                 f"(half_time {self.grid.half_time})")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.delta > 0.95 * self.grid.half_time:
-            raise ParameterError(f"delta = {self.delta} does not fit the time box "
-                                 f"(half_time {self.grid.half_time})")
 
     @property
     def window(self) -> WindowSpec:
-        """1 on [-delta, delta].  With b None it is the sharp indicator of the
-        core, with _core_slices' slack, so the window and the core pick the
-        same slices.  With b set it vanishes smoothly by min(2 delta, 0.95 T),
-        fitting the time box, since a sharp cutoff has no finite X^{s,b} norm
-        for b > 1/r."""
-        if self.b is None:
-            return WindowSpec(support=self.delta + _TIME_SLACK, flat_fraction=1.0)
+        """The cutoff of the X^{s,b} diagnostics: 1 on [-delta, delta], vanishing
+        smoothly by min(2 delta, 0.95 T), fitting the time box, since a sharp
+        cutoff has no finite X^{s,b} norm for b > 1/r."""
         support = min(2.0 * self.delta, 0.95 * self.grid.half_time)
         flat = min(1.0, max(0.5, self.delta / support))
         return WindowSpec(support=support, flat_fraction=flat)
@@ -330,7 +325,7 @@ class PicardResult:
     spectra (see picard_iterate); sm is then conj R sp exactly.  status says
     why the loop stopped: "converged" (a distance reached tol), "unconverged"
     (the budget ran out), "diverged" (three consecutive growing distances)
-    or "nonfinite" (a non-finite distance or guard, see picard_iterate);
+    or "nonfinite" (a non-finite distance or X-distance, see picard_iterate);
     converged and diverged are read from it, and the step ratios from the
     distances.  The loop iterates the nonlinearity alone, so
     rho_1 = distances[1]/distances[0] is, to leading order, proportional to
@@ -366,7 +361,6 @@ class PicardResult:
 
 def _linear_sweep(
     f: np.ndarray,
-    window: np.ndarray,
     free: tuple,
     steps: tuple,
     g: SpacetimeGrid,
@@ -376,43 +370,33 @@ def _linear_sweep(
     """Duhamel parts (d_+, d_-) of the iterate whose linear term is solved.
 
     The iterate u_pm = free_pm + d_pm solves d_pm = Duhamel(g_pm) for
-    g_- = f + c w/2 = -g_+, w = u_+ + u_-, c = window/J, in duhamel's
-    trapezoid rule, swept forward and backward from t = 0.  A step from
-    slice m to k takes the explicit parts a_+ = S_+ (d_+[m] + h g_+[m])
-    - h f[k] and a_- = S_- (d_-[m] + h g_-[m]) + h f[k], with S_pm duhamel's
-    step and h = -i dt/2 forward, +i dt/2 backward.  The implicit terms
-    -+ h c[k] w[k]/2 cancel in w, so w[k] = free_+[k] + free_-[k] + a_+ + a_-
-    needs no solve, and d_pm[k] = a_pm -+ h c[k] w[k]/2.  Slice k reads the
-    arguments between t = 0 and slice k only.
+    g_- = f + c w/2 = -g_+, w = u_+ + u_-, c = 1/J, in duhamel's trapezoid
+    rule, swept forward and backward from t = 0.  A step from slice m to k
+    takes the explicit parts a_+ = S_+ (d_+[m] + h g_+[m]) - h f[k] and
+    a_- = S_- (d_-[m] + h g_-[m]) + h f[k], with S_pm duhamel's step and
+    h = -i dt/2 forward, +i dt/2 backward.  The implicit terms -+ h c w[k]/2
+    cancel in w, so w[k] = free_+[k] + free_-[k] + a_+ + a_- needs no solve,
+    and d_pm[k] = a_pm -+ h c w[k]/2.  Slice k reads the arguments between
+    t = 0 and slice k only.
 
-    f, the window, the free slices free = (free_+, free_-) and d_pm are
-    consecutive slices, slice m0 at t = 0; steps holds (S_+, S_-) forward,
-    then back.  c[k]/2 is formed once for the slices where the window is 1
-    (every slice when the config leaves b unset) and slice by slice
-    elsewhere; free_+[k] + free_-[k] and h f[k] are formed slice by slice,
-    so the sweep holds no block of them.  Past the last slice each
-    way the step would read f = c = 0, so it is S_pm (d_pm[e] -+ h g_-[e])
-    from the end slice e: these seeds, forward then back, are returned with
-    (d_+, d_-).  out holds the two complex arrays of f's shape the sweep
-    writes, (d_+, d_-); every slice of them but m0, which is zeroed, is
-    written before it is read.
+    f, the free slices free = (free_+, free_-) and d_pm are consecutive
+    slices, slice m0 at t = 0; steps holds (S_+, S_-) forward, then back.
+    c/2 is one table, formed once per call; free_+[k] + free_-[k] and h f[k]
+    are formed slice by slice, so the sweep holds no block of them.  Past
+    the last slice each way the loop solves no equation (f = c = 0), so the
+    step is S_pm (d_pm[e] -+ h g_-[e]) from the end slice e: these seeds,
+    forward then back, are returned with (d_+, d_-).  out holds the two
+    complex arrays of f's shape the sweep writes, (d_+, d_-); every slice of
+    them but m0, which is zeroed, is written before it is read.
     """
     n = len(f)
     dp, dm = out
     free_p, free_m = free
-    bracket = g.spatial.bracket[..., :f.shape[-1]]
-    # c/2 on the slices where the window is 1, built once: window/J is 1/J there
-    unit = (1.0 / bracket / 2.0).astype(np.complex128)
-
-    def half_c(k):
-        # c/2 complex, as a factor of complex products
-        if np.all(window[k] == 1.0):
-            return unit
-        return (window[k] / bracket / 2.0).astype(np.complex128)
-
+    # c/2 complex, as a factor of complex products
+    half_c = (1.0 / g.spatial.bracket[..., :f.shape[-1]] / 2.0).astype(np.complex128)
     dp[m0] = dm[m0] = 0.0
     # g_- at t = 0, where d_pm = 0
-    g0 = half_c(m0) * (free_p[m0] + free_m[m0])
+    g0 = half_c * (free_p[m0] + free_m[m0])
     g0 += f[m0]
     seeds = []
     forward = range(m0 + 1, n), n - 1, -1, -0.5j * g.dt, steps[0]
@@ -433,7 +417,7 @@ def _linear_sweep(
             cw = free_p[k] + free_m[k]
             cw += a_p
             cw += a_m
-            np.multiply(half_c(k), cw, out=cw)      # c w/2
+            np.multiply(half_c, cw, out=cw)         # c w/2
             gm = f[k] + cw
             np.multiply(h, cw, out=cw)
             np.subtract(a_p, cw, out=dp[k])
@@ -443,24 +427,35 @@ def _linear_sweep(
     return dp, dm, seeds
 
 
+def _tails(a, blk: slice, span: slice) -> tuple:
+    """The entries of a in span past each end of blk, nearest first: (forward, back)."""
+    return a[blk.stop:span.stop], a[span.start:blk.start][::-1]
+
+
+def _continue(tails, seeds, steps) -> None:
+    """Continue one component's sweep past its block, in place: tails, seeds
+    and steps are (forward, back), the tails the free slices past each end,
+    nearest first (see _tails).  Off the block f = c = 0, so each slice adds
+    the seed _linear_sweep returned for its end stepped once more than the
+    slice before it: the values of sweeping every slice."""
+    for tail, d, step in zip(tails, seeds, steps):
+        for x in tail:
+            d = step * d
+            x += d
+
+
 def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, blk: slice,
             seeds, steps) -> np.ndarray:
-    """One component of the iterate on every slice from its window block.
-
-    Off the block f = c = 0, so each step of the sweep multiplies the
-    Duhamel part by its step, starting from the seed _linear_sweep returned
-    for that end, and adds it to the free slice of data under e; seeds and
-    steps are (forward, back).  The values are those of sweeping every
-    slice, and on the block u is kept bit for bit.
-    """
+    """One component of the iterate on every slice from its block: u on the
+    block, bit for bit, and the sweep continued past it (see _continue) from
+    the free slices of data under e."""
     out = np.empty((g.m,) + u.shape[1:], dtype=np.complex128)
     out[blk] = u
-    tails = range(blk.stop, g.m), range(blk.start - 1, -1, -1)
-    for ks, d, step in zip(tails, seeds, steps):
-        out[ks] = _free_slices_at(data, e, g.t_axis[ks], u.shape[-1])
-        for k in ks:
-            d = step * d
-            out[k] += d
+    whole = slice(0, g.m)
+    tails = _tails(out, blk, whole)
+    for tail, t in zip(tails, _tails(g.t_axis, blk, whole)):
+        tail[...] = _free_slices_at(data, e, t, u.shape[-1])
+    _continue(tails, seeds, steps)
     return out
 
 
@@ -473,14 +468,16 @@ class _PicardState:
     """The Picard loop as a state, in three steps; select_delta's trials
     and picard_iterate drive it.
 
-    The constructor is the set-up: it checks r, and b > 1/r when the config
-    sets b, checks the data against the grid, projects real data (see
-    _hermitian_part), finds the window block and the core, and builds the
+    The constructor is the set-up: it checks r, and a finite b > 1/r when
+    the config sets b, checks the data against the grid, projects real data
+    (see _hermitian_part), finds the core's block of slices, and builds the
     loop invariants, the free slices on the block and, when b is set, the
-    X-weights and the X-distance's window.  advance runs iterations and may
-    be called again to resume them; the state carries the iterates, the
-    distances (in result), the growth count and the seeds of the last sweep.
-    finish extends the last iterate to every slice and completes real data.
+    X-weights, the X-distance's window and the free slices on its tails.
+    advance runs iterations and may be called again to resume them; the
+    state carries the iterates, the distances (in result), the growth count,
+    the seeds of the last sweep and, when b is set, the iterates continued
+    over the window's tails.  finish extends the last iterate to every slice
+    and completes real data.
 
     The state holds loop values alone, so a trial parked between calls holds
     no work buffer: those are locals of advance (see there).
@@ -488,8 +485,9 @@ class _PicardState:
 
     def __init__(self, fp, fm, ns, cfg, r, s, source):
         _check_r(r)
-        if cfg.b is not None and cfg.b <= 1.0 / r:
-            raise ParameterError(f"X^r_{{s,b}} norms need b > 1/r, got b = {cfg.b} at r = {r}")
+        if cfg.b is not None and not 1.0 / r < cfg.b < math.inf:
+            raise ParameterError(f"X^r_{{s,b}} norms need a finite b > 1/r, "
+                                 f"got b = {cfg.b} at r = {r}")
         g = cfg.grid
         if fp.grid != g.spatial or fm.grid != g.spatial:
             raise GridMismatchError("initial spectra do not live on the spatial lattice")
@@ -502,23 +500,15 @@ class _PicardState:
         if real:
             fp, fm, source = projected
         h = g.spatial.n // 2 + 1 if real else g.spatial.n
-        # the window is 1 on the core, which is joined in only so that no
-        # rounding of delta can leave a core slice out of the block
-        window = window_values(cfg.window, g.t_axis)
         core = _core_slices(g, cfg.delta)
-        blk = _window_block((window != 0) | core)
-        core = np.flatnonzero(core[blk])
+        blk = _window_block(core)
         self.g, self.ns, self.tol, self.r, self.s = g, ns, cfg.tol, r, s
         self.data, self.blk = (fp, fm), blk
         self.m0 = g.origin_index - blk.start
-        self.core = slice(core[0], core[-1] + 1)
-        # loop invariants; the window only scales time, so it commutes with the
-        # spatial transform and applies to spectral slices directly
-        self.window = window = window[blk, None, None, None]
-        # f = mask B(u, u) T + window S/J, T = window/J
-        self.weight = window * (1.0 / g.spatial.bracket[..., :h])
+        # loop invariants: f = mask B(u, u)/J + S/J
+        self.weight = 1.0 / g.spatial.bracket[..., :h]
         if source is not None:
-            source = window * source[blk, ..., :h] / g.spatial.bracket[..., :h]
+            source = source[blk, ..., :h] / g.spatial.bracket[..., :h]
         self.source = source
         forward = tuple(_duhamel_step(g, sign, h) for sign in (+1, -1))
         self.steps = forward, tuple(np.conj(step) for step in forward)
@@ -526,29 +516,49 @@ class _PicardState:
         self.flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
         self.free_p, self.free_m = (_free_slices_at(x, e, g.t_axis[blk], h)
                                     for x, e in zip(self.data, self.flows))
-        # the X-distance's window folds in dt and the time signs, so the bare
-        # time DFT of the windowed difference has the centered spectrum's modulus
-        self.xsb_wts = self.x_window = None
+        self.xsb_wts = None
         if cfg.b is not None:
             self.xsb_wts = _xsb_weights(g, NormParams(r, s, cfg.b, +1), h)
-            self.x_window = window * g.dt * _signs(g.m)[blk, None, None, None]
+            # the window is 1 on the core, which is joined in only so that no
+            # rounding of delta can leave a core slice out of its block; it
+            # folds in dt and the time signs, so the bare time DFT of the
+            # windowed difference has the centered spectrum's modulus
+            window = window_values(cfg.window, g.t_axis)
+            self.x_blk = xblk = _window_block((window != 0) | core)
+            self.x_window = (window * g.dt * _signs(g.m))[xblk, None, None, None]
+            # the free slices on the window's tails, and the iterates continued
+            # over them, the free flow before the first iteration
+            self.x_free = self.x_tails = [
+                [_free_slices_at(x, e, t, h) for t in _tails(g.t_axis, blk, xblk)]
+                for x, e in zip(self.data, self.flows)]
         self.sp, self.sm = self.free_p, self.free_m
         self.grew = 0
         self.seeds = None           # of the last sweep: none before the first
         self.result = PicardResult(g, None, None, real_data=real)
 
-    def _x_distance(self, diffs, windowed) -> float:
-        # upper bound for the [-delta, delta] restriction norm via one window;
-        # windowed holds the windowed difference on every slice, zero off the block
-        g, blk = self.g, self.blk
+    def _x_distance(self, diffs, seeds, windowed) -> float:
+        """The X-distance of the new iterates from the old under the window:
+        diffs holds their difference on the block, and over the window's tails
+        each is continued as finish continues it, the new ones from seeds,
+        which become x_tails.  windowed is an (M, ...) buffer."""
+        g, blk, xblk = self.g, self.blk, self.x_blk
+        tails = []
+        for free, seed, step in zip(self.x_free, zip(*seeds), zip(*self.steps)):
+            tails.append([x.copy() for x in free])
+            _continue(tails[-1], seed, step)
 
         def spectra():
-            for x in diffs:
+            for x, new, old in zip(diffs, tails, self.x_tails):
                 # the bare transform may have overwritten the zeros
-                windowed[:blk.start] = windowed[blk.stop:] = 0.0
-                np.multiply(x, self.x_window, out=windowed[blk])
+                windowed[:xblk.start] = windowed[xblk.stop:] = 0.0
+                windowed[blk] = x
+                for out, a, b in zip(_tails(windowed, blk, xblk), new, old):
+                    np.subtract(a, b, out=out)
+                windowed[xblk] *= self.x_window
                 yield _dft(windowed, time=g, bare=True)
-        return float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r)))
+        dr = float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r)))
+        self.x_tails = tails
+        return dr
 
     def advance(self, max_iter: int) -> None:
         """Iterate until the loop stops or max_iter iterations ran in all.
@@ -580,29 +590,25 @@ class _PicardState:
             f *= self.weight
             if self.source is not None:
                 f += self.source
-            new_p, new_m, self.seeds = _linear_sweep(f, self.window, (self.free_p, self.free_m),
-                                                     self.steps, g, self.m0, out)
+            new_p, new_m, seeds = _linear_sweep(f, (self.free_p, self.free_m), self.steps, g,
+                                                self.m0, out)
             new_p += self.free_p
             new_m += self.free_m
             # the old iterates are dead once differenced: their buffers take the
             # differences, except the free slices, which are kept
             diffs = (np.subtract(new_p, sp, out=None if sp is self.free_p else sp),
                      np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
-            # the distance is the sup over the core; the sup over the whole
-            # block, which holds the core, guards the slices past it, where
-            # a solve beyond its lifespan overflows first.  With b None the
-            # block is the core, and the guard is the distance's own finiteness
             norms_p, norms_m = _slice_norms(g, diffs, self.r, self.s)
-            d = float(np.max(norms_p[self.core]) + np.max(norms_m[self.core]))
-            finite = math.isfinite(np.max(norms_p) + np.max(norms_m))
+            d = float(np.max(norms_p) + np.max(norms_m))
+            finite = math.isfinite(d)
             if windowed is not None:
-                dr = self._x_distance(diffs, windowed)
+                dr = self._x_distance(diffs, seeds, windowed)
                 result.restricted_distances.append(dr)
                 finite = finite and math.isfinite(dr)
             if result.distances:
                 self.grew = self.grew + 1 if d > result.distances[-1] else 0
             result.distances.append(d)
-            self.sp, self.sm = new_p, new_m
+            self.sp, self.sm, self.seeds = new_p, new_m, seeds
             spare = [f, *diffs]
             result.iterations += 1
             if not finite:
@@ -651,42 +657,35 @@ def picard_iterate(
 ) -> PicardResult:
     """Contraction iteration u^{(n+1)} = free flow + Duhamel(g(u^{(n)}, u^{(n+1)})).
 
-    Only the nonlinearity is iterated: the forcing f = window J^{-1}
-    (mask B_k(u, u) + S), u = w/2, comes from the previous iterate, formed
-    as mask B T + window S/J from the product kernel (_bilinear_spec), with
-    T = window/J and window S/J built once per call; the linear term
-    c w/2, c = window/J, that the first-order rewrite adds to the forcing is
-    solved slice by slice inside the trapezoid sweep (see _linear_sweep).
-    The fixed point solves the same discrete equations u = free +
-    Duhamel(window g(u)) as iterating the whole forcing, but the step
+    Only the nonlinearity is iterated: the forcing f = J^{-1} (mask B_k(u, u)
+    + S), u = w/2, comes from the previous iterate, formed as mask B / J + S/J
+    from the product kernel (_bilinear_spec), with 1/J and S/J built once
+    per call; the linear term c w/2, c = 1/J, that the first-order rewrite
+    adds to the forcing is solved slice by slice inside the trapezoid sweep
+    (see _linear_sweep).  The fixed point solves the same discrete equations
+    u = free + Duhamel(g(u)) as iterating the whole forcing, but the step
     ratios measure B and the source alone: with B = 0 and no source the
     second iterate equals the first.
 
-    The iterates, and the source if given, are spatial spectral slices.
-    The distance between consecutive iterates is the sup over |t| <= delta
-    of the data-space norm (both components), and rho_n is its step ratio:
-    it alone decides convergence and divergence.  Three consecutive growing
-    distances flag divergence, and so does one non-finite distance or guard,
-    the sup of the same norm over the whole window block (see
-    PicardResult.status).  With b None the block is the core; with b set it
-    holds the window's ramp past delta, which overflows first when the ramp
-    reaches past a solve's lifespan.  When cfg.b is set, each iteration also
-    measures the windowed space-time restriction norm in X^r_{s,b}, reported
-    as restricted_distances, and a non-finite one flags divergence too; with
-    b None no time transform is made.  The restriction norm takes xsb_norm's
-    X-weights and a bare time DFT, with dt and the time signs folded into
-    the window.
-
-    The forcing is multiplied by the time window, so the loop reads only
-    the block of time slices where the window is nonzero: the forcing, its
-    transforms and the sweep run there, and the iterate is extended to the
-    whole time axis once, at the end, by continuing the last sweep past the
-    block, where the forcing and c vanish.  The result is the same, bit for
-    bit, as iterating on every slice.  With b None the window is the sharp
-    core window (see SolveConfig.window), so the block is the core and u
-    off the core is the J-flow continued from the core's edge; on the core
-    the iterates, the distances and the status are those of the smooth
-    window of a b set, bit for bit.
+    The loop runs on the core [-delta, delta] alone: the forcing, its
+    transforms and the sweep read the core's slices, and the iterate is
+    extended to the whole time axis once, at the end, by continuing the
+    last sweep past the core, where the loop solves no equation (f = c = 0);
+    u off the core is the J-flow continued from the core's edge.  The
+    iterates, and the source if given, are spatial spectral slices.  The
+    distance between consecutive iterates is the sup over the core of the
+    data-space norm (both components), and rho_n is its step ratio: it
+    alone decides convergence and divergence.  Three consecutive growing
+    distances flag divergence, and so does one non-finite distance (see
+    PicardResult.status).  When cfg.b is set, each iteration also measures
+    the space-time restriction norm in X^r_{s,b} of the difference under
+    cfg.window, reported as restricted_distances: both iterates are
+    continued over the window's tails as the end continues them, so the
+    difference is one extension past delta and its windowed norm an upper
+    bound.  A non-finite one flags divergence too; nothing else reads it,
+    and with b None no time transform is made.  The restriction norm takes
+    xsb_norm's X-weights and a bare time DFT, with dt and the time signs
+    folded into the window.
 
     Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
@@ -781,11 +780,10 @@ def solve_local(
     |t| <= delta alone, its first entry at the first core slice (so the
     t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
-    way, lies in the core: outside it the window has cut the forcing, so u
-    solves no equation there.  With b None the loop runs on the core alone,
-    and u off it is the J-flow continued from the core's edge (see
-    picard_iterate); the residual, the persistence curve and u on the core
-    do not depend on b.  mask B(u, u), the forcing the loop iterated,
+    way, lies in the core: off the core the loop solves no equation, and u
+    there is the J-flow continued from the core's edge (see picard_iterate).
+    Only the X-distances and the Z-norm depend on b.  mask B(u, u), the
+    forcing the loop iterated,
     and the source term are formed on the audited slices alone.  When no
     slice is left to audit, the report says so (SolveReport.status).
     """
@@ -856,11 +854,10 @@ def select_delta(
     accepted delta with the trial trace; when none is accepted, the last one
     tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
     picard_iterate's loop state for default_config(grid, delta, max_iter=2,
-    b=b) and advances it two iterations; b enters only the loop's window and
-    guard (see SolveConfig).  With b None a trial runs on the core alone and
-    its block guard is the core; with b set it runs on the window's ramp too
-    and forms the windowed X-distances, so that the state is that of a solve
-    with the same b.  rho_1 reads the core alone, so it does not depend on b.
+    b=b) and advances it two iterations on the core; with b set it forms the
+    windowed X-distances too, so that the state is that of a solve with the
+    same b, and a non-finite one stops it (see SolveConfig).  rho_1 does not
+    depend on b.
     Only the returned delta's state is parked in the one-entry memo, and
     picard_iterate (so solve_local) at that delta on the same data and
     settings, b included, resumes it from iteration 2.  rho_1 is the

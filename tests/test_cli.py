@@ -604,6 +604,30 @@ def test_solve_refuses_a_nonpositive_delta(tmp_path, capsys, delta):
     assert "delta must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "lipschitz"])
+def test_a_nan_delta_is_refused(tmp_path, capsys, command):
+    """delta = NaN fails delta <= 0 and delta > 0.95 T alike: the config
+    refuses it, and the command exits 1 with nothing written."""
+    code, out = _run(tmp_path, *_SMALL, "--set", "params.delta=nan", command)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: delta = nan does not fit the time box")
+
+
+@pytest.mark.parametrize("b", ["nan", "inf"])
+def test_solve_refuses_a_nonfinite_b(tmp_path, capsys, b):
+    """A non-finite b is refused where b <= 1/r is: exit 1, nothing written."""
+    code, out = _run(tmp_path, *_SMALL, "--set", f"params.b={b}", "solve")
+    assert code == 1 and not out.exists()
+    assert "finite b > 1/r" in capsys.readouterr().err
+
+
+def test_solve_refuses_a_nonfinite_s(tmp_path, capsys):
+    """s = NaN is refused with the data, before a delta is chosen."""
+    code, out = _run(tmp_path, *_SMALL, "--set", "params.s=nan", "solve")
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: the data regularity s must be finite")
+
+
 def test_solve_refuses_b_at_most_one_over_r(tmp_path, capsys):
     """At r = 1.5 the default b = 0.55 is below 1/r: the solve exits 1 with
     nothing written, and with b = 0.7 it runs."""

@@ -49,14 +49,12 @@ from halfwave.solver import (
 from halfwave.spaces import (
     NormParams,
     WindowSpec,
-    _TIME_SLACK,
     _core_slices,
     _grid_window,
     _lattice_norms,
     _slice_norms,
     _slice_weights,
     _sobolev_weight,
-    _window_block,
     _xsb_weights,
     dual_exponent,
     sobolev_hat_norm,
@@ -98,6 +96,15 @@ def test_first_order_roundtrip(n, half_length, seed):
     assert np.abs(v1 - u1.data).max() < 1e-12
 
 
+def test_cauchy_data_refuse_a_nonfinite_s(sg):
+    """s enters every data norm, so select_delta's start min(1, 0.5/(1 + norm))
+    would read 1 for s = NaN: the data refuse it first."""
+    z = Spectrum(sg, np.zeros(sg.shape, complex))
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="s must be finite"):
+            CauchyData(z, z, 2.0, s)
+
+
 def test_first_order_special_cases(sg):
     z = Spectrum(sg, np.zeros(sg.shape, complex))
     u0 = Spectrum(sg, np.ones(sg.shape, complex))
@@ -119,6 +126,10 @@ def test_config_validation(stg):
         "grid", "delta", "max_iter", "tol", "b"]
     with pytest.raises(ParameterError, match="delta must be positive"):
         SolveConfig(stg, -0.1)
+    for delta in (np.nan, np.inf):
+        # every comparison with NaN is False: the config refuses it all the same
+        with pytest.raises(ParameterError, match="does not fit the time box"):
+            SolveConfig(stg, delta)
     with pytest.raises(ParameterError):
         # a Picard budget is at least one iteration
         default_config(stg, 0.25, max_iter=0)
@@ -127,25 +138,22 @@ def test_config_validation(stg):
 
 @pytest.mark.parametrize("n, m", [(8, 16), (16, 64)])
 def test_window_follows_from_delta(n, m):
-    """From delta = 2 dt to 0.95 T, with b set, the config's window has
-    support min(2 delta, 0.95 T) and [-delta, delta] as its flat core; with
-    b None it is the sharp indicator of the core, nonzero on exactly the
-    slices _core_slices picks.  The time window check accepts both; a delta
-    just past 0.95 T has no config."""
+    """From delta = 2 dt to 0.95 T the config's window, with b set or None,
+    has support min(2 delta, 0.95 T) and [-delta, delta] as its flat core,
+    and the time window check accepts it; the loop's block is the core
+    alone.  A delta just past 0.95 T has no config."""
     g = SpacetimeGrid(SpatialGrid(n, 2 * np.pi), m, 1.0)
     top = 0.95 * g.half_time
     on_slices = g.dt * np.arange(2, m // 2)
+    fp, fm = to_first_order(_gaussian_data(g.spatial))
     for delta in np.concatenate([np.linspace(2.0 * g.dt, top, 97), on_slices[on_slices <= top]]):
         cfg = SolveConfig(g, float(delta), b=0.55)
         support = min(2.0 * cfg.delta, top)
-        assert cfg.window == WindowSpec(support=support,
-                                        flat_fraction=min(1.0, max(0.5, cfg.delta / support)))
+        assert cfg.window == dataclasses.replace(cfg, b=None).window == WindowSpec(
+            support=support, flat_fraction=min(1.0, max(0.5, cfg.delta / support)))
         _grid_window(g, cfg.window, cfg.delta)
-        sharp = dataclasses.replace(cfg, b=None).window
-        assert sharp == WindowSpec(support=cfg.delta + _TIME_SLACK, flat_fraction=1.0)
-        values = _grid_window(g, sharp, cfg.delta)
-        assert np.array_equal(values != 0, _core_slices(g, cfg.delta))
-        assert set(np.unique(values)) <= {0.0, 1.0}
+        state = solver_mod._PicardState(fp, fm, NonlinearitySpec(1, "x1"), cfg, 2.0, 1.0, None)
+        assert np.array_equal(np.arange(m)[state.blk], np.flatnonzero(_core_slices(g, delta)))
     with pytest.raises(ParameterError, match="does not fit the time box"):
         SolveConfig(g, float(np.nextafter(top, np.inf)))
 
@@ -229,7 +237,7 @@ def test_nonfinite_distances_diverge():
 def test_picard_status(stg):
     """One status says why the loop stopped; converged and diverged follow it.
     Overflow ends the loop non-finite with or without the X-distance (b set
-    or None): the block guard alone catches it."""
+    or None): the core's distance alone catches it."""
     ns = NonlinearitySpec(1, "x1")
     fp, fm = to_first_order(_gaussian_data(stg.spatial))
     res = picard_iterate(fp, fm, ns, default_config(stg, 0.25))
@@ -369,7 +377,7 @@ def test_select_delta_returns_a_tried_delta(stg, monkeypatch):
 
 
 def test_select_delta_trials_read_the_picard_loop(stg):
-    """A trial runs the window-block loop alone, and its rho_1 is that of
+    """A trial runs the core loop alone, and its rho_1 is that of
     picard_iterate at the same delta, bit for bit, for real and complex data."""
     ns = NonlinearitySpec(2, "t")
     d = _gaussian_data(stg.spatial, amp=1.0)
@@ -591,13 +599,13 @@ def test_select_delta_takes_b_by_name(stg, monkeypatch):
 @pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
 @pytest.mark.parametrize("real", [True, False])
 def test_x_norm_never_steers_the_loop(stg, real, k, derivative):
-    """b enters the X-distances, the Z-norm and the window alone: a
-    delta-selected solve with b = 0.55 reports the first two, one with b None
-    forms neither and runs on the core alone, where the window of b = 0.55
-    is 1 too.  Both give the same delta, trace, distances, status and
-    residual, bit for bit, and the same iterates, u and d_t u on the core
-    slices; off the core, b None continues the last sweep from the core's
-    edge."""
+    """b enters the X-distances and the Z-norm alone: a delta-selected
+    solve with b = 0.55 reports both, and one with b None forms neither.
+    Both run the loop on the core alone and give the same delta, trace,
+    distances, status and residual, bit for bit, and the same iterates, u
+    and d_t u on the whole time axis.  The b = 0.55 solve resumes its trial,
+    iterates continued over the X window's tails included, and reports what
+    a fresh solve does."""
     d = _gaussian_data(stg.spatial, amp=1.0)
     d = d if real else _twisted(d)
     ns = NonlinearitySpec(k, derivative)
@@ -609,20 +617,13 @@ def test_x_norm_never_steers_the_loop(stg, real, k, derivative):
     (delta, trace, bare), (delta_b, trace_b, rep) = runs
     assert delta == delta_b and trace == trace_b
     assert bare.result.real_data == real and bare.success
-    core = _core_slices(stg, delta)
-    state = solver_mod._PicardState(*to_first_order(d), ns, default_config(stg, delta),
-                                    d.r, d.s, None)
-    assert np.array_equal(np.arange(stg.m)[state.blk], np.flatnonzero(core))
-    for name in ("distances", "iterations", "status"):
+    for name in ("sp", "sm", "distances", "iterations", "status"):
         assert _same(getattr(bare.result, name), getattr(rep.result, name)), name
-    for name in ("sp", "sm"):
-        assert _same(getattr(bare.result, name)[core], getattr(rep.result, name)[core]), name
-    for name in ("u", "dtu"):
-        assert _same(getattr(bare, name).data[core], getattr(rep, name).data[core]), name
-    for name in ("residual", "residual_scale", "persistence", "max_jump", "status"):
+    for name in ("u", "dtu", "residual", "residual_scale", "persistence", "max_jump", "status"):
         assert _same(getattr(bare, name), getattr(rep, name)), name
     assert bare.result.restricted_distances == [] and bare.z_value is None
     assert len(rep.result.restricted_distances) == rep.result.iterations
+    _assert_same_report(rep, solve_local(*to_first_order(d), ns, default_config(stg, delta, b=0.55)))
     assert (rep.z_value is not None) == (k == 2)
 
 
@@ -840,20 +841,20 @@ def _reachable_bytes(root) -> int:
 def test_parked_trial_holds_loop_values_alone(stg, real):
     """The trial select_delta parks holds no work buffer: its arrays are no
     more than its loop values, counted from their shapes.  At the default
-    b = None they hold no X-weights."""
+    b = None they hold no X-weights and no window."""
     d = _gaussian_data(stg.spatial, amp=1.0)
     d = d if real else _twisted(d)
     select_delta(d, NonlinearitySpec(2, "t"), stg)
     (state,) = solver_mod._TRIAL.values()
-    n, m = stg.spatial.n, stg.m
+    n = stg.spatial.n
     column = n * n * (n // 2 + 1 if real else n)       # entries of one time slice
     block = (state.blk.stop - state.blk.start) * column
     loop_values = (
         16 * 2 * block                          # the free slices
-        + 8 * block                             # the forcing weight
+        + 8 * column                            # the forcing weight, one column table
         + 16 * 2 * block                        # the two iterates
         + 16 * 4 * column + 16 * 4 * column     # the steps and the seeds, forward and back
-        + 16 * 2 * n**3 + 8 * m                 # the data and the window
+        + 16 * 2 * n**3                         # the data
     )
     assert state.result.iterations == 2
     assert _reachable_bytes(state) <= loop_values
@@ -878,13 +879,15 @@ def _complex_solve_case(b=None):
 
 @pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
 def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
-    """One Picard solve on complex data holds seven block arrays at a time:
+    """One Picard solve on complex data holds seven core arrays at a time:
     the free slices, the iterates, the forcing and two spare blocks.  With b
     set, its traced peak, reached in the X-distance, is no more than those,
-    the zero-padded (M, ...) buffer and the two moduli the X-distance forms,
-    the forcing weight, the X-weights and sixteen column-sized arrays (the
-    data, the steps, the seeds and the sweep's slices).  Eleven block
-    arrays, with the sum of the free slices, c/2, w and h f, exceed it."""
+    six arrays on the X window's tails (the free slices there and the old and
+    new iterates continued over them, both components), the zero-padded
+    (M, ...) buffer and the two moduli the X-distance forms, the X-weights,
+    the forcing weight and sixteen column-sized arrays (the data, the steps,
+    the seeds and the sweep's slices): 103.5 columns of 16 bytes, against
+    100.9 measured."""
     g, d, cfg = _complex_solve_case(b=0.55)
     fp, fm = to_first_order(d)
     ns = NonlinearitySpec(k, derivative)
@@ -892,13 +895,14 @@ def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
     res, peak = _traced_peak(lambda: picard_iterate(fp, fm, ns, cfg))
     assert not res.real_data and res.iterations >= 2
     column = g.spatial.n**3                     # entries of one time slice
-    blk = _window_block(window_values(cfg.window, g.t_axis) != 0)
-    block = (blk.stop - blk.start) * column
+    core = _core_size(cfg) * column
+    tails = _block_size(cfg) * column - core
     bound = (
-        16 * 7 * block                          # free slices, iterates, forcing, two spares
+        16 * 7 * core                           # free slices, iterates, forcing, two spares
+        + 16 * 6 * tails                        # free slices and iterates on the tails
         + 16 * g.m * column                     # the padded buffer of the X-distance
         + 8 * 2 * g.m * column                  # its two moduli
-        + 8 * block + 8 * g.m * column          # the forcing weight and the X-weights
+        + 8 * g.m * column + 8 * column         # the X-weights and the forcing weight
         + 16 * 16 * column                      # column-sized arrays
     )
     assert peak <= bound
@@ -911,8 +915,8 @@ def test_picard_iterations_without_b_make_no_whole_axis_array(k, derivative):
     arrays an iteration adds to the state's free slices (the iterates, the
     forcing and two spares), the two block moduli of the slice-norm guard
     and sixteen column-sized arrays, and one (M, ...) complex array more
-    would exceed that (50.7 against 58 and 66.7 columns of 16 bytes
-    measured)."""
+    would exceed that (41.7-41.8 against 46 and 57.7-57.8 columns of 16
+    bytes measured)."""
     g, d, cfg = _complex_solve_case()
     fp, fm = to_first_order(d)
     ns = NonlinearitySpec(k, derivative)
@@ -1104,10 +1108,20 @@ def _sweep_reference(f, c, free_p, free_m, g):
     return dp, dm
 
 
+def _loop_windows(cfg):
+    """(loop window, X window) on every slice: the Picard loop's is the sharp
+    indicator of the core, the X-distance's is cfg.window."""
+    g = cfg.grid
+    core = np.abs(g.t_axis) <= cfg.delta + 1e-12
+    return (core.astype(float)[:, None, None, None],
+            window_values(cfg.window, g.t_axis)[:, None, None, None])
+
+
 def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=False):
     """The out-of-place two-component Picard loop on every slice: the forcing
-    from the old iterate, the linear term solved in _sweep_reference; the
-    restricted distances only when cfg sets b.
+    from the old iterate, cut off past the core, the linear term solved in
+    _sweep_reference; the restricted distances of the differences under
+    cfg.window only when cfg sets b.
 
     With whole_forcing, the loop iterates the whole forcing of rhs_eval,
     linear term w/2 included, and sweeps it with duhamel.  That iteration
@@ -1115,7 +1129,7 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=
     is the fixed-point oracle.
     """
     g = cfg.grid
-    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    window, x_window = _loop_windows(cfg)
     c = window / g.spatial.bracket
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     free_p = free_slices(fp, g, EvolutionSpec("J", +1))
@@ -1126,7 +1140,7 @@ def _picard_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0, whole_forcing=
 
     def restricted(diff):
         params = NormParams(r, s, cfg.b, +1)
-        a, (wt, _) = _restricted_terms(g, window, diff, _xsb_weights(g, params, g.spatial.n),
+        a, (wt, _) = _restricted_terms(g, x_window, diff, _xsb_weights(g, params, g.spatial.n),
                                        params.rprime)
         return _restricted_root(g, np.sum(a * wt), params.rprime)
 
@@ -1369,14 +1383,15 @@ def test_picard_refuses_r_outside_the_data_range(r):
 
 
 def test_picard_refuses_b_at_most_one_over_r():
-    """With b set, the X-distance needs b > 1/r, as the key estimate does; with
-    b None nothing reads it.  select_delta's trials refuse it too."""
+    """With b set, the X-distance needs a finite b > 1/r, as the key estimate
+    does (NaN passes b <= 1/r as False); with b None nothing reads it.
+    select_delta's trials refuse it too."""
     g = _small_grid()
     d = _gaussian_data(g.spatial)
     d = CauchyData(d.u0, d.u1, 1.5, d.s)
     fp, fm = to_first_order(d)
     ns = NonlinearitySpec(1, "x1")
-    for b in (0.55, 2.0 / 3.0):
+    for b in (0.55, 2.0 / 3.0, np.nan, np.inf):
         with pytest.raises(ParameterError, match="b > 1/r"):
             solve_local(fp, fm, ns, default_config(g, 0.25, b=b), r=1.5)
         with pytest.raises(ParameterError, match="b > 1/r"):
@@ -1438,6 +1453,10 @@ def _block_size(cfg):
     return int(np.count_nonzero(window_values(cfg.window, cfg.grid.t_axis)))
 
 
+def _core_size(cfg):
+    return int(np.count_nonzero(_core_slices(cfg.grid, cfg.delta)))
+
+
 def _real_data(g, amp=0.02):
     return to_first_order(_gaussian_data(g.spatial, amp))
 
@@ -1471,12 +1490,13 @@ def _sweep_real_full_lattice(f, c, free_p, g):
 def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     """The full-lattice real-data loop on every time slice, the oracle of the
     half-lattice one: u_+ alone, with u_- = conj R u_+ measured under the
-    reflected X-weight.  It returns the fields of a PicardResult."""
+    reflected X-weight, the loop cut off past the core and the X-distance
+    taken under cfg.window.  It returns the fields of a PicardResult."""
     g = cfg.grid
     fp, _, source = solver_mod._hermitian_part(fp, fm, source)
     h = g.spatial.n // 2 + 1
     source_half = None if source is None else source[..., :h]
-    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    window, x_window = _loop_windows(cfg)
     c = window / g.spatial.bracket
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
@@ -1492,7 +1512,7 @@ def _picard_real_full_lattice(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
         new_p = _sweep_real_full_lattice(f, c, free_p, g) + free_p
         diff = new_p - sp
         d = 2.0 * float(np.max(_slice_norms(g, (diff[core],) * 2, r, s)[0]))
-        a = np.abs(time_forward(g, diff * window)) ** rp
+        a = np.abs(time_forward(g, diff * x_window)) ** rp
         dr = sum(float((np.sum(wt * a) * g.spatial.dxi**3 * g.dtau) ** (1.0 / rp))
                  for wt in xsb_wts)
         if distances:
@@ -1523,13 +1543,14 @@ def _half_lattice_totals(a_p, a_m, weights, axes):
 def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
     """The half-lattice real-data loop on every time slice, out of place: both
     components on the first N//2 + 1 entries of the last axis, swept by
-    _sweep_reference.  It returns the fields of a PicardResult."""
+    _sweep_reference, the loop cut off past the core and the X-distance
+    taken under cfg.window.  It returns the fields of a PicardResult."""
     g = cfg.grid
     n = g.spatial.n
     h = n // 2 + 1
     fp, fm, source = solver_mod._hermitian_part(fp, fm, source)
     source_half = None if source is None else source[..., :h]
-    window = window_values(cfg.window, g.t_axis)[:, None, None, None]
+    window, x_window = _loop_windows(cfg)
     c = window / g.spatial.bracket[..., :h]
     core = np.abs(g.t_axis) <= cfg.delta + 1e-12
     params = NormParams(r, s, cfg.b, +1)
@@ -1550,7 +1571,7 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
                                       slice_wts, (1, 2, 3))
         dxi3 = g.spatial.dxi**3
         d = float(np.max((tp * dxi3) ** (1.0 / rp)) + np.max((tm * dxi3) ** (1.0 / rp)))
-        (fp_, wts), (fm_, _) = (_restricted_terms(g, window, x, xsb_wts, rp) for x in (dp, dm))
+        (fp_, wts), (fm_, _) = (_restricted_terms(g, x_window, x, xsb_wts, rp) for x in (dp, dm))
         xp, xm = _half_lattice_totals(fp_, fm_, wts, None)
         dr = _restricted_root(g, xp, rp) + _restricted_root(g, xm, rp)
         if distances:
@@ -1577,13 +1598,14 @@ def _picard_real_reference(fp, fm, ns, cfg, source=None, r=2.0, s=1.0):
 @pytest.mark.parametrize("window", [0, 1, 2])
 @pytest.mark.parametrize("k, derivative", [(1, "x1"), (2, "t")])
 def test_window_block_matches_reference_bitwise(window, k, derivative):
-    """On every window, from all slices but one to five, the block loop is
-    the full-axis loop bit for bit: the general path against the out-of-place
-    loop, real data against the full-axis real loop."""
+    """On every window, from all slices but one to five, the core loop with
+    the X-distance continued over the window's tails is the full-axis loop
+    bit for bit: the general path against the out-of-place loop, real data
+    against the full-axis real loop."""
     g = _small_grid()
     sg = g.spatial
     cfg = _window_configs(g, b=0.55)[window]
-    assert _block_size(cfg) == (g.m - 1, 7, 5)[window]
+    assert (_block_size(cfg), _core_size(cfg)) == ((g.m - 1, 9), (7, 5), (5, 3))[window]
     ns = NonlinearitySpec(k, derivative)
     rng = np.random.default_rng(window)
     env = np.exp(-(sg.xi_modulus() ** 2) / 2.0)
@@ -1625,9 +1647,9 @@ def _record_transforms(monkeypatch, record):
 
 @pytest.mark.parametrize("real", [True, False])
 def test_window_block_transform_shapes(monkeypatch, real):
-    """Inside the loop every spatial transform sees the block's slices and
-    every time transform, which the X-distance alone makes, all M: with b
-    None the loop makes none."""
+    """Inside the loop every spatial transform sees the core's slices, for
+    either b, and every time transform, which the X-distance alone makes,
+    all M: with b None the loop makes none."""
     g = _small_grid()
     seen = []
     _record_transforms(monkeypatch, lambda axes, m: seen.append((axes, m)))
@@ -1636,8 +1658,8 @@ def test_window_block_transform_shapes(monkeypatch, real):
         fm = Spectrum(g.spatial, fm.data * np.exp(0.1j))
     for b in (0.55, None):
         cfg = default_config(g, 0.25, max_iter=3, tol=0.0, b=b)
-        blk = _block_size(cfg)
-        assert blk < g.m
+        blk = _core_size(cfg)
+        assert blk < _block_size(cfg) < g.m
         seen.clear()
         res = picard_iterate(fp, fm, NonlinearitySpec(1, "t"), cfg)
         assert res.real_data == real and res.iterations == 3
