@@ -290,7 +290,6 @@ def cmd_extremize(cfg, args):
     kw = dict(
         r=_get(cfg, "params", "r", float, 2.0),
         sigma=_get(cfg, "params", "sigma", float, 1.25),
-        b=_get(cfg, "params", "b", float, _DEFAULT_B),
         signs=_signs(cfg),
         n=_get(cfg, "grid", "n", int, 12),
         m=_get(cfg, "grid", "m", int, 16),

@@ -204,14 +204,8 @@ def _product_tables(sg: SpatialGrid, h: int, ns: NonlinearitySpec) -> tuple:
                  for t in (w_in, d_in, forward, _checkerboard(sg.n)))
 
 
-def _bilinear_spec(
-    sp: np.ndarray,
-    sm: np.ndarray,
-    out: np.ndarray | None,
-    ns: NonlinearitySpec,
-    g: SpacetimeGrid,
-    spare: np.ndarray | None = None,
-) -> np.ndarray:
+def _bilinear_spec(sp: np.ndarray, sm: np.ndarray, ns: NonlinearitySpec,
+                   g: SpacetimeGrid) -> np.ndarray:
     """Spectral slices of mask B_k(u, u) for u = w/2, w = sp + sm: the dealiased nonlinearity.
 
     The one product kernel (see _product_tables): each factor is one table
@@ -223,25 +217,18 @@ def _bilinear_spec(
     When sp and sm are the half spectra of real data (sm = conj R sp), w
     is real, and the product goes through the real transforms; the output
     is the half spectrum of mask B.  The slices may be any consecutive time
-    slices.
-
-    Only the factors B reads are formed (no w for k = 2 with d_t), the
-    first in out and the second (d_t w beside w, for d_t(w^2)) in spare:
-    complex arrays of sp's shape, or None for fresh ones.  No value of
-    theirs is read and both may be overwritten.  On complex data the
-    result takes out's memory; on half spectra it is the real forward
-    transform's output.  sp and sm are not changed.
+    slices.  Only the factors B reads are formed (no w for k = 2 with d_t),
+    each in a fresh array; sp and sm are not changed.
     """
     sg = g.spatial
     w_in, d_in, table, sign = _product_tables(sg, sp.shape[-1], ns)
-    bufs = (np.empty(sp.shape, dtype=np.complex128) if b is None else b for b in (out, spare))
     factors = []
     if w_in is not None:
-        x = np.add(sp, sm, out=next(bufs))
+        x = sp + sm
         x *= w_in
         factors.append(_dft(x, sg, inverse=True, bare=True))
     if d_in is not None:
-        x = np.subtract(sp, sm, out=next(bufs))
+        x = sp - sm
         x *= d_in
         factors.append(_dft(x, sg, inverse=True, bare=True))
     p = factors[0]
@@ -273,7 +260,7 @@ def rhs_eval(
             raise GridMismatchError(
                 f"rhs slices of shape {np.shape(a)} do not match the grid {g.shape}"
             )
-    gm = _bilinear_spec(sp, sm, None, ns, g)
+    gm = _bilinear_spec(sp, sm, ns, g)
     gm *= 1.0 / g.spatial.bracket
     w = sp + sm
     w /= 2.0
@@ -365,7 +352,6 @@ def _linear_sweep(
     steps: tuple,
     g: SpacetimeGrid,
     m0: int,
-    out: tuple,
 ) -> tuple:
     """Duhamel parts (d_+, d_-) of the iterate whose linear term is solved.
 
@@ -385,12 +371,11 @@ def _linear_sweep(
     are formed slice by slice, so the sweep holds no block of them.  Past
     the last slice each way the loop solves no equation (f = c = 0), so the
     step is S_pm (d_pm[e] -+ h g_-[e]) from the end slice e: these seeds,
-    forward then back, are returned with (d_+, d_-).  out holds the two
-    complex arrays of f's shape the sweep writes, (d_+, d_-); every slice of
-    them but m0, which is zeroed, is written before it is read.
+    forward then back, are returned with (d_+, d_-), which the sweep makes:
+    every slice of them but m0, which is zeroed, is written before it is read.
     """
     n = len(f)
-    dp, dm = out
+    dp, dm = (np.empty(f.shape, dtype=np.complex128) for _ in range(2))
     free_p, free_m = free
     # c/2 complex, as a factor of complex products
     half_c = (1.0 / g.spatial.bracket[..., :f.shape[-1]] / 2.0).astype(np.complex128)
@@ -459,11 +444,6 @@ def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, b
     return out
 
 
-def _two_buffers(spare: list, shape: tuple) -> list:
-    """The first two arrays of spare, made up to two with fresh complex ones of shape."""
-    return spare[:2] + [np.empty(shape, dtype=np.complex128) for _ in range(2 - len(spare))]
-
-
 class _PicardState:
     """The Picard loop as a state, in three steps; select_delta's trials
     and picard_iterate drive it.
@@ -480,7 +460,7 @@ class _PicardState:
     and completes real data.
 
     The state holds loop values alone, so a trial parked between calls holds
-    no work buffer: those are locals of advance (see there).
+    no work array: each lives within one iteration of advance (see there).
     """
 
     def __init__(self, fp, fm, ns, cfg, r, s, source):
@@ -536,12 +516,13 @@ class _PicardState:
         self.seeds = None           # of the last sweep: none before the first
         self.result = PicardResult(g, None, None, real_data=real)
 
-    def _x_distance(self, diffs, seeds, windowed) -> float:
+    def _x_distance(self, diffs, seeds) -> float:
         """The X-distance of the new iterates from the old under the window:
         diffs holds their difference on the block, and over the window's tails
         each is continued as finish continues it, the new ones from seeds,
-        which become x_tails.  windowed is an (M, ...) buffer."""
+        which become x_tails."""
         g, blk, xblk = self.g, self.blk, self.x_blk
+        windowed = np.empty((g.m,) + diffs[0].shape[1:], dtype=np.complex128)
         tails = []
         for free, seed, step in zip(self.x_free, zip(*seeds), zip(*self.steps)):
             tails.append([x.copy() for x in free])
@@ -549,7 +530,7 @@ class _PicardState:
 
         def spectra():
             for x, new, old in zip(diffs, tails, self.x_tails):
-                # the bare transform may have overwritten the zeros
+                # zero the padding afresh: the bare transform may have overwritten it
                 windowed[:xblk.start] = windowed[xblk.stop:] = 0.0
                 windowed[blk] = x
                 for out, a, b in zip(_tails(windowed, blk, xblk), new, old):
@@ -563,60 +544,49 @@ class _PicardState:
     def advance(self, max_iter: int) -> None:
         """Iterate until the loop stops or max_iter iterations ran in all.
 
-        The work buffers live for one call.  An iteration holds seven block
-        arrays: the free slices, the iterates, the forcing and the sweep's
-        two outputs, which become the next iterates.  Its dead arrays (the
-        last forcing and the differences, written into the old iterates'
-        buffers) are the spares of the next: the product kernel forms its
-        factors in the forcing's and one difference's, and the sweep writes
-        into the two the forcing leaves.  So after the first iteration one
-        on complex data makes no block array; on half spectra the kernel's
-        real transforms make their outputs, and a spare left over is dropped.
-        The X-distance's zero-padded buffer is made only when b is set.
+        An iteration holds seven block arrays: the free slices, the
+        iterates, the forcing and the sweep's two outputs, which become the
+        next iterates.  Each work array is made where it is used and is a
+        local of _iterate, so none outlives its iteration.
         """
-        g, result = self.g, self.result
-        shape = self.free_p.shape
-        spare = []
-        windowed = None if self.xsb_wts is None else \
-            np.zeros((g.m,) + shape[1:], dtype=np.complex128)
+        result = self.result
         while result.status == "unconverged" and result.iterations < max_iter:
-            sp, sm = self.sp, self.sm
-            bufs = _two_buffers(spare, shape)
-            f = _bilinear_spec(sp, sm, bufs[0], self.ns, g, bufs[1])
-            # the buffers f does not occupy, and the spare the kernel was not handed, are dead
-            out = _two_buffers([x for x in bufs + spare[2:] if not np.may_share_memory(x, f)],
-                               shape)
-            spare = bufs = None     # on half spectra a third dead array is dropped
-            f *= self.weight
-            if self.source is not None:
-                f += self.source
-            new_p, new_m, seeds = _linear_sweep(f, (self.free_p, self.free_m), self.steps, g,
-                                                self.m0, out)
-            new_p += self.free_p
-            new_m += self.free_m
-            # the old iterates are dead once differenced: their buffers take the
-            # differences, except the free slices, which are kept
-            diffs = (np.subtract(new_p, sp, out=None if sp is self.free_p else sp),
-                     np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
-            norms_p, norms_m = _slice_norms(g, diffs, self.r, self.s)
-            d = float(np.max(norms_p) + np.max(norms_m))
-            finite = math.isfinite(d)
-            if windowed is not None:
-                dr = self._x_distance(diffs, seeds, windowed)
-                result.restricted_distances.append(dr)
-                finite = finite and math.isfinite(dr)
-            if result.distances:
-                self.grew = self.grew + 1 if d > result.distances[-1] else 0
-            result.distances.append(d)
-            self.sp, self.sm, self.seeds = new_p, new_m, seeds
-            spare = [f, *diffs]
-            result.iterations += 1
-            if not finite:
-                result.status = "nonfinite"
-            elif d <= self.tol:
-                result.status = "converged"
-            elif self.grew >= 3:
-                result.status = "diverged"
+            self._iterate()
+
+    def _iterate(self) -> None:
+        """One Picard iteration: the new iterates, their distances from the old and the status."""
+        g, result = self.g, self.result
+        sp, sm = self.sp, self.sm
+        f = _bilinear_spec(sp, sm, self.ns, g)
+        f *= self.weight
+        if self.source is not None:
+            f += self.source
+        new_p, new_m, seeds = _linear_sweep(f, (self.free_p, self.free_m), self.steps, g, self.m0)
+        del f       # dead, so the distances hold no forcing beside the differences
+        new_p += self.free_p
+        new_m += self.free_m
+        # the old iterates are dead once differenced: their buffers take the
+        # differences, except the free slices, which are kept
+        diffs = (np.subtract(new_p, sp, out=None if sp is self.free_p else sp),
+                 np.subtract(new_m, sm, out=None if sm is self.free_m else sm))
+        norms_p, norms_m = _slice_norms(g, diffs, self.r, self.s)
+        d = float(np.max(norms_p) + np.max(norms_m))
+        finite = math.isfinite(d)
+        if self.xsb_wts is not None:
+            dr = self._x_distance(diffs, seeds)
+            result.restricted_distances.append(dr)
+            finite = finite and math.isfinite(dr)
+        if result.distances:
+            self.grew = self.grew + 1 if d > result.distances[-1] else 0
+        result.distances.append(d)
+        self.sp, self.sm, self.seeds = new_p, new_m, seeds
+        result.iterations += 1
+        if not finite:
+            result.status = "nonfinite"
+        elif d <= self.tol:
+            result.status = "converged"
+        elif self.grew >= 3:
+            result.status = "diverged"
 
     def finish(self) -> PicardResult:
         """The result, with the last iterate on every slice, completed for real data."""
@@ -798,7 +768,7 @@ def solve_local(
     lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)
     audit = slice(lo, max(lo, hi))
     # mask B(u, u), the forcing the loop iterated
-    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], None, ns, g)
+    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], ns, g)
     u_spec = sp + sm
     u_spec /= 2.0
     # d_t u = d_t w/2 by the evolution identity d_t w = -iJ(u_+ - u_-)

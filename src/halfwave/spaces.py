@@ -13,6 +13,7 @@ _window_block give its core and its block of nonzero slices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class NormParams:
 
     def __post_init__(self):
         _check_r(self.r)
+        if not (math.isfinite(self.s) and math.isfinite(self.b)):
+            raise ParameterError(f"s and b must be finite, got s = {self.s}, b = {self.b}")
         if self.sign not in (+1, -1):
             raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
 

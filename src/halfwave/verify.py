@@ -259,8 +259,8 @@ def check_elliptic_lemma(
     seed: int = 0,
 ) -> EstimateReport:
     """Equal-sign products: J^sigma and J^(sigma-1) d_t terms vs data norms."""
-    if sigma <= 2.0 / r:
-        raise ParameterError(f"elliptic check needs sigma > 2/r = {2.0 / r}")
+    if not 2.0 / r < sigma < math.inf:
+        raise ParameterError(f"elliptic check needs a finite sigma > 2/r = {2.0 / r}, got {sigma}")
     rep = EstimateReport(
         "elliptic_lemma", {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "seed": seed}
     )
@@ -290,8 +290,9 @@ def check_hyperbolic_lemmas(
     convolution of a rung (_symbol_block) and Q is the FFT product block
     (_product_block) minus P.
     """
-    if sigma <= 2.0 / r:
-        raise ParameterError(f"hyperbolic check needs sigma > 2/r = {2.0 / r}")
+    if not 2.0 / r < sigma < math.inf:
+        raise ParameterError(f"hyperbolic check needs a finite sigma > 2/r = {2.0 / r}, "
+                             f"got {sigma}")
     near = region_masks(c1=c1)["P"]
     report = EstimateReport(
         "hyperbolic_lemmas",
@@ -336,8 +337,9 @@ def check_key_estimate(
     slices a chunk of spatial columns at a time (spaces._block_norms), so no
     (M, N^3) array is held.
     """
-    if sigma <= 2.0 / r or b <= 1.0 / r:
-        raise ParameterError("key estimate needs sigma > 2/r and b > 1/r")
+    if not (2.0 / r < sigma < math.inf and 1.0 / r < b < math.inf):
+        raise ParameterError(f"key estimate needs a finite sigma > 2/r and a finite b > 1/r, "
+                             f"got sigma = {sigma}, b = {b} at r = {r}")
     report = EstimateReport(
         "key_estimate",
         {"r": r, "sigma": sigma, "b": b, "signs": (signs.first, signs.second),
@@ -520,7 +522,7 @@ def surface_cross_check(n_probes: int = 4) -> EstimateReport:
 def extremizer_search(
     r: float,
     sigma: float,
-    b: float,
+    b: float | None = None,
     signs: SignPair = SignPair(+1, +1),
     kinds=("gaussian-bump", "shell-concentrated", "knapp-box"),
     bounds=((1.0, 6.0), (0.2, 3.0), (0.1, 1.0), (0.1, 1.0)),
@@ -535,6 +537,8 @@ def extremizer_search(
     Restarts once per family kind; returns the best parameters, the ratio,
     the monotone best-so-far trace, and a convergence flag that holds when
     every Nelder-Mead run met its tolerances within its share of the budget.
+    The free-wave ratio forms no X-norm, so b is not read; it stays a
+    parameter for the callers that pass it.
     """
     lo = np.array([bb[0] for bb in bounds])
     hi = np.array([bb[1] for bb in bounds])

@@ -359,7 +359,7 @@ def test_criterion_12_solver_is_nonlinear(monkeypatch):
     dt = time.perf_counter() - t0
     # negative control: with B == 0 the solver is linear and every part fails
     monkeypatch.setattr(solver_mod, "_bilinear_spec",
-                        lambda sp, sm, out, ns, g, spare=None: np.zeros_like(sp))
+                        lambda sp, sm, ns, g: np.zeros_like(sp))
     control, _ = _criterion_12_parts()
     ok = all(parts.values()) and not any(control.values()) and dt < 30.0
     assert _line(12, "solver is nonlinear", ok,

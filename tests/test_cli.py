@@ -129,9 +129,11 @@ def test_key_unread_by_command_rejected(tmp_path, capsys, command):
 
 
 def test_lipschitz_does_not_read_b(tmp_path, capsys):
-    """The probe's ratios read no X-norm, so lipschitz forms none and
-    params.b, which solve reads, is a key it does not read."""
-    assert _rejected(tmp_path, capsys, "lipschitz", "params.b", "lipschitz")
+    """The probe's ratios and the extremizer's free-wave ratio read no
+    X-norm, so lipschitz and extremize form none and params.b, which solve
+    reads, is a key neither reads."""
+    for command in ("lipschitz", "extremize"):
+        assert _rejected(tmp_path, capsys, command, "params.b", command), command
 
 
 def test_lipschitz_input_reads_amplitude(tmp_path):
@@ -619,6 +621,22 @@ def test_solve_refuses_a_nonfinite_b(tmp_path, capsys, b):
     code, out = _run(tmp_path, *_SMALL, "--set", f"params.b={b}", "solve")
     assert code == 1 and not out.exists()
     assert "finite b > 1/r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("params.b=nan", ["key"]),
+    ("params.b=inf", ["key"]),
+    ("params.sigma=nan", ["key"]),
+    ("params.sigma=nan", ["lemma"]),
+    ("params.sigma=nan", ["lemma", "--suite", "hyperbolic"]),
+])
+def test_estimate_checks_refuse_a_nonfinite_sigma_or_b(tmp_path, capsys, key, argv):
+    """A non-finite sigma or b is refused before the ladder runs: exit 1,
+    an error line and nothing written."""
+    code, out = _run(tmp_path, *_SMALL, "--set", key, *argv)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_solve_refuses_a_nonfinite_s(tmp_path, capsys):

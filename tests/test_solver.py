@@ -521,7 +521,7 @@ def test_solve_with_b_patched_after_the_trial_does_not_resume(stg, sweeps, monke
     ns = NonlinearitySpec(1, "x1")
     d = _gaussian_data(stg.spatial, amp=1.0)
     delta, _ = select_delta(d, ns, stg)
-    monkeypatch.setattr(solver_mod, "_bilinear_spec", lambda sp, sm, out, ns, g, spare=None: np.zeros_like(sp))
+    monkeypatch.setattr(solver_mod, "_bilinear_spec", lambda sp, sm, ns, g: np.zeros_like(sp))
     sweeps.clear()
     rep = solve_local(*to_first_order(d), ns, default_config(stg, delta))
     assert not solver_mod._TRIAL
@@ -879,15 +879,15 @@ def _complex_solve_case(b=None):
 
 @pytest.mark.parametrize("k, derivative", [(1, "t"), (1, "x1"), (2, "t"), (2, "x1")])
 def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
-    """One Picard solve on complex data holds seven core arrays at a time:
-    the free slices, the iterates, the forcing and two spare blocks.  With b
-    set, its traced peak, reached in the X-distance, is no more than those,
-    six arrays on the X window's tails (the free slices there and the old and
-    new iterates continued over them, both components), the zero-padded
-    (M, ...) buffer and the two moduli the X-distance forms, the X-weights,
-    the forcing weight and sixteen column-sized arrays (the data, the steps,
-    the seeds and the sweep's slices): 103.5 columns of 16 bytes, against
-    100.9 measured."""
+    """One Picard solve on complex data with b set reaches its traced peak in
+    the X-distance, where the forcing is dead: six core arrays (the free
+    slices and the old and new iterates, the old ones holding the
+    differences), six arrays on the X window's tails (the free slices there
+    and the old and new iterates continued over them, both components), the
+    zero-padded (M, ...) buffer and the two moduli the X-distance forms, the
+    X-weights, the forcing weight and sixteen column-sized arrays (the data,
+    the steps, the seeds and the sweep's slices): 98.5 columns of 16 bytes,
+    against 95.8-95.9 measured."""
     g, d, cfg = _complex_solve_case(b=0.55)
     fp, fm = to_first_order(d)
     ns = NonlinearitySpec(k, derivative)
@@ -898,7 +898,7 @@ def test_picard_loop_working_set_is_counted_from_shapes(k, derivative):
     core = _core_size(cfg) * column
     tails = _block_size(cfg) * column - core
     bound = (
-        16 * 7 * core                           # free slices, iterates, forcing, two spares
+        16 * 6 * core                           # free slices, old and new iterates
         + 16 * 6 * tails                        # free slices and iterates on the tails
         + 16 * g.m * column                     # the padded buffer of the X-distance
         + 8 * 2 * g.m * column                  # its two moduli
@@ -913,10 +913,10 @@ def test_picard_iterations_without_b_make_no_whole_axis_array(k, derivative):
     """With b None the iterations form no X-distance: the traced peak of
     advancing a loop state on complex data is no more than the five block
     arrays an iteration adds to the state's free slices (the iterates, the
-    forcing and two spares), the two block moduli of the slice-norm guard
-    and sixteen column-sized arrays, and one (M, ...) complex array more
-    would exceed that (41.7-41.8 against 46 and 57.7-57.8 columns of 16
-    bytes measured)."""
+    forcing and the sweep's two outputs), the two block moduli of the
+    slice-norm guard and sixteen column-sized arrays, and one (M, ...)
+    complex array more would exceed that (41.4-41.5 against 46 and
+    57.4-57.5 columns of 16 bytes measured)."""
     g, d, cfg = _complex_solve_case()
     fp, fm = to_first_order(d)
     ns = NonlinearitySpec(k, derivative)
@@ -1216,7 +1216,7 @@ def test_product_kernel_matches_textbook_formula(k, derivative):
         for sp, sm, h in cases:
             want = _bilinear_textbook(sp, sm, ns, g)[..., :h]
             a, b = sp[..., :h], sm[..., :h]
-            got = solver_mod._bilinear_spec(a, b, a + b, ns, g)
+            got = solver_mod._bilinear_spec(a, b, ns, g)
             assert _max_rel(got, want) <= 4e-15
 
 
@@ -1717,7 +1717,7 @@ def _residual_reference(rep, ns, cfg, src=None, b_spec=None):
     u_spec = (sp + sm) / 2.0
     if b_spec is None:
         a, b = sp[..., :h], sm[..., :h]
-        b_spec = solver_mod._bilinear_spec(a, b, a + b, ns, g)
+        b_spec = solver_mod._bilinear_spec(a, b, ns, g)
         if real:
             b_spec = hermitian_full(b_spec)
     if src is not None:
@@ -1863,7 +1863,7 @@ def test_linear_problem_converges_at_the_second_iterate(stg, monkeypatch, real):
     """With B = 0 and no source the iterated forcing vanishes: the first
     iterate solves the linear discrete problem, and the second repeats it."""
     monkeypatch.setattr(solver_mod, "_bilinear_spec",
-                        lambda sp, sm, out, ns, g, spare=None: np.zeros_like(sp))
+                        lambda sp, sm, ns, g: np.zeros_like(sp))
     fp, fm = _real_data(stg)
     if not real:
         fm = Spectrum(stg.spatial, fm.data * np.exp(0.1j))

@@ -190,6 +190,22 @@ def test_elliptic_lemma_threshold_guard():
         check_elliptic_lemma(2.0, 0.9)  # sigma must exceed 2/r = 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: check_elliptic_lemma(2.0, math.nan),
+    lambda: check_hyperbolic_lemmas(2.0, math.inf),
+    lambda: check_key_estimate(2.0, math.nan, 0.55),
+    lambda: check_key_estimate(2.0, 1.25, math.nan),
+    lambda: check_key_estimate(2.0, 1.25, math.inf),
+    lambda: NormParams(2.0, math.nan),
+    lambda: NormParams(2.0, 1.0, math.inf),
+])
+def test_nonfinite_sigma_and_b_are_refused(build):
+    """NaN fails sigma <= 2/r and b <= 1/r alike, and an infinite value
+    passes both: the guards and NormParams refuse either before any norm."""
+    with pytest.raises(ParameterError, match="finite"):
+        build()
+
+
 def test_hyperbolic_lemmas_bounded():
     rep = check_hyperbolic_lemmas(2.0, 1.25, n=12, m=16, lams=(2.0, 4.0))
     assert rep.passed
