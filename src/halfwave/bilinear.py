@@ -20,13 +20,15 @@ and its block of nonzero slices come from spaces, where its rules live.
 Each windowed product has a block stage, _product_block or _symbol_block,
 that forms its spatial spectra on that block alone: the public products
 pad it onto the time axis and transform it in time through _time_padded,
-and the estimate harness hands it to spaces._block_norms.
+and the estimate harness hands it to spaces._block_norms, on the half
+lattice when _reverses finds the product conjugate-symmetric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -45,6 +47,9 @@ from .grid import (
     _checkerboard,
     _dft,
     _dft_scale,
+    _read_only,
+    conj_reflect,
+    reflect,
     time_forward,
 )
 from .propagator import EvolutionSpec, _free_slices_at
@@ -348,8 +353,32 @@ def _time_padded(g: SpacetimeGrid, keep, block) -> SpacetimeSpectrum:
     return SpacetimeSpectrum(g, time_forward(g, slices))
 
 
-# lattice points of a group of slices in _product_block: 32 slices at N = 16
-_GROUP_POINTS = 1 << 17
+# lattice points of a group of slices in _product_block: 16 slices at N = 16
+_GROUP_POINTS = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _reflection(n: int) -> np.ndarray:
+    """The flat index of -xi at each point xi of the N^3 lattice (grid.reflect
+    of the flat indices), read-only.  _real gathers by it: 2.5-3x faster
+    than through grid.conj_reflect's rolls at N = 8-16."""
+    return _read_only(reflect(np.arange(n**3).reshape(n, n, n), (0, 1, 2)).ravel())
+
+
+def _real(a: Spectrum) -> bool:
+    """Whether a is exactly the spectrum of real data: a(-xi) = conj a(xi)."""
+    mirror = np.take(a.data, _reflection(a.grid.n))
+    return np.array_equal(np.conj(mirror, out=mirror), a.data.ravel())
+
+
+def _reverses(u0: Spectrum, v0: Spectrum, g: SpacetimeGrid, factor: np.ndarray, keep) -> bool:
+    """Whether the product block of factor on keep is conjugate-symmetric:
+    slice o - k is conj_reflect of slice o + k, o = g.origin_index, but for
+    the factor each slice carries.  Free waves of real data have
+    u(-t) = conj u(t) in x-space, so it holds when both data are real, the
+    factor is real and keep is centred on o.  The tests are exact."""
+    return (keep is not None and keep.start + keep.stop - 1 == 2 * g.origin_index
+            and np.isrealobj(factor) and _real(u0) and _real(v0))
 
 
 def _product_block(
@@ -367,26 +396,55 @@ def _product_block(
     transform and one after.  The free slices, their inverses, the product
     and its transform are formed in groups of _GROUP_POINTS lattice points,
     each written into the block, so the block is the one array of its size
-    alive.  Each slice is the one the full-lattice formula gives.
+    alive.  Each slice is the one the full-lattice formula gives, bit for
+    bit on the general path.
+
+    The data's symmetries save transforms, each found by an exact test.
+    Equal data at equal signs make one free wave, squared: the same bits.
+    Equal real data at opposite signs make one too, times its conjugate,
+    the second wave in x-space.  A block that _reverses forms its slices
+    from t = 0 up alone, ceil(K/2) of them, with the scale but no factor;
+    after the forward transform each slice, and its conj_reflect as the
+    mirror slice at -t, takes its own factor.
     """
     keep = _window_block(factor)
     if keep is None:
         return None, None
     sg = g.spatial
     signs = _checkerboard(sg.n)
-    data = [(Spectrum(sg, a.data * signs), EvolutionSpec("D", sign))
-            for a, sign in ((u0, sp.first), (v0, sp.second))]
-    t, f = g.t_axis[keep], factor[keep, None, None, None] * _dft_scale(sg, inverse=True)
-    block = np.empty((t.size,) + sg.shape, dtype=np.complex128)
+    reverse = _reverses(u0, v0, g, factor, keep)
+    pairs = ((u0, sp.first), (v0, sp.second))
+    if np.array_equal(u0.data, v0.data) and (sp.first == sp.second or _real(u0)):
+        pairs = pairs[:1]
+    data = [(Spectrum(sg, a.data * signs), EvolutionSpec("D", sign)) for a, sign in pairs]
+    size = keep.stop - keep.start
+    first = size // 2 if reverse else 0     # the block row of the first slice formed
+    t, f = g.t_axis[keep][first:], factor[keep, None, None, None]
+    scale = _dft_scale(sg, inverse=True)
+    block = np.empty((size,) + sg.shape, dtype=np.complex128)
     step = max(1, _GROUP_POINTS // sg.n**3)
     for start in range(0, t.size, step):
         group = slice(start, start + step)
-        uf, vf = (_dft(_free_slices_at(a, e, t[group]), sg, inverse=True, bare=True)
-                  for a, e in data)
-        prod = np.multiply(uf, vf, out=uf)
-        prod *= f[group]
-        prod *= signs
-        np.multiply(_dft(prod, sg, bare=True), signs, out=block[group])
+        uf, *vf = (_dft(_free_slices_at(a, e, t[group]), sg, inverse=True, bare=True)
+                   for a, e in data)
+        if vf:
+            second = vf[0]
+        else:   # one wave: itself at equal signs, its conjugate for real data
+            second = uf if sp.first == sp.second else np.conj(uf)
+        prod = np.multiply(uf, second, out=uf)
+        if not reverse:
+            prod *= f[group] * scale
+            prod *= signs
+            np.multiply(_dft(prod, sg, bare=True), signs, out=block[group])
+            continue
+        prod *= scale * signs
+        spec = _dft(prod, sg, bare=True)
+        spec *= signs
+        rows = slice(first + start, first + start + len(spec))
+        np.multiply(spec, f[rows], out=block[rows])
+        skip = int(start == 0)      # t = 0 is its own mirror
+        mirror = slice(size - rows.stop, size - rows.start - skip)
+        np.multiply(conj_reflect(spec[skip:])[::-1], f[mirror], out=block[mirror])
     return keep, block
 
 

@@ -250,25 +250,39 @@ def _block_norms(g: SpacetimeGrid, keep: slice | None, block, r: float, terms) -
     |S| is raised to r' once, each term adds a matrix-vector product with
     a^{r'}, gathered onto the lattice once, to its sum per tau, and the sums
     are dotted with c^{r'} at the end.  No (M, N^3) array is formed.
+
+    A block whose last axis holds h = N//2 + 1 entries, such as a view of
+    the first h of the full block's, is the half lattice of a
+    conjugate-symmetric product, S(tau, -xi) = conj S(tau, xi): it is read
+    off the array, as grid._dft reads its half spectra.  Its chunks are
+    whole rows of h columns, and the columns off the self-conjugate planes
+    0 and h-1 count twice, for their mates at -xi (as in _mate).
     """
     _check_r(r)
     rp = dual_exponent(r)
     sums = np.zeros((len(terms), g.m))
     if keep is not None:
-        index = g.spatial.shell_index.ravel()
+        h = block.shape[-1]
+        index = g.spatial.shell_index[..., :h]
         tables = [np.take(a**rp, index) for a, _ in terms]
-        cols = block.reshape(len(block), -1)
-        step = max(1, _CHUNK_POINTS // g.m)
-        pad = np.empty((g.m, min(step, cols.shape[1])), dtype=np.complex128)
-        for start in range(0, cols.shape[1], step):
-            chunk = slice(start, start + step)
-            part = pad[:, :len(index[chunk])]
+        width = 1 if h == g.spatial.n else h
+        if width > 1:
+            for table in tables:
+                table[..., 1:-1] *= 2.0
+        tables = [table.ravel() for table in tables]
+        rows = block.reshape(len(block), -1, width)     # a view, of the half lattice too
+        step = max(1, _CHUNK_POINTS // (g.m * width))
+        pad = np.empty((g.m, min(step, rows.shape[1]) * width), dtype=np.complex128)
+        for start in range(0, rows.shape[1], step):
+            chunk = rows[:, start : start + step]
+            part = pad[:, : chunk[0].size]
             part[: keep.start] = part[keep.stop :] = 0.0    # the bare transform overwrote them
-            np.multiply(cols[:, chunk], _signs(g.m)[keep, None], out=part[keep])
+            np.multiply(chunk, _signs(g.m)[keep, None, None], out=part[keep].reshape(chunk.shape))
             power = np.abs(_dft(part, time=g, bare=True))
             power **= rp
+            columns = slice(start * width, start * width + part.shape[1])
             for total, table in zip(sums, tables):
-                total += power @ table[chunk]
+                total += power @ table[columns]
     return [float(_root(g.dt**rp * (total.sum() if c is None else total @ c**rp), g, rp))
             for total, (_, c) in zip(sums, terms)]
 

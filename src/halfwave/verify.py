@@ -20,6 +20,7 @@ from scipy.optimize import minimize
 from .bilinear import (
     SignPair,
     _product_block,
+    _reverses,
     _symbol_block,
     product_transform_direct,
     surface_mass,
@@ -218,8 +219,13 @@ def _key_tables(grid, sigma: float):
 def _product_lhs(u0: Spectrum, v0: Spectrum, sp: SignPair, g: SpacetimeGrid, factor,
                  r: float, terms) -> float:
     """The sum of the norms of terms of factor(t) times the product of the
-    free waves u0, v0 with signs sp, taken from the product's block stage."""
-    return sum(_block_norms(g, *_product_block(u0, v0, sp, g, factor), r, terms))
+    free waves u0, v0 with signs sp, taken from the product's block stage.
+    A block that bilinear._reverses is conjugate-symmetric, so its norms
+    are taken on the half lattice alone."""
+    keep, block = _product_block(u0, v0, sp, g, factor)
+    if _reverses(u0, v0, g, factor, keep):
+        block = block[..., : g.spatial.n // 2 + 1]
+    return sum(_block_norms(g, keep, block, r, terms))
 
 
 def _fixed_window_grid(lam: float, n: int) -> tuple[SpacetimeGrid, WindowSpec]:
@@ -286,14 +292,15 @@ def check_hyperbolic_lemmas(
 
     The near region carries the J^sigma and d_t terms; the far region the
     J^(sigma-1) d_x and d_t terms (the derivative is essential there).  The
-    two masks partition the frequency pairs, so P is the one masked
-    convolution of a rung (_symbol_block) and Q is the FFT product block
-    (_product_block) minus P.
+    two masks partition the frequency pairs, so Q is the one masked
+    convolution of a rung (_symbol_block), the cheaper one, as the far mask
+    keeps fewer pairs, and P is the FFT product block (_product_block)
+    minus Q, on the full lattice.
     """
     if not 2.0 / r < sigma < math.inf:
         raise ParameterError(f"hyperbolic check needs a finite sigma > 2/r = {2.0 / r}, "
                              f"got {sigma}")
-    near = region_masks(c1=c1)["P"]
+    far = region_masks(c1=c1)["Q"]
     report = EstimateReport(
         "hyperbolic_lemmas",
         {"r": r, "sigma": sigma, "kind": kind, "n": n, "m": m, "c1": c1, "seed": seed},
@@ -303,9 +310,9 @@ def check_hyperbolic_lemmas(
         wvals = _grid_window(g, w)
         wj, wx, wt = _key_tables(g, sigma)
         rhs = sobolev_hat_norm(u0, r, sigma) * sobolev_hat_norm(v0, r, sigma)
-        keep, p_block = _symbol_block(u0, v0, sp, near, g, wvals)
-        _, q_block = _product_block(u0, v0, sp, g, wvals)
-        q_block -= p_block
+        keep, q_block = _symbol_block(u0, v0, sp, far, g, wvals)
+        _, p_block = _product_block(u0, v0, sp, g, wvals)
+        p_block -= q_block
         for region, block, terms in (("P", p_block, (wj, wt)), ("Q", q_block, (wx, wt))):
             report.add(lam, sum(_block_norms(g, keep, block, r, terms)), rhs, region=region)
     report.finalize().spread = math.nan      # judged per group (see _judge_groups)
@@ -382,6 +389,8 @@ def sharpness_probe(
     The predicted growth exponent for concentrated equal-sign interactions
     is 2/r - sigma.
     """
+    if not math.isfinite(sigma_below):
+        raise ParameterError(f"sharpness probe needs a finite sigma, got {sigma_below}")
     if len(set(lams)) < 3:
         raise ParameterError("need at least 3 distinct scales to fit a growth exponent")
     rep = EstimateReport(
@@ -405,6 +414,8 @@ def check_lowfreq_young(
     seed: int = 0,
 ) -> EstimateReport:
     """Products of data supported in |xi| <= 1: ratios should be uniformly flat."""
+    if not math.isfinite(sigma):
+        raise ParameterError(f"low-frequency check needs a finite sigma, got {sigma}")
     sg = SpatialGrid(n, 4.0 * np.pi)  # dxi = 0.25, Nyquist 2
     g = SpacetimeGrid(sg, m, 2.0 * np.pi)
     w = WindowSpec(support=0.5 * g.half_time)
@@ -434,8 +445,9 @@ def check_strichartz_l2(
     seed: int = 0,
 ) -> EstimateReport:
     """Opposite-sign L2 bilinear bound with split regularities sigma1+sigma2."""
-    if sigma1 < 0 or sigma2 < 0:
-        raise ParameterError("sigma1 and sigma2 must be nonnegative")
+    if not (0.0 <= sigma1 < math.inf and 0.0 <= sigma2 < math.inf):
+        raise ParameterError(f"sigma1 and sigma2 must be finite and nonnegative, "
+                             f"got {sigma1} and {sigma2}")
     rep = EstimateReport(
         "strichartz_l2",
         {"sigma1": sigma1, "sigma2": sigma2, "kind": kind, "n": n, "m": m, "seed": seed},
@@ -540,6 +552,8 @@ def extremizer_search(
     The free-wave ratio forms no X-norm, so b is not read; it stays a
     parameter for the callers that pass it.
     """
+    if not math.isfinite(sigma):
+        raise ParameterError(f"extremizer search needs a finite sigma, got {sigma}")
     lo = np.array([bb[0] for bb in bounds])
     hi = np.array([bb[1] for bb in bounds])
     degenerate = bool(np.all(hi <= lo))

@@ -7,7 +7,7 @@ import pytest
 import scipy.fft as sfft
 from scipy.special import beta
 
-from halfwave import bilinear, kernels
+from halfwave import bilinear, kernels, verify
 from halfwave.bilinear import (
     PowerWeight,
     ReductionSpec,
@@ -22,14 +22,21 @@ from halfwave.errors import BudgetError, DivergentIntegralError, ParameterError
 from halfwave.grid import (
     _checkerboard,
     _dft_scale,
+    conj_reflect,
     SpacetimeGrid,
     SpatialGrid,
     Spectrum,
     time_forward,
 )
 from halfwave.propagator import EvolutionSpec, free_slices
-from halfwave.spaces import WindowSpec, window_values
-from halfwave.verify import _data_pair, _fixed_window_grid, scaling_grid
+from halfwave.spaces import WindowSpec, _block_norms, _window_block, window_values
+from halfwave.verify import (
+    DataFamily,
+    _data_pair,
+    _fixed_window_grid,
+    family_spectrum,
+    scaling_grid,
+)
 
 
 def _reduce(a, p, q, region, c1=2.0):
@@ -221,13 +228,31 @@ def _product_reference(u0, v0, sp, g, w):
     inverse transforms on every time slice, multiplied, windowed times the
     inverse scale (two inverse scales and one forward), signed, transformed
     bare and multiplied by S; then the stack transformed in time."""
+    return _factor_product_reference(u0, v0, sp, g, window_values(w, g.t_axis))
+
+
+def _factor_product_reference(u0, v0, sp, g, factor):
+    """_product_reference with any time factor in place of the window."""
     sg = g.spatial
     signs = _checkerboard(sg.n)
     uf, vf = (sfft.ifftn(free_slices(Spectrum(sg, a.data * signs), g, EvolutionSpec("D", sign)),
                          axes=(1, 2, 3))
               for a, sign in ((u0, sp.first), (v0, sp.second)))
-    win = window_values(w, g.t_axis)[:, None, None, None] * _dft_scale(sg, inverse=True)
+    win = factor[:, None, None, None] * _dft_scale(sg, inverse=True)
     return time_forward(g, sfft.fftn(uf * vf * win * signs, axes=(1, 2, 3)) * signs)
+
+
+def _counted_free_slices(monkeypatch):
+    """The sizes of the time axes _product_block forms free slices on."""
+    formed = []
+    real = bilinear._free_slices_at
+
+    def counted(u, e, t):
+        formed.append(t.size)
+        return real(u, e, t)
+
+    monkeypatch.setattr(bilinear, "_free_slices_at", counted)
+    return formed
 
 
 @pytest.mark.parametrize("lam", [2.0, 16.0])
@@ -237,19 +262,14 @@ def test_product_transform_matches_reference_bitwise(lam, flat_fraction, full_su
                                                      monkeypatch):
     """The product formed only on the slices where the window is nonzero
     equals the full-lattice formula bit for bit; with the sharp window over
-    the whole time range every slice is formed."""
+    the whole time range every slice is formed.  The group is widened to
+    2^17 points, 32 slices, so that each block is formed in one group."""
+    monkeypatch.setattr(bilinear, "_GROUP_POINTS", 1 << 17)
     g, ladder = scaling_grid(lam)
     support = g.half_time if full_support else ladder.support
     w = WindowSpec(flat_fraction=flat_fraction, support=support)
     u0, v0 = _data_pair("random-bandlimited", lam, 5, g.spatial)
-    formed = []
-    real = bilinear._free_slices_at
-
-    def counted(u, e, t):
-        formed.append(t.size)
-        return real(u, e, t)
-
-    monkeypatch.setattr(bilinear, "_free_slices_at", counted)
+    formed = _counted_free_slices(monkeypatch)
     for sp in (SignPair(+1, +1), SignPair(+1, -1), SignPair(-1, +1)):
         got = product_transform_direct(u0, v0, sp, g, w)
         assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w))
@@ -267,14 +287,7 @@ def test_product_block_groups_bitwise(monkeypatch):
     bit; the block stage keeps the window block."""
     g, w = _fixed_window_grid(16.0, 16)         # M = 256: a block of 127 slices
     u0, v0 = _data_pair("random-bandlimited", 16.0, 5, g.spatial)
-    formed = []
-    real = bilinear._free_slices_at
-
-    def counted(u, e, t):
-        formed.append(t.size)
-        return real(u, e, t)
-
-    monkeypatch.setattr(bilinear, "_free_slices_at", counted)
+    formed = _counted_free_slices(monkeypatch)
     sp = SignPair(+1, -1)
     got = product_transform_direct(u0, v0, sp, g, w)
     assert np.array_equal(got.data, _product_reference(u0, v0, sp, g, w))
@@ -284,6 +297,112 @@ def test_product_block_groups_bitwise(monkeypatch):
     keep, _ = bilinear._product_block(u0, v0, sp, g, window_values(w, g.t_axis))
     assert keep == slice(nonzero[0], nonzero[-1] + 1)
     assert "spectral" not in inspect.signature(bilinear._product_block).parameters
+
+
+def _real_pair(lam, g):
+    """Two different spectra of real data: a Gaussian bump, which is even,
+    and random band-limited data made real, which is not."""
+    u0, _ = _data_pair("random-bandlimited", lam, 7, g.spatial)
+    odd = Spectrum(g.spatial, (u0.data + conj_reflect(u0.data)) / 2.0)
+    return family_spectrum(DataFamily("gaussian-bump", lam), g.spatial, None), odd
+
+
+def _block_product(u0, v0, sp, g, factor):
+    return bilinear._time_padded(g, *bilinear._product_block(u0, v0, sp, g, factor)).data
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_SIGN_PAIRS = (SignPair(+1, +1), SignPair(+1, -1), SignPair(-1, +1))
+
+
+@pytest.mark.parametrize("group", [16, 3])
+def test_symmetric_products_match_the_full_lattice_formula(group, monkeypatch):
+    """Each path the data's symmetries open is within 1e-13 of the
+    full-lattice formula: a repeated factor (one wave, squared: bit for bit
+    at equal signs), a repeated real factor at opposite signs (the wave
+    times its conjugate), and the time reversal of a centred block of real
+    data, for equal and different data at every sign pair; and an
+    off-centre block of a repeated real factor, which takes the conjugate
+    without the reversal.  The 15-slice block is formed in one group, and
+    in groups of 3 slices, whose mirrors land across the block."""
+    monkeypatch.setattr(bilinear, "_GROUP_POINTS", group * 16**3)
+    lam = 4.0
+    g, w = scaling_grid(lam)
+    win = window_values(w, g.t_axis)
+    shifted = np.roll(win, 1)
+    u0, v0 = _data_pair("random-bandlimited", lam, 5, g.spatial)
+    a, b = _real_pair(lam, g)
+    assert bilinear._real(a) and bilinear._real(b) and not bilinear._real(u0)
+    for sp in _SIGN_PAIRS:
+        # not real: a repeated factor at opposite signs is formed twice
+        got = _block_product(u0, u0, sp, g, win)
+        assert np.array_equal(got, _factor_product_reference(u0, u0, sp, g, win))
+        for x, y, factor in ((a, a, win), (a, b, win), (b, a, win), (a, a, shifted)):
+            reverses = bilinear._reverses(x, y, g, factor, _window_block(factor))
+            assert reverses == (factor is win)
+            assert _close(_block_product(x, y, sp, g, factor),
+                          _factor_product_reference(x, y, sp, g, factor))
+
+
+@pytest.mark.parametrize("grid", ["scaling", "fixed-window"])
+def test_half_lattice_norms_match_the_full_lattice(grid):
+    """The norms of a conjugate-symmetric block on its half lattice agree
+    with those of the same block on the full lattice to 1e-13."""
+    g, w = scaling_grid(4.0) if grid == "scaling" else _fixed_window_grid(16.0, 16)
+    win = window_values(w, g.t_axis)
+    a, b = _real_pair(4.0, g)
+    terms = verify._key_tables(g, 1.25)
+    for sp in _SIGN_PAIRS[:2]:
+        keep, block = bilinear._product_block(a, b, sp, g, win)
+        for r in (2.0, 1.5):
+            full = _block_norms(g, keep, block, r, terms)
+            half = _block_norms(g, keep, block[..., : g.spatial.n // 2 + 1], r, terms)
+            assert half == pytest.approx(full, rel=1e-13)
+
+
+def test_reversed_block_forms_half_its_slices(monkeypatch):
+    """A centred block of real data forms ceil(K/2) slices, from t = 0 up:
+    one _free_slices_at call per group for a repeated factor at either sign
+    pair, two for different data."""
+    g, w = _fixed_window_grid(16.0, 16)         # M = 256: a block of 127 slices
+    win = window_values(w, g.t_axis)
+    keep = _window_block(win)
+    size = keep.stop - keep.start
+    assert size == 127 and keep.start + keep.stop - 1 == 2 * g.origin_index
+    a, b = _real_pair(16.0, g)
+    step = bilinear._GROUP_POINTS // 16**3
+    groups = -(-(size + 1) // 2 // step)
+    for x, y, sp, per_group in ((a, a, SignPair(+1, +1), 1), (a, a, SignPair(+1, -1), 1),
+                                (a, b, SignPair(+1, -1), 2)):
+        formed = _counted_free_slices(monkeypatch)
+        bilinear._product_block(x, y, sp, g, win)
+        assert sum(formed) == per_group * (size + 1) // 2
+        assert len(formed) == per_group * groups
+
+
+def test_symmetry_fallbacks_keep_the_general_path(monkeypatch):
+    """Data real only to 1e-15, and real data on an off-centre block, take
+    the general path: both waves on every slice of the block, bit for bit
+    the full-lattice formula."""
+    g, w = scaling_grid(4.0)
+    win = window_values(w, g.t_axis)
+    a, b = _real_pair(4.0, g)
+    near = a.data.copy()
+    near[g.spatial.n // 2 + 1, 3, 5] *= 1.0 + 1e-15
+    near = Spectrum(g.spatial, near)
+    assert not bilinear._real(near)
+    shifted = np.roll(win, 1)
+    for x, y, factor in ((near, b, win), (b, near, win), (a, b, shifted)):
+        keep = _window_block(factor)
+        assert not bilinear._reverses(x, y, g, factor, keep)
+        for sp in _SIGN_PAIRS:
+            formed = _counted_free_slices(monkeypatch)
+            got = _block_product(x, y, sp, g, factor)
+            assert np.array_equal(got, _factor_product_reference(x, y, sp, g, factor))
+            assert formed == [keep.stop - keep.start] * 2
 
 
 def _symbol_product_reference(u0, v0, sp, mask, g, w):

@@ -629,6 +629,10 @@ def test_solve_refuses_a_nonfinite_b(tmp_path, capsys, b):
     ("params.sigma=nan", ["key"]),
     ("params.sigma=nan", ["lemma"]),
     ("params.sigma=nan", ["lemma", "--suite", "hyperbolic"]),
+    ("params.sigma=nan", ["extremize"]),
+    ("params.sigma1=nan", ["strichartz"]),
+    ("params.sigma=nan", ["lowfreq"]),
+    ("params.sigma=nan", ["sharpness"]),
 ])
 def test_estimate_checks_refuse_a_nonfinite_sigma_or_b(tmp_path, capsys, key, argv):
     """A non-finite sigma or b is refused before the ladder runs: exit 1,

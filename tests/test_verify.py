@@ -198,10 +198,17 @@ def test_elliptic_lemma_threshold_guard():
     lambda: check_key_estimate(2.0, 1.25, math.inf),
     lambda: NormParams(2.0, math.nan),
     lambda: NormParams(2.0, 1.0, math.inf),
+    lambda: sharpness_probe(2.0, math.nan),
+    lambda: check_lowfreq_young(1.5, math.nan),
+    lambda: check_strichartz_l2(math.nan, 0.55),
+    lambda: check_strichartz_l2(0.55, math.inf),
+    lambda: extremizer_search(2.0, math.nan, budget=6),
 ])
 def test_nonfinite_sigma_and_b_are_refused(build):
     """NaN fails sigma <= 2/r and b <= 1/r alike, and an infinite value
-    passes both: the guards and NormParams refuse either before any norm."""
+    passes both: the guards and NormParams refuse either before any norm.
+    The checks with no lower bound on sigma (sharpness, low frequencies,
+    the L2 bound and the extremizer) refuse a non-finite sigma too."""
     with pytest.raises(ParameterError, match="finite"):
         build()
 
@@ -214,7 +221,7 @@ def test_hyperbolic_lemmas_bounded():
 
 
 def test_hyperbolic_lemmas_convolve_once_per_rung(monkeypatch):
-    """Each rung makes one masked convolution, for P; Q is read off the
+    """Each rung makes one masked convolution, for Q; P is read off the
     product block."""
     real = kernels.masked_convolution
     masks = []
@@ -225,7 +232,7 @@ def test_hyperbolic_lemmas_convolve_once_per_rung(monkeypatch):
 
     monkeypatch.setattr(kernels, "masked_convolution", counted)
     check_hyperbolic_lemmas(2.0, 1.25, kind="random-bandlimited", lams=(2.0, 4.0, 8.0))
-    assert masks == [region_masks()["P"]] * 3
+    assert masks == [region_masks()["Q"]] * 3
 
 
 # the full-support families convolve every pair, so they run on a smaller lattice
@@ -234,18 +241,19 @@ def test_hyperbolic_lemmas_convolve_once_per_rung(monkeypatch):
                                         ("gaussian-bump", 8, 16),
                                         ("shell-concentrated", 8, 16)])
 def test_hyperbolic_q_matches_masked_convolution(kind, n, m, r, sigma):
-    """The Q lhs, taken from the product block minus P, is the lhs of the
-    masked convolution under the Q mask."""
+    """The Q lhs is the lhs of the masked convolution under the Q mask, and
+    the P lhs, taken from the product block minus Q, is that under the P
+    mask."""
     lams = (2.0, 4.0, 8.0)
     rep = check_hyperbolic_lemmas(r, sigma, kind=kind, lams=lams, n=n, m=m)
-    rows = [row for row in rep.rows if row["region"] == "Q"]
-    assert all(row["lhs"] > 0 for row in rows)
-    sp, far = SignPair(+1, -1), region_masks()["Q"]
-    for row, (lam, g, w, u0, v0) in zip(rows, verify._ladder(kind, lams, n, m, 0)):
-        _, wx, wt = verify._key_tables(g, sigma)
-        block = _symbol_block(u0, v0, sp, far, g, _grid_window(g, w))
-        want = sum(_block_norms(g, *block, r, (wx, wt)))
-        assert row["scale"] == lam
+    assert all(row["lhs"] > 0 for row in rep.rows)
+    sp, masks = SignPair(+1, -1), region_masks()
+    ladder = list(verify._ladder(kind, lams, n, m, 0))
+    for row in rep.rows:
+        lam, g, w, u0, v0 = ladder[lams.index(row["scale"])]
+        wj, wx, wt = verify._key_tables(g, sigma)
+        block = _symbol_block(u0, v0, sp, masks[row["region"]], g, _grid_window(g, w))
+        want = sum(_block_norms(g, *block, r, (wj if row["region"] == "P" else wx, wt)))
         assert row["lhs"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -428,8 +436,11 @@ def test_key_estimate_memory():
 def test_estimate_harness_transforms_are_bare(grid, monkeypatch):
     """At the estimates' settings (n = 16, m = 32, and the fixed-window rung
     at M = 256) the product lhs and the free X-norm make no signed transform
-    pass: every _dft call is bare, and _block_norms makes ceil(N^3 M /
-    _CHUNK_POINTS) time transforms per call."""
+    pass: every _dft call is bare.  The Gaussian's product is conjugate-
+    symmetric, so _block_norms reads the half lattice, h = N/2 + 1, in whole
+    rows of h columns: ceil(N^2 / floor(_CHUNK_POINTS / (M h))) time
+    transforms per call, 2 at M = 32 and 10 at M = 256 (16 on the full
+    lattice)."""
     g, w = scaling_grid(4.0, n=16, m=32) if grid == "scaling" else _fixed_window_grid16(16.0)
     u0, v0 = verify._data_pair("gaussian-bump", 4.0, 0, g.spatial)
     calls = []
@@ -448,7 +459,8 @@ def test_estimate_harness_transforms_are_bare(grid, monkeypatch):
     _, wx, wt = verify._key_tables(g, 1.25)
     verify._product_lhs(u0, v0, SignPair(+1, -1), g, win, 2.0, (wx, wt))
     chunks = [c for c in calls if c[0] == spaces.__name__]
-    assert len(chunks) == -(-16**3 * g.m // spaces._CHUNK_POINTS)
+    rows = spaces._CHUNK_POINTS // (g.m * (16 // 2 + 1))
+    assert len(chunks) == -(-16**2 // rows)
     assert all(time is g for _, _, time in chunks)
     _free_xsb_norm(u0, g, win, NormParams(2.0, 1.25, 0.55, +1))
     assert len(calls) > len(chunks) + 1 and all(bare for _, bare, _ in calls)
