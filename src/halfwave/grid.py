@@ -374,14 +374,29 @@ def spatial_inverse_slices(grid: SpacetimeGrid, spec_slices: np.ndarray) -> Spac
     return SpacetimeField(grid, _dft(spec_slices, grid.spatial, inverse=True))
 
 
+@lru_cache(maxsize=32)
+def _reflection(shape: tuple) -> np.ndarray:
+    """reflect's gather, read-only: the flat index of (-k) mod n along every
+    axis of shape at each point k of an array of that shape."""
+    index = np.arange(np.prod(shape)).reshape(shape)
+    for axis, n in enumerate(shape):
+        index = np.take(index, -np.arange(n) % n, axis=axis)
+    return _read_only(index.ravel())
+
+
 def reflect(a: np.ndarray, axes) -> np.ndarray:
     """a(-xi): the periodic reflection k -> (-k) mod n along each of `axes`.
 
     On the centered even lattice index k holds frequency j = k - n/2, and -j
     sits at (-k) mod n; so the Nyquist index 0 and the zero index n/2 map
-    to themselves.  Returns a new array.
+    to themselves.  The axes must be consecutive and of one sign: one
+    gather through a cached flat index map reflects them all.  Returns a
+    new array.
     """
-    return np.roll(np.flip(a, axes), 1, axes)
+    lo, hi = min(axes) % a.ndim, max(axes) % a.ndim + 1
+    index = _reflection(a.shape[lo:hi])
+    flat = a.reshape(a.shape[:lo] + index.shape + a.shape[hi:])
+    return np.take(flat, index, axis=lo).reshape(a.shape)
 
 
 def conj_reflect(a: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ def free_slices(u0: Spectrum, g: SpacetimeGrid, e: EvolutionSpec) -> np.ndarray:
     """
     if u0.grid != g.spatial:
         raise GridMismatchError("initial spectrum does not live on the spatial lattice")
-    return _free_slices_at(u0, e, g.t_axis)
+    return _free_slices_at(u0.grid, u0.data, e, g.t_axis)
 
 
 def _phase_table(sg, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
@@ -62,17 +62,14 @@ def _phase_table(sg, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
     return np.exp(1j * sgn * t[:, None] * sym[None])
 
 
-def _free_slices_at(
-    u0: Spectrum, e: EvolutionSpec, t: np.ndarray, size: int | None = None
-) -> np.ndarray:
-    """free_slices on the times t alone: each slice is the one free_slices gives.
-
-    With size, only the first size entries of the last axis are formed.
+def _free_slices_at(sg, a: np.ndarray, e: EvolutionSpec, t: np.ndarray) -> np.ndarray:
+    """free_slices of the data a on the lattice sg, on the times t alone:
+    each slice is the one free_slices gives.  a may hold the first entries
+    of the last axis alone, and so does the result.
     """
-    sg = u0.grid
     # np.take gives C order, unlike table[:, index]
-    out = np.take(_phase_table(sg, e, t), sg.shell_index[..., :size], axis=1)
-    out *= u0.data[..., :size]
+    out = np.take(_phase_table(sg, e, t), sg.shell_index[..., :a.shape[-1]], axis=1)
+    out *= a
     return out
 
 

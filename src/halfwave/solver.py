@@ -11,8 +11,8 @@ checks the equation the loop solved.  With J = <xi> the rewrite reads
 u = w/2 besides mask B.  The iteration takes only mask B (and a source)
 from the previous iterate and solves the linear term slice by slice inside
 the trapezoid sweep, so its contraction factors measure the nonlinearity.
-The loop runs on the core |t| <= delta alone, u off it is the J-flow
-continued from the core's edge, and b adds only the X^{s,b} diagnostics.
+The loop runs on the core |t| <= delta alone, u past each end of it is the
+J-flow of one edge datum, and b adds only the X^{s,b} diagnostics.
 The iterates are kept as spatial spectral slices, shape (M, N, N, N);
 configuration space is visited only for the pointwise product.  Real data
 have u_- = conj u_+(-xi) at every iterate, so for them the same loop runs
@@ -122,8 +122,8 @@ class SolveConfig:
 
     A config exists for every delta in (0, 0.95 T], T the time half-width;
     default_config is a second name for this class.  The Picard loop runs on
-    the core [-delta, delta] alone, and u off the core is the J-flow
-    continued from the core's edge.  b is the modulation exponent of the
+    the core [-delta, delta] alone, and u past each end of the core is the
+    J-flow of one edge datum.  b is the modulation exponent of the
     X^r_{s,b} diagnostics, the windowed restricted distances and the
     Z-norm; None forms neither, and a loop refuses b <= 1/r.  Convergence,
     divergence and select_delta read the sup distance over the core, which
@@ -412,35 +412,31 @@ def _linear_sweep(
     return dp, dm, seeds
 
 
-def _tails(a, blk: slice, span: slice) -> tuple:
-    """The entries of a in span past each end of blk, nearest first: (forward, back)."""
-    return a[blk.stop:span.stop], a[span.start:blk.start][::-1]
+def _flow_past(out, data, seeds, e: EvolutionSpec, g: SpacetimeGrid, blk: slice,
+               span: slice) -> None:
+    """Write one component of the iterate into out's slices in span past each
+    end of blk, forward then back, as seeds holds that end's _linear_sweep
+    seed.  Off the block f = c = 0, so past the end slice at t_e it is the
+    J-flow under e of one edge datum, data + e^{+-i t_e J} seed for u_+-: one
+    phase gather per end.  data and seeds may hold the first entries of the
+    last axis alone; data None is zero."""
+    sg, t = g.spatial, g.t_axis
+    ends = (slice(blk.stop, span.stop), blk.stop - 1), (slice(span.start, blk.start), blk.start)
+    for (tail, end), seed in zip(ends, seeds):
+        datum = _free_slices_at(sg, seed, e, -t[end:end + 1])[0]
+        if data is not None:
+            datum += data
+        out[tail] = _free_slices_at(sg, datum, e, t[tail])
 
 
-def _continue(tails, seeds, steps) -> None:
-    """Continue one component's sweep past its block, in place: tails, seeds
-    and steps are (forward, back), the tails the free slices past each end,
-    nearest first (see _tails).  Off the block f = c = 0, so each slice adds
-    the seed _linear_sweep returned for its end stepped once more than the
-    slice before it: the values of sweeping every slice."""
-    for tail, d, step in zip(tails, seeds, steps):
-        for x in tail:
-            d = step * d
-            x += d
-
-
-def _extend(u: np.ndarray, data: Spectrum, e: EvolutionSpec, g: SpacetimeGrid, blk: slice,
-            seeds, steps) -> np.ndarray:
+def _extend(u: np.ndarray, data, e: EvolutionSpec, g: SpacetimeGrid, blk: slice,
+            seeds) -> np.ndarray:
     """One component of the iterate on every slice from its block: u on the
-    block, bit for bit, and the sweep continued past it (see _continue) from
-    the free slices of data under e."""
+    block, bit for bit, and past it the J-flow of each edge datum (see
+    _flow_past)."""
     out = np.empty((g.m,) + u.shape[1:], dtype=np.complex128)
     out[blk] = u
-    whole = slice(0, g.m)
-    tails = _tails(out, blk, whole)
-    for tail, t in zip(tails, _tails(g.t_axis, blk, whole)):
-        tail[...] = _free_slices_at(data, e, t, u.shape[-1])
-    _continue(tails, seeds, steps)
+    _flow_past(out, data, seeds, e, g, blk, slice(0, g.m))
     return out
 
 
@@ -452,12 +448,11 @@ class _PicardState:
     the config sets b, checks the data against the grid, projects real data
     (see _hermitian_part), finds the core's block of slices, and builds the
     loop invariants, the free slices on the block and, when b is set, the
-    X-weights, the X-distance's window and the free slices on its tails.
-    advance runs iterations and may be called again to resume them; the
-    state carries the iterates, the distances (in result), the growth count,
-    the seeds of the last sweep and, when b is set, the iterates continued
-    over the window's tails.  finish extends the last iterate to every slice
-    and completes real data.
+    X-weights and the X-distance's window.  advance runs iterations and may
+    be called again to resume them; the state carries the iterates, the
+    distances (in result), the growth count and the seeds of the last
+    sweep, which fix the iterate past the block (see _flow_past).  finish
+    extends the last iterate to every slice and completes real data.
 
     The state holds loop values alone, so a trial parked between calls holds
     no work array: each lives within one iteration of advance (see there).
@@ -483,7 +478,7 @@ class _PicardState:
         core = _core_slices(g, cfg.delta)
         blk = _window_block(core)
         self.g, self.ns, self.tol, self.r, self.s = g, ns, cfg.tol, r, s
-        self.data, self.blk = (fp, fm), blk
+        self.data, self.blk = tuple(x.data[..., :h] for x in (fp, fm)), blk
         self.m0 = g.origin_index - blk.start
         # loop invariants: f = mask B(u, u)/J + S/J
         self.weight = 1.0 / g.spatial.bracket[..., :h]
@@ -494,7 +489,7 @@ class _PicardState:
         self.steps = forward, tuple(np.conj(step) for step in forward)
         # the free parts on the block; the slices off it are formed once, at the end
         self.flows = EvolutionSpec("J", +1), EvolutionSpec("J", -1)
-        self.free_p, self.free_m = (_free_slices_at(x, e, g.t_axis[blk], h)
+        self.free_p, self.free_m = (_free_slices_at(g.spatial, x, e, g.t_axis[blk])
                                     for x, e in zip(self.data, self.flows))
         self.xsb_wts = None
         if cfg.b is not None:
@@ -506,11 +501,6 @@ class _PicardState:
             window = window_values(cfg.window, g.t_axis)
             self.x_blk = xblk = _window_block((window != 0) | core)
             self.x_window = (window * g.dt * _signs(g.m))[xblk, None, None, None]
-            # the free slices on the window's tails, and the iterates continued
-            # over them, the free flow before the first iteration
-            self.x_free = self.x_tails = [
-                [_free_slices_at(x, e, t, h) for t in _tails(g.t_axis, blk, xblk)]
-                for x, e in zip(self.data, self.flows)]
         self.sp, self.sm = self.free_p, self.free_m
         self.grew = 0
         self.seeds = None           # of the last sweep: none before the first
@@ -518,28 +508,23 @@ class _PicardState:
 
     def _x_distance(self, diffs, seeds) -> float:
         """The X-distance of the new iterates from the old under the window:
-        diffs holds their difference on the block, and over the window's tails
-        each is continued as finish continues it, the new ones from seeds,
-        which become x_tails."""
+        diffs holds their difference on the block.  Past it the free parts
+        cancel, so over the window's tails it is the J-flow of seeds less
+        self.seeds, the old sweep's, none before the first (see _flow_past)."""
         g, blk, xblk = self.g, self.blk, self.x_blk
         windowed = np.empty((g.m,) + diffs[0].shape[1:], dtype=np.complex128)
-        tails = []
-        for free, seed, step in zip(self.x_free, zip(*seeds), zip(*self.steps)):
-            tails.append([x.copy() for x in free])
-            _continue(tails[-1], seed, step)
+        old = (None, None) if self.seeds is None else zip(*self.seeds)
 
         def spectra():
-            for x, new, old in zip(diffs, tails, self.x_tails):
+            for x, e, new, was in zip(diffs, self.flows, zip(*seeds), old):
                 # zero the padding afresh: the bare transform may have overwritten it
                 windowed[:xblk.start] = windowed[xblk.stop:] = 0.0
                 windowed[blk] = x
-                for out, a, b in zip(_tails(windowed, blk, xblk), new, old):
-                    np.subtract(a, b, out=out)
+                gaps = new if was is None else (a - b for a, b in zip(new, was))
+                _flow_past(windowed, None, gaps, e, g, blk, xblk)
                 windowed[xblk] *= self.x_window
                 yield _dft(windowed, time=g, bare=True)
-        dr = float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r)))
-        self.x_tails = tails
-        return dr
+        return float(sum(_lattice_norms(g, spectra(), self.xsb_wts, self.r)))
 
     def advance(self, max_iter: int) -> None:
         """Iterate until the loop stops or max_iter iterations ran in all.
@@ -593,9 +578,8 @@ class _PicardState:
         g, result = self.g, self.result
         # the last sweep continued to every slice; SolveConfig's max_iter >= 1
         # means advance ran one
-        sp, sm = (_extend(u, x, e, g, self.blk, seed, step) for u, x, e, seed, step in
-                  zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds),
-                      zip(*self.steps)))
+        sp, sm = (_extend(u, x, e, g, self.blk, seed) for u, x, e, seed in
+                  zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds)))
         if result.real_data:
             sp = hermitian_full(sp, sm)
             sm = conj_reflect(sp)
@@ -639,19 +623,18 @@ def picard_iterate(
 
     The loop runs on the core [-delta, delta] alone: the forcing, its
     transforms and the sweep read the core's slices, and the iterate is
-    extended to the whole time axis once, at the end, by continuing the
-    last sweep past the core, where the loop solves no equation (f = c = 0);
-    u off the core is the J-flow continued from the core's edge.  The
-    iterates, and the source if given, are spatial spectral slices.  The
-    distance between consecutive iterates is the sup over the core of the
-    data-space norm (both components), and rho_n is its step ratio: it
-    alone decides convergence and divergence.  Three consecutive growing
+    extended to the whole time axis once, at the end: past the core the
+    loop solves no equation (f = c = 0), so u past each end is the J-flow of
+    one edge datum (see _flow_past).  The iterates, and the source if given,
+    are spatial spectral slices.  The distance between consecutive iterates
+    is the sup over the core of the data-space norm (both components), and
+    rho_n is its step ratio: it alone decides convergence and divergence.  Three consecutive growing
     distances flag divergence, and so does one non-finite distance (see
     PicardResult.status).  When cfg.b is set, each iteration also measures
     the space-time restriction norm in X^r_{s,b} of the difference under
-    cfg.window, reported as restricted_distances: both iterates are
-    continued over the window's tails as the end continues them, so the
-    difference is one extension past delta and its windowed norm an upper
+    cfg.window, reported as restricted_distances: over the window's tails
+    the difference is the J-flow of the difference of the two sweeps'
+    seeds, one extension past delta, so its windowed norm is an upper
     bound.  A non-finite one flags divergence too; nothing else reads it,
     and with b None no time transform is made.  The restriction norm takes
     xsb_norm's X-weights and a bare time DFT, with dt and the time signs
@@ -744,14 +727,16 @@ def solve_local(
 
     Reports the Box-residual on the interior of [-delta, delta], the
     persistence curve t -> data-space norm of the components, and for k = 2,
-    when cfg.b is set, the Z-norm diagnostic (both regularities of the pair
-    (u, d_t u)); z_value is None otherwise.  u, d_t u and the Z-norm cover
-    the whole time axis; the persistence curve covers the core slices
-    |t| <= delta alone, its first entry at the first core slice (so the
-    t_index of solve.csv counts from there).
+    when cfg.b is set, the Z-norm diagnostic: z_norm's two terms, X^r_{s,b}
+    and X^r_{s-1,b}, of psi u and psi d_t u, psi = cfg.window, which bound
+    the restriction norm of (u, d_t u) to [-delta, delta] through the
+    solve's own continuation, as the X-distances do; z_value is None
+    otherwise.  u and d_t u cover the whole time axis; the persistence
+    curve covers the core slices |t| <= delta alone, its first entry at the
+    first core slice (so the t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
     way, lies in the core: off the core the loop solves no equation, and u
-    there is the J-flow continued from the core's edge (see picard_iterate).
+    there is the J-flow of one edge datum per end (see picard_iterate).
     Only the X-distances and the Z-norm depend on b.  mask B(u, u), the
     forcing the loop iterated,
     and the source term are formed on the audited slices alone.  When no
@@ -788,9 +773,14 @@ def solve_local(
     jumps = np.abs(np.diff(pers))
     z_value = None
     if ns.k == 2 and cfg.b is not None:
-        # z_norm's two terms, with one time transform alive at a time
+        # z_norm's two terms of psi u and psi d_t u, psi = cfg.window, with one
+        # time transform alive at a time; u_spec and dtu_spec are dead, so
+        # they take psi in place
+        psi = window_values(cfg.window, g.t_axis)[:, None, None, None]
         upper, lower = (NormParams(r, reg, cfg.b, +1) for reg in (s, s - 1.0))
+        u_spec *= psi
         z_value = xsb_norm(SpacetimeSpectrum(g, time_forward(g, u_spec)), upper)
+        dtu_spec *= psi
         z_value += xsb_norm(SpacetimeSpectrum(g, time_forward(
             g, hermitian_full(dtu_spec) if real else dtu_spec)), lower)
     return SolveReport(

@@ -247,9 +247,9 @@ def _counted_free_slices(monkeypatch):
     formed = []
     real = bilinear._free_slices_at
 
-    def counted(u, e, t):
+    def counted(sg, a, e, t):
         formed.append(t.size)
-        return real(u, e, t)
+        return real(sg, a, e, t)
 
     monkeypatch.setattr(bilinear, "_free_slices_at", counted)
     return formed

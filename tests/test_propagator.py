@@ -34,7 +34,7 @@ _TIMES = np.array([0.3, -0.2, 1.1, 0.0])
 
 def _evolve_each(sg, slices, e, t):
     """Slice i of slices, as a spectrum on sg, evolved on by the time t[i]."""
-    return np.stack([_free_slices_at(Spectrum(sg, a), e, t[i : i + 1])[0]
+    return np.stack([_free_slices_at(sg, a, e, t[i : i + 1])[0]
                      for i, a in enumerate(slices)])
 
 
@@ -44,14 +44,14 @@ def test_group_property(sg, kind, sign):
     """U(0.4) U(t) = U(t + 0.4) at every time of an array, 0.3 + 0.4 = 0.7 among them."""
     F = _random_spectrum(sg)
     e = EvolutionSpec(kind, sign)
-    one = _evolve_each(sg, _free_slices_at(F, e, _TIMES), e, np.full(_TIMES.size, 0.4))
-    two = _free_slices_at(F, e, _TIMES + 0.4)
+    one = _evolve_each(sg, _free_slices_at(sg, F.data, e, _TIMES), e, np.full(_TIMES.size, 0.4))
+    two = _free_slices_at(sg, F.data, e, _TIMES + 0.4)
     assert np.abs(one - two).max() < 1e-12
 
 
 def test_unitarity(sg):
     F = _random_spectrum(sg, 1)
-    G = _free_slices_at(F, EvolutionSpec("D", +1), np.array([2.0, -1.5, 0.0]))
+    G = _free_slices_at(sg, F.data, EvolutionSpec("D", +1), np.array([2.0, -1.5, 0.0]))
     assert np.abs(np.abs(G) - np.abs(F.data)[None]).max() < 1e-13
 
 
@@ -59,7 +59,7 @@ def test_inverse_evolution(sg):
     """U(-t) U(t) = 1 at every time of an array."""
     F = _random_spectrum(sg, 2)
     e = EvolutionSpec("J", +1)
-    G = _evolve_each(sg, _free_slices_at(F, e, _TIMES), e, -_TIMES)
+    G = _evolve_each(sg, _free_slices_at(sg, F.data, e, _TIMES), e, -_TIMES)
     assert np.abs(G - F.data[None]).max() < 1e-13
 
 
@@ -69,7 +69,7 @@ def test_free_spacetime_matches_evolve(sg, stg):
     u = free_spacetime(F, stg, EvolutionSpec("D", +1))
     slices = spatial_forward_slices(u)
     sample = [0, stg.origin_index, stg.m - 1]
-    expect = _free_slices_at(F, EvolutionSpec("D", +1), stg.t_axis[sample])
+    expect = _free_slices_at(sg, F.data, EvolutionSpec("D", +1), stg.t_axis[sample])
     assert np.abs(slices[sample] - expect).max() < 1e-10
 
 
