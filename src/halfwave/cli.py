@@ -342,8 +342,9 @@ def _solve_setup(cfg, args):
         amp = _get(cfg, "family", "amplitude", float, 0.01)
         width = _get(cfg, "family", "width", float, 1.0)
         xi = g.spatial.xi_modulus()
-        u0 = Spectrum(g.spatial, amp * np.exp(-(xi**2) / (2.0 * width**2)))
-        u1 = Spectrum(g.spatial, 0.5 * amp * np.exp(-(xi**2) / (2.0 * width**2)))
+        with np.errstate(divide="ignore", invalid="ignore"):    # CauchyData refuses width 0
+            profile = amp * np.exp(-(xi**2) / (2.0 * width**2))
+        u0, u1 = Spectrum(g.spatial, profile), Spectrum(g.spatial, 0.5 * profile)
     return g, solver_mod.CauchyData(u0, u1, r, s), ns
 
 

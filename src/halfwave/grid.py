@@ -405,16 +405,15 @@ def conj_reflect(a: np.ndarray) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-def hermitian_full(half: np.ndarray, mate: np.ndarray | None = None) -> np.ndarray:
-    """The full spectrum, last three axes (N, N, N), of real data from its half.
+def hermitian_full(half: np.ndarray, mate: np.ndarray) -> np.ndarray:
+    """The full spectrum, last three axes (N, N, N), of u_+ from the half
+    spectra of the pair (u_+, u_-) of real data, u_- = conj u_+(-xi).
 
-    half holds the first N//2 + 1 entries of the last axis; each remaining
-    entry is conj F(-xi) of one it holds.  With mate, the remaining entries
-    are conj mate(-xi) instead: the full u_+ from the half spectra of the
-    pair (u_+, u_-) of real data, u_- = conj u_+(-xi).
+    half and mate hold the first N//2 + 1 entries of the last axis of u_+
+    and u_-; each remaining entry of u_+ is conj u_-(-xi) of one mate holds.
+    The spectrum F of a real array is its own mate: hermitian_full(F, F).
     """
     h = half.shape[-1]
-    mate = half if mate is None else mate
     upper = reflect(mate[..., h - 2 : 0 : -1], (-3, -2))
     return np.concatenate((half, np.conjugate(upper, out=upper)), axis=-1)
 

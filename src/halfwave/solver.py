@@ -13,14 +13,14 @@ from the previous iterate and solves the linear term slice by slice inside
 the trapezoid sweep, so its contraction factors measure the nonlinearity.
 The loop runs on the core |t| <= delta alone, u past each end of it is the
 J-flow of one edge datum, and b adds only the X^{s,b} diagnostics.
-The iterates are kept as spatial spectral slices, shape (M, N, N, N);
+The iterates are kept as spatial spectral slices, shape (M, N, N, N), and
 configuration space is visited only for the pointwise product.  Real data
-have u_- = conj u_+(-xi) at every iterate, so for them the same loop runs
-on the half spectra of both components.  Correctness is judged
-convention-free through the Box residual, audited where the whole d_t^2
-stencil lies in |t| <= delta, and through contraction diagnostics.
-Every norm comes from spaces: the solver passes slices and weights and
-takes norms back.  select_delta tries no delta below 2 dt.
+have u_- = conj u_+(-xi) at every iterate, so the loop and the solve run
+on the half spectra of both components, last axis N//2 + 1.  Correctness
+is judged convention-free through the Box residual, audited where the
+whole d_t^2 stencil lies in |t| <= delta, and through contraction
+diagnostics.  Every norm comes from spaces: the solver passes slices and
+weights and takes norms back.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import GridMismatchError, ParameterError
 from .grid import (
     SpacetimeField,
     SpacetimeGrid,
-    SpacetimeSpectrum,
     SpatialGrid,
     Spectrum,
     _checkerboard,
@@ -56,11 +55,11 @@ from .spaces import (
     _core_slices,
     _lattice_norms,
     _slice_norms,
+    _slice_weights,
     _window_block,
     _xsb_weights,
     sobolev_hat_norm,
     window_values,
-    xsb_norm,
 )
 
 __all__ = [
@@ -82,7 +81,7 @@ _DERIVS = ("t", "x1", "x2", "x3")
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Position and velocity spectra plus the intended data-space exponents."""
+    """Position and velocity spectra, both finite, plus the intended data-space exponents."""
 
     u0: Spectrum
     u1: Spectrum
@@ -94,6 +93,9 @@ class CauchyData:
             raise GridMismatchError("position and velocity data live on different lattices")
         if not math.isfinite(self.s):
             raise ParameterError(f"the data regularity s must be finite, got {self.s}")
+        for name, x in (("position data u0", self.u0), ("velocity data u1", self.u1)):
+            if not np.isfinite(x.data).all():
+                raise ParameterError(f"the {name} must be finite")
 
     def norms(self) -> tuple[float, float]:
         return (
@@ -138,19 +140,24 @@ class SolveConfig:
 
     def __post_init__(self):
         # written so that delta = NaN fails it too
-        if not 0 < self.delta <= 0.95 * self.grid.half_time:
+        if not 0 < self.delta <= self.largest_delta(self.grid):
             raise ParameterError("delta must be positive" if self.delta <= 0 else
                                  f"delta = {self.delta} does not fit the time box "
                                  f"(half_time {self.grid.half_time})")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
 
+    @staticmethod
+    def largest_delta(grid: SpacetimeGrid) -> float:
+        """0.95 T: the largest delta, and the widest window support, that fit the time box."""
+        return 0.95 * grid.half_time
+
     @property
     def window(self) -> WindowSpec:
         """The cutoff of the X^{s,b} diagnostics: 1 on [-delta, delta], vanishing
         smoothly by min(2 delta, 0.95 T), fitting the time box, since a sharp
         cutoff has no finite X^{s,b} norm for b > 1/r."""
-        support = min(2.0 * self.delta, 0.95 * self.grid.half_time)
+        support = min(2.0 * self.delta, self.largest_delta(self.grid))
         flat = min(1.0, max(0.5, self.delta / support))
         return WindowSpec(support=support, flat_fraction=flat)
 
@@ -308,16 +315,15 @@ def _step_ratios(distances: list) -> list:
 class PicardResult:
     """Final iterates as spatial spectral slices (sp, sm), plus diagnostics.
 
-    real_data tells whether the data were real, so that the loop ran on half
-    spectra (see picard_iterate); sm is then conj R sp exactly.  status says
-    why the loop stopped: "converged" (a distance reached tol), "unconverged"
+    sp and sm hold every time slice on the lattice the loop ran on: for real
+    data (real_data, see picard_iterate) the half spectra, last axis
+    N//2 + 1.  status says why the loop stopped: "converged" (a distance reached tol), "unconverged"
     (the budget ran out), "diverged" (three consecutive growing distances)
     or "nonfinite" (a non-finite distance or X-distance, see picard_iterate);
     converged and diverged are read from it, and the step ratios from the
-    distances.  The loop iterates the nonlinearity alone, so
-    rho_1 = distances[1]/distances[0] is, to leading order, proportional to
-    the size of the data, and 0 when B = 0.  restricted_distances holds the
-    windowed X-distances when the config sets b, and stays empty when not.
+    distances.  The loop iterates the nonlinearity alone, so rho_1 is, to
+    leading order, proportional to the size of the data, and 0 when B = 0.
+    restricted_distances holds the windowed X-distances when b is set.
     """
 
     grid: SpacetimeGrid
@@ -452,7 +458,7 @@ class _PicardState:
     be called again to resume them; the state carries the iterates, the
     distances (in result), the growth count and the seeds of the last
     sweep, which fix the iterate past the block (see _flow_past).  finish
-    extends the last iterate to every slice and completes real data.
+    extends the last iterate to every slice.
 
     The state holds loop values alone, so a trial parked between calls holds
     no work array: each lives within one iteration of advance (see there).
@@ -574,16 +580,12 @@ class _PicardState:
             result.status = "diverged"
 
     def finish(self) -> PicardResult:
-        """The result, with the last iterate on every slice, completed for real data."""
+        """The result, with the last iterate on every slice of the lattice the loop ran on."""
         g, result = self.g, self.result
         # the last sweep continued to every slice; SolveConfig's max_iter >= 1
         # means advance ran one
-        sp, sm = (_extend(u, x, e, g, self.blk, seed) for u, x, e, seed in
-                  zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds)))
-        if result.real_data:
-            sp = hermitian_full(sp, sm)
-            sm = conj_reflect(sp)
-        result.sp, result.sm = sp, sm
+        result.sp, result.sm = (_extend(u, x, e, g, self.blk, seed) for u, x, e, seed in
+                                zip((self.sp, self.sm), self.data, self.flows, zip(*self.seeds)))
         return result
 
 
@@ -621,31 +623,25 @@ def picard_iterate(
     ratios measure B and the source alone: with B = 0 and no source the
     second iterate equals the first.
 
-    The loop runs on the core [-delta, delta] alone: the forcing, its
-    transforms and the sweep read the core's slices, and the iterate is
+    The loop runs on the core [-delta, delta] alone, and the iterate is
     extended to the whole time axis once, at the end: past the core the
     loop solves no equation (f = c = 0), so u past each end is the J-flow of
     one edge datum (see _flow_past).  The iterates, and the source if given,
     are spatial spectral slices.  The distance between consecutive iterates
-    is the sup over the core of the data-space norm (both components), and
-    rho_n is its step ratio: it alone decides convergence and divergence.  Three consecutive growing
-    distances flag divergence, and so does one non-finite distance (see
-    PicardResult.status).  When cfg.b is set, each iteration also measures
-    the space-time restriction norm in X^r_{s,b} of the difference under
-    cfg.window, reported as restricted_distances: over the window's tails
-    the difference is the J-flow of the difference of the two sweeps'
-    seeds, one extension past delta, so its windowed norm is an upper
-    bound.  A non-finite one flags divergence too; nothing else reads it,
-    and with b None no time transform is made.  The restriction norm takes
-    xsb_norm's X-weights and a bare time DFT, with dt and the time signs
-    folded into the window.
+    is the sup over the core of the data-space norm (both components); it
+    alone decides convergence and divergence (see PicardResult.status).
+    When cfg.b is set, each iteration also takes the X^r_{s,b} norm of the
+    difference under cfg.window, continued over the window's tails as the
+    J-flow of the difference of the two sweeps' seeds: an upper bound of
+    its restriction norm, reported as restricted_distances.  A non-finite
+    one flags divergence too; nothing else reads it.
 
     Real data (fm = conj R fp for the reflection R: xi -> -xi, and a real
     source; see _hermitian_part) keep u_- = conj R u_+ at every iterate, so
     the pair cut to the half lattice (the first N//2 + 1 entries of the last
     axis) fixes both components.  The loop then runs on half spectra, with
-    the real transforms and mate weights (see spaces._mate); u_+ is
-    completed once, at the end.
+    the real transforms and mate weights (see spaces._mate), and returns
+    them.
 
     A call right after select_delta, at its returned delta, on the same
     data and settings (the same nonlinearity, grid, tol, b, r and s,
@@ -688,30 +684,31 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _box_residual(
-    u_spec: np.ndarray,
-    g: SpacetimeGrid,
-    b_spec: np.ndarray,
-    audit: slice,
-) -> tuple[float, float]:
-    """RMS of Box u - B over the audit slices; d_t^2 by 4th-order differences.
+def _box_residual(u_spec: np.ndarray, g: SpacetimeGrid, b_spec: np.ndarray,
+                  audit: slice) -> tuple[float, float]:
+    """RMS of Box u - B and of B over the audit slices; d_t^2 by 4th-order differences.
 
     u_spec holds the spatial spectral slices of u on the whole time axis,
     b_spec those of B on the audit slices alone, which lie at least two
-    slices inside the core.  An empty audit has no residual (NaN) and scale 0.
+    slices inside the core; both are on the lattice the loop ran on.  Each
+    RMS is the lattice L^2 norm over the K audit slices (a half spectrum
+    counts its mates), divided by (dxi^3 K N^3)^{1/2}.  An empty audit has
+    no residual (NaN) and scale 0.
     """
     lo, hi = audit.start, audit.stop
     if hi <= lo:
         return math.nan, 0.0
-    u = u_spec
+    sg, u = g.spatial, u_spec
+    h = u.shape[-1]
     utt = (
         -u[lo - 2:hi - 2] + 16 * u[lo - 1:hi - 1] - 30 * u[lo:hi] + 16 * u[lo + 1:hi + 1]
         - u[lo + 2:hi + 2]
     ) / (12.0 * g.dt**2)
-    box = utt + g.spatial.modulus**2 * u[lo:hi]  # -Laplacian has symbol |xi|^2
+    box = utt + sg.modulus[..., :h]**2 * u[lo:hi]  # -Laplacian has symbol |xi|^2
     resid = box - b_spec
-    scale = float(np.sqrt(np.mean(np.abs(b_spec) ** 2)))
-    return float(np.sqrt(np.mean(np.abs(resid) ** 2))), scale
+    weights = _slice_weights(sg, 2.0, 0.0, h)
+    cells = math.sqrt(sg.dxi**3 * (hi - lo) * sg.n**3)
+    return tuple(float(_lattice_norms(sg, [x], weights, 2.0)[0]) / cells for x in (resid, b_spec))
 
 
 def solve_local(
@@ -735,40 +732,36 @@ def solve_local(
     curve covers the core slices |t| <= delta alone, its first entry at the
     first core slice (so the t_index of solve.csv counts from there).
     The residual audits the core slices whose d_t^2 stencil, two slices each
-    way, lies in the core: off the core the loop solves no equation, and u
-    there is the J-flow of one edge datum per end (see picard_iterate).
-    Only the X-distances and the Z-norm depend on b.  mask B(u, u), the
-    forcing the loop iterated,
-    and the source term are formed on the audited slices alone.  When no
-    slice is left to audit, the report says so (SolveReport.status).
+    way, lies in the core: off the core the loop solves no equation.
+    mask B(u, u), the forcing the loop iterated, and the source term are
+    formed on the audited slices alone; no slice left to audit is reported
+    in SolveReport.status.  Everything is read on the lattice the loop ran
+    on (see PicardResult), so u and d_t u of real data come from their half
+    spectra through the real inverse transform, and the norms count mates.
     """
     g = cfg.grid
+    sg = g.spatial
     src = None if source is None else spatial_forward_slices(source)
     result = picard_iterate(fp, fm, ns, cfg, r=r, s=s, source=src)
     sp, sm = result.sp, result.sm
-    real = result.real_data
-    sg = g.spatial
-    h = sg.n // 2 + 1 if real else sg.n      # real data: u, d_t u and norms from half spectra
+    h = sp.shape[-1]        # N//2 + 1 for real data, see PicardResult
     core = _core_slices(g, cfg.delta)
     lo, hi = np.flatnonzero(core)[[0, -1]] + (2, -1)
     audit = slice(lo, max(lo, hi))
     # mask B(u, u), the forcing the loop iterated
-    b_spec = _bilinear_spec(sp[audit, ..., :h], sm[audit, ..., :h], ns, g)
+    b_spec = _bilinear_spec(sp[audit], sm[audit], ns, g)
+    if src is not None:
+        b_spec += src[audit, ..., :h]
     u_spec = sp + sm
     u_spec /= 2.0
     # d_t u = d_t w/2 by the evolution identity d_t w = -iJ(u_+ - u_-)
-    dtu_spec = sp[..., :h] - sm[..., :h]
-    dtu_spec *= -1j * sg.bracket[..., :h]
-    dtu_spec /= 2.0
-    u = SpacetimeField(g, _dft(u_spec[..., :h], sg, inverse=True))
+    dtu_spec = sp - sm
+    dtu_spec *= -0.5j * sg.bracket[..., :h]
+    u = SpacetimeField(g, _dft(u_spec, sg, inverse=True))
     dtu = SpacetimeField(g, _dft(dtu_spec, sg, inverse=True))
-    if real:
-        b_spec = hermitian_full(b_spec)
-    if src is not None:
-        b_spec = b_spec + src[audit]
     residual, scale = _box_residual(u_spec, g, b_spec, audit)
 
-    norms_p, norms_m = _slice_norms(g, (sp[core, ..., :h], sm[core, ..., :h]), r, s)
+    norms_p, norms_m = _slice_norms(g, (sp[core], sm[core]), r, s)
     pers = norms_p + norms_m
     jumps = np.abs(np.diff(pers))
     z_value = None
@@ -777,12 +770,11 @@ def solve_local(
         # time transform alive at a time; u_spec and dtu_spec are dead, so
         # they take psi in place
         psi = window_values(cfg.window, g.t_axis)[:, None, None, None]
-        upper, lower = (NormParams(r, reg, cfg.b, +1) for reg in (s, s - 1.0))
-        u_spec *= psi
-        z_value = xsb_norm(SpacetimeSpectrum(g, time_forward(g, u_spec)), upper)
-        dtu_spec *= psi
-        z_value += xsb_norm(SpacetimeSpectrum(g, time_forward(
-            g, hermitian_full(dtu_spec) if real else dtu_spec)), lower)
+        z_value = 0.0
+        for spec, reg in ((u_spec, s), (dtu_spec, s - 1.0)):
+            spec *= psi
+            weights = _xsb_weights(g, NormParams(r, reg, cfg.b, +1), h)
+            z_value += float(_lattice_norms(g, [time_forward(g, spec)], weights, r)[0])
     return SolveReport(
         result=result,
         u=u,
@@ -808,28 +800,28 @@ def select_delta(
 ) -> tuple[float, list[dict]]:
     """Halve the local time radius until the first contraction factor is small.
 
-    Starts at min(1, 0.5 / (1 + max data norm)), and tries no delta below
-    2 dt: the core then keeps two slices on each side of t = 0, where a core
-    of t = 0 alone would give rho_1 = 0 by construction.  Returns the first
-    accepted delta with the trial trace; when none is accepted, the last one
-    tried, at the floor or after _MAX_TRIALS trials.  Each trial builds
-    picard_iterate's loop state for default_config(grid, delta, max_iter=2,
-    b=b) and advances it two iterations on the core; with b set it forms the
-    windowed X-distances too, so that the state is that of a solve with the
-    same b, and a non-finite one stops it (see SolveConfig).  rho_1 does not
-    depend on b.
-    Only the returned delta's state is parked in the one-entry memo, and
-    picard_iterate (so solve_local) at that delta on the same data and
-    settings, b included, resumes it from iteration 2.  rho_1 is the
-    contraction factor of the nonlinearity, so it shrinks with the data
-    and with delta.  Each trace entry holds the trial's delta, rho_1 and
-    Picard status.  rho_1 is 0 for a trial that converged at its first
+    Starts at min(1, 0.5 / (1 + max data norm), 0.95 T), 0.95 T the
+    largest delta a config takes (SolveConfig.largest_delta), and tries no
+    delta below 2 dt: the core then keeps two slices on each side of t = 0,
+    where a core of t = 0 alone would give rho_1 = 0 by construction.
+    Returns the first accepted delta with the trial trace; when none is
+    accepted, the last one tried, at the floor or after _MAX_TRIALS trials.
+    Each trial builds picard_iterate's loop state for default_config(grid,
+    delta, max_iter=2, b=b) and advances it two iterations on the core;
+    with b set it forms the windowed X-distances too, so that the state is
+    that of a solve with the same b, and a non-finite one stops it.  rho_1
+    does not depend on b.  Only the returned delta's state is parked in the
+    one-entry memo, and picard_iterate (so solve_local) at that delta on the
+    same data and settings, b included, resumes it from iteration 2.
+    rho_1, the contraction factor of the nonlinearity, shrinks with the
+    data and with delta.  Each trace entry holds the trial's delta, rho_1
+    and Picard status; rho_1 is 0 for a trial that converged at its first
     distance (zero data), and None, never accepted, for a trial that
     stopped with fewer than two finite distances.
     """
     n0, n1 = d.norms()
     floor = 2.0 * grid.dt
-    delta = max(floor, min(1.0, 0.5 / (1.0 + max(n0, n1))))
+    delta = max(floor, min(1.0, 0.5 / (1.0 + max(n0, n1)), SolveConfig.largest_delta(grid)))
     fp, fm = to_first_order(d)
     _TRIAL.clear()
     trace = []
@@ -882,9 +874,14 @@ def flow_lipschitz_probe(
     off_origin = np.flatnonzero(core) != g.origin_index
 
     def solved(f, r_, s_):
-        # (converged, u_+ and u_- on the core) of one solve, the rest dropped
+        # (converged, u_+ and u_- on the core) of one solve, the rest dropped;
+        # a real solve's are completed, so that it pairs with a complex one
         res = picard_iterate(*f, ns, cfg, r=r_, s=s_)
-        return res.converged, res.sp[core], res.sm[core]
+        sp, sm = res.sp[core], res.sm[core]
+        if res.real_data:
+            sp = hermitian_full(sp, sm)
+            sm = conj_reflect(sp)
+        return res.converged, sp, sm
 
     first = None            # (key, solved) of the last first datum solved
     ratios, ratios_off, rows = [], [], []

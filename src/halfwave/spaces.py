@@ -195,7 +195,8 @@ def _lattice_norms(g, spectra, weights, r: float, axes=None) -> list:
     """The L^{r'} norm (sum wt |F|^{r'})^{1/r'} of each array F of spectra on
     g's lattice, summed over axes, for weights = (wt, mate).  With a mate (see
     _mate) spectra is a pair (F_+, F_-), and each sum adds that of the mate
-    times the other's |F|^{r'}."""
+    times the other's |F|^{r'}; a lone spectrum, that of a real array, is
+    its own mate."""
     rp = dual_exponent(r)
     wt, mate = weights
     powers = list(map(np.abs, spectra))     # drops each spectrum once its |F| is formed

@@ -650,6 +650,30 @@ def test_solve_refuses_a_nonfinite_s(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: the data regularity s must be finite")
 
 
+@pytest.mark.parametrize("key, command", [
+    ("family.amplitude=nan", "solve"),
+    ("family.width=0", "solve"),          # the profile is 0/0 at xi = 0
+    ("family.amplitude=inf", "lipschitz"),
+])
+def test_nonfinite_data_are_refused(tmp_path, capsys, key, command):
+    """Non-finite Cauchy data are refused with the data, before a delta is
+    chosen or a pair is solved: exit 1, an error line naming them, nothing
+    written."""
+    code, out = _run(tmp_path, "--set", key, command)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: the position data u0 must be finite")
+
+
+@pytest.mark.parametrize("t", ["0.5", "0.3"])
+def test_solve_selects_delta_inside_a_short_time_box(tmp_path, t):
+    """select_delta starts at most at 0.95 T, the largest delta a solve
+    config takes, so on a time box shorter than 1/0.95 every trial fits."""
+    code, out = _run(tmp_path, *_SMALL, "--set", f"grid.t={t}", "solve")
+    assert code == 0
+    trace = json.loads((out / "solve.json").read_text())["summary"]["delta_trace"]
+    assert trace and all(row["delta"] <= 0.95 * float(t) for row in trace)
+
+
 def test_solve_refuses_b_at_most_one_over_r(tmp_path, capsys):
     """At r = 1.5 the default b = 0.55 is below 1/r: the solve exits 1 with
     nothing written, and with b = 0.7 it runs."""

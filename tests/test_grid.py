@@ -327,7 +327,7 @@ def test_half_spectrum_transforms_match_full(n, m, half_length, half_time, seed)
     assert _close(half, full[..., :h], 1e-13)
     inverse = _dft(full, g.spatial, inverse=True)
     assert np.iscomplexobj(inverse) and _close(inverse, f, 1e-13)
-    completed = hermitian_full(half)
+    completed = hermitian_full(half, half)
     assert np.array_equal(completed[..., :h], half)
     upper = np.conj(_reflect_by_index(completed, (1, 2, 3)))[..., h:]
     assert np.array_equal(completed[..., h:], upper)
